@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster.specs import CPUSpec, ClusterSpec, NodeSpec
+from repro.comm.reliable import ReliableComm
+from repro.core.checkpoint import CheckpointManager
 from repro.device.cpu import CPUDevice
 from repro.device.work import WorkModel
+from repro.sim.engine import RankContext
 from repro.util.errors import ValidationError
 
 
@@ -86,6 +89,75 @@ def extrapolate_steps(step_times: list[float], total_iterations: int) -> float:
             f"total_iterations ({total_iterations}) below measured steps ({len(step_times)})"
         )
     return sum(step_times) + step_times[-1] * (total_iterations - len(step_times))
+
+
+class StepLoop:
+    """The rank programs' one time-step loop driver.
+
+    Create it first thing in a rank program and call :meth:`finish` last
+    thing.  ``reliable`` wraps the rank's communicator in
+    :class:`~repro.comm.reliable.ReliableComm` — everything built
+    afterwards runs over it, so the run completes bit-identically under a
+    lossy fault plan — and ``checkpoint_every`` (cadence in loop
+    iterations) puts the loop under a
+    :class:`~repro.core.checkpoint.CheckpointManager`, so an injected
+    rank crash recovers from the last snapshot instead of failing the run.
+    """
+
+    def __init__(
+        self, ctx: RankContext, *, reliable: bool = False, checkpoint_every: int | None = None
+    ) -> None:
+        if reliable:
+            ctx.comm = ReliableComm(ctx.comm)
+        self.ctx = ctx
+        self.reliable = reliable
+        #: None when un-checkpointed; loops that drive themselves
+        #: (``run_until``) take it directly.
+        self.manager = (
+            None if checkpoint_every is None else CheckpointManager(ctx, every=checkpoint_every)
+        )
+
+    def run(
+        self,
+        steps: int,
+        advance: Callable[[int], None],
+        capture: Callable[[], Any] | None = None,
+        restore: Callable[[Any], None] | None = None,
+        *,
+        block: int = 1,
+    ) -> list[float]:
+        """Run ``steps`` steps as timed ``advance(min(block, steps left))``
+        calls; returns per-step virtual times.
+
+        A block's elapsed time is spread evenly over its steps: the total
+        is exact and the last entry is the steady per-step rate, which is
+        what :func:`extrapolate_steps` reads.  Blocks are the checkpoint
+        unit; ``capture`` / ``restore`` are needed iff the loop is
+        checkpointed.  Steps re-executed after a crash are timed again.
+        """
+        clock = self.ctx.clock
+        step_times: list[float] = []
+
+        def one_block(b: int) -> None:
+            n = min(block, steps - b * block)
+            t0 = clock.now
+            advance(n)
+            step_times.extend([(clock.now - t0) / n] * n)
+
+        n_blocks = -(-steps // block)
+        if self.manager is not None:
+            self.manager.run_iterations(n_blocks, one_block, capture, restore)
+        else:
+            for b in range(n_blocks):
+                one_block(b)
+        return step_times
+
+    def finish(self) -> int:
+        """Drain the reliable layer's acknowledgements; returns the
+        number of crash recoveries the loop went through."""
+        if self.reliable:
+            self.ctx.comm.flush()
+        return 0 if self.manager is None else self.manager.recoveries
 
 
 def check_functional_scale(functional: int, model: int, name: str) -> None:

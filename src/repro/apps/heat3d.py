@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
 from repro.core.env import DeviceConfig, RuntimeEnv
@@ -134,12 +134,10 @@ def rank_program(
     paper's full iteration count (see
     :func:`repro.apps.common.extrapolate_steps`).
 
-    ``reliable`` wraps the rank's communicator in
-    :class:`~repro.comm.reliable.ReliableComm` so the run completes
-    bit-identically under a lossy fault plan; ``checkpoint_every`` drives
-    the step loop through a :class:`~repro.core.checkpoint.CheckpointManager`
-    (snapshot cadence in iterations) so an injected rank crash recovers
-    from the last checkpoint instead of failing the run.
+    ``reliable`` and ``checkpoint_every`` (snapshot cadence in exchange
+    rounds) are the :class:`~repro.apps.common.StepLoop` switches: run
+    bit-identically under a lossy fault plan, and recover an injected
+    rank crash from the last checkpoint instead of failing the run.
 
     ``until_tol`` switches to the convergence-driven variant: a fused
     stencil+reduce loop (:class:`~repro.core.stencil_reduce.
@@ -148,19 +146,14 @@ def rank_program(
     ``config.iterations``).  Every simulated step is then a real step —
     no extrapolation — and the result carries the residual history.
 
-    ``time_block`` enables temporal blocking (``k`` sweeps per deep halo
-    exchange, ``"auto"`` to let the link-table tuner pick); grids and
-    residual histories stay bit-identical to ``time_block=1``.
+    ``time_block`` sets the sweeps per halo exchange round (``"auto"``
+    lets the link-table tuner pick); grids and residual histories are
+    bit-identical for every value.
     """
-    if reliable:
-        from repro.comm.reliable import ReliableComm
-
-        ctx.comm = ReliableComm(ctx.comm)
+    loop = StepLoop(ctx, reliable=reliable, checkpoint_every=checkpoint_every)
     env = RuntimeEnv(ctx, mix)
-    if until_tol is not None:
-        st = env.get_stencil_reduce(overlap=overlap, tiling=tiling, adaptive=adaptive)
-    else:
-        st = env.get_stencil(overlap=overlap, tiling=tiling, adaptive=adaptive)
+    get_runtime = env.get_stencil if until_tol is None else env.get_stencil_reduce
+    st = get_runtime(overlap=overlap, tiling=tiling, adaptive=adaptive)
     st.configure(
         make_kernel(ctx.node),
         config.functional_shape,
@@ -169,91 +162,33 @@ def rank_program(
         time_block=time_block,
     )
     st.set_global_grid(heat3d_initial(config.functional_shape, seed=config.seed))
-    recoveries = 0
-
-    if until_tol is not None:
-        mgr = None
-        if checkpoint_every is not None:
-            from repro.core.checkpoint import CheckpointManager
-
-            mgr = CheckpointManager(ctx, every=checkpoint_every)
+    if until_tol is None:
+        out = {
+            "steps": loop.run(
+                config.simulated_steps,
+                st.run,
+                st.snapshot_state,
+                st.restore_state,
+                block=st.time_block,
+            )
+        }
+    else:
         res = st.run_until(
             max_iters=max_iters if max_iters is not None else config.iterations,
             tol=until_tol,
-            checkpoint=mgr,
+            checkpoint=loop.manager,
         )
-        grid = st.gather_global()
-        env.finalize()
-        if reliable:
-            ctx.comm.flush()
-        return {
+        out = {
             "steps": [],
-            "grid": grid,
-            "recoveries": 0 if mgr is None else mgr.recoveries,
             "iterations": res.iterations,
             "residuals": res.residuals,
             "converged": res.converged,
-            "time_block": st.time_block,
         }
-
-    step_times: list[float] = []
-    k = st.time_block
-    if k > 1:
-        # Blocked loop: advance whole temporal blocks (the checkpoint
-        # unit too, so snapshots land on block boundaries) and spread
-        # each block's elapsed time evenly over its sweeps — the total
-        # is exact and the last entry is the steady per-sweep rate, so
-        # extrapolate_steps keeps its meaning.
-        n_blocks = -(-config.simulated_steps // k)
-
-        def one_block(b: int) -> None:
-            t0 = ctx.clock.now
-            sweeps = min(k, config.simulated_steps - b * k)
-            st.run(sweeps)
-            dt = (ctx.clock.now - t0) / sweeps
-            step_times.extend([dt] * sweeps)
-
-        if checkpoint_every is not None:
-            from repro.core.checkpoint import CheckpointManager
-
-            mgr = CheckpointManager(ctx, every=checkpoint_every)
-            mgr.run_iterations(n_blocks, one_block, st.snapshot_state, st.restore_state)
-            recoveries = mgr.recoveries
-        else:
-            for b in range(n_blocks):
-                one_block(b)
-        grid = st.gather_global()
-        env.finalize()
-        if reliable:
-            ctx.comm.flush()
-        return {
-            "steps": step_times,
-            "grid": grid,
-            "recoveries": recoveries,
-            "time_block": k,
-        }
-
-    def one_step(_it: int) -> None:
-        t0 = ctx.clock.now
-        st.step()
-        step_times.append(ctx.clock.now - t0)
-
-    if checkpoint_every is not None:
-        from repro.core.checkpoint import CheckpointManager
-
-        mgr = CheckpointManager(ctx, every=checkpoint_every)
-        mgr.run_iterations(
-            config.simulated_steps, one_step, st.snapshot_state, st.restore_state
-        )
-        recoveries = mgr.recoveries
-    else:
-        for it in range(config.simulated_steps):
-            one_step(it)
-    grid = st.gather_global()
+    out["grid"] = st.gather_global()
     env.finalize()
-    if reliable:
-        ctx.comm.flush()
-    return {"steps": step_times, "grid": grid, "recoveries": recoveries, "time_block": k}
+    out["recoveries"] = loop.finish()
+    out["time_block"] = st.time_block
+    return out
 
 
 def run(

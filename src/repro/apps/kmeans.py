@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, check_functional_scale, sequential_time
+from repro.apps.common import AppRun, StepLoop, check_functional_scale, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.env import DeviceConfig, RuntimeEnv
 from repro.core.api import GRKernel, emit_keys_batch
@@ -150,17 +150,13 @@ def rank_program(
 ) -> np.ndarray:
     """SPMD body: one (or more) Kmeans iterations via the GR runtime.
 
-    ``reliable`` wraps the communicator in
-    :class:`~repro.comm.reliable.ReliableComm` (bit-identical results
-    under lossy fault plans); ``checkpoint_every`` runs the iteration loop
-    under a :class:`~repro.core.checkpoint.CheckpointManager` — the
-    evolving state is just the centers array, so a crashed rank rolls the
-    whole group back to the last snapshot of the centers.
+    ``reliable`` and ``checkpoint_every`` are the
+    :class:`~repro.apps.common.StepLoop` switches (bit-identical results
+    under lossy fault plans; crash recovery) — the evolving state is just
+    the centers array, so a crashed rank rolls the whole group back to
+    the last snapshot of the centers.
     """
-    if reliable:
-        from repro.comm.reliable import ReliableComm
-
-        ctx.comm = ReliableComm(ctx.comm)
+    loop = StepLoop(ctx, reliable=reliable, checkpoint_every=checkpoint_every)
     points, _true = clustered_points(
         config.functional_points, config.k, config.dims, seed=config.seed
     )
@@ -174,7 +170,7 @@ def rank_program(
     lo, hi = int(offsets[ctx.rank]), int(offsets[ctx.rank + 1])
     model_share = config.n_points // ctx.size
 
-    def one_iteration(_it: int) -> None:
+    def one_iteration(_n: int) -> None:
         gr.set_input(
             points[lo:hi],
             global_start=lo,
@@ -185,22 +181,14 @@ def rank_program(
         combined = gr.get_global_reduction(bcast=True)
         state["centers"] = _new_centers(combined, state["centers"])
 
-    if checkpoint_every is not None:
-        from repro.core.checkpoint import CheckpointManager
-
-        mgr = CheckpointManager(ctx, every=checkpoint_every)
-        mgr.run_iterations(
-            config.iterations,
-            one_iteration,
-            lambda: state["centers"].copy(),
-            lambda s: state.__setitem__("centers", s.copy()),
-        )
-    else:
-        for it in range(config.iterations):
-            one_iteration(it)
+    loop.run(
+        config.iterations,
+        one_iteration,
+        lambda: state["centers"].copy(),
+        lambda s: state.__setitem__("centers", s.copy()),
+    )
     env.finalize()
-    if reliable:
-        ctx.comm.flush()
+    loop.finish()
     return state["centers"]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
 from repro.core.env import DeviceConfig, RuntimeEnv
@@ -135,19 +135,10 @@ def rank_program(
         time_block=time_block,
     )
     st.set_global_grid(synthetic_image(config.functional_shape, seed=config.seed))
-    step_times: list[float] = []
-    k = st.time_block
-    left = config.simulated_steps
-    while left > 0:
-        sweeps = min(k, left)
-        t0 = ctx.clock.now
-        st.run(sweeps)
-        dt = (ctx.clock.now - t0) / sweeps
-        step_times.extend([dt] * sweeps)
-        left -= sweeps
+    step_times = StepLoop(ctx).run(config.simulated_steps, st.run, block=st.time_block)
     image = st.gather_global()
     env.finalize()
-    return {"steps": step_times, "image": image, "time_block": k}
+    return {"steps": step_times, "image": image, "time_block": st.time_block}
 
 
 def run(

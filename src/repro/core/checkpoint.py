@@ -176,46 +176,34 @@ class CheckpointManager:
     ) -> int:
         """Run ``step(i)`` for ``i in range(iterations)`` with recovery.
 
-        ``capture()`` must return an *independent* snapshot of the
-        application state (the manager stores it as-is); ``restore(state)``
-        must reinstate it.  Returns the number of step executions
-        including re-executed iterations (``iterations`` exactly when no
-        crash fired).
+        The fixed-count case of :meth:`run_convergence`: ``step`` returns
+        ``None``, so the loop never stops early.  Returns the number of
+        step executions including re-executed iterations (``iterations``
+        exactly when no crash fired).
         """
         if iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {iterations}")
-        ckpt = self._take(0, capture)
-        executions = 0
-        it = 0
-        while it < iterations:
-            crashed, crash, restart_cost = self._poll_crash()
-            if crashed:
-                it = self._recover(ckpt, crash, restart_cost, restore)
-                continue
-            step(it)
-            executions += 1
-            it += 1
-            if it % self.every == 0 and it < iterations:
-                ckpt = self._take(it, capture)
-        return executions
+        return self.run_convergence(iterations, step, capture, restore)
 
     def run_convergence(
         self,
         max_iters: int,
-        body: Callable[[int], bool],
+        body: Callable[[int], Any],
         capture: Callable[[], Any],
         restore: Callable[[Any], None],
     ) -> int:
-        """Run ``body(i)`` until it returns True or ``max_iters``, with recovery.
+        """Run ``body(i)`` until it returns true or ``max_iters``, with recovery.
 
-        The convergence-loop twin of :meth:`run_iterations`: ``body``
-        performs one iteration and reports whether the loop should stop
-        (e.g. the residual dropped below tolerance).  ``capture`` must
-        include whatever the convergence test depends on — iteration
-        counters, residual histories, kernel parameters — so that a
-        rollback replays the loop identically (``body`` decisions are
-        collective, so every rank stops on the same iteration).  Returns
-        the number of body executions including re-executed iterations.
+        ``body`` performs one iteration and reports whether the loop
+        should stop (e.g. the residual dropped below tolerance).
+        ``capture()`` must return an *independent* snapshot of the
+        application state (the manager stores it as-is) and include
+        whatever the convergence test depends on — iteration counters,
+        residual histories, kernel parameters — so that a rollback
+        replays the loop identically (``body`` decisions are collective,
+        so every rank stops on the same iteration); ``restore(state)``
+        must reinstate it.  Returns the number of body executions
+        including re-executed iterations.
         """
         if max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -227,7 +215,7 @@ class CheckpointManager:
             if crashed:
                 it = self._recover(ckpt, crash, restart_cost, restore)
                 continue
-            done = bool(body(it))
+            done = body(it)
             executions += 1
             it += 1
             if done:

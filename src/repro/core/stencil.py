@@ -31,20 +31,23 @@ Grid decomposition and execution flow:
   planes be processed by a single GPU kernel launch; ``tiling=False``
   inflates CPU memory traffic and launches one GPU kernel per face
   (Fig. 7 ablates this).
-- **Temporal blocking** (``configure(time_block=k)``): the halo slabs are
-  allocated ``k * halo`` deep, one exchange round carries ``k`` depth-
-  ``halo`` strips per neighbour in a single coalesced message, and ``k``
-  kernel sweeps run per exchange over a *shrinking* valid region — sweep
+- **Exchange rounds** (``configure(time_block=k)``, default 1): the one
+  step path runs in rounds of one halo exchange plus ``k`` kernel
+  sweeps.  The halo slabs are allocated ``k * halo`` deep, a round
+  carries ``k`` depth-``halo`` strips per neighbour in a single coalesced
+  message, and the sweeps run over a *shrinking* valid region — sweep
   ``s`` still computes ``(k-1-s)*halo`` cells past the interior toward
   every rank neighbour, recomputing exactly the ghost values the
   neighbour computes itself (bit-identical by construction, since both
-  run the same elementwise update on the same time-``t`` data).  The
-  redundant ghost flops are charged as real work through the device cost
-  model, so the trade — ``k`` x fewer message rounds (the per-message
-  α/LogGP constant amortizes; bytes do not) against extra compute — is
-  priced honestly.  ``time_block="auto"`` picks ``k`` per run from the
-  link table's α/β and the kernel's flop intensity via the closed form
-  in :func:`~repro.device.costmodel.time_block_sweep_cost`.
+  run the same elementwise update on the same time-``t`` data).  With
+  ``k = 1`` there is nothing past the interior to recompute; with
+  ``k > 1`` (temporal blocking) the redundant ghost flops are charged as
+  real work through the device cost model, so the trade — ``k`` x fewer
+  message rounds (the per-message α/LogGP constant amortizes; bytes do
+  not) against extra compute — is priced honestly.  ``time_block="auto"``
+  picks ``k`` per run from the link table's α/β and the kernel's flop
+  intensity via the closed form in
+  :func:`~repro.device.costmodel.time_block_sweep_cost`.
 
 Functional honesty: halo slabs are filled **only** by the exchange
 protocol, so a protocol bug produces wrong numbers, not just wrong times.
@@ -54,6 +57,7 @@ references use the same convention).
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -123,23 +127,19 @@ class StencilRuntime:
         overlap: bool = True,
         tiling: bool = True,
         adaptive: bool = True,
-        cpu_tile: int = 16,
-        gpu_tile: int = 32,
     ) -> None:
         self.env = env
         self.overlap = overlap
         self.tiling = tiling
         self.adaptive = adaptive
-        self.cpu_tile = cpu_tile
-        self.gpu_tile = gpu_tile
         self._kernel: StencilKernel | None = None
         self._configured = False
         self._parameter: Any = None
         self._timestep = 0
         self._partitioner: AdaptivePartitioner | None = None
         self._rows: np.ndarray | None = None  # current per-device row counts
-        #: (t0, rows, recvs) of an exchange begun ahead of the next step
-        #: (see :meth:`begin_step_early`), or None.
+        #: (t0, rows, recvs) of an exchange round begun ahead of the next
+        #: step (see :meth:`begin_step_early`), or None.
         self._prestarted: tuple[float, np.ndarray, list] | None = None
         #: Temporal-blocking factor (sweeps per exchange round) and the
         #: resulting halo-slab depth ``time_block * halo``.
@@ -331,15 +331,15 @@ class StencilRuntime:
         self._xchg_parity = 1
         self._redundant_flops = 0.0
         self._configured = True
-        if env.trace.enabled:
-            env.trace.gauge("stencil.time_block", float(self._time_block))
-        # Region lists and element totals are fixed for this configuration;
-        # cache them so the step loop doesn't rebuild slice tuples or
-        # recount elements every iteration.
-        self._inner = self._inner_region()
-        self._boundary = self._boundary_regions()
-        self._inner_elems = self._region_elems(self._inner)
-        self._boundary_elems = sum(self._region_elems(r) for r in self._boundary)
+        # The inner box (at least ``halo`` away from every face) overlaps
+        # the exchange; the boundary shell around it (two slabs per axis)
+        # waits for the halos.  Only the sizes matter — charges go by
+        # element count and the kernel is applied over the whole box.
+        # Per-round charge plans depend on the sweep count and the device
+        # split too, so they fill in on first use (see :meth:`_round_plan`).
+        self._inner_elems = math.prod(ext - 2 * h for ext in self.local_shape)
+        self._boundary_elems = math.prod(self.local_shape) - self._inner_elems
+        self._plans: dict[tuple[int, bytes], tuple] = {}
 
     @property
     def time_block(self) -> int:
@@ -358,18 +358,17 @@ class StencilRuntime:
         k = int(time_block)
         if k < 1:
             raise ConfigurationError(f"time_block must be >= 1, got {time_block}")
-        if k > 1:
-            # Generalizes the 2*halo rule: deep send strips come from the
-            # interior, so every axis that actually exchanges needs room
-            # for both faces' k*h-deep strips.
-            for ax, ext in enumerate(self.local_shape):
-                lo, hi = self._neighbors[ax]
-                if (lo != PROC_NULL or hi != PROC_NULL) and ext < 2 * k * h:
-                    raise ConfigurationError(
-                        f"local extent {ext} on axis {ax} is below "
-                        f"2*time_block*halo={2 * k * h}; lower time_block, "
-                        f"use fewer processes or a bigger grid"
-                    )
+        # Generalizes the 2*halo rule: deep send strips come from the
+        # interior, so every axis that actually exchanges needs room for
+        # both faces' k*h-deep strips.
+        for ax, ext in enumerate(self.local_shape):
+            lo, hi = self._neighbors[ax]
+            if (lo != PROC_NULL or hi != PROC_NULL) and ext < 2 * k * h:
+                raise ConfigurationError(
+                    f"local extent {ext} on axis {ax} is below "
+                    f"2*time_block*halo={2 * k * h}; lower time_block, "
+                    f"use fewer processes or a bigger grid"
+                )
         return k
 
     def _auto_time_block(self, n_arrays: int) -> int:
@@ -498,36 +497,6 @@ class StencilRuntime:
         if self._fields:
             return StencilFields(self._parameter, self._fields)
         return self._parameter
-
-    # -- regions ------------------------------------------------------------
-    def _inner_region(self) -> tuple[slice, ...]:
-        h = self._kernel.halo
-        return tuple(slice(sl.start + h, sl.stop - h) for sl in self.interior)
-
-    def _boundary_regions(self) -> list[tuple[slice, ...]]:
-        """Non-overlapping slabs covering interior minus inner."""
-        h = self._kernel.halo
-        regions: list[tuple[slice, ...]] = []
-        current = list(self.interior)
-        for ax in range(len(current)):
-            sl = current[ax]
-            lowside = tuple(
-                current[:ax] + [slice(sl.start, sl.start + h)] + current[ax + 1 :]
-            )
-            highside = tuple(
-                current[:ax] + [slice(sl.stop - h, sl.stop)] + current[ax + 1 :]
-            )
-            regions.append(lowside)
-            regions.append(highside)
-            current[ax] = slice(sl.start + h, sl.stop - h)
-        return regions
-
-    @staticmethod
-    def _region_elems(region: tuple[slice, ...]) -> int:
-        n = 1
-        for sl in region:
-            n *= max(0, sl.stop - sl.start)
-        return n
 
     # -- halo exchange (Fig. 4 steps 1-5) --------------------------------------
     def _face_slices(
@@ -668,22 +637,28 @@ class StencilRuntime:
                     )
             env.clock.advance_to(unpack_end)
 
-    def _begin_exchange(self) -> list[tuple[int, Any]]:
-        """Kick off the halo exchange: post axis-0 traffic immediately.
+    def _begin_round(self) -> tuple[float, np.ndarray, list[tuple[int, Any]]]:
+        """Open an exchange round: fresh device timelines, the device
+        split, and axis-0 halo traffic posted immediately.
 
         Later axes must wait for earlier axes' halos before their strips
         carry correct corner values (sequential-axis corner propagation),
         so only axis 0 is posted here; :meth:`_finish_exchange` drives the
-        rest.  Inner compute still overlaps the whole pipeline.
+        rest.  Inner compute still overlaps the whole pipeline.  Returns
+        (round start time, per-device rows, posted receives).
         """
-        # One parity flip per exchange round (== per temporal block):
-        # alternation is what keeps a pack buffer unused until the
-        # neighbour consumed the round before last.
+        env = self.env
+        t0 = env.clock.now
+        for dev in env.devices:
+            dev.reset(start=t0)
+        rows = self._rows = self._partitioner.split(self.local_shape[0])
+        # One parity flip per exchange round: alternation is what keeps a
+        # pack buffer unused until the neighbour consumed the round
+        # before last.
         self._xchg_parity ^= 1
-        rows = self._rows if self._rows is not None else np.array([1])
         recvs = self._post_axis_recvs(0)
         self._send_axis(0, rows)
-        return recvs
+        return t0, rows, recvs
 
     def begin_step_early(self) -> None:
         """Kick off the *next* step's axis-0 exchange ahead of :meth:`step`.
@@ -696,21 +671,14 @@ class StencilRuntime:
         :meth:`step` call picks the in-flight exchange up instead of
         starting its own.  Device timelines are reset here (normally
         :meth:`step`'s first act) so the pack charges land on the fresh
-        timelines of the step they belong to.  With temporal blocking the
-        speculation covers a whole block: the deep exchange posted here
+        timelines of the step they belong to.  The speculation covers a
+        whole round: the ``time_block * halo``-deep exchange posted here
         feeds the next ``time_block`` sweeps.
         """
         self._check_configured()
         if self._prestarted is not None:
             raise ConfigurationError("an exchange is already in flight for the next step")
-        env = self.env
-        t0 = env.clock.now
-        for dev in env.devices:
-            dev.reset(start=t0)
-        rows = self._device_rows()
-        self._rows = rows
-        recvs = self._begin_exchange()
-        self._prestarted = (t0, rows, recvs)
+        self._prestarted = self._begin_round()
 
     def cancel_begun_step(self) -> None:
         """Drain an exchange begun by :meth:`begin_step_early` unused.
@@ -739,9 +707,8 @@ class StencilRuntime:
         nothing.
         """
 
-    def _finish_exchange(self, recvs: list[tuple[int, Any]]) -> None:
+    def _finish_exchange(self, recvs: list[tuple[int, Any]], rows: np.ndarray) -> None:
         """Complete the exchange: fill axis-0 halos, then run later axes."""
-        rows = self._rows if self._rows is not None else np.array([1])
         self._fill_halos(recvs)
         for axis in range(1, len(self.local_shape)):
             axis_recvs = self._post_axis_recvs(axis)
@@ -777,10 +744,6 @@ class StencilRuntime:
                     finish = max(finish, ready + env.host_memcpy_time(nbytes))
         return finish
 
-    # -- device split ------------------------------------------------------------
-    def _device_rows(self) -> np.ndarray:
-        return self._partitioner.split(self.local_shape[0])
-
     # -- compute -------------------------------------------------------------------
     def _effective_work(self, dev) -> "Any":
         """The kernel's work model adjusted for the tiling setting."""
@@ -796,29 +759,6 @@ class StencilRuntime:
             )
         return work.replace(gpu_efficiency=work.gpu_efficiency * UNTILED_GPU_EFF_FACTOR)
 
-    def _charge_regions(
-        self,
-        total: int,
-        n_regions: int,
-        rows: np.ndarray,
-        phase: str,
-        ready: float,
-    ) -> tuple[float, np.ndarray]:
-        """Charge per-device virtual time for computing ``total`` elements
-        spread over ``n_regions`` regions.
-
-        Cost accounting only — the functional math runs separately (one
-        fused kernel apply per step in :meth:`step`), because region
-        fragmentation is a *virtual* concern: launch counts and per-device
-        shares feed the cost model, while numpy runs fastest over the whole
-        interior box.  Costs are split by each device's share of the axis-0
-        rows.  Returns (finish time, per-device busy seconds).
-        """
-        shares = (rows / max(1, int(rows.sum()))).tolist()
-        return self._charge_counts(
-            [total * share for share in shares], n_regions, phase, ready
-        )
-
     def _charge_counts(
         self,
         counts: list[float],
@@ -826,9 +766,15 @@ class StencilRuntime:
         phase: str,
         ready: float,
     ) -> tuple[float, np.ndarray]:
-        """Charge per-device virtual time for explicit per-device element
-        counts (the temporal-blocking path computes ghost-extended counts
-        itself; :meth:`_charge_regions` derives them from row shares)."""
+        """Charge per-device virtual time for per-device element counts
+        spread over ``n_regions`` regions.
+
+        Cost accounting only — the functional math runs separately (one
+        fused kernel apply per sweep in :meth:`_advance`), because region
+        fragmentation is a *virtual* concern: launch counts and per-device
+        shares feed the cost model, while numpy runs fastest over the whole
+        box.  Returns (finish time, per-device busy seconds).
+        """
         env = self.env
         busy = np.zeros(len(env.devices))
         finish = ready
@@ -856,103 +802,6 @@ class StencilRuntime:
                 env.trace.record("compute", f"ST:{phase}:{dev.name}", iv.start, iv.end)
         return finish, busy
 
-    # -- one iteration -----------------------------------------------------------------
-    def step(self) -> None:
-        """One stencil iteration: exchange halos, apply kernel, swap buffers.
-
-        With ``time_block=k > 1`` one call is one full temporal block —
-        one deep exchange plus ``k`` sweeps (the timestep counter
-        advances by ``k``).  Use :meth:`run` to execute a sweep count
-        that is not a multiple of ``k``.
-        """
-        if self._configured and self._time_block > 1:
-            self._blocked_step(self._time_block)
-            return
-        self._check_configured()
-        if self._kernel is None:
-            raise ConfigurationError("no kernel configured")
-        env = self.env
-        clock = env.clock
-        pre = self._prestarted
-        if pre is None:
-            t0 = clock.now
-            for dev in env.devices:
-                dev.reset(start=t0)
-            rows = self._device_rows()
-            self._rows = rows
-            recvs = self._begin_exchange()
-        else:
-            # The exchange (and the device resets) already happened in
-            # begin_step_early(); pick up the in-flight receives.
-            self._prestarted = None
-            t0, rows, recvs = pre
-        n_bound = len(self._boundary)
-
-        if self.overlap:
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", clock.now
-            )
-            self._finish_exchange(recvs)
-            dev_xchg_done = self._interdevice_exchange(clock.now)
-            ready = max(inner_done, dev_xchg_done)
-            bound_done, busy_bound = self._charge_regions(
-                self._boundary_elems, n_bound, rows, "boundary", ready
-            )
-            end = max(inner_done, bound_done)
-        else:
-            self._finish_exchange(recvs)
-            dev_xchg_done = self._interdevice_exchange(clock.now)
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", dev_xchg_done
-            )
-            bound_done, busy_bound = self._charge_regions(
-                self._boundary_elems, n_bound, rows, "boundary", inner_done
-            )
-            end = bound_done
-        clock.advance_to(end)
-
-        # Functional math, decoupled from the virtual charges above: one
-        # fused kernel apply over the whole interior once the halos are in.
-        # Elementwise stencil updates give bit-identical results whether
-        # the interior is computed as one box or as inner + boundary slabs,
-        # and numpy is much faster over the single large box.
-        self._kernel.apply(self._src, self._dst, self.interior, self._effective_parameter())
-        self._after_apply(self._src, self._dst)
-
-        if self.adaptive and not self._partitioner.profiled:
-            busy = busy_inner + busy_bound
-            if busy.sum() > 0:
-                self._partitioner.observe(rows.astype(float), np.maximum(busy, 1e-30))
-
-        self._src, self._dst = self._dst, self._src
-        self._timestep += 1
-        if env.trace.enabled:
-            env.trace.record("compute", "ST:step", t0, clock.now, {"step": self._timestep})
-
-    def run(self, iterations: int) -> None:
-        """Run ``iterations`` stencil *sweeps* (paper: the time-step loop).
-
-        With temporal blocking the sweeps execute in blocks of
-        ``time_block``; a final partial block still exchanges at the
-        registered ``time_block * halo`` depth (the buffers and message
-        layouts are fixed at configure time — the overshoot bytes are
-        charged honestly) but only sweeps the remaining iterations, so
-        the run lands exactly on ``iterations`` applications.
-        """
-        if iterations < 1:
-            raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-        k = self._time_block if self._configured else 1
-        if k <= 1:
-            for _ in range(iterations):
-                self.step()
-            return
-        left = iterations
-        while left > 0:
-            sweeps = min(k, left)
-            self._blocked_step(sweeps)
-            left -= sweeps
-
-    # -- temporal blocking (deep ghost zones) -------------------------------------------
     def _sweep_counts(self, s: int, sweeps: int, rows: np.ndarray) -> list[float]:
         """Per-device functional element counts charged for sweep ``s``.
 
@@ -961,7 +810,7 @@ class StencilRuntime:
         ``e = (sweeps-1-s)*halo`` past the interior toward rank
         neighbours (ghost-zone recomputation), and every device
         additionally recomputes ``e`` rows past its own split planes —
-        inter-device planes are exchanged once per block, so the sweeps
+        inter-device planes are exchanged once per round, so the sweeps
         in between must recompute across them too.  Sides at a
         non-periodic global border never extend.
         """
@@ -984,13 +833,13 @@ class StencilRuntime:
             counts.append((r + e * (open_lo + open_hi)) * cross)
         return counts
 
-    def _block_regions(self, sweeps: int) -> list[tuple[slice, ...]]:
-        """Functional compute region for each sweep of one temporal block.
+    def _sweep_regions(self, sweeps: int) -> list[tuple[slice, ...]]:
+        """Functional compute region for each sweep of one exchange round.
 
         Sweep ``s`` writes the interior extended by ``(sweeps-1-s)*halo``
         toward every side with a rank neighbour.  Each region plus its
         ``halo``-neighbourhood is contained in the previous sweep's
-        region (or, for sweep 0, in the freshly exchanged deep slabs), so
+        region (or, for sweep 0, in the freshly exchanged slabs), so
         every ghost value recomputed here equals bit-for-bit what the
         owning rank computes: both run the same elementwise update on the
         same time-``t`` data.  Global-border halo cells are never written
@@ -1001,119 +850,143 @@ class StencilRuntime:
         out: list[tuple[slice, ...]] = []
         for s in range(sweeps):
             e = (sweeps - 1 - s) * h
-            region = []
-            for ax, sl in enumerate(self.interior):
-                lo, hi = self._neighbors[ax]
-                region.append(
+            out.append(
+                tuple(
                     slice(
                         sl.start - (e if lo != PROC_NULL else 0),
                         sl.stop + (e if hi != PROC_NULL else 0),
                     )
+                    for sl, (lo, hi) in zip(self.interior, self._neighbors)
                 )
-            out.append(tuple(region))
+            )
         return out
 
-    def _blocked_step(self, sweeps: int) -> None:
-        """One temporal block: one deep halo exchange, then ``sweeps`` sweeps.
+    def _round_plan(self, sweeps: int, rows: np.ndarray) -> tuple:
+        """Everything one round of ``sweeps`` sweeps charges and applies
+        that is fixed for this configuration and device split.
 
-        Virtual charging mirrors :meth:`step` for sweep 0 — the inner box
-        overlaps the wire, the rest of the (ghost-extended) sweep-0
-        region waits for halos and device planes — then sweeps ``1..k-1``
-        are charged sequentially: pure local compute over a shrinking
-        region, with the redundant ghost elements priced as real flops
-        through the same device cost model.  The functional sweeps run
-        afterwards over the exact shrinking regions, so gathered grids
-        are bit-identical to ``time_block=1``.
+        Returns ``(inner, remainder, later, regions, observed,
+        redundant_flops)``: the per-device counts of sweep 0's inner box
+        (overlaps the exchange) and of the rest of its ghost-extended
+        region (waits for halos and device planes), the counts of sweeps
+        ``1..sweeps-1``, the functional region per sweep, the per-sweep-
+        averaged counts the partitioner observes (ghost rows included,
+        so the extra work does not bias the speed profile), and the
+        model-scale redundant flops of the round.  Built on first use
+        per (sweeps, split); the split changes once, after profiling.
+        """
+        key = (sweeps, rows.tobytes())
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        # tolist(): keep the per-device shares python floats — numpy scalars
+        # leaking into the time arithmetic slow every max()/schedule() call.
+        shares = (rows / max(1, int(rows.sum()))).tolist()
+        counts = [self._sweep_counts(s, sweeps, rows) for s in range(sweeps)]
+        inner = [self._inner_elems * share for share in shares]
+        if sweeps == 1:
+            # Same set as ``counts[0] - inner`` (no ghost extension), but
+            # the committed makespans pin this rounding on device mixes.
+            remainder = [self._boundary_elems * share for share in shares]
+        else:
+            # Strictly positive: the extension only ever grows the region
+            # past inner + boundary.
+            remainder = [c - i for c, i in zip(counts[0], inner)]
+        total = np.sum(np.asarray(counts, dtype=float), axis=0)
+        interior_elems = float(self._inner_elems + self._boundary_elems)
+        redundant = (
+            max(0.0, float(total.sum()) - sweeps * interior_elems)
+            * self._elem_scale
+            * self._kernel.work.flops_per_elem
+        )
+        plan = (inner, remainder, counts[1:], self._sweep_regions(sweeps), total / sweeps, redundant)
+        self._plans[key] = plan
+        return plan
+
+    # -- one exchange round ------------------------------------------------------------
+    def _advance(self, sweeps: int) -> None:
+        """One exchange round: one halo exchange, then ``sweeps`` sweeps.
+
+        Sweep 0 splits in two: the inner box overlaps the wire, the rest
+        of its (ghost-extended) region waits for halos and device planes.
+        Sweeps ``1..sweeps-1`` are charged sequentially: pure local
+        compute over a shrinking region, with the redundant ghost
+        elements priced as real flops through the same device cost model.
+        The functional sweeps run afterwards, decoupled from the charges:
+        one kernel apply per sweep over its whole region (elementwise
+        updates give bit-identical results whether a box is computed in
+        one piece or as inner + boundary slabs, and numpy is much faster
+        over the single large box), so gathered grids are bit-identical
+        for every ``sweeps``.
         """
         self._check_configured()
-        if self._kernel is None:
-            raise ConfigurationError("no kernel configured")
         env = self.env
         clock = env.clock
-        pre = self._prestarted
-        if pre is None:
-            t0 = clock.now
-            for dev in env.devices:
-                dev.reset(start=t0)
-            rows = self._device_rows()
-            self._rows = rows
-            recvs = self._begin_exchange()
-        else:
-            # The deep exchange (and the device resets) already happened
-            # in begin_step_early(); pick up the in-flight receives.
-            self._prestarted = None
-            t0, rows, recvs = pre
-        n_bound = len(self._boundary)
-        counts0 = self._sweep_counts(0, sweeps, rows)
-        shares = (rows / max(1, int(rows.sum()))).tolist()
-        # Sweep 0 splits like a plain step: the inner box overlaps the
-        # exchange; everything else in its ghost-extended region is the
-        # "boundary" remainder (strictly positive — the extension only
-        # ever grows the region past inner+boundary).
-        remainder0 = [
-            counts0[d] - self._inner_elems * shares[d] for d in range(len(counts0))
-        ]
+        # Pick up the round begin_step_early() opened, if any.
+        t0, rows, recvs = self._prestarted or self._begin_round()
+        self._prestarted = None
+        inner, remainder, later, regions, observed, redundant = self._round_plan(sweeps, rows)
 
         if self.overlap:
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", clock.now
-            )
-            self._finish_exchange(recvs)
-            dev_xchg_done = self._interdevice_exchange(clock.now)
-            ready = max(inner_done, dev_xchg_done)
-            bound_done, busy_bound = self._charge_counts(
-                remainder0, n_bound, "boundary", ready
-            )
-            end = max(inner_done, bound_done)
+            inner_done, busy = self._charge_counts(inner, 1, "inner", clock.now)
+            self._finish_exchange(recvs, rows)
+            ready = max(inner_done, self._interdevice_exchange(clock.now))
         else:
-            self._finish_exchange(recvs)
-            dev_xchg_done = self._interdevice_exchange(clock.now)
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", dev_xchg_done
+            self._finish_exchange(recvs, rows)
+            inner_done, busy = self._charge_counts(
+                inner, 1, "inner", self._interdevice_exchange(clock.now)
             )
-            bound_done, busy_bound = self._charge_counts(
-                remainder0, n_bound, "boundary", inner_done
-            )
-            end = bound_done
-        busy = busy_inner + busy_bound
-        total_counts = np.asarray(counts0, dtype=float)
-        for s in range(1, sweeps):
-            counts = self._sweep_counts(s, sweeps, rows)
+            ready = inner_done
+        end, busy_s = self._charge_counts(remainder, 2 * len(self.local_shape), "boundary", ready)
+        end = max(inner_done, end)
+        busy += busy_s
+        for counts in later:
             end, busy_s = self._charge_counts(counts, 1, "sweep", end)
             busy += busy_s
-            total_counts += np.asarray(counts, dtype=float)
         clock.advance_to(end)
 
-        # Functional sweeps over the shrinking regions; the per-sweep
-        # hook and the buffer swap run exactly as in single-step mode.
-        for region in self._block_regions(sweeps):
+        for region in regions:
             self._kernel.apply(self._src, self._dst, region, self._effective_parameter())
             self._after_apply(self._src, self._dst)
             self._src, self._dst = self._dst, self._src
             self._timestep += 1
 
-        if self.adaptive and not self._partitioner.profiled:
-            if busy.sum() > 0:
-                # Effective per-sweep element counts (ghost rows included)
-                # keep the speed profile unbiased by the extra work.
-                self._partitioner.observe(total_counts / sweeps, np.maximum(busy, 1e-30))
+        if self.adaptive and not self._partitioner.profiled and busy.sum() > 0:
+            self._partitioner.observe(observed, np.maximum(busy, 1e-30))
 
-        interior_elems = float(self._inner_elems + self._boundary_elems)
-        self._redundant_flops += (
-            max(0.0, float(total_counts.sum()) - sweeps * interior_elems)
-            * self._elem_scale
-            * self._kernel.work.flops_per_elem
-        )
+        self._redundant_flops += redundant
         if env.trace.enabled:
             env.trace.gauge("stencil.time_block", float(self._time_block))
             env.trace.gauge("halo.redundant_flops", self._redundant_flops)
             env.trace.record(
-                "compute",
-                "ST:block",
-                t0,
-                clock.now,
-                {"step": self._timestep, "sweeps": sweeps},
+                "compute", "ST:step", t0, clock.now, {"step": self._timestep, "sweeps": sweeps}
             )
+
+    def step(self) -> None:
+        """One exchange round: a ``time_block * halo``-deep halo exchange,
+        ``time_block`` kernel sweeps, buffer swaps (the timestep counter
+        advances by ``time_block``; 1 by default).  Use :meth:`run` to
+        execute a sweep count that is not a multiple of ``time_block``.
+        """
+        self._advance(self._time_block)
+
+    def run(self, iterations: int) -> None:
+        """Run ``iterations`` stencil *sweeps* (paper: the time-step loop).
+
+        The sweeps execute in rounds of ``time_block``; a final partial
+        round still exchanges at the registered ``time_block * halo``
+        depth (the buffers and message layouts are fixed at configure
+        time — the overshoot bytes are charged honestly) but only sweeps
+        the remaining iterations, so the run lands exactly on
+        ``iterations`` applications.
+        """
+        if iterations < 1:
+            raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
+        left = iterations
+        while left > 0:
+            sweeps = min(self._time_block, left)
+            self._advance(sweeps)
+            left -= sweeps
 
     # -- checkpoint/restart ------------------------------------------------------------
     def snapshot_state(self) -> dict:

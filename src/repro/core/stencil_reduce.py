@@ -95,15 +95,16 @@ class StencilReduceRuntime(StencilRuntime):
             raise ConfigurationError(f"reduce_flops must be >= 0, got {reduce_flops}")
         self.reduce_flops = float(reduce_flops)
         self._reduce_fn: Callable[[np.ndarray, np.ndarray], Any] | None = None
-        self._local_value: Any = None
         self._conv: dict | None = None
-        #: Per-sweep local values of the current temporal block (armed by
-        #: :meth:`_fused_block`); None outside blocked convergence loops.
-        self._block_values: list[Any] | None = None
-        #: Per-sweep interior snapshots of the current block, kept only
-        #: when a tolerance is set so a mid-block convergence can rewind
-        #: the grid to the converged sweep.
-        self._block_grids: list[np.ndarray] | None = None
+        #: Per-sweep local values of the round in flight (reset by
+        #: :meth:`_fused_round`).
+        self._values: list[Any] = []
+        #: Interior snapshots after the round's first ``_rewind_points``
+        #: sweeps — every sweep but the last, and only when a tolerance is
+        #: set — so a mid-round convergence can rewind the grid to the
+        #: converged sweep.
+        self._grids: list[np.ndarray] = []
+        self._rewind_points = 0
 
     # -- fused charging and functional hook ------------------------------
     def _effective_work(self, dev) -> Any:
@@ -116,14 +117,12 @@ class StencilReduceRuntime(StencilRuntime):
 
     def _after_apply(self, src: np.ndarray, dst: np.ndarray) -> None:
         if self._reduce_fn is not None:
-            # Interiors are always fully valid, even mid-block: every
+            # Interiors are always fully valid, even mid-round: every
             # sweep's region contains the interior, so the fused local
             # value is bitwise the one an unblocked sweep produces.
-            self._local_value = self._reduce_fn(src[self.interior], dst[self.interior])
-            if self._block_values is not None:
-                self._block_values.append(self._local_value)
-            if self._block_grids is not None:
-                self._block_grids.append(dst[self.interior].copy())
+            self._values.append(self._reduce_fn(src[self.interior], dst[self.interior]))
+            if len(self._grids) < self._rewind_points:
+                self._grids.append(dst[self.interior].copy())
 
     # -- the fused combine ----------------------------------------------
     def _combine(self, local: Any, reduce_op: str) -> Any:
@@ -158,22 +157,19 @@ class StencilReduceRuntime(StencilRuntime):
     ) -> ConvergenceResult:
         """Iterate until the residual drops to ``tol`` or ``max_iters``.
 
-        Per iteration: one stencil step whose sweep also produces the
-        local reduction value (``reduce_fn(old, new)`` over the interior,
-        charged at ``reduce_flops`` extra per element), the next step's
-        speculative halo send, the global combine (``reduce_op`` over the
-        ranks' local values), then the convergence test.
-
-        With temporal blocking (``configure(time_block=k)``) the loop
-        runs block-at-a-time: ``k`` fused sweeps per exchange, one
-        *vector* combine folding all ``k`` local values at once (bitwise
-        identical per component to ``k`` scalar combines), speculation
-        covering the next block's deep exchange, and checkpoint
-        snapshots on block boundaries.  Residual histories and final
-        grids match the ``time_block=1`` loop bit for bit, including a
-        mid-block convergence (the grid rewinds to the converged sweep).
+        The loop runs one exchange round at a time (``time_block`` sweeps
+        each; 1 by default): every sweep also produces the local
+        reduction value (``reduce_fn(old, new)`` over the interior,
+        charged at ``reduce_flops`` extra per element), then come the
+        next round's speculative halo send, one *vector* combine folding
+        all the round's local values at once (``reduce_op`` over the
+        ranks; bitwise identical per component to one scalar combine per
+        sweep), and the convergence test per sweep.  Checkpoint snapshots
+        land on round boundaries.  Residual histories and final grids are
+        the same bit for bit for every ``time_block``, including a
+        mid-round convergence (the grid rewinds to the converged sweep).
         ``on_value`` is incompatible with ``time_block > 1`` — it feeds
-        the combined value back between sweeps, which a blocked loop
+        the combined value back between sweeps, which a blocked round
         cannot honour.
 
         Args:
@@ -217,52 +213,37 @@ class StencilReduceRuntime(StencilRuntime):
         if residual_fn is None:
             residual_fn = float
         self._reduce_fn = reduce_fn
-        self._conv = {"iterations": 0, "residuals": [], "values": [], "converged": False}
-        blocked = self._time_block > 1
+        self._conv = conv = {"iterations": 0, "residuals": [], "values": [], "converged": False}
+        k = self._time_block
+
+        def body(_round: int) -> bool:
+            left = max_iters - conv["iterations"]
+            # Speculate only when another round follows, and never under
+            # a checkpoint manager: no halo message may be in flight
+            # across a rollback boundary.
+            return self._fused_round(
+                min(k, left),
+                tol,
+                reduce_op,
+                residual_fn,
+                on_value,
+                speculate=checkpoint is None and left > k,
+            )
+
         try:
+            # One loop iteration per exchange round, so checkpoints land
+            # on round boundaries and a crash-restart inside a round
+            # replays it whole to the same bit-identical grid and history.
+            rounds = -(-max_iters // k)
             if checkpoint is not None:
-                if blocked:
-                    # One manager iteration per temporal block: snapshots
-                    # land on block boundaries, so a crash-restart inside
-                    # a block replays the whole block to the same
-                    # bit-identical grid and history.
-                    def body(_it: int) -> bool:
-                        return self._fused_block(
-                            tol, reduce_op, residual_fn, max_iters, speculate=False
-                        )
-
-                    n_blocks = -(-max_iters // self._time_block)
-                    checkpoint.run_convergence(
-                        n_blocks, body, self.snapshot_state, self.restore_state
-                    )
-                else:
-
-                    def body(_it: int) -> bool:
-                        return self._fused_iteration(
-                            tol, reduce_op, residual_fn, on_value, speculate=False
-                        )
-
-                    checkpoint.run_convergence(
-                        max_iters, body, self.snapshot_state, self.restore_state
-                    )
-            elif blocked:
-                while self._conv["iterations"] < max_iters:
-                    left = max_iters - self._conv["iterations"]
-                    speculate = left > min(self._time_block, left)
-                    if self._fused_block(
-                        tol, reduce_op, residual_fn, max_iters, speculate=speculate
-                    ):
-                        break
-                self.cancel_begun_step()
+                checkpoint.run_convergence(
+                    rounds, body, self.snapshot_state, self.restore_state
+                )
             else:
-                while self._conv["iterations"] < max_iters:
-                    speculate = self._conv["iterations"] + 1 < max_iters
-                    if self._fused_iteration(
-                        tol, reduce_op, residual_fn, on_value, speculate=speculate
-                    ):
+                for it in range(rounds):
+                    if body(it):
                         break
                 self.cancel_begun_step()
-            conv = self._conv
             return ConvergenceResult(
                 iterations=conv["iterations"],
                 residuals=conv["residuals"],
@@ -271,11 +252,12 @@ class StencilReduceRuntime(StencilRuntime):
             )
         finally:
             self._reduce_fn = None
-            self._local_value = None
             self._conv = None
+            self._values, self._grids = [], []
 
-    def _fused_iteration(
+    def _fused_round(
         self,
+        sweeps: int,
         tol: float | None,
         reduce_op: str,
         residual_fn: Callable[[Any], float],
@@ -283,75 +265,35 @@ class StencilReduceRuntime(StencilRuntime):
         *,
         speculate: bool,
     ) -> bool:
-        """One fused step + combine + convergence test; True to stop."""
-        env = self.env
-        self._local_value = None
-        self.step()
-        local = self._local_value
-        conv = self._conv
-        conv["iterations"] += 1
-        if speculate:
-            # Send the next step's strips before folding the scalar: the
-            # combine's virtual time hides the halo flight time.
-            self.begin_step_early()
-        value = self._combine(local, reduce_op)
-        conv["values"].append(value)
-        if on_value is not None:
-            on_value(value)
-        residual = float(residual_fn(value))
-        conv["residuals"].append(residual)
-        if env.trace.enabled:
-            env.trace.count("stencil_reduce.steps")
-            env.trace.gauge("stencil_reduce.residual", residual)
-        done = tol is not None and residual <= tol
-        if done:
-            conv["converged"] = True
-        return done
-
-    def _fused_block(
-        self,
-        tol: float | None,
-        reduce_op: str,
-        residual_fn: Callable[[Any], float],
-        max_iters: int,
-        *,
-        speculate: bool,
-    ) -> bool:
-        """One temporal block of fused sweeps + a single vector combine.
+        """One round of fused sweeps + a single vector combine.
 
         Every sweep's local value is captured by the :meth:`_after_apply`
-        hook; the block then folds all of them in *one* collective —
+        hook; the round then folds all of them in *one* collective —
         recursive doubling applies the combine ufunc elementwise, so each
         component of the folded vector is bitwise the scalar a per-sweep
         ``allreduce`` would have produced (same rank tree, same IEEE op
         order).  Residuals are consumed sweep by sweep against ``tol``:
-        on a mid-block hit the grid rewinds to the converged sweep's
-        interior (the overshot sweeps' charges stay — the block was
+        on a mid-round hit the grid rewinds to the converged sweep's
+        interior (the overshot sweeps' charges stay — the round was
         really computed) and the history ends exactly where the
         ``time_block=1`` loop's would.  Returns True to stop.
         """
         env = self.env
         conv = self._conv
-        sweeps = min(self._time_block, max_iters - conv["iterations"])
-        self._block_values = []
-        self._block_grids = [] if tol is not None else None
-        try:
-            self._blocked_step(sweeps)
-            values = self._block_values
-            grids = self._block_grids
-        finally:
-            self._block_values = None
-            self._block_grids = None
+        self._values, self._grids = [], []
+        self._rewind_points = sweeps - 1 if tol is not None else 0
+        self._advance(sweeps)
         if speculate:
-            # Post the next block's deep exchange before the combine so
-            # the strips' flight time hides under the collective.
+            # Post the next round's exchange before the combine so the
+            # strips' flight time hides under the collective.
             self.begin_step_early()
-        combined = self._combine(np.stack([np.asarray(v) for v in values]), reduce_op)
-        done = False
+        combined = self._combine(np.stack([np.asarray(v) for v in self._values]), reduce_op)
         for s in range(sweeps):
             value = combined[s]
             conv["iterations"] += 1
             conv["values"].append(value)
+            if on_value is not None:
+                on_value(value)
             residual = float(residual_fn(value))
             conv["residuals"].append(residual)
             if env.trace.enabled:
@@ -359,14 +301,13 @@ class StencilReduceRuntime(StencilRuntime):
                 env.trace.gauge("stencil_reduce.residual", residual)
             if tol is not None and residual <= tol:
                 conv["converged"] = True
-                done = True
                 if s < sweeps - 1:
-                    # The block overshot: functionally rewind the grid to
+                    # The round overshot: functionally rewind the grid to
                     # the converged sweep (halos are stale but the loop
                     # is over; results read interiors only).
-                    self._src[self.interior] = grids[s]
-                break
-        return done
+                    self._src[self.interior] = self._grids[s]
+                return True
+        return False
 
     # -- checkpoint/restart ----------------------------------------------
     def snapshot_state(self) -> dict:

@@ -10,8 +10,27 @@ from repro.sim.engine import spmd_run
 from repro.util.errors import ValidationError
 
 
-def _counter_prog(ctx, iterations=10, every=3, step_cost=1e-4):
-    """Counting loop: state is one array, every step adds 1 and barriers."""
+#: Both public entry points drive the manager's one loop.
+ENTRY_POINTS = ("run_iterations", "run_convergence")
+
+
+def both_entry_points(test):
+    """Run ``test(entry)`` once per entry point under the test's own id
+    (pytest parameters would rename ids other tooling tracks)."""
+
+    def run_both():
+        for entry in ENTRY_POINTS:
+            test(entry)
+
+    run_both.__name__ = test.__name__
+    return run_both
+
+
+def _counter_prog(ctx, entry="run_iterations", iterations=10, every=3, step_cost=1e-4):
+    """Counting loop: state is one array, every step adds 1 and barriers.
+
+    ``step`` returns None, which ``run_convergence`` reads as "not done".
+    """
     state = {"x": np.full(100, float(ctx.rank))}
     mgr = CheckpointManager(ctx, every=every)
 
@@ -20,7 +39,7 @@ def _counter_prog(ctx, iterations=10, every=3, step_cost=1e-4):
         ctx.clock.advance(step_cost)
         ctx.comm.barrier()
 
-    execs = mgr.run_iterations(
+    execs = getattr(mgr, entry)(
         iterations,
         step,
         lambda: state["x"].copy(),
@@ -34,8 +53,9 @@ def _counter_prog(ctx, iterations=10, every=3, step_cost=1e-4):
     }
 
 
-def test_clean_run_checkpoints_on_cadence():
-    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=2))
+@both_entry_points
+def test_clean_run_checkpoints_on_cadence(entry):
+    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=2), args=(entry,))
     for rank, v in enumerate(res.values):
         assert v["value"] == rank + 10
         assert v["executions"] == 10
@@ -44,12 +64,15 @@ def test_clean_run_checkpoints_on_cadence():
         assert v["recoveries"] == 0
 
 
-def test_crash_recovers_from_last_checkpoint():
+@both_entry_points
+def test_crash_recovers_from_last_checkpoint(entry):
     plan = FaultPlan(
         seed=1, crashes=[RankCrash(rank=1, at_time=4.5e-4, restart_cost=0.01)]
     )
-    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=4), fault_plan=plan)
-    clean = spmd_run(_counter_prog, laptop_cluster(num_nodes=4))
+    res = spmd_run(
+        _counter_prog, laptop_cluster(num_nodes=4), args=(entry,), fault_plan=plan
+    )
+    clean = spmd_run(_counter_prog, laptop_cluster(num_nodes=4), args=(entry,))
     for v, c in zip(res.values, clean.values):
         # Crash between checkpoint 3 (t=3e-4ish) and the next boundary:
         # iterations 3..4 are re-executed, final value unchanged.
@@ -60,24 +83,32 @@ def test_crash_recovers_from_last_checkpoint():
     assert plan.stats.crashes_consumed == 1
 
 
-def test_crash_run_is_deterministic():
+@both_entry_points
+def test_crash_run_is_deterministic(entry):
     def run():
         plan = FaultPlan(
             seed=1, crashes=[RankCrash(rank=1, at_time=4.5e-4, restart_cost=0.01)]
         )
-        return spmd_run(_counter_prog, laptop_cluster(num_nodes=4), fault_plan=plan)
+        return spmd_run(
+            _counter_prog, laptop_cluster(num_nodes=4), args=(entry,), fault_plan=plan
+        )
 
     a, b = run(), run()
     assert a.times == b.times
     assert [v["executions"] for v in a.values] == [v["executions"] for v in b.values]
 
 
-def test_trace_records_checkpoint_crash_recovery():
+@both_entry_points
+def test_trace_records_checkpoint_crash_recovery(entry):
     plan = FaultPlan(
         seed=1, crashes=[RankCrash(rank=1, at_time=4.5e-4, restart_cost=0.01)]
     )
     res = spmd_run(
-        _counter_prog, laptop_cluster(num_nodes=2), fault_plan=plan, trace=True
+        _counter_prog,
+        laptop_cluster(num_nodes=2),
+        args=(entry,),
+        fault_plan=plan,
+        trace=True,
     )
     by_rank = [
         [e.label for e in t if e.category == FAULT_CATEGORY] for t in res.traces
@@ -89,12 +120,17 @@ def test_trace_records_checkpoint_crash_recovery():
         assert labels.count("checkpoint") >= 2
 
 
-def test_recovery_charges_restart_plus_reload():
+@both_entry_points
+def test_recovery_charges_restart_plus_reload(entry):
     plan = FaultPlan(
         seed=1, crashes=[RankCrash(rank=0, at_time=1e-4, restart_cost=0.02)]
     )
     res = spmd_run(
-        _counter_prog, laptop_cluster(num_nodes=2), fault_plan=plan, trace=True
+        _counter_prog,
+        laptop_cluster(num_nodes=2),
+        args=(entry,),
+        fault_plan=plan,
+        trace=True,
     )
     recs = [
         e
@@ -106,7 +142,8 @@ def test_recovery_charges_restart_plus_reload():
     assert recs[0].meta["restart_cost"] == 0.02
 
 
-def test_multiple_crashes_multiple_recoveries():
+@both_entry_points
+def test_multiple_crashes_multiple_recoveries(entry):
     plan = FaultPlan(
         seed=1,
         crashes=[
@@ -114,7 +151,9 @@ def test_multiple_crashes_multiple_recoveries():
             RankCrash(rank=1, at_time=8e-4, restart_cost=0.005),
         ],
     )
-    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=2), fault_plan=plan)
+    res = spmd_run(
+        _counter_prog, laptop_cluster(num_nodes=2), args=(entry,), fault_plan=plan
+    )
     for rank, v in enumerate(res.values):
         assert v["value"] == rank + 10
         assert v["recoveries"] == 2

@@ -181,6 +181,15 @@ def test_unconfigured_errors():
         run_spmd(bad_iters, nodes=1)
 
 
+def test_dead_tile_knobs_are_gone():
+    # cpu_tile / gpu_tile were stored and never read.
+    from repro.core.stencil import StencilRuntime
+
+    for knob in ("cpu_tile", "gpu_tile"):
+        with pytest.raises(TypeError, match=knob):
+            StencilRuntime(None, **{knob: 16})
+
+
 def test_halo_values_come_from_neighbors_not_local_data():
     """A rank computing with stale halos would give wrong borders; compare a
     column that crosses the process boundary against the reference."""

@@ -7,6 +7,11 @@ on the latency-dominated preset the makespan strictly shrinks as ``k``
 grows, with ``time_block="auto"`` never worse than unblocked.
 """
 
+import hashlib
+import itertools
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -347,3 +352,129 @@ def test_blocked_run_identical_across_backends():
     p = heat3d.run(cl, config, mix="cpu", time_block=4, backend="processes", workers=2)
     np.testing.assert_array_equal(p.result, t.result)
     assert repr(p.spmd.makespan) == repr(t.spmd.makespan)
+
+
+# -- multi-device charging pins -----------------------------------------------
+# ``stencil_pins.json`` was generated at the commit *before* k=1 became the
+# ``time_block=1`` case of the one step path (ISSUE 14), from the then
+# separate k=1 / blocked code.  Every entry is [repr(app makespan),
+# repr(engine makespan), result digest]: a charge that moves by one ulp on
+# any device mix, node count, overlap/tiling setting or blocking factor
+# fails here, not only in the wall-clock bench's handful of cases.
+
+PIN_MIXES = ("cpu", "cpu+1gpu", "cpu+2gpu")
+PIN_NODES = (1, 2, 4)
+PIN_TIME_BLOCKS = (1, 2, "auto")
+#: variant -> (accepts overlap/tiling, accepts time_block)
+PIN_VARIANTS = {
+    "sobel": (True, True),
+    "heat3d": (True, True),
+    "heat3d_until_tol": (True, True),
+    "heat3d_lossy_checkpointed": (True, True),
+    "jacobi2d": (False, True),
+    "hotspot": (False, True),
+    "srad": (False, False),
+}
+PINS_PATH = pathlib.Path(__file__).with_name("stencil_pins.json")
+
+
+def pin_cases(variant):
+    """(mix, nodes, overlap, tiling, time_block) grid for one variant."""
+    switches, blocks = PIN_VARIANTS[variant]
+    flags = (True, False) if switches else (True,)
+    return itertools.product(
+        PIN_MIXES, PIN_NODES, flags, flags, PIN_TIME_BLOCKS if blocks else (1,)
+    )
+
+
+def pin_key(mix, nodes, overlap, tiling, time_block):
+    return f"{mix}|n{nodes}|overlap={int(overlap)}|tiling={int(tiling)}|k={time_block}"
+
+
+def pin_entry(variant, mix, nodes, overlap, tiling, time_block):
+    from repro.apps.extra import srad
+    from repro.faults import FaultPlan, RankCrash
+
+    cl = laptop_cluster(nodes, gpus_per_node=2)
+    if variant in ("hotspot", "srad"):
+        # No run() wrapper: the rank program is the app.
+        if variant == "hotspot":
+            program = hotspot.rank_program
+            config = hotspot.HotspotConfig(shape=(32, 32), iterations=5)
+            kwargs = {"time_block": time_block}
+        else:
+            program = srad.rank_program
+            config = srad.SradConfig(shape=(32, 32), iterations=4)
+            kwargs = {}
+        res = spmd_run(program, cl, args=(config, mix), kwargs=kwargs)
+        makespan, engine, result = res.makespan, res.makespan, res.values[0]
+    else:
+        if variant == "sobel":
+            run = sobel.run(
+                cl,
+                sobel.SobelConfig(
+                    shape=(96, 80), functional_shape=(48, 40), simulated_steps=5
+                ),
+                mix,
+                overlap=overlap,
+                tiling=tiling,
+                time_block=time_block,
+            )
+        elif variant == "jacobi2d":
+            run = jacobi2d.run(
+                cl,
+                jacobi2d.Jacobi2DConfig(shape=(32, 32), tol=2e-3, max_iters=60),
+                mix,
+                time_block=time_block,
+            )
+        else:
+            # Mild model scales keep "auto" picking k > 1 on this preset.
+            shape, extra = (32, 32, 32), {}
+            if variant == "heat3d_until_tol":
+                # Converges at iteration 11: mid-block for every k > 1.
+                extra = {"until_tol": 5.2, "max_iters": 12}
+            elif variant == "heat3d_lossy_checkpointed":
+                # The lossy plan of examples/serve_smoke.py; its crash time
+                # is meant for the paper-scale grid.
+                shape = (512, 512, 512)
+                extra = {
+                    "reliable": True,
+                    "checkpoint_every": 2,
+                    "fault_plan": FaultPlan.lossy(
+                        seed=7,
+                        drop=0.02,
+                        dup=0.01,
+                        delay=0.02,
+                        max_delay=1e-4,
+                        crashes=[
+                            RankCrash(rank=min(1, nodes - 1), at_time=0.05, restart_cost=0.5)
+                        ],
+                    ),
+                }
+            run = heat3d.run(
+                cl,
+                heat3d.Heat3DConfig(
+                    shape=shape, functional_shape=(16, 16, 16), simulated_steps=5
+                ),
+                mix,
+                overlap=overlap,
+                tiling=tiling,
+                time_block=time_block,
+                **extra,
+            )
+        makespan, engine, result = run.makespan, run.spmd.makespan, run.result
+    digest = hashlib.sha256(np.ascontiguousarray(result).tobytes()).hexdigest()[:16]
+    return [repr(makespan), repr(engine), digest]
+
+
+@pytest.mark.parametrize("variant", sorted(PIN_VARIANTS))
+def test_charging_pins_unchanged(variant):
+    pins = json.loads(PINS_PATH.read_text())[variant]
+    cases = list(pin_cases(variant))
+    assert len(pins) == len(cases)
+    drift = {}
+    for case in cases:
+        got = pin_entry(variant, *case)
+        if got != pins[pin_key(*case)]:
+            drift[pin_key(*case)] = (pins[pin_key(*case)], got)
+    assert not drift, drift

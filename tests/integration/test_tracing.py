@@ -76,10 +76,23 @@ def test_stencil_records_phases():
     tr = res.traces[0]
     assert tr.filter(category="compute", label_prefix="ST:inner")
     assert tr.filter(category="compute", label_prefix="ST:boundary")
-    assert tr.filter(category="compute", label_prefix="ST:step")
+    # One ST:step record per exchange round, whatever the blocking factor.
+    rounds = tr.filter(category="compute", label_prefix="ST:step")
+    assert [ev.meta["sweeps"] for ev in rounds] == [1, 1]
+    assert not tr.filter(category="compute", label_prefix="ST:block")
     by_cat = tr.by_category()
     assert by_cat["compute"] == tr.total("compute") > 0
     assert set(by_cat) == {ev.category for ev in tr.events}
+    blocked = spmd_run(
+        heat3d.rank_program,
+        ohio_cluster(2),
+        args=(cfg, "cpu+1gpu"),
+        kwargs={"time_block": 2},
+        trace=True,
+    ).traces[0]
+    rounds = blocked.filter(category="compute", label_prefix="ST:step")
+    assert [ev.meta for ev in rounds] == [{"step": 2, "sweeps": 2}]
+    assert blocked.filter(category="compute", label_prefix="ST:sweep")
 
 
 def test_gr_compute_span_recorded():
