@@ -25,17 +25,22 @@ convergence loop (Jacobi2D), the temporal-blocking A/B on the
 latency-dominated preset (``stencil_timeblock``, monotonicity asserted),
 the irregular-reduction step loop
 (Moldyn/MiniMD), the Kmeans emit path, the comm-fabric ping-pong hot
-path, the 384-rank per-core MPI baseline (``baseline_ranks``), and the
+path, the 384-rank per-core MPI baseline (``baseline_ranks``), the
 campaign engine A/B (``campaign_throughput``: batched sweep vs sequential
-per-job execution, with a zero-execution warm-re-run gate).
+per-job execution, with a zero-execution warm-re-run gate), and
+``cold_start`` (fresh interpreter -> first heat3d result; the import
+footprint is gated exactly, the wall time reported as median + spread).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -557,6 +562,69 @@ def bench_obs_overhead(cfg: dict) -> dict:
     }
 
 
+#: What a fresh interpreter does in the ``cold_start`` case: serve one
+#: quick-scale heat3d job through the service's executor, then report the
+#: import footprint that left behind.
+_COLD_START_JOB = """
+import json, sys
+from repro.serve import JobSpec, execute_job
+payload = execute_job(JobSpec(app="heat3d", nodes=2, preset="laptop", mix="cpu"))
+mods = list(sys.modules)
+print(json.dumps({
+    "makespan": payload["makespan"],
+    "repro_modules": sum(m == "repro" or m.startswith("repro.") for m in mods),
+    "modules": len(mods),
+    "scipy_loaded": any(m == "scipy" or m.startswith("scipy.") for m in mods),
+}))
+"""
+
+
+def bench_cold_start(cfg: dict) -> dict:
+    """Interpreter start -> first heat3d result, in a fresh process.
+
+    This is the cost the first job of a new server (or every ``repro run``)
+    pays on top of a warm job, and almost all of it is imports.  Each repeat
+    interleaves the job with a bare ``import numpy`` interpreter — the floor
+    no change to this repo can move — so host noise hits both alike; walls
+    are reported as median and inter-quartile spread, not gated.
+
+    What *is* gated (:func:`compare`) are the exact facts: ``scipy`` stays
+    unloaded, the number of ``repro.*`` modules a heat3d job loads does not
+    grow past the baseline's, and the makespan matches it.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_SPMD_")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+
+    def timed(code: str) -> tuple[float, str]:
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return time.perf_counter() - t0, done.stdout
+
+    job_walls, floor_walls, facts = [], [], None
+    for _ in range(max(cfg["repeats"], 7)):
+        floor_walls.append(timed("import numpy")[0])
+        wall, out = timed(_COLD_START_JOB)
+        job_walls.append(wall)
+        facts = json.loads(out.splitlines()[-1])
+
+    def spread(walls: list[float]) -> float:
+        q1, _, q3 = statistics.quantiles(walls, n=4)
+        return round(q3 - q1, 4)
+
+    return {
+        "cold_start": {
+            "wall_s_median": round(statistics.median(job_walls), 4),
+            "wall_s_iqr": spread(job_walls),
+            "numpy_floor_s_median": round(statistics.median(floor_walls), 4),
+            "numpy_floor_s_iqr": spread(floor_walls),
+            "repeats": len(job_walls),
+            **facts,
+        }
+    }
+
+
 def collect(mode: str) -> dict:
     cfg = _configs(mode)
     record = {
@@ -578,6 +646,7 @@ def collect(mode: str) -> dict:
     record["cases"].update(bench_fabric_comm(cfg))
     record["cases"].update(bench_threads_vs_processes(cfg))
     record["cases"].update(bench_campaign_throughput(cfg))
+    record["cases"].update(bench_cold_start(cfg))
     return record
 
 
@@ -671,6 +740,17 @@ def compare(record: dict, baseline_path: Path, threshold: float) -> int:
                 f"{camp['speedup']:.2f}x of sequential execution on a "
                 f"{camp['cores']}-core host ({camp['batched_wall_s']}s vs "
                 f"{camp['sequential_wall_s']}s)"
+            )
+    cold = record["cases"].get("cold_start")
+    if cold is not None:
+        if cold["scipy_loaded"]:
+            failures.append("cold_start: a heat3d job imported scipy")
+        base_cold = base_cases.get("cold_start")
+        if base_cold is not None and cold["repro_modules"] > base_cold["repro_modules"]:
+            failures.append(
+                f"cold_start: a heat3d job now loads {cold['repro_modules']} repro.* "
+                f"modules, the baseline {base_cold['repro_modules']}; import what "
+                "was added lazily or refresh the baseline row with the reason"
             )
     for name, case in record["cases"].items():
         base = base_cases.get(name)

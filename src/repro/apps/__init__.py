@@ -18,16 +18,11 @@ Hand-written baselines (MPI one-rank-per-core, CUDA single-GPU) live in
 :mod:`repro.apps.baselines`.
 """
 
-from repro.apps.common import AppRun, extrapolate_steps, single_core_spec
-from repro.apps import kmeans, moldyn, minimd, sobel, heat3d
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AppRun",
-    "extrapolate_steps",
-    "single_core_spec",
-    "kmeans",
-    "moldyn",
-    "minimd",
-    "sobel",
-    "heat3d",
-]
+# Lazy (PEP 562): ``import repro.apps.heat3d`` must not load its siblings.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"common": ["AppRun", "extrapolate_steps", "single_core_spec"]},
+    submodules=["kmeans", "moldyn", "minimd", "sobel", "heat3d"],
+)

@@ -26,6 +26,8 @@ substantiating that coverage claim:
 Each module carries a NumPy (and, for the graph apps, a networkx) oracle.
 """
 
-from repro.apps.extra import hotspot, jacobi2d, pagerank, srad, sssp
+from repro.util.lazy import lazy_exports
 
-__all__ = ["pagerank", "sssp", "srad", "hotspot", "jacobi2d"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, submodules=["pagerank", "sssp", "srad", "hotspot", "jacobi2d"]
+)

@@ -19,7 +19,7 @@ from repro.core.env import DeviceConfig, RuntimeEnv
 from repro.data.meshes import geometric_mesh
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext
-from repro.util.errors import ValidationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,17 @@ def rank_program(
 
 
 def sequential_reference(config: SsspConfig) -> np.ndarray:
-    """Dijkstra via networkx (an entirely independent oracle)."""
-    import networkx as nx
+    """Dijkstra via networkx (an entirely independent oracle).
+
+    networkx is a test-only dependency: ``pip install -e '.[test]'``.
+    """
+    try:
+        import networkx as nx
+    except ImportError:
+        raise ConfigurationError(
+            "the SSSP reference oracle needs networkx, which ships with the "
+            "'test' extra: pip install -e '.[test]'"
+        ) from None
 
     edges, weights = generate_graph(config)
     graph = nx.Graph()

@@ -22,45 +22,36 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from repro import __version__
-from repro.apps import heat3d, kmeans, minimd, moldyn, sobel
-from repro.apps.extra import jacobi2d
+from repro import __version__, metrics
+from repro.apps.registry import APPS
 from repro.cluster.presets import ohio_cluster
 from repro.core.env import DEVICE_MIXES
-from repro.metrics import fig5_chart, figures, format_table
+from repro.metrics import fig5_chart, format_table
 from repro.util.units import fmt_seconds
-
-_APPS: dict[str, Callable] = {
-    "kmeans": kmeans.run,
-    "moldyn": moldyn.run,
-    "minimd": minimd.run,
-    "sobel": sobel.run,
-    "heat3d": heat3d.run,
-    "jacobi2d": jacobi2d.run,
-}
 
 _FIGURES = {
     "fig5": lambda scale: _fig5_text(scale),
-    "fig6": lambda scale: format_table(figures.fig6_code_sizes(), title="Fig. 6"),
+    "fig6": lambda scale: format_table(
+        metrics.figures.fig6_code_sizes(), title="Fig. 6"
+    ),
     "table2": lambda scale: format_table(
-        figures.table2_intranode(scale), title=f"Table II [{scale}]"
+        metrics.figures.table2_intranode(scale), title=f"Table II [{scale}]"
     ),
     "fig7": lambda scale: format_table(
-        figures.fig7_optimizations(scale), title=f"Fig. 7 [{scale}]"
+        metrics.figures.fig7_optimizations(scale), title=f"Fig. 7 [{scale}]"
     ),
     "fig8": lambda scale: format_table(
-        figures.fig8_gpu_baselines(scale), title=f"Fig. 8 [{scale}]"
+        metrics.figures.fig8_gpu_baselines(scale), title=f"Fig. 8 [{scale}]"
     ),
     "ablations": lambda scale: format_table(
-        figures.ablations(scale), title=f"Ablations [{scale}]"
+        metrics.figures.ablations(scale), title=f"Ablations [{scale}]"
     ),
 }
 
 
 def _fig5_text(scale: str) -> str:
-    rows = figures.fig5_scalability(scale)
+    rows = metrics.figures.fig5_scalability(scale)
     parts = []
     if len({r["nodes"] for r in rows}) > 1:
         for app in sorted({r["app"] for r in rows}):
@@ -128,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     run_p = sub.add_parser("run", help="run one application on the simulated cluster")
-    run_p.add_argument("app", choices=sorted(_APPS))
+    run_p.add_argument("app", choices=sorted(APPS))
     run_p.add_argument("--nodes", type=int, default=4, help="cluster nodes (paper: 1..32)")
     run_p.add_argument(
         "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p = sub.add_parser(
         "profile", help="run one application under observation and report on it"
     )
-    prof_p.add_argument("app", choices=sorted(_APPS))
+    prof_p.add_argument("app", choices=sorted(APPS))
     prof_p.add_argument("--nodes", type=int, default=4, help="cluster nodes")
     prof_p.add_argument(
         "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
@@ -294,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub_p = sub.add_parser("submit", help="submit job(s) to a running job server")
-    sub_p.add_argument("app", nargs="?", choices=sorted(_APPS))
+    sub_p.add_argument("app", nargs="?", choices=sorted(APPS))
     sub_p.add_argument(
         "--batch",
         default=None,
@@ -427,7 +418,7 @@ def cmd_info(args: argparse.Namespace | None = None) -> str:
         f"{gpu.mem_bandwidth / 1e9:.0f} GB/s, {gpu.shared_mem_per_sm / 1024:.0f} KiB shared/SM",
         f"  network: {cluster.network.name}, {cluster.network.latency * 1e6:.1f} us, "
         f"{cluster.network.bandwidth / 1e9:.1f} GB/s",
-        f"  apps:    {', '.join(sorted(_APPS))}",
+        f"  apps:    {', '.join(sorted(APPS))}",
         f"  mixes:   {', '.join(sorted(DEVICE_MIXES))}",
     ]
     if args is not None and getattr(args, "devices", False):
@@ -578,7 +569,7 @@ def cmd_run(args: argparse.Namespace) -> str:
         from repro.obs import Recorder
 
         kwargs["recorder_factory"] = Recorder
-    run = _APPS[args.app](cluster, mix=args.mix, **kwargs)
+    run = APPS[args.app].run(cluster, mix=args.mix, **kwargs)
     lines = [
         f"{args.app} on {args.nodes} node(s), {args.mix}:",
         f"  simulated time : {fmt_seconds(run.makespan)}",
@@ -940,7 +931,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "figure":
         print(_FIGURES[args.which](args.scale))
     elif args.command == "codesize":
-        print(format_table(figures.fig6_code_sizes(), title="Fig. 6 code sizes"))
+        rows = metrics.figures.fig6_code_sizes()
+        print(format_table(rows, title="Fig. 6 code sizes"))
     elif args.command == "serve":
         cmd_serve(args)
     elif args.command == "submit":

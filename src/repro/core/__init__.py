@@ -20,56 +20,36 @@ path) or classic per-element form via the adapters in
 :mod:`repro.core.api`.
 """
 
-from repro.core.api import (
-    GRKernel,
-    IRKernel,
-    StencilKernel,
-    elementwise_emit,
-    elementwise_edge_compute,
-    elementwise_stencil,
-    shifted,
-    REDUCTION_OPS,
-)
-from repro.core.reduction_object import DenseReductionObject, HashReductionObject
-from repro.core.partition import (
-    block_partition,
-    owner_of,
-    classify_edges,
-    arrange_nodes,
-    NodeArrangement,
-)
-from repro.core.scheduler import ChunkScheduler, ScheduleReport
-from repro.core.adaptive import AdaptivePartitioner
-from repro.core.env import RuntimeEnv, DeviceConfig
-from repro.core.generalized import GeneralizedReductionRuntime
-from repro.core.irregular import IrregularReductionRuntime
-from repro.core.stencil import StencilRuntime
-from repro.core.stencil_reduce import ConvergenceResult, StencilReduceRuntime
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "GRKernel",
-    "IRKernel",
-    "StencilKernel",
-    "elementwise_emit",
-    "elementwise_edge_compute",
-    "elementwise_stencil",
-    "shifted",
-    "REDUCTION_OPS",
-    "DenseReductionObject",
-    "HashReductionObject",
-    "block_partition",
-    "owner_of",
-    "classify_edges",
-    "arrange_nodes",
-    "NodeArrangement",
-    "ChunkScheduler",
-    "ScheduleReport",
-    "AdaptivePartitioner",
-    "RuntimeEnv",
-    "DeviceConfig",
-    "GeneralizedReductionRuntime",
-    "IrregularReductionRuntime",
-    "StencilRuntime",
-    "StencilReduceRuntime",
-    "ConvergenceResult",
-]
+# Lazy (PEP 562): a stencil job must not load the reduction runtimes.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "api": [
+            "GRKernel",
+            "IRKernel",
+            "StencilKernel",
+            "elementwise_emit",
+            "elementwise_edge_compute",
+            "elementwise_stencil",
+            "shifted",
+            "REDUCTION_OPS",
+        ],
+        "reduction_object": ["DenseReductionObject", "HashReductionObject"],
+        "partition": [
+            "block_partition",
+            "owner_of",
+            "classify_edges",
+            "arrange_nodes",
+            "NodeArrangement",
+        ],
+        "scheduler": ["ChunkScheduler", "ScheduleReport"],
+        "adaptive": ["AdaptivePartitioner"],
+        "env": ["RuntimeEnv", "DeviceConfig"],
+        "generalized": ["GeneralizedReductionRuntime"],
+        "irregular": ["IrregularReductionRuntime"],
+        "stencil": ["StencilRuntime"],
+        "stencil_reduce": ["ConvergenceResult", "StencilReduceRuntime"],
+    },
+)

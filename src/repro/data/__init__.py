@@ -11,19 +11,14 @@ All generators are deterministic given their seed (see
 global dataset locally instead of broadcasting it.
 """
 
-from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
-from repro.data.meshes import geometric_mesh, random_mesh
-from repro.data.atoms import fcc_lattice, build_neighbor_edges
-from repro.data.grids import heat3d_initial, synthetic_image
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "clear_points_cache",
-    "clustered_points",
-    "points_cache_stats",
-    "geometric_mesh",
-    "random_mesh",
-    "fcc_lattice",
-    "build_neighbor_edges",
-    "heat3d_initial",
-    "synthetic_image",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "points": ["clear_points_cache", "clustered_points", "points_cache_stats"],
+        "meshes": ["geometric_mesh", "random_mesh"],
+        "atoms": ["fcc_lattice", "build_neighbor_edges"],
+        "grids": ["heat3d_initial", "synthetic_image"],
+    },
+)

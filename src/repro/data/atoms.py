@@ -11,7 +11,6 @@ pattern consumes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
@@ -51,6 +50,8 @@ def build_neighbor_edges(positions: np.ndarray, cutoff: float) -> np.ndarray:
     """
     if cutoff <= 0:
         raise ValidationError(f"cutoff must be > 0, got {cutoff}")
+    from scipy.spatial import cKDTree  # deferred: see data.meshes.geometric_mesh
+
     tree = cKDTree(np.asarray(positions))
     pairs = tree.query_pairs(cutoff, output_type="ndarray")
     if len(pairs) == 0:

@@ -11,7 +11,6 @@ and the reason the paper's block scheme keeps the cross-edge fraction low.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
@@ -66,6 +65,10 @@ def geometric_mesh(
         if k >= 2:
             picked = srng.choice(n_nodes, size=k, replace=False)
             positions[picked] = positions[srng.permutation(picked)]
+    # Imported here, not at module top: scipy.spatial costs ~300 ms and
+    # ~30 MiB, and only neighbour-list construction needs it.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(positions)
     pairs = tree.query_pairs(radius, output_type="ndarray")
     if len(pairs) == 0:

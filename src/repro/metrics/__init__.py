@@ -6,16 +6,16 @@ each returns structured rows that the benchmark suite prints and that
 ``examples/generate_experiments_md.py`` renders into EXPERIMENTS.md.
 """
 
-from repro.metrics.codesize import count_logical_lines, code_size_table
-from repro.metrics.reporting import format_table
-from repro.metrics.ascii_chart import fig5_chart, render_chart
-from repro.metrics import figures
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "count_logical_lines",
-    "code_size_table",
-    "format_table",
-    "fig5_chart",
-    "render_chart",
-    "figures",
-]
+# Lazy (PEP 562): ``figures`` imports every app and baseline; the table and
+# chart helpers (used by ``repro.obs.report``) must not drag it in.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "codesize": ["count_logical_lines", "code_size_table"],
+        "reporting": ["format_table"],
+        "ascii_chart": ["fig5_chart", "render_chart"],
+    },
+    submodules=["figures"],
+)

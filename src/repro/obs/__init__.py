@@ -15,44 +15,28 @@ Typical use::
     print(render_text_report(report))
 """
 
-from repro.obs.analysis import (
-    PathLink,
-    PhaseBreakdown,
-    RunReport,
-    TimelineStats,
-    aggregate_counters,
-    analyze,
-    attribute_phases,
-    critical_path,
-    match_messages,
-    timeline_stats,
-)
-from repro.obs.export import (
-    export_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.profile import PROFILE_APPS, profile_app
-from repro.obs.recorder import IntervalRecord, Recorder
-from repro.obs.report import render_text_report
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "IntervalRecord",
-    "PathLink",
-    "PhaseBreakdown",
-    "PROFILE_APPS",
-    "Recorder",
-    "RunReport",
-    "TimelineStats",
-    "aggregate_counters",
-    "analyze",
-    "attribute_phases",
-    "critical_path",
-    "export_chrome_trace",
-    "match_messages",
-    "profile_app",
-    "render_text_report",
-    "timeline_stats",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+# Lazy (PEP 562): recording a trace needs ``recorder`` only; analysis,
+# export and the text report (which pulls ``repro.metrics``) load on use.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": [
+            "PathLink",
+            "PhaseBreakdown",
+            "RunReport",
+            "TimelineStats",
+            "aggregate_counters",
+            "analyze",
+            "attribute_phases",
+            "critical_path",
+            "match_messages",
+            "timeline_stats",
+        ],
+        "export": ["export_chrome_trace", "validate_chrome_trace", "write_chrome_trace"],
+        "profile": ["PROFILE_APPS", "profile_app"],
+        "recorder": ["IntervalRecord", "Recorder"],
+        "report": ["render_text_report"],
+    },
+)

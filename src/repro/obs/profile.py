@@ -14,54 +14,15 @@ steps to the paper's full iteration count report that larger number as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-from repro.apps import heat3d, kmeans, minimd, moldyn, sobel
-from repro.apps.extra import jacobi2d
 from repro.apps.common import AppRun
+from repro.apps.registry import APPS as PROFILE_APPS  # the one app table
 from repro.cluster.presets import ohio_cluster
 from repro.cluster.specs import ClusterSpec
 from repro.obs.analysis import RunReport, analyze
 from repro.obs.recorder import Recorder
 from repro.util.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class _ProfiledApp:
-    run: Callable[..., AppRun]
-    quick_config: Callable[[], Any]
-
-
-#: Quick-scale configs mirror the smoke benchmark sizes: every path is
-#: exercised (multi-step, multi-device, adaptive repartition) but the
-#: functional payloads stay small enough for CI.
-PROFILE_APPS: dict[str, _ProfiledApp] = {
-    "kmeans": _ProfiledApp(
-        kmeans.run,
-        lambda: kmeans.KmeansConfig(functional_points=60_000, iterations=1),
-    ),
-    "moldyn": _ProfiledApp(
-        moldyn.run,
-        lambda: moldyn.MoldynConfig(functional_nodes=4_000, simulated_steps=3),
-    ),
-    "minimd": _ProfiledApp(
-        minimd.run,
-        lambda: minimd.MiniMDConfig(functional_cells=8, simulated_steps=3),
-    ),
-    "sobel": _ProfiledApp(
-        sobel.run,
-        lambda: sobel.SobelConfig(functional_shape=(384, 384), simulated_steps=3),
-    ),
-    "heat3d": _ProfiledApp(
-        heat3d.run,
-        lambda: heat3d.Heat3DConfig(functional_shape=(36, 36, 36), simulated_steps=3),
-    ),
-    "jacobi2d": _ProfiledApp(
-        jacobi2d.run,
-        lambda: jacobi2d.Jacobi2DConfig(shape=(32, 32), tol=1e-3, max_iters=60),
-    ),
-}
 
 
 def profile_app(

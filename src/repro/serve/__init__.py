@@ -26,26 +26,18 @@ bit-identical whether it runs through the service (at any concurrency, on
 either backend) or directly via :func:`repro.sim.engine.spmd_run`.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.client import DEFAULT_URL, ServeClient, ServeError
-from repro.serve.scheduler import AdmissionError, Job, JobScheduler, TERMINAL_STATES
-from repro.serve.server import JobServer
-from repro.serve.spec import JobSpec, execute_job, served_app_names
-from repro.serve.store import ResultStore, default_store_root
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "DEFAULT_URL",
-    "Job",
-    "JobScheduler",
-    "JobServer",
-    "JobSpec",
-    "ResultCache",
-    "ResultStore",
-    "ServeClient",
-    "ServeError",
-    "TERMINAL_STATES",
-    "default_store_root",
-    "execute_job",
-    "served_app_names",
-]
+# Lazy (PEP 562): a server never loads the client (urllib), a client
+# never loads the server, and ``execute_job`` needs neither.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ["ResultCache"],
+        "client": ["DEFAULT_URL", "ServeClient", "ServeError"],
+        "scheduler": ["AdmissionError", "Job", "JobScheduler", "TERMINAL_STATES"],
+        "server": ["JobServer"],
+        "spec": ["JobSpec", "execute_job", "served_app_names"],
+        "store": ["ResultStore", "default_store_root"],
+    },
+)

@@ -51,7 +51,17 @@ from repro.util.errors import ValidationError
 
 
 class AdmissionError(ValidationError):
-    """The scheduler refused a job at submission time."""
+    """The scheduler refused a job at submission time.
+
+    ``reason`` says why, for callers that react differently to a spec that
+    can never run (``"over_budget"``), a momentarily full queue
+    (``"queue_full"``: retry later) and a stopped scheduler
+    (``"shut_down"``).
+    """
+
+    def __init__(self, message: str, *, reason: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 #: Terminal job states (no further transitions).
@@ -159,12 +169,13 @@ class JobScheduler:
         if spec.ranks > self.rank_budget:
             raise AdmissionError(
                 f"job needs {spec.ranks} ranks but the server's budget is "
-                f"{self.rank_budget}; it can never be scheduled"
+                f"{self.rank_budget}; it can never be scheduled",
+                reason="over_budget",
             )
         spec_hash = spec.content_hash()
         with self._cond:
             if self._shutdown:
-                raise AdmissionError("scheduler is shut down")
+                raise AdmissionError("scheduler is shut down", reason="shut_down")
             self._seq += 1
             job = Job(
                 id=f"j{self._seq:05d}-{uuid.uuid4().hex[:6]}",
@@ -186,7 +197,8 @@ class JobScheduler:
                 return job
             if len(self._queue) >= self.max_queued:
                 raise AdmissionError(
-                    f"queue is full ({self.max_queued} jobs waiting); retry later"
+                    f"queue is full ({self.max_queued} jobs waiting); retry later",
+                    reason="queue_full",
                 )
             self._jobs[job.id] = job
             self._queue.append(job)

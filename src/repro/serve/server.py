@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, NoReturn
 
 from repro import __version__
 from repro.serve.cache import ResultCache
@@ -49,6 +49,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Most specs accepted in one ``POST /jobs/batch`` request.
 MAX_BATCH_JOBS = 4096
+
+#: HTTP status per :attr:`AdmissionError.reason`: a spec that can never fit
+#: is the client's error, a full queue asks for a retry, a stopped
+#: scheduler is the server's condition.
+_ADMISSION_STATUS = {"over_budget": 400, "queue_full": 429, "shut_down": 503}
 
 
 class _ApiError(Exception):
@@ -77,15 +82,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse_body(self, status: int, message: str) -> NoReturn:
+        # The body stays unread, so the connection cannot be reused: the
+        # next request on it would be parsed out of the body's bytes.
+        self.close_connection = True
+        raise _ApiError(status, message)
+
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        try:
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            self._refuse_body(400, "Content-Length must be an integer")
+        if length < 0:
+            self._refuse_body(400, "Content-Length must not be negative")
+        if length == 0:
             raise _ApiError(400, "request requires a JSON body")
         if length > MAX_BODY_BYTES:
-            raise _ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            self._refuse_body(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -149,9 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             job = self.scheduler.submit(spec)
         except AdmissionError as exc:
-            # Over-budget forever -> 400; queue full right now -> 429.
-            status = 429 if "queue is full" in str(exc) else 400
-            raise _ApiError(status, str(exc)) from None
+            raise _ApiError(_ADMISSION_STATUS[exc.reason], str(exc)) from None
         self._send_json(job.describe(), status=200 if job.cached else 202)
 
     def _submit_batch(self) -> None:

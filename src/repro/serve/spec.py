@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.apps.registry import APPS
 from repro.util.errors import ValidationError
 
 #: Cluster presets a job may request, by name.
@@ -64,20 +65,9 @@ def build_cluster(preset: str, nodes: int):
     return builder(nodes)
 
 
-def _served_apps() -> dict[str, Any]:
-    """The app registry the service schedules over.
-
-    Reuses the profile driver's table (run function + quick-scale config
-    factory), so the service serves exactly the apps the CLI can run and
-    profiles at the same CI-friendly default sizes.
-    """
-    from repro.obs.profile import PROFILE_APPS
-
-    return PROFILE_APPS
-
-
 def served_app_names() -> list[str]:
-    return sorted(_served_apps())
+    """Names of the apps the service schedules (imports none of them)."""
+    return sorted(APPS)
 
 
 def _allowed_options(run_fn: Callable[..., Any]) -> set[str]:
@@ -147,10 +137,9 @@ class JobSpec:
         from repro.core.env import DEVICE_MIXES
         from repro.sim.engine import resolve_backend
 
-        apps = _served_apps()
-        if self.app not in apps:
+        if self.app not in APPS:
             raise ValidationError(
-                f"unknown app {self.app!r}; served apps: {sorted(apps)}"
+                f"unknown app {self.app!r}; served apps: {served_app_names()}"
             )
         if not isinstance(self.nodes, int) or self.nodes < 1:
             raise ValidationError(f"nodes must be an int >= 1, got {self.nodes!r}")
@@ -175,14 +164,15 @@ class JobSpec:
         # Freeze the mapping fields so the spec is safely shareable.
         object.__setattr__(self, "params", dict(self.params or {}))
         object.__setattr__(self, "options", dict(self.options or {}))
-        config_fields = {f.name for f in dataclasses.fields(self._config_type())}
+        entry = APPS[self.app]  # imports this app's module, and only this one
+        config_fields = {f.name for f in dataclasses.fields(entry.config_type)}
         unknown = set(self.params) - config_fields
         if unknown:
             raise ValidationError(
                 f"unknown {self.app} config params {sorted(unknown)}; "
                 f"known: {sorted(config_fields)}"
             )
-        allowed = _allowed_options(_served_apps()[self.app].run)
+        allowed = _allowed_options(entry.run)
         bad = set(self.options) - allowed
         if bad:
             raise ValidationError(
@@ -199,13 +189,10 @@ class JobSpec:
         """Rank-budget cost of this job (framework apps run 1 rank/node)."""
         return self.nodes
 
-    def _config_type(self) -> type:
-        return type(_served_apps()[self.app].quick_config())
-
     def build_config(self) -> Any:
         """The app config this spec runs: scale default + ``params``."""
-        entry = _served_apps()[self.app]
-        base = entry.quick_config() if self.scale == "quick" else self._config_type()()
+        entry = APPS[self.app]
+        base = entry.quick_config() if self.scale == "quick" else entry.config_type()
         if not self.params:
             return base
         overrides = {k: _tuplify(v) for k, v in self.params.items()}
@@ -324,7 +311,7 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
     repr-equal to the same spec run without the service (floats survive
     the JSON round trip exactly).
     """
-    entry = _served_apps()[spec.app]
+    entry = APPS[spec.app]
     cluster = build_cluster(spec.preset, spec.nodes)
     config = spec.build_config()
     plan = spec.build_fault_plan()

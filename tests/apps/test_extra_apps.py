@@ -1,11 +1,14 @@
 """Extra applications: PageRank, SSSP, SRAD (Rodinia-coverage claim)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.apps.extra import pagerank, srad, sssp
 from repro.cluster.presets import ohio_cluster
 from repro.sim.engine import spmd_run
+from repro.util.errors import ConfigurationError
 
 PR_CFG = pagerank.PageRankConfig(n_nodes=250, n_edges=1800, max_iterations=80)
 SSSP_CFG = sssp.SsspConfig(n_nodes=220, degree=9.0)
@@ -66,6 +69,12 @@ def test_sssp_matches_dijkstra(nodes):
     # Bellman-Ford leaves unreachable nodes at +inf; zero-fill from _collect
     # means we compare reachability through the reference mask only.
     assert np.isinf(_collect_inf(res.values, SSSP_CFG.n_nodes)[~finite]).all()
+
+
+def test_sssp_reference_names_the_test_extra_when_networkx_is_missing(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # makes the import fail
+    with pytest.raises(ConfigurationError, match=r"\.\[test\]"):
+        sssp.sequential_reference(SSSP_CFG)
 
 
 def _collect_inf(values, n):

@@ -1,0 +1,78 @@
+"""Cold-start budget: a job loads only the code it runs.
+
+A fresh interpreter serves one heat3d job and reports what ended up in
+``sys.modules``; a moldyn job in the same interpreter then shows that the
+deferred imports still happen, at first use.  Runs in a subprocess because
+the test process itself has long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: ``repro.*`` modules a heat3d job may load (the whole package has ~110).
+MODULE_BUDGET = 50
+
+#: Nothing matching these may be loaded by a heat3d job.
+FORBIDDEN = (
+    "scipy",
+    "networkx",
+    "repro.metrics.figures",
+    "repro.apps.baselines",
+    "repro.apps.moldyn",
+    "repro.apps.minimd",
+    "repro.obs.analysis",
+    "repro.obs.report",
+    "repro.obs.export",
+)
+
+PROBE = """
+import json, sys
+import repro.serve
+from repro.serve import JobSpec, execute_job
+
+def loaded():
+    return sorted(sys.modules)
+
+heat3d = execute_job(JobSpec(app="heat3d", nodes=2, preset="laptop", mix="cpu"))
+after_heat3d = loaded()
+moldyn = execute_job(JobSpec(app="moldyn", nodes=2, preset="laptop", mix="cpu"))
+print(json.dumps({
+    "after_heat3d": after_heat3d,
+    "after_moldyn": loaded(),
+    "makespans": [heat3d["makespan"], moldyn["makespan"]],
+}))
+"""
+
+
+def _matches(module: str, prefix: str) -> bool:
+    return module == prefix or module.startswith(prefix + ".")
+
+
+def test_heat3d_job_loads_only_what_it_runs():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_SPMD_")}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+
+    after_heat3d = report["after_heat3d"]
+    leaked = [m for m in after_heat3d if any(_matches(m, p) for p in FORBIDDEN)]
+    assert not leaked, f"a heat3d job loaded code it never runs: {leaked}"
+    ours = [m for m in after_heat3d if _matches(m, "repro")]
+    assert len(ours) <= MODULE_BUDGET, (len(ours), ours)
+
+    # Deferred, not dropped: the neighbour-list build pulls scipy.spatial in.
+    assert "scipy.spatial" in report["after_moldyn"]
+    assert "repro.apps.moldyn" in report["after_moldyn"]
+    assert all(m > 0 for m in report["makespans"])

@@ -122,8 +122,9 @@ def test_priority_dispatch_order(gated):
 
 def test_oversize_job_rejected(gated):
     _, scheduler = gated
-    with pytest.raises(AdmissionError, match="never be scheduled"):
+    with pytest.raises(AdmissionError, match="never be scheduled") as excinfo:
         scheduler.submit(_spec(1, nodes=5))  # budget is 4
+    assert excinfo.value.reason == "over_budget"
 
 
 def test_queue_full_rejected():
@@ -134,8 +135,9 @@ def test_queue_full_rejected():
         scheduler.submit(_spec(1))
         executor.started[1].wait(5.0)
         scheduler.submit(_spec(2))  # fills the queue
-        with pytest.raises(AdmissionError, match="queue is full"):
+        with pytest.raises(AdmissionError, match="queue is full") as excinfo:
             scheduler.submit(_spec(3))
+        assert excinfo.value.reason == "queue_full"
     finally:
         for event in executor.release.values():
             event.set()
@@ -206,8 +208,9 @@ def test_shutdown_cancels_queue():
     queued = scheduler.submit(_spec(2))  # can't fit: stays queued
     scheduler.shutdown()
     assert scheduler.get(queued.id).state == "cancelled"
-    with pytest.raises(AdmissionError, match="shut down"):
+    with pytest.raises(AdmissionError, match="shut down") as excinfo:
         scheduler.submit(_spec(3))
+    assert excinfo.value.reason == "shut_down"
     executor.release[1].set()  # let the in-flight job drain
     scheduler.wait(running.id, timeout=10.0)
 

@@ -7,12 +7,14 @@ makespans repr-equal to the same specs run directly, resubmission must hit
 the result cache, and jobs beyond the rank budget must queue, not crash.
 """
 
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.serve import JobServer, JobSpec, ServeClient, ServeError, execute_job
+from repro.serve.server import MAX_BODY_BYTES
 
 
 def _spec(seed: int = 0, **over) -> JobSpec:
@@ -108,6 +110,49 @@ def test_bad_requests(gated_server):
     with pytest.raises(ServeError) as excinfo:
         client._request("GET", "/jobs/x/explode")
     assert excinfo.value.status == 404
+
+
+def _raw_exchange(server: JobServer, request: bytes) -> bytes:
+    """Send raw bytes; return everything the server answers until it closes."""
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):  # a kept-alive socket would time out
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_non_integer_content_length_is_a_client_error():
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        reply = _raw_exchange(
+            server, b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: lots\r\n\r\n"
+        )
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length must be an integer" in reply
+
+
+def test_refused_body_is_not_parsed_as_the_next_request():
+    # The oversized "body" is a well-formed request: a server that answers
+    # 413 and keeps the connection would answer it too.
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    head = (
+        b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+        + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+    )
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        reply = _raw_exchange(server, head + smuggled)
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in reply
+    assert reply.count(b"HTTP/1.1 ") == 1
+
+
+def test_shut_down_scheduler_is_a_server_side_refusal():
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        server.scheduler.shutdown()
+        with pytest.raises(ServeError) as excinfo:
+            ServeClient(server.url).submit(_spec(1))
+    assert excinfo.value.status == 503
+    assert "shut down" in str(excinfo.value)
 
 
 def test_failed_job_surfaces_error():
