@@ -683,14 +683,16 @@ def _git_rev() -> str:
 _OBS_OVERHEAD_THRESHOLD = 0.05
 
 
-def compare(record: dict, baseline_path: Path, threshold: float) -> int:
-    """Fail (non-zero) on wall-clock regression beyond ``threshold``.
+def compare(record: dict, baseline_path: Path) -> int:
+    """Fail (non-zero) on any exact check against the baseline record.
 
     Virtual makespans must match the baseline exactly — any drift means an
     optimization changed simulated physics, which is a bug regardless of
     wall-clock wins.  The ``obs_overhead`` case additionally gates the
     instrumented run at within 5% of the uninstrumented one (measured
-    within this run, so the gate needs no baseline entry).
+    within this run, so the gate needs no baseline entry).  Wall seconds
+    are recorded, never compared across hosts: wall claims are made as
+    interleaved pairs through ``benchmarks/e2e``.
     """
     baseline = json.loads(baseline_path.read_text())
     base_cases = baseline["cases"]
@@ -762,14 +764,6 @@ def compare(record: dict, baseline_path: Path, threshold: float) -> int:
                     f"{name}: virtual makespan drifted "
                     f"{base['makespan']!r} -> {case['makespan']!r}"
                 )
-        if "wall_s" not in case or "wall_s" not in base:
-            continue  # A/B cases carry per-variant walls, not a single wall_s
-        ratio = case["wall_s"] / max(base["wall_s"], 1e-9)
-        if ratio > 1.0 + threshold:
-            failures.append(
-                f"{name}: wall-clock regression {base['wall_s']}s -> {case['wall_s']}s "
-                f"({ratio:.2f}x, threshold {1.0 + threshold:.2f}x)"
-            )
     for f in failures:
         print(f"FAIL {f}")
     return 1 if failures else 0
@@ -780,10 +774,10 @@ def main() -> int:
     ap.add_argument("--mode", choices=["smoke", "full"], default="smoke")
     ap.add_argument("--out", type=Path, default=None, help="write the JSON record here")
     ap.add_argument(
-        "--baseline", type=Path, default=None, help="compare against this record and fail on regression"
-    )
-    ap.add_argument(
-        "--threshold", type=float, default=0.25, help="allowed fractional wall-clock regression"
+        "--baseline",
+        type=Path,
+        default=None,
+        help="check makespans and the other exact gates against this record",
     )
     args = ap.parse_args()
 
@@ -792,7 +786,7 @@ def main() -> int:
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     if args.baseline:
-        return compare(record, args.baseline, args.threshold)
+        return compare(record, args.baseline)
     return 0
 
 

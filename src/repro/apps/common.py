@@ -176,8 +176,8 @@ def cluster_with_nodes(cluster: ClusterSpec, nodes: int) -> ClusterSpec:
 def parse_time_block(value: str | int) -> int | str:
     """Parse a ``--time-block`` value: a positive integer or ``"auto"``.
 
-    Shared by the CLI and profile plumbing so every app front-end accepts
-    the same spellings and reports the same error.
+    The CLI's argparse type, so ``run``, ``profile`` and ``submit`` accept
+    the same spellings and report the same error.
     """
     if isinstance(value, int):
         if value < 1:

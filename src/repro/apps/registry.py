@@ -1,8 +1,8 @@
 """The app registry: every runnable application, loaded on first use.
 
 One table serves the ``repro run|profile|submit`` CLI, the job service's
-spec validation and executor, and the profile driver
-(:func:`repro.obs.profile.profile_app`).  A row only *names* the
+spec validation, and the one function that runs a spec
+(:func:`repro.serve.spec.run_spec`).  A row only *names* the
 app's module, config class and quick-scale config arguments; the module is
 imported the first time the entry is looked up, so a process that runs
 heat3d jobs never loads the molecular-dynamics apps (or the

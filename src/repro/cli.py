@@ -1,33 +1,42 @@
 """Command-line interface: run apps and regenerate experiments.
 
-Examples::
+``run``, ``profile`` and ``submit`` share one argument group and one
+``args -> JobSpec`` builder (:func:`repro.serve.spec.spec_from_args`); the
+spec is executed by :func:`repro.serve.spec.run_spec` wherever it lands.
+The same spec, three ways (same virtual time, to the bit)::
 
-    python -m repro info
+    python -m repro run heat3d --nodes 4 --scale quick --time-block 2
+    python -m repro submit heat3d --nodes 4 --time-block 2
+    python -m repro campaign run one.json --store none  # a one-point sweep,
+        # {"name": "one", "axes": {"app": ["heat3d"], "nodes": [4]}, "options": {"time_block": 2}}
+
+More examples::
+
     python -m repro info --devices
-    python -m repro run kmeans --nodes 4 --mix cpu+2gpu
-    python -m repro run heat3d --nodes 8 --mix cpu --no-overlap
-    python -m repro run heat3d --trace-out trace.json
-    python -m repro profile heat3d --scale quick
+    python -m repro run heat3d --nodes 8 --mix cpu --no-overlap --trace-out trace.json
+    python -m repro profile heat3d
     python -m repro figure table2 --scale quick
-    python -m repro codesize
     python -m repro serve --port 8642 --store ~/.cache/repro/results
-    python -m repro submit heat3d --nodes 4 --param simulated_steps=2
     python -m repro submit --batch jobs.json
     python -m repro jobs --stats
     python -m repro campaign run sweep.json --out run.json --report
-    python -m repro campaign status sweep.json
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from pathlib import Path
 
 from repro import __version__, metrics
 from repro.apps.registry import APPS
 from repro.cluster.presets import ohio_cluster
 from repro.core.env import DEVICE_MIXES
 from repro.metrics import fig5_chart, format_table
+from repro.serve.spec import CLUSTER_PRESETS, run_spec, spec_from_args
+from repro.util.errors import ReproError
 from repro.util.units import fmt_seconds
 
 _FIGURES = {
@@ -69,11 +78,10 @@ def _fig5_text(scale: str) -> str:
 def _time_block_arg(text: str):
     """argparse type for ``--time-block``: positive int or ``auto``."""
     from repro.apps.common import parse_time_block
-    from repro.util.errors import ValidationError
 
     try:
         return parse_time_block(text)
-    except ValidationError as exc:
+    except ReproError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -97,17 +105,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the SPMD execution backends and this host's defaults",
     )
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
+    def add_job_args(p: argparse.ArgumentParser, *, scale: str, app_nargs=None) -> None:
+        """The flags that describe a run, declared once for run/profile/submit
+        (:func:`repro.serve.spec.spec_from_args` turns them into a ``JobSpec``)."""
         from repro.sim import BACKENDS
 
+        p.add_argument("app", nargs=app_nargs, choices=sorted(APPS))
+        p.add_argument("--nodes", type=int, default=4, help="cluster nodes (paper: 1..32)")
+        p.add_argument(
+            "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
+        )
+        p.add_argument(
+            "--preset", choices=CLUSTER_PRESETS, default="ohio", help="cluster preset to build"
+        )
+        p.add_argument(
+            "--scale",
+            choices=["quick", "full"],
+            default=scale,
+            help="quick: small CI-sized inputs; full: the app's paper-sized defaults",
+        )
+        p.add_argument(
+            "--param",
+            action="append",
+            default=[],
+            metavar="K=V",
+            help="config override (repeatable), e.g. --param simulated_steps=2 "
+            "--param 'functional_shape=[24,24,24]'; values parse as JSON, "
+            "falling back to strings",
+        )
+        p.add_argument(
+            "--option",
+            action="append",
+            default=[],
+            metavar="K=V",
+            help="run-function keyword (repeatable), e.g. --option tiling=false; "
+            "an option the app's run() does not take is an error",
+        )
         p.add_argument(
             "--backend",
             choices=BACKENDS,
             default=None,
-            help="SPMD execution backend: 'threads' (default) or 'processes' "
-            "(rank blocks on worker processes — same virtual makespans, "
-            "parallel wall clock on multi-core hosts); default also honours "
-            "the REPRO_SPMD_BACKEND environment variable",
+            help="SPMD execution backend (same virtual makespans on either; see "
+            "'repro info --backends'); default honours REPRO_SPMD_BACKEND",
         )
         p.add_argument(
             "--workers",
@@ -117,44 +156,41 @@ def build_parser() -> argparse.ArgumentParser:
             help="process-backend worker count (default: REPRO_SPMD_WORKERS, "
             "else the CPU count)",
         )
-
-    run_p = sub.add_parser("run", help="run one application on the simulated cluster")
-    run_p.add_argument("app", choices=sorted(APPS))
-    run_p.add_argument("--nodes", type=int, default=4, help="cluster nodes (paper: 1..32)")
-    run_p.add_argument(
-        "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
-    )
-    add_backend_args(run_p)
-    run_p.add_argument(
-        "--no-overlap",
-        action="store_true",
-        help="disable communication/computation overlap (Moldyn/MiniMD/stencils)",
-    )
-    run_p.add_argument(
-        "--until-tol",
-        type=float,
-        default=None,
-        metavar="TOL",
-        help="heat3d only: iterate until the L2 step-update norm drops to TOL "
-        "(fused stencil+reduce loop) instead of a fixed step count",
-    )
-    run_p.add_argument(
-        "--max-iters",
-        type=int,
-        default=None,
-        metavar="N",
-        help="iteration cap for --until-tol (default: the app's iteration count)",
-    )
-    run_p.add_argument(
-        "--time-block",
-        type=_time_block_arg,
-        default=None,
-        metavar="K",
-        help="heat3d/jacobi2d/sobel: temporal blocking — K sweeps per deep "
-        "halo exchange (grids stay bit-identical), or 'auto' to pick K from "
-        "the link table's alpha/beta and the kernel's flop intensity",
-    )
-    def add_fault_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--no-overlap",
+            action="store_true",
+            help="--option overlap=false: no communication/computation overlap",
+        )
+        p.add_argument(
+            "--until-tol",
+            type=float,
+            default=None,
+            metavar="TOL",
+            help="--option until_tol=TOL (heat3d): iterate until the L2 step-update "
+            "norm drops to TOL instead of a fixed step count",
+        )
+        p.add_argument(
+            "--max-iters",
+            type=int,
+            default=None,
+            metavar="N",
+            help="--option max_iters=N: iteration cap for --until-tol",
+        )
+        p.add_argument(
+            "--time-block",
+            type=_time_block_arg,
+            default=None,
+            metavar="K",
+            help="--option time_block=K (stencils): K sweeps per deep halo exchange "
+            "(grids stay bit-identical), or 'auto' to pick K from the link table",
+        )
+        p.add_argument(
+            "--checkpoint-every",
+            type=int,
+            default=None,
+            metavar="K",
+            help="--option checkpoint_every=K: snapshot every K iterations",
+        )
         flt = p.add_argument_group(
             "fault injection (heat3d and kmeans; runs over the reliable comm layer)"
         )
@@ -176,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-delay", type=float, default=1e-4, help="max extra delay in virtual seconds"
         )
         flt.add_argument(
-            "--crash-rank", type=int, default=None, metavar="R", help="rank to crash once"
+            "--crash-rank",
+            type=int,
+            default=None,
+            metavar="R",
+            help="rank to crash once (needs --fault-seed and --checkpoint-every)",
         )
         flt.add_argument(
             "--crash-at", type=float, default=0.0, metavar="T", help="virtual crash time (s)"
@@ -184,57 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
         flt.add_argument(
             "--restart-cost", type=float, default=1.0, help="virtual restart stall (s)"
         )
-        flt.add_argument(
-            "--checkpoint-every",
-            type=int,
-            default=None,
-            metavar="K",
-            help="snapshot every K iterations (required with --crash-rank)",
-        )
 
-    add_fault_args(run_p)
-    run_p.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="record the run and write a Chrome-trace/Perfetto JSON here",
-    )
+    run_p = sub.add_parser("run", help="run one application on the simulated cluster")
+    add_job_args(run_p, scale="full")
 
     prof_p = sub.add_parser(
         "profile", help="run one application under observation and report on it"
     )
-    prof_p.add_argument("app", choices=sorted(APPS))
-    prof_p.add_argument("--nodes", type=int, default=4, help="cluster nodes")
-    prof_p.add_argument(
-        "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
-    )
-    prof_p.add_argument(
-        "--scale",
-        choices=["quick", "full"],
-        default="quick",
-        help="quick: small CI-sized inputs; full: the app's paper-sized defaults",
-    )
+    add_job_args(prof_p, scale="quick")
     prof_p.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
         help="report format on stdout (text report or machine-readable JSON)",
     )
-    prof_p.add_argument(
-        "--time-block",
-        type=_time_block_arg,
-        default=None,
-        metavar="K",
-        help="heat3d/jacobi2d/sobel: temporal blocking factor or 'auto'; the "
-        "chosen K is reported alongside the profile",
-    )
-    prof_p.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="also write a Chrome-trace/Perfetto JSON of the run here",
-    )
-    add_backend_args(prof_p)
+    for p in (run_p, prof_p):
+        p.add_argument(
+            "--trace-out",
+            metavar="PATH",
+            default=None,
+            help="record the run and write a Chrome-trace/Perfetto JSON here",
+        )
 
     fig_p = sub.add_parser("figure", help="regenerate one paper table/figure")
     fig_p.add_argument("which", choices=sorted(_FIGURES))
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub_p = sub.add_parser("submit", help="submit job(s) to a running job server")
-    sub_p.add_argument("app", nargs="?", choices=sorted(APPS))
+    add_job_args(sub_p, scale="quick", app_nargs="?")
     sub_p.add_argument(
         "--batch",
         default=None,
@@ -293,43 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a JSON list of job specs in one round trip instead of "
         "a single app (one outcome per spec; a bad spec never fails the batch)",
     )
-    sub_p.add_argument("--nodes", type=int, default=4, help="cluster nodes")
-    sub_p.add_argument(
-        "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
-    )
-    sub_p.add_argument(
-        "--preset",
-        choices=["ohio", "laptop", "latency"],
-        default="ohio",
-        help="cluster preset the server should build",
-    )
-    sub_p.add_argument(
-        "--scale", choices=["quick", "full"], default="quick", help="config size baseline"
-    )
-    sub_p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="config override (repeatable), e.g. --param simulated_steps=2 "
-        "--param 'functional_shape=[24,24,24]'; values parse as JSON, "
-        "falling back to strings",
-    )
-    sub_p.add_argument(
-        "--option",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="run-function keyword (repeatable), e.g. --option overlap=false",
-    )
     sub_p.add_argument(
         "--priority", type=int, default=0, help="scheduling priority (higher runs first)"
     )
     sub_p.add_argument(
         "--trace", action="store_true", help="record the run (fetch via the /trace endpoint)"
     )
-    add_backend_args(sub_p)
-    add_fault_args(sub_p)
     add_url_arg(sub_p)
     sub_p.add_argument(
         "--no-wait",
@@ -432,8 +411,6 @@ def cmd_info(args: argparse.Namespace | None = None) -> str:
 
 def _backend_details() -> str:
     """The SPMD execution backends and this host's effective defaults."""
-    import os
-
     from repro.sim import BACKENDS, resolve_backend
     from repro.sim.procpool import resolve_workers
 
@@ -499,188 +476,110 @@ def _device_details(cluster) -> str:
     return "\n".join(lines)
 
 
-_FAULT_APPS = ("heat3d", "kmeans")
+def _job_spec(args: argparse.Namespace, **fields):
+    """The ``JobSpec`` the shared job flags describe, or a clean exit."""
+    try:
+        return spec_from_args(args, **fields)
+    except ReproError as exc:
+        raise SystemExit(f"invalid job spec: {exc}") from None
 
-#: Apps whose stencil loop accepts the temporal-blocking knob.
-_TIME_BLOCK_APPS = ("heat3d", "jacobi2d", "sobel")
+
+def _result_lines(makespan: float, seq_time: float, speedup: float) -> list[str]:
+    return [
+        f"  simulated time : {fmt_seconds(makespan)}",
+        f"  sequential time: {fmt_seconds(seq_time)} (modeled, 1 core)",
+        f"  speedup        : {speedup:.1f}x",
+    ]
 
 
-def _fault_plan_from_args(args: argparse.Namespace):
-    """Build the deterministic fault plan the ``run``/``submit`` flags describe."""
-    if args.fault_seed is None:
-        return None
-    from repro.faults import FaultPlan, RankCrash
-
-    if args.app not in _FAULT_APPS:
-        raise SystemExit(
-            f"fault injection supports {', '.join(_FAULT_APPS)}, not {args.app}"
-        )
-    crashes = []
-    if args.crash_rank is not None:
-        if args.checkpoint_every is None:
-            raise SystemExit("--crash-rank requires --checkpoint-every")
-        crashes.append(
-            RankCrash(
-                rank=args.crash_rank,
-                at_time=args.crash_at,
-                restart_cost=args.restart_cost,
-            )
-        )
-    return FaultPlan.lossy(
-        seed=args.fault_seed,
-        drop=args.drop,
-        dup=args.dup,
-        delay=args.delay,
-        max_delay=args.max_delay,
-        crashes=crashes,
+def _fault_line(spec, stats: dict) -> str:
+    return (
+        f"  faults         : seed={spec.fault_plan['seed']} drops={stats['drops']} "
+        f"dups={stats['duplicates']} delays={stats['delays']} "
+        f"crashes={stats['crashes_consumed']}"
     )
 
 
-def cmd_run(args: argparse.Namespace) -> str:
-    cluster = ohio_cluster(args.nodes)
-    kwargs = {}
-    if args.backend is not None:
-        kwargs["backend"] = args.backend
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    if args.app in ("moldyn", "minimd", "sobel", "heat3d") and args.no_overlap:
-        kwargs["overlap"] = False
-    if args.until_tol is not None:
-        if args.app != "heat3d":
-            raise SystemExit("--until-tol is only supported for heat3d")
-        kwargs["until_tol"] = args.until_tol
-        if args.max_iters is not None:
-            kwargs["max_iters"] = args.max_iters
-    elif args.max_iters is not None:
-        raise SystemExit("--max-iters requires --until-tol")
-    if args.time_block is not None:
-        if args.app not in _TIME_BLOCK_APPS:
-            raise SystemExit(
-                f"--time-block is only supported for {', '.join(_TIME_BLOCK_APPS)}"
-            )
-        kwargs["time_block"] = args.time_block
-    plan = _fault_plan_from_args(args)
-    if plan is not None:
-        kwargs["reliable"] = True
-        kwargs["fault_plan"] = plan
-        if args.checkpoint_every is not None:
-            kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.trace_out is not None:
-        from repro.obs import Recorder
+def _time_block_text(spec, apprun) -> str | None:
+    """``k=<chosen>`` when the spec sets the temporal-blocking option."""
+    asked = spec.options.get("time_block")
+    if asked is None:
+        return None
+    chosen = apprun.spmd.values[0]["time_block"]
+    return f"k={chosen}{' (auto-tuned)' if asked == 'auto' else ''}"
 
-        kwargs["recorder_factory"] = Recorder
-    run = APPS[args.app].run(cluster, mix=args.mix, **kwargs)
+
+def _write_trace(path: str, apprun) -> str:
+    from repro.obs import write_chrome_trace
+
+    obj = write_chrome_trace(path, apprun.spmd.traces, apprun.spmd.makespan)
+    return f"{path} ({len(obj['traceEvents'])} events; open in ui.perfetto.dev)"
+
+
+def cmd_run(args: argparse.Namespace) -> str:
+    spec = _job_spec(args, trace=args.trace_out is not None)
+    run, plan = run_spec(spec)
     lines = [
-        f"{args.app} on {args.nodes} node(s), {args.mix}:",
-        f"  simulated time : {fmt_seconds(run.makespan)}",
-        f"  sequential time: {fmt_seconds(run.seq_time)} (modeled, 1 core)",
-        f"  speedup        : {run.speedup:.1f}x",
+        f"{spec.app} on {spec.nodes} node(s), {spec.mix}:",
+        *_result_lines(run.makespan, run.seq_time, run.speedup),
     ]
-    if args.until_tol is not None:
+    tol = spec.options.get("until_tol")
+    if tol is not None:
         rank0 = run.spmd.values[0]
         final = rank0["residuals"][-1] if rank0["residuals"] else float("nan")
         lines.append(
             f"  convergence    : {rank0['iterations']} iteration(s), "
-            f"residual {final:.3e} (tol {args.until_tol:.3e}, "
+            f"residual {final:.3e} (tol {tol:.3e}, "
             f"{'converged' if rank0['converged'] else 'hit the iteration cap'})"
         )
-    if args.time_block is not None:
-        chosen = run.spmd.values[0]["time_block"]
-        source = " (auto-tuned)" if args.time_block == "auto" else ""
-        lines.append(f"  time block     : k={chosen}{source}")
+    block = _time_block_text(spec, run)
+    if block is not None:
+        lines.append(f"  time block     : {block}")
     if plan is not None:
-        s = plan.stats
-        lines.append(
-            f"  faults         : seed={args.fault_seed} drops={s.drops} "
-            f"dups={s.duplicates} delays={s.delays} crashes={s.crashes_consumed}"
-        )
+        lines.append(_fault_line(spec, plan.stats_snapshot()))
     if args.trace_out is not None:
-        from repro.obs import write_chrome_trace
-
-        obj = write_chrome_trace(args.trace_out, run.spmd.traces, run.spmd.makespan)
-        lines.append(
-            f"  trace          : {args.trace_out} "
-            f"({len(obj['traceEvents'])} events; open in ui.perfetto.dev)"
-        )
+        lines.append(f"  trace          : {_write_trace(args.trace_out, run)}")
     return "\n".join(lines)
 
 
 def cmd_profile(args: argparse.Namespace) -> str:
-    from repro.obs import profile_app, render_text_report, write_chrome_trace
+    from repro.obs import analyze, render_text_report
 
-    run_kwargs = {}
-    if args.backend is not None:
-        run_kwargs["backend"] = args.backend
-    if args.workers is not None:
-        run_kwargs["workers"] = args.workers
-    if args.time_block is not None:
-        if args.app not in _TIME_BLOCK_APPS:
-            raise SystemExit(
-                f"--time-block is only supported for {', '.join(_TIME_BLOCK_APPS)}"
-            )
-        run_kwargs["time_block"] = args.time_block
-    apprun, report = profile_app(
-        args.app, nodes=args.nodes, mix=args.mix, scale=args.scale, **run_kwargs
-    )
+    spec = _job_spec(args, trace=True)
+    apprun, _ = run_spec(spec)
+    report = analyze(apprun.spmd, app_makespan=apprun.makespan)
     report.verify()
     extra = []
-    if args.time_block is not None:
-        chosen = apprun.spmd.values[0]["time_block"]
-        source = " (auto-tuned)" if args.time_block == "auto" else ""
-        extra.append(f"time block: k={chosen}{source}")
+    block = _time_block_text(spec, apprun)
+    if block is not None:
+        extra.append(f"time block: {block}")
     if args.trace_out is not None:
-        obj = write_chrome_trace(args.trace_out, apprun.spmd.traces, report.makespan)
-        extra.append(
-            f"trace written to {args.trace_out} "
-            f"({len(obj['traceEvents'])} events; open in ui.perfetto.dev)"
-        )
+        extra.append(f"trace written to {_write_trace(args.trace_out, apprun)}")
     if args.format == "json":
-        import json
-
         return json.dumps(report.to_dict(), indent=2)
-    head = f"{args.app} on {args.nodes} node(s), {args.mix} [{args.scale}]"
+    head = f"{spec.app} on {spec.nodes} node(s), {spec.mix} [{spec.scale}]"
     return "\n".join([head, "", render_text_report(report)] + extra)
 
 
 def _serve_url(args: argparse.Namespace) -> str:
-    import os
-
     from repro.serve import DEFAULT_URL
 
     return args.url or os.environ.get("REPRO_SERVE_URL") or DEFAULT_URL
 
 
-def _parse_kv_pairs(pairs: list[str], flag: str) -> dict:
-    """Parse repeated ``K=V`` flags; values decode as JSON, else stay strings."""
-    import json
-
-    out = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"{flag} expects K=V, got {pair!r}")
-        try:
-            out[key] = json.loads(raw)
-        except ValueError:
-            out[key] = raw
-    return out
-
-
 def _resolve_store(arg: str | None, *, default_on: bool = False):
-    """``--store`` flag -> ResultStore | None ('none' always disables)."""
-    from repro.serve import ResultStore, default_store_root
+    """``--store`` flag -> store directory | None ('none' always disables)."""
+    from repro.serve import default_store_root
 
-    if arg is not None:
-        if arg.lower() == "none":
-            return None
-        return ResultStore(arg)
-    return ResultStore(default_store_root()) if default_on else None
+    if arg is None:
+        return default_store_root() if default_on else None
+    return None if arg.lower() == "none" else arg
 
 
 def cmd_serve(args: argparse.Namespace) -> None:  # pragma: no cover - blocks forever
     from repro.serve import JobServer, served_app_names
 
-    store = _resolve_store(args.store)
+    store_dir = _resolve_store(args.store)
     server = JobServer(
         host=args.host,
         port=args.port,
@@ -688,15 +587,15 @@ def cmd_serve(args: argparse.Namespace) -> None:  # pragma: no cover - blocks fo
         cache_size=args.cache_size,
         max_queued=args.max_queued,
         verbose=args.verbose,
-        store_dir=None if store is None else store.root,
+        store_dir=store_dir,
     )
     with server:
         print(f"repro job server listening on {server.url}")
         print(f"  apps        : {', '.join(served_app_names())}")
         print(f"  rank budget : {args.rank_budget} | cache: {args.cache_size} "
               f"| queue: {args.max_queued}")
-        if store is not None:
-            print(f"  store       : {store.root}")
+        if store_dir is not None:
+            print(f"  store       : {store_dir}")
         print("  submit with : python -m repro submit <app> "
               f"--url {server.url}  (Ctrl-C stops)")
         try:
@@ -706,9 +605,6 @@ def cmd_serve(args: argparse.Namespace) -> None:  # pragma: no cover - blocks fo
 
 
 def _cmd_submit_batch(args: argparse.Namespace) -> str:
-    import json
-    from pathlib import Path
-
     from repro.serve import ServeClient, ServeError
 
     try:
@@ -754,7 +650,7 @@ def _cmd_submit_batch(args: argparse.Namespace) -> str:
 
 
 def cmd_submit(args: argparse.Namespace) -> str:
-    from repro.serve import JobSpec, ServeClient, ServeError
+    from repro.serve import ServeClient, ServeError
 
     if args.batch is not None and args.app is not None:
         raise SystemExit("give either an app or --batch FILE, not both")
@@ -763,29 +659,7 @@ def cmd_submit(args: argparse.Namespace) -> str:
     if args.app is None:
         raise SystemExit("submit needs an app (or --batch FILE)")
 
-    options = _parse_kv_pairs(args.option, "--option")
-    plan = _fault_plan_from_args(args)
-    if plan is not None:
-        options["reliable"] = True
-        if args.checkpoint_every is not None:
-            options["checkpoint_every"] = args.checkpoint_every
-    try:
-        spec = JobSpec(
-            app=args.app,
-            nodes=args.nodes,
-            mix=args.mix,
-            preset=args.preset,
-            scale=args.scale,
-            params=_parse_kv_pairs(args.param, "--param"),
-            options=options,
-            fault_plan=plan.to_dict() if plan is not None else None,
-            backend=args.backend,
-            workers=args.workers,
-            priority=args.priority,
-            trace=args.trace,
-        )
-    except Exception as exc:
-        raise SystemExit(f"invalid job spec: {exc}") from None
+    spec = _job_spec(args, trace=args.trace, priority=args.priority)
     client = ServeClient(_serve_url(args))
     try:
         job = client.submit(spec)
@@ -804,25 +678,15 @@ def cmd_submit(args: argparse.Namespace) -> str:
         detail = done.get("error") or done["state"]
         raise SystemExit(f"job {job['id']} {done['state']}: {detail}")
     result = client.result(job["id"])["result"]
-    lines += [
-        f"  simulated time : {fmt_seconds(result['makespan'])}",
-        f"  sequential time: {fmt_seconds(result['seq_time'])} (modeled, 1 core)",
-        f"  speedup        : {result['speedup']:.1f}x",
-    ]
+    lines += _result_lines(result["makespan"], result["seq_time"], result["speedup"])
     if result.get("fault_stats"):
-        s = result["fault_stats"]
-        lines.append(
-            f"  faults         : drops={s['drops']} dups={s['duplicates']} "
-            f"delays={s['delays']} crashes={s['crashes_consumed']}"
-        )
+        lines.append(_fault_line(spec, result["fault_stats"]))
     if spec.trace:
         lines.append(f"  trace          : GET {client.url}/jobs/{job['id']}/trace")
     return "\n".join(lines)
 
 
 def cmd_jobs(args: argparse.Namespace) -> str:
-    import json
-
     from repro.serve import ServeClient, ServeError
 
     client = ServeClient(_serve_url(args))
@@ -843,9 +707,6 @@ def cmd_jobs(args: argparse.Namespace) -> str:
 
 
 def cmd_campaign(args: argparse.Namespace) -> str:
-    import json
-    from pathlib import Path
-
     from repro.campaign import CampaignRunner, CampaignSpec, render_report
     from repro.util.errors import ValidationError
 

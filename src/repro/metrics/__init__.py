@@ -8,7 +8,7 @@ each returns structured rows that the benchmark suite prints and that
 
 from repro.util.lazy import lazy_exports
 
-# Lazy (PEP 562): ``figures`` imports every app and baseline; the table and
+# Lazy (PEP 562): ``figures`` imports the campaign engine; the table and
 # chart helpers (used by ``repro.obs.report``) must not drag it in.
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,

@@ -5,6 +5,11 @@ Every function returns a list of row dicts (ready for
 benchmark suite (``benchmarks/``) and by the EXPERIMENTS.md generator
 (``examples/generate_experiments_md.py``).
 
+Framework rows are :class:`~repro.campaign.CampaignSpec` sweeps run
+in-process (:func:`_sweep`), the same path ``repro campaign run`` takes;
+the hand-written MPI/CUDA baselines and the two ablations that reach
+below an app's ``run`` are direct calls, imported where they are used.
+
 Workload knobs: each driver takes a ``scale`` in {"quick", "full"}.
 Both charge the cost model at the paper's workload sizes; they differ only
 in the functional array sizes (math volume) and the node counts swept, so
@@ -13,21 +18,15 @@ in the functional array sizes (math volume) and the node counts swept, so
 
 from __future__ import annotations
 
+from importlib import import_module
 from pathlib import Path
-from typing import Callable
+from typing import Any, Mapping, Sequence
 
-from repro.apps import heat3d, kmeans, minimd, moldyn, sobel
-from repro.apps.baselines import (
-    cuda_kmeans,
-    cuda_sobel,
-    mpi_heat3d,
-    mpi_kmeans,
-    mpi_minimd,
-    mpi_sobel,
-)
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.cluster.presets import ohio_cluster
 from repro.metrics.codesize import code_size_table
-from repro.util.errors import ValidationError
+from repro.serve.spec import JobSpec
+from repro.util.errors import ReproError, ValidationError
 
 #: Device mixes plotted in Fig. 5 (per node).
 FIG5_MIXES = ["cpu", "1gpu", "2gpu", "cpu+1gpu", "cpu+2gpu"]
@@ -58,47 +57,79 @@ PAPER = {
 }
 
 
+#: Apps with a hand-written MPI comparator (``repro.apps.baselines.mpi_<app>``).
+MPI_APPS = ("kmeans", "minimd", "sobel", "heat3d")
+
+#: Per-app functional sizes at each figure scale, as overrides of the app's
+#: paper-sized config (functional sizes grow a little at full scale).
+_SCALE_PARAMS: dict[str, dict[str, dict[str, Any]]] = {
+    "quick": {
+        "kmeans": {"functional_points": 48_000},
+        "moldyn": {"functional_nodes": 6_000, "functional_degree": 14},
+        "minimd": {"functional_cells": 8},
+        "sobel": {"functional_shape": (384, 384)},
+        "heat3d": {"functional_shape": (36, 36, 36)},
+    },
+    "full": {
+        "kmeans": {"functional_points": 384_000},
+        "moldyn": {},
+        "minimd": {},
+        "sobel": {"functional_shape": (768, 768)},
+        "heat3d": {},
+    },
+}
+
+
+def _scale_params(scale: str, apps: list[str] | None = None) -> dict[str, dict[str, Any]]:
+    """``{app: config overrides}`` for the paper apps (or ``apps``) at ``scale``."""
+    if scale not in _SCALE_PARAMS:
+        raise ValidationError(f"scale must be 'quick' or 'full', got {scale!r}")
+    params = _SCALE_PARAMS[scale]
+    return {app: params[app] for app in apps or params}
+
+
 def _node_counts(scale: str) -> list[int]:
-    if scale == "quick":
-        return [1, 4]
-    if scale == "full":
-        return [1, 2, 4, 8, 16, 32]
-    raise ValidationError(f"scale must be 'quick' or 'full', got {scale!r}")
+    return [1, 4] if scale == "quick" else [1, 2, 4, 8, 16, 32]
 
 
-def _configs(scale: str) -> dict:
-    """Per-app configs; functional sizes grow a little at full scale."""
-    if scale == "quick":
-        return {
-            "kmeans": kmeans.KmeansConfig(functional_points=48_000),
-            "moldyn": moldyn.MoldynConfig(functional_nodes=6_000, functional_degree=14),
-            "minimd": minimd.MiniMDConfig(functional_cells=8),
-            "sobel": sobel.SobelConfig(functional_shape=(384, 384)),
-            "heat3d": heat3d.Heat3DConfig(functional_shape=(36, 36, 36)),
-        }
-    return {
-        "kmeans": kmeans.KmeansConfig(functional_points=384_000),
-        "moldyn": moldyn.MoldynConfig(),
-        "minimd": minimd.MiniMDConfig(),
-        "sobel": sobel.SobelConfig(functional_shape=(768, 768)),
-        "heat3d": heat3d.Heat3DConfig(),
-    }
+def _config(app: str, params: Mapping[str, Any]) -> Any:
+    """The config object a sweep point runs (for baselines and custom runtimes)."""
+    return JobSpec(app=app, scale="full", params=params).build_config()
 
 
-_APP_RUNNERS: dict[str, Callable] = {
-    "kmeans": kmeans.run,
-    "moldyn": moldyn.run,
-    "minimd": minimd.run,
-    "sobel": sobel.run,
-    "heat3d": heat3d.run,
-}
+def _sweep(
+    name: str,
+    app_params: Mapping[str, Mapping[str, Any]],
+    *,
+    nodes: Sequence[int] = (1,),
+    mixes: Sequence[str] = ("cpu+2gpu",),
+    presets: Sequence[str] = ("ohio",),
+    options: Mapping[str, Any] | None = None,
+) -> list[dict]:
+    """Run app x preset x nodes x mix in-process; run-table rows in that order.
 
-_MPI_RUNNERS: dict[str, Callable] = {
-    "kmeans": mpi_kmeans.run,
-    "minimd": mpi_minimd.run,
-    "sobel": mpi_sobel.run,
-    "heat3d": mpi_heat3d.run,
-}
+    No persistent store: a figure must reflect the current code.
+    """
+    campaign = CampaignSpec(
+        name=name,
+        axes={
+            "app": list(app_params),
+            "preset": presets,
+            "nodes": nodes,
+            "mix": mixes,
+            "scale": "full",
+        },
+        app_params=app_params,
+        options=options or {},
+        backend=None,
+    )
+    result = CampaignRunner(campaign, store=None).run()
+    if not result.ok:
+        bad = result.failures()[0]
+        raise ReproError(
+            f"{name}: {bad['app']} x{bad['nodes']} {bad['mix']} {bad['state']}: {bad['error']}"
+        )
+    return result.rows
 
 
 def fig5_scalability(scale: str = "quick", apps: list[str] | None = None) -> list[dict]:
@@ -107,35 +138,21 @@ def fig5_scalability(scale: str = "quick", apps: list[str] | None = None) -> lis
     Also emits the hand-written MPI rows (CPU-only comparator) for the
     four apps that have one, reproducing the §IV-C text comparisons.
     """
-    apps = apps or list(_APP_RUNNERS)
-    configs = _configs(scale)
+    app_params = _scale_params(scale, apps)
     rows = []
-    for app in apps:
-        config = configs[app]
-        for nodes in _node_counts(scale):
-            cluster = ohio_cluster(nodes)
-            for mix in FIG5_MIXES:
-                run = _APP_RUNNERS[app](cluster, config, mix=mix)
-                rows.append(
-                    {
-                        "app": app,
-                        "nodes": nodes,
-                        "mix": mix,
-                        "speedup": run.speedup,
-                        "makespan_s": run.makespan,
-                    }
-                )
-            if app in _MPI_RUNNERS:
-                run = _MPI_RUNNERS[app](cluster, config)
-                rows.append(
-                    {
-                        "app": app,
-                        "nodes": nodes,
-                        "mix": "mpi-handwritten",
-                        "speedup": run.speedup,
-                        "makespan_s": run.makespan,
-                    }
-                )
+
+    def add(app, nodes, mix, speedup, makespan):
+        rows.append(
+            {"app": app, "nodes": nodes, "mix": mix, "speedup": speedup, "makespan_s": makespan}
+        )
+
+    for r in _sweep("fig5", app_params, nodes=_node_counts(scale), mixes=FIG5_MIXES):
+        app, nodes = r["app"], r["nodes"]
+        add(app, nodes, r["mix"], r["speedup"], r["makespan"])
+        if r["mix"] == FIG5_MIXES[-1] and app in MPI_APPS:
+            mpi = import_module(f"repro.apps.baselines.mpi_{app}")
+            run = mpi.run(ohio_cluster(nodes), _config(app, app_params[app]))
+            add(app, nodes, "mpi-handwritten", run.speedup, run.makespan)
     return rows
 
 
@@ -176,25 +193,20 @@ def table2_intranode(scale: str = "quick", apps: list[str] | None = None) -> lis
     *actual* is the simulated heterogeneous run — the gap is the scheduling
     /synchronization/communication overhead the table quantifies.
     """
-    apps = apps or list(_APP_RUNNERS)
-    configs = _configs(scale)
-    cluster = ohio_cluster(1)
+    app_params = _scale_params(scale, apps)
+    swept = _sweep("table2", app_params, mixes=["cpu", "1gpu", "cpu+1gpu", "cpu+2gpu"])
     rows = []
-    for app in apps:
-        config = configs[app]
-        runs = {
-            mix: _APP_RUNNERS[app](cluster, config, mix=mix)
-            for mix in ("cpu", "1gpu", "cpu+1gpu", "cpu+2gpu")
-        }
-        gpu_ratio = runs["cpu"].makespan / runs["1gpu"].makespan
+    for app in app_params:
+        t = {r["mix"]: r["makespan"] for r in swept if r["app"] == app}
+        gpu_ratio = t["cpu"] / t["1gpu"]
         rows.append(
             {
                 "app": app,
                 "gpu_vs_cpu": gpu_ratio,
                 "perfect_1gpu": 1 + gpu_ratio,
-                "actual_1gpu": runs["cpu"].makespan / runs["cpu+1gpu"].makespan,
+                "actual_1gpu": t["cpu"] / t["cpu+1gpu"],
                 "perfect_2gpu": 1 + 2 * gpu_ratio,
-                "actual_2gpu": runs["cpu"].makespan / runs["cpu+2gpu"].makespan,
+                "actual_2gpu": t["cpu"] / t["cpu+2gpu"],
                 "paper_actual_1gpu": PAPER["table2_actual"][app][0],
                 "paper_actual_2gpu": PAPER["table2_actual"][app][1],
             }
@@ -221,80 +233,61 @@ def fig6_code_sizes(repo_root: str | Path | None = None) -> list[dict]:
 
 def fig7_optimizations(scale: str = "quick") -> list[dict]:
     """Fig. 7: overlap (Moldyn, Sobel) and tiling (Sobel) effects by nodes."""
-    configs = _configs(scale)
-    rows = []
-    for nodes in _node_counts(scale):
-        cluster = ohio_cluster(nodes)
-        base = moldyn.run(cluster, configs["moldyn"], mix="cpu+2gpu", overlap=True)
-        nool = moldyn.run(cluster, configs["moldyn"], mix="cpu+2gpu", overlap=False)
-        rows.append(
-            {
-                "app": "moldyn",
-                "optimization": "overlap",
-                "nodes": nodes,
-                "with_opt_s": base.makespan,
-                "without_opt_s": nool.makespan,
-                "gain": nool.makespan / base.makespan,
-            }
-        )
-        base = sobel.run(cluster, configs["sobel"], mix="cpu+2gpu", overlap=True, tiling=True)
-        nool = sobel.run(cluster, configs["sobel"], mix="cpu+2gpu", overlap=False, tiling=True)
-        noti = sobel.run(cluster, configs["sobel"], mix="cpu+2gpu", overlap=True, tiling=False)
-        rows.append(
-            {
-                "app": "sobel",
-                "optimization": "overlap",
-                "nodes": nodes,
-                "with_opt_s": base.makespan,
-                "without_opt_s": nool.makespan,
-                "gain": nool.makespan / base.makespan,
-            }
-        )
-        rows.append(
-            {
-                "app": "sobel",
-                "optimization": "tiling",
-                "nodes": nodes,
-                "with_opt_s": base.makespan,
-                "without_opt_s": noti.makespan,
-                "gain": noti.makespan / base.makespan,
-            }
-        )
-    return rows
+    app_params = _scale_params(scale, ["moldyn", "sobel"])
+    sobel_params = {"sobel": app_params["sobel"]}
+    node_counts = _node_counts(scale)
+
+    def times(name, params, **options):
+        swept = _sweep(f"fig7-{name}", params, nodes=node_counts, options=options)
+        return {(r["app"], r["nodes"]): r["makespan"] for r in swept}
+
+    base = times("base", app_params)
+    without = {
+        "overlap": times("no-overlap", app_params, overlap=False),
+        "tiling": times("no-tiling", sobel_params, tiling=False),
+    }
+    return [
+        {
+            "app": app,
+            "optimization": opt,
+            "nodes": nodes,
+            "with_opt_s": base[app, nodes],
+            "without_opt_s": without[opt][app, nodes],
+            "gain": without[opt][app, nodes] / base[app, nodes],
+        }
+        for nodes in node_counts
+        for app, opt in (("moldyn", "overlap"), ("sobel", "overlap"), ("sobel", "tiling"))
+    ]
 
 
 def fig8_gpu_baselines(scale: str = "quick") -> list[dict]:
     """Fig. 8: framework (single GPU) vs hand-written CUDA kernels."""
-    if scale == "quick":
-        kcfg = kmeans.KmeansConfig(n_points=10_000_000, functional_points=50_000)
-        scfg = sobel.SobelConfig(shape=(8192, 8192), functional_shape=(256, 256))
-    else:
-        kcfg = kmeans.KmeansConfig(n_points=10_000_000, functional_points=200_000)
-        scfg = sobel.SobelConfig(shape=(8192, 8192), functional_shape=(768, 768))
-    cluster = ohio_cluster(1)
+    small = scale == "quick"
+    app_params = {
+        "kmeans": {
+            "n_points": 10_000_000,
+            "functional_points": 50_000 if small else 200_000,
+        },
+        "sobel": {
+            "shape": (8192, 8192),
+            "functional_shape": (256, 256) if small else (768, 768),
+        },
+    }
+    labels = {"kmeans": "kmeans (10M pts)", "sobel": "sobel (8192^2)"}
     rows = []
-    fw = kmeans.run(cluster, kcfg, mix="1gpu")
-    cu = cuda_kmeans.run(cluster, kcfg)
-    rows.append(
-        {
-            "app": "kmeans (10M pts)",
-            "framework_s": fw.makespan,
-            "cuda_s": cu.makespan,
-            "fw_over_cuda": fw.makespan / cu.makespan,
-            "paper_fw_over_cuda": PAPER["fig8_ratio"]["kmeans"],
-        }
-    )
-    fw = sobel.run(cluster, scfg, mix="1gpu")
-    cu = cuda_sobel.run(cluster, scfg)
-    rows.append(
-        {
-            "app": "sobel (8192^2)",
-            "framework_s": fw.makespan,
-            "cuda_s": cu.makespan,
-            "fw_over_cuda": fw.makespan / cu.makespan,
-            "paper_fw_over_cuda": PAPER["fig8_ratio"]["sobel"],
-        }
-    )
+    for r in _sweep("fig8", app_params, mixes=["1gpu"]):
+        app = r["app"]
+        cuda = import_module(f"repro.apps.baselines.cuda_{app}")
+        cu = cuda.run(ohio_cluster(1), _config(app, app_params[app]))
+        rows.append(
+            {
+                "app": labels[app],
+                "framework_s": r["makespan"],
+                "cuda_s": cu.makespan,
+                "fw_over_cuda": r["makespan"] / cu.makespan,
+                "paper_fw_over_cuda": PAPER["fig8_ratio"][app],
+            }
+        )
     return rows
 
 
@@ -307,67 +300,46 @@ def ablations(scale: str = "quick") -> list[dict]:
     - dynamic chunk size sweep (Kmeans heterogeneous),
     - temporal-blocking factor sweep (Jacobi2D, per cluster preset).
     """
-    configs = _configs(scale)
+    from repro.sim.engine import spmd_run
+
+    app_params = _scale_params(scale, ["kmeans", "moldyn"])
+    kcfg = _config("kmeans", app_params["kmeans"])
     cluster = ohio_cluster(1)
     rows = []
 
-    from repro.sim.engine import spmd_run
+    def add(ablation, setting, app, time_s):
+        rows.append({"ablation": ablation, "setting": setting, "app": app, "time_s": time_s})
 
-    kcfg = configs["kmeans"]
+    def kmeans_time(**knobs):
+        return spmd_run(lambda ctx: _kmeans_custom(ctx, kcfg, **knobs), cluster).makespan
+
     for localized in (True, False):
-        res = spmd_run(
-            lambda ctx: _kmeans_custom(ctx, kcfg, localized=localized, streams=2),
-            cluster,
-        )
-        rows.append(
-            {
-                "ablation": "reduction-localization",
-                "setting": "on" if localized else "off",
-                "app": "kmeans/1gpu",
-                "time_s": res.makespan,
-            }
+        add(
+            "reduction-localization",
+            "on" if localized else "off",
+            "kmeans/1gpu",
+            kmeans_time(localized=localized, streams=2),
         )
     for streams in (1, 2, 4):
-        res = spmd_run(
-            lambda ctx: _kmeans_custom(ctx, kcfg, localized=True, streams=streams),
-            cluster,
-        )
-        rows.append(
-            {
-                "ablation": "gpu-streams",
-                "setting": str(streams),
-                "app": "kmeans/1gpu",
-                "time_s": res.makespan,
-            }
-        )
+        time_s = kmeans_time(localized=True, streams=streams)
+        add("gpu-streams", str(streams), "kmeans/1gpu", time_s)
     for chunks in (32, 512, 4096):
-        res = spmd_run(
-            lambda ctx: _kmeans_custom(
-                ctx, kcfg, localized=True, streams=2, mix="cpu+2gpu",
+        add(
+            "chunk-count",
+            str(chunks),
+            "kmeans/cpu+2gpu",
+            kmeans_time(
+                localized=True,
+                streams=2,
+                mix="cpu+2gpu",
                 chunk_elems=max(4, kcfg.functional_points // chunks),
             ),
-            cluster,
         )
-        rows.append(
-            {
-                "ablation": "chunk-count",
-                "setting": str(chunks),
-                "app": "kmeans/cpu+2gpu",
-                "time_s": res.makespan,
-            }
-        )
-    for adaptive in (True, False):
-        res = moldyn.run(cluster, configs["moldyn"], mix="cpu+2gpu")
-        if not adaptive:
-            res = _moldyn_static(cluster, configs["moldyn"])
-        rows.append(
-            {
-                "ablation": "adaptive-partitioning",
-                "setting": "on" if adaptive else "off(static-even)",
-                "app": "moldyn/cpu+2gpu",
-                "time_s": res.makespan,
-            }
-        )
+    moldyn_params = {"moldyn": app_params["moldyn"]}
+    (adaptive,) = _sweep("ablation-adaptive", moldyn_params)
+    add("adaptive-partitioning", "on", "moldyn/cpu+2gpu", adaptive["makespan"])
+    static = _moldyn_static(cluster, _config("moldyn", moldyn_params["moldyn"]))
+    add("adaptive-partitioning", "off(static-even)", "moldyn/cpu+2gpu", static.makespan)
     rows.extend(_time_block_ablation())
     return rows
 
@@ -380,27 +352,35 @@ def _time_block_ablation() -> list[dict]:
     on the latency-dominated preset the per-message alpha amortization
     shows up directly — the Fig. 7-style optimization trade.
     """
-    from repro.apps.extra import jacobi2d
-    from repro.cluster.presets import laptop_cluster, latency_cluster
-
-    config = jacobi2d.Jacobi2DConfig(shape=(48, 48), tol=1e-12, max_iters=24)
-    rows = []
-    for preset, cl in (("laptop", laptop_cluster(2)), ("latency", latency_cluster(2))):
-        for k in (1, 2, 4):
-            res = jacobi2d.run(cl, config, mix="cpu", time_block=k)
-            rows.append(
-                {
-                    "ablation": "time-block",
-                    "setting": f"k={k}@{preset}",
-                    "app": "jacobi2d/cpu",
-                    "time_s": res.makespan,
-                }
-            )
-    return rows
+    app_params = {"jacobi2d": {"shape": (48, 48), "tol": 1e-12, "max_iters": 24}}
+    presets, factors = ["laptop", "latency"], (1, 2, 4)
+    times = {
+        (r["preset"], k): r["makespan"]
+        for k in factors
+        for r in _sweep(
+            f"ablation-time-block-{k}",
+            app_params,
+            presets=presets,
+            nodes=[2],
+            mixes=["cpu"],
+            options={"time_block": k},
+        )
+    }
+    return [
+        {
+            "ablation": "time-block",
+            "setting": f"k={k}@{preset}",
+            "app": "jacobi2d/cpu",
+            "time_s": times[preset, k],
+        }
+        for preset in presets
+        for k in factors
+    ]
 
 
 def _kmeans_custom(ctx, config, *, localized, streams, mix="1gpu", chunk_elems=None):
     """One Kmeans pass with explicit runtime knobs (ablation helper)."""
+    from repro.apps import kmeans
     from repro.core.env import RuntimeEnv
     from repro.core.partition import block_partition
     from repro.data.points import clustered_points
@@ -425,8 +405,9 @@ def _kmeans_custom(ctx, config, *, localized, streams, mix="1gpu", chunk_elems=N
 
 def _moldyn_static(cluster, config):
     """Moldyn with the adaptive repartitioning disabled (even split)."""
-    from repro.sim.engine import spmd_run
+    from repro.apps import moldyn
     from repro.apps.common import AppRun, extrapolate_steps, sequential_time
+    from repro.sim.engine import spmd_run
 
     def program(ctx):
         from repro.core.env import RuntimeEnv

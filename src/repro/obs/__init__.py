@@ -35,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "timeline_stats",
         ],
         "export": ["export_chrome_trace", "validate_chrome_trace", "write_chrome_trace"],
-        "profile": ["PROFILE_APPS", "profile_app"],
+        "profile": ["PROFILE_APPS"],
         "recorder": ["IntervalRecord", "Recorder"],
         "report": ["render_text_report"],
     },

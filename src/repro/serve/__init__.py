@@ -8,8 +8,9 @@ runtimes like CaKernel's scheduler and HDArray's resident host process.
 
 Pieces:
 
-- :class:`~repro.serve.spec.JobSpec` / :func:`~repro.serve.spec.execute_job`
-  — what a job *is*, its content hash, and the reference executor.
+- :class:`~repro.serve.spec.JobSpec` / :func:`~repro.serve.spec.run_spec` /
+  :func:`~repro.serve.spec.execute_job` — what a job *is*, its content
+  hash, the one function that runs it, and the reference executor.
 - :class:`~repro.serve.cache.ResultCache` — content-addressed LRU of
   completed results (identical jobs return without re-execution).
 - :class:`~repro.serve.store.ResultStore` — the persistent on-disk tier
@@ -37,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "client": ["DEFAULT_URL", "ServeClient", "ServeError"],
         "scheduler": ["AdmissionError", "Job", "JobScheduler", "TERMINAL_STATES"],
         "server": ["JobServer"],
-        "spec": ["JobSpec", "execute_job", "served_app_names"],
+        "spec": ["JobSpec", "execute_job", "run_spec", "served_app_names"],
         "store": ["ResultStore", "default_store_root"],
     },
 )

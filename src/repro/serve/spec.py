@@ -16,10 +16,14 @@ split the cache.  Fault plans enter the hash through
 :meth:`repro.faults.plan.FaultPlan.canonical_key`, so listing the same
 rules in a different order does not change a job's identity either.
 
-:func:`execute_job` is the reference executor: it builds the cluster and
-config exactly the way the CLI's direct-run path does and calls the app's
-``run`` — which is what makes "submitted over the API" and "run directly
-via ``spmd_run``" bit-for-bit comparable.
+:func:`run_spec` is the one function that executes a spec: it builds the
+cluster, config and fault plan and calls the app's ``run`` in the calling
+thread.  ``repro run``, ``repro profile``, the scheduler's executor
+(:func:`execute_job` = :func:`run_spec` + payload assembly) and the
+in-process campaigns behind the paper-figure drivers all go through it —
+which is what makes "submitted over the API" and "run directly"
+bit-for-bit comparable.  :func:`spec_from_args` is the one builder from the
+CLI's shared job flags to a spec.
 """
 
 from __future__ import annotations
@@ -49,20 +53,13 @@ _RESERVED_OPTIONS = frozenset(
 
 def build_cluster(preset: str, nodes: int):
     """Instantiate a named cluster preset at ``nodes`` nodes."""
-    from repro.cluster.presets import latency_cluster, laptop_cluster, ohio_cluster
+    from repro.cluster import presets
 
-    builders = {
-        "ohio": ohio_cluster,
-        "laptop": laptop_cluster,
-        "latency": latency_cluster,
-    }
-    try:
-        builder = builders[preset]
-    except KeyError:
+    if preset not in CLUSTER_PRESETS:
         raise ValidationError(
             f"unknown cluster preset {preset!r}; choose from {list(CLUSTER_PRESETS)}"
-        ) from None
-    return builder(nodes)
+        )
+    return getattr(presets, f"{preset}_cluster")(nodes)
 
 
 def served_app_names() -> list[str]:
@@ -261,6 +258,76 @@ class JobSpec:
         return cls(**{k: data[k] for k in data})
 
 
+# -- CLI flags -> spec -------------------------------------------------------
+def _parse_kv_pairs(pairs: list[str], flag: str) -> dict[str, Any]:
+    """Parse repeated ``K=V`` flags; values decode as JSON, else stay strings."""
+    out = {}
+    for pair in pairs:
+        key, sep, raw = pair.partition("=")
+        if not sep or not key:
+            raise ValidationError(f"{flag} expects K=V, got {pair!r}")
+        try:
+            out[key] = json.loads(raw)
+        except ValueError:
+            out[key] = raw
+    return out
+
+
+def spec_from_args(args: Any, *, trace: bool = False, priority: int = 0) -> JobSpec:
+    """The spec the CLI's shared job flags describe (``run|profile|submit``).
+
+    ``--no-overlap``, ``--until-tol``, ``--max-iters``, ``--time-block``
+    and ``--checkpoint-every`` are sugar for ``--option`` entries, so an app
+    whose ``run`` does not take one fails :class:`JobSpec`'s option check;
+    ``--fault-seed`` builds the fault plan and turns on ``reliable``.
+    """
+    options = _parse_kv_pairs(args.option, "--option")
+    sugar = {
+        "overlap": False if args.no_overlap else None,
+        "until_tol": args.until_tol,
+        "max_iters": args.max_iters,
+        "time_block": args.time_block,
+        "checkpoint_every": args.checkpoint_every,
+    }
+    options.update({k: v for k, v in sugar.items() if v is not None})
+    if args.max_iters is not None and args.until_tol is None:
+        raise ValidationError("--max-iters requires --until-tol")
+    if args.crash_rank is not None:
+        for flag in ("fault_seed", "checkpoint_every"):
+            if getattr(args, flag) is None:
+                raise ValidationError(f"--crash-rank requires --{flag.replace('_', '-')}")
+    plan = None
+    if args.fault_seed is not None:
+        from repro.faults.plan import FaultPlan, RankCrash
+
+        crashes = []
+        if args.crash_rank is not None:
+            crashes = [RankCrash(args.crash_rank, args.crash_at, args.restart_cost)]
+        plan = FaultPlan.lossy(
+            seed=args.fault_seed,
+            drop=args.drop,
+            dup=args.dup,
+            delay=args.delay,
+            max_delay=args.max_delay,
+            crashes=crashes,
+        ).to_dict()
+        options["reliable"] = True
+    return JobSpec(
+        app=args.app,
+        nodes=args.nodes,
+        mix=args.mix,
+        preset=args.preset,
+        scale=args.scale,
+        params=_parse_kv_pairs(args.param, "--param"),
+        options=options,
+        fault_plan=plan,
+        backend=args.backend,
+        workers=args.workers,
+        priority=priority,
+        trace=trace,
+    )
+
+
 # -- execution -------------------------------------------------------------
 def _json_number(value: Any) -> bool:
     return isinstance(value, (bool, int, float)) or (
@@ -302,18 +369,13 @@ def _result_digest(result: Any) -> str | None:
     return None
 
 
-def execute_job(spec: JobSpec) -> dict[str, Any]:
-    """Run one job to completion and return its JSON-able result payload.
+def run_spec(spec: JobSpec) -> tuple[Any, Any]:
+    """Run ``spec``'s app in the calling thread: ``(AppRun, FaultPlan | None)``.
 
-    This is the scheduler's default executor and the reference for the
-    service's bit-identity guarantee: the app's ``run`` is called exactly
-    as the CLI's direct path calls it, so a job's ``makespan`` is
-    repr-equal to the same spec run without the service (floats survive
-    the JSON round trip exactly).
+    The only call of an app's ``run`` outside :mod:`repro.apps`.  The
+    returned plan is the one the run consumed (its ``stats`` say what was
+    injected); it is ``None`` for a fault-free spec.
     """
-    entry = APPS[spec.app]
-    cluster = build_cluster(spec.preset, spec.nodes)
-    config = spec.build_config()
     plan = spec.build_fault_plan()
     kwargs: dict[str, Any] = dict(spec.options)
     if spec.backend is not None:
@@ -326,8 +388,22 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
         from repro.obs.recorder import Recorder
 
         kwargs["recorder_factory"] = Recorder
+    apprun = APPS[spec.app].run(
+        build_cluster(spec.preset, spec.nodes), spec.build_config(), spec.mix, **kwargs
+    )
+    return apprun, plan
 
-    apprun = entry.run(cluster, config, spec.mix, **kwargs)
+
+def execute_job(spec: JobSpec) -> dict[str, Any]:
+    """Run one job to completion and return its JSON-able result payload.
+
+    This is the scheduler's default executor and the reference for the
+    service's bit-identity guarantee: :func:`run_spec` is what the CLI's
+    direct path calls too, so a job's ``makespan`` is repr-equal to the
+    same spec run without the service (floats survive the JSON round trip
+    exactly).
+    """
+    apprun, plan = run_spec(spec)
 
     payload: dict[str, Any] = {
         "app": apprun.app,

@@ -33,5 +33,14 @@ def run_spmd(fn, nodes=2, gpus_per_node=1, cores=4, **kwargs):
     return spmd_run(fn, cluster, **kwargs)
 
 
+def profile(app, **spec_fields):
+    """What ``repro profile`` does: a traced spec through ``run_spec``, then ``analyze``."""
+    from repro.obs import analyze
+    from repro.serve import JobSpec, run_spec
+
+    apprun, _ = run_spec(JobSpec(app=app, trace=True, **spec_fields))
+    return apprun, analyze(apprun.spmd, app_makespan=apprun.makespan)
+
+
 def assert_allclose(a, b, **kw):
     np.testing.assert_allclose(a, b, **kw)

@@ -1,9 +1,64 @@
 """Experiment drivers (smoke + invariants at quick scale)."""
 
+import dataclasses
+import functools
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.apps.registry import APPS
 from repro.metrics import figures
 from repro.util.errors import ValidationError
+
+#: Every row of the simulated drivers at scale="quick", floats as repr() —
+#: generated at the commit before the drivers became campaigns.
+PINS = json.loads((Path(__file__).parent / "figure_pins.json").read_text())
+
+
+@pytest.mark.parametrize("driver", sorted(PINS))
+def test_driver_rows_are_pinned(driver):
+    rows = getattr(figures, driver)("quick")
+    assert [
+        {k: repr(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows
+    ] == PINS[driver]
+
+
+def test_ablations_run_each_moldyn_arm_once():
+    """The adaptive-on arm goes through the registry entry, once."""
+    entry, calls = APPS["moldyn"], []
+
+    @functools.wraps(entry.run)  # JobSpec validates options against run's signature
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return entry.run(*args, **kwargs)
+
+    APPS["moldyn"] = dataclasses.replace(entry, run=counting)
+    try:
+        figures.ablations("quick")
+    finally:
+        APPS["moldyn"] = entry
+    assert len(calls) == 1
+
+
+def test_importing_the_drivers_loads_no_app_or_baseline():
+    probe = (
+        "import sys, repro.metrics.figures; "
+        "print([m for m in sys.modules if m.startswith('repro.apps.') "
+        "and m != 'repro.apps.registry'])"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_table2_rows_have_all_apps():

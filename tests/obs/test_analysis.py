@@ -16,15 +16,15 @@ from repro.obs import (
     aggregate_counters,
     analyze,
     match_messages,
-    profile_app,
 )
 from repro.obs.profile import PROFILE_APPS
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ValidationError
+from tests.conftest import profile
 
 
 @pytest.mark.parametrize("app", sorted(PROFILE_APPS))
 def test_profile_reconciles_for_every_app(app):
-    apprun, report = profile_app(app, nodes=2)
+    apprun, report = profile(app, nodes=2)
     report.verify(rel_tol=1e-9)  # raises on any reconciliation failure
     assert report.makespan == apprun.spmd.makespan
     # Every rank's phases tile [0, makespan] exactly.
@@ -45,10 +45,10 @@ def test_profile_reconciles_for_every_app(app):
 
 
 def test_unknown_app_and_scale_rejected():
-    with pytest.raises(ConfigurationError):
-        profile_app("nbody")
-    with pytest.raises(ConfigurationError):
-        profile_app("kmeans", scale="huge")
+    with pytest.raises(ValidationError):
+        profile("nbody")
+    with pytest.raises(ValidationError):
+        profile("kmeans", scale="huge")
 
 
 @pytest.mark.parametrize("app", ["heat3d", "kmeans"])
@@ -124,7 +124,7 @@ def test_aggregate_counters_sums_ranks():
 def test_report_to_dict_is_json_serializable():
     import json
 
-    _, report = profile_app("sobel", nodes=2)
+    _, report = profile("sobel", nodes=2)
     blob = json.dumps(report.to_dict())
     assert "critical_path" in blob and "phases" in blob
 

@@ -1,10 +1,11 @@
 """Plain-text report rendering."""
 
-from repro.obs import profile_app, render_text_report
+from repro.obs import render_text_report
+from tests.conftest import profile
 
 
 def test_text_report_sections():
-    _, report = profile_app("heat3d", nodes=2)
+    _, report = profile("heat3d", nodes=2)
     text = render_text_report(report)
     assert f"{report.makespan:.9g}" in text
     assert "Phase attribution" in text
@@ -20,14 +21,14 @@ def test_text_report_sections():
 
 
 def test_text_report_notes_extrapolated_makespan():
-    apprun, report = profile_app("heat3d", nodes=2)
+    apprun, report = profile("heat3d", nodes=2)
     text = render_text_report(report)
     if apprun.makespan != report.makespan:
         assert "extrapolated" in text
 
 
 def test_top_links_truncation():
-    _, report = profile_app("moldyn", nodes=2)
+    _, report = profile("moldyn", nodes=2)
     text = render_text_report(report, top_links=3)
     if len(report.critical_path) > 3:
         assert f"longest 3 of {len(report.critical_path)} links" in text

@@ -1,11 +1,14 @@
 """`repro submit` / `repro jobs` against a live in-process job server."""
 
 import json
+import re
 
 import pytest
 
+import repro.cli
 from repro.cli import main
-from repro.serve import JobServer
+from repro.faults import FaultPlan, RankCrash
+from repro.serve import JobServer, JobSpec, execute_job
 
 SUBMIT_ARGS = [
     "submit",
@@ -101,3 +104,66 @@ def test_url_flag_overrides_env(capsys, live_server, monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_URL", "http://127.0.0.1:9")
     assert main(["jobs", "--url", live_server.url]) == 0
     assert live_server.url in capsys.readouterr().out
+
+
+# One spec, three ways: the flags below through ``repro run`` and ``repro
+# submit`` (live server), and the JobSpec they stand for through execute_job.
+BASE = {"nodes": 2, "preset": "laptop", "mix": "cpu"}
+BASE_FLAGS = ["--nodes", "2", "--preset", "laptop", "--mix", "cpu", "--scale", "quick"]
+CRASH_PLAN = FaultPlan.lossy(
+    7, drop=0.05, dup=0.02, delay=0.05, max_delay=1e-4, crashes=[RankCrash(1, 0.05, 1.0)]
+).to_dict()
+FLAG_SETS = {
+    "time-block": (["heat3d", "--time-block", "2"], {"app": "heat3d", "options": {"time_block": 2}}),
+    "until-tol": (
+        ["heat3d", "--until-tol", "1e-3", "--max-iters", "6"],
+        {"app": "heat3d", "options": {"until_tol": 1e-3, "max_iters": 6}},
+    ),
+    "crash-restart": (
+        ["heat3d", "--param", "simulated_steps=4", "--fault-seed", "7", "--crash-rank", "1",
+         "--crash-at", "0.05", "--checkpoint-every", "2"],
+        {"app": "heat3d", "params": {"simulated_steps": 4}, "fault_plan": CRASH_PLAN,
+         "options": {"reliable": True, "checkpoint_every": 2}},
+    ),
+    # A plain run() option: it used to be dropped unless --fault-seed came too.
+    "checkpoint-only": (
+        ["kmeans", "--checkpoint-every", "1"],
+        {"app": "kmeans", "options": {"checkpoint_every": 1}},
+    ),
+    "no-overlap": (["sobel", "--no-overlap"], {"app": "sobel", "options": {"overlap": False}}),
+    "traced": (["heat3d"], {"app": "heat3d", "trace": True}),
+}
+
+
+def _printed_makespan(capsys) -> str:
+    return re.search(r"simulated time : (\S+)", capsys.readouterr().out).group(1)
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_SETS))
+def test_run_submit_and_execute_job_agree(case, capsys, live_server, monkeypatch, tmp_path):
+    flags, fields = FLAG_SETS[case]
+    traced = fields.get("trace", False)
+    monkeypatch.setattr(repro.cli, "fmt_seconds", repr)  # print makespans exactly
+    assert main(["run", *flags, *BASE_FLAGS]
+                + (["--trace-out", str(tmp_path / "t.json")] if traced else [])) == 0
+    ran = _printed_makespan(capsys)
+    assert main(["submit", *flags, *BASE_FLAGS] + (["--trace"] if traced else [])) == 0
+    served = _printed_makespan(capsys)
+    direct = execute_job(JobSpec(**BASE, **fields))
+    assert ran == served == repr(direct["makespan"])
+    if traced:
+        assert json.loads((tmp_path / "t.json").read_text()) == direct["trace"]
+
+
+@pytest.mark.parametrize("command", ["run", "submit", "profile"])
+def test_flags_the_spec_cannot_honour_are_errors(command):
+    with pytest.raises(SystemExit, match="--crash-rank requires --fault-seed"):
+        main([command, "heat3d", "--crash-rank", "1", "--checkpoint-every", "2"])
+    with pytest.raises(SystemExit, match="--crash-rank requires --checkpoint-every"):
+        main([command, "heat3d", "--crash-rank", "1", "--fault-seed", "7"])
+    with pytest.raises(SystemExit, match=r"unknown kmeans options \['overlap'\]; known:"):
+        main([command, "kmeans", "--no-overlap"])
+    with pytest.raises(SystemExit, match=r"unknown moldyn options \['reliable'\]"):
+        main([command, "moldyn", "--fault-seed", "3"])
+    with pytest.raises(SystemExit, match="--max-iters requires --until-tol"):
+        main([command, "heat3d", "--max-iters", "3"])
