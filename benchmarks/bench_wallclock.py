@@ -25,7 +25,8 @@ convergence loop (Jacobi2D), the temporal-blocking A/B on the
 latency-dominated preset (``stencil_timeblock``, monotonicity asserted),
 the irregular-reduction step loop
 (Moldyn/MiniMD), the Kmeans emit path, the comm-fabric ping-pong hot
-path, the 384-rank per-core MPI baseline (``baseline_ranks``), the
+path, the 384-rank per-core MPI baseline (``baseline_ranks``), inline
+vs. job-worker execution (``job_workers``, makespans asserted exact), the
 campaign engine A/B (``campaign_throughput``: batched sweep vs sequential
 per-job execution, with a zero-execution warm-re-run gate), and
 ``cold_start`` (fresh interpreter -> first heat3d result; the import
@@ -91,8 +92,8 @@ def _configs(mode: str) -> dict:
             "ir_step_repeats": 2,
             "nodes": 4,
             # Comm-fabric cases: a 2-rank ping-pong isolating the
-            # send/match/wakeup hot path, and the paper-scale 384-rank
-            # per-core MPI baseline that stresses sharded mailboxes, the
+            # send/match/hand-over hot path, and the paper-scale 384-rank
+            # per-core MPI baseline that stresses the mailboxes, the
             # rank-thread pool, and dataset memoization together.
             "pingpong_msgs": 2_000,
             "baseline_ranks_nodes": 32,
@@ -323,12 +324,11 @@ def bench_fabric_comm(cfg: dict) -> dict:
 
     ``fabric_pingpong`` bounces ``pingpong_msgs`` round trips between two
     ranks on one node, so the number moves only with the per-message cost
-    of ``transmit``/``match`` (shard lock, index probe, targeted wakeup)
-    plus the unavoidable thread handoff per rendezvous.
+    of ``transmit``/``match`` (index probe, park, baton hand-over): every
+    rendezvous is one thread handoff.
 
     ``baseline_ranks`` runs the paper-scale hand-written MPI Kmeans —
-    32 nodes x 12 ranks per node = 384 rank threads — end to end.  This is
-    the case the sharded fabric exists for: per-rank mailbox locks, O(1)
+    32 nodes x 12 ranks per node = 384 rank threads — end to end: O(1)
     specific-source matching, pooled rank threads, and memoized input
     generation all land here.  Both report the virtual makespan as the
     bit-identity canary.
@@ -374,55 +374,72 @@ def bench_fabric_comm(cfg: dict) -> dict:
     return out
 
 
-def bench_threads_vs_processes(cfg: dict) -> dict:
-    """A/B the SPMD backends on the paper-scale 384-rank Kmeans baseline.
-
-    Interleaved best-of-3 (t, p, t, p, t, p) so machine noise hits both
-    backends alike, exactly like ``fabric_before_after`` did for the
-    sharded fabric.  Virtual makespans must be bit-identical — that is the
-    backend's contract — and are asserted here, not just recorded.
-
-    The process backend is forced to at least two workers so the
-    cross-process bridge is really measured; on a single-core host that
-    honestly shows the bridge's overhead without the parallelism that pays
-    for it, so the CI gate (:func:`compare`) only requires processes to
-    beat threads when ``cores`` > 1.
-    """
-    import os
-
-    from repro.apps.baselines import mpi_kmeans
-
-    cluster = ohio_cluster(cfg["baseline_ranks_nodes"])
-    config = cfg["baseline_ranks"]
-    cores = os.cpu_count() or 1
-    workers = max(2, cores)
-
-    t_wall = p_wall = float("inf")
-    t_span = p_span = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        t_run = mpi_kmeans.run(cluster, config, backend="threads")
-        t_wall = min(t_wall, time.perf_counter() - t0)
-        t_span = t_run.makespan
-        t0 = time.perf_counter()
-        p_run = mpi_kmeans.run(cluster, config, backend="processes", workers=workers)
-        p_wall = min(p_wall, time.perf_counter() - t0)
-        p_span = p_run.makespan
-    if repr(t_span) != repr(p_span):
-        raise AssertionError(
-            f"backends disagree on the virtual makespan: "
-            f"threads {t_span!r} vs processes {p_span!r}"
-        )
+def _campaign_app_params(cfg: dict) -> dict:
+    """Small per-point workloads: the campaign cases watch dispatch, not kernels."""
+    heat, km = cfg["campaign_heat3d"], cfg["campaign_kmeans"]
     return {
-        "threads_vs_processes": {
-            "threads_wall_s": round(t_wall, 4),
-            "processes_wall_s": round(p_wall, 4),
-            "speedup": round(t_wall / max(p_wall, 1e-9), 4),
-            "makespan": t_span,
-            "cores": cores,
-            "workers": workers,
-        }
+        "heat3d": {
+            "functional_shape": list(heat.functional_shape),
+            "simulated_steps": heat.simulated_steps,
+        },
+        "kmeans": {"functional_points": km.functional_points, "iterations": km.iterations},
     }
+
+
+def bench_job_workers(cfg: dict) -> dict:
+    """Inline vs. job workers: the 24-point campaign and one heat3d@64 job.
+
+    ``backend="processes"`` runs a whole job in a worker process
+    (:mod:`repro.serve.jobpool`) — the same loop in another process — so
+    the makespans must be exactly the inline ones; that is asserted here.
+    Wall seconds are recorded, interleaved best-of-3, and not gated.
+    """
+    from repro.campaign import CampaignRunner, CampaignSpec
+    from repro.serve import JobSpec, execute_job
+    from repro.serve.jobpool import shutdown_pool
+    from repro.serve.spec import usable_cpus
+
+    def campaign(backend: str | None) -> CampaignSpec:
+        return CampaignSpec.from_dict(
+            {
+                "name": "job-workers",
+                "axes": {"app": ["heat3d", "kmeans"], "nodes": [1, 2], "seed": list(range(6))},
+                "app_params": _campaign_app_params(cfg),
+                "backend": backend,
+            }
+        )
+
+    wide = {"app": "heat3d", "nodes": 64, "mix": "cpu"}
+    arms = {None: "inline", "processes": "workers"}
+    campaign_wall = dict.fromkeys(arms, float("inf"))
+    job_wall = dict.fromkeys(arms, float("inf"))
+    makespans = None
+    try:
+        for _ in range(3):
+            for backend in arms:
+                t0 = time.perf_counter()
+                run = CampaignRunner(campaign(backend), store=None).run()
+                campaign_wall[backend] = min(campaign_wall[backend], time.perf_counter() - t0)
+                if not run.ok:
+                    raise AssertionError(f"campaign arm failed: {run.failures()}")
+                t0 = time.perf_counter()
+                payload = execute_job(JobSpec.from_dict({**wide, "backend": backend}))
+                job_wall[backend] = min(job_wall[backend], time.perf_counter() - t0)
+                got = [row["makespan"] for row in run.rows] + [payload["makespan"]]
+                if makespans is None:
+                    makespans = got
+                elif repr(got) != repr(makespans):
+                    raise AssertionError(
+                        f"a job worker changed a virtual makespan: "
+                        f"{makespans!r} vs {got!r} ({arms[backend]})"
+                    )
+    finally:
+        shutdown_pool()
+    case = {"campaign_points": len(makespans) - 1, "cores": usable_cpus(), "makespan": makespans}
+    for backend, arm in arms.items():
+        case[f"campaign_{arm}_wall_s"] = round(campaign_wall[backend], 4)
+        case[f"job_{arm}_wall_s"] = round(job_wall[backend], 4)
+    return {"job_workers": case}
 
 
 def bench_campaign_throughput(cfg: dict) -> dict:
@@ -443,15 +460,15 @@ def bench_campaign_throughput(cfg: dict) -> dict:
       (``warm_rerun_executed``, gated at 0 in :func:`compare`).
 
     The batched/sequential ratio is recorded and, when below 1, reported
-    as ``NOT SHOWN`` without failing: concurrent thread-backend jobs share
-    one GIL, so the batched arm has no wall-clock win to show on any host
-    measured so far.
+    as ``NOT SHOWN`` without failing: concurrent in-process jobs share one
+    GIL, so the batched arm has no wall-clock win to show on any host
+    measured so far (``job_workers`` records the arm that does).
     """
-    import os
     import tempfile
 
     from repro.campaign import CampaignRunner, CampaignSpec
     from repro.serve import execute_job
+    from repro.serve.spec import usable_cpus
 
     campaign = CampaignSpec.from_dict(
         {
@@ -463,21 +480,12 @@ def bench_campaign_throughput(cfg: dict) -> dict:
                 "nodes": [1, 2],
                 "seed": [0, 1],
             },
-            "app_params": {
-                "heat3d": {
-                    "functional_shape": list(cfg["campaign_heat3d"].functional_shape),
-                    "simulated_steps": cfg["campaign_heat3d"].simulated_steps,
-                },
-                "kmeans": {
-                    "functional_points": cfg["campaign_kmeans"].functional_points,
-                    "iterations": cfg["campaign_kmeans"].iterations,
-                },
-            },
+            "app_params": _campaign_app_params(cfg),
             "backend": None,  # identical engine path in both arms
         }
     )
     specs = campaign.expand()
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
 
     seq_wall = bat_wall = float("inf")
     seq_spans = bat_spans = None
@@ -592,8 +600,7 @@ def bench_cold_start(cfg: dict) -> dict:
     unloaded, the number of ``repro.*`` modules a heat3d job loads does not
     grow past the baseline's, and the makespan matches it.
     """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_SPMD_")}
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
     def timed(code: str) -> tuple[float, str]:
         t0 = time.perf_counter()
@@ -644,7 +651,7 @@ def collect(mode: str) -> dict:
     # many-rank churn can't perturb its interleaved A/B measurement.
     record["cases"].update(bench_obs_overhead(cfg))
     record["cases"].update(bench_fabric_comm(cfg))
-    record["cases"].update(bench_threads_vs_processes(cfg))
+    record["cases"].update(bench_job_workers(cfg))
     record["cases"].update(bench_campaign_throughput(cfg))
     record["cases"].update(bench_cold_start(cfg))
     return record
@@ -712,19 +719,6 @@ def compare(record: dict, baseline_path: Path) -> int:
             f"({over['overhead_ratio']:.3f}x, "
             f"threshold {1.0 + _OBS_OVERHEAD_THRESHOLD:.2f}x)"
         )
-    ab = record["cases"].get("threads_vs_processes")
-    if ab is not None:
-        if ab["cores"] > 1 and ab["processes_wall_s"] > ab["threads_wall_s"]:
-            failures.append(
-                f"threads_vs_processes: process backend slower than threads on a "
-                f"{ab['cores']}-core host ({ab['processes_wall_s']}s vs "
-                f"{ab['threads_wall_s']}s, {ab['speedup']:.2f}x)"
-            )
-        elif ab["cores"] <= 1:
-            print(
-                "SKIP threads_vs_processes speed gate: single-core host "
-                f"(speedup {ab['speedup']:.2f}x recorded, not gated)"
-            )
     camp = record["cases"].get("campaign_throughput")
     if camp is not None:
         if camp["warm_rerun_executed"] != 0:
@@ -734,7 +728,7 @@ def compare(record: dict, baseline_path: Path) -> int:
                 "must answer every repeated point"
             )
         if camp["batched_wall_s"] > camp["sequential_wall_s"]:
-            # Recorded, not gated (ROADMAP aim 1): concurrent thread-backend
+            # Recorded, not gated (ROADMAP aim 1): concurrent in-process
             # jobs convoy on the GIL, so the batched arm measured 0.35x-0.63x
             # on a 2-core host and 0.91x on one core.
             print(

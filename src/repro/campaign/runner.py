@@ -15,13 +15,14 @@ the host allows:
   (app, scale, seed) group *before* jobs race: the process-wide dataset
   memos (:func:`repro.data.points.clustered_points`) generate outside
   their lock, so N cold concurrent jobs would otherwise each pay the
-  generation.
+  generation.  Only jobs that execute in this process are warmed for; a
+  job worker warms its own memo.
 - **Deduplicated execution.**  Points with equal content hashes execute
   once; every row still reports.
-- **Warm pools and backends.**  ``backend: "auto"`` campaigns run on the
-  process backend on multi-core hosts (the spec hash never sees the
-  backend, so cached results stay shared), and all jobs reuse the
-  process-wide warm rank/worker pools.
+- **Warm pools and backends.**  ``backend: "auto"`` campaigns run their
+  jobs in worker processes when more than one CPU is usable (the spec
+  hash never sees the backend, so cached results stay shared), and all
+  jobs reuse the process-wide warm rank-thread and job-worker pools.
 - **Persistence.**  With a :class:`~repro.serve.store.ResultStore`
   attached, completed points land on disk; a repeated or extended
   campaign re-executes only new points — a warm re-run completes with
@@ -219,7 +220,9 @@ class CampaignRunner:
             if h not in by_hash:
                 by_hash[h] = i
                 submit_idx.append(i)
-        warmed = prewarm_datasets([specs[i] for i in submit_idx])
+        warmed = prewarm_datasets(
+            [specs[i] for i in submit_idx if specs[i].backend != "processes"]
+        )
         scheduler = JobScheduler(
             self.executor,
             rank_budget=self.rank_budget,

@@ -27,7 +27,7 @@ The JSON form::
       "app_params":  {"heat3d": {...}},      # config overrides, one app
       "options":     {...},                  # run() keywords, all apps
       "app_options": {"heat3d": {...}},      # run() keywords, one app
-      "backend": "auto", "workers": null, "trace": false,
+      "backend": "auto", "trace": false,
       "points": [ {full JobSpec document}, ... ]   # explicit extras
     }
 
@@ -36,21 +36,20 @@ Axes multiply (the cartesian product, in the fixed axis order above);
 product can't express.  The ``seed`` axis writes each app's ``seed``
 config field; ``fault_plan`` entries are
 :meth:`~repro.faults.plan.FaultPlan.to_dict` documents or ``null``.
-``backend: "auto"`` resolves to the process backend on multi-core hosts
-(wall-clock throughput; virtual makespans are backend-invariant and the
-backend never enters a spec's content hash).
+``backend: "auto"`` sends every job to a worker process when this process
+may use more than one CPU (wall-clock throughput; a worker runs the same
+loop, and the backend never enters a spec's content hash).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.serve.spec import JobSpec
+from repro.serve.spec import JobSpec, resolve_backend, usable_cpus
 from repro.util.errors import ValidationError
 
 #: Axis names, in expansion (outer to inner) order.
@@ -68,10 +67,10 @@ _AXIS_DEFAULTS: dict[str, tuple] = {
 
 
 def resolve_campaign_backend(backend: str | None) -> str | None:
-    """``"auto"`` -> processes on multi-core hosts, engine default else."""
+    """``"auto"`` -> job workers given more than one usable CPU, else in-process."""
     if backend != "auto":
         return backend
-    return "processes" if (os.cpu_count() or 1) > 1 else None
+    return "processes" if usable_cpus() > 1 else None
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,8 @@ class CampaignSpec:
             the place for fields that only exist on one app's config).
         options: App ``run()`` keyword options applied to every point.
         app_options: Per-app option overrides (layered over ``options``).
-        backend: ``"auto"`` (processes on multi-core hosts), an explicit
-            backend name, or ``None`` to honour the environment.
-        workers: Process-backend worker count override.
+        backend: ``"auto"`` (job workers given more than one usable CPU),
+            an explicit backend name, or ``None`` (in-process).
         trace: Record every job (utilization / critical-path columns in
             the run table at the cost of per-job tracing overhead).
         points: Extra explicit :class:`JobSpec` documents appended after
@@ -104,7 +102,6 @@ class CampaignSpec:
     options: Mapping[str, Any] = field(default_factory=dict)
     app_options: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     backend: str | None = "auto"
-    workers: int | None = None
     trace: bool = False
     points: tuple = ()
 
@@ -137,9 +134,7 @@ class CampaignSpec:
             self, "app_options", {k: dict(v) for k, v in dict(self.app_options or {}).items()}
         )
         object.__setattr__(self, "points", tuple(dict(p) for p in self.points))
-        if self.backend not in (None, "auto"):
-            from repro.sim.engine import resolve_backend
-
+        if self.backend != "auto":
             resolve_backend(self.backend)  # raises on unknown names
         for scope in (self.app_params, self.app_options):
             stray = set(scope) - set(self.axes["app"])
@@ -189,7 +184,6 @@ class CampaignSpec:
                         options=options,
                         fault_plan=plan,
                         backend=backend,
-                        workers=self.workers,
                         trace=self.trace,
                     )
                 )
@@ -221,7 +215,6 @@ class CampaignSpec:
             "options": dict(self.options),
             "app_options": {k: dict(v) for k, v in self.app_options.items()},
             "backend": self.backend,
-            "workers": self.workers,
             "trace": self.trace,
             "points": [dict(p) for p in self.points],
         }
@@ -234,7 +227,7 @@ class CampaignSpec:
             )
         known = {
             "name", "axes", "params", "app_params", "options", "app_options",
-            "backend", "workers", "trace", "points",
+            "backend", "trace", "points",
         }
         unknown = set(data) - known
         if unknown:
@@ -254,7 +247,6 @@ class CampaignSpec:
             options=data.get("options") or {},
             app_options=data.get("app_options") or {},
             backend=data.get("backend", "auto"),
-            workers=data.get("workers"),
             trace=bool(data.get("trace", False)),
             points=tuple(data.get("points") or ()),
         )

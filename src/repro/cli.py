@@ -25,6 +25,7 @@ More examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ from repro.apps.registry import APPS
 from repro.cluster.presets import ohio_cluster
 from repro.core.env import DEVICE_MIXES
 from repro.metrics import fig5_chart, format_table
-from repro.serve.spec import CLUSTER_PRESETS, run_spec, spec_from_args
+from repro.serve.spec import BACKENDS, CLUSTER_PRESETS, run_spec, spec_from_args, usable_cpus
 from repro.util.errors import ReproError
 from repro.util.units import fmt_seconds
 
@@ -102,14 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     info_p.add_argument(
         "--backends",
         action="store_true",
-        help="print the SPMD execution backends and this host's defaults",
+        help="print this process's usable CPUs and what backend 'auto' resolves to",
     )
 
     def add_job_args(p: argparse.ArgumentParser, *, scale: str, app_nargs=None) -> None:
         """The flags that describe a run, declared once for run/profile/submit
         (:func:`repro.serve.spec.spec_from_args` turns them into a ``JobSpec``)."""
-        from repro.sim import BACKENDS
-
         p.add_argument("app", nargs=app_nargs, choices=sorted(APPS))
         p.add_argument("--nodes", type=int, default=4, help="cluster nodes (paper: 1..32)")
         p.add_argument(
@@ -140,21 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="K=V",
             help="run-function keyword (repeatable), e.g. --option tiling=false; "
             "an option the app's run() does not take is an error",
-        )
-        p.add_argument(
-            "--backend",
-            choices=BACKENDS,
-            default=None,
-            help="SPMD execution backend (same virtual makespans on either; see "
-            "'repro info --backends'); default honours REPRO_SPMD_BACKEND",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="process-backend worker count (default: REPRO_SPMD_WORKERS, "
-            "else the CPU count)",
         )
         p.add_argument(
             "--no-overlap",
@@ -252,6 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("codesize", help="print the Fig. 6 code-size comparison")
 
+    def add_backend_arg(p: argparse.ArgumentParser) -> None:
+        """Where a job executes, for the commands whose jobs cross
+        :func:`repro.serve.spec.execute_job` (``run``/``profile`` run here)."""
+        p.add_argument(
+            "--backend",
+            choices=BACKENDS,
+            default=None,
+            help="threads: in the executing process (the default); processes: in one "
+            "of its job worker processes (same result; see 'repro info --backends')",
+        )
+
     def add_url_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--url",
@@ -296,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_p = sub.add_parser("submit", help="submit job(s) to a running job server")
     add_job_args(sub_p, scale="quick", app_nargs="?")
+    add_backend_arg(sub_p)
     sub_p.add_argument(
         "--batch",
         default=None,
@@ -349,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp_run.add_argument("spec", metavar="SPEC.json", help="campaign spec file")
     add_store_arg(camp_run)
     add_url_arg(camp_run)
+    add_backend_arg(camp_run)
     camp_run.add_argument(
         "--rank-budget",
         type=int,
@@ -410,31 +407,16 @@ def cmd_info(args: argparse.Namespace | None = None) -> str:
 
 
 def _backend_details() -> str:
-    """The SPMD execution backends and this host's effective defaults."""
-    from repro.sim import BACKENDS, resolve_backend
-    from repro.sim.procpool import resolve_workers
+    """Usable CPUs here and what a campaign's ``backend: "auto"`` becomes."""
+    from repro.campaign.spec import resolve_campaign_backend
 
-    default = resolve_backend(None)
-    workers = resolve_workers(None, nranks=1 << 30)
-    lines = [
-        "SPMD execution backends (--backend, or REPRO_SPMD_BACKEND):",
-        "  threads   : every rank is a pooled thread in one process; cheapest",
-        "              per run, but all ranks share one GIL",
-        "  processes : rank blocks on a warm pool of worker processes with",
-        "              shared-memory payloads; identical virtual makespans,",
-        "              parallel wall clock on multi-core hosts",
-        f"  default   : {default}"
-        + (" (from REPRO_SPMD_BACKEND)" if os.environ.get("REPRO_SPMD_BACKEND") else ""),
-        f"  workers   : {workers} (--workers, or REPRO_SPMD_WORKERS; host has "
-        f"{os.cpu_count() or 1} CPU core(s))",
-        f"  backends  : {', '.join(BACKENDS)}",
-    ]
-    if (os.cpu_count() or 1) <= 1:
-        lines.append(
-            "  note      : single-core host — the process backend falls back to"
-        )
-        lines.append("              threads unless --workers forces a worker count")
-    return "\n".join(lines)
+    auto = resolve_campaign_backend("auto") or "threads"
+    where = "job worker processes" if auto == "processes" else "the executing process"
+    return (
+        f"Job execution (--backend {'|'.join(BACKENDS)} on submit / campaign run):\n"
+        f"  usable CPUs : {usable_cpus()}\n"
+        f"  'auto'      : {auto} (campaign jobs run in {where})"
+    )
 
 
 def _device_details(cluster) -> str:
@@ -659,7 +641,7 @@ def cmd_submit(args: argparse.Namespace) -> str:
     if args.app is None:
         raise SystemExit("submit needs an app (or --batch FILE)")
 
-    spec = _job_spec(args, trace=args.trace, priority=args.priority)
+    spec = _job_spec(args, trace=args.trace, priority=args.priority, backend=args.backend)
     client = ServeClient(_serve_url(args))
     try:
         job = client.submit(spec)
@@ -741,6 +723,8 @@ def cmd_campaign(args: argparse.Namespace) -> str:
         return "\n".join(lines)
 
     # campaign run
+    if args.backend is not None:
+        spec = dataclasses.replace(spec, backend=args.backend)
     client = None
     if args.url is not None:
         from repro.serve import ServeClient

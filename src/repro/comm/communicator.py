@@ -1,6 +1,6 @@
 """The per-rank communicator: point-to-point messaging with virtual time.
 
-One :class:`SimComm` is owned by each rank thread; all of them share a
+One :class:`SimComm` is owned by each rank; all of them share a
 :class:`~repro.comm.fabric.Fabric`.  Virtual-time rules (LogGP):
 
 - ``send``/``isend``: the sender's clock advances by the link's
@@ -33,11 +33,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.trace import Trace
 from repro.util.errors import CommunicationError, ValidationError
 
-#: Wall-clock watchdog for a single blocking receive; a simulated program
-#: that keeps a rank waiting this long is considered deadlocked.
-DEFAULT_RECV_TIMEOUT = 120.0
-
-
 class Request:
     """Base class for non-blocking operation handles."""
 
@@ -45,7 +40,7 @@ class Request:
         raise NotImplementedError
 
     def test(self) -> bool:
-        """True if :meth:`wait` would not block (wall-clock sense)."""
+        """True if :meth:`wait` would find its message already queued."""
         raise NotImplementedError
 
 
@@ -96,16 +91,15 @@ class RecvRequest(Request):
 class SimComm:
     """MPI-like communicator bound to one rank's virtual clock.
 
-    Point-to-point calls go through the sharded
-    :class:`~repro.comm.fabric.Fabric`: a send touches only the sender's
-    and receiver's shards (never a global lock), a specific-source receive
-    matches in O(1) against the per-(source, tag) FIFO index, and a
-    blocked receive registers its (source, tag) predicate so senders wake
-    it only for messages that can match.  Slotted: one communicator is
-    constructed per rank per run, and figure sweeps construct millions.
+    Point-to-point calls go through the run's
+    :class:`~repro.comm.fabric.Fabric`: a specific-source receive matches
+    in O(1) against the per-(source, tag) FIFO index, and a receive with
+    nothing to match parks the rank under its (source, tag) predicate and
+    passes the run's baton on.  Slotted: one communicator is constructed
+    per rank per run, and figure sweeps construct millions.
     """
 
-    __slots__ = ("fabric", "rank", "clock", "trace", "recv_timeout", "_coll_seq")
+    __slots__ = ("fabric", "rank", "clock", "trace", "_coll_seq")
 
     def __init__(
         self,
@@ -113,7 +107,6 @@ class SimComm:
         rank: int,
         clock: VirtualClock,
         trace: Trace | None = None,
-        recv_timeout: float = DEFAULT_RECV_TIMEOUT,
     ) -> None:
         if not 0 <= rank < fabric.size:
             raise ValidationError(f"rank {rank} out of range for fabric of size {fabric.size}")
@@ -121,7 +114,6 @@ class SimComm:
         self.rank = rank
         self.clock = clock
         self.trace = trace
-        self.recv_timeout = recv_timeout
         self._coll_seq = 0
 
     @property
@@ -234,7 +226,7 @@ class SimComm:
         if source == PROC_NULL:
             return None
         wait_start = self.clock.now
-        msg = self.fabric.match(self.rank, source, tag, timeout=self.recv_timeout)
+        msg = self.fabric.match(self.rank, source, tag)
         link = self.fabric.link(msg.src, self.rank)
         self.clock.advance_to(msg.arrival_time)
         self.clock.advance(link.recv_overhead)

@@ -1,21 +1,42 @@
-"""The shared in-process message fabric (sharded per destination rank).
+"""The message fabric of one SPMD run, and the baton that orders its ranks.
 
-One :class:`Fabric` is shared by all rank threads of an SPMD run.  It owns
-the mailboxes (one indexed mailbox per destination rank), performs
-tag/source matching with per-(source, tag) FIFO ordering, and knows which
+One :class:`Fabric` is shared by all ranks of an SPMD run.  It owns the
+mailboxes (one indexed mailbox per destination rank), performs tag/source
+matching with per-(source, tag) FIFO ordering, and knows which
 :class:`~repro.cluster.specs.InterconnectSpec` connects any two ranks
 (intra-node vs. network) given the rank→node mapping.
 
-Thread-safety: fabric state is *sharded per rank* — each rank owns a
-mailbox lock + condition variable plus its two NIC timelines.  Egress
-scheduling happens under the **sender's** shard lock and mailbox
-enqueue/match under the **receiver's**, so sends between disjoint rank
-pairs never contend on a common lock (the previous design funnelled every
-message through one global lock, which serialized the whole simulator at
-many-rank scale).  Wakeups are *targeted*: a blocked receiver registers
-its wait predicate (source, tag) on its shard, and a sender notifies only
-when the newly enqueued message can actually match it — fan-in patterns
-(collectives, ack collection) no longer thundering-herd every arrival.
+Execution model — **the baton**.  Simulated ranks need correct
+virtual-time ordering, never host concurrency, so exactly one rank of a
+run executes at a time: the baton holder.  Every rank owns a private
+*gate* (a lock it alone blocks on) and the fabric keeps a FIFO *ready
+queue* of ranks that may run:
+
+- The engine queues ranks ``0..n-1`` and hands the baton to rank 0
+  (:meth:`Fabric.launch`); a rank thread waits at its gate for its first
+  turn (:meth:`Fabric.enter`).
+- A :meth:`match` that finds nothing *parks* the rank under its
+  ``(source, tag)`` predicate and hands the baton to the head of the ready
+  queue.  Enqueueing a message that satisfies a parked rank's predicate
+  moves that rank to the tail of the queue.
+- A :meth:`probe` miss yields to the tail, so ``Request.test()`` polling
+  loops let their senders run.
+- A rank that returns or raises passes the baton on (:meth:`leave`).
+- "Ready queue empty with ranks parked" is a deadlock, raised **at once**
+  from inside the unmatched receive with every parked rank's predicate in
+  the message — there is no receive timeout to wait out.
+
+Only the baton holder touches fabric state, so there is no lock or
+condition variable here; the one primitive a rank ever blocks on is its
+own gate.  The schedule is a pure function of the program: every run —
+wildcard receives included — is identical run to run.  Concurrent runs
+each own a fabric and therefore a baton.
+
+:meth:`abort` ends the discipline: it opens every gate, and every
+entry point and every wake-up checks the abort flag first, so released
+ranks do nothing but raise.  The engine's ``wall_timeout`` watchdog (the
+single wall-clock guard, for a rank that loops without communicating)
+calls it from outside the run; a failing rank calls it from inside.
 
 Matching is indexed: each mailbox keeps one FIFO deque per (source, tag)
 pair, so a specific-source ``match()``/``probe()`` is O(1) and a wildcard
@@ -23,11 +44,8 @@ pair, so a specific-source ``match()``/``probe()`` is O(1) and a wildcard
 O(queue length).  Specific-source matching consumes each (source, tag)
 deque in *post order*, which yields MPI's non-overtaking guarantee
 between any (source, tag) pair; wildcard receives pick the per-source
-FIFO head with the minimum ``(arrival_time, src)``, so matching among the
-queued candidates depends only on virtual time, never on which sender's
-thread won the wall-clock race to post (programs that need *full*
-wildcard determinism must also ensure the candidates are all posted,
-e.g. fan-in after a barrier).
+FIFO head with the minimum ``(arrival_time, src)`` among the messages
+queued when the receiver next holds the baton.
 
 Fault injection: an installed :class:`~repro.faults.plan.FaultPlan` is
 consulted by :meth:`Fabric.transmit` for every message — dropped messages
@@ -39,7 +57,7 @@ bypasses the plan.
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -72,8 +90,8 @@ class Message:
         return self.payload.nbytes
 
 
-class _Shard:
-    """Per-rank fabric state: mailbox + NIC timelines + wait predicate.
+class _Mailbox:
+    """Per-rank fabric state: indexed mailbox + NIC timelines.
 
     The mailbox is a dict of per-(source, tag) FIFO deques.  Every path
     that consumes a message pops the head of exactly one deque, so no
@@ -82,41 +100,29 @@ class _Shard:
     number of *active* (source, tag) pairs.
     """
 
-    __slots__ = (
-        "lock",
-        "cv",
-        "queues",
-        "pending",
-        "seq",
-        "waiting_src",
-        "waiting_tag",
-        "egress",
-        "ingress",
-    )
+    __slots__ = ("queues", "pending", "seq", "egress", "ingress")
 
     def __init__(self, rank: int) -> None:
-        self.lock = threading.Lock()
-        self.cv = threading.Condition(self.lock)
         self.queues: dict[tuple[int, int], deque[Message]] = {}
         self.pending = 0
-        # Mailbox post order; assigned under this shard's lock, so it is a
-        # total order over everything enqueued for this rank.
+        # Mailbox post order: a total order over everything enqueued for
+        # this rank.
         self.seq = 0
-        # Wait predicate of the (single) blocked receiver, if any.  Only
-        # rank ``rank``'s own thread ever waits on this shard's cv.
-        self.waiting_src: int | None = None
-        self.waiting_tag: int | None = None
         # Per-rank NIC occupancy: a rank injects (egress) and absorbs
         # (ingress) at most one message's bytes at a time, so fan-in/out
         # traffic serializes at the endpoints (LogGP's per-byte gap G).
-        # Egress is touched only under this shard's lock from the sender's
-        # own thread; ingress only from the receiver's thread in match().
         self.egress = Timeline(f"nic{rank}.egress")
         self.ingress = Timeline(f"nic{rank}.ingress")
 
 
+def _describe(source: int, tag: int) -> str:
+    src_desc = "ANY_SOURCE" if source == ANY_SOURCE else str(source)
+    tag_desc = "ANY_TAG" if tag == ANY_TAG else str(tag)
+    return f"source={src_desc} tag={tag_desc}"
+
+
 class Fabric:
-    """Mailboxes + link model shared by every rank of one SPMD run."""
+    """Mailboxes + link model + baton shared by every rank of one SPMD run."""
 
     def __init__(self, cluster: ClusterSpec, ranks_per_node: int = 1) -> None:
         if ranks_per_node <= 0:
@@ -124,11 +130,9 @@ class Fabric:
         self.cluster = cluster
         self.ranks_per_node = ranks_per_node
         self.size = cluster.num_nodes * ranks_per_node
-        self._shards = [_Shard(r) for r in range(self.size)]
+        self._boxes = [_Mailbox(r) for r in range(self.size)]
         self._abort_exc: BaseException | None = None
-        # Precomputed link lookup: rank→node array + node-pair table.  The
-        # previous per-(src, dst) dict grew O(size²) entries and was
-        # mutated without a lock from concurrent sender threads; these are
+        # Precomputed link lookup: rank→node array + node-pair table,
         # immutable after construction and O(num_nodes²) total.
         self._rank_node = [r // ranks_per_node for r in range(self.size)]
         self._node_links = [
@@ -136,6 +140,16 @@ class Fabric:
             for a in range(cluster.num_nodes)
         ]
         self.fault_plan: FaultPlan | None = None
+        # The baton (see module docstring).  A gate is a lock held from
+        # construction: opening it is ``release``, waiting at it ``acquire``.
+        self._gates = [allocate_lock() for _ in range(self.size)]
+        for gate in self._gates:
+            gate.acquire()
+        self._ready: deque[int] = deque()
+        self._parked: dict[int, tuple[int, int]] = {}
+        #: Baton hand-overs and receives that had to park (observability).
+        self.switches = 0
+        self.parks = 0
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
         """Install (or clear, with ``None``) the fault plan for this run."""
@@ -153,45 +167,108 @@ class Fabric:
 
     def egress_timeline(self, rank: int) -> Timeline:
         """The rank's NIC injection timeline (observability hook)."""
-        return self._shards[rank].egress
+        return self._boxes[rank].egress
 
     def ingress_timeline(self, rank: int) -> Timeline:
         """The rank's NIC absorption timeline (observability hook)."""
-        return self._shards[rank].ingress
+        return self._boxes[rank].ingress
 
     # ------------------------------------------------------------------
-    # Mailbox internals (all called with the destination shard's lock held)
+    # The baton
     # ------------------------------------------------------------------
-    @staticmethod
-    def _enqueue(shard: _Shard, msg: Message) -> None:
-        """Append to the (src, tag) FIFO and wake a matching waiter."""
-        object.__setattr__(msg, "seq", shard.seq)
-        shard.seq += 1
+    def _check_abort(self) -> None:
+        if self._abort_exc is not None:
+            raise CommunicationError("fabric aborted") from self._abort_exc
+
+    def _open(self, rank: int) -> None:
+        """Open ``rank``'s gate: it holds the baton once it wakes."""
+        try:
+            self._gates[rank].release()
+        except RuntimeError:
+            # abort() opens every gate; a hand-over racing it finds this
+            # one open already.  Anywhere else a double open is a bug.
+            if self._abort_exc is None:
+                raise
+
+    def _hand_over(self, rank: int) -> None:
+        """Give the baton to the head of the ready queue; block at
+        ``rank``'s own gate until someone gives it back."""
+        self.switches += 1
+        self._open(self._ready.popleft())
+        self._gates[rank].acquire()
+        self._check_abort()
+
+    def launch(self) -> None:
+        """Start the run: queue every rank in rank order, baton to rank 0."""
+        self._ready.extend(range(self.size))
+        self._open(self._ready.popleft())
+
+    def enter(self, rank: int) -> None:
+        """Wait at ``rank``'s gate for its first turn with the baton."""
+        self._gates[rank].acquire()
+        self._check_abort()
+
+    def leave(self, rank: int) -> None:
+        """``rank`` returned or raised: pass the baton on."""
+        if self._abort_exc is not None:
+            return  # every gate is open already
+        if not self._ready and self._parked:
+            # Nobody is left to send.  Wake the lowest parked rank: it
+            # finds its receive still unmatched and reports the deadlock
+            # from inside it.
+            stuck = min(self._parked)
+            del self._parked[stuck]
+            self._ready.append(stuck)
+        if self._ready:
+            self.switches += 1
+            self._open(self._ready.popleft())
+
+    def _deadlock_report(self) -> str:
+        waits = "; ".join(
+            f"rank {rank} waits for {_describe(*self._parked[rank])} with "
+            f"{self._boxes[rank].pending} unmatched message(s) queued"
+            for rank in sorted(self._parked)
+        )
+        return (
+            "simulated program is deadlocked: no rank can run and every "
+            f"remaining rank is blocked in a receive — {waits}"
+        )
+
+    # ------------------------------------------------------------------
+    # Mailbox internals
+    # ------------------------------------------------------------------
+    def _enqueue(self, msg: Message) -> None:
+        """Append to the (src, tag) FIFO; ready a parked receiver it matches."""
+        box = self._boxes[msg.dst]
+        object.__setattr__(msg, "seq", box.seq)
+        box.seq += 1
         key = (msg.src, msg.tag)
-        q = shard.queues.get(key)
+        q = box.queues.get(key)
         if q is None:
             q = deque()
-            shard.queues[key] = q
+            box.queues[key] = q
         q.append(msg)
-        shard.pending += 1
-        wsrc = shard.waiting_src
-        if wsrc is not None and (wsrc == ANY_SOURCE or wsrc == msg.src):
-            wtag = shard.waiting_tag
-            if wtag == ANY_TAG or wtag == msg.tag:
-                shard.cv.notify()
+        box.pending += 1
+        waiting = self._parked.get(msg.dst)
+        if waiting is not None:
+            wsrc, wtag = waiting
+            if (wsrc == ANY_SOURCE or wsrc == msg.src) and (
+                wtag == ANY_TAG or wtag == msg.tag
+            ):
+                del self._parked[msg.dst]
+                self._ready.append(msg.dst)
 
     @staticmethod
-    def _find(shard: _Shard, source: int, tag: int) -> tuple[int, int] | None:
+    def _find(box: _Mailbox, source: int, tag: int) -> tuple[int, int] | None:
         """Key of the deque whose head matches (source, tag), else ``None``.
 
         Specific (source, tag) is a single dict probe; a wildcard scans
         the active (source, tag) keys: per source the candidate is that
         source's earliest post (minimum mailbox seq among its matching
         heads), and among sources the winner has the minimum
-        ``(arrival_time, src)`` — virtual time only, so the pick is
-        independent of sender-thread interleaving.
+        ``(arrival_time, src)``.
         """
-        queues = shard.queues
+        queues = box.queues
         if source != ANY_SOURCE and tag != ANY_TAG:
             key = (source, tag)
             return key if key in queues else None
@@ -220,37 +297,28 @@ class Fabric:
         return best_key
 
     @staticmethod
-    def _pop(shard: _Shard, key: tuple[int, int]) -> Message:
+    def _pop(box: _Mailbox, key: tuple[int, int]) -> Message:
         """Consume the head of one (src, tag) FIFO (drop emptied keys)."""
-        q = shard.queues[key]
+        q = box.queues[key]
         msg = q.popleft()
         if not q:
-            del shard.queues[key]
-        shard.pending -= 1
+            del box.queues[key]
+        box.pending -= 1
         return msg
 
     # ------------------------------------------------------------------
     # Send side
     # ------------------------------------------------------------------
     def inject(self, src: int, ready: float, nbytes: float, link: InterconnectSpec) -> tuple[float, float]:
-        """Occupy the sender's egress NIC; returns (wire_start, wire_duration).
-
-        Called from the sender's own thread (its sends are program-ordered,
-        so egress scheduling stays deterministic).
-        """
+        """Occupy the sender's egress NIC; returns (wire_start, wire_duration)."""
         wire = nbytes / link.bandwidth
-        shard = self._shards[src]
-        with shard.lock:
-            iv = shard.egress.schedule(ready, wire, "msg")
+        iv = self._boxes[src].egress.schedule(ready, wire, "msg")
         return iv.start, wire
 
     def post(self, msg: Message) -> None:
-        """Enqueue a message for its destination and wake its receiver."""
-        shard = self._shards[msg.dst]
-        with shard.lock:
-            if self._abort_exc is not None:
-                raise CommunicationError("fabric aborted") from self._abort_exc
-            self._enqueue(shard, msg)
+        """Enqueue a message for its destination (readying its receiver)."""
+        self._check_abort()
+        self._enqueue(msg)
 
     def transmit(
         self,
@@ -265,10 +333,6 @@ class Fabric:
     ) -> float:
         """Inject + enqueue for the hot path of :meth:`SimComm.send`.
 
-        Egress scheduling runs under the sender's shard lock and the
-        mailbox append under the receiver's, so two sends between disjoint
-        rank pairs share no lock at all.
-
         With a fault plan installed, the plan is consulted here: link
         degradation stretches the wire time, extra delay pushes the
         arrival out, a duplicate enqueues a second copy trailing by one
@@ -278,98 +342,37 @@ class Fabric:
         arrival the message *would* have had, so sender traces stay
         comparable across plans.
         """
-        if self._abort_exc is not None:
-            raise CommunicationError("fabric aborted") from self._abort_exc
+        self._check_abort()
         wire = charged / link.bandwidth
         decision = None
         plan = self.fault_plan
         if plan is not None:
-            # The plan keeps its own lock; its per-(src, dst) counters
-            # advance in the sender's program order either way.
             decision = plan.decide(src, dst, tag, send_time)
             if decision.bandwidth_factor != 1.0:
                 wire = wire / decision.bandwidth_factor
-        src_shard = self._shards[src]
-        with src_shard.lock:
-            iv = src_shard.egress.schedule(send_time, wire, "msg")
+        iv = self._boxes[src].egress.schedule(send_time, wire, "msg")
         arrival = iv.start + link.latency + wire
         if decision is not None:
             arrival += decision.extra_latency + decision.extra_delay
             if decision.drop:
                 return arrival
-        self._deliver(
-            src,
-            dst,
-            tag,
-            payload,
-            send_time=send_time,
-            arrival=arrival,
-            wire=wire,
-            duplicate=decision is not None and decision.duplicate,
+        self._enqueue(
+            Message(
+                src=src,
+                dst=dst,
+                tag=tag,
+                payload=payload,
+                send_time=send_time,
+                arrival_time=arrival,
+                wire_duration=wire,
+            )
         )
-        return arrival
-
-    def _deliver(
-        self,
-        src: int,
-        dst: int,
-        tag: int,
-        payload: Payload,
-        *,
-        send_time: float,
-        arrival: float,
-        wire: float,
-        duplicate: bool,
-    ) -> None:
-        """Enqueue one transmitted message (plus its optional duplicate).
-
-        All virtual-time decisions (egress scheduling, fault verdicts, the
-        arrival time itself) are made by the caller; this hook only appends
-        to the destination mailbox.  The process backend's
-        :class:`~repro.sim.procworker._BridgedFabric` overrides it to ship
-        remote-rank messages across the worker boundary — both backends
-        then funnel through :meth:`deliver_local` on the destination side,
-        so the (src, tag) FIFO order and duplicate adjacency are identical.
-        """
-        self.deliver_local(
-            src, dst, tag, payload, send_time=send_time, arrival=arrival,
-            wire=wire, duplicate=duplicate,
-        )
-
-    def deliver_local(
-        self,
-        src: int,
-        dst: int,
-        tag: int,
-        payload: Payload,
-        *,
-        send_time: float,
-        arrival: float,
-        wire: float,
-        duplicate: bool,
-    ) -> None:
-        """Append a message (and its duplicate) to a mailbox owned here.
-
-        A duplicate is enqueued immediately after its original under one
-        lock hold, so the pair's mailbox sequence numbers are adjacent —
-        the dedup probing order the reliable layer relies on.
-        """
-        msg = Message(
-            src=src,
-            dst=dst,
-            tag=tag,
-            payload=payload,
-            send_time=send_time,
-            arrival_time=arrival,
-            wire_duration=wire,
-        )
-        dst_shard = self._shards[dst]
-        with dst_shard.lock:
-            if self._abort_exc is not None:
-                raise CommunicationError("fabric aborted") from self._abort_exc
-            self._enqueue(dst_shard, msg)
-            if duplicate:
-                dup = Message(
+        if decision is not None and decision.duplicate:
+            # Enqueued right behind its original, so the pair's mailbox
+            # sequence numbers are adjacent — the dedup probing order the
+            # reliable layer relies on.
+            self._enqueue(
+                Message(
                     src=src,
                     dst=dst,
                     tag=tag,
@@ -378,100 +381,79 @@ class Fabric:
                     arrival_time=arrival + wire,
                     wire_duration=wire,
                 )
-                self._enqueue(dst_shard, dup)
+            )
+        return arrival
 
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def match(
-        self,
-        dst: int,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> Message:
-        """Block until a message for ``dst`` matching (source, tag) arrives.
+    def match(self, dst: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
+        """Return the next message for ``dst`` matching (source, tag).
 
         Specific-source matching consumes the (source, tag) FIFO in post
         order, so two messages from the same source with the same tag are
         received in the order they were sent (MPI non-overtaking).  A
         wildcard (``ANY_SOURCE``) receive considers the per-source FIFO
         head of each candidate source and takes the one with the minimum
-        ``(arrival_time, src)`` — a function of virtual time only, so the
-        choice among queued messages is identical run-to-run no matter how
-        the OS schedules sender threads.  ``timeout`` is a *wall-clock*
-        watchdog (``None`` waits forever): exceeding it means the
-        simulated program is deadlocked.
+        ``(arrival_time, src)``.
 
-        While blocked, the receiver's (source, tag) predicate is
-        registered on its shard so senders wake it only for messages that
-        can actually match.
+        With nothing to match, the rank parks under its predicate and the
+        baton moves on; when no rank is left to take it the program is
+        deadlocked and this raises :class:`DeadlockError` immediately.
         """
-        shard = self._shards[dst]
-        with shard.lock:
-            while True:
-                if self._abort_exc is not None:
-                    raise CommunicationError("fabric aborted") from self._abort_exc
-                key = self._find(shard, source, tag)
-                if key is not None:
-                    msg = self._pop(shard, key)
-                    # Absorb the bytes through the receiver's ingress NIC:
-                    # concurrent inbound streams serialize here.  Matching
-                    # order is the receiver's program order, so this stays
-                    # deterministic for specific-source receives.
-                    if msg.wire_duration > 0:
-                        iv = shard.ingress.schedule(
-                            msg.arrival_time - msg.wire_duration, msg.wire_duration, "msg"
-                        )
-                        object.__setattr__(msg, "arrival_time", iv.end)
-                    return msg
-                shard.waiting_src = source
-                shard.waiting_tag = tag
-                try:
-                    notified = shard.cv.wait(timeout=timeout)
-                finally:
-                    shard.waiting_src = None
-                    shard.waiting_tag = None
-                if not notified:
-                    src_desc = "ANY_SOURCE" if source == ANY_SOURCE else str(source)
-                    tag_desc = "ANY_TAG" if tag == ANY_TAG else str(tag)
-                    raise DeadlockError(
-                        f"rank {dst} waited {timeout:g}s (wall clock) for a message "
-                        f"from source={src_desc} tag={tag_desc}; "
-                        f"{shard.pending} unmatched message(s) queued for this rank; "
-                        f"simulated program is deadlocked"
+        box = self._boxes[dst]
+        self._check_abort()
+        while True:
+            key = self._find(box, source, tag)
+            if key is not None:
+                msg = self._pop(box, key)
+                # Absorb the bytes through the receiver's ingress NIC:
+                # concurrent inbound streams serialize here, in the
+                # receiver's program order.
+                if msg.wire_duration > 0:
+                    iv = box.ingress.schedule(
+                        msg.arrival_time - msg.wire_duration, msg.wire_duration, "msg"
                     )
+                    object.__setattr__(msg, "arrival_time", iv.end)
+                return msg
+            self._parked[dst] = (source, tag)
+            if not self._ready:
+                report = self._deadlock_report()
+                del self._parked[dst]
+                raise DeadlockError(report)
+            self.parks += 1
+            self._hand_over(dst)
 
     def probe(self, dst: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check whether a matching message is queued.
 
-        O(1) for a specific (source, tag).  Raises
-        :class:`CommunicationError` once the fabric is aborted, so a
-        ``Request.test()`` polling loop fails fast after a sibling rank
-        dies instead of spinning forever on ``False``.
+        O(1) for a specific (source, tag).  A miss lets every other ready
+        rank run before it returns ``False``, so a ``Request.test()``
+        polling loop cannot starve the sender it is waiting for.  Raises
+        :class:`CommunicationError` once the fabric is aborted, so such a
+        loop fails fast after a sibling rank dies.
         """
-        shard = self._shards[dst]
-        with shard.lock:
-            if self._abort_exc is not None:
-                raise CommunicationError("fabric aborted") from self._abort_exc
-            return self._find(shard, source, tag) is not None
+        self._check_abort()
+        if self._find(self._boxes[dst], source, tag) is not None:
+            return True
+        if self._ready:
+            self._ready.append(dst)
+            self._hand_over(dst)
+        return False
 
     def pending_count(self, dst: int) -> int:
         """Number of undelivered messages queued for ``dst`` (test hook)."""
-        shard = self._shards[dst]
-        with shard.lock:
-            return shard.pending
+        return self._boxes[dst].pending
 
     def abort(self, exc: BaseException) -> None:
-        """Poison the fabric: wake every blocked receiver with an error.
+        """Poison the fabric and release every rank waiting at its gate.
 
-        Called by the SPMD engine when one rank raises, so sibling ranks
-        blocked in ``recv`` fail fast instead of hanging until the
-        watchdog.  Wakeups here are deliberately untargeted — every shard
-        is notified regardless of its wait predicate.
+        Called by the SPMD engine when one rank raises (so sibling ranks
+        fail fast instead of staying parked) and by its wall-clock
+        watchdog.  From here on the baton no longer orders anything: each
+        released rank raises :class:`CommunicationError` where it wakes.
         """
         if self._abort_exc is None:
             self._abort_exc = exc
-        for shard in self._shards:
-            with shard.lock:
-                shard.cv.notify_all()
+        for rank in range(self.size):
+            self._open(rank)

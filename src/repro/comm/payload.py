@@ -175,12 +175,3 @@ def make_payload(obj: Any, owned: bool = False) -> Payload:
 #: The shared snapshot of ``None`` (see :func:`make_payload`).
 _NONE_PAYLOAD = Payload(data=None, nbytes=_NONE_NBYTES, is_array=False)
 
-
-def none_payload() -> Payload:
-    """The process-wide shared ``None`` payload singleton.
-
-    Exposed so other serialization layers (the cross-process wire protocol
-    in :mod:`repro.comm.wire`) can restore the singleton on decode instead
-    of materializing a fresh ``Payload`` per control token.
-    """
-    return _NONE_PAYLOAD

@@ -170,10 +170,6 @@ class ReliableComm:
     def trace(self):
         return self.base.trace
 
-    @property
-    def recv_timeout(self) -> float:
-        return self.base.recv_timeout
-
     # -- point-to-point -------------------------------------------------
     def send(
         self,
@@ -330,8 +326,7 @@ class ReliableComm:
         anything still matching a watched seq is a network-duplicated copy:
         receive it (charging its ingress and receive overhead — duplicated
         bytes are not free) and discard the value.  Each probe is an O(1)
-        indexed lookup on the sharded fabric (this loop used to rescan the
-        whole destination queue per watched seq).
+        indexed lookup on the fabric.
         """
         fabric = self.base.fabric
         watch = self._dup_watch.get((source, tag))
@@ -355,11 +350,11 @@ class ReliableComm:
 
         Deliberately *only* blocking, and only called from :meth:`flush`:
         an opportunistic (non-blocking probe) collection would make the
-        sender's virtual clock depend on whether the receiver's ack had
-        been posted yet on the *wall* clock — a thread-scheduling race.  A
-        blocking receive waits for the ack regardless of scheduling, so
-        the clock synchronization it charges is a function of virtual
-        arrival times only.
+        sender's virtual clock depend on whether the receiver had already
+        run far enough to post its ack — on the schedule, not on virtual
+        time.  A blocking receive waits for the ack regardless, so the
+        clock synchronization it charges is a function of virtual arrival
+        times only.
         """
         pending = self._pending_acks.pop(dest, None)
         if not pending:

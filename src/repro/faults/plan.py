@@ -17,9 +17,9 @@ virtual time — for one SPMD run:
 Determinism: every per-message decision comes from a counter-based RNG
 keyed on ``(plan seed, src, dst, per-pair message index)``.  The per-pair
 index advances in the *sender's* program order (the fabric consults the
-plan under its lock, from the sending thread), so a given plan + seed
-always yields the same faults regardless of wall-clock thread scheduling —
-which is what makes fault-tolerance tests repeatable.
+plan from the sending rank), so a given plan + seed always yields the same
+faults — which is what makes fault-tolerance tests repeatable.  The plan
+keeps its own lock: one plan object may be shared by concurrent runs.
 """
 
 from __future__ import annotations
@@ -343,27 +343,8 @@ class FaultPlan:
             crashes=_build(RankCrash, data.get("crashes", []), "crashes"),
         )
 
-    # -- cross-process support -----------------------------------------
-    def __getstate__(self) -> dict:
-        """Picklable state (the lock is dropped and rebuilt on restore).
-
-        The process-parallel SPMD backend ships one plan copy to every
-        worker.  Per-(src, dst) counters advance in the *sender's* program
-        order and every rank's sends happen in exactly one worker, so the
-        replicas never disagree: each (src, dst) stream is driven by a
-        single process, with the same seed — decisions are bit-identical
-        to the thread backend's single shared plan.
-        """
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def stats_snapshot(self) -> dict[str, int]:
-        """Counter values right now (used to compute per-worker deltas)."""
+        """Counter values right now (a job's ``fault_stats`` payload)."""
         with self._lock:
             return {
                 "decisions": self.stats.decisions,
@@ -373,21 +354,6 @@ class FaultPlan:
                 "degraded": self.stats.degraded,
                 "crashes_consumed": self.stats.crashes_consumed,
             }
-
-    def absorb(self, stats_delta: dict[str, int], consumed_crashes: list[int]) -> None:
-        """Merge one worker's activity back into this (parent) plan.
-
-        ``stats_delta`` is the worker replica's counter increase over the
-        snapshot it started from; ``consumed_crashes`` are indices into
-        ``self.crashes`` the worker marked consumed.  Each decision and
-        each crash happens in exactly one worker, so summing deltas
-        reproduces the thread backend's totals.
-        """
-        with self._lock:
-            for name, delta in stats_delta.items():
-                setattr(self.stats, name, getattr(self.stats, name) + delta)
-            for idx in consumed_crashes:
-                self.crashes[idx].consumed = True
 
     # -- deterministic RNG ---------------------------------------------
     def _rng(self, src: int, dst: int, index: int) -> random.Random:
@@ -399,7 +365,7 @@ class FaultPlan:
 
     # -- the fabric hook -----------------------------------------------
     def decide(self, src: int, dst: int, tag: int, send_time: float) -> FaultDecision:
-        """Verdict for one message; called by the fabric under its lock.
+        """Verdict for one message; called by the fabric per transmission.
 
         Deterministic: keyed by the per-(src, dst) message index, which
         advances in the sender's program order, never by wall-clock state.

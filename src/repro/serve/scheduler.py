@@ -34,11 +34,14 @@ The scheduler owns the server's concurrency policy:
 Execution itself is delegated to an ``executor`` callable (by default
 :func:`repro.serve.spec.execute_job`); each admitted job runs on its own
 daemon thread, which is safe because :func:`~repro.sim.engine.spmd_run` is
-re-entrant — concurrent runs only share lock-protected pools.
+re-entrant — concurrent runs only share lock-protected pools.  A
+``backend="processes"`` job's thread only waits for the job worker
+process that runs it (:mod:`repro.serve.jobpool`).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import uuid
@@ -372,6 +375,9 @@ class JobScheduler:
         counters["cache"] = self.cache.stats()
         counters["rank_pool"] = rank_pool_stats()
         counters["engine"] = active_run_stats()
+        jobpool = sys.modules.get("repro.serve.jobpool")  # only once a job used it
+        if jobpool is not None:
+            counters["job_pool"] = jobpool.job_pool_stats()
         return counters
 
     def shutdown(self, *, wait_running: float = 0.0) -> None:

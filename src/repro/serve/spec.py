@@ -8,11 +8,12 @@ content address of the run's *result*: two specs that would produce
 bit-identical virtual makespans hash equal, so the server's result cache
 can return a completed job's payload without re-executing it.
 
-Deliberately **excluded** from the hash: execution backend, worker count,
-and priority.  The engine pins virtual makespans bit-identical across
-backends (see :mod:`repro.sim.engine`), and priority only reorders the
-queue — none of them can change the result, so including them would only
-split the cache.  Fault plans enter the hash through
+Deliberately **excluded** from the hash: execution backend and priority.
+The backend only says *where* the job's one event loop runs — in this
+process (``"threads"``, the default) or in one of a warm pool of job
+worker processes (``"processes"``, :mod:`repro.serve.jobpool`) — and
+priority only reorders the queue; neither can change the result, so
+including them would only split the cache.  Fault plans enter the hash through
 :meth:`repro.faults.plan.FaultPlan.canonical_key`, so listing the same
 rules in a different order does not change a job's identity either.
 
@@ -32,6 +33,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -41,14 +43,33 @@ from repro.util.errors import ValidationError
 #: Cluster presets a job may request, by name.
 CLUSTER_PRESETS = ("ohio", "laptop", "latency")
 
+#: Where a job may execute: in this process, or in a job worker process.
+BACKENDS = ("threads", "processes")
+
 #: Spec fields that never reach the content hash (see module docstring).
-NON_SEMANTIC_FIELDS = ("backend", "workers", "priority")
+NON_SEMANTIC_FIELDS = ("backend", "priority")
 
 #: Keyword arguments of app ``run`` functions that are plumbing, not app
 #: options — they are carried by dedicated spec fields instead.
-_RESERVED_OPTIONS = frozenset(
-    {"backend", "workers", "fault_plan", "recorder_factory", "trace"}
-)
+_RESERVED_OPTIONS = frozenset({"fault_plan", "recorder_factory", "trace"})
+
+
+def resolve_backend(backend: str | None) -> str:
+    """Validate a backend name; ``None`` is the in-process default."""
+    if backend is None:
+        return "threads"
+    if backend not in BACKENDS:
+        raise ValidationError(
+            f"unknown execution backend {backend!r}; choose from {list(BACKENDS)}"
+        )
+    return backend
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_cluster(preset: str, nodes: int):
@@ -109,8 +130,8 @@ class JobSpec:
             ``reliable``, ``checkpoint_every``, ``time_block``), validated
             against the app's signature at construction.
         fault_plan: Optional :meth:`FaultPlan.to_dict` document.
-        backend: SPMD backend override (``None`` honours the environment).
-        workers: Process-backend worker count override.
+        backend: ``"processes"`` runs the job in a worker process;
+            ``"threads"`` or ``None`` in the executor's own.
         priority: Higher runs first; ties in submission order.
         trace: Capture a per-rank observability trace; the result then
             carries a Chrome-trace document and an analysis report,
@@ -126,13 +147,11 @@ class JobSpec:
     options: Mapping[str, Any] = field(default_factory=dict)
     fault_plan: Mapping[str, Any] | None = None
     backend: str | None = None
-    workers: int | None = None
     priority: int = 0
     trace: bool = False
 
     def __post_init__(self) -> None:
         from repro.core.env import DEVICE_MIXES
-        from repro.sim.engine import resolve_backend
 
         if self.app not in APPS:
             raise ValidationError(
@@ -152,12 +171,7 @@ class JobSpec:
             raise ValidationError(f"scale must be 'quick' or 'full', got {self.scale!r}")
         if not isinstance(self.priority, int):
             raise ValidationError(f"priority must be an int, got {self.priority!r}")
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 1
-        ):
-            raise ValidationError(f"workers must be an int >= 1, got {self.workers!r}")
-        if self.backend is not None:
-            resolve_backend(self.backend)  # raises on unknown names
+        resolve_backend(self.backend)  # raises on unknown names
         # Freeze the mapping fields so the spec is safely shareable.
         object.__setattr__(self, "params", dict(self.params or {}))
         object.__setattr__(self, "options", dict(self.options or {}))
@@ -238,7 +252,6 @@ class JobSpec:
             "options": dict(self.options),
             "fault_plan": None if self.fault_plan is None else dict(self.fault_plan),
             "backend": self.backend,
-            "workers": self.workers,
             "priority": self.priority,
             "trace": self.trace,
         }
@@ -273,7 +286,9 @@ def _parse_kv_pairs(pairs: list[str], flag: str) -> dict[str, Any]:
     return out
 
 
-def spec_from_args(args: Any, *, trace: bool = False, priority: int = 0) -> JobSpec:
+def spec_from_args(
+    args: Any, *, trace: bool = False, priority: int = 0, backend: str | None = None
+) -> JobSpec:
     """The spec the CLI's shared job flags describe (``run|profile|submit``).
 
     ``--no-overlap``, ``--until-tol``, ``--max-iters``, ``--time-block``
@@ -321,8 +336,7 @@ def spec_from_args(args: Any, *, trace: bool = False, priority: int = 0) -> JobS
         params=_parse_kv_pairs(args.param, "--param"),
         options=options,
         fault_plan=plan,
-        backend=args.backend,
-        workers=args.workers,
+        backend=backend,
         priority=priority,
         trace=trace,
     )
@@ -374,14 +388,11 @@ def run_spec(spec: JobSpec) -> tuple[Any, Any]:
 
     The only call of an app's ``run`` outside :mod:`repro.apps`.  The
     returned plan is the one the run consumed (its ``stats`` say what was
-    injected); it is ``None`` for a fault-free spec.
+    injected); it is ``None`` for a fault-free spec.  ``spec.backend`` is
+    not consulted: sending a job to a worker is :func:`execute_job`'s call.
     """
     plan = spec.build_fault_plan()
     kwargs: dict[str, Any] = dict(spec.options)
-    if spec.backend is not None:
-        kwargs["backend"] = spec.backend
-    if spec.workers is not None:
-        kwargs["workers"] = spec.workers
     if plan is not None:
         kwargs["fault_plan"] = plan
     if spec.trace:
@@ -401,8 +412,14 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
     service's bit-identity guarantee: :func:`run_spec` is what the CLI's
     direct path calls too, so a job's ``makespan`` is repr-equal to the
     same spec run without the service (floats survive the JSON round trip
-    exactly).
+    exactly).  A ``backend="processes"`` spec is handed, as its dict, to a
+    job worker process, which returns the payload this function builds
+    there — same loop, different process.
     """
+    if spec.backend == "processes":
+        from repro.serve.jobpool import run_in_worker
+
+        return run_in_worker(spec.to_dict())
     apprun, plan = run_spec(spec)
 
     payload: dict[str, Any] = {

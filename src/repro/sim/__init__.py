@@ -13,20 +13,19 @@ Key pieces:
   engine, GPU copy engine); supports list-scheduling of work items.
 - :class:`Trace` — optional event recording used by tests to verify
   behavioural claims (e.g. that communication genuinely overlaps compute).
-- :func:`spmd_run` — executes one Python function per rank on real threads,
-  wiring up clocks, communicators, and devices.
+- :func:`spmd_run` — executes one Python function per rank, one rank at a
+  time under a deterministic baton, wiring up clocks, communicators, and
+  devices.
 """
 
 from repro.sim.clock import VirtualClock
 from repro.sim.timeline import Timeline
 from repro.sim.trace import Trace, TraceEvent, overlap_seconds
 from repro.sim.engine import (
-    BACKENDS,
     RankContext,
     SpmdResult,
     active_run_stats,
     rank_pool_stats,
-    resolve_backend,
     spmd_run,
 )
 
@@ -36,20 +35,10 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "overlap_seconds",
-    "BACKENDS",
     "RankContext",
     "SpmdResult",
     "active_run_stats",
     "rank_pool_stats",
-    "resolve_backend",
     "spmd_run",
-    "process_pool_stats",
 ]
 
-
-def process_pool_stats() -> dict[str, int]:
-    """Stats of the process backend's worker pool (lazy import: the pool
-    module is only loaded once a ``backend="processes"`` run happens)."""
-    from repro.sim.procpool import process_pool_stats as _stats
-
-    return _stats()

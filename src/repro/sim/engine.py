@@ -1,22 +1,19 @@
-"""SPMD execution engine: pooled rank threads, or rank-packed worker processes.
+"""SPMD execution engine: one runner, pooled rank threads, one baton.
 
 :func:`spmd_run` launches ``fn(ctx)`` on every rank, where ``ctx`` is a
 :class:`RankContext` carrying the rank's virtual clock, communicator, node
-spec, and (optionally) devices built by a caller-supplied factory.  Rank
-threads synchronize only through the message fabric, so virtual time is
-deterministic for deterministic programs (no wildcard-source races).
+spec, and (optionally) devices built by a caller-supplied factory.
 
-Two execution backends share this entry point (``backend=`` or the
-``REPRO_SPMD_BACKEND`` environment variable):
-
-- ``"threads"`` (default): every rank is a pooled thread in this process.
-  Cheapest per run, but all ranks serialize on one GIL — many-rank wall
-  time is bounded by a single core.
-- ``"processes"``: ranks are packed onto a warm pool of worker
-  *processes* (:mod:`repro.sim.procpool`), each hosting its block of
-  ranks as threads on a bridged fabric; numpy payloads cross the worker
-  boundary in shared memory.  Virtual makespans are bit-identical to the
-  thread backend — the backends differ only in wall-clock parallelism.
+Ranks are simulated processes: they need correct virtual-time ordering,
+never host concurrency.  Each rank is a pooled thread used purely as a
+continuation — it runs until its next blocking receive — and only the
+holder of the run's *baton* executes (see :mod:`repro.comm.fabric` for the
+hand-over rules).  The schedule is a pure function of the program, so
+values, virtual times and traces are identical run to run, wildcard
+receives included, and a deadlock ("no rank can run, some are parked") is
+raised exactly and at once instead of after a receive timeout.  Host
+parallelism lives one level up: a *job* may run in a worker process
+(:mod:`repro.serve.jobpool`), which executes this same loop.
 
 Rank threads come from a process-wide reusable pool
 (:class:`_RankThreadPool`): figure sweeps run thousands of back-to-back
@@ -26,16 +23,15 @@ A worker is recycled only after its rank function returns, so a worker
 wedged past the watchdog is simply abandoned (daemon thread) and the pool
 spawns a replacement on demand.
 
-Failure handling: the first rank to raise poisons the fabric, which wakes
-every sibling blocked in a receive; the original exception is re-raised to
-the caller with the failing rank attached.  A wall-clock watchdog converts
-genuine deadlocks into :class:`~repro.util.errors.DeadlockError` instead of
-hanging the test suite.
+Failure handling: the first rank to raise aborts the fabric, which
+releases every sibling waiting at its gate; the original exception is
+re-raised to the caller.  ``wall_timeout`` is the single wall-clock guard,
+for a rank that loops without communicating: on firing it aborts the run
+the same way, so at most the one wedged thread is abandoned.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -51,20 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
 DeviceFactory = Callable[["RankContext"], Sequence[Any]]
-
-#: The SPMD execution backends selectable per run.
-BACKENDS = ("threads", "processes")
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Resolve an explicit/env/default backend name, validating it."""
-    if backend is None:
-        backend = os.environ.get("REPRO_SPMD_BACKEND", "threads")
-    if backend not in BACKENDS:
-        raise ValidationError(
-            f"unknown SPMD backend {backend!r}; choose from {list(BACKENDS)}"
-        )
-    return backend
 
 
 @dataclass
@@ -104,92 +86,6 @@ class SpmdResult:
     @property
     def nranks(self) -> int:
         return len(self.values)
-
-
-class _RankFailure(Exception):
-    """Internal wrapper recording which rank raised."""
-
-    def __init__(self, rank: int, exc: BaseException) -> None:
-        super().__init__(f"rank {rank} raised {type(exc).__name__}: {exc}")
-        self.rank = rank
-        self.exc = exc
-
-
-def run_one_rank(
-    fabric: Any,
-    rank: int,
-    nranks: int,
-    cluster: ClusterSpec,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    trace: Trace,
-    device_factory: DeviceFactory | None,
-    recv_timeout: float,
-    fault_plan: "FaultPlan | None",
-) -> tuple[Any, float]:
-    """Wire up one rank's context and run its program.
-
-    Returns ``(value, final virtual time)``.  Shared by the thread backend
-    (below) and the process backend's workers
-    (:mod:`repro.sim.procworker`), so both build bit-identical contexts.
-    """
-    from repro.comm.communicator import SimComm
-
-    clock = VirtualClock()
-    comm = SimComm(fabric, rank, clock, trace=trace, recv_timeout=recv_timeout)
-    ctx = RankContext(
-        rank=rank,
-        size=nranks,
-        node_index=fabric.node_of(rank),
-        node=cluster.node,
-        cluster=cluster,
-        clock=clock,
-        comm=comm,
-        trace=trace,
-        fault_plan=fault_plan,
-    )
-    if device_factory is not None:
-        ctx.devices = list(device_factory(ctx))
-    value = fn(ctx, *args, **kwargs)
-    return value, clock.now
-
-
-def record_rank_failure(
-    fabric: Any,
-    rank: int,
-    exc: BaseException,
-    failures: list[_RankFailure],
-    failure_lock: threading.Lock,
-) -> None:
-    """Record one rank's exception and poison the fabric if it is genuine.
-
-    A :class:`CommunicationError` raised *because* a sibling already
-    aborted the fabric is only a wakeup echo: it becomes a low-priority
-    "stuck" marker (and only if nothing else was recorded).  Everything
-    else is a real failure and aborts the fabric to release siblings.
-    """
-    if isinstance(exc, CommunicationError):
-        with failure_lock:
-            if fabric._abort_exc is not None and fabric._abort_exc is not exc:
-                if not failures:
-                    failures.append(
-                        _RankFailure(rank, DeadlockError(f"rank {rank} stuck"))
-                    )
-            else:
-                failures.append(_RankFailure(rank, exc))
-                fabric.abort(exc)
-    else:
-        with failure_lock:
-            failures.append(_RankFailure(rank, exc))
-        fabric.abort(exc)
-
-
-def select_failure(failures: list[_RankFailure]) -> _RankFailure:
-    """The failure to surface: prefer genuine errors over stuck markers,
-    then the lowest rank — identical on both backends."""
-    real = [f for f in failures if not isinstance(f.exc, DeadlockError)]
-    return min(real or failures, key=lambda f: f.rank)
 
 
 class _PoolWorker(threading.Thread):
@@ -274,14 +170,14 @@ def rank_pool_stats() -> dict[str, int]:
 
 
 # -- multi-job accounting ------------------------------------------------
-# ``spmd_run`` is re-entrant: every run builds its own fabric, clocks,
-# result slots, and failure list, and rank threads of concurrent runs only
-# ever synchronize through their *own* run's fabric — so virtual makespans
-# are bit-identical whether runs execute back-to-back or interleaved.  The
-# shared state (the rank-thread pool above, the process-backend worker
-# pool, dataset memos) is either lock-protected or append-only.  The
-# counters below track how many runs/ranks are in flight right now; the
-# ``repro.serve`` job scheduler sizes its admission control against them.
+# ``spmd_run`` is re-entrant: every run builds its own fabric (and so its
+# own baton), clocks, result slots, and failure list, and rank threads of
+# concurrent runs only ever synchronize through their *own* run's fabric —
+# so virtual makespans are bit-identical whether runs execute back-to-back
+# or interleaved.  The shared state (the rank-thread pool above, dataset
+# memos) is lock-protected.  The counters below track how many runs/ranks
+# are in flight right now; the ``repro.serve`` job scheduler sizes its
+# admission control against them.
 _active_lock = threading.Lock()
 _active_runs = 0
 _active_ranks = 0
@@ -302,10 +198,10 @@ def _run_finished(nranks: int) -> None:
 
 
 def active_run_stats() -> dict[str, int]:
-    """How many SPMD runs (and their ranks) are in flight right now.
+    """How many SPMD runs (and their ranks) are in flight in this process.
 
-    Covers both backends; a run is "active" from entry into
-    :func:`spmd_run` until its results (or failure) are returned.
+    A run is "active" from entry into :func:`spmd_run` until its results
+    (or failure) are returned.
     """
     with _active_lock:
         return {"active_runs": _active_runs, "active_ranks": _active_ranks}
@@ -351,11 +247,8 @@ def spmd_run(
     trace: bool = False,
     recorder_factory: Callable[[int], Trace] | None = None,
     device_factory: DeviceFactory | None = None,
-    recv_timeout: float = 120.0,
     wall_timeout: float = 600.0,
     fault_plan: "FaultPlan | None" = None,
-    backend: str | None = None,
-    workers: int | None = None,
 ) -> SpmdResult:
     """Run ``fn(ctx, *args, **kwargs)`` on every rank of ``cluster``.
 
@@ -374,94 +267,33 @@ def spmd_run(
         device_factory: Optional callable building the rank's device list
             (used by :class:`repro.core.env.RuntimeEnv`); it runs inside the
             rank thread after clock/comm are wired.
-        recv_timeout: Wall-clock seconds a single receive may block.
         wall_timeout: Wall-clock seconds for the whole run (a monotonic
-            budget shared by all ranks, not a per-rank allowance).
+            budget shared by all ranks, not a per-rank allowance).  It
+            exists for a rank that loops without communicating; a deadlock
+            needs no timeout.  A single-rank run executes inline on the
+            calling thread and is not watched.
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`
             installed on the fabric before any rank starts; rank programs
             reach it via ``ctx.fault_plan`` (checkpoint/restart loops
             consume its crash events).
-        backend: ``"threads"`` (default) or ``"processes"``; ``None``
-            consults the ``REPRO_SPMD_BACKEND`` environment variable.
-            Virtual makespans are bit-identical across backends.
-            Single-rank runs execute inline on either backend.
-        workers: Process-backend worker-process count (``None``: the
-            ``REPRO_SPMD_WORKERS`` environment variable, else CPU count).
-            Ignored by the thread backend.
 
     Returns:
         :class:`SpmdResult` with per-rank return values, final virtual
         clocks, and traces.
 
     Raises:
-        The first per-rank exception (sibling ranks are woken and drained),
-        or :class:`DeadlockError` if ranks block past the watchdog.
+        The first per-rank exception (sibling ranks are released and
+        drained), :class:`DeadlockError` at once when no rank can run, or
+        :class:`DeadlockError` when the run exceeds ``wall_timeout``.
     """
+    from repro.comm.communicator import SimComm
+    from repro.comm.fabric import Fabric
+
     if kwargs is None:
         kwargs = {}
-    backend = resolve_backend(backend)
     nranks = cluster.num_nodes * ranks_per_node
     if nranks <= 0:
         raise ValidationError("cluster must yield at least one rank")
-    _run_started(nranks)
-    try:
-        if backend == "processes" and nranks > 1:
-            from repro.sim.procpool import spmd_run_processes
-
-            return spmd_run_processes(
-                fn,
-                cluster,
-                ranks_per_node=ranks_per_node,
-                args=args,
-                kwargs=kwargs,
-                trace=trace,
-                recorder_factory=recorder_factory,
-                device_factory=device_factory,
-                recv_timeout=recv_timeout,
-                wall_timeout=wall_timeout,
-                fault_plan=fault_plan,
-                workers=workers,
-            )
-        return _spmd_run_threads(
-            fn,
-            cluster,
-            ranks_per_node=ranks_per_node,
-            args=args,
-            kwargs=kwargs,
-            trace=trace,
-            recorder_factory=recorder_factory,
-            device_factory=device_factory,
-            recv_timeout=recv_timeout,
-            wall_timeout=wall_timeout,
-            fault_plan=fault_plan,
-        )
-    finally:
-        _run_finished(nranks)
-
-
-def _spmd_run_threads(
-    fn: Callable[..., Any],
-    cluster: ClusterSpec,
-    *,
-    ranks_per_node: int,
-    args: tuple,
-    kwargs: dict,
-    trace: bool,
-    recorder_factory: Callable[[int], Trace] | None,
-    device_factory: DeviceFactory | None,
-    recv_timeout: float,
-    wall_timeout: float,
-    fault_plan: "FaultPlan | None",
-) -> SpmdResult:
-    """The thread backend's run body (see :func:`spmd_run`).
-
-    Also the process backend's single-worker fallback, which enters here
-    directly so a logical run is only counted once by
-    :func:`active_run_stats`.
-    """
-    from repro.comm.fabric import Fabric
-
-    nranks = cluster.num_nodes * ranks_per_node
     fabric = Fabric(cluster, ranks_per_node=ranks_per_node)
     if fault_plan is not None:
         fabric.install_faults(fault_plan)
@@ -474,62 +306,95 @@ def _spmd_run_threads(
     for tr in traces:
         # No-op on plain Traces; obs Recorders attach NIC timeline sinks.
         tr.bind_fabric(fabric)
-    failures: list[_RankFailure] = []
+    failures: list[tuple[int, BaseException]] = []  # (rank, what it raised)
     failure_lock = threading.Lock()
+
+    def record_failure(rank: int, exc: BaseException) -> None:
+        # A CommunicationError raised *because* the fabric was already
+        # aborted is only a wake-up echo: it becomes a low-priority "stuck"
+        # marker (and only if nothing else was recorded).  Everything else
+        # is a real failure and aborts the fabric to release the siblings.
+        with failure_lock:
+            echo = (
+                isinstance(exc, CommunicationError)
+                and fabric._abort_exc is not None
+                and fabric._abort_exc is not exc
+            )
+            if not echo:
+                failures.append((rank, exc))
+            elif not failures:
+                failures.append((rank, DeadlockError(f"rank {rank} stuck")))
+        if not echo:
+            fabric.abort(exc)
 
     def rank_main(rank: int) -> None:
         try:
-            values[rank], times[rank] = run_one_rank(
-                fabric,
-                rank,
-                nranks,
-                cluster,
-                fn,
-                args,
-                kwargs,
-                traces[rank],
-                device_factory,
-                recv_timeout,
-                fault_plan,
+            fabric.enter(rank)
+            clock = VirtualClock()
+            ctx = RankContext(
+                rank=rank,
+                size=nranks,
+                node_index=fabric.node_of(rank),
+                node=cluster.node,
+                cluster=cluster,
+                clock=clock,
+                comm=SimComm(fabric, rank, clock, trace=traces[rank]),
+                trace=traces[rank],
+                fault_plan=fault_plan,
             )
+            if device_factory is not None:
+                ctx.devices = list(device_factory(ctx))
+            values[rank] = fn(ctx, *args, **kwargs)
+            times[rank] = clock.now
         except BaseException as exc:  # noqa: BLE001 - must not lose rank errors
-            record_rank_failure(fabric, rank, exc, failures, failure_lock)
+            record_failure(rank, exc)
+        finally:
+            fabric.leave(rank)
 
-    if nranks == 1:
-        # Fast path: run inline (keeps single-rank tests easy to debug).
-        rank_main(0)
-    else:
-        group = _RunGroup(nranks)
+    _run_started(nranks)
+    try:
+        fabric.launch()
+        if nranks == 1:
+            # Run inline (keeps single-rank tests easy to debug).
+            rank_main(0)
+        else:
+            group = _RunGroup(nranks)
 
-        def make_task(rank: int) -> Callable[[], None]:
-            def task() -> None:
-                try:
-                    rank_main(rank)
-                finally:
-                    group.task_done(rank)
+            def make_task(rank: int) -> Callable[[], None]:
+                def task() -> None:
+                    try:
+                        rank_main(rank)
+                    finally:
+                        group.task_done(rank)
 
-            return task
+                return task
 
-        for r in range(nranks):
-            _pool.submit(make_task(r))
-        # One shared wall-clock budget for the whole run, not per rank.
-        if not group.wait(wall_timeout):
-            fabric.abort(DeadlockError("wall timeout"))
-            # Grace period: aborted ranks wake out of their receives and
-            # finish; anything still wedged after this is abandoned to its
-            # (daemon) pool worker, which is never recycled.
-            group.wait(5.0)
-            raise DeadlockError(
-                f"SPMD run exceeded wall timeout of {wall_timeout}s; "
-                f"still-running ranks: {group.pending_ranks()}"
-            )
+            for r in range(nranks):
+                _pool.submit(make_task(r))
+            # One shared wall-clock budget for the whole run, not per rank.
+            if not group.wait(wall_timeout):
+                fabric.abort(DeadlockError("wall timeout"))
+                # Grace period: released ranks raise where they wake and
+                # finish; the rank that never reached the fabric is
+                # abandoned to its (daemon) pool worker, never recycled.
+                group.wait(5.0)
+                raise DeadlockError(
+                    f"SPMD run exceeded wall timeout of {wall_timeout}s; "
+                    f"still-running ranks: {group.pending_ranks()}"
+                )
+    finally:
+        _run_finished(nranks)
 
     if failures:
-        raise select_failure(failures).exc
+        # Prefer genuine errors over stuck markers, then the lowest rank.
+        real = [f for f in failures if not isinstance(f[1], DeadlockError)]
+        raise min(real or failures, key=lambda f: f[0])[1]
 
-    if traces and traces[0].enabled:
+    if traces[0].enabled:
         stats = _pool.stats()
         traces[0].gauge("rank_pool.spawned", stats["spawned"])
         traces[0].gauge("rank_pool.idle", stats["idle"])
+        traces[0].gauge("engine.switches", fabric.switches)
+        traces[0].gauge("engine.parks", fabric.parks)
 
     return SpmdResult(values=values, times=times, traces=traces)

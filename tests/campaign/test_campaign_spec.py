@@ -1,6 +1,10 @@
 """Campaign spec expansion: deterministic, canonical, validated up front."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,12 +137,32 @@ def test_roundtrip_and_load(tmp_path):
 def test_auto_backend_resolution(monkeypatch):
     import repro.campaign.spec as cspec
 
-    monkeypatch.setattr(cspec.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cspec, "usable_cpus", lambda: 8)
     assert resolve_campaign_backend("auto") == "processes"
-    monkeypatch.setattr(cspec.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cspec, "usable_cpus", lambda: 1)
     assert resolve_campaign_backend("auto") is None
     assert resolve_campaign_backend("threads") == "threads"
     assert resolve_campaign_backend(None) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_auto_backend_counts_usable_cpus_not_host_cpus():
+    """Regression: ``os.cpu_count()`` ignores affinity, so a process confined
+    to one CPU of a multi-CPU host still resolved "auto" to "processes"."""
+    probe = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from repro.campaign import CampaignSpec\n"
+        "from repro.serve.spec import usable_cpus\n"
+        "spec = CampaignSpec(name='c', axes={'app': ['heat3d']}, backend='auto')\n"
+        "print(usable_cpus(), spec.expand()[0].backend)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "None"]
 
 
 def test_backend_never_enters_content_hash():

@@ -225,13 +225,14 @@ def test_scan_exscan_mismatch_deadlocks_not_mispairs():
             return ctx.comm.scan(1, "sum")
         return ctx.comm.exscan(1, "sum")
 
-    with pytest.raises(DeadlockError):
-        spmd_run(
-            prog,
-            laptop_cluster(num_nodes=2),
-            recv_timeout=0.3,
-            wall_timeout=10.0,
-        )
+    with pytest.raises(DeadlockError) as exc:
+        spmd_run(prog, laptop_cluster(num_nodes=2))
+    # Rank 0's scan sent its round under scan's tag and returned; rank 1's
+    # exscan waits under its own tag with that message unmatched.
+    text = str(exc.value)
+    assert "rank 1 waits for source=0" in text
+    assert "with 1 unmatched message(s)" in text
+    assert "rank 0 waits" not in text
 
 
 def test_exscan_round_budget_checked_before_any_send(monkeypatch):

@@ -38,9 +38,9 @@ def test_node_of_and_link(fabric):
 def test_match_by_source_and_tag(fabric):
     fabric.post(_msg(0, 1, tag=7))
     fabric.post(_msg(2, 1, tag=7))
-    got = fabric.match(1, source=2, tag=7, timeout=1.0)
+    got = fabric.match(1, source=2, tag=7)
     assert got.src == 2
-    got = fabric.match(1, source=ANY_SOURCE, tag=ANY_TAG, timeout=1.0)
+    got = fabric.match(1, source=ANY_SOURCE, tag=ANY_TAG)
     assert got.src == 0
 
 
@@ -49,13 +49,17 @@ def test_fifo_per_source_tag(fabric):
     second = _msg(0, 1, tag=3, arrival=1.0)  # arrives earlier but sent later
     fabric.post(first)
     fabric.post(second)
-    assert fabric.match(1, 0, 3, timeout=1.0) is first
-    assert fabric.match(1, 0, 3, timeout=1.0) is second
+    assert fabric.match(1, 0, 3) is first
+    assert fabric.match(1, 0, 3) is second
 
 
-def test_match_timeout_raises_deadlock(fabric):
-    with pytest.raises(DeadlockError):
-        fabric.match(0, source=1, tag=1, timeout=0.05)
+def test_unmatched_receive_with_no_runnable_rank_is_a_deadlock_at_once(fabric):
+    """No other rank can take the baton, so nobody can ever send: the
+    receive raises immediately, and the rank is not left parked."""
+    with pytest.raises(DeadlockError, match="rank 0 waits for source=1 tag=1"):
+        fabric.match(0, source=1, tag=1)
+    fabric.post(_msg(1, 0, tag=1))
+    assert fabric.match(0, source=1, tag=1).src == 1
 
 
 def test_probe_and_pending(fabric):
@@ -72,7 +76,7 @@ def test_abort_poisons_fabric(fabric):
     with pytest.raises(CommunicationError):
         fabric.post(_msg(0, 1, tag=1))
     with pytest.raises(CommunicationError):
-        fabric.match(1, timeout=1.0)
+        fabric.match(1)
 
 
 def test_ingress_serializes_concurrent_arrivals(fabric):
@@ -80,8 +84,8 @@ def test_ingress_serializes_concurrent_arrivals(fabric):
     # be pushed back behind the first on the receiver NIC.
     fabric.post(_msg(0, 1, tag=1, arrival=1.0, wire=1.0))
     fabric.post(_msg(2, 1, tag=1, arrival=1.0, wire=1.0))
-    a = fabric.match(1, 0, 1, timeout=1.0)
-    b = fabric.match(1, 2, 1, timeout=1.0)
+    a = fabric.match(1, 0, 1)
+    b = fabric.match(1, 2, 1)
     assert a.arrival_time == pytest.approx(1.0)
     assert b.arrival_time == pytest.approx(2.0)
 
@@ -101,18 +105,18 @@ def test_ranks_per_node_validation():
 
 def test_wildcard_match_picks_earliest_arrival_not_post_order(fabric):
     """Regression: ANY_SOURCE must match by minimum (arrival_time, src),
-    not by which sender's thread won the race to post first."""
+    not by which sender posted first."""
     fabric.post(_msg(2, 1, tag=5, arrival=3.0))
     fabric.post(_msg(0, 1, tag=5, arrival=1.0))
-    got = fabric.match(1, source=ANY_SOURCE, tag=5, timeout=1.0)
+    got = fabric.match(1, source=ANY_SOURCE, tag=5)
     assert got.src == 0
-    assert fabric.match(1, source=ANY_SOURCE, tag=5, timeout=1.0).src == 2
+    assert fabric.match(1, source=ANY_SOURCE, tag=5).src == 2
 
 
 def test_wildcard_match_ties_break_by_source(fabric):
     fabric.post(_msg(3, 1, tag=5, arrival=2.0))
     fabric.post(_msg(0, 1, tag=5, arrival=2.0))
-    assert fabric.match(1, source=ANY_SOURCE, tag=5, timeout=1.0).src == 0
+    assert fabric.match(1, source=ANY_SOURCE, tag=5).src == 0
 
 
 def test_wildcard_match_keeps_per_source_fifo(fabric):
@@ -121,8 +125,8 @@ def test_wildcard_match_keeps_per_source_fifo(fabric):
     in FIFO order."""
     fabric.post(_msg(0, 1, tag=5, arrival=4.0))
     fabric.post(_msg(0, 1, tag=5, arrival=2.0))
-    first = fabric.match(1, source=ANY_SOURCE, tag=5, timeout=1.0)
-    second = fabric.match(1, source=ANY_SOURCE, tag=5, timeout=1.0)
+    first = fabric.match(1, source=ANY_SOURCE, tag=5)
+    second = fabric.match(1, source=ANY_SOURCE, tag=5)
     assert (first.arrival_time, second.arrival_time) == (4.0, 2.0)
 
 
@@ -136,46 +140,20 @@ def test_probe_raises_after_abort(fabric):
 
 
 def test_deadlock_message_names_pattern_and_queue_depth(fabric):
-    """The watchdog error must say what the rank was waiting for."""
+    """The deadlock error must say what the rank was waiting for."""
     fabric.post(_msg(0, 1, tag=9))  # queued but unmatched by the receive below
     with pytest.raises(DeadlockError) as exc:
-        fabric.match(1, source=2, tag=5, timeout=0.05)
+        fabric.match(1, source=2, tag=5)
     text = str(exc.value)
-    assert "rank 1" in text
-    assert "0.05s" in text
-    assert "source=2" in text and "tag=5" in text
+    assert "deadlocked" in text
+    assert "rank 1 waits for source=2 tag=5" in text
     assert "1 unmatched message(s)" in text
     with pytest.raises(DeadlockError) as exc:
-        fabric.match(3, timeout=0.05)
+        fabric.match(3)
     text = str(exc.value)
-    assert "source=ANY_SOURCE" in text and "tag=ANY_TAG" in text
+    assert "rank 3 waits for source=ANY_SOURCE tag=ANY_TAG" in text
     assert "0 unmatched message(s)" in text
-
-
-def test_non_matching_post_does_not_wake_blocked_receiver(fabric):
-    """Targeted wakeups: only a message that can match notifies the cv."""
-    import threading
-    import time
-
-    got = []
-    thread = threading.Thread(
-        target=lambda: got.append(fabric.match(1, source=0, tag=7, timeout=5.0)),
-        daemon=True,
-    )
-    thread.start()
-    deadline = time.monotonic() + 2.0
-    shard = fabric._shards[1]
-    while shard.waiting_src is None and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert shard.waiting_src == 0 and shard.waiting_tag == 7
-    fabric.post(_msg(2, 1, tag=7))  # wrong source: receiver must stay parked
-    fabric.post(_msg(0, 1, tag=3))  # wrong tag: receiver must stay parked
-    time.sleep(0.05)
-    assert not got and thread.is_alive()
-    fabric.post(_msg(0, 1, tag=7))
-    thread.join(timeout=5.0)
-    assert got and got[0].src == 0 and got[0].tag == 7
-    assert fabric.pending_count(1) == 2  # the two non-matching posts remain
+    assert "rank 1" not in text  # the earlier failed receive left nothing parked
 
 
 def test_link_lookup_is_precomputed_per_node_pair(fabric):

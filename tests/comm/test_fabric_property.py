@@ -1,7 +1,7 @@
 """Property tests: indexed matching == global-lock reference semantics.
 
-The sharded fabric replaced a single global mailbox list (scanned linearly
-under one lock) with per-(source, tag) FIFO deques per destination shard.
+The indexed fabric replaced a single global mailbox list (scanned linearly
+under one lock) with per-(source, tag) FIFO deques per destination mailbox.
 These tests pin the semantic contract of that rewrite with hypothesis:
 
 - every receive — specific or wildcard — picks exactly the message the old
@@ -113,7 +113,7 @@ def test_every_receive_matches_the_global_lock_reference(messages, patterns):
         if ref is None:
             continue  # match() would block; the reference agrees it must
         expect = pending.pop(ref)
-        got = fabric.match(DST, source, tag, timeout=1.0)
+        got = fabric.match(DST, source, tag)
         assert (got.src, got.tag, got.arrival_time, got.payload.data) == (
             expect.src,
             expect.tag,
@@ -124,7 +124,7 @@ def test_every_receive_matches_the_global_lock_reference(messages, patterns):
     while pending:
         ref = _reference_pick(pending, ANY_SOURCE, ANY_TAG)
         expect = pending.pop(ref)
-        got = fabric.match(DST, ANY_SOURCE, ANY_TAG, timeout=1.0)
+        got = fabric.match(DST, ANY_SOURCE, ANY_TAG)
         assert got.payload.data == expect.uid
     assert fabric.pending_count(DST) == 0
 
@@ -163,10 +163,10 @@ def test_delivery_order_is_invariant_to_sender_interleaving(messages, seed, drai
             _post(fabric, m)
         out = []
         while fabric.probe(DST, source, tag):
-            out.append(fabric.match(DST, source, tag, timeout=1.0).payload.data)
+            out.append(fabric.match(DST, source, tag).payload.data)
         # Flush the rest so both runs observe every message.
         while fabric.pending_count(DST):
-            out.append(fabric.match(DST, ANY_SOURCE, ANY_TAG, timeout=1.0).payload.data)
+            out.append(fabric.match(DST, ANY_SOURCE, ANY_TAG).payload.data)
         return out
 
     assert drain_all(messages) == drain_all(interleaved)

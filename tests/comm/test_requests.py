@@ -134,27 +134,47 @@ def test_wait_is_idempotent():
 def test_recv_test_raises_once_fabric_aborted():
     """Regression: ``RecvRequest.test()`` returned False forever after a
     sibling rank died; it must raise CommunicationError so polling loops
-    fail fast instead of spinning until the watchdog."""
-    import time as _time
-
+    fail fast.  A miss also yields the baton — that is what lets rank 1
+    run (and die) at all while rank 0 polls."""
     import pytest
 
     from repro.util.errors import CommunicationError
 
+    polls = []
+
     def prog(ctx):
         if ctx.rank == 0:
             req = ctx.comm.irecv(source=1, tag=3)
-            for _ in range(10_000):
-                if req.test():
-                    return "matched"
-                _time.sleep(0.001)
-            return "spun-out"
-        _time.sleep(0.05)
+            try:
+                while not req.test():
+                    polls.append("miss")
+            except CommunicationError:
+                polls.append("aborted")
+                raise
+            return "matched"
         raise ValueError("boom")
 
-    t0 = _time.monotonic()
     with pytest.raises(ValueError, match="boom"):
-        run_spmd(prog, nodes=2, wall_timeout=30.0)
-    # rank 0's polling loop must have been cut short by the abort (the
-    # CommunicationError from test()), not run its full ~10s course.
-    assert _time.monotonic() - t0 < 5.0
+        run_spmd(prog, nodes=2)
+    # The first miss handed the baton to rank 1; rank 0 woke inside that
+    # same test() call to the abort.
+    assert polls == ["aborted"]
+
+
+def test_polling_loop_makes_progress_without_blocking_receives():
+    """``test()`` misses yield, so two ranks that only ever poll each
+    other still complete — deterministically."""
+
+    def prog(ctx):
+        peer = 1 - ctx.rank
+        req = ctx.comm.irecv(source=peer, tag=1)
+        misses = 0
+        while not req.test():
+            misses += 1
+            if misses == 3:
+                ctx.comm.send(ctx.rank, peer, tag=1)
+        return misses, req.wait()
+
+    runs = [run_spmd(prog, nodes=2).values for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert [v[1] for v in runs[0]] == [1, 0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,15 @@ def run_spmd(fn, nodes=2, gpus_per_node=1, cores=4, **kwargs):
     """Run ``fn`` over a small laptop cluster and return the SpmdResult."""
     cluster = laptop_cluster(num_nodes=nodes, cores=cores, gpus_per_node=gpus_per_node)
     return spmd_run(fn, cluster, **kwargs)
+
+
+def wait_until(pred, timeout=10.0):
+    """Poll ``pred`` until it holds; fail the test if it never does."""
+    deadline = time.monotonic() + timeout
+    while not pred():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.001)
 
 
 def profile(app, **spec_fields):

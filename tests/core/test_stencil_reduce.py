@@ -229,13 +229,23 @@ def test_crash_mid_convergence_recovers_bit_identically():
 
 
 def test_thread_and_process_backends_bit_identical():
-    threads = run_spmd(fused_program, nodes=2, gpus_per_node=2)
-    procs = run_spmd(
-        fused_program, nodes=2, gpus_per_node=2, backend="processes", workers=2
+    """The fused convergence loop as a job: in-process and in a job worker."""
+    from repro.serve import JobSpec, execute_job
+
+    doc = dict(
+        app="heat3d",
+        nodes=2,
+        preset="laptop",
+        mix="cpu+1gpu",
+        params={"functional_shape": [16, 16, 16]},
+        options={"until_tol": 1e-3, "max_iters": 40},
     )
-    assert threads.times == procs.times
-    assert threads.values[0]["residuals"] == procs.values[0]["residuals"]
-    np.testing.assert_array_equal(threads.values[0]["grid"], procs.values[0]["grid"])
+    threads = execute_job(JobSpec(**doc, backend="threads"))
+    procs = execute_job(JobSpec(**doc, backend="processes"))
+    assert repr(threads["makespan"]) == repr(procs["makespan"])
+    assert threads["metrics"]["residuals"] == procs["metrics"]["residuals"]
+    assert threads["metrics"]["iterations"] == procs["metrics"]["iterations"] > 1
+    assert threads["result_digest"] == procs["result_digest"]
 
 
 def _reliable_fused(ctx, time_block=1):

@@ -1,5 +1,7 @@
 """Failure injection: the engine must fail fast, loudly, and accurately."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -28,19 +30,31 @@ def test_kernel_exception_propagates_from_runtime():
         return gr.get_global_reduction()  # blocks siblings without the abort
 
     with pytest.raises(ZeroDivisionError, match="user bug"):
-        spmd_run(prog, laptop_cluster(num_nodes=3), recv_timeout=10, wall_timeout=30)
+        spmd_run(prog, laptop_cluster(num_nodes=3))
+
+
+def _deadlock_text(prog, nodes=2):
+    """The DeadlockError ``prog`` ends in — raised at once, no timeout."""
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockError) as exc:
+        spmd_run(prog, laptop_cluster(num_nodes=nodes))
+    assert time.monotonic() - t0 < 1.0
+    return str(exc.value)
 
 
 def test_one_sided_collective_deadlocks_cleanly():
-    """Only some ranks entering a collective is a deadlock, not a hang."""
+    """Only some ranks entering a collective is a deadlock, not a hang:
+    when the skipping rank returns, nobody is left to run."""
 
     def prog(ctx):
         if ctx.rank == 0:
             return None  # skips the barrier
         ctx.comm.barrier()
 
-    with pytest.raises(DeadlockError):
-        spmd_run(prog, laptop_cluster(num_nodes=2), recv_timeout=0.3, wall_timeout=10)
+    text = _deadlock_text(prog, nodes=4)
+    for rank in (1, 2, 3):  # every rank inside the barrier is named
+        assert f"rank {rank} waits for source=" in text
+    assert "rank 0 waits" not in text
 
 
 def test_mismatched_collective_order_deadlocks():
@@ -52,8 +66,11 @@ def test_mismatched_collective_order_deadlocks():
             ctx.comm.barrier()
             ctx.comm.bcast(None, root=0)
 
-    with pytest.raises(DeadlockError):
-        spmd_run(prog, laptop_cluster(num_nodes=2), recv_timeout=0.3, wall_timeout=10)
+    text = _deadlock_text(prog)
+    # Rank 0's bcast and first barrier round sit unmatched at rank 1, whose
+    # own barrier round sits unmatched at rank 0.
+    assert "rank 0 waits for source=1" in text and "with 1 unmatched message(s)" in text
+    assert "rank 1 waits for source=0" in text and "with 2 unmatched message(s)" in text
 
 
 def test_partial_send_recv_pairing_detected():
@@ -63,8 +80,9 @@ def test_partial_send_recv_pairing_detected():
         else:
             ctx.comm.send("x", 0, tag=2)
 
-    with pytest.raises(DeadlockError):
-        spmd_run(prog, laptop_cluster(num_nodes=2), recv_timeout=0.3, wall_timeout=10)
+    text = _deadlock_text(prog)
+    assert "rank 0 waits for source=1 tag=1 with 1 unmatched message(s)" in text
+    assert "rank 1" not in text  # it sent and returned
 
 
 def test_abort_drains_all_ranks_quickly():
@@ -76,7 +94,7 @@ def test_abort_drains_all_ranks_quickly():
         ctx.comm.recv(source=3, tag=0)
 
     with pytest.raises(ValueError, match="injected"):
-        spmd_run(prog, laptop_cluster(num_nodes=8), recv_timeout=20, wall_timeout=30)
+        spmd_run(prog, laptop_cluster(num_nodes=8))
 
 
 def test_exception_in_device_factory():

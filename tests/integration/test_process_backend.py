@@ -1,235 +1,291 @@
-"""The process-parallel SPMD backend: bit-identical, fault-correct, robust.
+"""Job workers: ``backend="processes"`` is the same loop in another process.
 
-Every test forces ``workers`` > 1 so the cross-worker bridge (shared-memory
-payloads, per-pair record sockets, abort relay, fault-plan merge-back) is
-genuinely exercised even on single-core hosts — worker count affects only
-wall-clock parallelism, never virtual time, so the pinned thread-backend
-makespans from ``test_many_ranks`` double as the equivalence oracle here.
+A job's ranks never run in parallel, so there is one engine; the process
+boundary sits at :func:`repro.serve.spec.execute_job`, which hands a
+``"processes"`` spec (as its dict) to a warm pool of job worker processes.
+These tests pin the equivalence that makes trivially true — payloads equal
+key for key — and drill the pool's failure and shutdown behaviour: a killed
+worker fails its job loudly and the pool rebuilds, and after
+``shutdown_pool()`` (or interpreter exit) nothing of ours is left running.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.apps import heat3d, kmeans
-from repro.apps.baselines import mpi_kmeans
-from repro.apps.heat3d import Heat3DConfig
-from repro.apps.heat3d import rank_program as heat3d_program
-from repro.cluster.presets import laptop_cluster, ohio_cluster
+from repro.campaign import CampaignSpec
 from repro.faults.plan import FaultPlan, RankCrash
-from repro.sim.engine import spmd_run
-from repro.sim.procpool import partition_ranks, process_pool_stats, resolve_workers
-from repro.util.errors import DeadlockError, ValidationError
+from repro.serve import JobScheduler, JobSpec, execute_job
+from repro.serve.jobpool import job_pool_stats, shutdown_pool
+from repro.util.errors import ConfigurationError, ValidationError
+from tests.conftest import wait_until
 
-# Pinned thread-backend makespans (see tests/integration/test_many_ranks.py);
-# the process backend must reproduce them bit-for-bit.
-SEED_384_RANK_MAKESPAN = "0.11349894073290369"
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+# Pinned in-process makespan (see tests/integration/test_many_ranks.py); a
+# job worker must reproduce it bit-for-bit.
 SEED_FAULTY_RELIABLE_MAKESPAN = "0.27536852547664836"
 
+SMALL = dict(nodes=2, preset="laptop", mix="cpu")
+HEAT = {"functional_shape": [16, 16, 16], "simulated_steps": 4}
 
-def _ring(ctx):
-    n = ctx.size
-    data = np.full(9000, float(ctx.rank))  # 72 KB: rides shared memory
-    ctx.comm.send(data, (ctx.rank + 1) % n, tag=7)
-    got = ctx.comm.recv(source=(ctx.rank - 1) % n, tag=7)
-    ctx.comm.send("token", (ctx.rank + 1) % n, tag=8)  # pickle path
-    tok = ctx.comm.recv(source=(ctx.rank - 1) % n, tag=8)
-    assert tok == "token"
-    return float(np.asarray(got).sum())
+#: The faulty + reliable + checkpointed heat3d of ``examples/serve_smoke.py``.
+CRASHING = JobSpec(
+    app="heat3d",
+    **SMALL,
+    params={"functional_shape": [12, 12, 12], "simulated_steps": 4},
+    options={"reliable": True, "checkpoint_every": 2},
+    fault_plan=FaultPlan.lossy(
+        seed=7,
+        drop=0.02,
+        dup=0.01,
+        delay=0.02,
+        max_delay=1e-4,
+        crashes=[RankCrash(rank=1, at_time=0.05, restart_cost=0.5)],
+    ).to_dict(),
+)
+
+TABLE = {
+    "heat3d time_block": JobSpec(app="heat3d", **SMALL, params=HEAT, options={"time_block": 2}),
+    "kmeans": JobSpec(app="kmeans", **SMALL, params={"functional_points": 3000, "k": 8}),
+    "moldyn": JobSpec(
+        app="moldyn", **SMALL, params={"functional_nodes": 800, "simulated_steps": 2}
+    ),
+    "faulty reliable checkpointed heat3d": CRASHING,
+    "traced heat3d": JobSpec(app="heat3d", **SMALL, params=HEAT, trace=True),
+}
 
 
-# -- equivalence oracle -------------------------------------------------------
+def _on(spec: JobSpec, backend: str | None) -> JobSpec:
+    return JobSpec.from_dict({**spec.to_dict(), "backend": backend})
+
+
+def _children() -> dict[int, list[int]]:
+    """Parent pid -> live (non-zombie) child pids, from ``/proc``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while we were listing
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if state != "Z":
+            children.setdefault(int(ppid), []).append(int(entry))
+    return children
+
+
+def _descendants(pid: int) -> list[int]:
+    children, found, frontier = _children(), [], [pid]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found += kids
+        frontier += kids
+    return found
+
+
+def _worker_pids() -> list[int]:
+    """Job workers are the forkserver's children: our grandchildren."""
+    children = _children()
+    return sorted(w for helper in children.get(os.getpid(), []) for w in children.get(helper, []))
+
+
+@pytest.fixture
+def clean_pool():
+    """Start from no pool; leave none behind (and check nothing leaked)."""
+    shutdown_pool()
+    before = set(_descendants(os.getpid()))
+    shm_before = set(os.listdir("/dev/shm"))
+    yield
+    shutdown_pool()
+    assert set(_descendants(os.getpid())) <= before
+    assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+# -- equivalence ----------------------------------------------------------------
 
 def test_results_match_thread_backend_exactly():
-    cluster = laptop_cluster(num_nodes=6)
-    threads = spmd_run(_ring, cluster, ranks_per_node=2, backend="threads")
-    procs = spmd_run(_ring, cluster, ranks_per_node=2, backend="processes", workers=3)
-    assert procs.values == threads.values
-    assert procs.times == threads.times
-    assert repr(procs.makespan) == repr(threads.makespan)
-
-
-def test_384_rank_kmeans_is_bit_identical_on_process_backend():
-    run = mpi_kmeans.run(
-        ohio_cluster(32),
-        kmeans.KmeansConfig(functional_points=96_000, iterations=2),
-        backend="processes",
-        workers=4,
-    )
-    assert repr(run.makespan) == SEED_384_RANK_MAKESPAN
+    for name, spec in TABLE.items():
+        here = execute_job(_on(spec, "threads"))
+        there = execute_job(_on(spec, "processes"))
+        assert here.keys() == there.keys(), name
+        assert repr(there["makespan"]) == repr(here["makespan"]), name
+        for key in ("result_digest", "fault_stats", "spec_hash", "speedup"):
+            assert there[key] == here[key], (name, key)
+        for key in here["metrics"].keys() | there["metrics"].keys():
+            if not key.startswith("wall_"):  # host seconds the MD apps report
+                assert there["metrics"][key] == here["metrics"][key], (name, key)
+        if spec.trace:
+            assert there["trace"]["traceEvents"] == here["trace"]["traceEvents"]
+            assert there["report"]["critical_path"] == here["report"]["critical_path"]
+            assert there["report"]["counters"] == here["report"]["counters"]
 
 
 def test_faulty_reliable_run_is_bit_identical_on_process_backend():
-    plan = FaultPlan.lossy(seed=7, drop=0.08, dup=0.05, delay=0.1, max_delay=5e-4)
-    run = heat3d.run(
-        ohio_cluster(4),
-        heat3d.Heat3DConfig(functional_shape=(24, 24, 24), simulated_steps=4),
-        reliable=True,
-        fault_plan=plan,
+    spec = JobSpec(
+        app="heat3d",
+        nodes=4,
+        scale="full",
+        params={"functional_shape": [24, 24, 24], "simulated_steps": 4},
+        options={"reliable": True},
+        fault_plan=FaultPlan.lossy(
+            seed=7, drop=0.08, dup=0.05, delay=0.1, max_delay=5e-4
+        ).to_dict(),
         backend="processes",
-        workers=2,
     )
-    assert repr(run.makespan) == SEED_FAULTY_RELIABLE_MAKESPAN
-    # Fault activity on worker replicas is merged back to the caller's plan.
-    assert plan.stats.decisions > 0
-    assert plan.stats.drops > 0
+    payload = execute_job(spec)
+    assert repr(payload["makespan"]) == SEED_FAULTY_RELIABLE_MAKESPAN
+    # What the plan injected inside the worker comes back in the payload.
+    assert payload["fault_stats"]["decisions"] > 0
+    assert payload["fault_stats"]["drops"] > 0
 
 
-def test_backend_env_variable_selects_processes(monkeypatch):
-    monkeypatch.setenv("REPRO_SPMD_BACKEND", "processes")
-    monkeypatch.setenv("REPRO_SPMD_WORKERS", "2")
-    cluster = laptop_cluster(num_nodes=4)
-    res = spmd_run(_ring, cluster)
-    baseline = spmd_run(_ring, cluster, backend="threads")
-    assert res.times == baseline.times
+def test_crash_recovery_in_a_job_worker_reports_stats():
+    here = execute_job(CRASHING)
+    there = execute_job(_on(CRASHING, "processes"))
+    assert there["fault_stats"] == here["fault_stats"]
+    assert there["fault_stats"]["crashes_consumed"] == 1
+    assert there["result_digest"] == here["result_digest"]
+    assert there["metrics"]["recoveries"] == 1
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValidationError, match="unknown SPMD backend"):
-        spmd_run(_ring, laptop_cluster(num_nodes=2), backend="gpu")
+    with pytest.raises(ValidationError, match="unknown execution backend"):
+        JobSpec(app="heat3d", backend="gpu")
+    with pytest.raises(ValidationError, match="unknown execution backend"):
+        CampaignSpec(name="c", axes={"app": ["heat3d"]}, backend="gpu")
+    assert CampaignSpec.from_dict(
+        {"name": "c", "axes": {"app": ["heat3d"]}, "backend": None}
+    ).expand()[0].backend is None
 
-
-# -- faults cross-process -----------------------------------------------------
-
-HEAT_CFG = Heat3DConfig(functional_shape=(24, 24, 24), simulated_steps=6)
-LOSSY = dict(drop=0.15, dup=0.1, delay=0.1, max_delay=3e-4)
-
-
-def _heat(plan=None, backend="threads", workers=None, **kw):
-    return spmd_run(
-        heat3d_program,
-        laptop_cluster(num_nodes=4),
-        args=(HEAT_CFG, "cpu"),
-        kwargs=kw,
-        fault_plan=plan,
-        backend=backend,
-        workers=workers,
-    )
-
-
-def test_crash_recovery_spans_workers_and_merges_stats():
-    clean = _heat()
-    crash_at = clean.makespan * 0.5
-    plan = FaultPlan.lossy(
-        seed=11, **LOSSY, crashes=[RankCrash(rank=1, at_time=crash_at, restart_cost=0.005)]
-    )
-    res = _heat(plan, backend="processes", workers=2, reliable=True, checkpoint_every=2)
-    oracle_plan = FaultPlan.lossy(
-        seed=11, **LOSSY, crashes=[RankCrash(rank=1, at_time=crash_at, restart_cost=0.005)]
-    )
-    oracle = _heat(oracle_plan, reliable=True, checkpoint_every=2)
-    assert res.times == oracle.times
-    np.testing.assert_array_equal(res.values[0]["grid"], oracle.values[0]["grid"])
-    assert res.values[1]["recoveries"] == 1
-    # The crash was consumed inside a worker process, yet the caller's
-    # plan object reflects it (consumed flag + stats merge-back).
-    assert plan.stats.crashes_consumed == 1
-    assert plan.crashes[0].consumed
-    assert plan.stats.drops == oracle_plan.stats.drops
-    assert plan.stats.duplicates == oracle_plan.stats.duplicates
-
-
-# -- failure and watchdog semantics ------------------------------------------
 
 def test_remote_rank_exception_propagates():
-    def prog(ctx):
-        if ctx.rank == 3:
-            raise ValueError("injected in worker")
-        ctx.comm.recv(source=3, tag=0)
-
-    with pytest.raises(ValueError, match="injected in worker"):
-        spmd_run(
-            prog,
-            laptop_cluster(num_nodes=8),
-            backend="processes",
-            workers=2,
-            recv_timeout=20,
-            wall_timeout=30,
-        )
-
-
-def test_cross_worker_deadlock_detected():
-    def prog(ctx):
-        if ctx.rank == 0:
-            return None  # never enters the barrier
-        ctx.comm.barrier()
-
-    with pytest.raises(DeadlockError):
-        spmd_run(
-            prog,
-            laptop_cluster(num_nodes=2),
-            backend="processes",
-            workers=2,
-            recv_timeout=0.3,
-            wall_timeout=10,
-        )
-
-
-def test_wedged_worker_is_abandoned_and_pool_recovers():
-    def prog(ctx):
-        if ctx.rank == 1:
-            time.sleep(60)  # wall-clock wedge: ignores the fabric abort
-        else:
-            ctx.comm.barrier()
-
-    before = process_pool_stats()
-    with pytest.raises(DeadlockError, match="wall timeout"):
-        spmd_run(
-            prog,
-            laptop_cluster(num_nodes=2),
-            backend="processes",
-            workers=2,
-            recv_timeout=30,
-            wall_timeout=2,
-        )
-    after = process_pool_stats()
-    assert after["abandoned"] > before["abandoned"]
-    # The next run spawns replacement workers and completes normally.
-    res = spmd_run(_ring, laptop_cluster(num_nodes=2), backend="processes", workers=2)
-    baseline = spmd_run(_ring, laptop_cluster(num_nodes=2), backend="threads")
-    assert res.times == baseline.times
+    """A rank that raises inside a worker fails the job with the same
+    exception type and message as in-process."""
+    spec = JobSpec(app="heat3d", nodes=8, preset="laptop", mix="cpu",
+                   params={"functional_shape": [2, 2, 2]})
+    with pytest.raises(ConfigurationError) as here:
+        execute_job(spec)
+    with pytest.raises(ConfigurationError) as there:
+        execute_job(_on(spec, "processes"))
+    assert str(there.value) == str(here.value)
+    # The pool survives a failing job.
+    assert execute_job(_on(TABLE["kmeans"], "processes"))["makespan"] > 0
 
 
 # -- observability ------------------------------------------------------------
 
 def test_pool_gauges_exposed_on_trace():
-    res = spmd_run(
-        _ring,
-        laptop_cluster(num_nodes=4),
-        backend="processes",
-        workers=2,
-        trace=True,
+    spec = TABLE["traced heat3d"]
+    here = execute_job(spec)["report"]["gauges_by_rank"][0]
+    there = execute_job(_on(spec, "processes"))["report"]["gauges_by_rank"][0]
+    assert there["rank_pool.spawned"] >= spec.nodes  # the worker's own pool
+    for gauge in ("engine.switches", "engine.parks"):
+        assert there[gauge] == here[gauge] > 0
+
+
+def test_scheduler_stats_report_the_job_pool(clean_pool):
+    scheduler = JobScheduler(rank_budget=8)
+    try:
+        job = scheduler.wait(scheduler.submit(_on(TABLE["kmeans"], "processes")).id)
+        assert job.state == "done"
+        pool = scheduler.stats()["job_pool"]
+        assert set(pool) == {"workers", "jobs", "rebuilt"}
+        assert pool["workers"] == len(os.sched_getaffinity(0))
+        assert pool["jobs"] >= 1
+        assert scheduler.stats()["rank_pool"]["spawned"] >= 0  # where /stats has it
+    finally:
+        scheduler.shutdown()
+
+
+# -- failure drills -----------------------------------------------------------
+
+LONG = JobSpec(
+    app="heat3d",
+    **SMALL,
+    params={"functional_shape": [40, 40, 40], "simulated_steps": 50_000, "iterations": 50_000},
+    backend="processes",
+)
+
+
+def test_killed_worker_fails_its_job_and_pool_recovers(clean_pool):
+    scheduler = JobScheduler(rank_budget=2)
+    try:
+        warm = scheduler.wait(scheduler.submit(_on(TABLE["kmeans"], "processes")).id)
+        assert warm.state == "done"
+        rebuilt = job_pool_stats()["rebuilt"]
+        doomed = scheduler.submit(LONG)
+        queued = scheduler.submit(_on(TABLE["moldyn"], "processes"))  # waits for budget
+        wait_until(lambda: doomed.state == "running")
+        time.sleep(0.2)  # let a worker pick the job up
+        os.kill(_worker_pids()[0], signal.SIGKILL)
+        scheduler.wait(doomed.id, timeout=30)
+        assert doomed.state == "failed"
+        assert "job worker process died" in doomed.error
+        # The next submission runs on a rebuilt pool.
+        after = scheduler.wait(queued.id, timeout=60)
+        assert after.state == "done", after.error
+        assert repr(after.result["makespan"]) == repr(
+            execute_job(TABLE["moldyn"])["makespan"]
+        )
+        assert job_pool_stats()["rebuilt"] == rebuilt + 1
+    finally:
+        scheduler.shutdown()
+
+
+def test_scheduler_shutdown_with_queued_worker_jobs_leaves_nothing_behind(clean_pool):
+    scheduler = JobScheduler(rank_budget=2)
+    running = scheduler.submit(_on(TABLE["heat3d time_block"], "processes"))
+    queued = [
+        scheduler.submit(JobSpec.from_dict({**LONG.to_dict(), "params": {**LONG.params, "seed": s}}))
+        for s in (1, 2, 3)
+    ]
+    wait_until(lambda: running.state != "queued")
+    scheduler.shutdown(wait_running=30)
+    assert running.state == "done"
+    assert [job.state for job in queued] == ["cancelled"] * 3
+    shutdown_pool()
+    assert _worker_pids() == []
+    assert job_pool_stats()["workers"] == 0
+    # The clean_pool fixture then checks no helper process or /dev/shm
+    # segment is left either.
+
+
+def test_interpreter_exit_leaves_no_process_behind():
+    """``shutdown_pool`` is registered atexit: a program that used job
+    workers and simply returns leaves no worker, forkserver or resource
+    tracker in its process group, and no ``/dev/shm`` entry."""
+    driver = (
+        "from repro.serve import JobSpec, execute_job\n"
+        "if __name__ == '__main__':\n"
+        "    doc = dict(app='kmeans', nodes=2, preset='laptop', mix='cpu',\n"
+        "               params={'functional_points': 3000, 'k': 8})\n"
+        "    print(execute_job(JobSpec(**doc, backend='processes'))['makespan'])\n"
     )
-    gauges = res.traces[0].gauges
-    assert gauges["proc_pool.workers"] == 2
-    assert gauges["rank_pool.spawned"] >= 1
-    thread_res = spmd_run(_ring, laptop_cluster(num_nodes=4), backend="threads", trace=True)
-    assert thread_res.traces[0].gauges["rank_pool.spawned"] >= 1
-
-
-# -- packing and worker resolution -------------------------------------------
-
-def test_partition_ranks_contiguous_and_balanced():
-    blocks = partition_ranks(10, 3)
-    assert [list(b) for b in blocks] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    assert partition_ranks(4, 4) == [range(0, 1), range(1, 2), range(2, 3), range(3, 4)]
-
-
-def test_resolve_workers_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_SPMD_WORKERS", raising=False)
-    assert resolve_workers(3, 100) == 3
-    assert resolve_workers(8, 4) == 4  # capped at rank count
-    monkeypatch.setenv("REPRO_SPMD_WORKERS", "5")
-    assert resolve_workers(None, 100) == 5
-    with pytest.raises(ValidationError):
-        resolve_workers(0, 4)
-
-
-def test_single_worker_falls_back_to_threads():
-    """workers=1 routes through the thread backend (identical results,
-    no bridge overhead) — the default on single-core hosts."""
-    res = spmd_run(_ring, laptop_cluster(num_nodes=2), backend="processes", workers=1)
-    baseline = spmd_run(_ring, laptop_cluster(num_nodes=2), backend="threads")
-    assert res.times == baseline.times
-    assert repr(res.makespan) == repr(baseline.makespan)
+    shm_before = set(os.listdir("/dev/shm"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", driver],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # its own process group, as benchmarks/e2e does
+    )
+    out, err = proc.communicate(timeout=120)
+    try:
+        assert proc.returncode == 0, err
+        assert float(out) == execute_job(TABLE["kmeans"])["makespan"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nobody left in the group
+        assert set(os.listdir("/dev/shm")) <= shm_before
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

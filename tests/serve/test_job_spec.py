@@ -46,8 +46,9 @@ def test_reserved_option_names_rejected():
 def test_bad_nodes_workers_backend_rejected():
     with pytest.raises(ValidationError, match="nodes"):
         JobSpec(app="heat3d", nodes=0)
-    with pytest.raises(ValidationError, match="workers"):
-        JobSpec(app="heat3d", workers=0)
+    # The worker count is no longer a spec field: the job pool sizes itself.
+    with pytest.raises(ValidationError, match="unknown job-spec fields.*workers"):
+        JobSpec.from_dict({"app": "heat3d", "workers": 2})
     with pytest.raises(ValidationError, match="backend"):
         JobSpec(app="heat3d", backend="gpu")
 
@@ -106,7 +107,7 @@ def test_hash_ignores_non_semantic_fields():
     assert base.content_hash() == JobSpec(app="heat3d", nodes=2, priority=9).content_hash()
     assert (
         base.content_hash()
-        == JobSpec(app="heat3d", nodes=2, backend="processes", workers=4).content_hash()
+        == JobSpec(app="heat3d", nodes=2, backend="processes").content_hash()
     )
 
 

@@ -1,8 +1,14 @@
-"""Unit tests for SPMD backend selection and the worker-pool surface."""
+"""The two pools' public stats hooks, and the backend names a job may ask for.
+
+Ranks run on the process-wide rank-thread pool; a ``backend="processes"``
+job runs in the process-wide job-worker pool (``repro.serve.jobpool``).
+"""
 
 import pytest
 
-from repro.sim import BACKENDS, process_pool_stats, rank_pool_stats, resolve_backend
+from repro.serve.jobpool import job_pool_stats
+from repro.serve.spec import BACKENDS, resolve_backend
+from repro.sim import rank_pool_stats
 from repro.util.errors import ValidationError
 
 
@@ -11,28 +17,20 @@ def test_backends_tuple():
 
 
 def test_resolve_backend_default_is_threads(monkeypatch):
-    monkeypatch.delenv("REPRO_SPMD_BACKEND", raising=False)
-    assert resolve_backend(None) == "threads"
-
-
-def test_resolve_backend_env(monkeypatch):
+    # The environment no longer has a say in where a job runs.
     monkeypatch.setenv("REPRO_SPMD_BACKEND", "processes")
-    assert resolve_backend(None) == "processes"
-    # An explicit argument beats the environment.
-    assert resolve_backend("threads") == "threads"
+    assert resolve_backend(None) == "threads"
+    assert resolve_backend("processes") == "processes"
 
 
-def test_resolve_backend_rejects_unknown(monkeypatch):
-    with pytest.raises(ValidationError, match="unknown SPMD backend"):
+def test_resolve_backend_rejects_unknown():
+    with pytest.raises(ValidationError, match="unknown execution backend"):
         resolve_backend("fibers")
-    monkeypatch.setenv("REPRO_SPMD_BACKEND", "bogus")
-    with pytest.raises(ValidationError, match="unknown SPMD backend"):
-        resolve_backend(None)
 
 
 def test_pool_stats_shapes():
     rp = rank_pool_stats()
     assert set(rp) == {"spawned", "idle"}
-    pp = process_pool_stats()
-    assert set(pp) == {"workers", "spawned", "abandoned", "runs"}
-    assert all(isinstance(v, int) for v in pp.values())
+    jp = job_pool_stats()
+    assert set(jp) == {"workers", "jobs", "rebuilt"}
+    assert all(isinstance(v, int) and v >= 0 for v in {**rp, **jp}.values())

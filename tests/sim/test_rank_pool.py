@@ -8,21 +8,13 @@ next run.
 """
 
 import threading
-import time
 
 import pytest
 
 from repro.cluster.presets import laptop_cluster
 from repro.sim.engine import _RankThreadPool, rank_pool_stats, spmd_run
 from repro.util.errors import DeadlockError
-
-
-def _wait_until(pred, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not pred():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached in time")
-        time.sleep(0.001)
+from tests.conftest import wait_until
 
 
 def test_workers_are_reused_across_runs():
@@ -46,7 +38,7 @@ def test_busy_worker_is_not_recycled_until_task_returns():
     pool = _RankThreadPool()
     release = threading.Event()
     pool.submit(release.wait)
-    _wait_until(lambda: pool.stats()["spawned"] == 1)
+    wait_until(lambda: pool.stats()["spawned"] == 1)
     assert pool.stats()["idle"] == 0
     # A second task while the first is wedged must spawn a new worker.
     done = threading.Event()
@@ -54,7 +46,7 @@ def test_busy_worker_is_not_recycled_until_task_returns():
     assert done.wait(5.0)
     assert pool.stats()["spawned"] == 2
     release.set()
-    _wait_until(lambda: pool.stats()["idle"] == 2)
+    wait_until(lambda: pool.stats()["idle"] == 2)
     pool.drain()
 
 
@@ -63,14 +55,14 @@ def test_drain_shuts_down_idle_workers():
     done = threading.Event()
     pool.submit(done.set)
     assert done.wait(5.0)
-    _wait_until(lambda: pool.stats()["idle"] == 1)
+    wait_until(lambda: pool.stats()["idle"] == 1)
     pool.drain()
     assert pool.stats() == {"spawned": 1, "idle": 0}
     # The pool still works after a drain: it simply spawns fresh workers.
     again = threading.Event()
     pool.submit(again.set)
     assert again.wait(5.0)
-    _wait_until(lambda: pool.stats()["idle"] == 1)
+    wait_until(lambda: pool.stats()["idle"] == 1)
     pool.drain()
 
 
