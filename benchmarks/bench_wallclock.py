@@ -447,10 +447,10 @@ def bench_campaign_throughput(cfg: dict) -> dict:
 
     The batched arm runs the whole sweep through
     :class:`~repro.campaign.runner.CampaignRunner` (one ``submit_many``,
-    widest-first ordering, dataset pre-warm, concurrent dispatch under the
-    rank budget); the sequential arm executes the same specs one
-    ``execute_job`` at a time — the pre-campaign workflow.  Interleaved
-    best-of-3 so machine noise hits both arms alike.
+    widest-first ordering, concurrent dispatch under the rank budget, one
+    generation per shared dataset); the sequential arm executes the same
+    specs one ``execute_job`` at a time — the pre-campaign workflow.
+    Interleaved best-of-3 so machine noise hits both arms alike.
 
     Two hard assertions, host-independent:
 
@@ -571,12 +571,12 @@ def bench_obs_overhead(cfg: dict) -> dict:
 
 
 #: What a fresh interpreter does in the ``cold_start`` case: serve one
-#: quick-scale heat3d job through the service's executor, then report the
-#: import footprint that left behind.
+#: quick-scale job through the service's executor, then report the import
+#: footprint that left behind.
 _COLD_START_JOB = """
 import json, sys
 from repro.serve import JobSpec, execute_job
-payload = execute_job(JobSpec(app="heat3d", nodes=2, preset="laptop", mix="cpu"))
+payload = execute_job(JobSpec(app="%s", nodes=2, preset="laptop", mix="cpu"))
 mods = list(sys.modules)
 print(json.dumps({
     "makespan": payload["makespan"],
@@ -597,8 +597,9 @@ def bench_cold_start(cfg: dict) -> dict:
     are reported as median and inter-quartile spread, not gated.
 
     What *is* gated (:func:`compare`) are the exact facts: ``scipy`` stays
-    unloaded, the number of ``repro.*`` modules a heat3d job loads does not
-    grow past the baseline's, and the makespan matches it.
+    unloaded (by the heat3d job, and by one untimed moldyn job that builds
+    a neighbour list), the number of ``repro.*`` modules a heat3d job loads
+    does not grow past the baseline's, and the makespan matches it.
     """
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
@@ -612,9 +613,10 @@ def bench_cold_start(cfg: dict) -> dict:
     job_walls, floor_walls, facts = [], [], None
     for _ in range(max(cfg["repeats"], 7)):
         floor_walls.append(timed("import numpy")[0])
-        wall, out = timed(_COLD_START_JOB)
+        wall, out = timed(_COLD_START_JOB % "heat3d")
         job_walls.append(wall)
         facts = json.loads(out.splitlines()[-1])
+    moldyn_facts = json.loads(timed(_COLD_START_JOB % "moldyn")[1].splitlines()[-1])
 
     def spread(walls: list[float]) -> float:
         q1, _, q3 = statistics.quantiles(walls, n=4)
@@ -628,6 +630,7 @@ def bench_cold_start(cfg: dict) -> dict:
             "numpy_floor_s_iqr": spread(floor_walls),
             "repeats": len(job_walls),
             **facts,
+            "scipy_loaded_after_moldyn": moldyn_facts["scipy_loaded"],
         }
     }
 
@@ -741,6 +744,8 @@ def compare(record: dict, baseline_path: Path) -> int:
     if cold is not None:
         if cold["scipy_loaded"]:
             failures.append("cold_start: a heat3d job imported scipy")
+        if cold["scipy_loaded_after_moldyn"]:
+            failures.append("cold_start: a moldyn job imported scipy")
         base_cold = base_cases.get("cold_start")
         if base_cold is not None and cold["repro_modules"] > base_cold["repro_modules"]:
             failures.append(

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import DeviceConfig, RuntimeEnv
 from repro.core.stencil import StencilFields
+from repro.data import memoized
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext
 from repro.util.errors import ValidationError
@@ -54,6 +55,7 @@ def work() -> WorkModel:
     return WorkModel(name="hotspot.step", flops_per_elem=15.0, bytes_per_elem=24.0)
 
 
+@memoized
 def generate_power_map(config: HotspotConfig) -> np.ndarray:
     """A floorplan-like power map: a few hot rectangular units on a
     low-power background."""

@@ -28,6 +28,7 @@ from repro.apps.common import AppRun, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.data import memoized
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
 from repro.util.errors import ValidationError
@@ -53,6 +54,7 @@ def work_model() -> WorkModel:
     return WorkModel(name="jacobi2d", flops_per_elem=6.0, bytes_per_elem=24.0)
 
 
+@memoized
 def generate_rhs(config: Jacobi2DConfig) -> np.ndarray:
     """A few smooth Gaussian sources/sinks (deterministic per seed)."""
     rng = np.random.default_rng(config.seed)

@@ -5,8 +5,8 @@ spec validation, and the one function that runs a spec
 (:func:`repro.serve.spec.run_spec`).  A row only *names* the
 app's module, config class and quick-scale config arguments; the module is
 imported the first time the entry is looked up, so a process that runs
-heat3d jobs never loads the molecular-dynamics apps (or the
-``scipy.spatial`` their neighbour lists need).
+heat3d jobs never loads the molecular-dynamics apps (or the neighbour
+search their edge lists need).
 
 Listing names (``sorted(APPS)``, ``name in APPS``, ``len``) imports
 nothing; ``APPS[name]``, ``.values()`` and ``.items()`` load what they

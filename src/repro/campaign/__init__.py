@@ -10,7 +10,7 @@ first-class object:
   :class:`~repro.serve.spec.JobSpec` points,
 - :class:`~repro.campaign.runner.CampaignRunner` — throughput-optimized
   execution through the job scheduler (one batched submission,
-  widest-first backfill ordering, dataset pre-warming, duplicate-point
+  widest-first backfill ordering, one generation per shared dataset, duplicate-point
   dedup, persistent :class:`~repro.serve.store.ResultStore` beneath the
   LRU so warm re-runs execute **zero** jobs),
 - :mod:`~repro.campaign.report` — run tables and paper-figure shapes

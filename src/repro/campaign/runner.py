@@ -11,12 +11,9 @@ the host allows:
   longest-processing-time shape that lets the scheduler's first-fit
   backfill keep the rank budget saturated instead of stranding a wide job
   behind a drained budget.
-- **Dataset pre-warming.**  Identical inputs are generated once per
-  (app, scale, seed) group *before* jobs race: the process-wide dataset
-  memos (:func:`repro.data.points.clustered_points`) generate outside
-  their lock, so N cold concurrent jobs would otherwise each pay the
-  generation.  Only jobs that execute in this process are warmed for; a
-  job worker warms its own memo.
+- **One input per dataset.**  Points that share an input generate it once:
+  the process-wide dataset memo (:func:`repro.data.memoized`) is
+  single-flight.  A job worker process has its own memo.
 - **Deduplicated execution.**  Points with equal content hashes execute
   once; every row still reports.
 - **Warm pools and backends.**  ``backend: "auto"`` campaigns run their
@@ -69,31 +66,18 @@ RUN_TABLE_COLUMNS = (
 )
 
 
-def prewarm_datasets(specs: list[JobSpec]) -> int:
-    """Generate each distinct memoized dataset once, before jobs race.
-
-    Only apps whose input generation is memoized process-wide benefit
-    (Kmeans' :func:`clustered_points`; grids and meshes are generated
-    per-run).  Returns the number of distinct datasets touched.
-    """
-    from repro.data.points import clustered_points
-
-    warmed: set[tuple] = set()
-    for spec in specs:
-        if spec.app != "kmeans":
-            continue
-        cfg = spec.build_config()
-        key = (cfg.functional_points, cfg.k, cfg.dims, cfg.seed)
-        if key in warmed:
-            continue
-        warmed.add(key)
-        clustered_points(cfg.functional_points, cfg.k, cfg.dims, seed=cfg.seed)
-    return len(warmed)
-
-
 def throughput_order(specs: list[JobSpec]) -> list[int]:
     """Submission order: widest first, expansion order among equals."""
     return sorted(range(len(specs)), key=lambda i: (-specs[i].ranks, i))
+
+
+def distinct_points(specs: list[JobSpec]) -> list[int]:
+    """Throughput order with repeats of a content hash dropped: identical
+    points execute once, every row still reports."""
+    first: dict[str, int] = {}
+    for i in throughput_order(specs):
+        first.setdefault(specs[i].content_hash(), i)
+    return list(first.values())
 
 
 def _mean_utilization(report: dict[str, Any]) -> float | None:
@@ -211,18 +195,7 @@ class CampaignRunner:
         return CampaignResult(name=self.campaign.name, rows=rows, stats=stats)
 
     def _run_local(self, specs: list[JobSpec]) -> tuple[list[dict], dict]:
-        order = throughput_order(specs)
-        # Deduplicate identical points: one execution, every row reports.
-        by_hash: dict[str, int] = {}
-        submit_idx: list[int] = []
-        for i in order:
-            h = specs[i].content_hash()
-            if h not in by_hash:
-                by_hash[h] = i
-                submit_idx.append(i)
-        warmed = prewarm_datasets(
-            [specs[i] for i in submit_idx if specs[i].backend != "processes"]
-        )
+        submit_idx = distinct_points(specs)
         scheduler = JobScheduler(
             self.executor,
             rank_budget=self.rank_budget,
@@ -258,7 +231,6 @@ class CampaignRunner:
             "executed": sched_stats.get("executed", 0),
             "cache_hits": sched_stats.get("cache_hits", 0),
             "store_hits": cache_stats.get("store_hits", 0),
-            "datasets_prewarmed": warmed,
             "rank_budget": self.rank_budget,
             "utilization": sched_stats.get("utilization"),
             "backend": specs[0].backend,
@@ -266,14 +238,7 @@ class CampaignRunner:
         return rows, stats
 
     def _run_remote(self, specs: list[JobSpec]) -> tuple[list[dict], dict]:
-        order = throughput_order(specs)
-        by_hash: dict[str, int] = {}
-        submit_idx: list[int] = []
-        for i in order:
-            h = specs[i].content_hash()
-            if h not in by_hash:
-                by_hash[h] = i
-                submit_idx.append(i)
+        submit_idx = distinct_points(specs)
         before = self.client.stats()
         entries = self.client.submit_many([specs[i] for i in submit_idx])
         statuses: dict[str, dict[str, Any]] = {}

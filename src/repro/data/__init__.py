@@ -6,10 +6,22 @@ produce statistically similar inputs at any scale from a single seed, and
 the benchmarks charge the cost model at paper scale (see
 :func:`repro.device.work.scaled`).
 
-All generators are deterministic given their seed (see
-:mod:`repro.util.rng`) so every rank of an SPMD run can generate the same
-global dataset locally instead of broadcasting it.
+The paper's processes each read their own slice of *one* input file.  All
+generators are deterministic given their arguments, so each sits behind one
+process-wide memo (:func:`memoized`): an input is generated once per process
+and every rank, baseline and ``sequential_reference`` slices the same
+read-only arrays (callers that need to write take a copy).
 """
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import threading
+from collections import OrderedDict
+from typing import Any, Callable
+
+import numpy as np
 
 from repro.util.lazy import lazy_exports
 
@@ -22,3 +34,75 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "grids": ["heat3d_initial", "synthetic_image"],
     },
 )
+
+#: Entries the memo keeps.  A bounded *LRU* (hits refresh recency, inserts
+#: evict the least-recently-used entry): a long-lived job server sees many
+#: distinct specs, and an unbounded or FIFO memo would either leak memory
+#: or evict the dataset that every queued job of one sweep is about to reuse.
+MEMO_ENTRIES = 8
+
+_memo: OrderedDict[tuple, Any] = OrderedDict()
+_in_flight: set[tuple] = set()
+_changed = threading.Condition()  # guards both; notified when a generation ends
+_counters = {"hits": 0, "misses": 0, "evictions": 0}
+
+
+def memo_stats() -> dict[str, int]:
+    """Occupancy and hit/miss/eviction counters of the dataset memo."""
+    with _changed:
+        return {"size": len(_memo), "max_entries": MEMO_ENTRIES, **_counters}
+
+
+def clear_memo() -> None:
+    """Empty the memo and zero its counters (test and benchmark hook)."""
+    with _changed:
+        _memo.clear()
+        _counters.update(hits=0, misses=0, evictions=0)
+
+
+def _key_part(value: Any) -> Any:
+    """Arrays are keyed by content: dtype, shape and a digest of their bytes."""
+    if isinstance(value, np.ndarray):
+        digest = hashlib.blake2b(np.ascontiguousarray(value), digest_size=16).digest()
+        return (value.dtype.str, value.shape, digest)
+    # A shape given as a list seeds its own stream (derive_seed sees its text).
+    return repr(value) if isinstance(value, list) else value
+
+
+def memoized(generate: Callable) -> Callable:
+    """Put a deterministic generator behind the process-wide dataset memo.
+
+    Keyed by generator and full argument tuple; returned arrays are frozen.
+    A miss is **single-flight**: a concurrent miss on the same key waits for
+    the first generation (a generator never communicates, so the wait cannot
+    deadlock a job), so an n-rank job costs a dataset 1 miss and n - 1 hits.
+    """
+
+    @functools.wraps(generate)
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        named = ((name, _key_part(value)) for name, value in sorted(kwargs.items()))
+        key = (generate, *map(_key_part, args), *named)
+        with _changed:
+            _changed.wait_for(lambda: key not in _in_flight)
+            if key in _memo:
+                _memo.move_to_end(key)
+                _counters["hits"] += 1
+                return _memo[key]
+            _in_flight.add(key)  # ours to generate: first here, or its generator raised
+            _counters["misses"] += 1
+        try:
+            value = generate(*args, **kwargs)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            with _changed:
+                if len(_memo) >= MEMO_ENTRIES:
+                    _memo.popitem(last=False)
+                    _counters["evictions"] += 1
+                _memo[key] = value
+            return value
+        finally:
+            with _changed:
+                _in_flight.remove(key)
+                _changed.notify_all()
+
+    return wrapper

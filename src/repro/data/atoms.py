@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data import memoized
+from repro.data.neighbors import neighbor_pairs
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
 
+@memoized
 def fcc_lattice(
     cells: int,
     *,
@@ -42,18 +45,14 @@ def fcc_lattice(
     return pos
 
 
+@memoized
 def build_neighbor_edges(positions: np.ndarray, cutoff: float) -> np.ndarray:
     """Half neighbor list (each pair once) within ``cutoff``.
 
     Returns an ``(m, 2)`` int64 edge array, sorted so ``u < v`` — the
     indirection array for the force kernel.
     """
-    if cutoff <= 0:
-        raise ValidationError(f"cutoff must be > 0, got {cutoff}")
-    from scipy.spatial import cKDTree  # deferred: see data.meshes.geometric_mesh
-
-    tree = cKDTree(np.asarray(positions))
-    pairs = tree.query_pairs(cutoff, output_type="ndarray")
-    if len(pairs) == 0:
+    edges = neighbor_pairs(positions, cutoff)
+    if len(edges) == 0:
         raise ValidationError("no neighbors within cutoff; increase cutoff or density")
-    return np.sort(pairs.astype(np.int64), axis=1)
+    return edges

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data import memoized
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
 
+@memoized
 def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: float = 0.2) -> np.ndarray:
     """Initial temperature field: a hot central box in a cold domain.
 
@@ -28,6 +30,7 @@ def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: 
     return grid
 
 
+@memoized
 def synthetic_image(shape: tuple[int, int], *, seed: int = 0, n_shapes: int = 24) -> np.ndarray:
     """A float32 grayscale test image with rectangles and gradients.
 

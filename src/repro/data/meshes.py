@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data import memoized
+from repro.data.neighbors import neighbor_pairs
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
@@ -26,6 +28,7 @@ def _morton_order(points: np.ndarray, bits: int = 8) -> np.ndarray:
     return np.argsort(code, kind="stable")
 
 
+@memoized
 def geometric_mesh(
     n_nodes: int,
     target_degree: float = 8.0,
@@ -65,18 +68,12 @@ def geometric_mesh(
         if k >= 2:
             picked = srng.choice(n_nodes, size=k, replace=False)
             positions[picked] = positions[srng.permutation(picked)]
-    # Imported here, not at module top: scipy.spatial costs ~300 ms and
-    # ~30 MiB, and only neighbour-list construction needs it.
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    if len(pairs) == 0:
+    edges = neighbor_pairs(positions, radius)
+    if len(edges) == 0:
         raise ValidationError(
             f"mesh came out edgeless (n={n_nodes}, degree={target_degree}); "
             f"increase target_degree"
         )
-    edges = np.sort(pairs.astype(np.int64), axis=1)
     return positions, edges
 
 

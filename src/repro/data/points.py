@@ -2,55 +2,17 @@
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
+# The memo is shared by every generator; its two old names stay importable here.
+from repro.data import clear_memo as clear_points_cache
+from repro.data import memo_stats as points_cache_stats
+from repro.data import memoized
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
-#: Process-wide LRU memo of generated datasets, keyed by the full argument
-#: tuple.  The paper's per-core MPI baselines model "every rank reads its
-#: own contiguous slice", so at 32 nodes × 12 ranks each of 384 rank
-#: threads regenerated the identical full dataset just to slice it —
-#: pure GIL-serialized wall-clock cost that is never charged to virtual
-#: time.  Cached arrays are returned read-only (the same contract as a
-#: delivered message payload); callers that need to write take a copy.
-#:
-#: The memo is a bounded *LRU* (hits refresh recency, inserts evict the
-#: least-recently-used entry): a long-lived process — the ``repro.serve``
-#: job server in particular — sees many distinct specs over its lifetime,
-#: and an unbounded or FIFO memo would either leak memory or evict the hot
-#: dataset that every queued Kmeans job is about to reuse.
-_CACHE_MAX = 8
-_cache: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
 
-
-def points_cache_stats() -> dict[str, int]:
-    """Occupancy and hit/miss/eviction counters of the dataset memo."""
-    with _cache_lock:
-        return {
-            "size": len(_cache),
-            "max_entries": _CACHE_MAX,
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-        }
-
-
-def clear_points_cache() -> None:
-    """Empty the memo and zero its counters (test hook)."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = _cache_misses = _cache_evictions = 0
-
-
+@memoized
 def clustered_points(
     n: int,
     k: int,
@@ -72,30 +34,10 @@ def clustered_points(
         raise ValidationError("n, k, dims must all be > 0")
     if n < k:
         raise ValidationError(f"need at least k={k} points, got {n}")
-    global _cache_hits, _cache_misses, _cache_evictions
-    key = (n, k, dims, seed, spread, np.dtype(dtype).str)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            _cache_hits += 1
-        else:
-            _cache_misses += 1
-    if hit is not None:
-        return hit
     rng = seeded_rng(derive_seed(seed, "kmeans", "centers"))
     centers = rng.random((k, dims))
     prng = seeded_rng(derive_seed(seed, "kmeans", "points"))
     assignment = prng.integers(0, k, size=n)
     noise = prng.normal(0.0, spread, size=(n, dims))
     points = centers[assignment] + noise
-    result = (points.astype(dtype), centers.astype(dtype))
-    for arr in result:
-        arr.setflags(write=False)
-    with _cache_lock:
-        if key not in _cache and len(_cache) >= _CACHE_MAX:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
-        _cache[key] = result
-        _cache.move_to_end(key)
-    return result
+    return points.astype(dtype), centers.astype(dtype)

@@ -3,7 +3,7 @@
 Keys are :meth:`JobSpec.content_hash` digests; values are completed result
 payloads (plain JSON-able dicts).  The cache is a bounded, thread-safe LRU
 — hits refresh recency, inserts evict the least-recently-used entry — the
-same policy :func:`repro.data.points.clustered_points` uses for datasets,
+same policy the dataset memo (:func:`repro.data.memoized`) uses for inputs,
 applied one level up: identical jobs return their memoized result without
 re-execution, which is the whole point of a long-lived server amortizing
 setup across "heavy traffic" of small jobs.

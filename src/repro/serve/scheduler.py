@@ -337,6 +337,7 @@ class JobScheduler:
             return True
 
     def stats(self) -> dict[str, Any]:
+        from repro.data import memo_stats
         from repro.sim.engine import active_run_stats, rank_pool_stats
 
         with self._cond:
@@ -375,6 +376,7 @@ class JobScheduler:
         counters["cache"] = self.cache.stats()
         counters["rank_pool"] = rank_pool_stats()
         counters["engine"] = active_run_stats()
+        counters["datasets"] = memo_stats()
         jobpool = sys.modules.get("repro.serve.jobpool")  # only once a job used it
         if jobpool is not None:
             counters["job_pool"] = jobpool.job_pool_stats()

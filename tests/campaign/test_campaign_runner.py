@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from repro.campaign import CampaignSpec, CampaignRunner, render_report
-from repro.campaign.runner import RUN_TABLE_COLUMNS, prewarm_datasets, throughput_order
+from repro.campaign.runner import RUN_TABLE_COLUMNS, throughput_order
+from repro.data import clear_memo, memo_stats
 from repro.serve import JobServer, JobSpec, ServeClient, execute_job
 from repro.util.errors import ValidationError
 
@@ -117,10 +118,21 @@ def test_throughput_order_widest_first():
     assert ties == sorted(ties)
 
 
-def test_prewarm_counts_distinct_kmeans_datasets():
-    specs = _campaign().expand()
-    assert prewarm_datasets(specs) == 1  # one (points, k, dims, seed) combo
-    assert prewarm_datasets([s for s in specs if s.app == "heat3d"]) == 0
+def test_points_sharing_a_seed_generate_their_dataset_once():
+    base = _campaign()
+    campaign = _campaign(
+        axes={**base.axes, "app": ["kmeans"]},
+        app_params={"kmeans": base.app_params["kmeans"]},
+    )
+    assert len(campaign.expand()) == 2  # kmeans at 1 and 2 nodes, one seed
+    clear_memo()
+    try:
+        assert CampaignRunner(campaign).run().ok
+        stats = memo_stats()
+        assert stats["misses"] == 1  # generated once, whichever job got there first
+        assert stats["hits"] == 2  # the other two of the 1 + 2 ranks
+    finally:
+        clear_memo()
 
 
 def test_failed_points_reported_not_fatal(tmp_path):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.data.atoms import build_neighbor_edges, fcc_lattice
 from repro.data.grids import heat3d_initial, synthetic_image
 from repro.data.meshes import geometric_mesh, random_mesh
+from repro.data.neighbors import _grid_shape, neighbor_pairs
 from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
 from repro.util.errors import ValidationError
 
@@ -137,6 +141,120 @@ def test_neighbor_edges_respect_cutoff():
         build_neighbor_edges(pos, -1)
     with pytest.raises(ValidationError):
         build_neighbor_edges(pos[:2] * 100, 0.01)  # no neighbors
+
+
+# ---------------------------------------------------------------- neighbour search
+def _canonical(pairs: np.ndarray, n: int) -> bool:
+    """int64 rows with u < v, in lexicographic order, none repeated."""
+    code = pairs[:, 0] * n + pairs[:, 1]
+    return (
+        pairs.dtype == np.int64
+        and pairs.ndim == 2
+        and pairs.shape[1] == 2
+        and bool((pairs[:, 0] < pairs[:, 1]).all())
+        and bool((np.diff(code) > 0).all())
+    )
+
+
+def _oracle(positions: np.ndarray, cutoff: float) -> np.ndarray:
+    """cKDTree's pair set in canonical order (scipy is test-only: the oracle)."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pairs = spatial.cKDTree(positions).query_pairs(cutoff, output_type="ndarray")
+    pairs = np.sort(pairs.astype(np.int64), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def test_neighbor_pairs_rows_are_canonical_and_complete():
+    pos = np.random.default_rng(3).random((400, 3))
+    pairs = neighbor_pairs(pos, 0.15)
+    assert _canonical(pairs, len(pos))
+    # every pair the plain O(n^2) loop finds, in np.nonzero's row-major order
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    u, v = np.nonzero(np.triu(d2 <= 0.15 * 0.15, k=1))
+    np.testing.assert_array_equal(pairs, np.stack([u, v], axis=1))
+
+
+def test_neighbor_pairs_degenerate_inputs():
+    assert neighbor_pairs(np.zeros((1, 3)), 1.0).shape == (0, 2)
+    assert neighbor_pairs(np.zeros((0, 3)), 1.0).shape == (0, 2)
+    np.testing.assert_array_equal(neighbor_pairs(np.zeros((3, 3)), 0.5), [[0, 1], [0, 2], [1, 2]])
+    for bad in (np.zeros((4, 2)), np.zeros(6), np.zeros((2, 3, 1))):
+        with pytest.raises(ValidationError):
+            neighbor_pairs(bad, 1.0)
+    with pytest.raises(ValidationError):
+        neighbor_pairs(np.zeros((4, 3)), 0.0)
+
+
+def test_neighbor_pairs_cell_grid_is_capped():
+    n = 1000
+    pos = np.random.default_rng(0).random((n, 3))
+    # uncapped, a 1e-6 cutoff over the unit box would ask for 1e18 cells
+    assert (_grid_shape(np.ptp(pos, axis=0), 1e-6, n) + 2).prod() < 10 * n  # + the border
+    assert neighbor_pairs(pos, 1e-6).shape == (0, 2)
+    # a zero-extent axis is one cell
+    assert _grid_shape(np.array([1.0, 0.0, 1.0]), 0.1, n)[1] == 1
+
+
+#: Coordinates on a 1/8 grid and dyadic cutoffs: every squared distance and
+#: every squared cutoff is exact, so "within the cutoff" has one answer.
+_CUTOFFS = (1 / 64, 1 / 8, 1 / 4, 3 / 8, 1.0, 2.0, 100.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.integers(2, 400).flatmap(
+        lambda n: hnp.arrays(np.int64, (n, 3), elements=st.integers(0, 63))
+    ),
+    cutoff=st.sampled_from(_CUTOFFS),
+    shape=st.sampled_from(["cloud", "plane", "line", "twins", "point"]),
+)
+def test_neighbor_pairs_match_ckdtree_on_exact_inputs(grid, cutoff, shape):
+    pos = grid / 8.0
+    if shape == "plane":
+        pos[:, 1] = 0.5  # all points share one coordinate
+    elif shape == "line":
+        pos[:, :2] = 0.25
+    elif shape == "twins":
+        pos[len(pos) // 2 :] = pos[: len(pos) - len(pos) // 2]  # duplicated points
+    elif shape == "point":
+        pos[:] = pos[0]
+    pairs = neighbor_pairs(pos, cutoff)
+    assert _canonical(pairs, len(pos))
+    np.testing.assert_array_equal(pairs, _oracle(pos, cutoff))
+
+
+def test_neighbor_pairs_keep_ties_at_the_cutoff():
+    pos = fcc_lattice(4, jitter=0.0)  # distances are dyadic: 1.0 is hit exactly
+    pairs = neighbor_pairs(pos, 1.0)
+    d2 = ((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2).sum(axis=1)
+    assert (d2 == 1.0).any() and (d2 <= 1.0).all()
+    np.testing.assert_array_equal(pairs, _oracle(pos, 1.0))
+
+
+@pytest.mark.parametrize("n_nodes", [4000, 6500])
+def test_moldyn_benchmark_meshes_match_ckdtree(n_nodes):
+    positions, edges = geometric_mesh(n_nodes, 26.0, seed=0, shuffle_fraction=0.10)
+    radius = (26.0 / (n_nodes * (4.0 / 3.0) * np.pi)) ** (1.0 / 3.0)
+    assert _canonical(edges, n_nodes)
+    np.testing.assert_array_equal(edges, _oracle(positions, radius))
+
+
+@pytest.mark.parametrize("cells", [8, 10])
+def test_minimd_benchmark_neighbor_lists_match_ckdtree(cells):
+    positions = fcc_lattice(cells, jitter=0.03, seed=0)
+    edges = build_neighbor_edges(positions, 1.3)
+    assert _canonical(edges, len(positions))
+    np.testing.assert_array_equal(edges, _oracle(positions, 1.3))
+
+
+def test_edge_list_validation_errors_survive_the_new_search():
+    with pytest.raises(ValidationError, match="edgeless"):
+        geometric_mesh(50, 1e-9)
+    pos = fcc_lattice(2, jitter=0.0)
+    with pytest.raises(ValidationError, match="no neighbors within cutoff"):
+        build_neighbor_edges(pos * 100, 0.01)
+    with pytest.raises(ValidationError, match="cutoff must be > 0"):
+        build_neighbor_edges(pos, 0.0)
 
 
 # ---------------------------------------------------------------- grids

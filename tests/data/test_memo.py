@@ -1,0 +1,226 @@
+"""The dataset memo: one generation per process per distinct argument tuple."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import repro.data as data
+from repro.data import clear_memo, memo_stats, memoized
+from repro.data.atoms import build_neighbor_edges, fcc_lattice
+from repro.data.grids import heat3d_initial, synthetic_image
+from repro.data.meshes import geometric_mesh
+from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
+from repro.serve import JobSpec, execute_job
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    clear_memo()
+    yield
+    clear_memo()
+    assert not data._in_flight  # no test leaves a generation marked in flight
+
+
+def _counted(calls: list):
+    @memoized
+    def generate(tag, scale=1):
+        calls.append(tag)
+        return np.full(4, scale)
+
+    return generate
+
+
+# ------------------------------------------------------ one input per job
+@pytest.mark.parametrize(
+    "app, nodes, misses, hits",
+    [
+        ("heat3d", 8, 1, 7),
+        ("sobel", 4, 1, 3),
+        ("moldyn", 2, 1, 1),  # the mesh; positions and edges are one entry
+    ],
+)
+def test_a_job_generates_its_input_once(app, nodes, misses, hits):
+    execute_job(JobSpec(app=app, nodes=nodes, preset="laptop", mix="cpu"))
+    stats = memo_stats()
+    assert (stats["misses"], stats["hits"]) == (misses, hits)
+
+
+def test_minimd_builds_atoms_and_first_neighbor_list_once():
+    execute_job(JobSpec(app="minimd", nodes=2, preset="laptop", mix="cpu"))
+    stats = memo_stats()
+    assert (stats["misses"], stats["hits"]) == (2, 2)  # lattice + list, once each
+
+
+# ------------------------------------------------------------------ keys
+def test_key_is_the_full_argument_tuple():
+    a, _ = clustered_points(300, 4, seed=1)
+    assert clustered_points(300, 4, seed=1)[0] is a
+    assert clustered_points(300, 4, seed=2)[0] is not a
+    assert clustered_points(300, 4, seed=1, spread=0.1)[0] is not a
+    # one memo, one reader: the points names are the shared memo's
+    assert points_cache_stats() == memo_stats()
+    assert memo_stats()["size"] == 3
+    clear_points_cache()
+    assert memo_stats()["size"] == 0
+    assert clustered_points(300, 4, seed=1)[0] is not a  # a real generation again
+
+
+def test_two_generators_never_share_a_key():
+    calls: list = []
+    first, second = _counted(calls), _counted(calls)
+    first("x")
+    second("x")
+    assert calls == ["x", "x"]
+
+
+def test_array_arguments_are_keyed_by_content():
+    atoms = np.concatenate([fcc_lattice(3, jitter=0.0), np.zeros((108, 3))], axis=1)
+    edges = build_neighbor_edges(atoms[:, 0:3], 1.0)  # a strided view
+    assert build_neighbor_edges(atoms[:, 0:3].copy(), 1.0) is edges
+    moved = atoms[:, 0:3].copy()
+    moved[0, 0] += 0.25
+    assert build_neighbor_edges(moved, 1.0) is not edges
+    assert build_neighbor_edges(atoms[:, 0:3].astype(np.float32), 1.0) is not edges
+    assert memo_stats()["hits"] == 1
+
+
+def test_list_and_tuple_shapes_are_distinct_inputs():
+    # derive_seed sees the shape's text, so the two spellings draw different noise
+    as_tuple = heat3d_initial((8, 8, 8))
+    as_list = heat3d_initial([8, 8, 8])
+    assert as_list is not as_tuple and not np.array_equal(as_list, as_tuple)
+    assert heat3d_initial([8, 8, 8]) is as_list
+
+
+# --------------------------------------------------------------- results
+def test_generated_arrays_are_read_only():
+    positions, edges = geometric_mesh(200, 8.0, seed=1)
+    lattice = fcc_lattice(2)
+    arrays = [
+        heat3d_initial((8, 8, 8)),
+        synthetic_image((16, 16)),
+        positions,
+        edges,
+        lattice,
+        build_neighbor_edges(lattice, 1.0),
+        *clustered_points(100, 4),
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+# ---------------------------------------------------------- single flight
+def test_concurrent_misses_share_one_generation():
+    started, release = threading.Event(), threading.Event()
+    calls: list = []
+    results: list = []
+
+    @memoized
+    def slow(tag):
+        calls.append(tag)
+        started.set()
+        assert release.wait(30)
+        return np.arange(4)
+
+    threads = [threading.Thread(target=lambda: results.append(slow("x"))) for _ in range(2)]
+    threads[0].start()
+    assert started.wait(30)
+    threads[1].start()
+    threads[1].join(0.2)
+    assert threads[1].is_alive()  # blocked behind the generation in flight
+    assert memo_stats()["misses"] == 1
+    release.set()
+    for t in threads:
+        t.join(30)
+        assert not t.is_alive()
+    assert calls == ["x"]
+    assert results[0] is results[1]
+    stats = memo_stats()
+    assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+
+
+def test_failed_generation_leaves_nothing_and_the_waiter_regenerates():
+    started, release = threading.Event(), threading.Event()
+    calls: list = []
+    outcomes: dict = {}
+
+    @memoized
+    def flaky(tag):
+        calls.append(tag)
+        if len(calls) == 1:
+            started.set()
+            assert release.wait(30)
+            raise RuntimeError("boom")
+        return np.arange(3)
+
+    def ask(name):
+        try:
+            outcomes[name] = flaky("x")
+        except RuntimeError as exc:
+            outcomes[name] = exc
+
+    first = threading.Thread(target=ask, args=("first",))
+    second = threading.Thread(target=ask, args=("second",))
+    first.start()
+    assert started.wait(30)
+    second.start()
+    second.join(0.2)
+    assert second.is_alive()
+    release.set()
+    for t in (first, second):
+        t.join(30)
+        assert not t.is_alive()
+    assert isinstance(outcomes["first"], RuntimeError)
+    np.testing.assert_array_equal(outcomes["second"], np.arange(3))
+    assert len(calls) == 2 and memo_stats()["size"] == 1
+
+
+def test_raising_generator_is_not_cached():
+    calls: list = []
+
+    @memoized
+    def broken(tag):
+        calls.append(tag)
+        raise ValueError(tag)
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            broken("x")
+    assert calls == ["x", "x"]
+    assert memo_stats()["size"] == 0 and not data._in_flight
+
+
+def test_counters_survive_contention():
+    """More threads than cores, a short switch interval, more keys than
+    entries: a lost update would break one of the identities below."""
+    calls: list = []
+    generate = _counted(calls)
+    keys = data.MEMO_ENTRIES + 4
+    per_thread, n_threads = 300, 8
+    wrong: list = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for tag in rng.integers(0, keys, size=per_thread).tolist():
+            if generate(tag, scale=tag)[0] != tag:
+                wrong.append(tag)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    stats = memo_stats()
+    assert not wrong
+    assert stats["hits"] + stats["misses"] == per_thread * n_threads
+    assert stats["misses"] == len(calls)  # single-flight: no duplicated generation
+    assert stats["size"] == data.MEMO_ENTRIES == stats["misses"] - stats["evictions"]

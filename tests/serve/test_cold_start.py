@@ -1,9 +1,10 @@
 """Cold-start budget: a job loads only the code it runs.
 
 A fresh interpreter serves one heat3d job and reports what ended up in
-``sys.modules``; a moldyn job in the same interpreter then shows that the
-deferred imports still happen, at first use.  Runs in a subprocess because
-the test process itself has long since imported everything.
+``sys.modules``; a moldyn and a minimd job in the same interpreter then
+show that the neighbour-list build loads the repo's own cell list and no
+scipy.  Runs in a subprocess because the test process itself has long since
+imported everything.
 """
 
 import json
@@ -42,10 +43,11 @@ def loaded():
 heat3d = execute_job(JobSpec(app="heat3d", nodes=2, preset="laptop", mix="cpu"))
 after_heat3d = loaded()
 moldyn = execute_job(JobSpec(app="moldyn", nodes=2, preset="laptop", mix="cpu"))
+minimd = execute_job(JobSpec(app="minimd", nodes=2, preset="laptop", mix="cpu"))
 print(json.dumps({
     "after_heat3d": after_heat3d,
-    "after_moldyn": loaded(),
-    "makespans": [heat3d["makespan"], moldyn["makespan"]],
+    "after_md": loaded(),
+    "makespans": [heat3d["makespan"], moldyn["makespan"], minimd["makespan"]],
 }))
 """
 
@@ -72,7 +74,10 @@ def test_heat3d_job_loads_only_what_it_runs():
     ours = [m for m in after_heat3d if _matches(m, "repro")]
     assert len(ours) <= MODULE_BUDGET, (len(ours), ours)
 
-    # Deferred, not dropped: the neighbour-list build pulls scipy.spatial in.
-    assert "scipy.spatial" in report["after_moldyn"]
-    assert "repro.apps.moldyn" in report["after_moldyn"]
+    # The MD apps build their neighbour lists with the repo's own search:
+    # nothing in the product imports scipy.
+    after_md = report["after_md"]
+    assert not [m for m in after_md if _matches(m, "scipy")]
+    assert "repro.data.neighbors" in after_md
+    assert "repro.apps.moldyn" in after_md and "repro.apps.minimd" in after_md
     assert all(m > 0 for m in report["makespans"])

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.data import clear_memo, memo_stats
 from repro.serve import JobServer, JobSpec, ServeClient, ServeError, execute_job
 from repro.serve.server import MAX_BODY_BYTES
 
@@ -228,6 +229,21 @@ def test_concurrent_jobs_bit_identical_to_direct_runs():
         assert repr(result["makespan"]) == repr(direct[0]["makespan"])
         assert executor.calls == len(specs)  # nothing re-executed
         assert client.stats()["cache"]["hits"] == 1
+
+
+def test_stats_say_what_the_dataset_memo_did():
+    clear_memo()
+    try:
+        with JobServer(port=0, rank_budget=4) as server:
+            client = ServeClient(server.url)
+            job = client.submit(JobSpec(app="heat3d", nodes=4, preset="laptop", mix="cpu"))
+            assert client.wait(job["id"], timeout=300.0)["state"] == "done"
+            datasets = client.stats()["datasets"]
+        assert datasets == memo_stats()  # /stats reads the memo's own counters
+        assert (datasets["size"], datasets["misses"], datasets["hits"]) == (1, 1, 3)
+        assert datasets["evictions"] == 0
+    finally:
+        clear_memo()
 
 
 def test_admission_queues_beyond_budget_then_completes():
