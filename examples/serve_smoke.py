@@ -6,11 +6,14 @@ checkpointed heat3d run — then checks that every job completes, that each
 served makespan is bit-identical (repr-equal) to running the same spec
 directly through the engine, and that resubmitting an identical spec is
 answered from the content-addressed result cache without re-execution.
+Ends by printing what the server process holds, as ``/stats`` reports it.
 
 This is also the CI "service smoke" step.
 
 Usage:  python examples/serve_smoke.py
 """
+
+import sys
 
 from repro.faults import FaultPlan, RankCrash
 from repro.serve import JobServer, JobSpec, ServeClient, execute_job
@@ -82,6 +85,13 @@ def main() -> None:
             f"resubmit: cache hit ({stats['cache']['hits']} hit, "
             f"{stats['executed']} jobs executed)"
         )
+        if sys.platform == "linux":  # elsewhere there is no /proc to read it from
+            assert "process" in stats, sorted(stats)
+            print(
+                f"server holds: peak RSS {stats['process']['peak_rss_mb']:.1f} MiB, "
+                f"{stats['process']['threads']} threads, "
+                f"dataset memo {stats['datasets']['bytes']} bytes"
+            )
     print("service smoke OK: all jobs bit-identical to direct runs")
 
 

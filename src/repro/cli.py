@@ -36,7 +36,14 @@ from repro.apps.registry import APPS
 from repro.cluster.presets import ohio_cluster
 from repro.core.env import DEVICE_MIXES
 from repro.metrics import fig5_chart, format_table
-from repro.serve.spec import BACKENDS, CLUSTER_PRESETS, run_spec, spec_from_args, usable_cpus
+from repro.serve.spec import (
+    BACKENDS,
+    CLUSTER_PRESETS,
+    run_spec,
+    spec_from_args,
+    usable_cpus,
+    use_one_heap,
+)
 from repro.util.errors import ReproError
 from repro.util.units import fmt_seconds
 
@@ -766,6 +773,7 @@ def cmd_campaign(args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    use_one_heap()  # before any command starts a rank, job or server thread
     args = build_parser().parse_args(argv)
     if args.command == "info":
         print(cmd_info(args))

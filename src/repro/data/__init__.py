@@ -47,10 +47,16 @@ _changed = threading.Condition()  # guards both; notified when a generation ends
 _counters = {"hits": 0, "misses": 0, "evictions": 0}
 
 
+def _arrays(value: Any) -> tuple:
+    """The arrays of one memo entry (a generator returns one or a tuple)."""
+    return value if isinstance(value, tuple) else (value,)
+
+
 def memo_stats() -> dict[str, int]:
-    """Occupancy and hit/miss/eviction counters of the dataset memo."""
+    """Occupancy, bytes held and hit/miss/eviction counters of the dataset memo."""
     with _changed:
-        return {"size": len(_memo), "max_entries": MEMO_ENTRIES, **_counters}
+        held = sum(array.nbytes for value in _memo.values() for array in _arrays(value))
+        return {"size": len(_memo), "max_entries": MEMO_ENTRIES, "bytes": held, **_counters}
 
 
 def clear_memo() -> None:
@@ -92,7 +98,7 @@ def memoized(generate: Callable) -> Callable:
             _counters["misses"] += 1
         try:
             value = generate(*args, **kwargs)
-            for array in value if isinstance(value, tuple) else (value,):
+            for array in _arrays(value):
                 array.setflags(write=False)
             with _changed:
                 if len(_memo) >= MEMO_ENTRIES:

@@ -10,15 +10,16 @@ receives ``spec.to_dict()`` and returns the payload ``execute_job`` builds
 in-process there — same loop, different process.
 
 Workers start by ``forkserver`` (``spawn`` where that is missing), never
-``fork``: the parent runs rank and server threads.  Each worker confines
-itself to one of the usable CPUs: a run hands its baton from thread to
-thread, and on one CPU that is a context switch where across two it is a
+``fork``: the parent runs rank and server threads.  Each worker settles on
+its host before its first job.  One CPU: a run hands its baton from thread
+to thread, and on one CPU that is a context switch where across two it is a
 remote wake-up (one heat3d@64 job: 92 ms confined, 149 ms free, 9 of 10
-interleaved pairs).  A worker that dies breaks the executor; the jobs in
-flight fail saying so and the next job gets a fresh pool.
-:func:`shutdown_pool` (also run at exit) stops the workers *and*
-multiprocessing's forkserver and resource tracker, so nothing of ours
-outlives it.
+interleaved pairs).  One heap: those threads take turns, so a malloc arena
+each only strands freed memory (:func:`repro.serve.spec.use_one_heap`).
+A worker that dies breaks the executor; the jobs in flight fail saying so
+and the next job gets a fresh pool.  :func:`shutdown_pool` (also run at
+exit) stops the workers *and* multiprocessing's forkserver and resource
+tracker, so nothing of ours outlives it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-from repro.serve.spec import usable_cpus
+from repro.serve.spec import usable_cpus, use_one_heap
 
 
 def _run_job(doc: dict[str, Any]) -> dict[str, Any]:
@@ -41,12 +42,13 @@ def _run_job(doc: dict[str, Any]) -> dict[str, Any]:
     return execute_job(JobSpec.from_dict({**doc, "backend": None}))
 
 
-def _confine_to_one_cpu() -> None:
-    """Worker initializer: settle on one usable CPU, round-robin.
+def _settle_on_host() -> None:
+    """Worker initializer: one heap, and one usable CPU, round-robin.
 
     multiprocessing numbers the processes a parent starts (``...Process-N``)
     and a pool's workers are started together, so they spread evenly.
     """
+    use_one_heap()  # the worker has no second thread yet
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         number = int(multiprocessing.current_process().name.rpartition("-")[2])
@@ -72,7 +74,7 @@ class _JobPool:
                 )
                 self._workers = usable_cpus()
                 self._executor = ProcessPoolExecutor(
-                    self._workers, mp_context=context, initializer=_confine_to_one_cpu
+                    self._workers, mp_context=context, initializer=_settle_on_host
                 )
             self.jobs += 1
             return self._executor

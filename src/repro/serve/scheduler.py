@@ -114,6 +114,17 @@ class Job:
         return out
 
 
+def _process_stats() -> dict[str, Any]:
+    """The ``process`` entry of :meth:`JobScheduler.stats`, as the kernel accounts it."""
+    try:
+        with open("/proc/self/status") as status:
+            fields = dict(line.split(":", 1) for line in status)
+    except OSError:  # not Linux: the entry is omitted
+        return {}
+    rss, peak = (int(fields[name].split()[0]) / 1024 for name in ("VmRSS", "VmHWM"))
+    return {"process": {"rss_mb": rss, "peak_rss_mb": peak, "threads": int(fields["Threads"])}}
+
+
 class JobScheduler:
     """Run jobs concurrently off the shared rank pools, within a budget."""
 
@@ -377,6 +388,7 @@ class JobScheduler:
         counters["rank_pool"] = rank_pool_stats()
         counters["engine"] = active_run_stats()
         counters["datasets"] = memo_stats()
+        counters.update(_process_stats())
         jobpool = sys.modules.get("repro.serve.jobpool")  # only once a job used it
         if jobpool is not None:
             counters["job_pool"] = jobpool.job_pool_stats()

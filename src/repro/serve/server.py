@@ -27,7 +27,9 @@ a status poll.
 
 :class:`JobServer` bundles scheduler + HTTP server + the serving thread;
 ``port=0`` binds an ephemeral port (the bound address is on ``.url``).
-Use it as a context manager in tests.
+Use it as a context manager in tests.  Its threads take turns, so before
+the first one starts it puts the process on one malloc arena
+(:func:`repro.serve.spec.use_one_heap`); ``/stats`` says what it holds.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, NoReturn
 from repro import __version__
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import AdmissionError, JobScheduler
-from repro.serve.spec import JobSpec
+from repro.serve.spec import JobSpec, use_one_heap
 from repro.serve.store import ResultStore
 from repro.util.errors import ValidationError
 
@@ -268,6 +270,7 @@ class JobServer:
         verbose: bool = False,
         store_dir: Any = None,
     ) -> None:
+        use_one_heap()  # before the scheduler starts this process's first thread
         store = None if store_dir is None else ResultStore(store_dir)
         self.scheduler = JobScheduler(
             executor,

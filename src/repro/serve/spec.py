@@ -72,6 +72,27 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def use_one_heap() -> bool:
+    """Have glibc serve every thread's ``malloc`` from the main arena.
+
+    Ranks take turns under a baton and everything else under the GIL, so an
+    arena per thread only strands what its thread freed (docs/architecture.md,
+    "Resident memory").  Call before the process's first secondary thread: an
+    arena born earlier keeps being handed out.  Never raises: False, touching
+    nothing, if ``MALLOC_ARENA_MAX`` is exported or libc has no working ``mallopt``.
+    """
+    if "MALLOC_ARENA_MAX" in os.environ:
+        return False
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):  # TypeError: Windows
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(-8, 1) == 1  # M_ARENA_MAX; musl has the symbol and returns 0
+
+
 def build_cluster(preset: str, nodes: int):
     """Instantiate a named cluster preset at ``nodes`` nodes."""
     from repro.cluster import presets

@@ -113,6 +113,9 @@ class _PoolWorker(threading.Thread):
                 task()
             finally:
                 self.tasks_run += 1
+                # The closure reaches its run's fabric, traces and every
+                # rank's return value: an idle worker must not pin them.
+                del task
                 # Recycle only once the task has fully returned: a worker
                 # stuck inside a task never re-enters the idle pool.
                 self._pool._recycle(self)

@@ -7,6 +7,7 @@ makespans repr-equal to the same specs run directly, resubmission must hit
 the result cache, and jobs beyond the rank budget must queue, not crash.
 """
 
+import os
 import socket
 import threading
 import time
@@ -242,6 +243,27 @@ def test_stats_say_what_the_dataset_memo_did():
         assert datasets == memo_stats()  # /stats reads the memo's own counters
         assert (datasets["size"], datasets["misses"], datasets["hits"]) == (1, 1, 3)
         assert datasets["evictions"] == 0
+    finally:
+        clear_memo()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_stats_say_what_the_process_holds():
+    clear_memo()
+    try:
+        with JobServer(port=0, rank_budget=4) as server:
+            client = ServeClient(server.url)
+            spec = JobSpec(app="heat3d", nodes=4, preset="laptop", mix="cpu")
+            assert client.wait(client.submit(spec)["id"], timeout=300.0)["state"] == "done"
+            stats = client.stats()
+            process = stats["process"]
+            assert process["peak_rss_mb"] >= process["rss_mb"] > 0
+            assert process["threads"] >= 3  # main, dispatcher, HTTP (+ the rank pool)
+            # The memo holds the job's one input: a float64 functional grid.
+            grid = spec.build_config().functional_shape
+            assert stats["datasets"]["bytes"] == 8 * grid[0] * grid[1] * grid[2] > 0
+            clear_memo()
+            assert client.stats()["datasets"]["bytes"] == 0
     finally:
         clear_memo()
 

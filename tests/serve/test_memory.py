@@ -1,0 +1,202 @@
+"""Heap policy: one malloc arena in every process repro owns.
+
+Counted, not timed.  A fresh interpreter serves jobs from two concurrent
+clients (and, second probe, runs them in a job worker process) and then
+asks glibc's ``malloc_info`` how many arenas exist: exactly one, because
+:func:`repro.serve.spec.use_one_heap` ran before the process's first
+secondary thread.  Runs in subprocesses because the pytest process has long
+since grown its arenas.  The helper's refusals (operator's own
+``MALLOC_ARENA_MAX``, no libc, no ``mallopt``, ``mallopt`` failing) are
+checked in-process against a fake libc.
+"""
+
+import ctypes
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from repro.serve import spec as serve_spec
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _libc_counts_arenas() -> bool:
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return hasattr(libc, "mallopt") and hasattr(libc, "malloc_info")
+
+
+needs_glibc = pytest.mark.skipif(
+    not _libc_counts_arenas(), reason="libc has no mallopt + malloc_info (not glibc)"
+)
+
+#: Written to the probes' ``PYTHONPATH`` so that a job worker can import it.
+HEAP_PROBE = '''
+import ctypes
+import tempfile
+
+
+def arena_count():
+    """How many arenas glibc's ``malloc_info`` lists for this process."""
+    libc = ctypes.CDLL(None)
+    libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+    libc.fopen.restype = ctypes.c_void_p
+    libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+    libc.fclose.argtypes = (ctypes.c_void_p,)
+    with tempfile.NamedTemporaryFile() as report:
+        stream = libc.fopen(report.name.encode(), b"w")
+        assert stream and libc.malloc_info(0, stream) == 0
+        libc.fclose(stream)
+        return report.read().count(b"<heap nr=")
+'''
+
+#: heat3d@4, sobel@4 and kmeans@2 from each of two concurrent clients: ten
+#: rank threads, two job threads and the HTTP handlers all allocate.
+SERVER_PROBE = """
+import json, threading
+from heap_probe import arena_count
+from repro.serve import JobServer, JobSpec, ServeClient
+from repro.serve.spec import use_one_heap
+
+states = []
+
+def client(url, seed):
+    api = ServeClient(url)
+    for app, nodes in (("heat3d", 4), ("sobel", 4), ("kmeans", 2)):
+        spec = JobSpec(app=app, nodes=nodes, preset="laptop", mix="cpu", params={"seed": seed})
+        states.append(api.wait(api.submit(spec)["id"], timeout=300.0)["state"])
+
+with JobServer(port=0, rank_budget=16) as server:
+    clients = [threading.Thread(target=client, args=(server.url, seed)) for seed in (1, 2)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join(600.0)
+    stats = ServeClient(server.url).stats()
+    print(json.dumps({
+        "arenas": arena_count(),
+        "asked_again": use_one_heap(),
+        "states": states,
+        "executed": stats["executed"],
+        "rank_threads": stats["rank_pool"]["spawned"],
+    }))
+"""
+
+#: The same jobs in a job worker process, which then counts its own arenas.
+#: One CPU means one worker, so the count comes from the worker that ran them.
+WORKER_PROBE = """
+import json, os
+from heap_probe import arena_count
+from repro.serve import JobSpec, execute_job
+from repro.serve import jobpool
+
+if __name__ == "__main__":
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    makespans = [
+        execute_job(
+            JobSpec(app=app, nodes=nodes, preset="laptop", mix="cpu", backend="processes")
+        )["makespan"]
+        for app, nodes in (("heat3d", 4), ("sobel", 4), ("kmeans", 2))
+    ]
+    executor = jobpool._pool._live_executor()
+    print(json.dumps({
+        "arenas": executor.submit(arena_count).result(60.0),
+        "worker_pid": executor.submit(os.getpid).result(60.0),
+        "pid": os.getpid(),
+        "workers": jobpool.job_pool_stats()["workers"],
+        "makespans": makespans,
+    }))
+"""
+
+
+def _run_probe(tmp_path, source: str) -> dict:
+    (tmp_path / "heap_probe.py").write_text(HEAP_PROBE, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "MALLOC_ARENA_MAX"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(tmp_path)])
+    done = subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@needs_glibc
+def test_a_server_that_served_two_concurrent_clients_has_one_arena(tmp_path):
+    report = _run_probe(tmp_path, SERVER_PROBE)
+    assert report["states"] == ["done"] * 6 and report["executed"] == 6
+    assert report["rank_threads"] >= 4  # the jobs did run on secondary threads
+    assert report["arenas"] == 1
+    assert report["asked_again"] is True  # the real call succeeds, and repeats
+
+
+@needs_glibc
+def test_a_job_worker_process_has_one_arena(tmp_path):
+    report = _run_probe(tmp_path, WORKER_PROBE)
+    assert report["workers"] == 1 and report["worker_pid"] != report["pid"]
+    assert all(makespan > 0 for makespan in report["makespans"])
+    assert report["arenas"] == 1
+
+
+# ------------------------------------------------------- the helper's refusals
+def fake_libc(status: int) -> types.SimpleNamespace:
+    """Stands in for ``ctypes.CDLL(None)``; ``calls`` is what ``mallopt`` was asked."""
+    calls: list[tuple[int, int]] = []
+
+    def mallopt(param: int, value: int) -> int:
+        calls.append((param, value))
+        return status
+
+    return types.SimpleNamespace(mallopt=mallopt, calls=calls)
+
+
+@pytest.fixture
+def no_operator_setting(monkeypatch):
+    monkeypatch.delenv("MALLOC_ARENA_MAX", raising=False)
+
+
+def test_asks_for_one_arena_and_is_idempotent(monkeypatch, no_operator_setting):
+    libc = fake_libc(status=1)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert serve_spec.use_one_heap() is True
+    assert serve_spec.use_one_heap() is True
+    assert libc.calls == [(-8, 1), (-8, 1)]  # M_ARENA_MAX = -8 in <malloc.h>
+
+
+def test_operators_own_setting_wins(monkeypatch):
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "4")
+
+    def untouched(name):
+        raise AssertionError("libc must not be loaded")
+
+    monkeypatch.setattr(ctypes, "CDLL", untouched)
+    assert serve_spec.use_one_heap() is False
+
+
+def test_unloadable_libc_is_a_silent_no(monkeypatch, no_operator_setting):
+    def unloadable(name):
+        raise OSError("no libc here")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert serve_spec.use_one_heap() is False
+
+
+def test_libc_without_mallopt_is_a_silent_no(monkeypatch, no_operator_setting):
+    # The symbol is missing on macOS; ctypes raises AttributeError at lookup.
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert serve_spec.use_one_heap() is False
+
+
+def test_mallopt_reporting_failure_is_a_no(monkeypatch, no_operator_setting):
+    libc = fake_libc(status=0)  # what musl's stub returns
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert serve_spec.use_one_heap() is False
+    assert libc.calls == [(-8, 1)]
+

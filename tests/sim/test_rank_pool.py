@@ -3,11 +3,13 @@
 Covers the lifecycle guarantees the engine relies on: workers are reused
 across runs (no per-run spawn storm), a worker stuck inside a task is
 never recycled (wedged ranks get abandoned, not reused), idle workers can
-be drained, and the deadlock watchdog leaves the pool healthy for the
-next run.
+be drained, an idle worker holds nothing of the run it last served, and
+the deadlock watchdog leaves the pool healthy for the next run.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -64,6 +66,45 @@ def test_drain_shuts_down_idle_workers():
     assert again.wait(5.0)
     wait_until(lambda: pool.stats()["idle"] == 1)
     pool.drain()
+
+
+def _values_of_dropped_runs(*node_counts):
+    """Weak references to every rank's return value of runs made and dropped."""
+
+    class Held:  # weakref-able stand-in for the arrays a rank returns
+        pass
+
+    def prog(ctx):
+        ctx.comm.barrier()
+        return Held()
+
+    refs = []
+    for nodes in node_counts:
+        result = spmd_run(prog, laptop_cluster(num_nodes=nodes))
+        refs += [weakref.ref(value) for value in result.values]
+    return refs
+
+
+def _wait_collected(refs):
+    # spmd_run returns when the ranks are done, a moment before their
+    # workers are back in the pool: poll rather than assert at once.
+    def collected():
+        gc.collect()
+        return not any(ref() for ref in refs)
+
+    wait_until(collected, timeout=5.0)
+
+
+def test_idle_workers_do_not_pin_a_finished_run():
+    """A worker's task closure reaches its run's fabric, traces and every
+    rank's return value: it must be gone before the worker idles."""
+    refs = _values_of_dropped_runs(4)
+    assert len(refs) == 4
+    _wait_collected(refs)
+
+
+def test_workers_a_narrower_run_leaves_idle_do_not_pin_the_wide_one():
+    _wait_collected(_values_of_dropped_runs(4, 2))
 
 
 def test_watchdog_abandons_wedged_rank_and_pool_recovers():
