@@ -1,5 +1,10 @@
 """Synthetic dataset generators."""
 
+import hashlib
+import json
+import pathlib
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,3 +280,79 @@ def test_synthetic_image_properties():
     np.testing.assert_array_equal(img, synthetic_image((64, 48), seed=1))
     with pytest.raises(ValidationError):
         synthetic_image((4, 64))
+
+
+# ---------------------------------------------------------------- pinned inputs
+# ``dataset_pins.json`` was generated at the commit *before* any generator was
+# rewritten to allocate less (ISSUE 22): the SHA-256 (dtype + shape + bytes)
+# of every memoized generator's arrays at the e2e benchmark's sizes and one
+# odd one each, two seeds each.  A generator may change how it builds its
+# output, never the output.  Regenerate only for an intended change of the
+# inputs themselves: ``{key: pin_entry(key) for key in PIN_CASES}``.
+
+PIN_SEEDS = (0, 7)
+PINS_PATH = pathlib.Path(__file__).with_name("dataset_pins.json")
+
+
+def _pin_cases() -> dict:
+    from repro.apps.extra.hotspot import HotspotConfig, generate_power_map
+    from repro.apps.extra.jacobi2d import Jacobi2DConfig, generate_rhs
+    from repro.apps.registry import APPS
+
+    jacobi_quick = APPS["jacobi2d"].quick_kwargs
+    cases: dict = {}
+    for seed in PIN_SEEDS:
+        for shape in ((672, 672), (768, 768), (96, 200)):
+            cases[f"synthetic_image{shape}|seed={seed}"] = partial(synthetic_image, shape, seed=seed)
+        for shape in ((64, 64, 64), (12, 12, 12)):
+            cases[f"heat3d_initial{shape}|seed={seed}"] = partial(heat3d_initial, shape, seed=seed)
+        for n, k in ((75_000, 40), (3000, 8), (8000, 40)):
+            cases[f"clustered_points({n}, {k}, 3)|seed={seed}"] = partial(
+                clustered_points, n, k, 3, seed=seed
+            )
+        for n_nodes in (6500, 20_000):  # moldyn's call: degree 26, 10 % relocated
+            cases[f"geometric_mesh({n_nodes}, 26.0, shuffle=0.1)|seed={seed}"] = partial(
+                geometric_mesh, n_nodes, 26.0, seed=seed, shuffle_fraction=0.10
+            )
+        for cells in (10, 14):  # minimd's calls: jitter 0.03, cutoff 1.3
+            lattice = partial(fcc_lattice, cells, jitter=0.03, seed=seed)
+            cases[f"fcc_lattice({cells}, jitter=0.03)|seed={seed}"] = lattice
+            cases[f"build_neighbor_edges(fcc_lattice({cells}), 1.3)|seed={seed}"] = (
+                lambda lattice=lattice: build_neighbor_edges(lattice(), 1.3)
+            )
+        cases[f"hotspot.generate_power_map|seed={seed}"] = partial(
+            generate_power_map, HotspotConfig(seed=seed)
+        )
+        cases[f"jacobi2d.generate_rhs(quick)|seed={seed}"] = partial(
+            generate_rhs, Jacobi2DConfig(**jacobi_quick, seed=seed)
+        )
+    return cases
+
+
+PIN_CASES = _pin_cases()
+
+
+def pin_entry(key: str) -> list[str]:
+    """One digest per array the generator returns."""
+    value = PIN_CASES[key]()
+    digests = []
+    for array in value if isinstance(value, tuple) else (value,):
+        h = hashlib.sha256()
+        h.update(str(array.dtype).encode())
+        h.update(str(array.shape).encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+        digests.append(h.hexdigest())
+    return digests
+
+
+def test_every_pinned_input_has_a_case():
+    assert sorted(json.loads(PINS_PATH.read_text())) == sorted(PIN_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(PIN_CASES))
+def test_generated_inputs_are_pinned(key):
+    clear_points_cache()  # a real generation, not an entry an earlier test left
+    try:
+        assert pin_entry(key) == json.loads(PINS_PATH.read_text())[key]
+    finally:
+        clear_points_cache()
