@@ -6,7 +6,9 @@ checkpointed heat3d run — then checks that every job completes, that each
 served makespan is bit-identical (repr-equal) to running the same spec
 directly through the engine, and that resubmitting an identical spec is
 answered from the content-addressed result cache without re-execution.
-Ends by printing what the server process holds, as ``/stats`` reports it.
+Ends by checking that the now idle server holds no generated input (the
+dataset memo is released when the scheduler drains) and printing what the
+process holds, as ``/stats`` reports it.
 
 This is also the CI "service smoke" step.
 
@@ -85,12 +87,16 @@ def main() -> None:
             f"resubmit: cache hit ({stats['cache']['hits']} hit, "
             f"{stats['executed']} jobs executed)"
         )
+        # Every job has been waited for: nothing is admitted, so no input is held.
+        datasets = stats["datasets"]
+        assert datasets["bytes"] == 0 and datasets["evictions"] > 0, datasets
         if sys.platform == "linux":  # elsewhere there is no /proc to read it from
             assert "process" in stats, sorted(stats)
             print(
                 f"server holds: peak RSS {stats['process']['peak_rss_mb']:.1f} MiB, "
                 f"{stats['process']['threads']} threads, "
-                f"dataset memo {stats['datasets']['bytes']} bytes"
+                f"dataset memo {datasets['bytes']} bytes "
+                f"({datasets['evictions']} inputs released)"
             )
     print("service smoke OK: all jobs bit-identical to direct runs")
 

@@ -119,6 +119,18 @@ class NodeArrangement:
         return slots
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array.
+
+    NumPy 2.4's ``np.unique`` imports ``numpy.ma`` on first use (13 ms and
+    1.2 MiB in the first irregular job of a process) to ask about masks.
+    """
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def arrange_nodes(
     edges: np.ndarray, offsets: np.ndarray, my_part: int
 ) -> tuple[NodeArrangement, np.ndarray, np.ndarray]:
@@ -150,9 +162,9 @@ def arrange_nodes(
     if len(cross_edges):
         ends = cross_edges.reshape(-1)
         outside = ends[(ends < lo) | (ends >= hi)]
-        uniq = np.unique(outside)
+        uniq = _sorted_distinct(outside)
         owners = owner_of(offsets, uniq)
-        for owner in np.unique(owners):
+        for owner in _sorted_distinct(owners):
             ids = uniq[owners == owner]
             remote_ids[int(owner)] = ids
             remote_offsets[int(owner)] = base

@@ -8,9 +8,11 @@ the benchmarks charge the cost model at paper scale (see
 
 The paper's processes each read their own slice of *one* input file.  All
 generators are deterministic given their arguments, so each sits behind one
-process-wide memo (:func:`memoized`): an input is generated once per process
-and every rank, baseline and ``sequential_reference`` slices the same
-read-only arrays (callers that need to write take a copy).
+process-wide memo (:func:`memoized`): an input is generated once and every
+rank, baseline and ``sequential_reference`` slices the same read-only arrays
+(callers that need to write take a copy).  The runtime that knows what work
+is admitted decides how long inputs live: a job scheduler empties the memo
+whenever it drains (:func:`release_memo`).
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
     },
 )
 
-#: Entries the memo keeps.  A bounded *LRU* (hits refresh recency, inserts
-#: evict the least-recently-used entry): a long-lived job server sees many
-#: distinct specs, and an unbounded or FIFO memo would either leak memory
-#: or evict the dataset that every queued job of one sweep is about to reuse.
+#: Entries the memo keeps while work is admitted.  A bounded *LRU* (hits
+#: refresh recency, inserts evict the least-recently-used entry): a long
+#: queue holds many distinct specs, and an unbounded or FIFO memo would either
+#: grow with it or evict the dataset that every queued job of one sweep is
+#: about to reuse.
 MEMO_ENTRIES = 8
 
 _memo: OrderedDict[tuple, Any] = OrderedDict()
@@ -66,6 +69,18 @@ def clear_memo() -> None:
         _counters.update(hits=0, misses=0, evictions=0)
 
 
+def release_memo() -> None:
+    """Drop every entry, counting each as an eviction; hits and misses stay.
+
+    An input lives as long as work that could share it is admitted: the job
+    scheduler calls this whenever it drains.  A generation in flight is
+    untouched and inserts its result when it finishes.
+    """
+    with _changed:
+        _counters["evictions"] += len(_memo)
+        _memo.clear()
+
+
 def _key_part(value: Any) -> Any:
     """Arrays are keyed by content: dtype, shape and a digest of their bytes."""
     if isinstance(value, np.ndarray):
@@ -86,10 +101,15 @@ def memoized(generate: Callable) -> Callable:
 
     @functools.wraps(generate)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
-        named = ((name, _key_part(value)) for name, value in sorted(kwargs.items()))
-        key = (generate, *map(_key_part, args), *named)
+        named = kwargs.items() if len(kwargs) < 2 else sorted(kwargs.items())
+        key = (
+            generate,
+            *[_key_part(value) for value in args],
+            *[(name, _key_part(value)) for name, value in named],
+        )
         with _changed:
-            _changed.wait_for(lambda: key not in _in_flight)
+            while key in _in_flight:
+                _changed.wait()
             if key in _memo:
                 _memo.move_to_end(key)
                 _counters["hits"] += 1

@@ -30,6 +30,13 @@ The scheduler owns the server's concurrency policy:
   spec list in one call, returning a per-spec outcome (job, cached result,
   or admission error) without failing the rest of the batch — the
   round-trip shape campaigns need.
+- **Inputs.**  A generated input lives as long as work that could share it
+  is admitted.  Jobs that are queued or running together share the
+  process-wide dataset memo (:func:`repro.data.memoized`); whenever a job
+  finishes, fails or is cancelled and nothing is left queued or running, the
+  scheduler releases it (:func:`repro.data.release_memo`), so an idle server
+  holds no input of work that is gone.  A job worker process keeps its own
+  memo: it cannot see this queue.
 
 Execution itself is delegated to an ``executor`` callable (by default
 :func:`repro.serve.spec.execute_job`); each admitted job runs on its own
@@ -291,21 +298,29 @@ class JobScheduler:
             result = self._executor(job.spec)
         except BaseException as exc:  # noqa: BLE001 - job failures are data
             with self._cond:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                job.finished_at = time.time()
-                self._change_ranks_locked(-job.ranks)
-                self._executed += 1
-                self._cond.notify_all()
+                self._finish_locked(job, "failed", error=f"{type(exc).__name__}: {exc}")
         else:
             self.cache.put(job.spec_hash, result)
             with self._cond:
-                job.result = result
-                job.state = "done"
-                job.finished_at = time.time()
-                self._change_ranks_locked(-job.ranks)
-                self._executed += 1
-                self._cond.notify_all()
+                self._finish_locked(job, "done", result=result)
+
+    def _finish_locked(
+        self, job: Job, state: str, *, result: dict[str, Any] | None = None, error: str | None = None
+    ) -> None:
+        """Move ``job`` to a terminal state; release the inputs if that drained us."""
+        if job.state == "running":
+            self._change_ranks_locked(-job.ranks)
+            self._executed += 1
+        job.state, job.result, job.error = state, result, error
+        job.finished_at = time.time()
+        if self._ranks_in_use == 0 and not self._queue:
+            # Nothing admitted could share a generated input any more.  Via
+            # sys.modules: a front-end whose jobs all ran in workers never
+            # generated one, and must not import NumPy to find that out.
+            data = sys.modules.get("repro.data")
+            if data is not None:
+                data.release_memo()
+        self._cond.notify_all()
 
     # -- queries ----------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -342,9 +357,7 @@ class JobScheduler:
             if job.state != "queued":
                 return False
             self._queue.remove(job)
-            job.state = "cancelled"
-            job.finished_at = time.time()
-            self._cond.notify_all()
+            self._finish_locked(job, "cancelled")
             return True
 
     def stats(self) -> dict[str, Any]:
@@ -402,10 +415,9 @@ class JobScheduler:
         """
         with self._cond:
             self._shutdown = True
-            for job in self._queue:
-                job.state = "cancelled"
-                job.finished_at = time.time()
-            self._queue.clear()
+            queued, self._queue = self._queue, []
+            for job in queued:
+                self._finish_locked(job, "cancelled")
             self._cond.notify_all()
         self._dispatcher.join(timeout=5.0)
         if wait_running > 0:

@@ -399,7 +399,7 @@ def _result_digest(result: Any) -> str | None:
         h = hashlib.sha256()
         h.update(str(result.dtype).encode())
         h.update(str(result.shape).encode())
-        h.update(np.ascontiguousarray(result).tobytes())
+        h.update(np.ascontiguousarray(result))  # hashed where it lies, not copied
         return h.hexdigest()
     return None
 

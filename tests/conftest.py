@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -42,6 +43,22 @@ def wait_until(pred, timeout=10.0):
         if time.monotonic() > deadline:
             raise AssertionError("condition not reached in time")
         time.sleep(0.001)
+
+
+class HeldExecutor:
+    """A scheduler executor that runs the job for real, then holds its
+    completion until ``release`` is set (``ran`` says the run is over)."""
+
+    def __init__(self) -> None:
+        self.ran, self.release = threading.Event(), threading.Event()
+
+    def __call__(self, spec) -> dict:
+        from repro.serve import execute_job
+
+        payload = execute_job(spec)
+        self.ran.set()
+        assert self.release.wait(60.0)
+        return payload
 
 
 def profile(app, **spec_fields):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.partition import (
+    _sorted_distinct,
     arrange_nodes,
     block_partition,
     classify_edges,
@@ -128,6 +130,28 @@ def test_slot_mapping_unknown_id_raises():
     arr, _, _ = arrange_nodes(edges, offsets, 0)
     with pytest.raises(ValidationError):
         arr.slot_of_global(np.array([15]), n)  # never referenced remote
+
+
+@given(
+    st.integers(0, 200).flatmap(
+        lambda n: hnp.arrays(
+            st.sampled_from([np.int64, np.int32]),
+            n,
+            # a narrow range repeats values (all-equal when it is one wide)
+            elements=st.integers(-3, 3) | st.integers(-(2**31), 2**31 - 1),
+        )
+    )
+)
+def test_sorted_distinct_is_np_unique(values):
+    got = _sorted_distinct(values)
+    np.testing.assert_array_equal(got, np.unique(values))
+    assert got.dtype == values.dtype and got.shape == (len(set(values.tolist())),)
+
+
+def test_sorted_distinct_edge_cases():
+    assert _sorted_distinct(np.empty(0, dtype=np.int64)).shape == (0,)
+    np.testing.assert_array_equal(_sorted_distinct(np.full(9, 4)), [4])
+    np.testing.assert_array_equal(_sorted_distinct(np.array([3, 1, 3, 2, 1])), [1, 2, 3])
 
 
 def test_arrange_nodes_bad_part():

@@ -291,7 +291,7 @@ def test_synthetic_image_properties():
 # inputs themselves: ``{key: pin_entry(key) for key in PIN_CASES}``.
 
 PIN_SEEDS = (0, 7)
-PINS_PATH = pathlib.Path(__file__).with_name("dataset_pins.json")
+PINS = json.loads(pathlib.Path(__file__).with_name("dataset_pins.json").read_text())
 
 
 def _pin_cases() -> dict:
@@ -346,13 +346,13 @@ def pin_entry(key: str) -> list[str]:
 
 
 def test_every_pinned_input_has_a_case():
-    assert sorted(json.loads(PINS_PATH.read_text())) == sorted(PIN_CASES)
+    assert sorted(PINS) == sorted(PIN_CASES)
 
 
 @pytest.mark.parametrize("key", sorted(PIN_CASES))
 def test_generated_inputs_are_pinned(key):
     clear_points_cache()  # a real generation, not an entry an earlier test left
     try:
-        assert pin_entry(key) == json.loads(PINS_PATH.read_text())[key]
+        assert pin_entry(key) == PINS[key]
     finally:
         clear_points_cache()

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import repro.data as data
-from repro.data import clear_memo, memo_stats, memoized
+from repro.data import clear_memo, memo_stats, memoized, release_memo
 from repro.data.atoms import build_neighbor_edges, fcc_lattice
 from repro.data.grids import heat3d_initial, synthetic_image
 from repro.data.meshes import geometric_mesh
 from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
 from repro.serve import JobSpec, execute_job
+from repro.serve.scheduler import JobScheduler
+from tests.conftest import HeldExecutor
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +134,7 @@ def test_concurrent_misses_share_one_generation():
     threads[1].join(0.2)
     assert threads[1].is_alive()  # blocked behind the generation in flight
     assert memo_stats()["misses"] == 1
+    release_memo()  # a scheduler draining now touches neither the generation nor its waiter
     release.set()
     for t in threads:
         t.join(30)
@@ -140,6 +143,7 @@ def test_concurrent_misses_share_one_generation():
     assert results[0] is results[1]
     stats = memo_stats()
     assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+    assert stats["evictions"] == 0  # the release found nothing: the result arrived after it
 
 
 def test_failed_generation_leaves_nothing_and_the_waiter_regenerates():
@@ -224,3 +228,105 @@ def test_counters_survive_contention():
     assert stats["hits"] + stats["misses"] == per_thread * n_threads
     assert stats["misses"] == len(calls)  # single-flight: no duplicated generation
     assert stats["size"] == data.MEMO_ENTRIES == stats["misses"] - stats["evictions"]
+
+
+# ------------------------------------------------ lifetime: admitted work
+def _counts() -> tuple:
+    stats = memo_stats()
+    return tuple(stats[name] for name in ("size", "misses", "hits", "evictions"))
+
+
+def _kmeans(nodes: int, seed: int = 3) -> JobSpec:
+    params = {"functional_points": 3000, "k": 8, "seed": seed}
+    return JobSpec(app="kmeans", nodes=nodes, preset="laptop", mix="cpu", params=params)
+
+
+@pytest.fixture
+def scheduler():
+    schedulers: list = []
+
+    def make(executor=None, **kwargs) -> JobScheduler:
+        schedulers.append(JobScheduler(executor, **kwargs))
+        return schedulers[-1]
+
+    yield make
+    for made in schedulers:
+        made.shutdown(wait_running=30.0)
+
+
+def test_release_drops_entries_and_keeps_the_hit_and_miss_counters():
+    kept, _ = clustered_points(300, 4, seed=1)
+    clustered_points(300, 4, seed=1)
+    heat3d_initial((8, 8, 8))
+    assert _counts() == (2, 2, 1, 0)
+    release_memo()
+    assert _counts() == (0, 2, 1, 2) and memo_stats()["bytes"] == 0
+    assert clustered_points(300, 4, seed=1)[0] is not kept  # a real generation again
+    release_memo()
+    release_memo()  # releasing an empty memo counts nothing
+    assert _counts() == (0, 3, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "rank_budget, specs",
+    [
+        (64, [_kmeans(1), _kmeans(2)]),  # both run at once
+        (2, [_kmeans(2), _kmeans(1)]),  # the first fills the budget: the second queues behind it
+    ],
+)
+def test_a_batch_shares_its_input_and_the_drain_releases_it(scheduler, rank_budget, specs):
+    held = HeldExecutor()  # submit_many is not atomic: a fast job must not drain it mid-batch
+    sched = scheduler(held, rank_budget=rank_budget)
+    jobs = [out["job"] for out in sched.submit_many(specs)]
+    held.release.set()
+    assert [sched.wait(job.id, timeout=300.0).state for job in jobs] == ["done", "done"]
+    if rank_budget == 2:  # one after the other: the queued job kept the first one's input
+        assert jobs[1].started_at >= jobs[0].finished_at
+    assert _counts() == (0, 1, 2, 1)  # one generation; one release, after the last job
+
+
+def test_jobs_submitted_one_at_a_time_regenerate_a_shared_input(scheduler):
+    sched = scheduler()
+    for nodes in (2, 1):  # a closed loop: the scheduler drains between the two
+        assert sched.wait(sched.submit(_kmeans(nodes)).id, timeout=300.0).state == "done"
+    assert _counts() == (0, 2, 1, 2)
+
+
+def test_a_failing_job_releases(scheduler):
+    def generate_then_fail(spec):
+        clustered_points(300, 4, seed=1)
+        raise RuntimeError("boom")
+
+    sched = scheduler(generate_then_fail)
+    assert sched.wait(sched.submit(_kmeans(1)).id, timeout=30.0).state == "failed"
+    assert _counts() == (0, 1, 0, 1)
+
+
+def test_cancelling_the_last_queued_job_releases(scheduler):
+    sched = scheduler()
+    clustered_points(300, 4, seed=1)
+    with sched._cond:  # the dispatcher cannot pick the job before it is cancelled
+        job = sched.submit(_kmeans(1))
+        assert _counts() == (1, 1, 0, 0)
+        assert sched.cancel(job.id)
+    assert job.state == "cancelled"
+    assert _counts() == (0, 1, 0, 1)
+
+
+def test_cancelling_a_queued_job_behind_a_running_one_releases_nothing(scheduler):
+    started, finish = threading.Event(), threading.Event()
+
+    def held(spec):
+        clustered_points(300, 4, seed=1)
+        started.set()
+        assert finish.wait(30.0)
+        return {"makespan": 0.0}
+
+    sched = scheduler(held, rank_budget=1)
+    running, queued = sched.submit(_kmeans(1, seed=1)), sched.submit(_kmeans(1, seed=2))
+    assert started.wait(30.0)
+    assert sched.cancel(queued.id)
+    assert _counts() == (1, 1, 0, 0)  # the running job's input is still admitted work's
+    finish.set()
+    assert sched.wait(running.id, timeout=30.0).state == "done"
+    assert _counts() == (0, 1, 0, 1)

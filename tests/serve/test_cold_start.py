@@ -3,7 +3,8 @@
 A fresh interpreter serves one heat3d job and reports what ended up in
 ``sys.modules``; a moldyn and a minimd job in the same interpreter then
 show that the neighbour-list build loads the repo's own cell list and no
-scipy.  Runs in a subprocess because the test process itself has long since
+scipy, and that partitioning an irregular mesh does not pull in ``numpy.ma``
+(NumPy 2.4's ``np.unique`` imports it on first use).  Runs in a subprocess because the test process itself has long since
 imported everything.
 """
 
@@ -78,6 +79,7 @@ def test_heat3d_job_loads_only_what_it_runs():
     # nothing in the product imports scipy.
     after_md = report["after_md"]
     assert not [m for m in after_md if _matches(m, "scipy")]
+    assert "numpy.ma" not in after_md  # core.partition sorts, it does not np.unique
     assert "repro.data.neighbors" in after_md
     assert "repro.apps.moldyn" in after_md and "repro.apps.minimd" in after_md
     assert all(m > 0 for m in report["makespans"])

@@ -17,6 +17,7 @@ import pytest
 from repro.data import clear_memo, memo_stats
 from repro.serve import JobServer, JobSpec, ServeClient, ServeError, execute_job
 from repro.serve.server import MAX_BODY_BYTES
+from tests.conftest import HeldExecutor
 
 
 def _spec(seed: int = 0, **over) -> JobSpec:
@@ -232,39 +233,54 @@ def test_concurrent_jobs_bit_identical_to_direct_runs():
         assert client.stats()["cache"]["hits"] == 1
 
 
+def _memo_counts(datasets: dict) -> tuple:
+    return tuple(datasets[name] for name in ("size", "misses", "hits", "evictions"))
+
+
 def test_stats_say_what_the_dataset_memo_did():
     clear_memo()
+    held = HeldExecutor()
     try:
-        with JobServer(port=0, rank_budget=4) as server:
+        with JobServer(port=0, rank_budget=4, executor=held) as server:
             client = ServeClient(server.url)
             job = client.submit(JobSpec(app="heat3d", nodes=4, preset="laptop", mix="cpu"))
+            assert held.ran.wait(300.0)
+            running = client.stats()["datasets"]
+            assert running == memo_stats()  # /stats reads the memo's own counters
+            assert _memo_counts(running) == (1, 1, 3, 0)  # the job's input, while it is admitted
+            held.release.set()
             assert client.wait(job["id"], timeout=300.0)["state"] == "done"
-            datasets = client.stats()["datasets"]
-        assert datasets == memo_stats()  # /stats reads the memo's own counters
-        assert (datasets["size"], datasets["misses"], datasets["hits"]) == (1, 1, 3)
-        assert datasets["evictions"] == 0
+            drained = client.stats()["datasets"]
+        assert drained == memo_stats()
+        assert _memo_counts(drained) == (0, 1, 3, 1)  # released with the last admitted job
+        assert drained["bytes"] == 0
     finally:
+        held.release.set()
         clear_memo()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
 def test_stats_say_what_the_process_holds():
     clear_memo()
+    held = HeldExecutor()
     try:
-        with JobServer(port=0, rank_budget=4) as server:
+        with JobServer(port=0, rank_budget=4, executor=held) as server:
             client = ServeClient(server.url)
             spec = JobSpec(app="heat3d", nodes=4, preset="laptop", mix="cpu")
-            assert client.wait(client.submit(spec)["id"], timeout=300.0)["state"] == "done"
+            job = client.submit(spec)
+            assert held.ran.wait(300.0)
             stats = client.stats()
             process = stats["process"]
             assert process["peak_rss_mb"] >= process["rss_mb"] > 0
             assert process["threads"] >= 3  # main, dispatcher, HTTP (+ the rank pool)
-            # The memo holds the job's one input: a float64 functional grid.
+            # The memo holds the running job's one input: a float64 functional grid.
             grid = spec.build_config().functional_shape
             assert stats["datasets"]["bytes"] == 8 * grid[0] * grid[1] * grid[2] > 0
-            clear_memo()
-            assert client.stats()["datasets"]["bytes"] == 0
+            held.release.set()
+            assert client.wait(job["id"], timeout=300.0)["state"] == "done"
+            assert client.stats()["datasets"]["bytes"] == 0  # and nothing once it is idle
     finally:
+        held.release.set()
         clear_memo()
 
 

@@ -1,9 +1,12 @@
 """JobSpec validation, canonicalization, and content hashing."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan, LinkDegradation, MessageFaultRule, RankCrash
-from repro.serve.spec import JobSpec, build_cluster, served_app_names
+from repro.serve.spec import JobSpec, _result_digest, build_cluster, served_app_names
 from repro.util.errors import ValidationError
 
 
@@ -199,3 +202,36 @@ def test_spec_hash_independent_of_fault_rule_order():
     assert a.content_hash() == b.content_hash()
     c = JobSpec(app="heat3d", fault_plan=FaultPlan(seed=4, rules=_rules()).to_dict())
     assert a.content_hash() != c.content_hash()
+
+
+# ---------------------------------------------------------------- result digest
+def _copied_digest(result: np.ndarray) -> str:
+    """The formula every stored digest was made with: hash a contiguous copy."""
+    h = hashlib.sha256()
+    h.update(str(result.dtype).encode())
+    h.update(str(result.shape).encode())
+    h.update(np.ascontiguousarray(result).tobytes())
+    return h.hexdigest()
+
+
+_BASE = np.arange(24 * 18, dtype=np.float64).reshape(24, 18) / 7.0
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        _BASE,
+        np.asfortranarray(_BASE),
+        _BASE[3:21:2, ::3],  # neither order: hashed through one contiguous copy
+        _BASE.astype(np.float32)[:, 5],
+        np.array(2.5),  # 0-d
+        np.empty((0, 3), dtype=np.int64),
+    ],
+    ids=["c_order", "fortran_order", "sliced", "column", "zero_d", "empty"],
+)
+def test_result_digest_hashes_in_place_what_it_used_to_copy(result):
+    assert _result_digest(result) == _copied_digest(result)
+
+
+def test_result_digest_is_for_arrays_only():
+    assert _result_digest(None) is None and _result_digest({"energy": 1.0}) is None

@@ -1,4 +1,6 @@
-"""Heap policy: one malloc arena in every process repro owns.
+"""What a repro-owned process holds: one malloc arena, the inputs of admitted
+work and nothing else, and generators that allocate a bounded multiple of
+what they return.
 
 Counted, not timed.  A fresh interpreter serves jobs from two concurrent
 clients (and, second probe, runs them in a job worker process) and then
@@ -7,7 +9,11 @@ asks glibc's ``malloc_info`` how many arenas exist: exactly one, because
 secondary thread.  Runs in subprocesses because the pytest process has long
 since grown its arenas.  The helper's refusals (operator's own
 ``MALLOC_ARENA_MAX``, no libc, no ``mallopt``, ``mallopt`` failing) are
-checked in-process against a fake libc.
+checked in-process against a fake libc.  The input lifetime rule (the
+scheduler releases the dataset memo whenever it drains) is probed the same
+way: ten unique-seed sobel jobs through one server must not raise its peak
+RSS the way eight retained images used to.  Generator transients are counted
+with ``tracemalloc``, to which NumPy reports its buffers.
 """
 
 import ctypes
@@ -15,11 +21,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
 
+from repro.data import clear_memo
+from repro.data.grids import heat3d_initial, synthetic_image
+from repro.data.meshes import geometric_mesh
+from repro.data.points import clustered_points
 from repro.serve import spec as serve_spec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -117,6 +128,25 @@ if __name__ == "__main__":
 """
 
 
+#: Ten sobel jobs at the e2e benchmark's kernel_heavy size (a 1.7 MiB image
+#: each), one after the other, every one on its own seed.
+GROWTH_PROBE = """
+import json
+from repro.serve import JobServer, JobSpec, ServeClient
+
+peaks = []
+with JobServer(port=0, rank_budget=4) as server:
+    api = ServeClient(server.url)
+    for seed in range(10):
+        params = {"functional_shape": [672, 672], "simulated_steps": 3, "seed": seed}
+        spec = JobSpec(app="sobel", nodes=2, preset="laptop", mix="cpu", params=params)
+        assert api.wait(api.submit(spec)["id"], timeout=300.0)["state"] == "done"
+        stats = api.stats()
+        peaks.append(stats["process"]["peak_rss_mb"])
+print(json.dumps({"peaks": peaks, "datasets": stats["datasets"]}))
+"""
+
+
 def _run_probe(tmp_path, source: str) -> dict:
     (tmp_path / "heap_probe.py").write_text(HEAP_PROBE, encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "MALLOC_ARENA_MAX"}
@@ -143,6 +173,50 @@ def test_a_job_worker_process_has_one_arena(tmp_path):
     assert report["workers"] == 1 and report["worker_pid"] != report["pid"]
     assert all(makespan > 0 for makespan in report["makespans"])
     assert report["arenas"] == 1
+
+
+# ------------------------------------------------- inputs of admitted work only
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_sequential_unique_jobs_do_not_grow_the_server(tmp_path):
+    """Peak RSS from the second job to the tenth, measured on the 2-vCPU
+    development host, three runs each: 13.82-13.83 MiB at the parent (06d68c4:
+    it climbs 1.7 MiB a job until the memo holds eight images), 0.00-0.14 MiB
+    with the memo released at every drain.  The bound is a third of the
+    parent's growth."""
+    report = _run_probe(tmp_path, GROWTH_PROBE)
+    peaks = report["peaks"]
+    assert peaks[-1] - peaks[1] <= 13.8 / 3, peaks
+    datasets = report["datasets"]
+    assert (datasets["size"], datasets["bytes"]) == (0, 0)
+    assert (datasets["misses"], datasets["hits"], datasets["evictions"]) == (10, 10, 10)
+
+
+#: generator call -> most its traced peak may be, in multiples of the bytes it
+#: returns.  synthetic_image was 8.7x while it built np.mgrid index grids (4.0x
+#: now); the others are as measured (2.0 / 5.7 / 4.6) plus 10 %.
+GENERATOR_PEAKS = {
+    "synthetic_image": (lambda: synthetic_image((672, 672), seed=5), 4.5),
+    "heat3d_initial": (lambda: heat3d_initial((64, 64, 64), seed=5), 2.2),
+    "clustered_points": (lambda: clustered_points(75_000, 40, 3, seed=5), 6.3),
+    "geometric_mesh": (lambda: geometric_mesh(6500, 26.0, seed=5, shuffle_fraction=0.1), 5.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PEAKS))
+def test_a_generator_allocates_a_bounded_multiple_of_its_output(name):
+    generate, bound = GENERATOR_PEAKS[name]
+    synthetic_image((16, 16))  # first-use imports are not the generator's transient
+    clear_memo()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = generate()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        clear_memo()
+    returned = sum(array.nbytes for array in (value if isinstance(value, tuple) else (value,)))
+    assert peak <= bound * returned, (peak / returned, bound)
 
 
 # ------------------------------------------------------- the helper's refusals
