@@ -6,9 +6,11 @@ checkpointed heat3d run — then checks that every job completes, that each
 served makespan is bit-identical (repr-equal) to running the same spec
 directly through the engine, and that resubmitting an identical spec is
 answered from the content-addressed result cache without re-execution.
-Ends by checking that the now idle server holds no generated input (the
-dataset memo is released when the scheduler drains) and printing what the
-process holds, as ``/stats`` reports it.
+Ends by checking that waiting cost one status request per job (the server
+holds ``GET /jobs/<id>?wait=`` until the job is done; nothing polls), that
+the now idle server holds no generated input (the dataset memo is released
+when the scheduler drains) and printing what the process holds, as
+``/stats`` reports it.
 
 This is also the CI "service smoke" step.
 
@@ -87,6 +89,9 @@ def main() -> None:
             f"resubmit: cache hit ({stats['cache']['hits']} hit, "
             f"{stats['executed']} jobs executed)"
         )
+        # Nothing polled: each job was one submit, one held status request and
+        # one result; then the faulty job's result again, the resubmit, this.
+        assert stats["http"]["requests"] == 3 * len(BATCH) + 3, stats["http"]
         # Every job has been waited for: nothing is admitted, so no input is held.
         datasets = stats["datasets"]
         assert datasets["bytes"] == 0 and datasets["evictions"] > 0, datasets

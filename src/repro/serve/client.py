@@ -3,7 +3,8 @@
 :class:`ServeClient` is what the CLI (``repro submit`` / ``repro jobs``),
 the test suite, and future batch drivers (the campaign engine) talk to the
 server with — plain ``urllib`` underneath, JSON in and out, no third-party
-dependencies.
+dependencies.  It never sleeps: the server holds a waiting request until
+the job is done.
 
 The canonical loop::
 
@@ -115,43 +116,40 @@ class ServeClient:
     def wait(
         self, job_id: str, *, timeout: float = 300.0, poll: float = 0.05
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its status."""
+        """Block until the job reaches a terminal state; returns its status.
+
+        The server holds each request (``GET /jobs/<id>?wait=``, in slices of
+        half the socket timeout) until then.  ``poll`` is accepted and
+        unused: ``benchmarks/e2e/harness.py`` still passes it.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            left = max(0.0, deadline - time.monotonic())
+            status = self._request("GET", f"/jobs/{job_id}?wait={min(left, self.timeout / 2):.3f}")
             if status["state"] in TERMINAL_STATES:
                 return status
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after {timeout}s"
                 )
-            time.sleep(poll)
 
     def wait_many(
         self, job_ids: list[str], *, timeout: float = 600.0, poll: float = 0.05
     ) -> dict[str, dict[str, Any]]:
-        """Poll until every listed job is terminal; id -> final status.
+        """Block until every listed job is terminal; id -> final status.
 
         One shared deadline covers the whole set (a campaign waits for the
-        sweep, not for each point in sequence).
+        sweep, not for each point in sequence): one blocking request per id,
+        which together return when the slowest job does.  ``poll``: see :meth:`wait`.
         """
         deadline = time.monotonic() + timeout
+        ids = list(dict.fromkeys(job_ids))
         done: dict[str, dict[str, Any]] = {}
-        pending = list(dict.fromkeys(job_ids))
-        while pending:
-            still: list[str] = []
-            for job_id in pending:
-                status = self.status(job_id)
-                if status["state"] in TERMINAL_STATES:
-                    done[job_id] = status
-                else:
-                    still.append(job_id)
-            pending = still
-            if pending:
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"{len(pending)} job(s) still running after {timeout}s: "
-                        f"{pending[:5]}"
-                    )
-                time.sleep(poll)
+        for i, job_id in enumerate(ids):
+            try:
+                done[job_id] = self.wait(job_id, timeout=max(0.0, deadline - time.monotonic()))
+            except TimeoutError:
+                raise TimeoutError(
+                    f"{len(ids) - i} job(s) still running after {timeout}s: {ids[i:i + 5]}"
+                ) from None
         return done

@@ -167,6 +167,7 @@ class JobScheduler:
         self._batches = 0
         self._pass_overs = 0
         self._reservations = 0
+        self._http_requests = 0
         # Rank-budget utilization: integral of ranks_in_use over wall time.
         self._util_started = time.monotonic()
         self._util_marked = self._util_started
@@ -360,6 +361,11 @@ class JobScheduler:
             self._finish_locked(job, "cancelled")
             return True
 
+    def count_request(self) -> None:
+        """One request read by the HTTP front end (``stats()["http"]``)."""
+        with self._cond:
+            self._http_requests += 1
+
     def stats(self) -> dict[str, Any]:
         from repro.data import memo_stats
         from repro.sim.engine import active_run_stats, rank_pool_stats
@@ -380,6 +386,7 @@ class JobScheduler:
                 "executed": self._executed,
                 "cache_hits": self._cache_hits,
                 "batches": self._batches,
+                "http": {"requests": self._http_requests},
                 "fairness": {
                     "starvation_limit": self.starvation_limit,
                     "pass_overs": self._pass_overs,

@@ -1,4 +1,4 @@
-"""The job service's HTTP front end (stdlib ``ThreadingHTTPServer``).
+"""The job service's HTTP front end: a JSON API on ``socketserver``.
 
 A deliberately small, dependency-free JSON API on localhost:
 
@@ -15,15 +15,22 @@ POST   ``/jobs/batch``             submit a list of specs in one round trip;
                                    ({job id | cached result | error}) —
                                    one bad spec never fails the batch
 GET    ``/jobs/<id>``              one job's status
+GET    ``/jobs/<id>?wait=<s>``     the same, held until the job is terminal
+                                   or ``<s>`` seconds are up; always 200
 GET    ``/jobs/<id>/result``       result payload (409 until terminal)
 GET    ``/jobs/<id>/trace``        Chrome-trace document (jobs with trace=true)
 POST   ``/jobs/<id>/cancel``       cancel a queued job (409 if running)
 ====== =========================== ===========================================
 
-Each HTTP request is handled on its own thread, but handlers only touch the
+The server reads HTTP/1.1 itself (:meth:`_Handler._one_request`) rather than
+load ``http.server`` -> ``http.client`` + ``ssl`` + ``email`` into a process
+that never speaks TLS or parses mail; docs/architecture.md, "Job service",
+says exactly what it speaks.
+
+Each connection is handled on its own thread, but handlers only touch the
 lock-protected :class:`~repro.serve.scheduler.JobScheduler` — the actual
 simulations run on the scheduler's job threads, so a slow job never blocks
-a status poll.
+a status request; a ``?wait=`` one parks on its completion condition.
 
 :class:`JobServer` bundles scheduler + HTTP server + the serving thread;
 ``port=0`` binds an ephemeral port (the bound address is on ``.url``).
@@ -35,9 +42,10 @@ the first one starts it puts the process on one malloc arena
 from __future__ import annotations
 
 import json
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, NoReturn
+from typing import Any
 
 from repro import __version__
 from repro.serve.cache import ResultCache
@@ -52,10 +60,35 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Most specs accepted in one ``POST /jobs/batch`` request.
 MAX_BATCH_JOBS = 4096
 
+#: Longest request or header line and most header lines read before the
+#: request is refused (``http.server``'s limits).
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+#: Longest one ``GET /jobs/<id>?wait=`` request is held; a larger value is
+#: clamped, and the client asks again.
+MAX_WAIT_SECONDS = 30.0
+
 #: HTTP status per :attr:`AdmissionError.reason`: a spec that can never fit
 #: is the client's error, a full queue asks for a retry, a stopped
 #: scheduler is the server's condition.
 _ADMISSION_STATUS = {"over_budget": 400, "queue_full": 429, "shut_down": 503}
+
+#: Reason phrase of every status this API answers with.
+_REASONS = {
+    200: "OK",
+    202: "Accepted",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    409: "Conflict",
+    413: "Request Entity Too Large",
+    429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+}
 
 
 class _ApiError(Exception):
@@ -66,47 +99,110 @@ class _ApiError(Exception):
         self.status = status
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = f"repro-serve/{__version__}"
-    protocol_version = "HTTP/1.1"
-
+class _Handler(socketserver.StreamRequestHandler):
     # -- plumbing ---------------------------------------------------------
     @property
     def scheduler(self) -> JobScheduler:
         return self.server.scheduler  # type: ignore[attr-defined]
 
-    def log_message(self, fmt: str, *args: Any) -> None:
-        if getattr(self.server, "verbose", False):  # quiet by default
-            super().log_message(fmt, *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._one_request()
+        except OSError:
+            pass  # the peer went away: there is nobody to answer
+
+    def _read_line(self) -> bytes:
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _ApiError(431, f"request or header line exceeds {MAX_LINE_BYTES} bytes")
+        return line
+
+    def _one_request(self) -> None:
+        """Read one request, answer it, and say whether another may follow."""
+        # Until a whole head has been read nothing says where the next
+        # request would start, so every refusal up to there closes.
+        self.close_connection = True
+        self.unread = 0  # declared body bytes still on the wire
+        self.requestline = ""
+        try:
+            line = self._read_line()
+            if not line:
+                return  # the client is done with this connection
+            self.scheduler.count_request()
+            self.requestline = line.decode("latin-1").rstrip("\r\n")
+            words = self.requestline.split(" ")
+            if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                raise _ApiError(400, f"malformed request line {self.requestline[:80]!r}")
+            method, self.path, version = words
+            self.headers = self._read_headers()
+            if method not in ("GET", "POST"):
+                raise _ApiError(405, f"method {method[:20]!r} is not supported")
+            if "transfer-encoding" in self.headers:
+                raise _ApiError(501, "Transfer-Encoding is not supported; send Content-Length")
+            try:
+                self.unread = int(self.headers.get("content-length") or 0)
+            except ValueError:
+                self.unread = -1
+            if self.unread < 0:
+                raise _ApiError(400, "Content-Length must be an integer >= 0")
+            connection = self.headers.get("connection", "").lower()
+            self.close_connection = "close" in connection or (
+                version == "HTTP/1.0" and "keep-alive" not in connection
+            )
+            path, _, query = self.path.partition("?")
+            self.query = dict(pair.partition("=")[::2] for pair in query.split("&"))
+            self._dispatch(method, [p for p in path.split("/") if p])
+        except _ApiError as exc:
+            self._send_json({"error": str(exc)}, status=exc.status)
+        except Exception as exc:  # noqa: BLE001 - must answer the client
+            self._send_json({"error": f"internal error: {type(exc).__name__}: {exc}"}, status=500)
+
+    def _read_headers(self) -> dict[str, str]:
+        """Header lines up to the blank one, names lower-cased."""
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self._read_line()
+            if line in (b"\r\n", b"\n"):
+                return headers
+            name, colon, value = line.decode("latin-1").partition(":")
+            # A name with white space in or around it is how a folded line
+            # or a second request hides from the next parser along.
+            if not colon or name.split() != [name]:
+                raise _ApiError(400, f"malformed header line {line[:80]!r}")
+            name, value = name.lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _ApiError(400, "conflicting Content-Length headers")
+            headers[name] = value
+        raise _ApiError(431, f"more than {MAX_HEADERS} header lines")
 
     def _send_json(self, obj: Any, status: int = 200) -> None:
         body = json.dumps(obj).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _refuse_body(self, status: int, message: str) -> NoReturn:
-        # The body stays unread, so the connection cannot be reused: the
-        # next request on it would be parsed out of the body's bytes.
-        self.close_connection = True
-        raise _ApiError(status, message)
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: repro-serve/{__version__}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if status == 405:
+            head += "Allow: GET, POST\r\n"
+        # A declared body that nobody read would be parsed as the next request.
+        if self.close_connection or self.unread:
+            self.close_connection = True
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)  # one segment
+        if self.server.verbose:  # type: ignore[attr-defined]  # quiet by default
+            print(f'{self.client_address[0]} "{self.requestline}" {status}', file=sys.stderr)
 
     def _read_json(self) -> Any:
-        try:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-        except ValueError:
-            self._refuse_body(400, "Content-Length must be an integer")
-        if length < 0:
-            self._refuse_body(400, "Content-Length must not be negative")
-        if length == 0:
+        if self.unread == 0:
             raise _ApiError(400, "request requires a JSON body")
-        if length > MAX_BODY_BYTES:
-            self._refuse_body(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+        if self.unread > MAX_BODY_BYTES:
+            raise _ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        if self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")  # curl, above 1 KiB
+        raw, self.unread = self.rfile.read(self.unread), 0
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -119,18 +215,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise _ApiError(404, f"unknown job id {job_id!r}") from None
 
     # -- routing ------------------------------------------------------------
-    def _route(self, method: str) -> None:
-        try:
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            parts = [p for p in path.split("/") if p]
-            self._dispatch(method, parts)
-        except _ApiError as exc:
-            self._send_json({"error": str(exc)}, status=exc.status)
-        except Exception as exc:  # noqa: BLE001 - must answer the client
-            self._send_json(
-                {"error": f"internal error: {type(exc).__name__}: {exc}"}, status=500
-            )
-
     def _dispatch(self, method: str, parts: list[str]) -> None:
         if method == "GET" and parts == ["healthz"]:
             self._send_json({"ok": True, "version": __version__})
@@ -145,7 +229,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif method == "POST" and parts == ["jobs", "batch"]:
             self._submit_batch()
         elif len(parts) == 2 and parts[0] == "jobs" and method == "GET":
-            self._send_json(self._job(parts[1]).describe())
+            self._status(parts[1])
         elif len(parts) == 3 and parts[0] == "jobs":
             job_id, action = parts[1], parts[2]
             if method == "GET" and action == "result":
@@ -209,6 +293,22 @@ class _Handler(BaseHTTPRequestHandler):
                 entries[i] = {"index": i, "error": outcome["error"]}
         self._send_json({"jobs": entries})
 
+    def _status(self, job_id: str) -> None:
+        job = self._job(job_id)
+        wait = self.query.get("wait")
+        if wait is not None:
+            try:
+                seconds = float(wait)
+            except ValueError:
+                seconds = -1.0
+            if not 0 <= seconds < float("inf"):
+                raise _ApiError(400, f"wait must be a finite number of seconds >= 0, got {wait!r}")
+            try:
+                self.scheduler.wait(job.id, timeout=min(seconds, MAX_WAIT_SECONDS))
+            except TimeoutError:
+                pass  # "not yet" is an answer, not an error
+        self._send_json(job.describe())
+
     def _result(self, job_id: str) -> None:
         job = self._job(job_id)
         if job.state in ("queued", "running"):
@@ -243,14 +343,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             raise _ApiError(409, f"job {job_id} is {job.state}; only queued jobs cancel")
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._route("GET")
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._route("POST")
-
-
-class _HTTPServer(ThreadingHTTPServer):
+class _HTTPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
 

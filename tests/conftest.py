@@ -61,6 +61,37 @@ class HeldExecutor:
         return payload
 
 
+def parse_replies(raw: bytes) -> list[tuple[int, dict[str, str], object]]:
+    """Split what a job server wrote on one connection into its replies.
+
+    Each is ``(status, headers, body)`` with header names lower-cased and the
+    ``Content-Length``-framed body decoded as JSON (an interim 1xx reply has
+    no body: ``None``).  Anything the framing does not account for — a bad
+    status line, a short body, trailing bytes — fails the calling test.
+    """
+    import json
+
+    replies = []
+    while raw:
+        head, sep, raw = raw.partition(b"\r\n\r\n")
+        assert sep, f"reply head never ends: {head[:200]!r}"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        version, status, _reason = status_line.split(" ", 2)
+        assert version == "HTTP/1.1" and status.isdigit(), status_line
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.lower()] = value.strip()
+        body = None
+        if not status.startswith("1"):
+            length = int(headers["content-length"])
+            assert len(raw) >= length, f"short body: {raw[:200]!r}"
+            assert headers["content-type"] == "application/json"
+            body, raw = json.loads(raw[:length]), raw[length:]
+        replies.append((int(status), headers, body))
+    return replies
+
+
 def profile(app, **spec_fields):
     """What ``repro profile`` does: a traced spec through ``run_spec``, then ``analyze``."""
     from repro.obs import analyze

@@ -11,13 +11,15 @@ import os
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.data import clear_memo, memo_stats
 from repro.serve import JobServer, JobSpec, ServeClient, ServeError, execute_job
 from repro.serve.server import MAX_BODY_BYTES
-from tests.conftest import HeldExecutor
+from repro.serve.server import MAX_HEADERS, MAX_LINE_BYTES
+from tests.conftest import HeldExecutor, parse_replies, wait_until
 
 
 def _spec(seed: int = 0, **over) -> JobSpec:
@@ -149,6 +151,89 @@ def test_refused_body_is_not_parsed_as_the_next_request():
     assert reply.count(b"HTTP/1.1 ") == 1
 
 
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _closing_error(reply: bytes, status: int) -> dict:
+    """The one JSON error reply, ``Connection: close``, that ``reply`` must be."""
+    [(got, headers, body)] = parse_replies(reply)
+    assert got == status and headers["connection"] == "close", (got, headers)
+    assert set(body) == {"error"}
+    return headers
+
+
+def test_transfer_encoding_is_refused_and_its_body_never_answered():
+    # No Content-Length, so a server that only looks there sees no body,
+    # keeps the connection and answers the "body" as a second request.
+    head = b"POST /jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        reply = _raw_exchange(server, head + HEALTHZ)
+    _closing_error(reply, 501)
+
+
+def test_a_body_no_route_reads_is_not_the_next_request():
+    # Only the two submit routes read a body; any other reply that leaves
+    # one on the wire must close, whatever its status.
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        for line, status in ((b"GET /healthz", 200), (b"POST /jobs/x/cancel", 404)):
+            head = line + b" HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(HEALTHZ)
+            [(got, headers, _)] = parse_replies(_raw_exchange(server, head + HEALTHZ))
+            assert got == status and headers["connection"] == "close"
+
+
+def test_conflicting_content_lengths_are_refused():
+    body = b'{"app": "nbody"}'
+    lengths = b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n"
+    head = b"POST /jobs HTTP/1.1\r\nConnection: close\r\n"
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        differ = _raw_exchange(server, head + lengths % (len(body), len(body) + 1) + body)
+        agree = _raw_exchange(server, head + lengths % (len(body), len(body)) + body)
+    assert "conflicting" in parse_replies(differ)[0][2]["error"]
+    _closing_error(differ, 400)
+    assert "bad job spec" in parse_replies(agree)[0][2]["error"]  # the body was read
+
+
+def test_framing_errors_are_json_like_every_other_error():
+    line = b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n"
+    fields = b"".join(b"X-%d: 1\r\n" % i for i in range(MAX_HEADERS + 1))
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        allow = _closing_error(_raw_exchange(server, b"DELETE /jobs/x HTTP/1.1\r\n\r\n"), 405)
+        assert allow["allow"] == "GET, POST"
+        for malformed in (b"GARBAGE\r\n\r\n", b"GET /healthz\r\n\r\n", b"GET / HTTP/2.0\r\n\r\n"):
+            _closing_error(_raw_exchange(server, malformed), 400)
+        _closing_error(_raw_exchange(server, line), 431)
+        _closing_error(_raw_exchange(server, b"GET /healthz HTTP/1.1\r\n" + fields + b"\r\n"), 431)
+        assert ServeClient(server.url).healthy()
+
+
+def test_keep_alive_http10_and_expect_continue():
+    body = b'{"app": "nbody"}'
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        # Two requests on one connection, the second asking to close it.
+        last = HEALTHZ.replace(b"Host: x", b"Connection: close")
+        first, second = parse_replies(_raw_exchange(server, HEALTHZ + last))
+        assert first[0] == second[0] == 200
+        assert "connection" not in first[1] and second[1]["connection"] == "close"
+        # HTTP/1.0 closes unless told otherwise: the second request is not read.
+        [(status, headers, _)] = parse_replies(
+            _raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n" + HEALTHZ)
+        )
+        assert status == 200 and headers["connection"] == "close"
+        # The interim reply arrives while the body is still unsent.
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nExpect: 100-continue\r\nConnection: close\r\n"
+                + b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            final = b""
+            while chunk := sock.recv(65536):
+                final += chunk
+        [(status, _, answer)] = parse_replies(final)
+        assert status == 400 and "bad job spec" in answer["error"]
+
+
 def test_shut_down_scheduler_is_a_server_side_refusal():
     with JobServer(port=0, executor=lambda spec: {}) as server:
         server.scheduler.shutdown()
@@ -169,6 +254,100 @@ def test_failed_job_surfaces_error():
         assert done["state"] == "failed"
         body = client.result(job["id"])
         assert body["state"] == "failed" and "kaboom" in body["error"]
+
+
+# ------------------------------------------------- blocking wait, counted
+def _requests(server: JobServer) -> int:
+    return server.scheduler.stats()["http"]["requests"]
+
+
+def test_one_job_costs_three_requests_however_long_it_is_held():
+    executor = GatedExecutor()
+    with JobServer(port=0, executor=executor) as server, ThreadPoolExecutor() as pool:
+        client = ServeClient(server.url)
+        job = client.submit(_spec(1))
+        waiter = pool.submit(client.wait, job["id"], timeout=60.0)
+        # The status request has been read and the job is held: a reply
+        # now could only say "running", and would cost a second request.
+        wait_until(lambda: _requests(server) == 2 and executor.started)
+        assert not waiter.done()
+        executor.release.set()
+        assert waiter.result(timeout=10.0)["state"] == "done"
+        assert client.result(job["id"])["result"]["makespan"] == 1.0
+        assert _requests(server) == 3
+
+
+def test_wait_many_costs_one_request_per_job():
+    executor = GatedExecutor()
+    with JobServer(port=0, rank_budget=4, executor=executor) as server, ThreadPoolExecutor() as pool:
+        client = ServeClient(server.url)
+        jobs = client.submit_many([_spec(seed) for seed in range(5)])  # 2 run, 3 queue
+        ids = [job["id"] for job in jobs]
+        waiter = pool.submit(client.wait_many, ids + ids[:2], timeout=60.0)
+        wait_until(lambda: _requests(server) == 2)
+        executor.release.set()
+        done = waiter.result(timeout=10.0)
+        assert list(done) == ids and {d["state"] for d in done.values()} == {"done"}
+        assert _requests(server) == 1 + len(ids)
+
+
+def test_wait_parameter(monkeypatch):
+    executor = GatedExecutor()
+    with JobServer(port=0, executor=executor) as server, ThreadPoolExecutor() as pool:
+        client = ServeClient(server.url)
+        job = client.submit(_spec(1))
+        wait_until(lambda: executor.started)
+        path = f"/jobs/{job['id']}?wait="
+        assert client._request("GET", path + "0.05")["state"] == "running"  # 200, not an error
+        for bad in ("abc", "-1", "nan", "inf", ""):
+            with pytest.raises(ServeError) as excinfo:
+                client._request("GET", path + bad)
+            assert excinfo.value.status == 400 and "wait" in excinfo.value.message
+        with pytest.raises(TimeoutError, match=f"job {job['id']} still running after 0.2s"):
+            client.wait(job["id"], timeout=0.2)
+        # Too long a wait is clamped, not refused.
+        monkeypatch.setattr("repro.serve.server.MAX_WAIT_SECONDS", 0.05)
+        assert client._request("GET", path + "1e9")["state"] == "running"
+        monkeypatch.undo()
+        # A held request is answered by the job finishing, not by the clock.
+        before = _requests(server)
+        waiter = pool.submit(client._request, "GET", path + "30")
+        wait_until(lambda: _requests(server) == before + 1)
+        executor.release.set()
+        assert waiter.result(timeout=10.0)["state"] == "done"
+
+
+def test_client_gone_mid_wait_leaves_the_server_answering(capfd):
+    executor = GatedExecutor()
+    with JobServer(port=0, executor=executor) as server:
+        client = ServeClient(server.url)
+        threads = threading.active_count()
+        job = client.submit(_spec(1))
+        before = _requests(server)
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(f"GET /jobs/{job['id']}?wait=30 HTTP/1.1\r\n\r\n".encode())
+            wait_until(lambda: _requests(server) == before + 1)
+        executor.release.set()  # the parked handler now answers a closed socket
+        assert client.wait(job["id"], timeout=10.0)["state"] == "done"
+        wait_until(lambda: threading.active_count() <= threads)  # it ended ...
+        assert client.healthy()
+    assert capfd.readouterr().err == ""  # ... without a traceback
+
+
+def test_shutdown_does_not_wait_for_a_parked_waiter():
+    executor = GatedExecutor()
+    server = JobServer(port=0, executor=executor).start()
+    with ThreadPoolExecutor() as pool:
+        try:
+            client = ServeClient(server.url)
+            job = client.submit(_spec(1))
+            waiter = pool.submit(client._request, "GET", f"/jobs/{job['id']}?wait=30")
+            wait_until(lambda: _requests(server) == 2 and executor.started)
+            pool.submit(server.shutdown).result(timeout=10.0)
+            assert not waiter.done()  # still parked on the running job
+        finally:
+            executor.release.set()
+        assert waiter.result(timeout=10.0)["state"] == "done"  # answered when it ends
 
 
 # ------------------------------------------------------------- acceptance
