@@ -447,8 +447,8 @@ def bench_campaign_throughput(cfg: dict) -> dict:
 
     The batched arm runs the whole sweep through
     :class:`~repro.campaign.runner.CampaignRunner` (one ``submit_many``,
-    widest-first ordering, concurrent dispatch under the rank budget, one
-    generation per shared dataset); the sequential arm executes the same
+    widest-first ordering, one in-process job at a time off the scheduler's
+    queue, one generation per shared dataset); the sequential arm executes the same
     specs one ``execute_job`` at a time — the pre-campaign workflow.
     Interleaved best-of-3 so machine noise hits both arms alike.
 
@@ -460,9 +460,10 @@ def bench_campaign_throughput(cfg: dict) -> dict:
       (``warm_rerun_executed``, gated at 0 in :func:`compare`).
 
     The batched/sequential ratio is recorded and, when below 1, reported
-    as ``NOT SHOWN`` without failing: concurrent in-process jobs share one
-    GIL, so the batched arm has no wall-clock win to show on any host
-    measured so far (``job_workers`` records the arm that does).
+    as ``NOT SHOWN`` without failing: in-process jobs share one GIL, so the
+    scheduler runs them one at a time and the batched arm has no wall-clock
+    win to show — it is the sequential arm plus a dispatcher
+    (``job_workers`` records the arm that can win).
     """
     import tempfile
 

@@ -6,6 +6,9 @@ checkpointed heat3d run — then checks that every job completes, that each
 served makespan is bit-identical (repr-equal) to running the same spec
 directly through the engine, and that resubmitting an identical spec is
 answered from the content-addressed result cache without re-execution.
+While the batch drains it reads ``/stats`` and requires the one-job rule (at
+most one in-process job ``running``, one job's worth of threads); afterwards
+that the job table's ``by_state`` counters sum to ``jobs``.
 Ends by checking that waiting cost one status request per job (the server
 holds ``GET /jobs/<id>?wait=`` until the job is done; nothing polls), that
 the now idle server holds no generated input (the dataset memo is released
@@ -66,7 +69,18 @@ def main() -> None:
     with JobServer(port=0, rank_budget=8) as server:
         client = ServeClient(server.url)
         print(f"server up at {server.url}; submitting the same batch")
+        idle = client.stats().get("process", {}).get("threads")  # no /proc, no count
         jobs = [client.submit(spec) for spec in BATCH]
+        watched = 1
+        while True:  # one job holds the interpreter; the others wait as "queued"
+            stats = client.stats()
+            watched += 1
+            assert stats["by_state"].get("running", 0) <= 1, stats["by_state"]
+            # A job thread, its ranks (pooled since the direct runs) and this
+            # request's handler: 8 of 12 threads in a process of its own.
+            assert idle is None or stats["process"]["threads"] <= idle + 4, (idle, stats["process"])
+            if stats["queued"] == 0 and stats["ranks_in_use"] == 0:
+                break
         for spec, job, expected in zip(BATCH, jobs, direct):
             done = client.wait(job["id"], timeout=600.0)
             assert done["state"] == "done", (spec.app, done)
@@ -89,9 +103,11 @@ def main() -> None:
             f"resubmit: cache hit ({stats['cache']['hits']} hit, "
             f"{stats['executed']} jobs executed)"
         )
-        # Nothing polled: each job was one submit, one held status request and
-        # one result; then the faulty job's result again, the resubmit, this.
-        assert stats["http"]["requests"] == 3 * len(BATCH) + 3, stats["http"]
+        assert stats["jobs"] == len(BATCH) + 1 == sum(stats["by_state"].values()), stats
+        # No job was polled: each was one submit, one held status request and
+        # one result; then the faulty job's result again, the resubmit, this —
+        # and the /stats reads that watched the batch drain.
+        assert stats["http"]["requests"] == 3 * len(BATCH) + 3 + watched, stats["http"]
         # Every job has been waited for: nothing is admitted, so no input is held.
         datasets = stats["datasets"]
         assert datasets["bytes"] == 0 and datasets["evictions"] > 0, datasets

@@ -10,7 +10,8 @@ the host allows:
   (descending rank cost, ties in expansion order): the classic
   longest-processing-time shape that lets the scheduler's first-fit
   backfill keep the rank budget saturated instead of stranding a wide job
-  behind a drained budget.
+  behind a drained budget (worker-process jobs; in-process jobs run one at
+  a time, in this order).
 - **One input per dataset.**  Points that share an input generate it once:
   the process-wide dataset memo (:func:`repro.data.memoized`) is
   single-flight.  A job worker process has its own memo.
@@ -39,7 +40,7 @@ from typing import Any
 
 from repro.campaign.spec import CampaignSpec
 from repro.serve.cache import ResultCache
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.scheduler import JobScheduler
 from repro.serve.spec import JobSpec
 from repro.serve.store import ResultStore
@@ -207,7 +208,10 @@ class CampaignRunner:
             for i, outcome in zip(submit_idx, outcomes):
                 h = specs[i].content_hash()
                 if outcome["ok"]:
-                    jobs[h] = scheduler.wait(outcome["job"].id, timeout=self.timeout)
+                    # A cache hit is complete as returned, and in a batch of
+                    # more hits than the job table keeps, already retired.
+                    job = outcome["job"]
+                    jobs[h] = job if job.cached else scheduler.wait(job.id, timeout=self.timeout)
                 else:
                     jobs[h] = outcome["error"]
             rows = []
@@ -243,8 +247,10 @@ class CampaignRunner:
         entries = self.client.submit_many([specs[i] for i in submit_idx])
         statuses: dict[str, dict[str, Any]] = {}
         waiting: list[tuple[str, str]] = []  # (spec hash, job id)
+        by_hash: dict[str, JobSpec] = {}
         for i, entry in zip(submit_idx, entries):
             h = specs[i].content_hash()
+            by_hash[h] = specs[i]
             if "id" not in entry:  # rejected: {"index", "error"} only
                 statuses[h] = {"id": None, "state": "rejected", "error": entry["error"]}
             elif entry["state"] in ("done", "failed", "cancelled"):
@@ -261,7 +267,7 @@ class CampaignRunner:
         payloads: dict[str, dict[str, Any] | None] = {}
         for h, status in statuses.items():
             if status.get("state") == "done":
-                payloads[h] = self.client.result(status["id"])["result"]
+                payloads[h] = self._fetch_result(status["id"], by_hash[h])
             else:
                 payloads[h] = None
         rows = [
@@ -282,6 +288,16 @@ class CampaignRunner:
             "backend": specs[0].backend,
         }
         return rows, stats
+
+    def _fetch_result(self, job_id: str, spec: JobSpec) -> dict[str, Any]:
+        try:
+            return self.client.result(job_id)["result"]
+        except ServeError as exc:
+            if exc.status != 410:
+                raise
+        # Retired since: the batch finished more jobs than the server's table
+        # keeps.  The result is a resubmission (a cache / store hit) away.
+        return self.client.result(self.client.submit(spec)["id"])["result"]
 
     # -- status (no execution) ---------------------------------------------
     def status(self) -> dict[str, Any]:

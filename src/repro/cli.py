@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result cache entries",
     )
     serve_p.add_argument(
-        "--max-queued", type=int, default=1024, metavar="N", help="admission queue bound"
+        "--max-queued", type=int, default=1024, metavar="N", help="queue bound; finished jobs kept"
     )
     serve_p.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"

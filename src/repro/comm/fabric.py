@@ -132,13 +132,12 @@ class Fabric:
         self.size = cluster.num_nodes * ranks_per_node
         self._boxes = [_Mailbox(r) for r in range(self.size)]
         self._abort_exc: BaseException | None = None
-        # Precomputed link lookup: rank→node array + node-pair table,
-        # immutable after construction and O(num_nodes²) total.
+        # There are two link classes; which one joins two ranks is whether
+        # the precomputed rank→node array (which also bounds-checks both
+        # ranks) puts them on the same node.
         self._rank_node = [r // ranks_per_node for r in range(self.size)]
-        self._node_links = [
-            [cluster.link_between(a, b) for b in range(cluster.num_nodes)]
-            for a in range(cluster.num_nodes)
-        ]
+        self._intra_link = cluster.node.intra_link
+        self._network = cluster.network
         self.fault_plan: FaultPlan | None = None
         # The baton (see module docstring).  A gate is a lock held from
         # construction: opening it is ``release``, waiting at it ``acquire``.
@@ -162,8 +161,9 @@ class Fabric:
         return rank // self.ranks_per_node
 
     def link(self, src: int, dst: int) -> InterconnectSpec:
-        """The link class between two ranks (precomputed; called per message)."""
-        return self._node_links[self._rank_node[src]][self._rank_node[dst]]
+        """The link class between two ranks (called per message)."""
+        same_node = self._rank_node[src] == self._rank_node[dst]
+        return self._intra_link if same_node else self._network
 
     def egress_timeline(self, rank: int) -> Timeline:
         """The rank's NIC injection timeline (observability hook)."""

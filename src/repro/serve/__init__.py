@@ -1,8 +1,8 @@
 """Multi-tenant simulation job service.
 
 Turns the CLI-per-run model into a long-lived server: many small jobs
-share the process-wide warm pools (rank threads, worker processes, link
-tables, dataset memos) instead of each paying full per-process setup — the
+share the process-wide warm pools (rank threads, worker processes,
+dataset memos) instead of each paying full per-process setup — the
 "heavy traffic" direction of the roadmap, in the spirit of persistent
 runtimes like CaKernel's scheduler and HDArray's resident host process.
 
@@ -16,8 +16,9 @@ Pieces:
 - :class:`~repro.serve.store.ResultStore` — the persistent on-disk tier
   beneath the LRU: atomic per-hash JSON entries that survive restarts and
   are shared by every process pointed at the same directory.
-- :class:`~repro.serve.scheduler.JobScheduler` — priority queues,
-  per-job rank budgets, admission control, concurrent execution.
+- :class:`~repro.serve.scheduler.JobScheduler` — one in-process job at a
+  time, priority queues, a rank budget for worker-process jobs, admission
+  control, a bounded job table.
 - :class:`~repro.serve.server.JobServer` — the localhost HTTP API.
 - :class:`~repro.serve.client.ServeClient` — the stdlib client the CLI
   and batch drivers use.

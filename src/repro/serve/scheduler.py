@@ -1,19 +1,31 @@
-"""Concurrent job scheduler: priority queues, rank budgets, admission control.
+"""Job scheduler: one job per interpreter, priorities, a rank budget, a bounded table.
 
 The scheduler owns the server's concurrency policy:
 
-- **Admission control.**  Every job costs ``spec.ranks`` rank threads (one
-  per simulated node).  A job that could *never* fit — more ranks than the
+- **One running job per interpreter.**  A run's ranks take turns under one
+  baton (:mod:`repro.comm.fabric`) and two runs in one process only take
+  turns on the GIL, so running them side by side buys no time and holds
+  both working sets and both sets of rank threads at once.  A job that
+  executes in this process (``spec.backend != "processes"``) is therefore
+  dispatched only when no other such job is running; while it waits it is
+  ``queued`` — no thread exists for it, and ``started_at`` / ``finished_at``
+  bracket real execution.  Host parallelism is ``backend="processes"`` jobs:
+  each runs in a job worker process (:mod:`repro.serve.jobpool`), which also
+  runs one job at a time, so the rule holds in every process repro owns.
+- **Admission control.**  Every job costs ``spec.ranks`` ranks (one per
+  simulated node).  A job that could *never* fit — more ranks than the
   whole budget — is rejected at submission (:class:`AdmissionError`); a job
   that merely doesn't fit *right now* is queued.  The running set's
-  aggregate rank cost never exceeds ``rank_budget``, which bounds how many
-  rank threads the shared :class:`~repro.sim.engine._RankThreadPool` is
-  asked to hold live at once.
+  aggregate rank cost never exceeds ``rank_budget``: the widest job the
+  server admits, and the bound on worker jobs in flight (the one
+  in-process job counts against it too).
 - **Priority queue.**  Higher ``spec.priority`` dispatches first; ties
   break in submission order.  Dispatch is *first-fit in priority order*: if
   the highest-priority job doesn't fit the remaining budget, a smaller,
   lower-priority job may start ahead of it (no head-of-line blocking behind
-  wide jobs; wide jobs still win as soon as the budget drains).
+  wide jobs; wide jobs still win as soon as the budget drains).  An
+  in-process job waiting for the interpreter is stepped over without aging,
+  so worker jobs behind it still pack against the budget.
 - **Anti-starvation aging.**  Pure first-fit backfill can starve a wide
   high-priority job forever: it fits the *total* budget but a steady
   stream of narrow jobs keeps the *instantaneous* remainder too small.
@@ -27,9 +39,17 @@ The scheduler owns the server's concurrency policy:
   persistent :class:`~repro.serve.store.ResultStore` layered beneath the
   cache, hits survive server restarts.
 - **Batch submission.**  :meth:`JobScheduler.submit_many` admits a whole
-  spec list in one call, returning a per-spec outcome (job, cached result,
-  or admission error) without failing the rest of the batch — the
-  round-trip shape campaigns need.
+  spec list in one critical section, returning a per-spec outcome (job,
+  cached result, or admission error) without failing the rest of the batch
+  — the round-trip shape campaigns need.  The dispatcher never sees half a
+  batch, so the batch's jobs share their inputs (below) however short they
+  are.
+- **A bounded job table.**  The table holds every job that is queued or
+  running (at most ``max_queued`` wait) plus the last ``max_queued`` that
+  reached a terminal state; an older record is retired.  Asking for a
+  retired id raises :class:`JobRetired` — its result is still in the cache
+  or store and comes back by resubmitting the spec — and an id this
+  scheduler never issued stays a plain :class:`KeyError`.
 - **Inputs.**  A generated input lives as long as work that could share it
   is admitted.  Jobs that are queued or running together share the
   process-wide dataset memo (:func:`repro.data.memoized`); whenever a job
@@ -39,11 +59,10 @@ The scheduler owns the server's concurrency policy:
   memo: it cannot see this queue.
 
 Execution itself is delegated to an ``executor`` callable (by default
-:func:`repro.serve.spec.execute_job`); each admitted job runs on its own
-daemon thread, which is safe because :func:`~repro.sim.engine.spmd_run` is
-re-entrant — concurrent runs only share lock-protected pools.  A
-``backend="processes"`` job's thread only waits for the job worker
-process that runs it (:mod:`repro.serve.jobpool`).
+:func:`repro.serve.spec.execute_job`) on a daemon thread that lives as long
+as the job runs.  A ``backend="processes"`` job's thread only waits for the
+job worker process that runs it.  :func:`~repro.sim.engine.spmd_run` stays
+re-entrant for library users; the service just never asks it to be.
 """
 
 from __future__ import annotations
@@ -52,6 +71,7 @@ import sys
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -72,6 +92,10 @@ class AdmissionError(ValidationError):
     def __init__(self, message: str, *, reason: str) -> None:
         super().__init__(message)
         self.reason = reason
+
+
+class JobRetired(KeyError):
+    """The id was issued here, but its record has left the bounded job table."""
 
 
 #: Terminal job states (no further transitions).
@@ -98,6 +122,11 @@ class Job:
     @property
     def ranks(self) -> int:
         return self.spec.ranks
+
+    @property
+    def in_process(self) -> bool:
+        """Whether the job executes in the scheduler's own interpreter."""
+        return self.spec.backend != "processes"
 
     def describe(self, *, with_spec: bool = True) -> dict[str, Any]:
         """JSON-able status view (results are fetched separately)."""
@@ -133,7 +162,7 @@ def _process_stats() -> dict[str, Any]:
 
 
 class JobScheduler:
-    """Run jobs concurrently off the shared rank pools, within a budget."""
+    """Run one in-process job at a time, and worker jobs within a rank budget."""
 
     def __init__(
         self,
@@ -158,10 +187,16 @@ class JobScheduler:
         self.cache = cache if cache is not None else ResultCache()
         self._executor = executor if executor is not None else execute_job
         self._cond = threading.Condition()
+        # Every non-terminal job and the last ``max_queued`` terminal ones,
+        # in submission order; ``_by_state`` counts exactly these records.
         self._jobs: dict[str, Job] = {}
+        self._terminal: deque[Job] = deque()  # of ``_jobs``, oldest first
+        self._by_state = dict.fromkeys(("queued", "running", *TERMINAL_STATES), 0)
         self._queue: list[Job] = []  # queued jobs, submission order
+        self._in_process: Job | None = None  # the running job that holds this interpreter
         self._ranks_in_use = 0
         self._seq = 0
+        self._id_tag = uuid.uuid4().hex[:6]  # tells this scheduler's ids from another's
         self._executed = 0
         self._cache_hits = 0
         self._batches = 0
@@ -185,47 +220,58 @@ class JobScheduler:
         self._util_marked = now
         self._ranks_in_use += delta
 
+    def _job_id(self, seq: int) -> str:
+        return f"j{seq:05d}-{self._id_tag}"
+
+    def _enter_locked(self, job: Job, state: str) -> None:
+        """Move ``job`` to ``state``.  A terminal job takes a place among the
+        last ``max_queued`` of them, and the oldest beyond that is retired."""
+        self._by_state[job.state] -= 1
+        self._by_state[state] += 1
+        job.state = state
+        if state in TERMINAL_STATES:
+            self._terminal.append(job)
+            if len(self._terminal) > self.max_queued:
+                retired = self._terminal.popleft()
+                self._by_state[retired.state] -= 1
+                del self._jobs[retired.id]
+
     # -- submission ------------------------------------------------------
-    def submit(self, spec: JobSpec) -> Job:
-        """Admit one job: cache hit, queue it, or raise :class:`AdmissionError`."""
+    def _admit_locked(self, spec: JobSpec, spec_hash: str) -> Job:
         if spec.ranks > self.rank_budget:
             raise AdmissionError(
                 f"job needs {spec.ranks} ranks but the server's budget is "
                 f"{self.rank_budget}; it can never be scheduled",
                 reason="over_budget",
             )
+        if self._shutdown:
+            raise AdmissionError("scheduler is shut down", reason="shut_down")
+        cached = self.cache.get(spec_hash)
+        if cached is None and len(self._queue) >= self.max_queued:
+            raise AdmissionError(
+                f"queue is full ({self.max_queued} jobs waiting); retry later",
+                reason="queue_full",
+            )
+        self._seq += 1
+        job = Job(id=self._job_id(self._seq), spec=spec, spec_hash=spec_hash, seq=self._seq)
+        self._jobs[job.id] = job
+        self._by_state[job.state] += 1
+        if cached is not None:
+            job.cached = True
+            job.result = cached
+            job.started_at = job.finished_at = time.time()
+            self._cache_hits += 1
+            self._enter_locked(job, "done")
+        else:
+            self._queue.append(job)
+        self._cond.notify_all()
+        return job
+
+    def submit(self, spec: JobSpec) -> Job:
+        """Admit one job: cache hit, queue it, or raise :class:`AdmissionError`."""
         spec_hash = spec.content_hash()
         with self._cond:
-            if self._shutdown:
-                raise AdmissionError("scheduler is shut down", reason="shut_down")
-            self._seq += 1
-            job = Job(
-                id=f"j{self._seq:05d}-{uuid.uuid4().hex[:6]}",
-                spec=spec,
-                spec_hash=spec_hash,
-                seq=self._seq,
-            )
-            cached = self.cache.get(spec_hash)
-            if cached is not None:
-                now = time.time()
-                job.state = "done"
-                job.cached = True
-                job.result = cached
-                job.started_at = now
-                job.finished_at = now
-                self._cache_hits += 1
-                self._jobs[job.id] = job
-                self._cond.notify_all()
-                return job
-            if len(self._queue) >= self.max_queued:
-                raise AdmissionError(
-                    f"queue is full ({self.max_queued} jobs waiting); retry later",
-                    reason="queue_full",
-                )
-            self._jobs[job.id] = job
-            self._queue.append(job)
-            self._cond.notify_all()
-        return job
+            return self._admit_locked(spec, spec_hash)
 
     def submit_many(self, specs: list[JobSpec]) -> list[dict[str, Any]]:
         """Admit a whole batch; per-spec outcomes, no all-or-nothing.
@@ -237,14 +283,19 @@ class JobScheduler:
         - ``{"ok": False, "error": str}`` — this spec was refused
           (over-budget forever, queue full, scheduler shut down) without
           affecting the rest of the batch.
+
+        The specs are hashed first and admitted in one critical section, so
+        the dispatcher — and the rule that releases generated inputs when
+        nothing is admitted — sees the batch whole.
         """
+        hashes = [spec.content_hash() for spec in specs]
         out: list[dict[str, Any]] = []
-        for spec in specs:
-            try:
-                out.append({"ok": True, "job": self.submit(spec)})
-            except AdmissionError as exc:
-                out.append({"ok": False, "error": str(exc)})
         with self._cond:
+            for spec, spec_hash in zip(specs, hashes):
+                try:
+                    out.append({"ok": True, "job": self._admit_locked(spec, spec_hash)})
+                except AdmissionError as exc:
+                    out.append({"ok": False, "error": str(exc)})
             self._batches += 1
         return out
 
@@ -252,6 +303,10 @@ class JobScheduler:
     def _pick_locked(self) -> Job | None:
         """Best queued job that fits the remaining budget (first fit in
         priority order), or None.
+
+        An in-process job is no candidate while another holds the
+        interpreter: it is stepped over un-aged, so worker jobs behind it
+        still pack against the budget.
 
         First fit is tempered by aging: walking the queue best-first, a
         job that doesn't fit is normally jumped (and its ``passed_over``
@@ -264,6 +319,8 @@ class JobScheduler:
         available = self.rank_budget - self._ranks_in_use
         skipped: list[Job] = []
         for job in sorted(self._queue, key=lambda j: (-j.spec.priority, j.seq)):
+            if job.in_process and self._in_process is not None:
+                continue
             if job.ranks <= available:
                 if skipped:
                     self._pass_overs += len(skipped)
@@ -287,9 +344,11 @@ class JobScheduler:
                 if job is None:  # shutdown with nothing dispatchable
                     return
                 self._queue.remove(job)
-                job.state = "running"
+                self._enter_locked(job, "running")
                 job.started_at = time.time()
                 self._change_ranks_locked(job.ranks)
+                if job.in_process:
+                    self._in_process = job
             threading.Thread(
                 target=self._run_job, args=(job,), name=f"serve-{job.id}", daemon=True
             ).start()
@@ -312,8 +371,11 @@ class JobScheduler:
         if job.state == "running":
             self._change_ranks_locked(-job.ranks)
             self._executed += 1
-        job.state, job.result, job.error = state, result, error
+        if job is self._in_process:
+            self._in_process = None
+        job.result, job.error = result, error
         job.finished_at = time.time()
+        self._enter_locked(job, state)
         if self._ranks_in_use == 0 and not self._queue:
             # Nothing admitted could share a generated input any more.  Via
             # sys.modules: a front-end whose jobs all ran in workers never
@@ -325,16 +387,26 @@ class JobScheduler:
 
     # -- queries ----------------------------------------------------------
     def get(self, job_id: str) -> Job:
+        """The job's record; :class:`JobRetired` if the table no longer
+        holds it, :class:`KeyError` if this scheduler never issued the id."""
         with self._cond:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise KeyError(f"unknown job id {job_id!r}") from None
+            job = self._jobs.get(job_id)
+            if job is not None:
+                return job
+            seq = job_id[1:].partition("-")[0]
+            seq = int(seq) if seq.isdecimal() else 0
+            if 1 <= seq <= self._seq and job_id == self._job_id(seq):
+                raise JobRetired(
+                    f"job {job_id} has been retired (the server keeps the last "
+                    f"{self.max_queued} finished jobs); its result is still reachable "
+                    "by resubmitting the spec, which is a cache / store hit"
+                )
+            raise KeyError(f"unknown job id {job_id!r}")
 
     def jobs(self) -> list[Job]:
-        """All known jobs, in submission order."""
+        """Every job in the table (see the module docstring), in submission order."""
         with self._cond:
-            return sorted(self._jobs.values(), key=lambda j: j.seq)
+            return list(self._jobs.values())
 
     def wait(self, job_id: str, timeout: float = 120.0) -> Job:
         """Block until ``job_id`` reaches a terminal state (or time out)."""
@@ -371,15 +443,12 @@ class JobScheduler:
         from repro.sim.engine import active_run_stats, rank_pool_stats
 
         with self._cond:
-            by_state: dict[str, int] = {}
-            for job in self._jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
             now = time.monotonic()
             elapsed = max(now - self._util_started, 1e-9)
             busy = self._busy_rank_seconds + (now - self._util_marked) * self._ranks_in_use
             counters = {
                 "jobs": len(self._jobs),
-                "by_state": by_state,
+                "by_state": {state: n for state, n in self._by_state.items() if n},
                 "queued": len(self._queue),
                 "ranks_in_use": self._ranks_in_use,
                 "rank_budget": self.rank_budget,

@@ -22,6 +22,10 @@ GET    ``/jobs/<id>/trace``        Chrome-trace document (jobs with trace=true)
 POST   ``/jobs/<id>/cancel``       cancel a queued job (409 if running)
 ====== =========================== ===========================================
 
+Every ``/jobs/<id>`` path answers 404 for an id this server never issued and
+410 for one whose record left the scheduler's bounded table (the last
+``max_queued`` finished jobs stay): resubmit the spec, it is a cache hit.
+
 The server reads HTTP/1.1 itself (:meth:`_Handler._one_request`) rather than
 load ``http.server`` -> ``http.client`` + ``ssl`` + ``email`` into a process
 that never speaks TLS or parses mail; docs/architecture.md, "Job service",
@@ -29,8 +33,9 @@ says exactly what it speaks.
 
 Each connection is handled on its own thread, but handlers only touch the
 lock-protected :class:`~repro.serve.scheduler.JobScheduler` — the actual
-simulations run on the scheduler's job threads, so a slow job never blocks
-a status request; a ``?wait=`` one parks on its completion condition.
+simulations run on the scheduler's job threads (one in-process job at a
+time), so a slow job never blocks a status request; a ``?wait=`` one parks
+on its completion condition.
 
 :class:`JobServer` bundles scheduler + HTTP server + the serving thread;
 ``port=0`` binds an ephemeral port (the bound address is on ``.url``).
@@ -49,7 +54,7 @@ from typing import Any
 
 from repro import __version__
 from repro.serve.cache import ResultCache
-from repro.serve.scheduler import AdmissionError, JobScheduler
+from repro.serve.scheduler import AdmissionError, JobRetired, JobScheduler
 from repro.serve.spec import JobSpec, use_one_heap
 from repro.serve.store import ResultStore
 from repro.util.errors import ValidationError
@@ -82,6 +87,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    410: "Gone",
     413: "Request Entity Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -211,6 +217,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def _job(self, job_id: str):
         try:
             return self.scheduler.get(job_id)
+        except JobRetired as exc:
+            raise _ApiError(410, exc.args[0]) from None
         except KeyError:
             raise _ApiError(404, f"unknown job id {job_id!r}") from None
 
@@ -305,8 +313,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise _ApiError(400, f"wait must be a finite number of seconds >= 0, got {wait!r}")
             try:
                 self.scheduler.wait(job.id, timeout=min(seconds, MAX_WAIT_SECONDS))
-            except TimeoutError:
-                pass  # "not yet" is an answer, not an error
+            except (TimeoutError, JobRetired):
+                pass  # "not yet" is an answer, not an error; "retired since" is "done"
         self._send_json(job.describe())
 
     def _result(self, job_id: str) -> None:
@@ -336,9 +344,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _cancel(self, job_id: str) -> None:
         job = self._job(job_id)
-        if self.scheduler.cancel(job.id):
-            self._send_json(job.describe())
-        elif job.state == "cancelled":
+        try:
+            cancelled = self.scheduler.cancel(job.id)
+        except JobRetired:  # since the line above: it is terminal
+            cancelled = False
+        if cancelled or job.state == "cancelled":
             self._send_json(job.describe())
         else:
             raise _ApiError(409, f"job {job_id} is {job.state}; only queued jobs cancel")

@@ -178,6 +178,30 @@ def test_remote_run_via_batch_endpoint(tmp_path):
         assert repr(row["makespan"]) == repr(execute_job(spec)["makespan"])
 
 
+def test_a_warm_rerun_larger_than_the_job_table_still_reports_every_point(tmp_path, monkeypatch):
+    """Four store hits against a table that keeps two finished jobs: two ids
+    are retired (410) before anyone asks for their results."""
+    import functools
+
+    import repro.campaign.runner as runner_module
+    from repro.serve import JobScheduler
+
+    campaign = _campaign()
+    cold = CampaignRunner(campaign, store=tmp_path, executor=CountingExecutor()).run()
+    with JobServer(port=0, max_queued=2, store_dir=tmp_path) as server:
+        remote = CampaignRunner(campaign, client=ServeClient(server.url)).run()
+        assert server.scheduler.stats()["jobs"] == 2
+    monkeypatch.setattr(
+        runner_module, "JobScheduler", functools.partial(JobScheduler, max_queued=2)
+    )
+    local = CampaignRunner(campaign, store=tmp_path, executor=CountingExecutor()).run()
+    for warm in (remote, local):
+        assert warm.ok and warm.stats["executed"] == 0
+        assert [repr(row["makespan"]) for row in warm.rows] == [
+            repr(row["makespan"]) for row in cold.rows
+        ]
+
+
 def test_status_probes_store_without_executing(tmp_path):
     campaign = _campaign()
     runner = CampaignRunner(campaign, store=tmp_path, executor=CountingExecutor())

@@ -164,3 +164,17 @@ def test_link_lookup_is_precomputed_per_node_pair(fabric):
             assert fabric.link(src, dst) is expect
     # Intra-node pairs on different nodes share the identical spec object.
     assert fabric.link(0, 1) is fabric.link(2, 3)
+
+
+def test_a_fabric_asks_the_cluster_for_no_link_per_node_pair(monkeypatch):
+    """There are two link classes: building a fabric costs nothing per node
+    pair (it was 16 384 ``link_between`` calls for a 128-node run), and a rank
+    outside the run is still refused."""
+    cluster = laptop_cluster(num_nodes=128)
+    calls = []
+    monkeypatch.setattr(type(cluster), "link_between", lambda *args: calls.append(args))
+    wide = Fabric(cluster)
+    assert wide.link(5, 5) is cluster.node.intra_link and wide.link(0, 127) is cluster.network
+    assert not calls
+    with pytest.raises(IndexError):
+        wide.link(0, 128)

@@ -45,6 +45,46 @@ def wait_until(pred, timeout=10.0):
         time.sleep(0.001)
 
 
+class GatedExecutor:
+    """A scheduler executor that runs nothing: each job (known by its ``seed``
+    param, announced with ``expect``) signals ``started`` and waits for its
+    ``release``; it keeps its own account of what ran side by side."""
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+        self.started: dict[int, threading.Event] = {}
+        self.release: dict[int, threading.Event] = {}
+        self.ranks = self.peak_ranks = 0  # of the calls in progress
+        self.in_process = self.peak_in_process = 0
+        self.fail: set[int] = set()  # seeds whose job raises once released
+        self._lock = threading.Lock()
+
+    def expect(self, *seeds: int) -> None:
+        for seed in seeds:
+            self.started[seed] = threading.Event()
+            self.release[seed] = threading.Event()
+
+    def __call__(self, spec) -> dict:
+        seed = spec.params.get("seed", 0)
+        in_process = spec.backend != "processes"
+        with self._lock:
+            self.calls.append(seed)
+            self.ranks += spec.ranks
+            self.in_process += in_process
+            self.peak_ranks = max(self.peak_ranks, self.ranks)
+            self.peak_in_process = max(self.peak_in_process, self.in_process)
+        self.started[seed].set()
+        try:
+            assert self.release[seed].wait(30.0), f"job seed={seed} never released"
+        finally:
+            with self._lock:
+                self.ranks -= spec.ranks
+                self.in_process -= in_process
+        if seed in self.fail:
+            raise RuntimeError("unlucky seed")
+        return {"makespan": float(seed)}
+
+
 class HeldExecutor:
     """A scheduler executor that runs the job for real, then holds its
     completion until ``release`` is set (``ran`` says the run is over)."""

@@ -14,7 +14,6 @@ from repro.data.meshes import geometric_mesh
 from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
 from repro.serve import JobSpec, execute_job
 from repro.serve.scheduler import JobScheduler
-from tests.conftest import HeldExecutor
 
 
 @pytest.fixture(autouse=True)
@@ -270,19 +269,36 @@ def test_release_drops_entries_and_keeps_the_hit_and_miss_counters():
 @pytest.mark.parametrize(
     "rank_budget, specs",
     [
-        (64, [_kmeans(1), _kmeans(2)]),  # both run at once
-        (2, [_kmeans(2), _kmeans(1)]),  # the first fills the budget: the second queues behind it
+        (64, [_kmeans(1), _kmeans(2)]),  # the second waits for the interpreter
+        (2, [_kmeans(2), _kmeans(1)]),  # ... and here for the budget as well
     ],
 )
 def test_a_batch_shares_its_input_and_the_drain_releases_it(scheduler, rank_budget, specs):
-    held = HeldExecutor()  # submit_many is not atomic: a fast job must not drain it mid-batch
-    sched = scheduler(held, rank_budget=rank_budget)
+    sched = scheduler(rank_budget=rank_budget)
     jobs = [out["job"] for out in sched.submit_many(specs)]
-    held.release.set()
     assert [sched.wait(job.id, timeout=300.0).state for job in jobs] == ["done", "done"]
-    if rank_budget == 2:  # one after the other: the queued job kept the first one's input
-        assert jobs[1].started_at >= jobs[0].finished_at
+    # One after the other: the queued job kept the first one's input admitted.
+    assert jobs[1].started_at >= jobs[0].finished_at
     assert _counts() == (0, 1, 2, 1)  # one generation; one release, after the last job
+
+
+def test_no_job_is_short_enough_to_drain_the_scheduler_mid_batch(scheduler):
+    """A batch is admitted in one critical section.  Spec by spec, 3 of 300
+    such batches lost their input between the first job's end and the second
+    spec's admission, and generated it again."""
+    sched = scheduler()
+    for seed in range(300):
+        specs = [
+            JobSpec(
+                app="kmeans", nodes=1, preset="laptop", mix="cpu",
+                params={"functional_points": 400, "k": 8, "iterations": iterations, "seed": seed},
+            )
+            for iterations in (1, 2)  # two jobs, one input
+        ]
+        jobs = [out["job"] for out in sched.submit_many(specs)]
+        assert [sched.wait(job.id, timeout=300.0).state for job in jobs] == ["done", "done"]
+    stats = memo_stats()
+    assert (stats["misses"], stats["hits"], stats["evictions"]) == (300, 300, 300)
 
 
 def test_jobs_submitted_one_at_a_time_regenerate_a_shared_input(scheduler):

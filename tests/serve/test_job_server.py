@@ -117,6 +117,31 @@ def test_bad_requests(gated_server):
     assert excinfo.value.status == 404
 
 
+def test_a_retired_id_is_gone_and_an_unknown_one_not_found():
+    """The table keeps the last ``max_queued`` finished jobs; an older id is
+    410 on every by-id path, and its result one resubmission away."""
+    with JobServer(port=0, max_queued=2, executor=lambda spec: {"makespan": 1.5}) as server:
+        client = ServeClient(server.url)
+        ids = []
+        for seed in range(3):
+            ids.append(client.submit(_spec(seed))["id"])
+            assert client.wait(ids[-1], timeout=10.0)["state"] == "done"
+        assert [job["id"] for job in client.jobs()] == ids[1:]
+        for method, path in (
+            ("GET", ""), ("GET", "?wait=5"), ("GET", "/result"), ("GET", "/trace"), ("POST", "/cancel"),
+        ):
+            with pytest.raises(ServeError) as excinfo:
+                client._request(method, f"/jobs/{ids[0]}{path}")
+            assert excinfo.value.status == 410 and "resubmitting the spec" in excinfo.value.message
+            with pytest.raises(ServeError) as excinfo:
+                client._request(method, f"/jobs/{ids[0][:-1]}{path}")  # never issued
+            assert excinfo.value.status == 404
+        again = client.submit(_spec(0))
+        assert again["cached"] and client.result(again["id"])["result"] == {"makespan": 1.5}
+        stats = client.stats()
+        assert stats["jobs"] == 2 == sum(stats["by_state"].values())
+
+
 def _raw_exchange(server: JobServer, request: bytes) -> bytes:
     """Send raw bytes; return everything the server answers until it closes."""
     with socket.create_connection((server.host, server.port), timeout=5.0) as sock:

@@ -12,8 +12,12 @@ since grown its arenas.  The helper's refusals (operator's own
 checked in-process against a fake libc.  The input lifetime rule (the
 scheduler releases the dataset memo whenever it drains) is probed the same
 way: ten unique-seed sobel jobs through one server must not raise its peak
-RSS the way eight retained images used to.  Generator transients are counted
-with ``tracemalloc``, to which NumPy reports its buffers.
+RSS the way eight retained images used to.  So is the job rule (one running
+in-process job, a job table that keeps the last ``max_queued`` finished
+records): a 24-job batch never shows more than one job's threads, and ten
+tables' worth of no-op jobs leave RSS and ``stats()`` where they were.
+Generator transients are counted with ``tracemalloc``, to which NumPy reports
+its buffers.
 """
 
 import ctypes
@@ -147,6 +151,52 @@ print(json.dumps({"peaks": peaks, "datasets": stats["datasets"]}))
 """
 
 
+#: A campaign-sized batch of 2-rank jobs, watched through ``/stats`` while it
+#: drains; then ten job tables' worth of no-op jobs through a second server.
+BATON_PROBE = """
+import json, time
+from repro.serve import JobServer, JobSpec, ServeClient
+
+MAX_QUEUED = 128
+
+def spec(seed):
+    return JobSpec(app="heat3d", nodes=2, preset="laptop", mix="cpu", params={"seed": seed})
+
+def drained(stats):
+    return stats["queued"] == 0 and stats["ranks_in_use"] == 0
+
+threads, running = [], []
+with JobServer(port=0, rank_budget=64) as server:
+    api = ServeClient(server.url)
+    entries = api.submit_many([spec(seed) for seed in range(24)])
+    while True:
+        stats = api.stats()
+        threads.append(stats["process"]["threads"])
+        running.append(stats["by_state"].get("running", 0))
+        if drained(stats):
+            break
+    states = [api.status(entry["id"])["state"] for entry in entries]
+
+rss, jobs, stats_us = [], [], []
+with JobServer(port=0, max_queued=MAX_QUEUED, executor=lambda spec: {"makespan": 0.0}) as server:
+    api = ServeClient(server.url)
+    for batch in range(10):
+        api.submit_many([spec(batch * MAX_QUEUED + i) for i in range(MAX_QUEUED)])
+        while not drained(server.scheduler.stats()):
+            time.sleep(0.001)
+        timings = []
+        for _ in range(51):
+            t0 = time.perf_counter()
+            stats = server.scheduler.stats()
+            timings.append(time.perf_counter() - t0)
+        stats_us.append(min(timings) * 1e6)
+        rss.append(stats["process"]["rss_mb"])
+        jobs.append(stats["jobs"])
+print(json.dumps({"threads": threads, "running": running, "states": states,
+                  "rss": rss, "jobs": jobs, "stats_us": stats_us}))
+"""
+
+
 def _run_probe(tmp_path, source: str) -> dict:
     (tmp_path / "heap_probe.py").write_text(HEAP_PROBE, encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "MALLOC_ARENA_MAX"}
@@ -189,6 +239,24 @@ def test_sequential_unique_jobs_do_not_grow_the_server(tmp_path):
     datasets = report["datasets"]
     assert (datasets["size"], datasets["bytes"]) == (0, 0)
     assert (datasets["misses"], datasets["hits"], datasets["evictions"]) == (10, 10, 10)
+
+
+# --------------------------------------- one running job, a bounded job table
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_a_server_runs_one_job_at_a_time_and_keeps_a_bounded_table(tmp_path):
+    """Measured on the 2-vCPU development host.  While the batch drains the
+    parent (c4da08b) showed 48 threads and 18 jobs running, this 10 and 1.  Over
+    the last nine of ten tables' worth of no-op jobs the parent's RSS rose 1.64
+    MiB (every record kept: 1280 at the end) and its ``stats()`` went 45 -> 134
+    us; the bounded table holds 128 records throughout, +0.27 MiB and a flat
+    50 us.  The bounds are a third of the parent's growth."""
+    report = _run_probe(tmp_path, BATON_PROBE)
+    assert set(report["states"]) == {"done"} and len(report["states"]) == 24
+    assert max(report["running"]) == 1 and max(report["threads"]) <= 12, report["threads"]
+    assert report["jobs"] == [128] * 10
+    rss, stats_us = report["rss"], report["stats_us"]
+    assert rss[-1] - rss[1] <= 1.64 / 3, rss
+    assert stats_us[-1] <= stats_us[1] + (134 - 45) / 3, stats_us
 
 
 #: generator call -> most its traced peak may be, in multiples of the bytes it
