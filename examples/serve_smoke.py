@@ -7,13 +7,14 @@ served makespan is bit-identical (repr-equal) to running the same spec
 directly through the engine, and that resubmitting an identical spec is
 answered from the content-addressed result cache without re-execution.
 While the batch drains it reads ``/stats`` and requires the one-job rule (at
-most one in-process job ``running``, one job's worth of threads); afterwards
+most one in-process job ``running``, one job's worth of threads) and, once
+the first job has ended, at most one generated input in the dataset memo
+(each spec is its own admission, released when its job ends); afterwards
 that the job table's ``by_state`` counters sum to ``jobs``.
 Ends by checking that waiting cost one status request per job (the server
 holds ``GET /jobs/<id>?wait=`` until the job is done; nothing polls), that
-the now idle server holds no generated input (the dataset memo is released
-when the scheduler drains) and printing what the process holds, as
-``/stats`` reports it.
+the now idle server holds no generated input and printing what the process
+holds, as ``/stats`` reports it.
 
 This is also the CI "service smoke" step.
 
@@ -79,6 +80,11 @@ def main() -> None:
             # A job thread, its ranks (pooled since the direct runs) and this
             # request's handler: 8 of 12 threads in a process of its own.
             assert idle is None or stats["process"]["threads"] <= idle + 4, (idle, stats["process"])
+            # Each spec is its own admission: once one has ended, the memo holds
+            # at most the input of the job running now (the direct runs' three
+            # stayed until the queue drained when that was the rule).
+            if stats["executed"] >= 1:
+                assert stats["datasets"]["size"] <= 1, stats["datasets"]
             if stats["queued"] == 0 and stats["ranks_in_use"] == 0:
                 break
         for spec, job, expected in zip(BATCH, jobs, direct):

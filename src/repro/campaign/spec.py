@@ -51,9 +51,33 @@ from typing import Any, Mapping
 
 from repro.serve.spec import JobSpec, resolve_backend, usable_cpus
 from repro.util.errors import ValidationError
+from repro.util.validate import check_json, check_json_depth
+
+#: The JSON shape of each campaign field, and of each axis's values,
+#: checked by :meth:`CampaignSpec.from_dict`.
+_FIELD_KINDS = {
+    "name": ("a string",),
+    "axes": ("an object",),
+    "params": ("an object",),
+    "app_params": ("an object",),  # of objects
+    "options": ("an object",),
+    "app_options": ("an object",),  # of objects
+    "backend": ("a string", "null"),
+    "trace": ("a boolean",),
+    "points": ("a list of objects",),
+}
+_AXIS_KINDS = {
+    "app": ("a string",),
+    "preset": ("a string",),
+    "nodes": ("an integer",),
+    "mix": ("a string",),
+    "scale": ("a string",),
+    "seed": ("an integer", "null"),
+    "fault_plan": ("an object", "null"),
+}
 
 #: Axis names, in expansion (outer to inner) order.
-AXES = ("app", "preset", "nodes", "mix", "scale", "seed", "fault_plan")
+AXES = tuple(_AXIS_KINDS)
 
 #: Default value per axis when a campaign omits it.
 _AXIS_DEFAULTS: dict[str, tuple] = {
@@ -221,34 +245,40 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+        """The campaign a JSON document describes; every malformed document
+        raises :class:`ValidationError`."""
         if not isinstance(data, Mapping):
             raise ValidationError(
                 f"campaign spec must be an object, got {type(data).__name__}"
             )
-        known = {
-            "name", "axes", "params", "app_params", "options", "app_options",
-            "backend", "trace", "points",
-        }
-        unknown = set(data) - known
+        check_json_depth("campaign spec", data)
+        unknown = set(data) - set(_FIELD_KINDS)
         if unknown:
             raise ValidationError(
-                f"unknown campaign fields {sorted(unknown)}; known: {sorted(known)}"
+                f"unknown campaign fields {sorted(unknown)}; known: {sorted(_FIELD_KINDS)}"
             )
         if "name" not in data or "axes" not in data:
             raise ValidationError("campaign spec requires 'name' and 'axes' fields")
-        axes = data["axes"]
-        if not isinstance(axes, Mapping):
-            raise ValidationError("campaign 'axes' must be an object of value lists")
+        for name, value in data.items():
+            check_json(f"campaign field {name!r}", value, *_FIELD_KINDS[name])
+        for scope in ("app_params", "app_options"):
+            for app, overrides in data.get(scope, {}).items():
+                check_json(f"campaign {scope}[{app!r}]", overrides, "an object")
+        axes = {}
+        for axis, values in data["axes"].items():
+            axes[axis] = tuple(values) if isinstance(values, (list, tuple)) else (values,)
+            for value in axes[axis] if axis in AXES else ():  # an unknown axis fails below
+                check_json(f"campaign axis {axis!r} value", value, *_AXIS_KINDS[axis])
         return cls(
             name=data["name"],
-            axes={k: tuple(v) if isinstance(v, (list, tuple)) else (v,) for k, v in axes.items()},
-            params=data.get("params") or {},
-            app_params=data.get("app_params") or {},
-            options=data.get("options") or {},
-            app_options=data.get("app_options") or {},
+            axes=axes,
+            params=data.get("params", {}),
+            app_params=data.get("app_params", {}),
+            options=data.get("options", {}),
+            app_options=data.get("app_options", {}),
             backend=data.get("backend", "auto"),
-            trace=bool(data.get("trace", False)),
-            points=tuple(data.get("points") or ()),
+            trace=data.get("trace", False),
+            points=tuple(data.get("points", ())),
         )
 
     @classmethod

@@ -12,7 +12,7 @@ process-wide memo (:func:`memoized`): an input is generated once and every
 rank, baseline and ``sequential_reference`` slices the same read-only arrays
 (callers that need to write take a copy).  The runtime that knows what work
 is admitted decides how long inputs live: a job scheduler empties the memo
-whenever it drains (:func:`release_memo`).
+when the last job of an admission ends (:func:`release_memo`).
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ def clear_memo() -> None:
 def release_memo() -> None:
     """Drop every entry, counting each as an eviction; hits and misses stay.
 
-    An input lives as long as work that could share it is admitted: the job
-    scheduler calls this whenever it drains.  A generation in flight is
+    An input lives as long as the admission that brought it: the job
+    scheduler calls this when an admission's last job ends and no in-process
+    job is running.  A generation in flight is
     untouched and inserts its result when it finishes.
     """
     with _changed:

@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.comm.constants import RELIABLE_ACK_BASE
 from repro.util.errors import ValidationError
+from repro.util.validate import check_json
 
 
 @dataclass(frozen=True)
@@ -319,23 +320,23 @@ class FaultPlan:
             raise ValidationError(f"unknown fault-plan keys: {sorted(unknown)}")
 
         def _build(kind: type, entries: Any, name: str) -> list:
-            if not isinstance(entries, (list, tuple)):
-                raise ValidationError(f"fault-plan {name} must be a list")
+            check_json(f"fault-plan {name}", entries, "a list of objects")
             out = []
             for entry in entries:
-                if not isinstance(entry, dict):
-                    raise ValidationError(f"each {name} entry must be a dict")
                 fields = dict(entry)
                 if "t_end" in fields and fields["t_end"] == "inf":
                     fields["t_end"] = math.inf
+                for field_name, value in fields.items():
+                    check_json(f"fault-plan {name} {field_name!r}", value, "a number", "null")
                 try:
                     out.append(kind(**fields))
                 except TypeError as exc:
                     raise ValidationError(f"bad {name} entry: {exc}") from None
             return out
 
+        check_json("fault-plan seed", data.get("seed", 0), "an integer")
         return cls(
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             rules=_build(MessageFaultRule, data.get("rules", []), "rules"),
             degradations=_build(
                 LinkDegradation, data.get("degradations", []), "degradations"

@@ -50,13 +50,18 @@ The scheduler owns the server's concurrency policy:
   retired id raises :class:`JobRetired` — its result is still in the cache
   or store and comes back by resubmitting the spec — and an id this
   scheduler never issued stays a plain :class:`KeyError`.
-- **Inputs.**  A generated input lives as long as work that could share it
-  is admitted.  Jobs that are queued or running together share the
-  process-wide dataset memo (:func:`repro.data.memoized`); whenever a job
-  finishes, fails or is cancelled and nothing is left queued or running, the
-  scheduler releases it (:func:`repro.data.release_memo`), so an idle server
-  holds no input of work that is gone.  A job worker process keeps its own
-  memo: it cannot see this queue.
+- **Inputs.**  A generated input lives as long as the admission that
+  brought it: one :meth:`~JobScheduler.submit` or
+  :meth:`~JobScheduler.submit_many` call, known by the ``seq`` of its first
+  job.  Jobs that are queued or running share the process-wide dataset memo
+  (:func:`repro.data.memoized`).  When a job finishes, fails or is cancelled
+  and no in-process job is running, the scheduler releases the memo
+  (:func:`repro.data.release_memo`) if the job's admission has no queued or
+  running job left, or if another admission whose jobs ran here ended while
+  the interpreter was busy.  So a batch shares its inputs to its last job,
+  two closed-loop clients do not keep each other's finished inputs, and an
+  idle server holds none.  A job worker process keeps its own memo: it
+  cannot see this queue.
 
 Execution itself is delegated to an ``executor`` callable (by default
 :func:`repro.serve.spec.execute_job`) on a daemon thread that lives as long
@@ -110,6 +115,7 @@ class Job:
     spec: JobSpec
     spec_hash: str
     seq: int
+    admission: int  # seq of the first job of the submit / submit_many call that admitted it
     state: str = "queued"  # queued | running | done | failed | cancelled
     cached: bool = False
     result: dict[str, Any] | None = None
@@ -193,6 +199,8 @@ class JobScheduler:
         self._terminal: deque[Job] = deque()  # of ``_jobs``, oldest first
         self._by_state = dict.fromkeys(("queued", "running", *TERMINAL_STATES), 0)
         self._queue: list[Job] = []  # queued jobs, submission order
+        self._live: dict[int, int] = {}  # admission -> its queued or running jobs
+        self._generated: set[int] = set()  # admissions run in-process since the last release
         self._in_process: Job | None = None  # the running job that holds this interpreter
         self._ranks_in_use = 0
         self._seq = 0
@@ -237,7 +245,7 @@ class JobScheduler:
                 del self._jobs[retired.id]
 
     # -- submission ------------------------------------------------------
-    def _admit_locked(self, spec: JobSpec, spec_hash: str) -> Job:
+    def _admit_locked(self, spec: JobSpec, spec_hash: str, admission: int) -> Job:
         if spec.ranks > self.rank_budget:
             raise AdmissionError(
                 f"job needs {spec.ranks} ranks but the server's budget is "
@@ -253,7 +261,10 @@ class JobScheduler:
                 reason="queue_full",
             )
         self._seq += 1
-        job = Job(id=self._job_id(self._seq), spec=spec, spec_hash=spec_hash, seq=self._seq)
+        job = Job(
+            id=self._job_id(self._seq), spec=spec, spec_hash=spec_hash, seq=self._seq,
+            admission=admission,
+        )
         self._jobs[job.id] = job
         self._by_state[job.state] += 1
         if cached is not None:
@@ -264,6 +275,7 @@ class JobScheduler:
             self._enter_locked(job, "done")
         else:
             self._queue.append(job)
+            self._live[admission] = self._live.get(admission, 0) + 1
         self._cond.notify_all()
         return job
 
@@ -271,7 +283,7 @@ class JobScheduler:
         """Admit one job: cache hit, queue it, or raise :class:`AdmissionError`."""
         spec_hash = spec.content_hash()
         with self._cond:
-            return self._admit_locked(spec, spec_hash)
+            return self._admit_locked(spec, spec_hash, self._seq + 1)
 
     def submit_many(self, specs: list[JobSpec]) -> list[dict[str, Any]]:
         """Admit a whole batch; per-spec outcomes, no all-or-nothing.
@@ -284,16 +296,17 @@ class JobScheduler:
           (over-budget forever, queue full, scheduler shut down) without
           affecting the rest of the batch.
 
-        The specs are hashed first and admitted in one critical section, so
-        the dispatcher — and the rule that releases generated inputs when
-        nothing is admitted — sees the batch whole.
+        The specs are hashed first and admitted in one critical section, as
+        one admission: the dispatcher sees the batch whole, and the inputs
+        its jobs generate live until the last of them ends.
         """
         hashes = [spec.content_hash() for spec in specs]
         out: list[dict[str, Any]] = []
         with self._cond:
+            admission = self._seq + 1
             for spec, spec_hash in zip(specs, hashes):
                 try:
-                    out.append({"ok": True, "job": self._admit_locked(spec, spec_hash)})
+                    out.append({"ok": True, "job": self._admit_locked(spec, spec_hash, admission)})
                 except AdmissionError as exc:
                     out.append({"ok": False, "error": str(exc)})
             self._batches += 1
@@ -349,6 +362,7 @@ class JobScheduler:
                 self._change_ranks_locked(job.ranks)
                 if job.in_process:
                     self._in_process = job
+                    self._generated.add(job.admission)
             threading.Thread(
                 target=self._run_job, args=(job,), name=f"serve-{job.id}", daemon=True
             ).start()
@@ -367,7 +381,8 @@ class JobScheduler:
     def _finish_locked(
         self, job: Job, state: str, *, result: dict[str, Any] | None = None, error: str | None = None
     ) -> None:
-        """Move ``job`` to a terminal state; release the inputs if that drained us."""
+        """Move ``job`` to a terminal state; release the inputs if an
+        admission has ended and no in-process job is reading any."""
         if job.state == "running":
             self._change_ranks_locked(-job.ranks)
             self._executed += 1
@@ -376,10 +391,19 @@ class JobScheduler:
         job.result, job.error = result, error
         job.finished_at = time.time()
         self._enter_locked(job, state)
-        if self._ranks_in_use == 0 and not self._queue:
-            # Nothing admitted could share a generated input any more.  Via
-            # sys.modules: a front-end whose jobs all ran in workers never
-            # generated one, and must not import NumPy to find that out.
+        self._live[job.admission] -= 1
+        ended = not self._live[job.admission]
+        if ended:
+            del self._live[job.admission]
+        # Release once no in-process job is reading an input, if this
+        # admission just ended or one that generated inputs here ended while
+        # another's job held the interpreter.
+        if self._in_process is None and (
+            ended or any(admission not in self._live for admission in self._generated)
+        ):
+            self._generated.clear()
+            # Via sys.modules: a front-end whose jobs all ran in workers never
+            # generated an input, and must not import NumPy to find that out.
             data = sys.modules.get("repro.data")
             if data is not None:
                 data.release_memo()

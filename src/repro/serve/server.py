@@ -211,7 +211,7 @@ class _Handler(socketserver.StreamRequestHandler):
         raw, self.unread = self.rfile.read(self.unread), 0
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # also: an integer past the digit limit
             raise _ApiError(400, f"invalid JSON body: {exc}") from None
 
     def _job(self, job_id: str):

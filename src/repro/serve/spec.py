@@ -39,6 +39,7 @@ from typing import Any, Callable, Mapping
 
 from repro.apps.registry import APPS
 from repro.util.errors import ValidationError
+from repro.util.validate import check_json, check_json_depth
 
 #: Cluster presets a job may request, by name.
 CLUSTER_PRESETS = ("ohio", "laptop", "latency")
@@ -279,17 +280,38 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
+        """The spec a JSON document describes; every malformed document
+        raises :class:`ValidationError` (value ranges of app params are the
+        app's to check, when the job runs)."""
         if not isinstance(data, Mapping):
             raise ValidationError(f"job spec must be an object, got {type(data).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        check_json_depth("job spec", data)
+        unknown = set(data) - set(_FIELD_KINDS)
         if unknown:
             raise ValidationError(
-                f"unknown job-spec fields {sorted(unknown)}; known: {sorted(known)}"
+                f"unknown job-spec fields {sorted(unknown)}; known: {sorted(_FIELD_KINDS)}"
             )
         if "app" not in data:
             raise ValidationError("job spec requires an 'app' field")
+        for name, value in data.items():
+            check_json(f"job spec field {name!r}", value, *_FIELD_KINDS[name])
         return cls(**{k: data[k] for k in data})
+
+
+#: The JSON shape of each :class:`JobSpec` field, checked by ``from_dict``.
+_FIELD_KINDS = {
+    "app": ("a string",),
+    "nodes": ("an integer",),
+    "mix": ("a string",),
+    "preset": ("a string",),
+    "scale": ("a string",),
+    "params": ("an object",),
+    "options": ("an object",),
+    "fault_plan": ("an object", "null"),
+    "backend": ("a string", "null"),
+    "priority": ("an integer",),
+    "trace": ("a boolean",),
+}
 
 
 # -- CLI flags -> spec -------------------------------------------------------

@@ -8,11 +8,24 @@ naming the offending parameter, which keeps the call sites one-liners::
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.util.errors import ValidationError
+
+#: The shapes :func:`check_json` tells apart in a decoded JSON document.
+_JSON_KINDS: dict[str, Callable[[Any], bool]] = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, Mapping),
+    "a list of objects": lambda v: (
+        isinstance(v, (list, tuple)) and all(isinstance(item, Mapping) for item in v)
+    ),
+    "null": lambda v: v is None,
+}
 
 
 def check_positive(name: str, value: float) -> None:
@@ -38,6 +51,39 @@ def check_type(name: str, value: Any, types: type | tuple[type, ...]) -> None:
     if not isinstance(value, types):
         expected = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ValidationError(f"{name} must be {expected}, got {type(value).__name__}")
+
+
+def check_json(name: str, value: Any, *kinds: str) -> None:
+    """Require a decoded JSON ``value`` to be one of ``kinds`` (keys of
+    ``_JSON_KINDS``); a bool is neither an integer nor a number here.
+
+    >>> check_json("nodes", 4, "an integer")
+    """
+    if not any(_JSON_KINDS[kind](value) for kind in kinds):
+        raise ValidationError(f"{name} must be {' or '.join(kinds)}, got {type(value).__name__}")
+
+
+#: Deepest nesting :func:`check_json_depth` accepts: far beyond any spec
+#: document, far short of what would exhaust the recursion of the code that
+#: copies and hashes one.
+MAX_JSON_DEPTH = 32
+
+
+def check_json_depth(name: str, value: Any) -> None:
+    """Require a decoded JSON ``value`` to nest at most ``MAX_JSON_DEPTH`` deep
+    (walked level by level, so the check itself never recurses).  Only dicts,
+    lists and tuples nest: they are what copying and hashing recurse into."""
+    level = [value]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            child
+            for item in level
+            if isinstance(item, (dict, list, tuple))
+            for child in (item.values() if isinstance(item, dict) else item)
+        ]
+        if not level:
+            return
+    raise ValidationError(f"{name} nests deeper than {MAX_JSON_DEPTH} levels")
 
 
 def check_shape(name: str, array: np.ndarray, shape: Iterable[int | None]) -> None:

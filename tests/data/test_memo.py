@@ -14,6 +14,7 @@ from repro.data.meshes import geometric_mesh
 from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
 from repro.serve import JobSpec, execute_job
 from repro.serve.scheduler import JobScheduler
+from tests.conftest import GatedExecutor
 
 
 @pytest.fixture(autouse=True)
@@ -306,6 +307,102 @@ def test_jobs_submitted_one_at_a_time_regenerate_a_shared_input(scheduler):
     for nodes in (2, 1):  # a closed loop: the scheduler drains between the two
         assert sched.wait(sched.submit(_kmeans(nodes)).id, timeout=300.0).state == "done"
     assert _counts() == (0, 2, 1, 2)
+
+
+def test_a_job_submitted_alone_releases_its_input_when_it_ends(scheduler):
+    """Two closed-loop clients: the second job is admitted while the first
+    runs, so the scheduler never drains.  The first job's input goes when that
+    job ends (at 7c1e930, which released only on a drain, the second job
+    found it still held)."""
+    first_started, finish_first = threading.Event(), threading.Event()
+    held_at_start: dict = {}
+
+    def generate(spec):
+        seed = spec.params["seed"]
+        held_at_start[seed] = memo_stats()["size"]
+        clustered_points(300, 4, seed=seed)
+        if seed == 1:
+            first_started.set()
+            assert finish_first.wait(30.0)
+        return {"makespan": 0.0}
+
+    sched = scheduler(generate)
+    first = sched.submit(_kmeans(1, seed=1))
+    assert first_started.wait(30.0)
+    second = sched.submit(_kmeans(1, seed=2))
+    assert second.state == "queued"
+    finish_first.set()
+    assert sched.wait(second.id, timeout=30.0).state == "done"
+    assert first.state == "done" and held_at_start == {1: 0, 2: 0}
+    assert _counts() == (0, 2, 0, 2)
+
+
+def test_a_job_alone_ending_between_a_batchs_jobs_costs_it_one_regeneration(scheduler):
+    """The documented consequence: a higher-priority job of its own admission
+    runs between the two jobs of a batch that share an input.  It ends its
+    admission, so the memo is released and the batch's second job generates
+    the input again — one extra miss, and the same result."""
+    first_ran, go_on = threading.Event(), threading.Event()
+
+    def hold_the_first(spec):
+        payload = execute_job(spec)
+        if spec.params.get("iterations") == 1:
+            first_ran.set()
+            assert go_on.wait(60.0)
+        return payload
+
+    def batch_job(iterations):
+        params = {"functional_points": 3000, "k": 8, "seed": 3, "iterations": iterations}
+        return JobSpec(app="kmeans", nodes=1, preset="laptop", mix="cpu", params=params)
+
+    sched = scheduler(hold_the_first)
+    first, second = (out["job"] for out in sched.submit_many([batch_job(1), batch_job(2)]))
+    assert first_ran.wait(60.0)
+    alone = sched.submit(JobSpec.from_dict({**_kmeans(1, seed=4).to_dict(), "priority": 1}))
+    go_on.set()
+    for job in (first, alone, second):
+        assert sched.wait(job.id, timeout=300.0).state == "done"
+    assert first.finished_at <= alone.started_at and alone.finished_at <= second.started_at
+    assert _counts() == (0, 3, 0, 3)  # batched alone, the second job would have hit
+    direct = execute_job(second.spec)
+    assert repr(second.result["makespan"]) == repr(direct["makespan"])
+    assert second.result["metrics"] == direct["metrics"]
+
+
+def test_an_admission_that_ends_behind_a_running_job_is_released_after_it(scheduler):
+    """A batch of an in-process job and a worker job keeps the input its
+    in-process job generated while the worker job runs.  When the worker job
+    ends, another admission's job holds the interpreter: nothing is released
+    under it, and the first batch's input goes when it ends — although that
+    job's own batch-mate is still running."""
+    gate = GatedExecutor()
+    gate.expect(1, 2, 3, 4)
+
+    def generate_then_wait(spec):
+        if spec.backend != "processes":  # a worker job generates in its own process
+            clustered_points(300, 4, seed=spec.params["seed"])
+        return gate(spec)
+
+    def batch(seed):  # an in-process job and a worker job
+        worker = JobSpec.from_dict({**_kmeans(1, seed + 1).to_dict(), "backend": "processes"})
+        return [out["job"] for out in sched.submit_many([_kmeans(1, seed), worker])]
+
+    sched = scheduler(generate_then_wait)
+    first, first_worker = batch(1)
+    gate.release[1].set()
+    sched.wait(first.id, timeout=30.0)
+    assert _counts() == (1, 1, 0, 0)  # its batch-mate still runs
+    second, second_worker = batch(3)
+    assert gate.started[3].wait(30.0)
+    gate.release[2].set()
+    sched.wait(first_worker.id, timeout=30.0)
+    assert _counts() == (2, 2, 0, 0)  # the first batch has ended; a job is reading an input
+    gate.release[3].set()
+    sched.wait(second.id, timeout=30.0)
+    assert _counts() == (0, 2, 0, 2)
+    gate.release[4].set()
+    assert sched.wait(second_worker.id, timeout=30.0).state == "done"
+    assert _counts() == (0, 2, 0, 2)
 
 
 def test_a_failing_job_releases(scheduler):

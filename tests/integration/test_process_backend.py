@@ -13,7 +13,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +93,12 @@ def _worker_pids() -> list[int]:
     """Job workers are the forkserver's children: our grandchildren."""
     children = _children()
     return sorted(w for helper in children.get(os.getpid(), []) for w in children.get(helper, []))
+
+
+def _cpu_ticks(pid: int) -> int:
+    """User + system CPU time ``pid`` has used, in clock ticks (``/proc/<pid>/stat``)."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])  # utime, stime: fields 14 and 15
 
 
 @pytest.fixture
@@ -223,7 +228,9 @@ def test_killed_worker_fails_its_job_and_pool_recovers(clean_pool):
         doomed = scheduler.submit(LONG)
         queued = scheduler.submit(_on(TABLE["moldyn"], "processes"))  # waits for budget
         wait_until(lambda: doomed.state == "running")
-        time.sleep(0.2)  # let a worker pick the job up
+        idle = {pid: _cpu_ticks(pid) for pid in _worker_pids()}
+        # A worker has picked the job up once one uses CPU (a new one counts from 0).
+        wait_until(lambda: any(_cpu_ticks(p) > idle.get(p, 0) for p in _worker_pids()), 30.0)
         os.kill(_worker_pids()[0], signal.SIGKILL)
         scheduler.wait(doomed.id, timeout=30)
         assert doomed.state == "failed"

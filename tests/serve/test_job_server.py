@@ -10,7 +10,6 @@ the result cache, and jobs beyond the rank budget must queue, not crash.
 import os
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -65,9 +64,7 @@ def test_healthz_and_stats(gated_server):
 def test_submit_status_queue_cancel_flow(gated_server):
     client, executor = gated_server
     first = client.submit(_spec(1, nodes=4))  # occupies the whole budget
-    deadline = time.monotonic() + 5.0
-    while not executor.started and time.monotonic() < deadline:
-        time.sleep(0.005)
+    wait_until(lambda: executor.started)
     assert executor.started == [1]
 
     queued = client.submit(_spec(2))

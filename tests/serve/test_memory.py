@@ -10,9 +10,10 @@ secondary thread.  Runs in subprocesses because the pytest process has long
 since grown its arenas.  The helper's refusals (operator's own
 ``MALLOC_ARENA_MAX``, no libc, no ``mallopt``, ``mallopt`` failing) are
 checked in-process against a fake libc.  The input lifetime rule (the
-scheduler releases the dataset memo whenever it drains) is probed the same
-way: ten unique-seed sobel jobs through one server must not raise its peak
-RSS the way eight retained images used to.  So is the job rule (one running
+scheduler releases the dataset memo when the last job of an admission ends)
+is probed the same way: ten unique-seed sobel jobs through one server, and
+twelve from two clients that keep it from ever draining, must not raise its
+peak RSS the way eight retained images used to.  So is the job rule (one running
 in-process job, a job table that keeps the last ``max_queued`` finished
 records): a 24-job batch never shows more than one job's threads, and ten
 tables' worth of no-op jobs leave RSS and ``stats()`` where they were.
@@ -151,6 +152,39 @@ print(json.dumps({"peaks": peaks, "datasets": stats["datasets"]}))
 """
 
 
+#: The same sobel jobs from two closed-loop clients, six each: one job always
+#: runs while the other client's waits, so the scheduler never drains.  The
+#: executor reads what the memo holds as each job starts.
+CLIENTS_PROBE = """
+import json, threading
+from repro.data import memo_stats
+from repro.serve import JobServer, JobSpec, ServeClient, execute_job
+
+held, peaks = [], []
+
+def executor(spec):
+    held.append(memo_stats()["bytes"])
+    return execute_job(spec)
+
+def client(url, first_seed):
+    api = ServeClient(url)
+    for seed in range(first_seed, first_seed + 12, 2):
+        params = {"functional_shape": [672, 672], "simulated_steps": 3, "seed": seed}
+        spec = JobSpec(app="sobel", nodes=2, preset="laptop", mix="cpu", params=params)
+        assert api.wait(api.submit(spec)["id"], timeout=300.0)["state"] == "done"
+        peaks.append(api.stats()["process"]["peak_rss_mb"])
+
+with JobServer(port=0, rank_budget=4, executor=executor) as server:
+    clients = [threading.Thread(target=client, args=(server.url, seed)) for seed in (0, 1)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join(600.0)
+    datasets = server.scheduler.stats()["datasets"]
+print(json.dumps({"held": held, "peaks": peaks, "datasets": datasets}))
+"""
+
+
 #: A campaign-sized batch of 2-rank jobs, watched through ``/stats`` while it
 #: drains; then ten job tables' worth of no-op jobs through a second server.
 BATON_PROBE = """
@@ -239,6 +273,23 @@ def test_sequential_unique_jobs_do_not_grow_the_server(tmp_path):
     datasets = report["datasets"]
     assert (datasets["size"], datasets["bytes"]) == (0, 0)
     assert (datasets["misses"], datasets["hits"], datasets["evictions"]) == (10, 10, 10)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_two_clients_do_not_keep_each_others_finished_inputs(tmp_path):
+    """Measured on the 2-vCPU development host, two runs each: at 7c1e930,
+    which released the memo only when the scheduler drained, the jobs started
+    with 0, 1, 2, ... up to 8 images of finished jobs in the memo and the peak
+    rose 11.26-11.27 MiB from the first pair of jobs to the last; released when
+    each job's admission ends, every job starts with none and the peak rises
+    0.00-0.07 MiB.  The bounds are one image and a third of the parent's growth."""
+    report = _run_probe(tmp_path, CLIENTS_PROBE)
+    image = 672 * 672 * 4  # one float32 sobel input
+    assert len(report["held"]) == 12 and max(report["held"]) <= image, report["held"]
+    peaks = sorted(report["peaks"])  # two clients append in no fixed order
+    assert peaks[-1] - peaks[1] <= 11.26 / 3, report["peaks"]
+    datasets = report["datasets"]
+    assert (datasets["size"], datasets["misses"], datasets["hits"]) == (0, 12, 12)
 
 
 # --------------------------------------- one running job, a bounded job table

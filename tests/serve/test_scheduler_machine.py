@@ -17,11 +17,14 @@ work-conservation check: a job that could start is never left queued.
 import itertools
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+import repro.data as data
+from repro.data import clear_memo, memoized
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import TERMINAL_STATES, AdmissionError, JobRetired, JobScheduler
 from repro.serve.spec import JobSpec
@@ -39,12 +42,25 @@ def _order(job):
     return (-job.spec.priority, job.seq)
 
 
+@memoized
+def job_input(seed: int) -> np.ndarray:
+    """Stands in for a dataset generator: one memo entry per job, keyed by its seed."""
+    return np.zeros(1)
+
+
 class SchedulerMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
+        clear_memo()
         self.executor = GatedExecutor()
+
+        def generate_then_run(spec: JobSpec) -> dict:
+            if spec.backend != "processes":  # a worker job generates in its own process
+                job_input(spec.params["seed"])
+            return self.executor(spec)
+
         self.scheduler = JobScheduler(
-            self.executor,
+            generate_then_run,
             rank_budget=RANK_BUDGET,
             cache=ResultCache(4096),
             max_queued=MAX_QUEUED,
@@ -63,6 +79,8 @@ class SchedulerMachine(RuleBasedStateMachine):
         assert all(job.state in TERMINAL_STATES for job in self.jobs)
         wait_until(lambda: not any(t.name.startswith("serve-j") for t in threading.enumerate()))
         assert not self.scheduler._dispatcher.is_alive()
+        assert data.memo_stats()["size"] == 0  # nothing is admitted any more
+        clear_memo()
 
     # -- helpers ------------------------------------------------------------
     def _spec(self, shape) -> JobSpec:
@@ -130,6 +148,7 @@ class SchedulerMachine(RuleBasedStateMachine):
             return None
         assert refusal is None
         assert job.cached == expect_hit and job.seq == len(self.jobs) + 1
+        assert job.admission == job.seq  # one submit, one admission
         self.jobs.append(job)
         return job
 
@@ -153,6 +172,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     def submit_many(self, batch) -> None:
         specs = [self._spec(shape) for shape in batch]
         queued = len(self._in_state("queued"))
+        admission = len(self.jobs) + 1  # the seq of the batch's first job
         outcomes = self.scheduler.submit_many(specs)
         assert len(outcomes) == len(specs)
         for spec, outcome in zip(specs, outcomes):
@@ -162,6 +182,7 @@ class SchedulerMachine(RuleBasedStateMachine):
             if outcome["ok"]:
                 queued += 1
                 assert outcome["job"].seq == len(self.jobs) + 1
+                assert outcome["job"].admission == admission
                 self.jobs.append(outcome["job"])
         self._settle()
 
@@ -232,6 +253,19 @@ class SchedulerMachine(RuleBasedStateMachine):
             with pytest.raises(KeyError) as excinfo:
                 self.scheduler.get(unknown)
             assert excinfo.type is KeyError
+
+    @invariant()
+    def no_input_outlives_its_admission(self) -> None:
+        """Between in-process jobs the memo holds only inputs that a queued or
+        running job of the admission that generated them could still read."""
+        with self.scheduler._cond:  # no job changes state while we look
+            if self.scheduler._in_process is not None:
+                return
+            held = [key[1] for key in list(data._memo) if key[0] is job_input.__wrapped__]
+            live = {job.admission for job in self.jobs if job.state in ("queued", "running")}
+        generated_by = {job.spec.params["seed"]: job for job in self.jobs if not job.cached}
+        for seed in held:
+            assert generated_by[seed].admission in live, generated_by[seed].describe()
 
     @invariant()
     def stats_equal_a_recount(self) -> None:

@@ -18,19 +18,33 @@ whole reply stream is read back under a 2 s socket timeout.  Required:
   two replies;
 - nothing hangs (a timeout fails the example) and, afterwards, no handler
   thread is left behind and the server still answers.
+
+The documents inside the requests are generated too: valid job and campaign
+documents mutated field by field (a value of the wrong JSON type, nested lists
+and objects, huge integers, NaN and infinities, booleans where numbers go).
+``JobSpec.from_dict`` / ``CampaignSpec.from_dict`` either raise
+``ValidationError`` — naming the field whose shape is wrong, when one is — or
+return a spec whose ``to_dict()`` survives a JSON round trip; over a raw
+socket, ``POST /jobs`` answers 2xx or 400 and ``POST /jobs/batch`` rejects
+that entry alone.
 """
 
+import copy
 import json
+import re
 import socket
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import __version__
-from repro.serve import JobServer, ServeClient
+from repro.campaign import CampaignSpec
+from repro.faults import FaultPlan
+from repro.serve import JobServer, JobSpec, ServeClient
 from repro.serve.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
+from repro.util.errors import ValidationError
 from tests.conftest import parse_replies, wait_until
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
@@ -175,3 +189,218 @@ def test_a_framed_body_is_never_answered_as_a_request(served, data):
     server, job_id = served
     replies = check(exchange(server, data.draw(framed_requests(job_id))))
     assert len([status for status, _, _ in replies if status != 100]) <= 2, replies
+
+
+# --------------------------------------------------------- generated documents
+JOB = {
+    "app": "heat3d", "nodes": 2, "mix": "cpu", "preset": "laptop", "scale": "quick",
+    "params": {"seed": 1, "functional_shape": [8, 8, 8]}, "options": {"time_block": 2},
+    "fault_plan": FaultPlan.lossy(seed=3, drop=0.1, delay=0.1, max_delay=1e-4).to_dict(),
+    "backend": None, "priority": 0, "trace": False,
+}  # fmt: skip
+CAMPAIGN = {
+    "name": "fuzz",
+    "axes": {"app": ["heat3d", "kmeans"], "preset": "laptop", "nodes": [1, 2], "mix": ["cpu"],
+             "scale": "quick", "seed": [0, None], "fault_plan": [None, JOB["fault_plan"]]},
+    "params": {}, "app_params": {"heat3d": {"simulated_steps": 2}}, "options": {},
+    "app_options": {"kmeans": {}}, "backend": None, "trace": False, "points": [JOB],
+}  # fmt: skip
+
+#: The JSON shape of every top-level field and axis value, written out here
+#: independently of the code under test: field -> the Python types its decoded
+#: value may have (None for null).
+STRING, INTEGER, OBJECT = (str,), (int,), (dict,)
+JOB_SHAPES = {
+    "app": STRING, "nodes": INTEGER, "mix": STRING, "preset": STRING, "scale": STRING,
+    "params": OBJECT, "options": OBJECT, "fault_plan": (dict, None), "backend": (str, None),
+    "priority": INTEGER, "trace": (bool,),
+}  # fmt: skip
+CAMPAIGN_SHAPES = {
+    "name": STRING, "axes": OBJECT, "params": OBJECT, "app_params": OBJECT, "options": OBJECT,
+    "app_options": OBJECT, "backend": (str, None), "trace": (bool,), "points": (list,),
+}  # fmt: skip
+AXIS_SHAPES = {
+    "app": STRING, "preset": STRING, "nodes": INTEGER, "mix": STRING, "scale": STRING,
+    "seed": (int, None), "fault_plan": (dict, None),
+}  # fmt: skip
+
+
+def shaped(value, kinds) -> bool:
+    if isinstance(value, bool):  # a bool is no integer here
+        return bool in kinds
+    if kinds == (list,):  # points: a list of objects
+        return isinstance(value, list) and all(isinstance(item, dict) for item in value)
+    return any(value is None if kind is None else isinstance(value, kind) for kind in kinds)
+
+
+def misshapen(doc: dict, shapes: dict, prefix: str) -> list[str]:
+    """How the errors name the ill-shaped top-level fields of ``doc``; [] when
+    a check that comes first (unknown field, missing 'app') would fire."""
+    if set(doc) - set(shapes) or ("app" in shapes and "app" not in doc):
+        return []
+    return [f"{prefix} {name!r}" for name, value in doc.items() if not shaped(value, shapes[name])]
+
+
+def campaign_misshapen(doc: dict) -> list[str]:
+    if "name" not in doc or "axes" not in doc:
+        return []
+    bad = misshapen(doc, CAMPAIGN_SHAPES, "field")
+    if bad or set(doc) - set(CAMPAIGN_SHAPES):
+        return bad
+    for scope in ("app_params", "app_options"):
+        bad += [f"{scope}[{app!r}]" for app, v in doc.get(scope, {}).items() if not shaped(v, OBJECT)]
+    for axis, values in doc["axes"].items():
+        values = values if isinstance(values, list) else [values]
+        if axis in AXIS_SHAPES and not all(shaped(v, AXIS_SHAPES[axis]) for v in values):
+            bad.append(f"axis {axis!r} value")
+    return bad
+
+
+def raises_naming(bad: list[str], parse):
+    """``parse()``'s spec, or None if it raised ValidationError; which must
+    name one of the ``bad`` fields when there are any."""
+    try:
+        spec = parse()
+    except ValidationError as exc:
+        assert not bad or any(f"{name} must be" in str(exc) for name in bad), (bad, exc)
+        return None
+    assert not bad, f"accepted a document whose {bad} are ill-shaped"
+    return spec
+
+
+def same(a: dict, b: dict) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)  # NaN == NaN here
+
+
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([2**63, -(2**70), 10**40, "heat3d", "cpu", "laptop", "processes", "inf"])
+)  # fmt: skip
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["seed", "rules", "src", "heat3d", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    """Every key / index path into a document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc: dict) -> dict:
+    """``doc`` with one to three values replaced (or, now and then, a key dropped)."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, last = draw(st.sampled_from(list(_paths(doc))))
+        target = doc
+        for key in parents:
+            target = target[key]
+        if isinstance(target, dict) and draw(st.integers(0, 9)) == 0:
+            del target[last]
+        else:
+            target[last] = draw(json_values)
+    return doc
+
+
+def post(server: JobServer, path: bytes, doc) -> tuple[int, object]:
+    body = json.dumps(doc).encode()
+    head = b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % (path, len(body))
+    status, _, reply = check(exchange(server, head + body))[0]
+    return status, reply
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated(JOB))
+@example(doc={**JOB, "app": ["heat3d"]})
+@example(doc={**JOB, "params": "x"})
+@example(doc={**JOB, "fault_plan": {"seed": "x"}})
+@example(doc={**JOB, "nodes": True})
+@example(doc={**JOB, "params": []})
+@example(doc={**JOB, "options": []})
+@example(doc={**JOB, "fault_plan": []})
+@example(doc={**JOB, "mix": ["cpu"]})
+@example(doc={**JOB, "preset": ["laptop"]})
+@example(doc={**JOB, "scale": 1})
+@example(doc={**JOB, "backend": 7})
+@example(doc={**JOB, "priority": True})
+@example(doc={**JOB, "trace": "yes"})
+@example(doc={**JOB, "fault_plan": {"rules": "x"}})
+@example(doc={**JOB, "fault_plan": {"rules": [{"src": "x"}, {"src": 1}]}})
+def test_a_job_document_is_a_spec_or_a_400(served, doc):
+    server, _ = served
+    spec = raises_naming(misshapen(doc, JOB_SHAPES, "field"), lambda: JobSpec.from_dict(doc))
+    if spec is not None:
+        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert same(again.to_dict(), spec.to_dict())
+        assert again.content_hash() == spec.content_hash()
+    refused = spec is None or spec.ranks > 64  # the server's default rank budget
+    status, reply = post(server, b"/jobs", doc)
+    assert status == 400 if refused else status in (200, 202), reply
+    # In a batch, the same document is one entry's error and fails nothing else.
+    status, reply = post(server, b"/jobs/batch", {"jobs": [doc, JOB]})
+    assert status == 200 and len(reply["jobs"]) == 2, reply
+    assert ("id" in reply["jobs"][0]) != refused and "id" in reply["jobs"][1], reply
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated(CAMPAIGN))
+@example(doc={**CAMPAIGN, "name": ["x"]})
+@example(doc={**CAMPAIGN, "axes": ["heat3d"]})
+@example(doc={**CAMPAIGN, "axes": {"app": [["heat3d"]]}})
+@example(doc={**CAMPAIGN, "axes": {"app": {"heat3d": 1}}})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "preset": [1]}})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "nodes": [True]}})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "mix": [["cpu"]]}})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "scale": [{}]}})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "seed": ["x"]}})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "fault_plan": ["x"]}})
+@example(doc={**CAMPAIGN, "params": "x"})
+@example(doc={**CAMPAIGN, "app_params": "x"})
+@example(doc={**CAMPAIGN, "app_params": {"heat3d": "x"}})
+@example(doc={**CAMPAIGN, "options": []})
+@example(doc={**CAMPAIGN, "app_options": {"kmeans": []}})
+@example(doc={**CAMPAIGN, "backend": 3})
+@example(doc={**CAMPAIGN, "trace": "yes"})
+@example(doc={**CAMPAIGN, "points": "x"})
+@example(doc={**CAMPAIGN, "points": [5]})
+def test_a_campaign_document_is_a_campaign_or_a_validation_error(doc):
+    campaign = raises_naming(campaign_misshapen(doc), lambda: CampaignSpec.from_dict(doc))
+    if campaign is None:
+        return
+    again = CampaignSpec.from_dict(json.loads(json.dumps(campaign.to_dict())))
+    assert same(again.to_dict(), campaign.to_dict())
+    try:
+        specs = campaign.expand()
+    except ValidationError:
+        return
+    assert len(specs) == campaign.n_points()
+    for spec in specs:
+        spec.content_hash()
+
+
+def test_a_document_too_deep_or_too_large_to_handle_is_a_400(served):
+    server, _ = served
+    deep = []
+    for _ in range(900):  # nested past what copying and hashing it could recurse through
+        deep = [deep]
+    for parse in (
+        lambda: JobSpec.from_dict({**JOB, "params": {"seed": deep}}),
+        lambda: CampaignSpec.from_dict({**CAMPAIGN, "params": {"seed": deep}}),
+    ):
+        with pytest.raises(ValidationError, match="deeper than"):
+            parse()
+    for body in (
+        b'{"app": "heat3d", "params": {"seed": %s}}' % (b"[" * 900 + b"]" * 900),
+        b"[" * 100_000 + b"]" * 100_000,  # too deep for the JSON parser itself
+        b'{"app": "heat3d", "nodes": %s}' % (b"9" * 5000),  # past int()'s digit limit
+    ):
+        head = b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+        status, _, reply = check(exchange(server, head + body))[0]
+        assert status == 400 and re.search("deeper than|invalid JSON", reply["error"]), reply
