@@ -90,19 +90,29 @@ def sobel_apply(src: np.ndarray, dst: np.ndarray, region: tuple, _param) -> None
     ``d = src[y, x+1] - src[y, x-1]``, the gradients are
     ``gx = d[y-1] + 2*d[y] + d[y+1]`` and ``gy = s[y+1] - s[y-1]``
     (the weights of :data:`GX`/:data:`GY`).  Everything runs in the grid's
-    native dtype, with less than half the array passes of the direct 3x3
-    loop — equivalent math, measurably faster wall-clock.
+    native dtype through three region-sized buffers: ``d`` and ``s`` (two
+    rows taller than ``region``) and ``gx``; ``gy`` overwrites ``d[:-2]``
+    once ``gx`` has consumed ``d``, and the square root lands straight in
+    ``dst[region]``.  The operation order is that of the plain expression
+    ``sqrt(gx*gx + gy*gy)``, so the result is bit-identical to it.
     """
     ys, xs = region
     rows = slice(ys.start - 1, ys.stop + 1)
     left = src[rows, xs.start - 1 : xs.stop - 1]
     mid = src[rows, xs]
     right = src[rows, xs.start + 1 : xs.stop + 1]
-    d = right - left
-    s = left + 2 * mid + right
-    gx = d[:-2] + 2 * d[1:-1] + d[2:]
-    gy = s[2:] - s[:-2]
-    dst[region] = np.sqrt(gx * gx + gy * gy)
+    d = np.subtract(right, left)
+    s = np.multiply(mid, 2)
+    np.add(left, s, out=s)
+    np.add(s, right, out=s)
+    gx = np.multiply(d[1:-1], 2)
+    np.add(d[:-2], gx, out=gx)
+    np.add(gx, d[2:], out=gx)
+    gy = np.subtract(s[2:], s[:-2], out=d[:-2])
+    np.multiply(gx, gx, out=gx)
+    np.multiply(gy, gy, out=gy)
+    np.add(gx, gy, out=gx)
+    np.sqrt(gx, out=dst[region])
 
 
 def make_kernel(node: NodeSpec) -> StencilKernel:

@@ -124,7 +124,13 @@ class StencilKernel:
             ``region``.  ``src``/``dst`` are halo-padded local arrays and
             ``region`` is a tuple of slices (in padded coordinates); use
             :func:`shifted` to express neighbour accesses, which plays the
-            role of the paper's ``GET_FLOAT3``-style get functions.
+            role of the paper's ``GET_FLOAT3``-style get functions.  The
+            runtime tiles every sweep: ``apply`` may be handed any axis-0
+            sub-box of a sweep region, so it must be a pure function of
+            the ``halo``-neighbourhood — never read the region's size as
+            data, and never write ``src``.  (A kernel that mutates one of
+            ``configure``'s ``exchange_fields`` is the exception: its
+            sweeps are applied whole.)
         halo: Stencil radius (1 for 7-point/9-point kernels).
         work: Cost model for one grid element.
     """

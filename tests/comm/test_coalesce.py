@@ -6,6 +6,7 @@ import pytest
 from repro.comm.coalesce import HaloCoalescer
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
+from repro.core.stencil import SLAB_ELEMS
 from repro.device.work import WorkModel
 from repro.util.errors import ConfigurationError
 from tests.conftest import run_spmd
@@ -113,28 +114,28 @@ def _coupled(src, dst, region, param):
     v[region] = src[region]
 
 
-def _coupled_program(ctx, iters=4, mix="cpu"):
+def _coupled_program(ctx, iters=4, mix="cpu", grid=GRID):
     env = RuntimeEnv(ctx, mix)
     st = env.get_stencil()
     st.configure(
         StencilKernel(_coupled, 1, WORK),
-        GRID.shape,
-        static_fields={"v": GRID * 2.0},
+        grid.shape,
+        static_fields={"v": grid * 2.0},
         exchange_fields=("v",),
     )
-    st.set_global_grid(GRID)
+    st.set_global_grid(grid)
     st.run(iters)
     grid = st.gather_global()
     env.finalize()
     return grid
 
 
-def _coupled_seq(iters=4):
-    src = np.zeros(tuple(s + 2 for s in GRID.shape))
+def _coupled_seq(iters=4, grid=GRID):
+    src = np.zeros(tuple(s + 2 for s in grid.shape))
     v = np.zeros_like(src)
-    region = tuple(slice(1, 1 + s) for s in GRID.shape)
-    src[region] = GRID
-    v[region] = GRID * 2.0
+    region = tuple(slice(1, 1 + s) for s in grid.shape)
+    src[region] = grid
+    v[region] = grid * 2.0
     dst = np.zeros_like(src)
 
     class _Param:
@@ -157,6 +158,18 @@ def test_mutable_exchange_field_matches_sequential_bitwise(nodes):
     each step — and they ride the grid's coalesced messages."""
     res = run_spmd(_coupled_program, nodes=nodes)
     np.testing.assert_array_equal(res.values[0], _coupled_seq())
+
+
+def test_mutable_exchange_field_is_applied_over_whole_regions():
+    """``_coupled`` reads v's neighbours and then writes v, so it is not a
+    pure neighbourhood function: cut into axis-0 slabs, a slab would read
+    rows its predecessor already overwrote.  Each rank's region here holds
+    more than ``SLAB_ELEMS`` elements, and the result must still match the
+    one-box sequential sweep."""
+    grid = np.random.default_rng(8).random((2 * 130, 280))
+    assert 130 * 280 > SLAB_ELEMS
+    res = run_spmd(_coupled_program, nodes=2, kwargs={"grid": grid})
+    np.testing.assert_array_equal(res.values[0], _coupled_seq(grid=grid))
 
 
 def test_exchange_field_coalesces_strips_not_messages():

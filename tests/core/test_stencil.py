@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from repro.apps.extra.hotspot import hotspot_apply
+from repro.apps.extra.jacobi2d import jacobi_apply
+from repro.apps.extra.srad import make_update_kernel
+from repro.apps.heat3d import heat_apply
+from repro.apps.sobel import sobel_apply
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
+from repro.core.stencil import SLAB_ELEMS, StencilFields
 from repro.device.work import WorkModel
 from repro.util.errors import ConfigurationError
 from tests.conftest import run_spmd
@@ -284,8 +292,91 @@ def test_snapshot_state_roundtrips_exchange_fields():
 def test_multirank_result_bitwise_identical_to_sequential(nodes):
     # Stronger than allclose: halo strips travel through the pooled
     # send/receive buffers and land via out= into strided slabs, and the
-    # interior is computed by one fused apply.  All of that must reproduce
+    # interior is applied in axis-0 slabs.  All of that must reproduce
     # the single-array sequential sweep bit for bit, since every update is
     # the same elementwise expression over exactly the same neighbor bytes.
     res = run_spmd(_program(GRID2D, _avg2d), nodes=nodes, gpus_per_node=2)
     np.testing.assert_array_equal(res.values[0], _seq(GRID2D, _avg2d, 1, 3))
+
+
+#: name -> (apply, halo, ndim, dtype, parameter from (padded shape, rng)):
+#: every stencil kernel in the tree, with the static fields it reads.
+TREE_KERNELS = {
+    "heat3d": (heat_apply, 1, 3, np.float64, lambda shape, rng: 0.1),
+    "sobel": (sobel_apply, 1, 2, np.float32, lambda shape, rng: None),
+    "jacobi2d": (
+        jacobi_apply, 1, 2, np.float64,
+        lambda shape, rng: StencilFields(1e-3, {"rhs": rng.random(shape)}),
+    ),
+    "hotspot": (
+        hotspot_apply, 1, 2, np.float64,
+        lambda shape, rng: StencilFields(None, {"power": rng.random(shape)}),
+    ),
+    "srad": (make_update_kernel(0.5).apply, 2, 2, np.float64, lambda shape, rng: 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_KERNELS))
+@settings(max_examples=25, deadline=None)
+@given(data=hst.data())
+def test_one_box_equals_its_slabs(name, data):
+    # The runtime hands ``apply`` axis-0 slabs of each sweep region, so a
+    # kernel must give the same bits over a box as over any partition of it.
+    # Regions are drawn anywhere a ghost-extended ``time_block`` sweep may
+    # reach: up to ``halo`` from the padded array's edge.
+    apply, halo, ndim, dtype, make_param = TREE_KERNELS[name]
+    extent = hst.integers(2 * halo + 1, 12)
+    shape = tuple(data.draw(hst.lists(extent, min_size=ndim, max_size=ndim)))
+    region = []
+    for n in shape:
+        lo = data.draw(hst.integers(halo, n - halo - 1))
+        region.append(slice(lo, data.draw(hst.integers(lo + 1, n - halo))))
+    ys = region[0]
+    cuts = data.draw(hst.sets(hst.integers(ys.start, ys.stop), max_size=4))
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    src = (rng.random(shape) + 0.1).astype(dtype)
+    param = make_param(shape, rng)
+    whole = rng.random(shape).astype(dtype)
+    tiled = whole.copy()
+    apply(src, whole, tuple(region), param)
+    bounds = sorted({ys.start, ys.stop, *cuts})
+    for a, b in zip(bounds, bounds[1:]):
+        apply(src, tiled, (slice(a, b), *region[1:]), param)
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    np.testing.assert_array_equal(tiled.view(bits), whole.view(bits))
+
+
+def test_sweep_regions_are_cut_into_bounded_axis0_slabs():
+    def prog(ctx):
+        st = RuntimeEnv(ctx, "cpu").get_stencil()
+        st.configure(StencilKernel(_avg2d, 1, WORK), (400, 300), time_block=2)
+        return st.interior, st._sweep_regions(2)
+
+    (ys, xs), (outer, inner) = run_spmd(prog, nodes=2).values[0]
+    for slabs in (outer, inner):
+        rows = [sl.stop - sl.start for sl, _ in slabs]
+        assert [sl.start for sl, _ in slabs[1:]] == [sl.stop for sl, _ in slabs[:-1]]
+        assert max(rows) * 300 <= SLAB_ELEMS and max(rows) - min(rows) <= 1
+        assert all(cols == xs for _, cols in slabs)
+    # Rank 0 of two: the outer sweep reaches one ghost row toward rank 1.
+    assert (outer[0][0].start, outer[-1][0].stop) == (ys.start, ys.stop + 1)
+    assert (inner[0][0].start, inner[-1][0].stop) == (ys.start, ys.stop)
+
+
+def test_a_row_wider_than_a_slab_is_one_slab_and_exchange_fields_are_not_cut():
+    def prog(ctx):
+        st = RuntimeEnv(ctx, "cpu").get_stencil()
+        st.configure(StencilKernel(_avg3d, 1, WORK), (6, 200, 200))
+        wide = st._sweep_regions(1)[0]
+        grid = np.zeros((400, 300))
+        st.configure(
+            StencilKernel(_avg2d, 1, WORK), grid.shape,
+            static_fields={"v": grid}, exchange_fields=("v",),
+        )
+        return wide, st.interior, st._sweep_regions(1)[0]
+
+    wide, interior, exchanged = run_spmd(prog, nodes=1).values[0]
+    # 200 x 200 > SLAB_ELEMS per row: one row per slab, never an empty slab.
+    assert [(sl.start, sl.stop) for sl, *_ in wide] == [(i, i + 1) for i in range(1, 7)]
+    # A kernel that mutates an exchange field is applied over whole regions.
+    assert exchanged == [interior]
