@@ -25,24 +25,17 @@ set.  Partitioning follows the paper exactly:
 Functional honesty: remote node slots are filled **only** by the exchange
 protocol; if the protocol were wrong, results would be wrong.
 
-Host-side performance: the hot loop is built around a persistent
-per-device **edge-partition cache** (see :class:`_DevicePartition`).
-After every (re)partition the runtime computes once — and keeps until the
-next repartition or ``set_mesh``/``set_kernel`` — each device's edge
-index sets, edge/edge-data slices, pooled reduction object, and the
-precomputed scatter plans (:meth:`DenseReductionObject.plan_scatter`)
-for all four endpoint columns of the full local/cross edge arrays.
-Steady-state steps then run no per-step partitioning, no fancy-index
-slicing, and no buffer allocation: the edge kernel executes **once per
-phase** over the full edge array, and each emitted batch scatters
-**once** through the combined full-range object's precomputed plan
-(:class:`_MultiDeviceScatter`) — the pooled per-device objects' value
-buffers are segments of the combined array, so a single planned
-``np.bincount`` (or CSR/``reduceat`` for min/max) updates every device
-at once, with per-device insert/drop counters maintained from counts
-precomputed at cache-build time.  None of this touches the cost model —
-each device is still charged for its own cached edge share — so virtual
-makespans are unchanged.
+Because device slices of the reduction space are disjoint and
+concatenated, a rank's result is functionally one reduction object over
+its local nodes, and that is all the runtime keeps: one
+:class:`DenseReductionObject` over ``[0, n_local)`` with precomputed
+scatter plans (:meth:`DenseReductionObject.plan_scatter`) for the four
+endpoint columns of the local/cross edge arrays, built once per
+``set_mesh``/``set_kernel`` and reset in place every step.  The edge
+kernel runs once per phase over the full edge array and scatters straight
+into it.  The device split decides only what each device is *charged*:
+per device it is a pair of local/cross edge counts (cross-device edges
+counted on both sides), recounted after every repartition.
 """
 
 from __future__ import annotations
@@ -51,147 +44,24 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.api import IRKernel, elementwise_edge_compute
+from repro.core.api import IRKernel
 from repro.core.adaptive import AdaptivePartitioner
 from repro.core.env import RuntimeEnv
 from repro.core.partition import (
     arrange_nodes,
     block_partition,
     classify_edges,
-    split_edges_by_node_ranges,
+    count_edges_by_node_ranges,
     validate_range_tiling,
 )
-from repro.core.reduction_object import DenseReductionObject, _keys_token
+from repro.core.reduction_object import DenseReductionObject
 from repro.device.costmodel import shared_memory_partitions
 from repro.device.gpu import GPUDevice
-from repro.device.work import WorkModel, scaled
+from repro.device.work import scaled
 from repro.util.errors import ConfigurationError
 
 _TAG_IDS = 102
 _TAG_DATA = 103
-
-
-class _DevicePartition:
-    """Cached per-device edge partition (valid until the next repartition).
-
-    Everything the cost model and the accounting need per device, computed
-    once: the local/cross edge index sets, the matching edge/edge-data
-    slices (contiguous, read-only, materialized lazily on first access —
-    the hot loop only needs the counts), and the pooled reduction object
-    whose value buffer is a segment of the combined full-range object, so
-    one kernel execution per phase can feed every device.
-    """
-
-    __slots__ = (
-        "sel_local",
-        "sel_cross",
-        "obj",
-        "_sources",
-        "_slices",
-    )
-
-    def __init__(self, sel_local, sel_cross, sources, obj) -> None:
-        self.sel_local = sel_local
-        self.sel_cross = sel_cross
-        self.obj = obj
-        # (local_edges, cross_edges, local_data, cross_data) full arrays.
-        self._sources = sources
-        self._slices: dict[int, np.ndarray | None] = {}
-
-    def _slice(self, which: int) -> np.ndarray | None:
-        out = self._slices.get(which)
-        if out is None and which not in self._slices:
-            sel = self.sel_local if which in (0, 2) else self.sel_cross
-            out = _frozen_slice(self._sources[which], sel)
-            self._slices[which] = out
-        return out
-
-    @property
-    def local_edges(self) -> np.ndarray:
-        return self._slice(0)
-
-    @property
-    def cross_edges(self) -> np.ndarray:
-        return self._slice(1)
-
-    @property
-    def local_data(self) -> np.ndarray | None:
-        return self._slice(2)
-
-    @property
-    def cross_data(self) -> np.ndarray | None:
-        return self._slice(3)
-
-    @property
-    def n_local(self) -> int:
-        return len(self.sel_local)
-
-    @property
-    def n_cross(self) -> int:
-        return len(self.sel_cross)
-
-
-class _MultiDeviceScatter:
-    """Routes kernel-emitted batches to the devices' pooled objects.
-
-    The devices' reduction objects tile the local reduction space, and
-    their value buffers are *segments* of one combined full-range object
-    (see :class:`DenseReductionObject`'s ``storage`` parameter).  A batch
-    emitted against one of the cached edge columns therefore scatters
-    **once**, through the combined object's precomputed plan, and lands in
-    every device's segment simultaneously — functionally identical to the
-    per-device fan-out it replaces (each key is owned by exactly one
-    device, and contributions hit each key in unchanged input order), but
-    with one bincount over the batch instead of one gather+bincount per
-    device.  Per-device insert/drop counters are maintained from counts
-    precomputed at cache-build time, so the accounting the repartition
-    tests rely on is unchanged.  Batches with unrecognized key arrays
-    (custom kernels emitting derived keys) fall back to the per-device
-    path, whose key-range filters write the same shared segments.
-
-    This lets the runtime execute the edge kernel *once* per phase instead
-    of once per device, eliminating the duplicated force computation for
-    device-crossing edges.
-    """
-
-    __slots__ = ("combined", "objs", "drops")
-
-    def __init__(self, combined, objs, drops) -> None:
-        self.combined = combined
-        self.objs = objs
-        self.drops = drops  # _keys_token -> per-device dropped-entry counts
-
-    def insert(self, key, value) -> None:
-        for obj in self.objs:
-            obj.insert(key, value)
-
-    def insert_many(self, keys, values) -> None:
-        drops = self.drops.get(_keys_token(keys)) if isinstance(keys, np.ndarray) else None
-        if drops is None:
-            for obj in self.objs:
-                obj.insert_many(keys, values)
-            return
-        self.combined.insert_many(keys, values)
-        n = len(keys)
-        for obj, dropped in zip(self.objs, drops):
-            obj.n_inserts += n
-            obj.n_dropped += dropped
-
-    def reset(self) -> None:
-        """Identity-fill the shared storage once; zero every counter."""
-        self.combined.reset()
-        for obj in self.objs:
-            obj.n_inserts = 0
-            obj.n_dropped = 0
-
-
-def _frozen_slice(array: np.ndarray | None, sel: np.ndarray) -> np.ndarray | None:
-    """A contiguous read-only copy of ``array[sel]`` (cache-safe)."""
-    if array is None:
-        return None
-    out = np.ascontiguousarray(array[sel])
-    out.flags.writeable = False
-    return out
 
 
 class IrregularReductionRuntime:
@@ -230,12 +100,12 @@ class IrregularReductionRuntime:
         self._timestep = 0
         self._partitioner: AdaptivePartitioner | None = None
         self._ranges: list[tuple[int, int]] | None = None
+        # The rank's one reduction object (built lazily in start) and a
+        # view of its local rows once a step has produced them.
+        self._obj: DenseReductionObject | None = None
         self._result: np.ndarray | None = None
-        self._have_result = False
-        # Edge-partition cache (built lazily in start, kept across steps).
-        self._edge_cache: list[_DevicePartition] | None = None
-        self._multi: _MultiDeviceScatter | None = None
-        self._combined: DenseReductionObject | None = None
+        # Per-phase, per-device edge counts of the current device split.
+        self._device_edges: dict[str, list[int]] | None = None
         self._cache_builds = 0
         # Parity double-buffered step-5 gather buffer (all requesters
         # concatenated; spans mark each requester's slice).
@@ -247,46 +117,8 @@ class IrregularReductionRuntime:
     # -- configuration ---------------------------------------------------
     def set_kernel(self, kernel: IRKernel) -> None:
         self._kernel = kernel
-        # Pooled objects and scatter plans embed the kernel's op, width,
-        # and dtype — a new kernel invalidates them.
-        self._edge_cache = None
-        self._combined = None
-
-    def set_edge_comp_func(
-        self,
-        fn,
-        *,
-        reduce_op: str = "sum",
-        value_width: int = 1,
-        work: WorkModel,
-        dtype=np.float64,
-        batched: bool = False,
-    ) -> None:
-        """Install a paper-style ``ir_edge_compute_fp`` (Table I)."""
-        batch = fn if batched else elementwise_edge_compute(fn)
-        self.set_kernel(
-            IRKernel(
-                edge_compute_batch=batch,
-                reduce_op=reduce_op,
-                value_width=value_width,
-                work=work,
-                dtype=np.dtype(dtype),
-            )
-        )
-
-    def set_node_reduc_func(self, reduce_op: str) -> None:
-        """Change the node combining op of the installed kernel."""
-        if self._kernel is None:
-            raise ConfigurationError("set a kernel before set_node_reduc_func")
-        self.set_kernel(
-            IRKernel(
-                edge_compute_batch=self._kernel.edge_compute_batch,
-                reduce_op=reduce_op,
-                value_width=self._kernel.value_width,
-                work=self._kernel.work,
-                dtype=self._kernel.dtype,
-            )
-        )
+        # The reduction object embeds the kernel's op, width and dtype.
+        self._obj = None
 
     def set_parameter(self, parameter: Any) -> None:
         self._parameter = parameter
@@ -325,6 +157,12 @@ class IrregularReductionRuntime:
             node_data = node_data[:, None]
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ConfigurationError(f"edges must be (m, 2), got {edges.shape}")
+        if edge_data is not None:
+            edge_data = np.asarray(edge_data)
+            if len(edge_data) != len(edges):
+                raise ConfigurationError(
+                    f"edge_data has {len(edge_data)} rows but edges has {len(edges)}"
+                )
         self._n_global_nodes = len(node_data)
         self._n_global_edges = len(edges)
         self._edge_scale = scaled(max(1, len(edges)), model_edges)
@@ -342,8 +180,8 @@ class IrregularReductionRuntime:
         self._arr = arrangement
 
         # Renumber edge endpoints to arranged slots (paper: "converts these
-        # IDs into the local rank").  Frozen: the per-device scatter plans
-        # key off these arrays' memory identity.
+        # IDs into the local rank").  Frozen: the scatter plans key off
+        # these arrays' memory identity.
         self._local_edges = np.ascontiguousarray(
             arrangement.slot_of_global(
                 local_edges.reshape(-1), self._n_global_nodes
@@ -359,7 +197,6 @@ class IrregularReductionRuntime:
 
         # Edge data travels with its edges.
         if edge_data is not None:
-            edge_data = np.asarray(edge_data)
             lm, cm = classify_edges(edges, arrangement.lo, arrangement.hi)
             self._local_edge_data = edge_data[lm]
             self._cross_edge_data = edge_data[cm]
@@ -385,10 +222,9 @@ class IrregularReductionRuntime:
         self._data_dirty = True
         self._gpu_edges_loaded = False
         self._timestep = 0
-        self._edge_cache = None
-        self._combined = None
+        self._device_edges = None
+        self._obj = None
         self._result = None
-        self._have_result = False
         self._send_bufs = {}
         self._exchange_count = 0
 
@@ -483,7 +319,10 @@ class IrregularReductionRuntime:
     def _finish_node_exchange(self, recv_reqs: list) -> None:
         for req in recv_reqs:
             req.wait()  # delivery copies into the posted node slots
-        self._data_dirty = False
+        # Only a delivered exchange clears the flag: a rank with no remote
+        # nodes stays dirty, so its GPUs re-upload node data every step.
+        if recv_reqs:
+            self._data_dirty = False
 
     # -- device partitioning ------------------------------------------------
     def _device_ranges(self) -> list[tuple[int, int]]:
@@ -496,73 +335,39 @@ class IrregularReductionRuntime:
         validate_range_tiling(ranges, self._arr.n_local)
         return ranges
 
-    def _build_edge_cache(self, ranges: list[tuple[int, int]]) -> None:
-        """(Re)compute the per-device edge partitions and pooled objects.
+    def _count_device_edges(self, ranges: list[tuple[int, int]]) -> None:
+        """Recount each device's local/cross edges for a new split.
 
         Runs only on the first step and after a repartition (in practice:
-        once even-split, once more when the adaptive profile lands) —
-        every other step reuses the cache untouched.  One *combined*
-        full-range object registers scatter plans for all four endpoint
-        columns of the full local/cross edge arrays; the per-device
-        objects accumulate into segments of its value buffer, so the
-        kernel runs once per phase and a single planned scatter updates
-        every device.  Per-device drop counts for each column are
-        precomputed here (ranges tile ``[0, n_local)``, so one
-        ``searchsorted`` against the range boundaries assigns owners).
+        once even-split, once more when the adaptive profile lands).
         """
-        kernel = self._kernel
-        n_local = self._arr.n_local
-        local_sets = split_edges_by_node_ranges(self._local_edges, ranges)
-        cross_sets = split_edges_by_node_ranges(self._cross_edges, ranges)
-        # The combined object and its scatter plans cover [0, n_local) —
-        # independent of the device split — so they survive repartitions
-        # and are rebuilt only after set_mesh/set_kernel.
-        combined = self._combined
-        if combined is None:
-            combined = DenseReductionObject(
-                max(1, n_local), kernel.value_width, kernel.reduce_op, kernel.dtype
-            )
-            for column in (
-                self._local_edges[:, 0],
-                self._local_edges[:, 1],
-                self._cross_edges[:, 0],
-                self._cross_edges[:, 1],
-            ):
-                combined.plan_scatter(column)
-            self._combined = combined
-        his = np.array([hi for _, hi in ranges], dtype=np.int64)
-        drops = {}
-        for column in (
-            self._local_edges[:, 0],
-            self._local_edges[:, 1],
-            self._cross_edges[:, 0],
-            self._cross_edges[:, 1],
-        ):
-            owner = np.searchsorted(his, column, side="right")
-            owned = np.bincount(owner, minlength=len(ranges) + 1)[: len(ranges)]
-            drops[_keys_token(column)] = [int(len(column) - c) for c in owned]
-        sources = (
-            self._local_edges,
-            self._cross_edges,
-            self._local_edge_data,
-            self._cross_edge_data,
-        )
-        cache = []
-        for (lo, hi), sel_l, sel_c in zip(ranges, local_sets, cross_sets):
-            obj = DenseReductionObject(
-                max(1, hi - lo),
-                kernel.value_width,
-                kernel.reduce_op,
-                kernel.dtype,
-                key_lo=lo,
-                storage=combined.values[lo:hi] if hi > lo else None,
-            )
-            cache.append(_DevicePartition(sel_l, sel_c, sources, obj))
-        self._edge_cache = cache
-        self._multi = _MultiDeviceScatter(combined, [part.obj for part in cache], drops)
+        self._device_edges = {
+            "local": count_edges_by_node_ranges(self._local_edges, ranges),
+            "cross": count_edges_by_node_ranges(self._cross_edges, ranges),
+        }
         self._cache_builds += 1
         self.env.trace.count("ir.cache_builds")
-        self._result = np.empty((n_local, kernel.value_width), dtype=kernel.dtype)
+
+    def _reset_reduction_object(self) -> DenseReductionObject:
+        """The rank's reduction object, identity-filled for a new step.
+
+        Built on the first step after ``set_mesh``/``set_kernel`` with
+        scatter plans for all four endpoint columns; reset in place (plans
+        kept) on every later step.
+        """
+        obj = self._obj
+        if obj is not None:
+            obj.reset()
+            return obj
+        kernel = self._kernel
+        obj = DenseReductionObject(
+            max(1, self._arr.n_local), kernel.value_width, kernel.reduce_op, kernel.dtype
+        )
+        for edges in (self._local_edges, self._cross_edges):
+            obj.plan_scatter(edges[:, 0])
+            obj.plan_scatter(edges[:, 1])
+        self._obj = obj
+        return obj
 
     # -- one time step --------------------------------------------------------
     def start(self) -> None:
@@ -581,15 +386,14 @@ class IrregularReductionRuntime:
             self._exchange_ids()
 
         # Adaptive (re)partitioning of the reduction space across devices;
-        # the edge-partition cache is rebuilt only when the split moved.
+        # the per-device edge counts are recounted only when the split moved.
         new_ranges = self._device_ranges()
         repartitioned = new_ranges != self._ranges
         self._ranges = new_ranges
-        if repartitioned or self._edge_cache is None:
-            self._build_edge_cache(new_ranges)
-        else:
-            self._multi.reset()
-        cache = self._edge_cache
+        if repartitioned or self._device_edges is None:
+            self._count_device_edges(new_ranges)
+        n_edges = self._device_edges
+        obj = self._reset_reduction_object()
 
         # Charge GPU-side data movement: edges are uploaded on first use
         # and after every repartition; node data is re-uploaded whenever it
@@ -608,12 +412,12 @@ class IrregularReductionRuntime:
             ready = clock.now
             if isinstance(dev, GPUDevice):
                 if repartitioned or not self._gpu_edges_loaded:
-                    n_edges_dev = (cache[d].n_local + cache[d].n_cross) * self._edge_scale
+                    n_edges_dev = (n_edges["local"][d] + n_edges["cross"][d]) * self._edge_scale
                     iv = dev.copy_engine.schedule(
                         ready, dev.transfer_time(n_edges_dev * edge_bytes_per), "edges.h2d"
                     )
                     ready = iv.end
-                if self._data_dirty or self._timestep == 0:
+                if self._data_dirty:
                     iv = dev.copy_engine.schedule(
                         ready, dev.transfer_time(node_bytes), "nodes.h2d"
                     )
@@ -622,10 +426,7 @@ class IrregularReductionRuntime:
             upload_done[dev.name] = ready
         self._gpu_edges_loaded = True
 
-        if self._data_dirty or self._timestep == 0:
-            recv_reqs = self._begin_node_exchange()
-        else:
-            recv_reqs = []
+        recv_reqs = self._begin_node_exchange() if self._data_dirty else []
 
         # Record the SIII-E shared-memory partition counts (each partition
         # of the reduction space fits one SM's scratchpad).
@@ -647,20 +448,17 @@ class IrregularReductionRuntime:
 
         def compute_phase(phase: str, ready_floor: float) -> float:
             # Functional execution: one kernel run over the phase's full
-            # edge array, fanned out to every device's pooled object (the
-            # per-device key filters keep ownership disjoint).  Virtual
-            # execution: each device is still charged for its own cached
-            # edge share, duplicated cross-device edges included.
+            # edge array into the rank's reduction object (its key range
+            # drops remote endpoints).  Virtual execution: each device is
+            # charged for its own edge count, cross-device edges included.
             finish = ready_floor
             cross = phase == "cross"
             edges_ph = self._cross_edges if cross else self._local_edges
             if len(edges_ph):
                 data_ph = self._cross_edge_data if cross else self._local_edge_data
-                kernel.edge_compute_batch(
-                    self._multi, edges_ph, data_ph, self._nodes, self._parameter
-                )
+                kernel.edge_compute_batch(obj, edges_ph, data_ph, self._nodes, self._parameter)
             for d, dev in enumerate(env.devices):
-                n_d = cache[d].n_cross if cross else cache[d].n_local
+                n_d = n_edges[phase][d]
                 if n_d == 0:
                     continue
                 dur = dev.partition_time(
@@ -679,27 +477,22 @@ class IrregularReductionRuntime:
                     )
             return finish
 
-        if self.overlap and recv_reqs:
-            local_done = compute_phase("local", t0)
-            self._finish_node_exchange(recv_reqs)
-            exchange_done = clock.now
-            cross_ready = max(local_done, exchange_done)
-            cross_done = compute_phase("cross", cross_ready)
-            end = max(local_done, cross_done)
-        else:
-            if recv_reqs:
-                self._finish_node_exchange(recv_reqs)
-            ready = clock.now
-            local_done = compute_phase("local", ready)
-            cross_done = compute_phase("cross", ready)
-            end = max(local_done, cross_done)
-        clock.advance_to(end)
+        # Local edges read no remote node.  Overlapped, they are charged
+        # from t0, concurrently with the exchange, and the cross edges wait
+        # for every device's local phase and the exchange; otherwise both
+        # phases wait for the exchange only.
+        self._finish_node_exchange(recv_reqs)
+        exchanged = clock.now
+        overlapped = self.overlap and bool(recv_reqs)
+        local_done = compute_phase("local", t0 if overlapped else exchanged)
+        cross_ready = max(local_done, exchanged) if overlapped else exchanged
+        clock.advance_to(max(local_done, compute_phase("cross", cross_ready)))
 
         # Profile device speeds for the adaptive split (paper: profile the
         # first step, repartition in the second).
         if self.adaptive:
             counts = np.array(
-                [cache[d].n_local + cache[d].n_cross for d in range(len(env.devices))],
+                [n_edges["local"][d] + n_edges["cross"][d] for d in range(len(env.devices))],
                 dtype=np.float64,
             )
             # Profile with the *recurring* per-step costs (compute + node
@@ -714,22 +507,17 @@ class IrregularReductionRuntime:
             if counts.sum() > 0 and not self._partitioner.profiled:
                 self._partitioner.observe(counts, times)
 
-        # Copy the combined result (whose segments are the per-device
-        # objects' storage) into the preallocated result buffer.
-        n_local = self._arr.n_local
-        if n_local:
-            np.copyto(self._result, self._multi.combined.values[:n_local])
-        self._have_result = True
+        self._result = obj.values[: self._arr.n_local]
         self._timestep += 1
         if env.trace.enabled:
             env.trace.record("compute", "IR:step", t0, clock.now, {"step": self._timestep})
-            # Per-step atomic-insert accounting: how many edge contributions
-            # landed in (or fell outside) each device's reduction segment.
+            # Per-step accounting: the edges each device is charged for, and
+            # the rank's edge contributions attempted / dropped as remote
+            # (one reduction object per rank, so counted once per rank).
             for d, dev in enumerate(env.devices):
-                part = cache[d]
-                env.trace.count(f"ir.edges[{dev.name}]", part.n_local + part.n_cross)
-            env.trace.count("ir.inserts", float(sum(o.n_inserts for o in self._multi.objs)))
-            env.trace.count("ir.dropped", float(sum(o.n_dropped for o in self._multi.objs)))
+                env.trace.count(f"ir.edges[{dev.name}]", n_edges["local"][d] + n_edges["cross"][d])
+            env.trace.count("ir.inserts", float(obj.n_inserts))
+            env.trace.count("ir.dropped", float(obj.n_dropped))
 
     # -- results / updates -----------------------------------------------------
     @property
@@ -741,10 +529,11 @@ class IrregularReductionRuntime:
     def get_local_reduction(self) -> np.ndarray:
         """``(n_local, value_width)`` reduction result over local nodes.
 
-        The returned array is a pooled buffer overwritten by the next
-        :meth:`start`; copy it to keep a step's result beyond that.
+        The returned array is a view of the rank's reduction object,
+        overwritten by the next :meth:`start`; copy it to keep a step's
+        result beyond that.
         """
-        if not self._have_result:
+        if self._result is None:
             raise ConfigurationError("start() has not produced a result yet")
         return self._result
 
@@ -757,9 +546,9 @@ class IrregularReductionRuntime:
         """Replace local node data (paper: ``ir->update_nodedata(result)``).
 
         Marks the data dirty so the next :meth:`start` re-runs the step-5/6
-        exchange (remote copies everywhere are stale now).  The edge
-        partition cache holds only connectivity-derived state, so it
-        survives node-data updates untouched.
+        exchange (remote copies everywhere are stale now).  The per-device
+        edge counts and the reduction object's scatter plans hold only
+        connectivity-derived state, so they survive node-data updates.
 
         SPMD contract: if *any* rank updates its node data between two
         ``start()`` calls, **every** rank must call ``update_nodedata``

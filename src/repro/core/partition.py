@@ -206,41 +206,25 @@ def validate_range_tiling(ranges: list[tuple[int, int]], total: int) -> None:
         )
 
 
-def split_edges_by_node_ranges(
+def count_edges_by_node_ranges(
     edges_slots: np.ndarray, ranges: list[tuple[int, int]]
-) -> list[np.ndarray]:
-    """Assign edges (in local-slot space) to device node-range partitions.
+) -> list[int]:
+    """Per-device edge counts (local-slot space) of a device node-range split.
 
     Device-level application of the same reduction-space rule: an edge is
-    given to every device whose range contains at least one endpoint (cross
-    edges are duplicated); each device's reduction object then filters
-    updates to its own range.  Returns per-device index arrays into
-    ``edges_slots``.
-
-    Contiguous ascending ranges (the adaptive partitioner always produces
-    these) take an ``O(E log R)`` path: one ``searchsorted`` per endpoint
-    column finds each endpoint's owning device, then each device selects
-    its edges with a single equality test.  Arbitrary (overlapping or
-    gapped) ranges fall back to per-range interval masks.
+    counted for every device whose range contains at least one endpoint
+    (an edge crossing two devices counts for both).  ``ranges`` must tile a
+    contiguous span, as :func:`validate_range_tiling` checks; endpoints
+    outside it (remote-node slots) belong to no device.  One
+    ``searchsorted`` per endpoint column finds each endpoint's device.
     """
-    edges_slots = np.asarray(edges_slots)
-    if not ranges:
-        return []
-    contiguous = all(hi >= lo for lo, hi in ranges) and all(
-        ranges[i][1] == ranges[i + 1][0] for i in range(len(ranges) - 1)
-    )
-    if contiguous:
-        bounds = np.array([lo for lo, _ in ranges] + [ranges[-1][1]], dtype=np.int64)
-        e0, e1 = edges_slots[:, 0], edges_slots[:, 1]
-        o0 = np.searchsorted(bounds, e0, side="right") - 1
-        o1 = np.searchsorted(bounds, e1, side="right") - 1
-        # Endpoints outside [lo0, hiN) — remote-node slots — own no device.
-        o0 = np.where((e0 >= bounds[0]) & (e0 < bounds[-1]), o0, -1)
-        o1 = np.where((e1 >= bounds[0]) & (e1 < bounds[-1]), o1, -1)
-        return [np.flatnonzero((o0 == d) | (o1 == d)) for d in range(len(ranges))]
-    out = []
-    for lo, hi in ranges:
-        in0 = (edges_slots[:, 0] >= lo) & (edges_slots[:, 0] < hi)
-        in1 = (edges_slots[:, 1] >= lo) & (edges_slots[:, 1] < hi)
-        out.append(np.nonzero(in0 | in1)[0])
-    return out
+    n = len(ranges)
+    bounds = np.array([lo for lo, _ in ranges] + [ranges[-1][1]], dtype=np.int64)
+    owners = []
+    for ends in (edges_slots[:, 0], edges_slots[:, 1]):
+        owner = np.searchsorted(bounds, ends, side="right") - 1
+        owner[(ends < bounds[0]) | (ends >= bounds[-1])] = n  # no device
+        owners.append(owner)
+    owners[1][owners[1] == owners[0]] = n  # an edge inside one device counts once
+    counts = np.bincount(owners[0], minlength=n + 1) + np.bincount(owners[1], minlength=n + 1)
+    return [int(c) for c in counts[:n]]

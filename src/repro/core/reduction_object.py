@@ -13,10 +13,9 @@ key-value insertion".  Two implementations:
   semantic oracle in tests.
 
 Both support a *key range* filter ``[lo, hi)``: inserts outside the range
-are silently dropped.  That filter is how two of the paper's rules are
+are silently dropped.  That filter is how the paper's ownership rule is
 enforced mechanically: "when an edge is being processed, only the node(s)
-belonging to the current partition is updated" (inter-process), and the
-same rule again between devices within a process.
+belonging to the current partition is updated".
 
 Iterative patterns that scatter through the *same* indirection array every
 time step (the irregular-reduction runtime) can precompute the scatter
@@ -54,7 +53,7 @@ class ScatterPlan:
       ``np.bincount`` over the raw values — no filtering or sorting at
       apply time.  When most keys are in range, out-of-range keys are
       redirected to a trailing trash bin; when the in-range subset is
-      small (a device object fed the full edge array), the plan instead
+      small (a cross-edge column, mostly remote slots), the plan instead
       precomputes a take-index so the apply gathers just its own values
       first — total scatter work then stays proportional to the in-range
       entries, not the batch.  Bins accumulate in input order either way,
@@ -171,17 +170,7 @@ class DenseReductionObject:
         op: str = "sum",
         dtype: np.dtype | type = np.float64,
         key_lo: int = 0,
-        storage: np.ndarray | None = None,
     ) -> None:
-        """
-        Args:
-            storage: Optional external value buffer of shape
-                ``(num_keys, value_width)`` to accumulate into (filled
-                with the op's identity here).  Lets several objects tile
-                segments of one shared array — the irregular runtime backs
-                its per-device objects with slices of the combined result
-                so one full-range scatter updates all of them at once.
-        """
         if num_keys <= 0 or value_width <= 0:
             raise ValidationError("num_keys and value_width must be > 0")
         self.op = op
@@ -190,16 +179,7 @@ class DenseReductionObject:
         self.key_hi = int(key_lo) + int(num_keys)
         self.value_width = int(value_width)
         self.dtype = np.dtype(dtype)
-        if storage is None:
-            self.values = np.full((num_keys, value_width), self._identity, dtype=self.dtype)
-        else:
-            if storage.shape != (num_keys, value_width) or storage.dtype != self.dtype:
-                raise ValidationError(
-                    f"storage must be {(num_keys, value_width)} of {self.dtype}, "
-                    f"got {storage.shape} of {storage.dtype}"
-                )
-            storage[...] = self._identity
-            self.values = storage
+        self.values = np.full((num_keys, value_width), self._identity, dtype=self.dtype)
         # Sum over float64 can use np.bincount instead of ufunc.at: both
         # accumulate in input order, so results are identical, but bincount
         # is ~2x faster on the scatter-heavy emit paths.

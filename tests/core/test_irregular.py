@@ -1,11 +1,20 @@
 """Irregular-reduction runtime: protocol and numerical correctness."""
 
+import hashlib
+import itertools
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.apps import minimd, moldyn
+from repro.apps.extra import pagerank, sssp
+from repro.cluster.presets import laptop_cluster
 from repro.core.api import IRKernel
 from repro.core.env import RuntimeEnv
 from repro.device.work import WorkModel
+from repro.sim.engine import spmd_run
 from repro.util.errors import ConfigurationError, ValidationError
 from tests.conftest import run_spmd
 
@@ -191,7 +200,7 @@ def test_adaptive_off_keeps_even_split():
 def test_repartition_invalidates_edge_cache_and_preserves_results():
     """Forced mid-run repartition: the cached device partitions are rebuilt
     exactly once, step results stay bit-identical across the rebuild, and
-    the per-device drop accounting matches the cross-device duplication."""
+    the rank's insert/drop accounting matches its local/cross edge split."""
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu+1gpu")
@@ -207,10 +216,10 @@ def test_repartition_invalidates_edge_cache_and_preserves_results():
         r2 = ir.get_local_reduction()[:, 0].copy()
         ir.start()  # stable split: cache must be reused, not rebuilt
         builds3 = ir._cache_builds
-        # Accounting invariant: summed over devices, kept inserts equal
-        # both endpoints of every local edge plus the one owned endpoint
-        # of every cross edge (the other endpoint is a remote slot).
-        kept = sum(p.obj.n_inserts - p.obj.n_dropped for p in ir._edge_cache)
+        # Accounting invariant: the rank's reduction object keeps both
+        # endpoints of every local edge plus the one owned endpoint of
+        # every cross edge (the other endpoint is a remote slot).
+        kept = ir._obj.n_inserts - ir._obj.n_dropped
         expect = 2 * len(ir._local_edges) + len(ir._cross_edges)
         return builds1, builds2, builds3, ranges1 != ranges2, r1, r2, kept, expect
 
@@ -237,6 +246,12 @@ def test_device_ranges_must_tile_reduction_space():
 
     with pytest.raises(ValidationError, match="reduction\\s+space"):
         run_spmd(prog, nodes=1, gpus_per_node=1)
+
+
+def test_set_mesh_again_resets_connectivity():
+    """A second ``set_mesh`` replaces the edges, edge data and exchange
+    plan: the next step reduces over the new mesh only."""
+
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         ir = env.get_IR()
@@ -244,7 +259,7 @@ def test_device_ranges_must_tile_reduction_space():
         ir.set_mesh(EDGES, NODES, WEIGHTS)
         ir.start()
         r1 = ir.get_local_reduction()[:, 0].copy()
-        # rebuild connectivity with reversed edges (same reduction result)
+        # rebuild connectivity with reversed edges and negated weights
         ir.set_mesh(EDGES[:, ::-1].copy(), NODES, -WEIGHTS)
         ir.start()
         r2 = ir.get_local_reduction()[:, 0].copy()
@@ -277,3 +292,142 @@ def test_errors_for_missing_configuration():
 
     with pytest.raises(ConfigurationError, match="edges"):
         run_spmd(bad_edges, nodes=1)
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_misaligned_edge_data_is_a_configuration_error(nodes):
+    def prog(ctx):
+        ir = RuntimeEnv(ctx, "cpu").get_IR()
+        ir.set_kernel(_kernel())
+        ir.set_mesh(EDGES, NODES, WEIGHTS[:-3])
+
+    with pytest.raises(ConfigurationError, match=f"{len(EDGES) - 3}.*{len(EDGES)}"):
+        run_spmd(prog, nodes=nodes)
+
+
+def test_node_data_exchange_sends_one_message_per_requesting_rank():
+    """Node data is one array per rank, so the step-5/6 exchange is already
+    coalesced: one send per requester after an update, none when clean."""
+
+    def prog(ctx):
+        env = RuntimeEnv(ctx, "cpu")
+        ir = env.get_IR()
+        ir.set_kernel(_kernel())
+        ir.set_mesh(EDGES, NODES, WEIGHTS)
+        ir.start()
+
+        def sent():
+            return env.trace.counters.get("comm.msgs_sent", 0.0)
+
+        ir.update_nodedata(ir.get_local_nodes())
+        before = sent()
+        ir.start()
+        dirty = sent() - before
+        before = sent()
+        ir.start()
+        return len(ir._serve_spans), dirty, sent() - before
+
+    res = run_spmd(prog, nodes=4, trace=True)
+    assert max(spans for spans, _, _ in res.values) > 1
+    for spans, dirty, clean in res.values:
+        assert dirty == spans
+        assert clean == 0
+
+
+# -- charging pins --------------------------------------------------------------
+# ``irregular_pins.json`` was generated before the runtime's per-device
+# reduction objects were folded into one per rank.  Every entry is
+# [repr(app makespan), repr(engine makespan), result digest] for one
+# device mix × node count × overlap × adaptive case the variant accepts.
+
+PIN_MIXES = ("cpu", "cpu+1gpu", "cpu+2gpu")
+PIN_NODES = (1, 2, 4)
+#: variant -> (accepts overlap, accepts adaptive)
+PIN_VARIANTS = {
+    "moldyn": (True, False),
+    "minimd": (True, False),
+    "pagerank": (False, False),
+    "sssp": (False, False),
+    "runtime": (True, True),
+}
+PINS_PATH = pathlib.Path(__file__).with_name("irregular_pins.json")
+
+
+def pin_cases(variant):
+    """(mix, nodes, overlap, adaptive) grid for one variant."""
+    overlap, adaptive = PIN_VARIANTS[variant]
+    return itertools.product(
+        PIN_MIXES,
+        PIN_NODES,
+        (True, False) if overlap else (True,),
+        (True, False) if adaptive else (True,),
+    )
+
+
+def pin_key(mix, nodes, overlap, adaptive):
+    return f"{mix}|n{nodes}|overlap={int(overlap)}|adaptive={int(adaptive)}"
+
+
+def _pinned_runtime(ctx, mix, overlap, adaptive):
+    """Dirty steps (an adaptive repartition among them), then a clean one."""
+    env = RuntimeEnv(ctx, mix)
+    ir = env.get_IR(overlap=overlap, adaptive=adaptive)
+    ir.set_kernel(_kernel())
+    ir.set_mesh(EDGES, NODES, WEIGHTS, model_edges=len(EDGES) * 1000)
+    for _ in range(3):
+        ir.start()
+        nodes = ir.get_local_nodes()
+        nodes[:, 0] += 1e-3 * ir.get_local_reduction()[:, 0]
+        ir.update_nodedata(nodes)
+    ir.start()
+    lo, hi = ir.local_node_range
+    return lo, hi, ir.get_local_reduction()[:, 0].copy()
+
+
+def pin_entry(variant, mix, nodes, overlap, adaptive):
+    cl = laptop_cluster(nodes, gpus_per_node=2)
+    if variant in ("moldyn", "minimd"):
+        if variant == "moldyn":
+            config = moldyn.MoldynConfig(
+                functional_nodes=600, functional_degree=12.0, simulated_steps=3
+            )
+        else:
+            # reneighbor_every < simulated_steps: the set_mesh-again path.
+            config = minimd.MiniMDConfig(
+                functional_cells=4, simulated_steps=4, reneighbor_every=2
+            )
+        app = moldyn if variant == "moldyn" else minimd
+        run = app.run(cl, config, mix, overlap=overlap)
+        makespan, engine = run.makespan, run.spmd.makespan
+        result = np.concatenate([v["nodes"] for v in run.result])
+    elif variant in ("pagerank", "sssp"):
+        if variant == "pagerank":
+            program, config, field = (
+                pagerank.rank_program,
+                pagerank.PageRankConfig(n_nodes=120, n_edges=600, max_iterations=8),
+                "ranks",
+            )
+        else:
+            program, config, field = sssp.rank_program, sssp.SsspConfig(n_nodes=80), "dist"
+        res = spmd_run(program, cl, args=(config, mix))
+        makespan = engine = res.makespan
+        result = np.concatenate([v[field] for v in res.values])
+    else:
+        res = spmd_run(_pinned_runtime, cl, args=(mix, overlap, adaptive))
+        makespan = engine = res.makespan
+        result = np.concatenate([r for _, _, r in res.values])
+    digest = hashlib.sha256(np.ascontiguousarray(result).tobytes()).hexdigest()[:16]
+    return [repr(makespan), repr(engine), digest]
+
+
+@pytest.mark.parametrize("variant", sorted(PIN_VARIANTS))
+def test_irregular_pins_unchanged(variant):
+    pins = json.loads(PINS_PATH.read_text())[variant]
+    cases = list(pin_cases(variant))
+    assert len(pins) == len(cases)
+    drift = {}
+    for case in cases:
+        got = pin_entry(variant, *case)
+        if got != pins[pin_key(*case)]:
+            drift[pin_key(*case)] = (pins[pin_key(*case)], got)
+    assert not drift, drift

@@ -11,9 +11,9 @@ from repro.core.partition import (
     arrange_nodes,
     block_partition,
     classify_edges,
+    count_edges_by_node_ranges,
     owner_of,
     partition_counts,
-    split_edges_by_node_ranges,
     validate_range_tiling,
 )
 from repro.util.errors import ValidationError
@@ -192,7 +192,7 @@ def test_validate_range_tiling_rejects_broken_tilings(ranges, total):
 def test_split_edges_by_node_ranges_duplicates_cross_device():
     edges = np.array([[0, 1], [1, 4], [4, 5], [0, 5]])
     ranges = [(0, 3), (3, 6)]
-    sets = split_edges_by_node_ranges(edges, ranges)
     # edge 0 only device 0; edge 2 only device 1; edges 1 and 3 both.
-    np.testing.assert_array_equal(sets[0], [0, 1, 3])
-    np.testing.assert_array_equal(sets[1], [1, 2, 3])
+    assert count_edges_by_node_ranges(edges, ranges) == [3, 3]
+    # Slot 6 is outside the tiled span (a remote node): it owns no device.
+    assert count_edges_by_node_ranges(np.array([[0, 6], [4, 6]]), ranges) == [1, 1]

@@ -305,35 +305,3 @@ def test_reset_keeps_plans_and_buffers():
     fresh.insert_many(keys, np.ones(5))
     np.testing.assert_array_equal(obj.values, fresh.values)
     assert obj.n_dropped == fresh.n_dropped == 1
-
-
-# -- external storage (segment views) -----------------------------------------
-
-
-def test_storage_segments_tile_one_combined_array():
-    """Objects backed by slices of one array accumulate straight into it —
-    how the irregular runtime makes one scatter update every device."""
-    combined = np.full((6, 2), np.nan)
-    a = DenseReductionObject(3, 2, "sum", storage=combined[:3])
-    b = DenseReductionObject(3, 2, "sum", key_lo=3, storage=combined[3:])
-    assert (combined == 0).all()  # construction fills with the identity
-    assert np.shares_memory(a.values, combined)
-    a.insert(1, [1.0, 2.0])
-    b.insert(4, [3.0, 4.0])
-    b.insert(1, [9.0, 9.0])  # outside b's range: dropped, a's segment untouched
-    np.testing.assert_array_equal(combined[1], [1.0, 2.0])
-    np.testing.assert_array_equal(combined[4], [3.0, 4.0])
-    assert b.n_dropped == 1
-
-
-def test_storage_fills_with_op_identity():
-    buf = np.zeros((4, 1))
-    DenseReductionObject(4, 1, "min", storage=buf)
-    assert (buf == np.inf).all()
-
-
-def test_storage_shape_and_dtype_validation():
-    with pytest.raises(ValidationError):
-        DenseReductionObject(3, 2, "sum", storage=np.zeros((3, 1)))
-    with pytest.raises(ValidationError):
-        DenseReductionObject(3, 2, "sum", storage=np.zeros((3, 2), dtype=np.float32))
