@@ -20,10 +20,11 @@ belonging to the current partition is updated".
 Iterative patterns that scatter through the *same* indirection array every
 time step (the irregular-reduction runtime) can precompute the scatter
 layout once with :meth:`DenseReductionObject.plan_scatter` — the CPU
-analogue of the paper's §III-E reduction localization: for float64 sums a
-precomputed flattened bin index turns the per-step scatter into a single
-``np.bincount``; for min/max a CSR-style segmented layout (stable sort by
-owning key + segment boundaries) applies with ``ufunc.reduceat``.
+analogue of the paper's §III-E reduction localization: for float64 sums at
+most one precomputed bin index per key (none when the keys are already the
+bins) turns the per-step scatter into one input-order scatter-add per value
+column; for min/max a CSR-style segmented layout (stable sort by owning key +
+segment boundaries) applies with ``ufunc.reduceat``.
 ``insert_many`` recognizes planned key arrays automatically, so user
 kernels need no changes to benefit.
 
@@ -48,17 +49,19 @@ class ScatterPlan:
     apply a batch of values against ``keys`` without touching the keys
     again:
 
-    - For float64 **sums**: a precomputed flattened bin-index array
-      (``key * width + column``) so the whole scatter is one
-      ``np.bincount`` over the raw values — no filtering or sorting at
-      apply time.  When most keys are in range, out-of-range keys are
+    - For float64 **sums**: one bin index per key, applied column by
+      column as an ``np.add.at`` into zeroed bins that are then added to
+      the values — no filtering or sorting at apply time, and no
+      per-(key, column) index.  When every key is in range and
+      ``key_lo == 0`` the keys themselves are the bins and the plan stores
+      nothing.  When most keys are in range, out-of-range keys are
       redirected to a trailing trash bin; when the in-range subset is
       small (a cross-edge column, mostly remote slots), the plan instead
       precomputes a take-index so the apply gathers just its own values
       first — total scatter work then stays proportional to the in-range
       entries, not the batch.  Bins accumulate in input order either way,
-      exactly like the unplanned per-column ``np.bincount``, so results
-      stay bit-identical.
+      exactly like the unplanned flat ``np.bincount``, so results stay
+      bit-identical.
     - For **min/max**: a CSR-style segmented layout (stable sort order +
       segment starts + the unique owning index per segment) applied with
       ``ufunc.reduceat`` — order-insensitive ops make the re-grouping
@@ -78,8 +81,7 @@ class ScatterPlan:
         "n_dropped",
         "idx",
         "take_idx",
-        "take_buf",
-        "flat_idx",
+        "bins",
         "n_bins",
         "order",
         "seg_starts",
@@ -91,7 +93,6 @@ class ScatterPlan:
         keys: np.ndarray,
         key_lo: int,
         key_hi: int,
-        value_width: int = 1,
         fast_sum: bool = False,
     ) -> None:
         self.keys = keys
@@ -99,35 +100,27 @@ class ScatterPlan:
         n_range = key_hi - key_lo
         valid = (keys >= key_lo) & (keys < key_hi)
         self.all_valid = bool(valid.all())
-        self.valid = None if self.all_valid else valid
         self.n_dropped = 0 if self.all_valid else int(self.n_keys - valid.sum())
         self.take_idx = None
-        self.take_buf = None
         if fast_sum:
-            n_valid = self.n_keys - self.n_dropped
-            if not self.all_valid and 2 * n_valid < self.n_keys:
-                # Sparse ownership: gather just the in-range values (pooled
-                # buffer), then bincount the filtered keys directly.
-                self.take_idx = np.flatnonzero(valid).astype(np.intp)
-                self.take_buf = np.empty((n_valid, value_width))
-                owner = keys[self.take_idx] - key_lo
-                self.n_bins = n_range * value_width
+            self.valid = None
+            self.idx = self.order = self.seg_starts = self.uniq_idx = None
+            self.n_bins = n_range
+            if self.all_valid and key_lo == 0:
+                self.bins = None  # the keys are the bins
+            elif 2 * (self.n_keys - self.n_dropped) < self.n_keys:
+                # Sparse ownership: gather just the in-range values, then
+                # scatter them by their filtered keys.
+                self.take_idx = np.flatnonzero(valid)
+                self.bins = keys[self.take_idx] - key_lo
             else:
-                # Dense ownership: one bincount over the whole batch, with
-                # a trailing trash bin absorbing out-of-range keys.
-                owner = np.where(valid, keys - key_lo, n_range)
-                self.n_bins = (n_range + 1) * value_width
-            if value_width == 1:
-                flat = owner
-            else:
-                flat = (owner[:, None] * value_width + np.arange(value_width)).ravel()
-            self.flat_idx = flat.astype(np.intp, copy=False)
-            self.idx = None
-            self.order = None
-            self.seg_starts = None
-            self.uniq_idx = None
+                # Dense ownership: a trailing trash bin absorbs the
+                # out-of-range keys.
+                self.bins = np.where(valid, keys - key_lo, n_range)
+                self.n_bins = n_range + 1
             return
-        self.flat_idx = None
+        self.valid = None if self.all_valid else valid
+        self.bins = None
         self.n_bins = 0
         idx = (keys if self.all_valid else keys[valid]) - key_lo
         self.idx = idx.astype(np.intp, copy=False)
@@ -210,15 +203,16 @@ class DenseReductionObject:
         Subsequent ``insert_many(keys_view, values)`` calls whose key
         argument views the same memory (same pointer/shape/strides — e.g.
         a column view rebuilt from the same cached edge array) skip
-        filtering and indexing entirely and, for float64 sums, scatter via
-        the segmented ``np.add.reduceat`` fast path.  The caller must keep
-        ``keys`` unmodified while the plan is registered (the plan itself
-        holds a reference, so lifetime is guaranteed).
+        filtering and indexing entirely.  Float64 sums scatter with one
+        input-order ``np.add.at`` per value column; only min/max use the
+        segmented ``ufunc.reduceat`` layout, because ``np.add.reduceat``
+        sums pairwise and would not be bit-identical to sequential
+        accumulation.  The caller must keep ``keys`` unmodified while the
+        plan is registered (the plan itself holds a reference, so lifetime
+        is guaranteed).
         """
         keys = np.asarray(keys)
-        plan = ScatterPlan(
-            keys, self.key_lo, self.key_hi, self.value_width, self._fast_sum
-        )
+        plan = ScatterPlan(keys, self.key_lo, self.key_hi, self._fast_sum)
         self._plans[_keys_token(keys)] = plan
         return plan
 
@@ -289,16 +283,17 @@ class DenseReductionObject:
         """Apply a batch through a precomputed scatter plan."""
         self.n_dropped += plan.n_dropped
         if self._fast_sum:
-            if plan.n_keys == 0:
+            take = plan.take_idx
+            if plan.n_keys == 0 or (take is not None and not len(take)):
                 return
-            if plan.take_idx is not None:
-                if not len(plan.take_idx):
-                    return
-                values = np.take(values, plan.take_idx, axis=0, out=plan.take_buf)
-            sums = np.bincount(
-                plan.flat_idx, weights=values.ravel(), minlength=plan.n_bins
-            )
-            self.values += sums.reshape(-1, self.value_width)[: self.num_keys]
+            bins = plan.keys if plan.bins is None else plan.bins
+            sums = np.empty(plan.n_bins)
+            for col in range(self.value_width):
+                # Zeroed bins summed in input order, as np.bincount does
+                # (1-D ufunc.at also skips bincount's min/max pass).
+                sums.fill(0.0)
+                np.add.at(sums, bins, values[:, col] if take is None else values[take, col])
+                self.values[:, col] += sums[: self.num_keys]
             return
         if not plan.all_valid:
             values = values[plan.valid]
@@ -335,12 +330,6 @@ class DenseReductionObject:
     @property
     def nbytes(self) -> int:
         return self.values.nbytes
-
-    def spawn_empty(self) -> "DenseReductionObject":
-        """A fresh object with the same configuration (for per-device copies)."""
-        return DenseReductionObject(
-            self.num_keys, self.value_width, self.op, self.dtype, key_lo=self.key_lo
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

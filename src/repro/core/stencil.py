@@ -318,15 +318,18 @@ class StencilRuntime:
                     f"coalesced halos require the kernel dtype {kernel.dtype}"
                 )
         # All arrays exchanged per step: the grid (always) plus the
-        # mutable fields.  Every (axis, side) face carries one strip per
-        # array, coalesced into a single message whose charged size is the
-        # per-strip wire size times the array count.
+        # mutable fields.  Every (axis, side) face with a neighbour carries
+        # one strip per array, coalesced into a single message whose
+        # charged size is the per-strip wire size times the array count;
+        # a face without one never sends, so it gets no pack buffers.
         self._exchange_extra = tuple(self._fields[n] for n in self._exchange_names)
         n_arrays = 1 + len(self._exchange_extra)
         self._axis_wire = [w * n_arrays for w in self._face_wire]
         self._coalescer = HaloCoalescer(env.comm, env.trace)
         for ax in range(ndim):
-            for side in (-1, +1):
+            for side, nbr in zip((-1, +1), self._neighbors[ax]):
+                if nbr == PROC_NULL:
+                    continue
                 strip_shape = tuple(
                     sl.stop - sl.start for sl in self._send_slices[(ax, side)]
                 )
@@ -1066,10 +1069,18 @@ class StencilRuntime:
         return self._src[self.interior].copy()
 
     def gather_global(self) -> np.ndarray | None:
-        """Assemble the full grid at rank 0 (test/diagnostic helper)."""
+        """Assemble the full grid at rank 0 (test/diagnostic helper).
+
+        Rank 0 reads its own interior in place; every other rank sends one
+        read-only copy, which the payload layer shares instead of
+        snapshotting it again.
+        """
         self._check_configured()
-        piece = (self.local_start, self.local_interior())
-        parts = self.env.comm.gather(piece, root=0)
+        block = self._src[self.interior]
+        if self.env.comm.rank != 0:
+            block = block.copy()
+            block.flags.writeable = False
+        parts = self.env.comm.gather((self.local_start, block), root=0)
         if parts is None:
             return None
         out = np.zeros(self.global_shape, dtype=self._kernel.dtype)

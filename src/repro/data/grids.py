@@ -8,6 +8,16 @@ from repro.data import memoized
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
+#: Elements per generated row slab: temporaries stay this size whatever the
+#: grid.  A ``Generator`` drawn in slabs yields the same stream as one draw.
+_SLAB_ELEMS = 1 << 15
+
+
+def _row_slabs(shape: tuple[int, ...]):
+    """Axis-0 slices of at most ``_SLAB_ELEMS`` elements (at least one row)."""
+    step = max(1, _SLAB_ELEMS // int(np.prod(shape[1:])))
+    return (slice(lo, lo + step) for lo in range(0, shape[0], step))
+
 
 @memoized
 def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: float = 0.2) -> np.ndarray:
@@ -26,7 +36,8 @@ def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: 
     region = tuple(slice(c - h, c + h) for c, h in zip(center, half))
     grid[region] = 100.0
     rng = seeded_rng(derive_seed(seed, "heat3d", shape))
-    grid += rng.random(shape) * 0.01  # symmetry-breaking noise
+    for rows in _row_slabs(shape):  # symmetry-breaking noise
+        grid[rows] += rng.random(grid[rows].shape) * 0.01
     return grid
 
 
@@ -41,12 +52,17 @@ def synthetic_image(shape: tuple[int, int], *, seed: int = 0, n_shapes: int = 24
         raise ValidationError(f"shape must be 2-D with extents >= 8, got {shape}")
     rng = seeded_rng(derive_seed(seed, "image", shape))
     h, w = shape
-    # A row broadcast against a column: index grids would be 8x the image.
-    img = (np.arange(w) / w * 0.3 + (np.arange(h) / h * 0.2)[:, None]).astype(np.float32)
+    # A row broadcast against a column, slab by slab: index grids would be
+    # 8x the image, a whole float64 gradient 2x.
+    img = np.empty(shape, dtype=np.float32)
+    across, down = np.arange(w) / w * 0.3, np.arange(h) / h * 0.2
+    for rows in _row_slabs(shape):
+        img[rows] = across + down[rows, None]
     for _ in range(n_shapes):
         y0, x0 = rng.integers(0, h - 4), rng.integers(0, w - 4)
         hh = int(rng.integers(2, max(3, h // 4)))
         ww = int(rng.integers(2, max(3, w // 4)))
         img[y0 : y0 + hh, x0 : x0 + ww] += float(rng.random()) * 0.8
-    img += rng.normal(0, 0.01, size=shape).astype(np.float32)
+    for rows in _row_slabs(shape):
+        img[rows] += rng.normal(0, 0.01, size=img[rows].shape).astype(np.float32)
     return np.clip(img, 0.0, 2.0, out=img)

@@ -81,6 +81,9 @@ def neighbor_pairs(positions: np.ndarray, cutoff: float) -> np.ndarray:
             us.append(np.repeat(order[block], count).take(near))
             vs.append(order.take(j.take(near)))
     u, v = np.concatenate(us), np.concatenate(vs)
-    # min * n + max sorts lexicographically and decodes with one divmod.
+    # min * n + max sorts lexicographically and decodes with one divmod,
+    # straight into the two columns of the result.
     code = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    return np.stack(np.divmod(code, n), axis=1)
+    pairs = np.empty((len(code), 2), dtype=np.int64)
+    np.divmod(code, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs

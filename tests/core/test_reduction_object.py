@@ -76,13 +76,6 @@ def test_merge_requires_matching_config():
         a.merge(DenseReductionObject(3, 1, "min"))
 
 
-def test_spawn_empty_copies_config():
-    obj = DenseReductionObject(5, 2, "min", key_lo=3)
-    clone = obj.spawn_empty()
-    assert (clone.key_lo, clone.key_hi, clone.value_width, clone.op) == (3, 8, 2, "min")
-    assert (clone.values == np.inf).all()
-
-
 def test_values_shape_validation():
     obj = DenseReductionObject(3, 2, "sum")
     with pytest.raises(ValidationError):
@@ -242,7 +235,7 @@ def test_planned_sum_trash_bin_mode_bit_identical(width):
     rng = np.random.default_rng(1)
     keys = rng.integers(0, 100, size=400)  # ~90% in range -> trash-bin mode
     planned, plain, plan = _planned_vs_plain("sum", 90, 0, keys, width=width)
-    assert plan.take_idx is None and plan.flat_idx is not None
+    assert plan.take_idx is None and plan.bins is not None
     np.testing.assert_array_equal(planned.values, plain.values)
     assert planned.n_inserts == plain.n_inserts
     assert planned.n_dropped == plain.n_dropped > 0

@@ -136,6 +136,32 @@ def test_local_interior_shape():
     assert res.values == [(14, 24), (14, 24)]
 
 
+@pytest.mark.parametrize(
+    "shape, dims, faces",
+    [
+        ((16, 14, 12), (2, 1, 1), [[(0, 1)], [(0, -1)]]),
+        (
+            (28, 24),
+            (2, 2),
+            [[(0, 1), (1, 1)], [(0, 1), (1, -1)], [(0, -1), (1, 1)], [(0, -1), (1, -1)]],
+        ),
+        ((28, 24), (1, 1), [[]]),
+    ],
+)
+def test_pack_buffers_only_for_faces_with_a_neighbour(shape, dims, faces):
+    """A face on a non-periodic border never sends, so it registers no
+    coalescer layout (and no parity pair of pack buffers)."""
+    apply = _avg2d if len(shape) == 2 else _avg3d
+
+    def prog(ctx):
+        st = RuntimeEnv(ctx, "cpu").get_stencil()
+        st.configure(StencilKernel(apply, 1, WORK), shape, dims=dims)
+        return sorted(st._coalescer._layouts)
+
+    res = run_spmd(prog, nodes=len(faces))
+    assert res.values == faces
+
+
 def test_model_shape_scales_time_not_results():
     def prog(ctx, model):
         env = RuntimeEnv(ctx, "cpu")

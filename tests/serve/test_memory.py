@@ -21,7 +21,9 @@ Generator transients are counted with ``tracemalloc``, to which NumPy reports
 its buffers, and so are stencil transients: the runtime applies each sweep
 in axis-0 slabs, so one sobel round allocates a few slabs' bytes whatever the
 image size (the whole-region apply allocated 13.5 MiB at 768², 54 MiB at
-1536²).
+1536²).  A job holds each kernel array once: float64-sum scatter plans keep at
+most one bin index per key (bit-identical to the unplanned scatter), and a
+gathered grid costs the root the grid plus one other rank's block.
 """
 
 import ctypes
@@ -39,6 +41,7 @@ import pytest
 
 from repro.apps.sobel import make_kernel, sobel_apply
 from repro.core.env import RuntimeEnv
+from repro.core.reduction_object import DenseReductionObject
 from repro.core.stencil import SLAB_ELEMS
 from repro.data import clear_memo
 from repro.data.grids import heat3d_initial, synthetic_image
@@ -320,13 +323,16 @@ def test_a_server_runs_one_job_at_a_time_and_keeps_a_bounded_table(tmp_path):
 
 
 #: generator call -> most its traced peak may be, in multiples of the bytes it
-#: returns.  synthetic_image was 8.7x while it built np.mgrid index grids (4.0x
-#: now); the others are as measured (2.0 / 5.7 / 4.6) plus 10 %.
+#: returns: as measured plus 10 %.  synthetic_image was 8.7x while it built
+#: np.mgrid index grids and 4.0x with a whole-image gradient and noise draw
+#: (1.22x drawn in row slabs); heat3d_initial 2.0x with a whole-grid noise
+#: draw (1.13x); geometric_mesh 4.6x while ``neighbor_pairs`` stacked its
+#: divmod (3.70x); clustered_points 5.7x.
 GENERATOR_PEAKS = {
-    "synthetic_image": (lambda: synthetic_image((672, 672), seed=5), 4.5),
-    "heat3d_initial": (lambda: heat3d_initial((64, 64, 64), seed=5), 2.2),
+    "synthetic_image": (lambda: synthetic_image((672, 672), seed=5), 1.35),
+    "heat3d_initial": (lambda: heat3d_initial((64, 64, 64), seed=5), 1.25),
     "clustered_points": (lambda: clustered_points(75_000, 40, 3, seed=5), 6.3),
-    "geometric_mesh": (lambda: geometric_mesh(6500, 26.0, seed=5, shuffle_fraction=0.1), 5.1),
+    "geometric_mesh": (lambda: geometric_mesh(6500, 26.0, seed=5, shuffle_fraction=0.1), 4.1),
 }
 
 
@@ -375,6 +381,81 @@ def test_a_stencil_round_allocates_a_few_slabs_whatever_the_region():
     small, large = sobel_round_transient(768), sobel_round_transient(1536)
     assert small <= 4 * slab and large <= 4 * slab, (small / slab, large / slab)
     assert large <= 1.25 * small, (small, large)
+
+
+#: Upper key bound per float64-sum plan layout, keys drawn in ``[0, bound)``
+#: for a 1000-key object: every key in range, ~91 % (a trailing trash bin)
+#: and ~10 % (a take-index).
+PLAN_LAYOUTS = {"all_in_range": 1000, "trash_bin": 1100, "take": 10_000}
+
+
+def layout_keys(bound: int) -> np.ndarray:
+    """A strided edge-array column, the way the irregular runtime plans keys."""
+    return np.random.default_rng(bound).integers(0, bound, size=(30_000, 2))[:, 0]
+
+
+def test_a_width3_plan_set_holds_at_most_12_bytes_per_planned_key():
+    # Measured 18.5 B per planned key at the parent, which stored an int64
+    # bin per key and column (24 B in range) plus masks and a pooled take
+    # buffer; 3.2 B now: nothing where the keys are the bins, one int64 bin
+    # per key before a trash bin, a take-index and a bin per owned key.
+    keys = [layout_keys(bound) for bound in PLAN_LAYOUTS.values()]
+    obj = DenseReductionObject(1000, 3, "sum")
+    tracemalloc.start()
+    try:
+        plans = [obj.plan_scatter(k) for k in keys]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plans) == len(obj._plans) == 3
+    assert held <= 12 * sum(len(k) for k in keys), held / sum(len(k) for k in keys)
+
+
+@pytest.mark.parametrize("layout", sorted(PLAN_LAYOUTS))
+def test_planned_width3_sums_are_bit_identical_to_unplanned(layout):
+    keys = layout_keys(PLAN_LAYOUTS[layout])
+    planned, plain = DenseReductionObject(1000, 3, "sum"), DenseReductionObject(1000, 3, "sum")
+    planned.plan_scatter(keys)
+    rng = np.random.default_rng(7)
+    for _ in range(3):  # later batches land on non-zero bins
+        values = rng.standard_normal((len(keys), 3))
+        planned.insert_many(keys, values)
+        plain.insert_many(keys, values)
+    assert planned.values.tobytes() == plain.values.tobytes()
+    assert (planned.n_inserts, planned.n_dropped) == (plain.n_inserts, plain.n_dropped)
+
+
+def root_gather_peak(n: int) -> int:
+    """Traced peak of a 2-rank ``gather_global`` of an ``n``² float32 grid,
+    both ranks' allocations counted, read at the root."""
+
+    def prog(ctx):
+        st = RuntimeEnv(ctx, "cpu").get_stencil()
+        st.configure(make_kernel(ctx.node), (n, n))
+        st.set_global_grid(np.zeros((n, n), dtype=np.float32))
+        ctx.comm.barrier()  # both ranks' grids are allocated before tracing
+        if ctx.rank != 0:
+            ctx.comm.barrier()  # and this rank copies its block after it starts
+            return st.gather_global()
+        tracemalloc.start()
+        try:
+            ctx.comm.barrier()
+            st.gather_global()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run_spmd(prog, nodes=2, gpus_per_node=0).values[0]
+
+
+def test_a_two_rank_gather_holds_one_grid_and_one_block():
+    # Measured 2.00 grids at the parent, which copied every block twice (to
+    # send it, then again as the payload snapshot) and the root's own once
+    # more beside the assembled grid; 1.50 now: the grid and one block.
+    n = 512
+    grid = n * n * np.dtype(np.float32).itemsize
+    peak = root_gather_peak(n)
+    assert peak <= grid + grid // 2 + 64 * 1024, peak / grid
 
 
 def test_sobel_apply_allocates_three_slab_buffers():
