@@ -457,7 +457,7 @@ def _device_details(cluster) -> str:
     ]
     names: list[str] = []
     dev_cpu = CPUDevice(cpu)
-    names.extend(t.name for t in dev_cpu.timelines())
+    names.extend(t.name for t in dev_cpu.workers)
     for i in range(node.num_gpus):
         names.extend(t.name for t in GPUDevice(gpu, i).timelines())
     names.extend(("nic{rank}.egress", "nic{rank}.ingress"))

@@ -14,22 +14,21 @@ model-scale size).  The charged cost *win* is the per-message constants;
 the bytes term is unchanged by design.
 
 Layouts are registered once per configuration (strip shapes never change
-between steps), so the per-step path is copy + send with no allocation:
+between steps).  A pack buffer lives as long as its message: each send
+packs into a fresh contiguous array and hands it over with ``owned=True``
+(no snapshot copy), the receiver's ``deliver`` copies it into the halo
+slab, and after that nothing holds it.  No send can therefore clobber a
+message still in flight, however many rounds a sender runs ahead.
 
 - **Single-strip layouts** (the common one-grid case) reproduce the
-  pre-coalescer protocol byte for byte: the strip is packed into a
-  parity double-buffered contiguous buffer, sent zero-copy
-  (``owned=True``), and received straight into the halo slab via
+  pre-coalescer protocol byte for byte: the strip is copied into one
+  contiguous message and received straight into the halo slab via
   ``irecv(out=...)``.  Existing single-field runs are therefore charged
   *identically* — same message count, same sizes, same clock arithmetic.
-- **Multi-strip layouts** pack all strips into one flat parity buffer
-  (segment views, one memcpy each), send one message, and on the receive
-  side land in a flat staging buffer that :meth:`CoalescedRecv.wait`
-  scatters into the individual halo slabs.
-
-Parity double buffering carries over unchanged from the stencil runtime:
-a pack buffer is not reused until two steps later, by which point the
-neighbour has provably consumed it, so ``owned=True`` sends stay safe.
+- **Multi-strip layouts** pack all strips into one flat message (segment
+  views, one memcpy each), and on the receive side land in a flat staging
+  buffer, kept per face, that :meth:`CoalescedRecv.wait` scatters into
+  the individual halo slabs.
 """
 
 from __future__ import annotations
@@ -84,8 +83,6 @@ class HaloCoalescer:
         self.trace = trace
         #: key -> tuple of strip shapes (fixed at registration).
         self._layouts: dict[Hashable, tuple[tuple[int, ...], ...]] = {}
-        #: (key, parity) -> pack buffer (strip-shaped when single-strip).
-        self._send_bufs: dict[tuple[Hashable, int], np.ndarray] = {}
         #: key -> flat receive staging buffer (multi-strip layouts only).
         self._recv_stage: dict[Hashable, np.ndarray] = {}
 
@@ -99,14 +96,8 @@ class HaloCoalescer:
         if not shapes:
             raise ConfigurationError("a coalesced layout needs at least one strip")
         self._layouts[key] = shapes
-        if len(shapes) == 1:
-            for parity in (0, 1):
-                self._send_bufs[(key, parity)] = np.empty(shapes[0], dtype=dtype)
-        else:
-            total = sum(prod(shape) for shape in shapes)
-            for parity in (0, 1):
-                self._send_bufs[(key, parity)] = np.empty(total, dtype=dtype)
-            self._recv_stage[key] = np.empty(total, dtype=dtype)
+        if len(shapes) > 1:
+            self._recv_stage[key] = np.empty(sum(prod(s) for s in shapes), dtype=dtype)
 
     def strips_per_message(self, key: Hashable) -> int:
         return len(self._layouts[key])
@@ -118,9 +109,8 @@ class HaloCoalescer:
         tag: int,
         strips: Sequence[np.ndarray],
         wire_bytes: float,
-        parity: int,
     ) -> None:
-        """Pack ``strips`` into the parity buffer and send one message.
+        """Pack ``strips`` into a fresh buffer and send it as one message.
 
         ``wire_bytes`` is the charged model-scale size of the whole
         payload (the sum over strips) — coalescing changes the message
@@ -131,10 +121,10 @@ class HaloCoalescer:
             raise ConfigurationError(
                 f"layout {key!r} packs {len(shapes)} strip(s), got {len(strips)}"
             )
-        buf = self._send_bufs[(key, parity & 1)]
         if len(shapes) == 1:
-            np.copyto(buf, strips[0])
+            buf = strips[0].copy()
         else:
+            buf = np.empty(sum(strip.size for strip in strips), dtype=strips[0].dtype)
             offset = 0
             for strip in strips:
                 n = strip.size

@@ -7,18 +7,18 @@ Grid decomposition and execution flow:
   style balanced factorization).  Each process holds its sub-grid with a
   halo-padded allocation.
 - **Halo exchange (Fig. 4 steps 1–5)**: per axis and direction, the
-  boundary strips are packed into *preallocated, parity double-buffered*
-  contiguous buffers (CPU: strip memcpy; GPU: a zero-copy kernel writing a
-  host-mapped buffer, charged on the copy engine), sent zero-copy
-  (``owned=True``) with non-blocking messages, and received directly into
-  the halo slabs via ``irecv(out=...)`` — the wall-clock path does one
-  copy on each end, while the *charged* pack/unpack costs (GPU: host
-  buffer → device copy + scatter kernel) are unchanged.  When several
-  arrays are exchanged (the grid plus mutable coefficient fields), all
-  strips bound for one neighbour ride a single coalesced message
-  (:class:`~repro.comm.coalesce.HaloCoalescer`): one payload per
-  (axis, side) per step regardless of field count, charged bytes
-  unchanged.
+  boundary strips are packed into a contiguous buffer that lives as long
+  as its message (CPU: strip memcpy; GPU: a zero-copy kernel writing a
+  host-mapped buffer, charged on the copy engine), handed to the fabric
+  without a snapshot copy (``owned=True``) as a non-blocking message, and
+  received directly into the halo slabs via ``irecv(out=...)`` — the
+  wall-clock path does one copy on each end, while the *charged*
+  pack/unpack costs (GPU: host buffer → device copy + scatter kernel) are
+  unchanged.  When several arrays are exchanged (the grid plus mutable
+  coefficient fields), all strips bound for one neighbour ride a single
+  coalesced message (:class:`~repro.comm.coalesce.HaloCoalescer`): one
+  payload per (axis, side) per step regardless of field count, charged
+  bytes unchanged.
 - **Overlap**: inner elements — those at least ``halo`` away from the
   sub-grid boundary — depend only on local data and are computed
   concurrently with the exchange; boundary elements run after (steps 3/7).
@@ -76,6 +76,9 @@ from repro.device.gpu import GPUDevice
 from repro.util.errors import ConfigurationError
 
 _TAG_HALO = 201
+
+#: The index of a whole axis, shared by every face index that spans one.
+_WHOLE_AXIS = slice(None)
 
 #: Search ceiling for ``time_block="auto"`` (beyond this the redundant
 #: ghost volume dwarfs any realistic per-message constant).
@@ -151,10 +154,6 @@ class StencilRuntime:
         #: resulting halo-slab depth ``time_block * halo``.
         self._time_block = 1
         self._halo_depth: int | None = None
-        #: Pack-buffer parity, flipped once per exchange round.  Session
-        #: local (not snapshotted): alternation is all the double-buffer
-        #: safety argument needs, and parity never affects charges.
-        self._xchg_parity = 1
         #: Cumulative model-scale ghost-zone recomputation (flops), for
         #: the ``halo.redundant_flops`` gauge.
         self._redundant_flops = 0.0
@@ -283,24 +282,6 @@ class StencilRuntime:
             slice(self._halo_depth, self._halo_depth + ext) for ext in self.local_shape
         )
 
-        # Pooled halo-exchange state, fixed for the lifetime of this
-        # configuration: cached face slices and model-scale wire sizes,
-        # and a per-neighbour message coalescer holding the preallocated
-        # contiguous send strips.  Strips stay double-buffered by
-        # exchange-round parity: the buffer a message was packed into is
-        # not reused until two rounds later, by which point the neighbour
-        # has provably consumed it (its next-round send on this axis
-        # cannot happen before it filled this round's halos).  Packed
-        # payloads are therefore sent with ``owned=True`` — no snapshot
-        # copy — and single-strip receives land straight in the halo
-        # slabs via ``irecv(out=...)``.
-        self._send_slices = {}
-        self._halo_slices = {}
-        for ax in range(ndim):
-            for side in (-1, +1):
-                self._send_slices[(ax, side)] = self._face_slices(ax, side, False)
-                self._halo_slices[(ax, side)] = self._face_slices(ax, side, True)
-        self._face_wire = [self._face_bytes_model(ax) for ax in range(ndim)]
         self._fields: dict[str, np.ndarray] = {}
         if static_fields:
             for name, field in static_fields.items():
@@ -317,29 +298,32 @@ class StencilRuntime:
                     f"exchange field {name!r} has dtype {self._fields[name].dtype}; "
                     f"coalesced halos require the kernel dtype {kernel.dtype}"
                 )
-        # All arrays exchanged per step: the grid (always) plus the
-        # mutable fields.  Every (axis, side) face with a neighbour carries
-        # one strip per array, coalesced into a single message whose
-        # charged size is the per-strip wire size times the array count;
-        # a face without one never sends, so it gets no pack buffers.
+        # Halo-exchange state, fixed for the lifetime of this configuration.
+        # All arrays exchanged per step: the grid (always) plus the mutable
+        # fields.  Every (axis, side) face with a neighbour gets its (send
+        # strip, halo slab) slices and a coalescer layout of one strip per
+        # array, sent as a single message whose charged size is the
+        # per-strip wire size times the array count; a face without one
+        # never sends, so it gets neither.  No pack buffer is kept: each
+        # send packs a fresh one that lives as long as its message, and
+        # single-strip receives land straight in the halo slabs via
+        # ``irecv(out=...)``.
         self._exchange_extra = tuple(self._fields[n] for n in self._exchange_names)
         n_arrays = 1 + len(self._exchange_extra)
-        self._axis_wire = [w * n_arrays for w in self._face_wire]
+        self._axis_wire = [self._face_bytes_model(ax) * n_arrays for ax in range(ndim)]
         self._coalescer = HaloCoalescer(env.comm, env.trace)
+        self._faces: dict[tuple[int, int], tuple[tuple[slice, ...], tuple[slice, ...]]] = {}
         for ax in range(ndim):
             for side, nbr in zip((-1, +1), self._neighbors[ax]):
                 if nbr == PROC_NULL:
                     continue
-                strip_shape = tuple(
-                    sl.stop - sl.start for sl in self._send_slices[(ax, side)]
-                )
+                send, _ = self._faces[(ax, side)] = self._face_slices(ax, side)
                 self._coalescer.register(
-                    (ax, side), (strip_shape,) * n_arrays, kernel.dtype
+                    (ax, side), (self._src[send].shape,) * n_arrays, kernel.dtype
                 )
         self._rows = None
         self._timestep = 0
         self._prestarted = None
-        self._xchg_parity = 1
         self._redundant_flops = 0.0
         self._configured = True
         # The inner box (at least ``halo`` away from every face) overlaps
@@ -511,14 +495,14 @@ class StencilRuntime:
 
     # -- halo exchange (Fig. 4 steps 1-5) --------------------------------------
     def _face_slices(
-        self, axis: int, side: int, halo_side: bool
-    ) -> tuple[slice, ...]:
-        """Slices of the strip to send (interior edge) or fill (halo slab).
+        self, axis: int, side: int
+    ) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+        """Index of one face's send strip (interior edge) and of its halo
+        slab (receive target).
 
-        ``side`` is -1 (low) or +1 (high); ``halo_side`` selects the halo
-        slab (receive target) instead of the interior strip (send source).
-        Strips are ``time_block * halo`` deep: one exchange round carries
-        everything ``time_block`` sweeps consume.
+        ``side`` is -1 (low) or +1 (high).  Strips are ``time_block *
+        halo`` deep: one exchange round carries everything ``time_block``
+        sweeps consume.
 
         On every axis *other* than the exchanged one the strip spans the
         full padded extent (halos included): exchanging axes sequentially
@@ -526,13 +510,13 @@ class StencilRuntime:
         neighbours — required for 9-point/27-point stencils.
         """
         d = self._halo_depth
-        out = [slice(0, n) for n in self._src.shape]
         sl = self.interior[axis]
         if side < 0:
-            out[axis] = slice(sl.start - d, sl.start) if halo_side else slice(sl.start, sl.start + d)
+            send, halo = slice(sl.start, sl.start + d), slice(sl.start - d, sl.start)
         else:
-            out[axis] = slice(sl.stop, sl.stop + d) if halo_side else slice(sl.stop - d, sl.stop)
-        return tuple(out)
+            send, halo = slice(sl.stop - d, sl.stop), slice(sl.stop, sl.stop + d)
+        lead = (_WHOLE_AXIS,) * axis
+        return lead + (send,), lead + (halo,)
 
     def _face_bytes_model(self, axis: int, depth: int | None = None) -> float:
         """Model-scale bytes of one face strip (``depth`` defaults to the
@@ -599,14 +583,12 @@ class StencilRuntime:
         pack_done = self._pack_cost(axis, rows)
         self.env.clock.advance_to(pack_done)
         wire = self._axis_wire[axis]
-        parity = self._xchg_parity
         sources = self._exchange_sources()
-        if high_dst != PROC_NULL:
-            strips = [arr[self._send_slices[(axis, +1)]] for arr in sources]
-            self._coalescer.send((axis, +1), high_dst, _TAG_HALO + axis, strips, wire, parity)
-        if low_src != PROC_NULL:
-            strips = [arr[self._send_slices[(axis, -1)]] for arr in sources]
-            self._coalescer.send((axis, -1), low_src, _TAG_HALO + axis, strips, wire, parity)
+        for side, peer in ((+1, high_dst), (-1, low_src)):
+            if peer != PROC_NULL:
+                send, _ = self._faces[(axis, side)]
+                strips = [arr[send] for arr in sources]
+                self._coalescer.send((axis, side), peer, _TAG_HALO + axis, strips, wire)
 
     def _post_axis_recvs(self, axis: int) -> list[tuple[int, Any]]:
         """Post this axis' receives straight into the halo slabs (no unpack
@@ -615,16 +597,13 @@ class StencilRuntime:
         recvs = []
         low_src, high_dst = self._neighbors[axis]
         sources = self._exchange_sources()
-        if low_src != PROC_NULL:
-            outs = [arr[self._halo_slices[(axis, -1)]] for arr in sources]
-            recvs.append(
-                (axis, self._coalescer.post_recv((axis, -1), low_src, _TAG_HALO + axis, outs))
-            )
-        if high_dst != PROC_NULL:
-            outs = [arr[self._halo_slices[(axis, +1)]] for arr in sources]
-            recvs.append(
-                (axis, self._coalescer.post_recv((axis, +1), high_dst, _TAG_HALO + axis, outs))
-            )
+        for side, peer in ((-1, low_src), (+1, high_dst)):
+            if peer != PROC_NULL:
+                _, halo = self._faces[(axis, side)]
+                outs = [arr[halo] for arr in sources]
+                recvs.append(
+                    (axis, self._coalescer.post_recv((axis, side), peer, _TAG_HALO + axis, outs))
+                )
         return recvs
 
     def _fill_halos(self, recvs: list[tuple[int, Any]]) -> None:
@@ -663,10 +642,6 @@ class StencilRuntime:
         for dev in env.devices:
             dev.reset(start=t0)
         rows = self._rows = self._partitioner.split(self.local_shape[0])
-        # One parity flip per exchange round: alternation is what keeps a
-        # pack buffer unused until the neighbour consumed the round
-        # before last.
-        self._xchg_parity ^= 1
         recvs = self._post_axis_recvs(0)
         self._send_axis(0, rows)
         return t0, rows, recvs
@@ -1021,11 +996,10 @@ class StencilRuntime:
         (halos included — a restored rank must not need a fresh exchange
         to resume), the timestep counter, the current device split, any
         mutable exchanged fields, and the adaptive partitioner's observed
-        profile.  The pack-buffer parity is deliberately *not* captured:
-        it is a session-local double-buffering detail that keeps
-        alternating correctly from any starting value and never affects
-        charges.  With temporal blocking, snapshots land on block
-        boundaries (the checkpoint drivers step whole blocks), so no
+        profile.  No exchange state needs capturing: a pack buffer lives
+        only as long as its message, and a snapshot is refused while an
+        exchange is in flight.  With temporal blocking, snapshots land on
+        block boundaries (the checkpoint drivers step whole blocks), so no
         intra-block position needs saving either.  The partitioner state matters
         because a crash-restarted rank rebuilds its runtime with a fresh,
         *unprofiled* partitioner: without the saved speeds it would

@@ -4,7 +4,11 @@ One :class:`CPUDevice` stands for *all* the CPU cores of a node (the
 paper's runtime drives them with pthreads from a single process).  Each
 core is a separate worker :class:`~repro.sim.timeline.Timeline`, so the
 dynamic chunk scheduler sees 12 independent consumers; static partitions
-are charged assuming the partition is divided evenly across cores.
+are charged assuming the partition is divided evenly across cores, on one
+core's line (the stencil runtime's is the first core, the irregular
+runtime's the last).  The cores in between get their lines only when
+something schedules per core: the chunk scheduler, or an obs recorder
+binding the device (both go through :attr:`CPUDevice.workers`).
 
 Roofline: a core's per-element time is the max of its compute time and its
 share of the node memory bandwidth — running 12 cores flat out divides the
@@ -30,7 +34,10 @@ class CPUDevice(Device):
     def __init__(self, spec: CPUSpec, index: int = 0, name: str | None = None) -> None:
         super().__init__(name or spec.name, index)
         self.spec = spec
-        self._workers = [Timeline(f"cpu{index}.core{c}") for c in range(spec.cores)]
+        #: The first and last core until :attr:`workers` builds the rest.
+        self._lines = [Timeline(f"cpu{index}.core{c}") for c in sorted({0, spec.cores - 1})]
+        #: Where the last :meth:`reset` started every line.
+        self._reset_at = 0.0
 
     @property
     def cores(self) -> int:
@@ -77,16 +84,26 @@ class CPUDevice(Device):
         return 2.0 * nbytes / self.spec.mem_bandwidth
 
     def timelines(self) -> list[Timeline]:
-        return list(self._workers)
+        """The core lines built so far: ``[0]`` is the first core and
+        ``[-1]`` the last, whether or not the cores between exist."""
+        return list(self._lines)
 
     @property
     def workers(self) -> list[Timeline]:
-        """Per-core worker timelines for the dynamic chunk scheduler."""
-        return self._workers
+        """Every core's line, indexed by core; the cores between the first
+        and the last are built on first use, as freshly reset."""
+        lines = self._lines
+        if len(lines) < self.spec.cores:
+            lines[1:-1] = [
+                Timeline(f"cpu{self.index}.core{c}", self._reset_at)
+                for c in range(1, self.spec.cores - 1)
+            ]
+        return lines
 
     def reset(self, start: float = 0.0) -> None:
-        for worker in self._workers:
-            worker.reset(start)
+        self._reset_at = start
+        for line in self._lines:
+            line.reset(start)
 
     @property
     def speed_hint(self) -> float:

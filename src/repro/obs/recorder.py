@@ -68,10 +68,11 @@ class Recorder(Trace):
         self._attach(fabric.ingress_timeline(self.rank))
 
     def bind_device(self, device: Any) -> None:
-        """Attach every engine timeline of one device."""
+        """Attach every engine timeline of one device (a CPU builds its
+        per-core ``workers`` lines for this)."""
         if not self.enabled:
             return
-        for tl in device.timelines():
+        for tl in getattr(device, "workers", None) or device.timelines():
             self._attach(tl)
 
     def _attach(self, timeline: Any) -> None:

@@ -16,7 +16,7 @@ from repro.util.errors import ValidationError
 
 @dataclass(slots=True)
 class Interval:
-    """One scheduled busy interval (append-only; treat as immutable).
+    """One scheduled busy interval (treat as immutable).
 
     A plain slotted dataclass rather than a frozen one: timelines create
     one per scheduled item on the simulation hot path, and frozen
@@ -33,22 +33,23 @@ class Interval:
 
 
 class Timeline:
-    """Append-only schedule of busy intervals on one resource.
+    """List schedule of busy intervals on one resource.
 
-    When observability is enabled an external *sink* can be attached with
-    :meth:`observe`; every scheduled interval is then also reported to the
-    sink, which lets :mod:`repro.obs` keep a full-run interval history even
-    though devices :meth:`reset` their timelines every step.  The sink never
-    influences scheduling, so virtual time is bit-identical with or without
-    one; when no sink is attached the only cost is one ``is None`` check.
+    A timeline keeps only what placing the next item needs — when it is
+    free and how long it has been busy — not the intervals it placed.
+    Whoever wants the history attaches a *sink* with :meth:`observe`; every
+    scheduled interval is then reported to it, which is how :mod:`repro.obs`
+    keeps a full-run history even though devices :meth:`reset` their
+    timelines every step.  The sink never influences scheduling, so virtual
+    time is bit-identical with or without one; when no sink is attached the
+    only cost is one ``is None`` check.
     """
 
-    __slots__ = ("name", "_available_at", "_intervals", "_busy", "_sink")
+    __slots__ = ("name", "_available_at", "_busy", "_sink")
 
     def __init__(self, name: str, start: float = 0.0) -> None:
         self.name = name
         self._available_at = float(start)
-        self._intervals: list[Interval] = []
         self._busy = 0.0
         self._sink = None
 
@@ -65,10 +66,6 @@ class Timeline:
     def busy_time(self) -> float:
         """Total scheduled busy seconds."""
         return self._busy
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(self._intervals)
 
     def schedule(self, ready: float, duration: float, label: str = "") -> Interval:
         """Schedule an item that becomes ready at ``ready`` for ``duration``.
@@ -89,7 +86,6 @@ class Timeline:
             raise ValidationError(f"ready time must be >= 0, got {ready}")
         start = max(ready, self._available_at)
         interval = Interval(start=start, end=start + duration, label=label)
-        self._intervals.append(interval)
         self._available_at = interval.end
         self._busy += duration
         if self._sink is not None:
@@ -104,7 +100,6 @@ class Timeline:
         allocation count flat.
         """
         self._available_at = float(start)
-        self._intervals.clear()
         self._busy = 0.0
 
     def idle_time(self, horizon: float | None = None) -> float:
@@ -121,6 +116,6 @@ class Timeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Timeline({self.name!r}, items={len(self._intervals)}, "
+            f"Timeline({self.name!r}, busy={self._busy:.6f}, "
             f"available_at={self._available_at:.6f})"
         )

@@ -27,7 +27,7 @@ def test_single_strip_roundtrip():
         payload = np.full((2, 5), float(ctx.rank) + 1.0)
         out = np.zeros((4, 7))
         req = co.post_recv("face", peer, 9, [out[1:3, 1:6]])
-        co.send("face", peer, 9, [payload], wire_bytes=80.0, parity=0)
+        co.send("face", peer, 9, [payload], wire_bytes=80.0)
         req.wait()
         assert (out[1:3, 1:6] == float(peer) + 1.0).all()
         assert out[0].sum() == 0  # only the view was written
@@ -52,7 +52,7 @@ def test_multi_strip_roundtrip_scatters_to_views():
         arrays = [np.zeros((6, 8)) for _ in shapes]
         outs = [a[1 : 1 + s[0], 2 : 2 + s[1]] for a, s in zip(arrays, shapes)]
         req = co.post_recv("k", peer, 4, outs)
-        co.send("k", peer, 4, strips, wire_bytes=184.0, parity=1)
+        co.send("k", peer, 4, strips, wire_bytes=184.0)
         req.wait()
         for a, s in zip(arrays, shapes):
             expected = np.arange(np.prod(s)).reshape(s) * (peer + 1.0)
@@ -63,26 +63,33 @@ def test_multi_strip_roundtrip_scatters_to_views():
     assert run_spmd(prog, nodes=2).values == [True, True]
 
 
-def test_parity_double_buffering_keeps_consecutive_sends_safe():
-    """Two back-to-back sends on alternating parity must not clobber each
-    other even though the receiver drains them late (owned=True buffers)."""
+def test_back_to_back_sends_on_one_face_each_deliver_their_own_values():
+    """Three sends on one face, packed from source arrays rewritten in
+    between and drained only afterwards: each message carries the values
+    it was packed from (owned=True, with nothing kept to reuse), for a
+    one-strip and a two-strip layout."""
+    layouts = {"one": [(3,)], "two": [(3,), (2, 2)]}
 
     def prog(ctx):
         co = HaloCoalescer(ctx.comm)
-        co.register("f", [(3,)], np.dtype(np.float64))
         peer = 1 - ctx.rank
-        out0, out1 = np.zeros(3), np.zeros(3)
-        r0 = co.post_recv("f", peer, 1, [out0])
-        r1 = co.post_recv("f", peer, 1, [out1])
-        base = 10.0 * (ctx.rank + 1)
-        co.send("f", peer, 1, [np.full(3, base)], wire_bytes=24.0, parity=0)
-        co.send("f", peer, 1, [np.full(3, base + 1)], wire_bytes=24.0, parity=1)
-        r0.wait()
-        r1.wait()
-        peer_base = 10.0 * (peer + 1)
-        return (out0 == peer_base).all() and (out1 == peer_base + 1).all()
+        got = {}
+        for tag, (key, shapes) in enumerate(layouts.items()):
+            co.register(key, shapes, np.dtype(np.float64))
+            outs = [[np.zeros(s) for s in shapes] for _ in range(3)]
+            reqs = [co.post_recv(key, peer, tag, o) for o in outs]
+            sources = [np.zeros(s) for s in shapes]
+            for i in range(3):
+                for src in sources:
+                    src[...] = 10.0 * (ctx.rank + 1) + i
+                co.send(key, peer, tag, sources, wire_bytes=24.0)
+            for req in reqs:
+                req.wait()
+            got[key] = [sorted({float(v) for o in msg for v in o.flat}) for msg in outs]
+        return got
 
-    assert run_spmd(prog, nodes=2).values == [True, True]
+    for peer, got in zip((1, 0), run_spmd(prog, nodes=2).values):
+        assert got == {key: [[10.0 * (peer + 1) + i] for i in range(3)] for key in layouts}
 
 
 def test_registration_and_layout_validation():
@@ -94,7 +101,7 @@ def test_registration_and_layout_validation():
         with pytest.raises(ConfigurationError, match="at least one strip"):
             co.register("empty", [], np.dtype(np.float64))
         with pytest.raises(ConfigurationError, match="packs 1 strip"):
-            co.send("a", 0, 1, [np.zeros((2, 2)), np.zeros((2, 2))], 32.0, 0)
+            co.send("a", 0, 1, [np.zeros((2, 2)), np.zeros((2, 2))], 32.0)
         with pytest.raises(ConfigurationError, match="delivers 1 strip"):
             co.post_recv("a", 0, 1, [np.zeros((2, 2)), np.zeros((2, 2))])
         return True

@@ -150,12 +150,14 @@ def test_local_interior_shape():
 )
 def test_pack_buffers_only_for_faces_with_a_neighbour(shape, dims, faces):
     """A face on a non-periodic border never sends, so it registers no
-    coalescer layout (and no parity pair of pack buffers)."""
+    coalescer layout and keeps no face index; no face keeps a pack buffer
+    (each send packs a fresh one that lives as long as its message)."""
     apply = _avg2d if len(shape) == 2 else _avg3d
 
     def prog(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
         st.configure(StencilKernel(apply, 1, WORK), shape, dims=dims)
+        assert sorted(st._faces) == sorted(st._coalescer._layouts)
         return sorted(st._coalescer._layouts)
 
     res = run_spmd(prog, nodes=len(faces))

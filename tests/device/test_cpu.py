@@ -1,4 +1,6 @@
-"""CPU device cost arithmetic."""
+"""CPU device cost arithmetic and core timelines."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -66,6 +68,25 @@ def test_workers_and_reset(cpu):
     cpu.workers[0].schedule(0, 1.0)
     cpu.reset(start=5.0)
     assert all(w.available_at == 5.0 for w in cpu.workers)
+
+
+def test_cores_between_first_and_last_are_built_on_first_per_core_use(cpu):
+    first, last = cpu.timelines()
+    assert (first.name, last.name) == ("cpu0.core0", "cpu0.core11")
+    first.schedule(0, 1.0)
+    last.schedule(0, 3.0)
+    cpu.reset(start=2.0)
+    workers = cpu.workers
+    assert [w.name for w in workers] == [f"cpu0.core{c}" for c in range(12)]
+    # The charged lines keep their identity, so one step's charges meet on
+    # one object; the new cores start where the last reset left every line.
+    assert workers[0] is first and workers[-1] is last
+    assert all(w.available_at == 2.0 and w.busy_time == 0.0 for w in workers)
+    assert cpu.timelines() == workers and cpu.workers is workers
+    one_core = CPUDevice(replace(xeon_5650(), cores=1))
+    assert [t.name for t in one_core.timelines()] == ["cpu0.core0"] == [
+        w.name for w in one_core.workers
+    ]
 
 
 def test_partition_time_rejects_negative(cpu):

@@ -23,7 +23,11 @@ in axis-0 slabs, so one sobel round allocates a few slabs' bytes whatever the
 image size (the whole-region apply allocated 13.5 MiB at 768², 54 MiB at
 1536²).  A job holds each kernel array once: float64-sum scatter plans keep at
 most one bin index per key (bit-identical to the unplanned scatter), and a
-gathered grid costs the root the grid plus one other rank's block.
+gathered grid costs the root the grid plus one other rank's block.  A
+simulated rank holds only what it uses: a halo pack buffer lives as long as
+its message, timelines keep no interval history, and a CPU device builds
+per-core timelines only for per-core scheduling, so a wide heat3d job's
+traced peak per rank is bounded.
 """
 
 import ctypes
@@ -33,6 +37,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 from typing import Any
 
@@ -40,6 +45,7 @@ import numpy as np
 import pytest
 
 from repro.apps.sobel import make_kernel, sobel_apply
+from repro.comm.coalesce import HaloCoalescer
 from repro.core.env import RuntimeEnv
 from repro.core.reduction_object import DenseReductionObject
 from repro.core.stencil import SLAB_ELEMS
@@ -456,6 +462,51 @@ def test_a_two_rank_gather_holds_one_grid_and_one_block():
     grid = n * n * np.dtype(np.float32).itemsize
     peak = root_gather_peak(n)
     assert peak <= grid + grid // 2 + 64 * 1024, peak / grid
+
+
+def heat3d_peak_per_rank(nodes: int) -> float:
+    """Traced peak of one default ``heat3d`` job on ``nodes`` CPU ranks,
+    divided by the rank count."""
+    spec = serve_spec.JobSpec(app="heat3d", nodes=nodes, mix="cpu")
+    try:
+        serve_spec.run_spec(spec)  # first-use imports and the input are not per rank
+        return traced_peak(lambda: serve_spec.run_spec(spec))[1] / nodes
+    finally:
+        clear_memo()
+
+
+def test_a_64_rank_heat3d_job_holds_at_most_45_kb_per_rank():
+    # Measured 53.1 kB per rank at the parent, whose ranks each kept two
+    # pack buffers per face with a neighbour for the whole job, a timeline
+    # per CPU core and every interval each timeline placed; 37.1 kB now.
+    # The bound is halfway between.
+    per_rank = heat3d_peak_per_rank(64)
+    assert per_rank <= 45_000, per_rank
+
+
+def test_a_coalescer_holds_no_send_buffer_once_its_messages_are_delivered():
+    def prog(ctx):
+        sent = []
+
+        def isend(buf, *args, **kwargs):
+            sent.append(weakref.ref(buf))
+            return ctx.comm.isend(buf, *args, **kwargs)
+
+        co = HaloCoalescer(types.SimpleNamespace(isend=isend, irecv=ctx.comm.irecv))
+        layouts = {"one": [(8, 8)], "two": [(8, 8), (4,)]}
+        peer = 1 - ctx.rank
+        reqs = []
+        for tag, (key, shapes) in enumerate(layouts.items()):
+            co.register(key, shapes, np.dtype(np.float64))
+            reqs.append(co.post_recv(key, peer, tag, [np.zeros(s) for s in shapes]))
+            co.send(key, peer, tag, [np.full(s, float(ctx.rank)) for s in shapes], 512.0)
+        in_flight = [ref() is not None for ref in sent]  # the peer has not run yet
+        for req in reqs:
+            req.wait()
+        ctx.comm.barrier()  # the peer has delivered ours too
+        return in_flight, [ref() is None for ref in sent]
+
+    assert run_spmd(prog, nodes=2, gpus_per_node=0).values == [([True] * 2, [True] * 2)] * 2
 
 
 def test_sobel_apply_allocates_three_slab_buffers():

@@ -60,10 +60,13 @@ def test_validation():
     )
 )
 def test_intervals_never_overlap(items):
+    """The history lives in the sink: every placed interval reaches it, in
+    order, and none overlaps the one before."""
     tl = Timeline("t")
-    for ready, dur in items:
-        tl.schedule(ready, dur)
-    intervals = tl.intervals
-    for a, b in zip(intervals, intervals[1:]):
+    seen = []
+    tl.observe(lambda name, start, end, label: seen.append((name, start, end, label)))
+    placed = [tl.schedule(ready, dur, str(i)) for i, (ready, dur) in enumerate(items)]
+    assert seen == [("t", iv.start, iv.end, iv.label) for iv in placed]
+    for a, b in zip(placed, placed[1:]):
         assert b.start >= a.end
-    assert tl.busy_time == pytest.approx(sum(iv.duration for iv in intervals))
+    assert tl.busy_time == pytest.approx(sum(iv.duration for iv in placed))
