@@ -210,8 +210,8 @@ def bench_stencil_converge(cfg: dict) -> dict:
     """Isolate the fused stencil+reduce convergence loop (Jacobi2D).
 
     Watches the ``run_until`` hot path: the in-sweep residual, the
-    speculative next-step halo exchange, and the coalesced per-neighbour
-    messages.  The makespan pins the overlap accounting; the iteration
+    speculative next-step halo exchange, and the one message per
+    neighbour face.  The makespan pins the overlap accounting; the iteration
     count is recorded so a convergence change (different stop point) is
     distinguishable from a pure wall-clock regression.
     """

@@ -24,7 +24,6 @@ from repro.comm.fabric import Fabric, Message
 from repro.comm.communicator import SimComm, Request, SendRequest, RecvRequest
 from repro.comm.reliable import ReliableComm, ReliableRecvRequest
 from repro.comm.cart import CartComm
-from repro.comm.coalesce import CoalescedRecv, HaloCoalescer
 
 __all__ = [
     "ANY_SOURCE",
@@ -39,6 +38,4 @@ __all__ = [
     "ReliableComm",
     "ReliableRecvRequest",
     "CartComm",
-    "CoalescedRecv",
-    "HaloCoalescer",
 ]

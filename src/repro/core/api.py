@@ -128,9 +128,7 @@ class StencilKernel:
             runtime tiles every sweep: ``apply`` may be handed any axis-0
             sub-box of a sweep region, so it must be a pure function of
             the ``halo``-neighbourhood — never read the region's size as
-            data, and never write ``src``.  (A kernel that mutates one of
-            ``configure``'s ``exchange_fields`` is the exception: its
-            sweeps are applied whole.)
+            data, and never write ``src`` or a static field.
         halo: Stencil radius (1 for 7-point/9-point kernels).
         work: Cost model for one grid element.
     """

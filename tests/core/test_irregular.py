@@ -306,8 +306,8 @@ def test_misaligned_edge_data_is_a_configuration_error(nodes):
 
 
 def test_node_data_exchange_sends_one_message_per_requesting_rank():
-    """Node data is one array per rank, so the step-5/6 exchange is already
-    coalesced: one send per requester after an update, none when clean."""
+    """Node data is one array per rank, so the step-5/6 exchange is one
+    send per requester after an update, none when clean."""
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")

@@ -149,16 +149,15 @@ def test_local_interior_shape():
     ],
 )
 def test_pack_buffers_only_for_faces_with_a_neighbour(shape, dims, faces):
-    """A face on a non-periodic border never sends, so it registers no
-    coalescer layout and keeps no face index; no face keeps a pack buffer
-    (each send packs a fresh one that lives as long as its message)."""
+    """A face on a global border never sends, so it keeps no face index;
+    no face keeps a pack buffer (each send packs a fresh one that lives as
+    long as its message)."""
     apply = _avg2d if len(shape) == 2 else _avg3d
 
     def prog(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
         st.configure(StencilKernel(apply, 1, WORK), shape, dims=dims)
-        assert sorted(st._faces) == sorted(st._coalescer._layouts)
-        return sorted(st._coalescer._layouts)
+        return sorted(st._faces)
 
     res = run_spmd(prog, nodes=len(faces))
     assert res.values == faces
@@ -286,43 +285,13 @@ def test_snapshot_state_includes_partitioner_profile():
     assert run_spmd(prog, nodes=1).values == [True]
 
 
-def test_snapshot_state_roundtrips_exchange_fields():
-    def prog(ctx):
-        def kern(src, dst, region, param):
-            v = param["v"]
-            dst[region] = src[region] + v[region]
-            v[region] += 1.0
-
-        env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil()
-        st.configure(
-            StencilKernel(kern, 1, WORK),
-            GRID2D.shape,
-            static_fields={"v": np.zeros(GRID2D.shape)},
-            exchange_fields=("v",),
-        )
-        st.set_global_grid(GRID2D)
-        st.run(2)
-        state = st.snapshot_state()
-        saved_v = st._fields["v"].copy()
-        st.run(3)  # keeps mutating v
-        assert not np.array_equal(st._fields["v"], saved_v)
-        st.restore_state(state)
-        np.testing.assert_array_equal(st._fields["v"], saved_v)
-        # The snapshot is a copy, not a view of the live field.
-        assert state["fields"]["v"] is not st._fields["v"]
-        return True
-
-    assert run_spmd(prog, nodes=1).values == [True]
-
-
 @pytest.mark.parametrize("nodes", [2, 4])
 def test_multirank_result_bitwise_identical_to_sequential(nodes):
-    # Stronger than allclose: halo strips travel through the pooled
-    # send/receive buffers and land via out= into strided slabs, and the
-    # interior is applied in axis-0 slabs.  All of that must reproduce
-    # the single-array sequential sweep bit for bit, since every update is
-    # the same elementwise expression over exactly the same neighbor bytes.
+    # Stronger than allclose: halo strips travel as fresh send copies and
+    # land via out= into strided slabs, and the interior is applied in
+    # axis-0 slabs.  All of that must reproduce the sequential sweep bit
+    # for bit, since every update is the same elementwise expression over
+    # exactly the same neighbor bytes.
     res = run_spmd(_program(GRID2D, _avg2d), nodes=nodes, gpus_per_node=2)
     np.testing.assert_array_equal(res.values[0], _seq(GRID2D, _avg2d, 1, 3))
 
@@ -391,20 +360,12 @@ def test_sweep_regions_are_cut_into_bounded_axis0_slabs():
     assert (inner[0][0].start, inner[-1][0].stop) == (ys.start, ys.stop)
 
 
-def test_a_row_wider_than_a_slab_is_one_slab_and_exchange_fields_are_not_cut():
+def test_a_row_wider_than_a_slab_is_one_slab():
     def prog(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
         st.configure(StencilKernel(_avg3d, 1, WORK), (6, 200, 200))
-        wide = st._sweep_regions(1)[0]
-        grid = np.zeros((400, 300))
-        st.configure(
-            StencilKernel(_avg2d, 1, WORK), grid.shape,
-            static_fields={"v": grid}, exchange_fields=("v",),
-        )
-        return wide, st.interior, st._sweep_regions(1)[0]
+        return st._sweep_regions(1)[0]
 
-    wide, interior, exchanged = run_spmd(prog, nodes=1).values[0]
+    wide = run_spmd(prog, nodes=1).values[0]
     # 200 x 200 > SLAB_ELEMS per row: one row per slab, never an empty slab.
     assert [(sl.start, sl.stop) for sl, *_ in wide] == [(i, i + 1) for i in range(1, 7)]
-    # A kernel that mutates an exchange field is applied over whole regions.
-    assert exchanged == [interior]

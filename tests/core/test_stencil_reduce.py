@@ -113,8 +113,8 @@ def test_early_convergence_drains_speculation_deterministically():
 
 
 def test_counters_one_payload_per_neighbor_per_step():
-    """Each rank sends exactly one coalesced message per neighbour per
-    step (speculative sends belong to the step that consumes them)."""
+    """Each rank sends exactly one message per neighbour per step
+    (speculative sends belong to the step that consumes them)."""
     steps = 5
     res = run_spmd(
         fused_program,
@@ -127,7 +127,6 @@ def test_counters_one_payload_per_neighbor_per_step():
         counters = tr.counters
         # dims=(2, 1): one neighbour each, one message per step.
         assert counters["halo.msgs"] == steps
-        assert counters["halo.strips"] == steps  # single-array layout
         assert counters["stencil_reduce.combines"] == steps
         assert counters["stencil_reduce.steps"] == steps
     assert not res.values[0]["converged"]  # tol=None never stops early

@@ -312,28 +312,6 @@ def test_run_until_rejects_on_value_with_blocking():
         run_spmd(prog, nodes=1)
 
 
-def test_exchange_fields_validated_at_configure():
-    def prog_with(exchange_fields):
-        def prog(ctx):
-            env = RuntimeEnv(ctx, "cpu")
-            st = env.get_stencil()
-            st.configure(
-                StencilKernel(_avg2d, 1, WORK),
-                GRID2D.shape,
-                static_fields={"v": np.zeros(GRID2D.shape)},
-                exchange_fields=exchange_fields,
-            )
-
-        return prog
-
-    with pytest.raises(ConfigurationError, match="duplicate exchange field 'v'"):
-        run_spmd(prog_with(("v", "v")), nodes=1)
-    with pytest.raises(
-        ConfigurationError, match="exchange field 'w' is not a configured static field"
-    ):
-        run_spmd(prog_with(("w",)), nodes=1)
-
-
 def test_parse_time_block():
     assert parse_time_block("4") == 4
     assert parse_time_block(" AUTO ") == "auto"

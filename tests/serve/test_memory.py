@@ -45,7 +45,7 @@ import numpy as np
 import pytest
 
 from repro.apps.sobel import make_kernel, sobel_apply
-from repro.comm.coalesce import HaloCoalescer
+from repro.comm.communicator import SimComm
 from repro.core.env import RuntimeEnv
 from repro.core.reduction_object import DenseReductionObject
 from repro.core.stencil import SLAB_ELEMS
@@ -484,29 +484,28 @@ def test_a_64_rank_heat3d_job_holds_at_most_45_kb_per_rank():
     assert per_rank <= 45_000, per_rank
 
 
-def test_a_coalescer_holds_no_send_buffer_once_its_messages_are_delivered():
+def test_a_stencil_holds_no_sent_halo_strip_once_it_is_delivered(monkeypatch):
+    sent: dict[int, list] = {0: [], 1: []}
+    isend = SimComm.isend
+
+    def tracking_isend(self, buf, *args, **kwargs):
+        sent[self.rank].append(weakref.ref(buf))
+        return isend(self, buf, *args, **kwargs)
+
+    monkeypatch.setattr(SimComm, "isend", tracking_isend)
+
     def prog(ctx):
-        sent = []
+        st = RuntimeEnv(ctx, "cpu").get_stencil()
+        st.configure(make_kernel(ctx.node), (64, 64), dims=(2, 1))
+        st.set_global_grid(np.ones((64, 64), dtype=np.float32))
+        st.begin_step_early()  # sent; the peer has not received it yet
+        in_flight = [ref() is not None for ref in sent[ctx.rank]]
+        st.run(3)
+        ctx.comm.barrier()  # the peer has received ours too
+        return in_flight, [ref() is None for ref in sent[ctx.rank]]
 
-        def isend(buf, *args, **kwargs):
-            sent.append(weakref.ref(buf))
-            return ctx.comm.isend(buf, *args, **kwargs)
-
-        co = HaloCoalescer(types.SimpleNamespace(isend=isend, irecv=ctx.comm.irecv))
-        layouts = {"one": [(8, 8)], "two": [(8, 8), (4,)]}
-        peer = 1 - ctx.rank
-        reqs = []
-        for tag, (key, shapes) in enumerate(layouts.items()):
-            co.register(key, shapes, np.dtype(np.float64))
-            reqs.append(co.post_recv(key, peer, tag, [np.zeros(s) for s in shapes]))
-            co.send(key, peer, tag, [np.full(s, float(ctx.rank)) for s in shapes], 512.0)
-        in_flight = [ref() is not None for ref in sent]  # the peer has not run yet
-        for req in reqs:
-            req.wait()
-        ctx.comm.barrier()  # the peer has delivered ours too
-        return in_flight, [ref() is None for ref in sent]
-
-    assert run_spmd(prog, nodes=2, gpus_per_node=0).values == [([True] * 2, [True] * 2)] * 2
+    # dims=(2, 1): one face with a neighbour, one strip per step.
+    assert run_spmd(prog, nodes=2, gpus_per_node=0).values == [([True], [True] * 3)] * 2
 
 
 def test_sobel_apply_allocates_three_slab_buffers():
