@@ -3,10 +3,10 @@
 Solves ``laplacian(u) = f`` on the unit square with zero Dirichlet
 boundaries by Jacobi iteration, running until the L2 norm of the step
 update drops below a tolerance — the iterate-until-converged shape none
-of the fixed-step apps express, and the canonical client of the fused
-stencil+reduce runtime: the residual is produced inside each sweep and
-folded through a combine that overlaps the next halo exchange, so no
-step pays a standalone reduction pass.
+of the fixed-step apps express, and the canonical client of the stencil
+runtime's fused ``run_until`` loop: the residual is produced inside each
+sweep and folded through a combine that overlaps the next halo exchange,
+so no step pays a standalone reduction pass.
 
 The right-hand side rides as a *static* (read-only) coefficient field;
 the update is the textbook four-point average minus the source term::
@@ -105,7 +105,7 @@ def rank_program(
     grid and residual history stay bit-identical to ``time_block=1``.
     """
     env = RuntimeEnv(ctx, mix)
-    st = env.get_stencil_reduce()
+    st = env.get_stencil()
     st.configure(
         make_kernel(),
         config.shape,

@@ -5,8 +5,8 @@ on.  Each iteration of Rodinia's SRAD is:
 
 1. a **global reduction** over the image for the ROI statistics (mean
    and variance give the speckle scale ``q0^2``) — here *fused into the
-   sweep* via the stencil+reduce runtime: every step's statistics are
-   produced by the kernel pass itself and combined while the next halo
+   sweep* by the stencil runtime's ``run_until``: every step's statistics
+   are produced by the kernel pass itself and combined while the next halo
    exchange is in flight, so no iteration pays a separate stats pass
    (only the first step primes from the initial image), then
 2. two stencil passes: a diffusion-coefficient field ``c`` from the
@@ -119,7 +119,7 @@ def rank_program(
 ) -> np.ndarray | None:
     """SPMD body: fused statistics + diffusion stencil per iteration.
 
-    The norm loop runs on the fused stencil+reduce runtime: each sweep
+    The norm loop is the stencil runtime's fused ``run_until``: each sweep
     also produces the local (sum, sum of squares) of the *new* image, and
     the combine — overlapping the next step's halo exchange — yields the
     global statistics that set ``q0^2`` for the following step.  Only the
@@ -129,7 +129,7 @@ def rank_program(
     image = synthetic_image(config.shape, seed=config.seed).astype(np.float64) + 0.05
 
     env = RuntimeEnv(ctx, mix)
-    st = env.get_stencil_reduce(reduce_flops=STATS_FUSED_FLOPS)
+    st = env.get_stencil()
     st.configure(make_update_kernel(config.lam), config.shape)
     st.set_global_grid(image)
 
@@ -152,6 +152,7 @@ def rank_program(
         reduce_fn=stats_fn,
         residual_fn=lambda stats: float(stats[0]),
         on_value=on_stats,
+        reduce_flops=STATS_FUSED_FLOPS,
     )
 
     env.finalize()

@@ -140,8 +140,8 @@ def rank_program(
     rank crash from the last checkpoint instead of failing the run.
 
     ``until_tol`` switches to the convergence-driven variant: a fused
-    stencil+reduce loop (:class:`~repro.core.stencil_reduce.
-    StencilReduceRuntime`) that stops once the L2 norm of the step update
+    stencil+reduce loop (:meth:`~repro.core.stencil.StencilRuntime.
+    run_until`) that stops once the L2 norm of the step update
     drops to the tolerance, or after ``max_iters`` (default:
     ``config.iterations``).  Every simulated step is then a real step —
     no extrapolation — and the result carries the residual history.
@@ -152,8 +152,7 @@ def rank_program(
     """
     loop = StepLoop(ctx, reliable=reliable, checkpoint_every=checkpoint_every)
     env = RuntimeEnv(ctx, mix)
-    get_runtime = env.get_stencil if until_tol is None else env.get_stencil_reduce
-    st = get_runtime(overlap=overlap, tiling=tiling, adaptive=adaptive)
+    st = env.get_stencil(overlap=overlap, tiling=tiling, adaptive=adaptive)
     st.configure(
         make_kernel(ctx.node),
         config.functional_shape,

@@ -49,7 +49,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "env": ["RuntimeEnv", "DeviceConfig"],
         "generalized": ["GeneralizedReductionRuntime"],
         "irregular": ["IrregularReductionRuntime"],
-        "stencil": ["StencilRuntime"],
-        "stencil_reduce": ["ConvergenceResult", "StencilReduceRuntime"],
+        "stencil": ["StencilRuntime", "ConvergenceResult"],
     },
 )

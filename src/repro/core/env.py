@@ -143,13 +143,6 @@ class RuntimeEnv:
         self._check_live()
         return StencilRuntime(self, **options)
 
-    def get_stencil_reduce(self, **options):
-        """A fused stencil+reduce runtime bound to this environment."""
-        from repro.core.stencil_reduce import StencilReduceRuntime
-
-        self._check_live()
-        return StencilReduceRuntime(self, **options)
-
     def _check_live(self) -> None:
         if self._finalized:
             raise ConfigurationError("RuntimeEnv already finalized")

@@ -45,6 +45,13 @@ Grid decomposition and execution flow:
   picks ``k`` per run from the link table's α/β and the kernel's flop
   intensity via the closed form in
   :func:`~repro.device.costmodel.time_block_sweep_cost`.
+- **Fused reduce** (:meth:`StencilRuntime.run_until`, the
+  loop-of-stencil-reduce pattern, arXiv 1609.04567): each sweep also
+  yields a local value (``reduce_fn``, charged as ``reduce_flops`` extra
+  per element — no second pass over the grid), and one ``allreduce`` per
+  round folds them while the next round's halo strips fly.  The result
+  is bit-for-bit a step-then-allreduce loop's; only virtual time moves.
+  Outside ``run_until`` no reduce is armed and none is charged.
 
 Functional honesty: halo slabs are filled **only** by the exchange
 protocol, so a protocol bug produces wrong numbers, not just wrong times.
@@ -55,7 +62,8 @@ use the same convention).
 from __future__ import annotations
 
 import math
-from typing import Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -70,6 +78,9 @@ from repro.device.costmodel import time_block_sweep_cost
 from repro.device.cpu import CPUDevice
 from repro.device.gpu import GPUDevice
 from repro.util.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.core.checkpoint import CheckpointManager
 
 _TAG_HALO = 201
 
@@ -121,6 +132,33 @@ UNTILED_GPU_EFF_FACTOR = 0.90
 #: sizing sweep is in docs/architecture.md, "Resident memory").
 SLAB_ELEMS = 32768
 
+#: Default extra flops per element charged for a fused reduce in
+#: :meth:`StencilRuntime.run_until` (one subtract + one multiply-add of the
+#: running sum).
+FUSED_REDUCE_FLOPS = 2.0
+
+
+def l2_sq_residual(old: np.ndarray, new: np.ndarray) -> float:
+    """Default ``reduce_fn``: squared L2 norm of the step update."""
+    diff = (new - old).ravel()
+    return float(np.dot(diff, diff))
+
+
+@dataclass
+class ConvergenceResult:
+    """Outcome of one :meth:`StencilRuntime.run_until` loop."""
+
+    iterations: int
+    residuals: list[float] = field(default_factory=list)
+    values: list[Any] = field(default_factory=list)
+    converged: bool = False
+
+    @property
+    def final_residual(self) -> float:
+        if not self.residuals:
+            raise ConfigurationError("no iterations ran; no residual to report")
+        return self.residuals[-1]
+
 
 class StencilRuntime:
     """Runtime instance for one stencil kernel over one structured grid."""
@@ -144,8 +182,21 @@ class StencilRuntime:
         self._partitioner: AdaptivePartitioner | None = None
         self._rows: np.ndarray | None = None  # current per-device row counts
         #: (t0, rows, recvs) of an exchange round begun ahead of the next
-        #: step (see :meth:`begin_step_early`), or None.
+        #: step (see :meth:`_begin_step_early`), or None.
         self._prestarted: tuple[float, np.ndarray, list] | None = None
+        #: The reduce :meth:`run_until` arms for its loop, its extra flops
+        #: per element and the loop's convergence accumulator; outside the
+        #: loop ``_reduce_fn`` is None and nothing reduce-related is charged.
+        self._reduce_fn: Callable[[np.ndarray, np.ndarray], Any] | None = None
+        self._reduce_flops = 0.0
+        self._conv: dict | None = None
+        #: Per-sweep local values of the round in flight, and interior
+        #: snapshots after the round's first ``_rewind_points`` sweeps —
+        #: every sweep but the last, and only when a tolerance is set — so
+        #: a mid-round convergence can rewind the grid to the converged sweep.
+        self._values: list[Any] = []
+        self._grids: list[np.ndarray] = []
+        self._rewind_points = 0
         #: Temporal-blocking factor (sweeps per exchange round) and the
         #: resulting halo-slab depth ``time_block * halo``.
         self._time_block = 1
@@ -251,14 +302,14 @@ class StencilRuntime:
 
         self._fields: dict[str, np.ndarray] = {}
         if static_fields:
-            for name, field in static_fields.items():
-                field = np.asarray(field)
-                if field.shape != self.global_shape:
+            for name, values in static_fields.items():
+                values = np.asarray(values)
+                if values.shape != self.global_shape:
                     raise ConfigurationError(
-                        f"static field {name!r} has shape {field.shape}, "
+                        f"static field {name!r} has shape {values.shape}, "
                         f"expected {self.global_shape}"
                     )
-                self._fields[name] = self._pad_from_global(field, self._halo_depth)
+                self._fields[name] = self._pad_from_global(values, self._halo_depth)
         # Halo-exchange state, fixed for the lifetime of this configuration:
         # the charged size of one face strip per axis, and the (send strip,
         # halo slab) index of every (axis, side) face with a neighbour — a
@@ -576,28 +627,16 @@ class StencilRuntime:
         self._send_axis(0, rows)
         return t0, rows, recvs
 
-    def begin_step_early(self) -> None:
-        """Kick off the *next* step's axis-0 exchange ahead of :meth:`step`.
-
-        Used by runtimes that have per-step work which can overlap the
-        halo wire time — e.g. the fused reduce combine in
-        :class:`~repro.core.stencil_reduce.StencilReduceRuntime`: the
-        strips are packed and sent before the combine's collective runs,
-        so its virtual cost hides the messages' flight time.  The next
-        :meth:`step` call picks the in-flight exchange up instead of
-        starting its own.  Device timelines are reset here (normally
-        :meth:`step`'s first act) so the pack charges land on the fresh
-        timelines of the step they belong to.  The speculation covers a
-        whole round: the ``time_block * halo``-deep exchange posted here
-        feeds the next ``time_block`` sweeps.
-        """
-        self._check_configured()
+    def _begin_step_early(self) -> None:
+        """Open the *next* exchange round now (device resets, axis-0 pack
+        and send), so :meth:`_fused_round`'s combine hides the strips'
+        flight time; the next :meth:`_advance` picks the round up."""
         if self._prestarted is not None:
             raise ConfigurationError("an exchange is already in flight for the next step")
         self._prestarted = self._begin_round()
 
-    def cancel_begun_step(self) -> None:
-        """Drain an exchange begun by :meth:`begin_step_early` unused.
+    def _cancel_begun_step(self) -> None:
+        """Drain an exchange begun by :meth:`_begin_step_early` unused.
 
         A convergence loop that speculatively begins step ``t+1``'s
         exchange and then detects convergence at step ``t`` must still
@@ -607,21 +646,9 @@ class StencilRuntime:
         untouched, and the unpack charges are paid: the speculation was
         real work, so its cost is honest.
         """
-        pre = self._prestarted
-        if pre is None:
-            return
-        self._prestarted = None
-        _t0, _rows, recvs = pre
-        self._fill_halos(recvs)
-
-    def _after_apply(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Hook: runs right after the kernel apply, before the buffer swap.
-
-        ``src`` is the step's input grid, ``dst`` the freshly computed
-        output.  Subclasses fuse per-step extras here (e.g. the local
-        reduction of a fused stencil+reduce); the base runtime does
-        nothing.
-        """
+        pre, self._prestarted = self._prestarted, None
+        if pre is not None:
+            self._fill_halos(pre[2])
 
     def _finish_exchange(self, recvs: list[tuple[int, Any]], rows: np.ndarray) -> None:
         """Complete the exchange: fill axis-0 halos, then run later axes."""
@@ -662,18 +689,26 @@ class StencilRuntime:
 
     # -- compute -------------------------------------------------------------------
     def _effective_work(self, dev) -> "Any":
-        """The kernel's work model adjusted for the tiling setting."""
+        """The kernel's work model adjusted for the tiling setting and an
+        armed fused reduce."""
         work = self._kernel.work
-        if self.tiling:
-            return work
-        if isinstance(dev, CPUDevice):
-            # Long untiled rows blow the cache on neighbour accesses: more
-            # memory traffic *and* pipeline stalls in the compute loop.
-            return work.replace(
-                bytes_per_elem=work.bytes_per_elem * UNTILED_CPU_BYTES_FACTOR,
-                cpu_efficiency=work.cpu_efficiency * UNTILED_CPU_EFF_FACTOR,
-            )
-        return work.replace(gpu_efficiency=work.gpu_efficiency * UNTILED_GPU_EFF_FACTOR)
+        if not self.tiling:
+            if isinstance(dev, CPUDevice):
+                # Long untiled rows blow the cache on neighbour accesses: more
+                # memory traffic *and* pipeline stalls in the compute loop.
+                work = work.replace(
+                    bytes_per_elem=work.bytes_per_elem * UNTILED_CPU_BYTES_FACTOR,
+                    cpu_efficiency=work.cpu_efficiency * UNTILED_CPU_EFF_FACTOR,
+                )
+            else:
+                work = work.replace(
+                    gpu_efficiency=work.gpu_efficiency * UNTILED_GPU_EFF_FACTOR
+                )
+        if self._reduce_fn is not None:
+            # The fused accumulation reuses the values the sweep already has
+            # in registers: extra flops, no extra bytes, no extra launch.
+            work = work.replace(flops_per_elem=work.flops_per_elem + self._reduce_flops)
+        return work
 
     def _charge_counts(
         self,
@@ -847,7 +882,7 @@ class StencilRuntime:
         self._check_configured()
         env = self.env
         clock = env.clock
-        # Pick up the round begin_step_early() opened, if any.
+        # Pick up the round _begin_step_early() opened, if any.
         t0, rows, recvs = self._prestarted or self._begin_round()
         self._prestarted = None
         inner, remainder, later, slabs, observed, redundant = self._round_plan(sweeps, rows)
@@ -875,7 +910,14 @@ class StencilRuntime:
         for sweep in slabs:
             for slab in sweep:
                 apply(self._src, self._dst, slab, param)
-            self._after_apply(self._src, self._dst)
+            if self._reduce_fn is not None:
+                # Interiors are always fully valid, even mid-round: every
+                # sweep's region contains the interior, so the fused local
+                # value is bitwise the one an unblocked sweep produces.
+                new = self._dst[self.interior]
+                self._values.append(self._reduce_fn(self._src[self.interior], new))
+                if len(self._grids) < self._rewind_points:
+                    self._grids.append(new.copy())
             self._src, self._dst = self._dst, self._src
             self._timestep += 1
 
@@ -916,6 +958,183 @@ class StencilRuntime:
             self._advance(sweeps)
             left -= sweeps
 
+    # -- the fused stencil+reduce loop -----------------------------------------------
+    def run_until(
+        self,
+        *,
+        max_iters: int,
+        tol: float | None = None,
+        reduce_op: str = "sum",
+        reduce_fn: Callable[[np.ndarray, np.ndarray], Any] | None = None,
+        residual_fn: Callable[[Any], float] | None = None,
+        on_value: Callable[[Any], None] | None = None,
+        checkpoint: CheckpointManager | None = None,
+        reduce_flops: float = FUSED_REDUCE_FLOPS,
+    ) -> ConvergenceResult:
+        """Iterate until the residual drops to ``tol`` or ``max_iters``.
+
+        The loop runs one exchange round at a time (``time_block`` sweeps
+        each; 1 by default): every sweep also produces the local
+        reduction value (``reduce_fn(old, new)`` over the interior,
+        charged at ``reduce_flops`` extra per element), then come the
+        next round's speculative halo send, one *vector* combine folding
+        all the round's local values at once (``reduce_op`` over the
+        ranks; bitwise identical per component to one scalar combine per
+        sweep), and the convergence test per sweep.  Checkpoint snapshots
+        land on round boundaries.  Residual histories and final grids are
+        the same bit for bit for every ``time_block``, including a
+        mid-round convergence (the grid rewinds to the converged sweep).
+        ``on_value`` is incompatible with ``time_block > 1`` — it feeds
+        the combined value back between sweeps, which a blocked round
+        cannot honour.  The reduce is armed only for the loop's duration.
+
+        Args:
+            max_iters: Hard iteration cap (>= 1).
+            tol: Stop once ``residual_fn(combined) <= tol``; ``None``
+                never stops early (pure fixed-step fused loop).
+            reduce_op: Elementwise combine op ("sum", "min", "max", ...).
+            reduce_fn: Local value from (old, new) interiors; defaults to
+                the squared L2 norm of the update.
+            residual_fn: Scalar residual from the combined value;
+                defaults to ``sqrt`` for the default ``reduce_fn`` and to
+                ``float`` otherwise.
+            on_value: Called with the combined value each iteration
+                (before the convergence test) — e.g. to feed global
+                statistics back into the kernel parameter for the *next*
+                step, as SRAD does.
+            checkpoint: Drive the loop through this
+                :class:`~repro.core.checkpoint.CheckpointManager`
+                (speculation is disabled: no in-flight halo message may
+                straddle a rollback boundary).
+            reduce_flops: Per-element flops added to the kernel's work
+                model while the reduce is armed (>= 0).
+
+        Returns:
+            The convergence record; every rank returns identical
+            iteration counts and residual sequences (the combine is a
+            collective).
+        """
+        self._check_configured()
+        if max_iters < 1:
+            raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
+        if reduce_flops < 0:
+            raise ConfigurationError(f"reduce_flops must be >= 0, got {reduce_flops}")
+        if self._time_block > 1 and on_value is not None:
+            raise ConfigurationError(
+                "on_value feeds the combined value back between sweeps and is "
+                "incompatible with time_block > 1 (one combine per block); "
+                "configure time_block=1 for statistics-coupled loops like SRAD"
+            )
+        if reduce_fn is None:
+            reduce_fn = l2_sq_residual
+            if residual_fn is None:
+                residual_fn = math.sqrt
+        if residual_fn is None:
+            residual_fn = float
+        self._reduce_fn = reduce_fn
+        self._reduce_flops = float(reduce_flops)
+        self._conv = conv = {"iterations": 0, "residuals": [], "values": [], "converged": False}
+        k = self._time_block
+
+        def body(_round: int) -> bool:
+            left = max_iters - conv["iterations"]
+            # Speculate only when another round follows, and never under
+            # a checkpoint manager: no halo message may be in flight
+            # across a rollback boundary.
+            return self._fused_round(
+                min(k, left),
+                tol,
+                reduce_op,
+                residual_fn,
+                on_value,
+                speculate=checkpoint is None and left > k,
+            )
+
+        try:
+            # One loop iteration per exchange round, so checkpoints land
+            # on round boundaries and a crash-restart inside a round
+            # replays it whole to the same bit-identical grid and history.
+            rounds = -(-max_iters // k)
+            if checkpoint is not None:
+                checkpoint.run_convergence(
+                    rounds, body, self.snapshot_state, self.restore_state
+                )
+            else:
+                for it in range(rounds):
+                    if body(it):
+                        break
+                self._cancel_begun_step()
+            return ConvergenceResult(**conv)
+        finally:
+            self._reduce_fn = None
+            self._conv = None
+            self._values, self._grids = [], []
+
+    def _fused_round(
+        self,
+        sweeps: int,
+        tol: float | None,
+        reduce_op: str,
+        residual_fn: Callable[[Any], float],
+        on_value: Callable[[Any], None] | None,
+        *,
+        speculate: bool,
+    ) -> bool:
+        """One round of fused sweeps + a single vector combine.
+
+        :meth:`_advance` captures every sweep's local value; the round
+        then folds all of them in *one* collective, the communicator's
+        ``allreduce`` — recursive doubling applies the combine ufunc
+        elementwise, so each component of the folded vector is bitwise
+        the scalar a per-sweep ``allreduce`` would have produced (same
+        rank tree, same IEEE op order).  Fusion changes only the
+        placement: the combine runs while the speculatively begun
+        next-round halo messages are in flight.  Residuals are consumed
+        sweep by sweep against ``tol``: on a mid-round hit the grid
+        rewinds to the converged sweep's interior (the overshot sweeps'
+        charges stay — the round was really computed) and the history
+        ends exactly where the ``time_block=1`` loop's would.  Returns
+        True to stop.
+        """
+        env = self.env
+        conv = self._conv
+        self._values, self._grids = [], []
+        self._rewind_points = sweeps - 1 if tol is not None else 0
+        self._advance(sweeps)
+        if speculate:
+            # Post the next round's exchange before the combine so the
+            # strips' flight time hides under the collective.
+            self._begin_step_early()
+        t0 = env.clock.now
+        combined = env.comm.allreduce(
+            np.stack([np.asarray(v) for v in self._values]), op=reduce_op
+        )
+        if env.trace.enabled:
+            env.trace.record(
+                "stencil_reduce", "SR:combine", t0, env.clock.now, {"step": self._timestep}
+            )
+            env.trace.count("stencil_reduce.combines")
+        for s in range(sweeps):
+            value = combined[s]
+            conv["iterations"] += 1
+            conv["values"].append(value)
+            if on_value is not None:
+                on_value(value)
+            residual = float(residual_fn(value))
+            conv["residuals"].append(residual)
+            if env.trace.enabled:
+                env.trace.count("stencil_reduce.steps")
+                env.trace.gauge("stencil_reduce.residual", residual)
+            if tol is not None and residual <= tol:
+                conv["converged"] = True
+                if s < sweeps - 1:
+                    # The round overshot: functionally rewind the grid to
+                    # the converged sweep (halos are stale but the loop
+                    # is over; results read interiors only).
+                    self._src[self.interior] = self._grids[s]
+                return True
+        return False
+
     # -- checkpoint/restart ------------------------------------------------------------
     def snapshot_state(self) -> dict:
         """Independent copy of the evolving per-rank state (checkpoint hook).
@@ -937,14 +1156,18 @@ class StencilRuntime:
         Read-only configuration (decomposition, kernel, static fields) is
         rebuilt identically by the rank program and is deliberately not
         snapshotted.
+
+        Inside :meth:`run_until` the convergence accumulator and the kernel
+        parameter (``on_value`` may rewrite it) evolve with the loop, so
+        they snapshot with the grid.
         """
         self._check_configured()
         if self._prestarted is not None:
             raise ConfigurationError(
                 "cannot snapshot with a speculative exchange in flight; "
-                "drive checkpointed loops without begin_step_early()"
+                "run_until does not speculate under a checkpoint manager"
             )
-        return {
+        state = {
             "src": self._src.copy(),
             "dst": self._dst.copy(),
             "timestep": self._timestep,
@@ -953,6 +1176,15 @@ class StencilRuntime:
             "fields": {},
             "partitioner": self._partitioner.state_dict(),
         }
+        if self._conv is not None:
+            # Histories are append-only and the combined values are fresh
+            # objects each step, so shallow list copies are independent.
+            conv = self._conv
+            state["convergence"] = {
+                **conv, "residuals": list(conv["residuals"]), "values": list(conv["values"])
+            }
+            state["parameter"] = self._parameter
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Reinstate a :meth:`snapshot_state` snapshot (restart hook)."""
@@ -962,6 +1194,12 @@ class StencilRuntime:
         self._timestep = state["timestep"]
         self._rows = None if state["rows"] is None else state["rows"].copy()
         self._partitioner.load_state(state["partitioner"])
+        conv = state.get("convergence")
+        if conv is not None and self._conv is not None:
+            self._conv.update(
+                conv, residuals=list(conv["residuals"]), values=list(conv["values"])
+            )
+            self._parameter = state["parameter"]
 
     # -- results ---------------------------------------------------------------------------
     def local_interior(self) -> np.ndarray:

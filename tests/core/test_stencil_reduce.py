@@ -1,4 +1,5 @@
-"""Fused stencil+reduce runtime: bit-identity, overlap, checkpointing."""
+"""The stencil runtime's fused run_until loop: bit-identity, overlap,
+checkpointing."""
 
 import math
 
@@ -9,7 +10,7 @@ from repro.cluster.presets import laptop_cluster
 from repro.core.api import StencilKernel, shifted
 from repro.core.checkpoint import CheckpointManager
 from repro.core.env import RuntimeEnv
-from repro.core.stencil_reduce import ConvergenceResult
+from repro.core.stencil import ConvergenceResult
 from repro.device.work import WorkModel
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.sim.engine import spmd_run
@@ -33,11 +34,13 @@ def _kernel():
     return StencilKernel(_avg2d, 1, WORK)
 
 
-def fused_program(ctx, tol=TOL, max_iters=MAX_ITERS, mix="cpu+2gpu", **st_opts):
-    """The runtime under test: one fused step+combine per iteration."""
+def fused_program(
+    ctx, tol=TOL, max_iters=MAX_ITERS, mix="cpu+2gpu", time_block=1, **st_opts
+):
+    """The runtime under test: one fused round+combine per iteration."""
     env = RuntimeEnv(ctx, mix)
-    st = env.get_stencil_reduce(**st_opts)
-    st.configure(_kernel(), GRID.shape)
+    st = env.get_stencil(**st_opts)
+    st.configure(_kernel(), GRID.shape, time_block=time_block)
     st.set_global_grid(GRID)
     res = st.run_until(max_iters=max_iters, tol=tol)
     grid = st.gather_global()
@@ -79,11 +82,22 @@ def reference_program(ctx, tol=TOL, max_iters=MAX_ITERS, mix="cpu+2gpu"):
     }
 
 
-@pytest.mark.parametrize("nodes", [1, 2, 4])
-def test_run_until_matches_reference_loop_bitwise(nodes):
+@pytest.mark.parametrize(
+    "time_block, nodes",
+    [
+        pytest.param(k, n, id=str(n) if k == 1 else f"{n}-k{k}")
+        for k in (1, 2, 3)
+        for n in (1, 2, 4)
+    ],
+)
+def test_run_until_matches_reference_loop_bitwise(time_block, nodes):
     """Same iteration count, same residual sequence (exact float equality),
-    same final grid — the fusion may only move virtual time, never bits."""
-    fused = run_spmd(fused_program, nodes=nodes, gpus_per_node=2)
+    same final grid — the fusion may only move virtual time, never bits.
+    One round of k sweeps is k rounds of one: at k = 3 the loop converges
+    mid-round and rewinds to the reference's stopping sweep."""
+    fused = run_spmd(
+        fused_program, nodes=nodes, gpus_per_node=2, kwargs={"time_block": time_block}
+    )
     ref = run_spmd(reference_program, nodes=nodes, gpus_per_node=2)
     f, r = fused.values[0], ref.values[0]
     assert f["iterations"] == r["iterations"]
@@ -142,13 +156,42 @@ def test_fixed_step_mode_runs_exactly_max_iters():
     assert not v["converged"]
 
 
+def _run_after(ctx, fused):
+    """Three sweeps (fused loop or plain run), then a timed run(4)."""
+    env = RuntimeEnv(ctx, "cpu")
+    st = env.get_stencil(adaptive=False)
+    st.configure(_kernel(), GRID.shape)
+    st.set_global_grid(GRID)
+    if fused:
+        # Enough flops to lift the memory-bound WORK off its roofline
+        # floor, so the top-up shows up as time.
+        st.run_until(max_iters=3, tol=None, reduce_flops=50.0)
+    else:
+        st.run(3)
+    t0 = env.clock.now
+    st.run(4)
+    return t0, env.clock.now - t0, st.local_interior()
+
+
+def test_reduce_charge_stays_inside_run_until():
+    """The reduce flops are charged while run_until runs and not after:
+    the sweeps that follow it are charged like sweeps after a plain run.
+    The two run(4)s start at different clock readings, so their durations
+    may differ in the last ulps; a leftover charge would double them."""
+    fused = run_spmd(lambda ctx: _run_after(ctx, True), nodes=1).values[0]
+    plain = run_spmd(lambda ctx: _run_after(ctx, False), nodes=1).values[0]
+    assert fused[0] > plain[0]
+    assert fused[1] == pytest.approx(plain[1], rel=1e-12)
+    np.testing.assert_array_equal(fused[2], plain[2])
+
+
 def test_max_reduce_op_matches_numpy():
     """Non-sum combine path: max |update| across ranks, default float
     residual_fn."""
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil_reduce()
+        st = env.get_stencil()
         st.configure(_kernel(), GRID.shape)
         st.set_global_grid(GRID)
         res = st.run_until(
@@ -179,7 +222,7 @@ def test_max_reduce_op_matches_numpy():
 
 def checkpointed_program(ctx, every=3):
     env = RuntimeEnv(ctx, "cpu")
-    st = env.get_stencil_reduce()
+    st = env.get_stencil()
     st.configure(_kernel(), GRID.shape)
     st.set_global_grid(GRID)
     mgr = CheckpointManager(ctx, every=every)
@@ -253,7 +296,7 @@ def _reliable_fused(ctx, time_block=1):
 
     ctx.comm = ReliableComm(ctx.comm)
     env = RuntimeEnv(ctx, "cpu")
-    st = env.get_stencil_reduce()
+    st = env.get_stencil()
     st.configure(_kernel(), GRID.shape, time_block=time_block)
     st.set_global_grid(GRID)
     res = st.run_until(max_iters=MAX_ITERS, tol=TOL)
@@ -293,12 +336,12 @@ def _cancel_under_faults(ctx):
 
     ctx.comm = ReliableComm(ctx.comm)
     env = RuntimeEnv(ctx, "cpu")
-    st = env.get_stencil_reduce()
+    st = env.get_stencil()
     st.configure(_kernel(), GRID.shape)
     st.set_global_grid(GRID)
     st.step()
-    st.begin_step_early()
-    st.cancel_begun_step()
+    st._begin_step_early()
+    st._cancel_begun_step()
     st.run(3)
     grid = st.gather_global()
     env.finalize()
@@ -317,15 +360,15 @@ def test_cancel_begun_step_under_faults_keeps_fifo_hygiene():
 def test_snapshot_with_speculative_exchange_in_flight_rejected():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil_reduce()
+        st = env.get_stencil()
         st.configure(_kernel(), GRID.shape)
         st.set_global_grid(GRID)
         st.step()
-        st.begin_step_early()
+        st._begin_step_early()
         try:
             st.snapshot_state()
         finally:
-            st.cancel_begun_step()
+            st._cancel_begun_step()
 
     with pytest.raises(ConfigurationError, match="in flight"):
         run_spmd(prog, nodes=1)
@@ -334,16 +377,16 @@ def test_snapshot_with_speculative_exchange_in_flight_rejected():
 def test_double_prestart_rejected_and_cancel_is_idempotent():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil_reduce()
+        st = env.get_stencil()
         st.configure(_kernel(), GRID.shape)
         st.set_global_grid(GRID)
-        st.cancel_begun_step()  # nothing in flight: a no-op
-        st.begin_step_early()
+        st._cancel_begun_step()  # nothing in flight: a no-op
+        st._begin_step_early()
         try:
-            st.begin_step_early()
+            st._begin_step_early()
         except ConfigurationError:
-            st.cancel_begun_step()
-            st.cancel_begun_step()  # idempotent after the drain
+            st._cancel_begun_step()
+            st._cancel_begun_step()  # idempotent after the drain
             return True
         return False
 
@@ -352,14 +395,16 @@ def test_double_prestart_rejected_and_cancel_is_idempotent():
 
 def test_validation():
     def bad_reduce_flops(ctx):
-        RuntimeEnv(ctx, "cpu").get_stencil_reduce(reduce_flops=-1.0)
+        st = RuntimeEnv(ctx, "cpu").get_stencil()
+        st.configure(_kernel(), GRID.shape)
+        st.run_until(max_iters=1, reduce_flops=-1.0)
 
     with pytest.raises(ConfigurationError, match="reduce_flops"):
         run_spmd(bad_reduce_flops, nodes=1)
 
     def bad_max_iters(ctx):
         env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil_reduce()
+        st = env.get_stencil()
         st.configure(_kernel(), GRID.shape)
         st.set_global_grid(GRID)
         st.run_until(max_iters=0)
@@ -368,7 +413,7 @@ def test_validation():
         run_spmd(bad_max_iters, nodes=1)
 
     def unconfigured(ctx):
-        RuntimeEnv(ctx, "cpu").get_stencil_reduce().run_until(max_iters=1)
+        RuntimeEnv(ctx, "cpu").get_stencil().run_until(max_iters=1)
 
     with pytest.raises(ConfigurationError, match="configure"):
         run_spmd(unconfigured, nodes=1)

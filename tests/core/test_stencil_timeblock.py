@@ -214,7 +214,7 @@ def _jacobi_checkpoint_prog(config, time_block, checkpoint_every, reliable=False
 
             ctx.comm = ReliableComm(ctx.comm)
         env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil_reduce()
+        st = env.get_stencil()
         st.configure(
             jacobi2d.make_kernel(),
             config.shape,
@@ -297,7 +297,7 @@ def test_run_until_rejects_on_value_with_blocking():
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil_reduce()
+        st = env.get_stencil()
         st.configure(
             jacobi2d.make_kernel(),
             config.shape,

@@ -498,7 +498,7 @@ def test_a_stencil_holds_no_sent_halo_strip_once_it_is_delivered(monkeypatch):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
         st.configure(make_kernel(ctx.node), (64, 64), dims=(2, 1))
         st.set_global_grid(np.ones((64, 64), dtype=np.float32))
-        st.begin_step_early()  # sent; the peer has not received it yet
+        st._begin_step_early()  # sent; the peer has not received it yet
         in_flight = [ref() is not None for ref in sent[ctx.rank]]
         st.run(3)
         ctx.comm.barrier()  # the peer has received ours too
