@@ -11,8 +11,9 @@ Each app module provides:
 - ``run`` — drives :func:`repro.sim.spmd_run` over a cluster and device
   mix, returning an :class:`~repro.apps.common.AppRun` with the simulated
   makespan and the modeled sequential (single-core) time for speedups;
-- ``sequential_reference`` — a plain NumPy implementation used as the
-  correctness oracle by the tests.
+- ``sequential_reference`` — the correctness oracle the tests use: a
+  plain NumPy implementation, or for a stencil app its own kernel swept
+  by :func:`repro.core.stencil.reference_sweeps`.
 
 Hand-written baselines (MPI one-rank-per-core, CUDA single-GPU) live in
 :mod:`repro.apps.baselines`.

@@ -6,7 +6,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cluster.specs import CPUSpec, ClusterSpec, NodeSpec
+from repro.cluster.specs import CPUSpec, NodeSpec
 from repro.comm.reliable import ReliableComm
 from repro.core.checkpoint import CheckpointManager
 from repro.device.cpu import CPUDevice
@@ -166,11 +166,6 @@ def check_functional_scale(functional: int, model: int, name: str) -> None:
         raise ValidationError(
             f"{name}: functional size {functional} exceeds modeled size {model}"
         )
-
-
-def cluster_with_nodes(cluster: ClusterSpec, nodes: int) -> ClusterSpec:
-    """Convenience passthrough to :meth:`ClusterSpec.with_nodes`."""
-    return cluster.with_nodes(nodes)
 
 
 def parse_time_block(value: str | int) -> int | str:

@@ -17,12 +17,13 @@ decomposition and halo padding as the temperature grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import DeviceConfig, RuntimeEnv
-from repro.core.stencil import StencilFields
+from repro.core.stencil import StencilFields, reference_sweeps
 from repro.data import memoized
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext
@@ -113,20 +114,12 @@ def rank_program(
 
 
 def sequential_reference(config: HotspotConfig) -> np.ndarray:
-    """Plain NumPy HotSpot with the same zero-halo convention."""
-    power = generate_power_map(config)
-    h = 1
-    src = np.zeros(tuple(s + 2 for s in config.shape))
-    region = tuple(slice(h, h + s) for s in config.shape)
-    src[region] = T_AMBIENT
-    pad_power = np.zeros_like(src)
-    pad_power[region] = power
-    dst = np.zeros_like(src)
-    fields = StencilFields(None, {"power": pad_power})
-    for _ in range(config.iterations):
-        hotspot_apply(src, dst, region, fields)
-        src, dst = dst, src
-        mask = np.ones_like(src, dtype=bool)
-        mask[region] = False
-        src[mask] = 0
-    return src[region]
+    """HotSpot's kernel swept by the sequential oracle."""
+    sweeps = reference_sweeps(
+        make_kernel(),
+        np.full(config.shape, T_AMBIENT),
+        static_fields={"power": generate_power_map(config)},
+    )
+    for _, new in islice(sweeps, config.iterations):
+        pass
+    return new

@@ -20,7 +20,9 @@ memory-bound, like every low-order stencil.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from repro.apps.common import AppRun, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.stencil import l2_sq_residual, reference_sweeps
 from repro.data import memoized
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
@@ -159,39 +162,21 @@ def run(
 
 
 def sequential_reference(config: Jacobi2DConfig) -> tuple[np.ndarray, int, list[float]]:
-    """Plain NumPy step-then-norm loop with the same conventions.
+    """Jacobi's kernel swept by the sequential oracle until the update norm
+    reaches tol.
 
-    Returns (final grid, iterations, residual history).  The residuals
-    use the same squared-L2-then-sqrt formula as the runtime; summation
-    order differs from the rank-decomposed combine, so comparisons hold
-    to roundoff, not bitwise.
+    Returns (final grid, iterations, residual history); the residual is
+    the runtime's default, ``sqrt`` of :func:`l2_sq_residual`.
     """
-    rhs = generate_rhs(config)
-    h_sq = _grid_spacing_sq(config)
-    shape = config.shape
-    src = np.zeros(tuple(s + 2 for s in shape))
-    dst = np.zeros_like(src)
-    rhs_padded = np.zeros_like(src)
-    region = tuple(slice(1, s + 1) for s in shape)
-    rhs_padded[region] = rhs
-
-    class _Param:
-        param = h_sq
-
-        def __getitem__(self, name):
-            return rhs_padded
-
+    sweeps = reference_sweeps(
+        make_kernel(),
+        np.zeros(config.shape),
+        parameter=_grid_spacing_sq(config),
+        static_fields={"rhs": generate_rhs(config)},
+    )
     residuals: list[float] = []
-    iterations = 0
-    for _ in range(config.max_iters):
-        jacobi_apply(src, dst, region, _Param())
-        diff = (dst[region] - src[region]).ravel()
-        residual = float(np.sqrt(np.dot(diff, diff)))
-        residuals.append(residual)
-        iterations += 1
-        src, dst = dst, src
-        src[0, :] = src[-1, :] = 0
-        src[:, 0] = src[:, -1] = 0
-        if residual <= config.tol:
+    for old, new in islice(sweeps, config.max_iters):
+        residuals.append(math.sqrt(l2_sq_residual(old, new)))
+        if residuals[-1] <= config.tol:
             break
-    return src[region], iterations, residuals
+    return new, len(residuals), residuals

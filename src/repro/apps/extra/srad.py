@@ -160,22 +160,19 @@ def rank_program(
 
 
 def sequential_reference(config: SradConfig) -> np.ndarray:
-    """Plain NumPy SRAD with the same zero-halo convention."""
-    image = synthetic_image(config.shape, seed=config.seed).astype(np.float64) + 0.05
-    h = 2
-    src = np.zeros(tuple(s + 2 * h for s in config.shape))
-    region = tuple(slice(h, h + s) for s in config.shape)
-    src[region] = image
-    dst = np.zeros_like(src)
+    """SRAD's kernel on one zero-bordered image; unlike
+    :func:`~repro.core.stencil.reference_sweeps`, it recomputes ``q0^2``
+    from the image's mean and variance before every sweep."""
     kernel = make_update_kernel(config.lam)
+    h = kernel.halo
+    image = synthetic_image(config.shape, seed=config.seed).astype(np.float64) + 0.05
+    src = np.pad(image, h)
+    dst = np.zeros_like(src)
+    region = tuple(slice(h, h + n) for n in config.shape)
     for _ in range(config.iterations):
         interior = src[region]
         mean = interior.mean()
-        var = interior.var()
-        q0_sq = max(var / max(mean * mean, 1e-12), 1e-12)
+        q0_sq = max(interior.var() / max(mean * mean, 1e-12), 1e-12)
         kernel.apply(src, dst, region, q0_sq)
         src, dst = dst, src
-        mask = np.ones_like(src, dtype=bool)
-        mask[region] = False
-        src[mask] = 0
     return src[region]

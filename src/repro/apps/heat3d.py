@@ -16,7 +16,8 @@ ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_ti
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
 from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.stencil import reference_sweeps
 from repro.data.grids import heat3d_initial
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
@@ -108,10 +110,13 @@ def heat_apply(src: np.ndarray, dst: np.ndarray, region: tuple, alpha) -> None:
     dst[region] = acc
 
 
+#: The kernel with its work model uncalibrated, as the sequential
+#: reference sweeps it; :func:`make_kernel` fits the work model to a node.
+KERNEL = StencilKernel(apply=heat_apply, halo=1, work=base_work(), dtype=np.dtype(np.float64))
+
+
 def make_kernel(node: NodeSpec) -> StencilKernel:
-    return StencilKernel(
-        apply=heat_apply, halo=1, work=make_work(node), dtype=np.dtype(np.float64)
-    )
+    return replace(KERNEL, work=make_work(node))
 
 
 def rank_program(
@@ -123,7 +128,6 @@ def rank_program(
     tiling: bool = True,
     reliable: bool = False,
     checkpoint_every: int | None = None,
-    adaptive: bool = True,
     until_tol: float | None = None,
     max_iters: int | None = None,
     time_block: int | str = 1,
@@ -152,7 +156,7 @@ def rank_program(
     """
     loop = StepLoop(ctx, reliable=reliable, checkpoint_every=checkpoint_every)
     env = RuntimeEnv(ctx, mix)
-    st = env.get_stencil(overlap=overlap, tiling=tiling, adaptive=adaptive)
+    st = env.get_stencil(overlap=overlap, tiling=tiling)
     st.configure(
         make_kernel(ctx.node),
         config.functional_shape,
@@ -199,7 +203,6 @@ def run(
     tiling: bool = True,
     reliable: bool = False,
     checkpoint_every: int | None = None,
-    adaptive: bool = True,
     until_tol: float | None = None,
     max_iters: int | None = None,
     time_block: int | str = 1,
@@ -222,7 +225,6 @@ def run(
             "tiling": tiling,
             "reliable": reliable,
             "checkpoint_every": checkpoint_every,
-            "adaptive": adaptive,
             "until_tol": until_tol,
             "max_iters": max_iters,
             "time_block": time_block,
@@ -251,17 +253,9 @@ def run(
 
 
 def sequential_reference(config: Heat3DConfig) -> np.ndarray:
-    """Plain NumPy Heat3D with the same zero-halo boundary convention."""
+    """Heat3D's kernel swept by the sequential oracle."""
     grid = heat3d_initial(config.functional_shape, seed=config.seed)
-    shape = grid.shape
-    src = np.zeros(tuple(s + 2 for s in shape))
-    src[1:-1, 1:-1, 1:-1] = grid
-    dst = np.zeros_like(src)
-    region = tuple(slice(1, s + 1) for s in shape)
-    for _ in range(config.simulated_steps):
-        heat_apply(src, dst, region, ALPHA)
-        src, dst = dst, src
-        src[0, :, :] = src[-1, :, :] = 0
-        src[:, 0, :] = src[:, -1, :] = 0
-        src[:, :, 0] = src[:, :, -1] = 0
-    return src[region]
+    sweeps = reference_sweeps(KERNEL, grid, parameter=ALPHA)
+    for _, new in islice(sweeps, config.simulated_steps):
+        pass
+    return new

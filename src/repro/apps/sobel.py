@@ -14,7 +14,8 @@ visible as ``runtime_overhead_flops``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_ti
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
 from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.stencil import reference_sweeps
 from repro.data.grids import synthetic_image
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
@@ -115,10 +117,13 @@ def sobel_apply(src: np.ndarray, dst: np.ndarray, region: tuple, _param) -> None
     np.sqrt(gx, out=dst[region])
 
 
+#: The kernel with its work model uncalibrated, as the sequential
+#: reference sweeps it; :func:`make_kernel` fits the work model to a node.
+KERNEL = StencilKernel(apply=sobel_apply, halo=1, work=base_work(), dtype=np.dtype(np.float32))
+
+
 def make_kernel(node: NodeSpec) -> StencilKernel:
-    return StencilKernel(
-        apply=sobel_apply, halo=1, work=make_work(node), dtype=np.dtype(np.float32)
-    )
+    return replace(KERNEL, work=make_work(node))
 
 
 def rank_program(
@@ -186,16 +191,8 @@ def run(
 
 
 def sequential_reference(config: SobelConfig) -> np.ndarray:
-    """Plain NumPy Sobel with the same zero-halo boundary convention."""
-    img = synthetic_image(config.functional_shape, seed=config.seed)
-    shape = img.shape
-    src = np.zeros((shape[0] + 2, shape[1] + 2), dtype=np.float32)
-    src[1:-1, 1:-1] = img
-    dst = np.zeros_like(src)
-    region = (slice(1, shape[0] + 1), slice(1, shape[1] + 1))
-    for _ in range(config.simulated_steps):
-        sobel_apply(src, dst, region, None)
-        src, dst = dst, src
-        src[0, :] = src[-1, :] = 0
-        src[:, 0] = src[:, -1] = 0
-    return src[region]
+    """Sobel's kernel swept by the sequential oracle."""
+    image = synthetic_image(config.functional_shape, seed=config.seed)
+    for _, new in islice(reference_sweeps(KERNEL, image), config.simulated_steps):
+        pass
+    return new

@@ -55,15 +55,16 @@ Grid decomposition and execution flow:
 
 Functional honesty: halo slabs are filled **only** by the exchange
 protocol, so a protocol bug produces wrong numbers, not just wrong times.
-Global borders keep zero-filled halos (the apps' sequential references
-use the same convention).
+Global borders keep zero-filled halos; :func:`reference_sweeps`, the
+sequential oracle every app reference and test uses, sweeps the same
+kernel over one array with that border.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -142,6 +143,36 @@ def l2_sq_residual(old: np.ndarray, new: np.ndarray) -> float:
     """Default ``reduce_fn``: squared L2 norm of the step update."""
     diff = (new - old).ravel()
     return float(np.dot(diff, diff))
+
+
+def reference_sweeps(
+    kernel: StencilKernel,
+    grid: np.ndarray,
+    *,
+    parameter: Any = None,
+    static_fields: dict[str, np.ndarray] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The sequential oracle: sweep ``kernel`` over all of ``grid``, forever.
+
+    The grid and every static field get a zero border ``kernel.halo``
+    deep (the runtime's global-border convention), the kernel gets the
+    parameter the runtime would hand it, and each sweep yields its
+    ``(old, new)`` interiors, views valid until the next sweep.  Nothing
+    of :class:`StencilRuntime` runs, so it checks a decomposed run
+    independently.
+    """
+    h = kernel.halo
+    src = np.pad(np.asarray(grid, dtype=kernel.dtype), h)
+    dst = np.zeros_like(src)
+    if static_fields:
+        parameter = StencilFields(
+            parameter, {name: np.pad(np.asarray(f), h) for name, f in static_fields.items()}
+        )
+    interior = tuple(slice(h, h + n) for n in np.shape(grid))
+    while True:
+        kernel.apply(src, dst, interior, parameter)
+        yield src[interior], dst[interior]
+        src, dst = dst, src
 
 
 @dataclass
@@ -798,8 +829,8 @@ class StencilRuntime:
         every ghost value recomputed here equals bit-for-bit what the
         owning rank computes: both run the same elementwise update on the
         same time-``t`` data.  Global-border halo cells are never written
-        and stay zero in both buffers — the same convention sequential
-        references use.
+        and stay zero in both buffers — the convention
+        :func:`reference_sweeps` uses.
         """
         h = self._kernel.halo
         out: list[list[tuple[slice, ...]]] = []

@@ -57,16 +57,20 @@ def test_minimd_reneighboring_path():
     assert all(len(v["rebuilds"]) == 2 for v in run.result)
 
 
-@pytest.mark.parametrize("nodes", [1, 4])
+@pytest.mark.parametrize("nodes", [1, 2, 4])
 def test_sobel_matches_reference(nodes):
-    run = sobel.run(ohio_cluster(nodes), SCFG, mix="cpu+2gpu")
-    np.testing.assert_allclose(run.result, sobel.sequential_reference(SCFG), rtol=1e-5)
+    ref = sobel.sequential_reference(SCFG)
+    for time_block in (1, 2):
+        run = sobel.run(ohio_cluster(nodes), SCFG, mix="cpu+2gpu", time_block=time_block)
+        np.testing.assert_array_equal(run.result, ref)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])
 def test_heat3d_matches_reference(nodes):
-    run = heat3d.run(ohio_cluster(nodes), HCFG, mix="cpu+2gpu")
-    np.testing.assert_allclose(run.result, heat3d.sequential_reference(HCFG), rtol=1e-12)
+    ref = heat3d.sequential_reference(HCFG)
+    for time_block in (1, 2):
+        run = heat3d.run(ohio_cluster(nodes), HCFG, mix="cpu+2gpu", time_block=time_block)
+        np.testing.assert_array_equal(run.result, ref)
 
 
 def test_speedup_is_seq_over_makespan():

@@ -1,5 +1,9 @@
 """Stencil runtime: decomposition, halo exchange, and device splitting."""
 
+import runpy
+from itertools import islice
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ from repro.apps.heat3d import heat_apply
 from repro.apps.sobel import sobel_apply
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
-from repro.core.stencil import SLAB_ELEMS, StencilFields
+from repro.core.stencil import SLAB_ELEMS, StencilFields, reference_sweeps
 from repro.device.work import WorkModel
 from repro.util.errors import ConfigurationError
 from tests.conftest import run_spmd
@@ -43,17 +47,9 @@ def _wide(src, dst, region, param):
 
 
 def _seq(grid, apply, halo, iters):
-    src = np.zeros(tuple(s + 2 * halo for s in grid.shape))
-    region = tuple(slice(halo, halo + s) for s in grid.shape)
-    src[region] = grid
-    dst = np.zeros_like(src)
-    for _ in range(iters):
-        apply(src, dst, region, None)
-        src, dst = dst, src
-        mask = np.ones_like(src, dtype=bool)
-        mask[region] = False
-        src[mask] = 0
-    return src[region]
+    for _, new in islice(reference_sweeps(StencilKernel(apply, halo, WORK), grid), iters):
+        pass
+    return new
 
 
 def _program(grid, apply, halo=1, iters=3, mix="cpu+2gpu", dims=None, **st_opts):
@@ -296,6 +292,13 @@ def test_multirank_result_bitwise_identical_to_sequential(nodes):
     np.testing.assert_array_equal(res.values[0], _seq(GRID2D, _avg2d, 1, 3))
 
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def _example(script, name):
+    return runpy.run_path(str(EXAMPLES / script))[name]
+
+
 #: name -> (apply, halo, ndim, dtype, parameter from (padded shape, rng)):
 #: every stencil kernel in the tree, with the static fields it reads.
 TREE_KERNELS = {
@@ -310,6 +313,19 @@ TREE_KERNELS = {
         lambda shape, rng: StencilFields(None, {"power": rng.random(shape)}),
     ),
     "srad": (make_update_kernel(0.5).apply, 2, 2, np.float64, lambda shape, rng: 0.3),
+    "examples/heat_diffusion": (
+        _example("heat_diffusion.py", "heat_step"), 1, 3, np.float64, lambda shape, rng: 0.1,
+    ),
+    "examples/quickstart": (
+        _example("quickstart.py", "smooth"), 1, 2, np.float64, lambda shape, rng: None,
+    ),
+    "examples/sobel_edges": (
+        _example("sobel_edges.py", "sobel"), 1, 2, np.float32, lambda shape, rng: None,
+    ),
+    "examples/variable_coefficient_heat": (
+        _example("variable_coefficient_heat.py", "diffuse"), 1, 2, np.float64,
+        lambda shape, rng: StencilFields(0.2, {"kappa": rng.random(shape)}),
+    ),
 }
 
 
@@ -341,6 +357,48 @@ def test_one_box_equals_its_slabs(name, data):
         apply(src, tiled, (slice(a, b), *region[1:]), param)
     bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
     np.testing.assert_array_equal(tiled.view(bits), whole.view(bits))
+
+
+@pytest.mark.parametrize("name", sorted(TREE_KERNELS))
+def test_halo_is_exactly_what_apply_reads(name):
+    # ``halo=`` and ``apply`` must agree: ``dst[region]`` depends on ``src``
+    # (and the static fields) within Chebyshev distance ``halo`` of
+    # ``region`` and on nothing farther, and ``apply`` writes nothing
+    # outside ``region`` (so a zero border stays zero).
+    apply, halo, ndim, dtype, make_param = TREE_KERNELS[name]
+    rng = np.random.default_rng(7)
+    shape = (2 * halo + 6,) * ndim
+    region = (slice(halo + 2, halo + 4),) * ndim
+    dist = np.zeros(shape, dtype=int)
+    for ax, sl in enumerate(region):
+        i = np.arange(shape[ax]).reshape([-1 if a == ax else 1 for a in range(ndim)])
+        dist = np.maximum(dist, np.maximum(np.maximum(sl.start - i, i - sl.stop + 1), 0))
+    far = dist > halo
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    blank = rng.random(shape).astype(dtype)
+
+    def sweep(src, param):
+        dst = blank.copy()
+        apply(src, dst, region, param)
+        np.testing.assert_array_equal(dst[dist > 0].view(bits), blank[dist > 0].view(bits))
+        return dst[region].view(bits)
+
+    def perturbed(a, where):
+        a = a.copy()
+        a[where] += 1.0
+        return a
+
+    src = (rng.random(shape) + 0.1).astype(dtype)
+    param = make_param(shape, rng)
+    base = sweep(src, param)
+    far_param = param
+    if isinstance(param, StencilFields):
+        far_param = StencilFields(
+            param.param, {k: perturbed(f, far) for k, f in param.fields.items()}
+        )
+    np.testing.assert_array_equal(sweep(perturbed(src, far), far_param), base)
+    shell = zip(*np.nonzero(dist == halo))
+    assert any(not np.array_equal(sweep(perturbed(src, cell), param), base) for cell in shell)
 
 
 def test_sweep_regions_are_cut_into_bounded_axis0_slabs():

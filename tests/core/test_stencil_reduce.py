@@ -2,6 +2,7 @@
 checkpointing."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.cluster.presets import laptop_cluster
 from repro.core.api import StencilKernel, shifted
 from repro.core.checkpoint import CheckpointManager
 from repro.core.env import RuntimeEnv
-from repro.core.stencil import ConvergenceResult
+from repro.core.stencil import ConvergenceResult, reference_sweeps
 from repro.device.work import WorkModel
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.sim.engine import spmd_run
@@ -205,18 +206,10 @@ def test_max_reduce_op_matches_numpy():
 
     res = run_spmd(prog, nodes=2)
     # Sequential twin of the same loop.
-    src = np.zeros(tuple(s + 2 for s in GRID.shape))
-    region = tuple(slice(1, 1 + s) for s in GRID.shape)
-    src[region] = GRID
-    dst = np.zeros_like(src)
-    expected = []
-    for _ in range(3):
-        _avg2d(src, dst, region, None)
-        expected.append(float(np.abs(dst[region] - src[region]).max()))
-        src, dst = dst, src
-        mask = np.ones_like(src, dtype=bool)
-        mask[region] = False
-        src[mask] = 0
+    expected = [
+        float(np.abs(new - old).max())
+        for old, new in islice(reference_sweeps(_kernel(), GRID), 3)
+    ]
     assert res.values[0] == expected
 
 
