@@ -43,6 +43,7 @@ loop, and the backend never enters a spec's content hash).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -51,43 +52,23 @@ from typing import Any, Mapping
 
 from repro.serve.spec import JobSpec, resolve_backend, usable_cpus
 from repro.util.errors import ValidationError
-from repro.util.validate import check_json, check_json_depth
-
-#: The JSON shape of each campaign field, and of each axis's values,
-#: checked by :meth:`CampaignSpec.from_dict`.
-_FIELD_KINDS = {
-    "name": ("a string",),
-    "axes": ("an object",),
-    "params": ("an object",),
-    "app_params": ("an object",),  # of objects
-    "options": ("an object",),
-    "app_options": ("an object",),  # of objects
-    "backend": ("a string", "null"),
-    "trace": ("a boolean",),
-    "points": ("a list of objects",),
-}
-_AXIS_KINDS = {
-    "app": ("a string",),
-    "preset": ("a string",),
-    "nodes": ("an integer",),
-    "mix": ("a string",),
-    "scale": ("a string",),
-    "seed": ("an integer", "null"),
-    "fault_plan": ("an object", "null"),
-}
+from repro.util.validate import check_document, check_json, to_wire, wire_fields
 
 #: Axis names, in expansion (outer to inner) order.
-AXES = tuple(_AXIS_KINDS)
+AXES = ("app", "preset", "nodes", "mix", "scale", "seed", "fault_plan")
 
-#: Default value per axis when a campaign omits it.
+#: Default value per axis when a campaign omits it: the :class:`JobSpec`
+#: field's default, and no seed (each app's own).
 _AXIS_DEFAULTS: dict[str, tuple] = {
-    "preset": ("ohio",),
-    "nodes": (4,),
-    "mix": ("cpu+2gpu",),
-    "scale": ("quick",),
     "seed": (None,),
-    "fault_plan": (None,),
+    **{f.name: (f.default,) for f in dataclasses.fields(JobSpec) if f.name in AXES[1:]},
 }
+
+
+def _axis_kinds(axis: str) -> tuple[str, ...]:
+    """The JSON kinds of an axis value: its :class:`JobSpec` field's, or, for
+    ``seed`` (an app config field), an integer or null."""
+    return ("an integer", "null") if axis == "seed" else wire_fields(JobSpec)[axis]
 
 
 def resolve_campaign_backend(backend: str | None) -> str | None:
@@ -127,7 +108,7 @@ class CampaignSpec:
     app_options: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     backend: str | None = "auto"
     trace: bool = False
-    points: tuple = ()
+    points: tuple[Mapping[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -231,55 +212,21 @@ class CampaignSpec:
 
     # -- wire format -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "axes": {k: list(v) for k, v in self.axes.items()},
-            "params": dict(self.params),
-            "app_params": {k: dict(v) for k, v in self.app_params.items()},
-            "options": dict(self.options),
-            "app_options": {k: dict(v) for k, v in self.app_options.items()},
-            "backend": self.backend,
-            "trace": self.trace,
-            "points": [dict(p) for p in self.points],
-        }
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         """The campaign a JSON document describes; every malformed document
         raises :class:`ValidationError`."""
-        if not isinstance(data, Mapping):
-            raise ValidationError(
-                f"campaign spec must be an object, got {type(data).__name__}"
-            )
-        check_json_depth("campaign spec", data)
-        unknown = set(data) - set(_FIELD_KINDS)
-        if unknown:
-            raise ValidationError(
-                f"unknown campaign fields {sorted(unknown)}; known: {sorted(_FIELD_KINDS)}"
-            )
-        if "name" not in data or "axes" not in data:
-            raise ValidationError("campaign spec requires 'name' and 'axes' fields")
-        for name, value in data.items():
-            check_json(f"campaign field {name!r}", value, *_FIELD_KINDS[name])
+        check_document("campaign", cls, data)
         for scope in ("app_params", "app_options"):
             for app, overrides in data.get(scope, {}).items():
                 check_json(f"campaign {scope}[{app!r}]", overrides, "an object")
-        axes = {}
         for axis, values in data["axes"].items():
-            axes[axis] = tuple(values) if isinstance(values, (list, tuple)) else (values,)
-            for value in axes[axis] if axis in AXES else ():  # an unknown axis fails below
-                check_json(f"campaign axis {axis!r} value", value, *_AXIS_KINDS[axis])
-        return cls(
-            name=data["name"],
-            axes=axes,
-            params=data.get("params", {}),
-            app_params=data.get("app_params", {}),
-            options=data.get("options", {}),
-            app_options=data.get("app_options", {}),
-            backend=data.get("backend", "auto"),
-            trace=data.get("trace", False),
-            points=tuple(data.get("points", ())),
-        )
+            if axis in AXES:  # an unknown axis fails in __post_init__
+                for value in values if isinstance(values, (list, tuple)) else (values,):
+                    check_json(f"campaign axis {axis!r} value", value, *_axis_kinds(axis))
+        return cls(**data)
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignSpec":

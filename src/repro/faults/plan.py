@@ -24,6 +24,7 @@ keeps its own lock: one plan object may be shared by concurrent runs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import threading
@@ -32,7 +33,7 @@ from typing import Any
 
 from repro.comm.constants import RELIABLE_ACK_BASE
 from repro.util.errors import ValidationError
-from repro.util.validate import check_json
+from repro.util.validate import check_document, check_json, to_wire
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,9 @@ class MessageFaultRule:
     t_end: float = math.inf
 
     def __post_init__(self) -> None:
-        _check_prob("drop_prob", self.drop_prob)
-        _check_prob("dup_prob", self.dup_prob)
-        _check_prob("delay_prob", self.delay_prob)
+        for f in dataclasses.fields(self):
+            if f.name.endswith("_prob"):
+                _check_prob(f.name, getattr(self, f.name))
         if self.max_delay < 0:
             raise ValidationError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.delay_prob > 0 and self.max_delay == 0:
@@ -145,13 +146,14 @@ class RankCrash:
     The crash manifests at the first checkpoint-loop iteration boundary
     after the rank's clock passes ``at_time``; ``restart_cost`` virtual
     seconds of recovery are then charged on every rank (coordinated
-    rollback to the last checkpoint).
+    rollback to the last checkpoint).  ``consumed`` is runtime state: no
+    constructor (and so no wire document) sets it.
     """
 
     rank: int
     at_time: float
     restart_cost: float = 1.0
-    consumed: bool = field(default=False, compare=False)
+    consumed: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -172,6 +174,36 @@ class FaultStats:
     delays: int = 0
     degraded: int = 0
     crashes_consumed: int = 0
+
+
+#: The entry lists of a plan's wire form, in order, and the type of their entries.
+_ENTRY_TYPES: dict[str, type] = {
+    "rules": MessageFaultRule,
+    "degradations": LinkDegradation,
+    "crashes": RankCrash,
+}
+
+
+def _entry_key(entry: Any) -> tuple:
+    """An entry's wire fields in declaration order, ``None`` (any rank) as -1."""
+    return tuple(-1 if v is None else v for v in to_wire(entry).values())
+
+
+def _entry_to_dict(entry: Any) -> dict[str, Any]:
+    """An entry's wire document; an infinite ``t_end`` is the string "inf"."""
+    doc = to_wire(entry)
+    if doc.get("t_end") == math.inf:
+        doc["t_end"] = "inf"
+    return doc
+
+
+def _entry_from_dict(kind: type, doc: Any, name: str) -> Any:
+    """The ``kind`` entry a wire document of plan list ``name`` describes."""
+    doc = dict(doc)
+    if doc.get("t_end") == "inf":
+        doc["t_end"] = math.inf
+    check_document(f"fault-plan {name} entry", kind, doc)
+    return kind(**doc)
 
 
 class FaultPlan:
@@ -236,35 +268,10 @@ class FaultPlan:
         its content-addressed result-cache key
         (:meth:`repro.serve.spec.JobSpec.content_hash`).
         """
-        rules = sorted(
-            (
-                r.drop_prob,
-                r.dup_prob,
-                r.delay_prob,
-                r.max_delay,
-                -1 if r.src is None else r.src,
-                -1 if r.dst is None else r.dst,
-                r.t_start,
-                r.t_end,
-            )
-            for r in self.rules
+        lists = ", ".join(
+            f"{name}={sorted(map(_entry_key, getattr(self, name)))!r}" for name in _ENTRY_TYPES
         )
-        degs = sorted(
-            (
-                d.bandwidth_factor,
-                d.extra_latency,
-                -1 if d.src is None else d.src,
-                -1 if d.dst is None else d.dst,
-                d.t_start,
-                d.t_end,
-            )
-            for d in self.degradations
-        )
-        crashes = sorted((c.rank, c.at_time, c.restart_cost) for c in self.crashes)
-        return (
-            f"FaultPlan(seed={self.seed!r}, rules={rules!r}, "
-            f"degradations={degs!r}, crashes={crashes!r})"
-        )
+        return f"FaultPlan(seed={self.seed!r}, {lists})"
 
     def to_dict(self) -> dict:
         """JSON-able description (the job service's wire format).
@@ -273,88 +280,29 @@ class FaultPlan:
         encoded as the string ``"inf"`` so the document survives strict
         JSON encoders too.
         """
-
-        def _t(value: float) -> float | str:
-            return "inf" if value == math.inf else value
-
-        return {
-            "seed": self.seed,
-            "rules": [
-                {
-                    "drop_prob": r.drop_prob,
-                    "dup_prob": r.dup_prob,
-                    "delay_prob": r.delay_prob,
-                    "max_delay": r.max_delay,
-                    "src": r.src,
-                    "dst": r.dst,
-                    "t_start": r.t_start,
-                    "t_end": _t(r.t_end),
-                }
-                for r in self.rules
-            ],
-            "degradations": [
-                {
-                    "bandwidth_factor": d.bandwidth_factor,
-                    "extra_latency": d.extra_latency,
-                    "src": d.src,
-                    "dst": d.dst,
-                    "t_start": d.t_start,
-                    "t_end": _t(d.t_end),
-                }
-                for d in self.degradations
-            ],
-            "crashes": [
-                {"rank": c.rank, "at_time": c.at_time, "restart_cost": c.restart_cost}
-                for c in self.crashes
-            ],
-        }
+        lists = {name: [_entry_to_dict(e) for e in getattr(self, name)] for name in _ENTRY_TYPES}
+        return {"seed": self.seed, **lists}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_dict` output (validating fields)."""
         if not isinstance(data, dict):
             raise ValidationError(f"fault plan must be a dict, got {type(data).__name__}")
-        known = {"seed", "rules", "degradations", "crashes"}
-        unknown = set(data) - known
+        unknown = set(data) - {"seed", *_ENTRY_TYPES}
         if unknown:
             raise ValidationError(f"unknown fault-plan keys: {sorted(unknown)}")
-
-        def _build(kind: type, entries: Any, name: str) -> list:
-            check_json(f"fault-plan {name}", entries, "a list of objects")
-            out = []
-            for entry in entries:
-                fields = dict(entry)
-                if "t_end" in fields and fields["t_end"] == "inf":
-                    fields["t_end"] = math.inf
-                for field_name, value in fields.items():
-                    check_json(f"fault-plan {name} {field_name!r}", value, "a number", "null")
-                try:
-                    out.append(kind(**fields))
-                except TypeError as exc:
-                    raise ValidationError(f"bad {name} entry: {exc}") from None
-            return out
-
         check_json("fault-plan seed", data.get("seed", 0), "an integer")
-        return cls(
-            seed=data.get("seed", 0),
-            rules=_build(MessageFaultRule, data.get("rules", []), "rules"),
-            degradations=_build(
-                LinkDegradation, data.get("degradations", []), "degradations"
-            ),
-            crashes=_build(RankCrash, data.get("crashes", []), "crashes"),
-        )
+        lists = {}
+        for name, kind in _ENTRY_TYPES.items():
+            entries = data.get(name, [])
+            check_json(f"fault-plan {name}", entries, "a list of objects")
+            lists[name] = [_entry_from_dict(kind, entry, name) for entry in entries]
+        return cls(seed=data.get("seed", 0), **lists)
 
     def stats_snapshot(self) -> dict[str, int]:
         """Counter values right now (a job's ``fault_stats`` payload)."""
         with self._lock:
-            return {
-                "decisions": self.stats.decisions,
-                "drops": self.stats.drops,
-                "duplicates": self.stats.duplicates,
-                "delays": self.stats.delays,
-                "degraded": self.stats.degraded,
-                "crashes_consumed": self.stats.crashes_consumed,
-            }
+            return dataclasses.asdict(self.stats)
 
     # -- deterministic RNG ---------------------------------------------
     def _rng(self, src: int, dst: int, index: int) -> random.Random:

@@ -39,7 +39,7 @@ from typing import Any, Callable, Mapping
 
 from repro.apps.registry import APPS
 from repro.util.errors import ValidationError
-from repro.util.validate import check_json, check_json_depth
+from repro.util.validate import check_document, to_wire
 
 #: Cluster presets a job may request, by name.
 CLUSTER_PRESETS = ("ohio", "laptop", "latency")
@@ -120,18 +120,21 @@ def _allowed_options(run_fn: Callable[..., Any]) -> set[str]:
     } - _RESERVED_OPTIONS
 
 
-def _listify(value: Any) -> Any:
-    """Normalize tuples to lists recursively (canonical JSON form)."""
-    if isinstance(value, (list, tuple)):
-        return [_listify(v) for v in value]
-    return value
-
-
 def _tuplify(value: Any) -> Any:
     """Normalize JSON lists back to tuples (config dataclass form)."""
     if isinstance(value, (list, tuple)):
         return tuple(_tuplify(v) for v in value)
     return value
+
+
+def _plan_key(doc: Mapping[str, Any] | None) -> str | None:
+    """A fault-plan document's hash form: the plan's order-independent
+    :meth:`~repro.faults.plan.FaultPlan.canonical_key`."""
+    if doc is None:
+        return None
+    from repro.faults.plan import FaultPlan
+
+    return FaultPlan.from_dict(dict(doc)).canonical_key()
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ class JobSpec:
     scale: str = "quick"
     params: Mapping[str, Any] = field(default_factory=dict)
     options: Mapping[str, Any] = field(default_factory=dict)
-    fault_plan: Mapping[str, Any] | None = None
+    fault_plan: Mapping[str, Any] | None = field(default=None, metadata={"hash_form": _plan_key})
     backend: str | None = None
     priority: int = 0
     trace: bool = False
@@ -241,18 +244,12 @@ class JobSpec:
 
     # -- canonical identity ------------------------------------------------
     def canonical(self) -> dict[str, Any]:
-        """The hash-relevant content in canonical (sorted, listified) form."""
-        plan = self.build_fault_plan()
+        """The hash-relevant content in canonical form: every field but
+        :data:`NON_SEMANTIC_FIELDS`, listified or in its ``hash_form``."""
         return {
-            "app": self.app,
-            "nodes": self.nodes,
-            "mix": self.mix,
-            "preset": self.preset,
-            "scale": self.scale,
-            "params": {k: _listify(self.params[k]) for k in sorted(self.params)},
-            "options": {k: _listify(self.options[k]) for k in sorted(self.options)},
-            "fault_plan": None if plan is None else plan.canonical_key(),
-            "trace": self.trace,
+            f.name: f.metadata.get("hash_form", to_wire)(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+            if f.name not in NON_SEMANTIC_FIELDS
         }
 
     def canonical_json(self) -> str:
@@ -264,54 +261,15 @@ class JobSpec:
 
     # -- wire format -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "app": self.app,
-            "nodes": self.nodes,
-            "mix": self.mix,
-            "preset": self.preset,
-            "scale": self.scale,
-            "params": {k: _listify(v) for k, v in self.params.items()},
-            "options": dict(self.options),
-            "fault_plan": None if self.fault_plan is None else dict(self.fault_plan),
-            "backend": self.backend,
-            "priority": self.priority,
-            "trace": self.trace,
-        }
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
         """The spec a JSON document describes; every malformed document
         raises :class:`ValidationError` (value ranges of app params are the
         app's to check, when the job runs)."""
-        if not isinstance(data, Mapping):
-            raise ValidationError(f"job spec must be an object, got {type(data).__name__}")
-        check_json_depth("job spec", data)
-        unknown = set(data) - set(_FIELD_KINDS)
-        if unknown:
-            raise ValidationError(
-                f"unknown job-spec fields {sorted(unknown)}; known: {sorted(_FIELD_KINDS)}"
-            )
-        if "app" not in data:
-            raise ValidationError("job spec requires an 'app' field")
-        for name, value in data.items():
-            check_json(f"job spec field {name!r}", value, *_FIELD_KINDS[name])
-        return cls(**{k: data[k] for k in data})
-
-
-#: The JSON shape of each :class:`JobSpec` field, checked by ``from_dict``.
-_FIELD_KINDS = {
-    "app": ("a string",),
-    "nodes": ("an integer",),
-    "mix": ("a string",),
-    "preset": ("a string",),
-    "scale": ("a string",),
-    "params": ("an object",),
-    "options": ("an object",),
-    "fault_plan": ("an object", "null"),
-    "backend": ("a string", "null"),
-    "priority": ("an integer",),
-    "trace": ("a boolean",),
-}
+        check_document("job-spec", cls, data)
+        return cls(**data)
 
 
 # -- CLI flags -> spec -------------------------------------------------------

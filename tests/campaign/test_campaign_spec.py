@@ -109,6 +109,9 @@ def test_validation_errors():
         CampaignSpec.from_dict(_doc(app_params={"sobel": {}}))
     with pytest.raises(ValidationError, match="requires 'name'"):
         CampaignSpec.from_dict({"axes": {"app": ["heat3d"]}})
+    for doc in (None, 5, "fuzz", ["name"]):
+        with pytest.raises(ValidationError, match="campaign must be an object"):
+            CampaignSpec.from_dict(doc)
 
 
 def test_invalid_point_names_its_coordinates():

@@ -1,6 +1,7 @@
 """JobSpec validation, canonicalization, and content hashing."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -61,6 +62,9 @@ def test_bad_fault_plan_rejected():
         JobSpec(app="heat3d", fault_plan={"rules": [{"drop_prob": 2.0}]})
     with pytest.raises(ValidationError, match="unknown fault-plan keys"):
         JobSpec(app="heat3d", fault_plan={"rulez": []})
+    for plan in (None, 5, "rules", ["rules"]):
+        with pytest.raises(ValidationError, match="fault plan must be a dict"):
+            FaultPlan.from_dict(plan)
 
 
 def test_build_config_applies_params_and_tuples():
@@ -100,8 +104,11 @@ def test_round_trip_through_dict():
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ValidationError, match="unknown job-spec fields"):
         JobSpec.from_dict({"app": "heat3d", "speed": "ludicrous"})
-    with pytest.raises(ValidationError, match="requires an 'app'"):
+    with pytest.raises(ValidationError, match="requires 'app'"):
         JobSpec.from_dict({"nodes": 2})
+    for doc in (None, 5, "heat3d", ["app"]):
+        with pytest.raises(ValidationError, match="job-spec must be an object"):
+            JobSpec.from_dict(doc)
 
 
 # ------------------------------------------------------------- content hash
@@ -202,6 +209,103 @@ def test_spec_hash_independent_of_fault_rule_order():
     assert a.content_hash() == b.content_hash()
     c = JobSpec(app="heat3d", fault_plan=FaultPlan(seed=4, rules=_rules()).to_dict())
     assert a.content_hash() != c.content_hash()
+
+
+def test_a_crash_entry_cannot_arrive_consumed():
+    # `consumed` is runtime state: a document naming it hashed like the live
+    # crash, so the result cache could answer one with the other's payload.
+    used = {"seed": 1, "crashes": [{"rank": 1, "at_time": 0.0, "consumed": 1}]}
+    with pytest.raises(ValidationError, match=r"unknown fault-plan crashes entry fields \['consumed'\]"):
+        FaultPlan.from_dict(used)
+    with pytest.raises(ValidationError, match=r"fields \['consumed'\]"):
+        JobSpec.from_dict({"app": "heat3d", "nodes": 2, "preset": "laptop", "mix": "cpu",
+                           "options": {"reliable": True, "checkpoint_every": 1},
+                           "fault_plan": used})  # fmt: skip
+    crash = RankCrash(1, 0.0)
+    plan = FaultPlan(crashes=[crash])
+    assert not crash.consumed and plan.crash_pending(1, 0.0) is crash
+    plan.consume_crash(crash)
+    plan.consume_crash(crash)
+    assert crash.consumed and plan.stats.crashes_consumed == 1
+    assert plan.crash_pending(1, 0.0) is None
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ({"crashes": [{"rank": 1.5, "at_time": 0.0}]}, "field 'rank' must be an integer"),
+        ({"rules": [{"src": 0.5}]}, "field 'src' must be an integer or null"),
+        ({"rules": [{"dst": 0.5}]}, "field 'dst' must be an integer or null"),
+        ({"degradations": [{"src": 0.5}]}, "field 'src' must be an integer or null"),
+        ({"rules": [{"drop_prob": None}]}, "field 'drop_prob' must be a number, got NoneType"),
+        ({"crashes": [{"at_time": 0.0}]}, "crashes entry requires 'rank' and 'at_time'"),
+        ({"crashes": [{"rank": 0}]}, "crashes entry requires 'rank' and 'at_time'"),
+    ],
+)
+def test_an_ill_shaped_fault_plan_entry_is_refused_by_name(plan, message):
+    # At 1.5 / 0.5 the crash never fired and the rule never matched.
+    with pytest.raises(ValidationError, match=message):
+        FaultPlan.from_dict(plan)
+    with pytest.raises(ValidationError, match=message):
+        JobSpec.from_dict({"app": "heat3d", "fault_plan": plan})
+
+
+#: A fault plan with every kind of entry and both kinds of window end; its
+#: twin lists every entry in reverse.
+_PIN_PLAN = {
+    "seed": 7,
+    "rules": [
+        {"drop_prob": 0.1, "src": 0, "dst": 1, "t_end": 2.0},
+        {"dup_prob": 0.2, "t_start": 1.0, "t_end": "inf"},
+        {"delay_prob": 0.3, "max_delay": 1e-4, "dst": 0},
+    ],
+    "degradations": [{"bandwidth_factor": 0.5, "src": 1, "t_end": 3.0}, {"extra_latency": 1e-4}],
+    "crashes": [{"rank": 1, "at_time": 0.05, "restart_cost": 0.5}, {"rank": 0, "at_time": 1}],
+}
+_CHECKPOINTED = {"reliable": True, "checkpoint_every": 1}
+_PINNED_SPECS = {
+    "defaults": (JobSpec(app="heat3d"),
+                 "a4f8c7c4db9540f19ae811b42d763beeddbdb321a047d69a8984f1b834d6934c"),
+    "tuple_params": (JobSpec(app="heat3d", nodes=2, preset="laptop", mix="cpu",
+                             params={"functional_shape": (12, 12, 12), "simulated_steps": 2,
+                                     "seed": 3}),
+                     "8e4b8f5a760b6906074042a55d233ed4c47589ee7a8280353467cca556dc7c1e"),
+    "options": (JobSpec(app="kmeans", nodes=3, options={"reliable": True}, params={"seed": 2}),
+                "f5f181148f17f5001beafa466452cbb6558c77cf7ae87a60bd14d465dfa2e218"),
+    "traced": (JobSpec(app="sobel", nodes=2, trace=True),
+               "f35b31f807acd237b7e776cb7bbc68bdcb47979c0d8ce4f867e67abdb1a47d1b"),
+    "backend_priority": (JobSpec(app="sobel", nodes=2, trace=True, backend="processes",
+                                 priority=9),
+                         "f35b31f807acd237b7e776cb7bbc68bdcb47979c0d8ce4f867e67abdb1a47d1b"),
+    "fault_plan": (JobSpec(app="heat3d", nodes=2, options=_CHECKPOINTED, fault_plan=_PIN_PLAN),
+                   "f009d595bd787cebd2828b8927691fb1ca709949541893d94870c1782bc200cf"),
+    "fault_plan_reversed": (
+        JobSpec(app="heat3d", nodes=2, options=_CHECKPOINTED,
+                fault_plan={k: v[::-1] if isinstance(v, list) else v for k, v in _PIN_PLAN.items()}),
+        "f009d595bd787cebd2828b8927691fb1ca709949541893d94870c1782bc200cf",
+    ),
+    "t_end_inf": (JobSpec(app="moldyn", nodes=2,
+                          fault_plan={"seed": 1, "rules": [{"drop_prob": 0.05, "t_end": "inf"}]}),
+                  "05c7a8917b830d9ba85b010366ec4551441aa7e8fc01d9fe2200bae3e4aaa93a"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SPECS))
+def test_content_hashes_are_unchanged(name):
+    # Every stored result is addressed by one of these: a change to how a spec
+    # is described must leave them byte-identical, or it orphans the store.
+    spec, pinned = _PINNED_SPECS[name]
+    assert spec.content_hash() == pinned
+    assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).content_hash() == pinned
+
+
+def test_fault_plan_canonical_key_is_unchanged():
+    assert FaultPlan.from_dict(_PIN_PLAN).canonical_key() == (
+        "FaultPlan(seed=7, rules=[(0.0, 0.0, 0.3, 0.0001, -1, 0, 0.0, inf), "
+        "(0.0, 0.2, 0.0, 0.0, -1, -1, 1.0, inf), (0.1, 0.0, 0.0, 0.0, 0, 1, 0.0, 2.0)], "
+        "degradations=[(0.5, 0.0, 1, -1, 0.0, 3.0), (1.0, 0.0001, -1, -1, 0.0, inf)], "
+        "crashes=[(0, 1, 1.0), (1, 0.05, 0.5)])"
+    )
 
 
 # ---------------------------------------------------------------- result digest

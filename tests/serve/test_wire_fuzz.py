@@ -21,12 +21,14 @@ whole reply stream is read back under a 2 s socket timeout.  Required:
 
 The documents inside the requests are generated too: valid job and campaign
 documents mutated field by field (a value of the wrong JSON type, nested lists
-and objects, huge integers, NaN and infinities, booleans where numbers go).
-``JobSpec.from_dict`` / ``CampaignSpec.from_dict`` either raise
-``ValidationError`` — naming the field whose shape is wrong, when one is — or
-return a spec whose ``to_dict()`` survives a JSON round trip; over a raw
-socket, ``POST /jobs`` answers 2xx or 400 and ``POST /jobs/batch`` rejects
-that entry alone.
+and objects, huge integers, NaN and infinities, booleans where numbers go),
+down to the fields of their fault plans' rule, degradation and crash entries.
+``JobSpec.from_dict`` / ``CampaignSpec.from_dict`` / ``FaultPlan.from_dict``
+either raise ``ValidationError`` — naming the field whose shape is wrong, when
+one is — or return a spec whose ``to_dict()`` survives a JSON round trip; a
+document whose fault plan is ill-shaped is refused; over a raw socket,
+``POST /jobs`` answers 2xx or 400 and ``POST /jobs/batch`` rejects that entry
+alone.
 """
 
 import copy
@@ -195,7 +197,11 @@ def test_a_framed_body_is_never_answered_as_a_request(served, data):
 JOB = {
     "app": "heat3d", "nodes": 2, "mix": "cpu", "preset": "laptop", "scale": "quick",
     "params": {"seed": 1, "functional_shape": [8, 8, 8]}, "options": {"time_block": 2},
-    "fault_plan": FaultPlan.lossy(seed=3, drop=0.1, delay=0.1, max_delay=1e-4).to_dict(),
+    "fault_plan": {
+        **FaultPlan.lossy(seed=3, drop=0.1, delay=0.1, max_delay=1e-4).to_dict(),
+        "degradations": [{"bandwidth_factor": 0.5, "src": 1, "t_end": "inf"}],
+        "crashes": [{"rank": 1, "at_time": 0.5}],
+    },
     "backend": None, "priority": 0, "trace": False,
 }  # fmt: skip
 CAMPAIGN = {
@@ -223,6 +229,18 @@ AXIS_SHAPES = {
     "app": STRING, "preset": STRING, "nodes": INTEGER, "mix": STRING, "scale": STRING,
     "seed": (int, None), "fault_plan": (dict, None),
 }  # fmt: skip
+
+#: The same for each field of a fault plan's entries, by list; a ``t_end`` may
+#: also be the string "inf", and a crash needs its ``rank`` and ``at_time``.
+NUMBER, RANK = (int, float), (int, None)
+FAULT_ENTRY_SHAPES = {
+    "rules": {"drop_prob": NUMBER, "dup_prob": NUMBER, "delay_prob": NUMBER,
+              "max_delay": NUMBER, "src": RANK, "dst": RANK, "t_start": NUMBER, "t_end": NUMBER},
+    "degradations": {"bandwidth_factor": NUMBER, "extra_latency": NUMBER, "src": RANK,
+                     "dst": RANK, "t_start": NUMBER, "t_end": NUMBER},
+    "crashes": {"rank": INTEGER, "at_time": NUMBER, "restart_cost": NUMBER},
+}  # fmt: skip
+FAULT_ENTRY_REQUIRED = {"crashes": ("rank", "at_time")}
 
 
 def shaped(value, kinds) -> bool:
@@ -254,6 +272,60 @@ def campaign_misshapen(doc: dict) -> list[str]:
         if axis in AXIS_SHAPES and not all(shaped(v, AXIS_SHAPES[axis]) for v in values):
             bad.append(f"axis {axis!r} value")
     return bad
+
+
+def plan_faults(plan: dict) -> list[str] | None:
+    """None when every shape in fault-plan document ``plan`` is right; else the
+    text the error must hold, one of (the first fault, in the order the plan
+    is read: its keys, seed, then each list and its entries in turn).  A
+    well-shaped entry is built, and its values checked, before the next is
+    read, so behind one the error need only exist (text "")."""
+    unknown = set(plan) - {"seed", *FAULT_ENTRY_SHAPES}
+    if unknown:
+        return [str(sorted(unknown))]
+    if not shaped(plan.get("seed", 0), INTEGER):
+        return ["seed must be"]
+    built = False
+    for name, shapes in FAULT_ENTRY_SHAPES.items():
+        entries = plan.get(name, [])
+        if not shaped(entries, (list,)):
+            return [""] if built else [f"{name} must be"]
+        for entry in entries:
+            unknown = set(entry) - set(shapes)
+            missing = [f for f in FAULT_ENTRY_REQUIRED.get(name, ()) if f not in entry]
+            bad = [
+                f"field {f!r} must be"
+                for f, v in entry.items()
+                if f in shapes and not (f == "t_end" and v == "inf") and not shaped(v, shapes[f])
+            ]
+            if unknown or missing or bad:
+                named = [str(sorted(unknown))] if unknown else [repr(f) for f in missing] or bad
+                return [""] if built else named
+            built = True
+    return None
+
+
+def plan_accepted(plan: dict) -> bool:
+    """Whether ``FaultPlan.from_dict`` builds ``plan``; it must refuse, with
+    the text :func:`plan_faults` asks for, every ill-shaped one."""
+    faults = plan_faults(plan)
+    try:
+        FaultPlan.from_dict(plan)
+    except ValidationError as exc:
+        assert faults is None or any(text in str(exc) for text in faults), (faults, exc)
+        return False
+    assert faults is None, f"accepted a fault plan whose {faults} is ill-shaped"
+    return True
+
+
+@pytest.mark.parametrize(
+    "name, field", [(name, field) for name, shapes in FAULT_ENTRY_SHAPES.items() for field in shapes]
+)
+def test_every_fault_plan_entry_field_is_judged_by_its_shape(name, field):
+    # The generated documents reach one entry field per example; this reaches each.
+    base = {"rank": 0, "at_time": 0.0} if name == "crashes" else {}
+    for value in ("x", True, [1], {"seed": 1}, None, 0.5, 2):
+        plan_accepted({name: [{**base, field: value}]})
 
 
 def raises_naming(bad: list[str], parse):
@@ -333,9 +405,18 @@ def post(server: JobServer, path: bytes, doc) -> tuple[int, object]:
 @example(doc={**JOB, "trace": "yes"})
 @example(doc={**JOB, "fault_plan": {"rules": "x"}})
 @example(doc={**JOB, "fault_plan": {"rules": [{"src": "x"}, {"src": 1}]}})
+@example(doc={**JOB, "fault_plan": {"crashes": [{"rank": 1, "at_time": 0.0, "consumed": 1}]}})
+@example(doc={**JOB, "fault_plan": {"crashes": [{"rank": 1.5, "at_time": 0.0}]}})
+@example(doc={**JOB, "fault_plan": {"crashes": [{"at_time": 0.0}]}})
+@example(doc={**JOB, "fault_plan": {"rules": [{"src": 0.5}]}})
+@example(doc={**JOB, "fault_plan": {"rules": [{"dst": 0.5}]}})
+@example(doc={**JOB, "fault_plan": {"rules": [{"drop_prob": None}]}})
+@example(doc={**JOB, "fault_plan": {"degradations": [{"t_end": None}]}})
 def test_a_job_document_is_a_spec_or_a_400(served, doc):
     server, _ = served
     spec = raises_naming(misshapen(doc, JOB_SHAPES, "field"), lambda: JobSpec.from_dict(doc))
+    if isinstance(doc.get("fault_plan"), dict) and not plan_accepted(doc["fault_plan"]):
+        assert spec is None, "accepted a job whose fault plan is ill-shaped"
     if spec is not None:
         again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert same(again.to_dict(), spec.to_dict())
@@ -365,21 +446,26 @@ def test_a_job_document_is_a_spec_or_a_400(served, doc):
 @example(doc={**CAMPAIGN, "app_params": "x"})
 @example(doc={**CAMPAIGN, "app_params": {"heat3d": "x"}})
 @example(doc={**CAMPAIGN, "options": []})
+@example(doc={**CAMPAIGN, "app_options": "x"})
 @example(doc={**CAMPAIGN, "app_options": {"kmeans": []}})
 @example(doc={**CAMPAIGN, "backend": 3})
 @example(doc={**CAMPAIGN, "trace": "yes"})
 @example(doc={**CAMPAIGN, "points": "x"})
 @example(doc={**CAMPAIGN, "points": [5]})
+@example(doc={**CAMPAIGN, "axes": {"app": "heat3d", "fault_plan": [{"rules": [{"src": 0.5}]}]}})
 def test_a_campaign_document_is_a_campaign_or_a_validation_error(doc):
     campaign = raises_naming(campaign_misshapen(doc), lambda: CampaignSpec.from_dict(doc))
     if campaign is None:
         return
     again = CampaignSpec.from_dict(json.loads(json.dumps(campaign.to_dict())))
     assert same(again.to_dict(), campaign.to_dict())
+    plans = [plan for plan in campaign.axis("fault_plan") if plan is not None]
+    ill_shaped = not all([plan_accepted(plan) for plan in plans])
     try:
         specs = campaign.expand()
     except ValidationError:
         return
+    assert not ill_shaped, "expanded a campaign whose fault plan is ill-shaped"
     assert len(specs) == campaign.n_points()
     for spec in specs:
         spec.content_hash()
