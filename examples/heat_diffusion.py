@@ -13,6 +13,8 @@ from repro.data import heat3d_initial
 from repro.sim import spmd_run
 
 CFG = Heat3DConfig(functional_shape=(40, 40, 40), simulated_steps=10)
+# The footprint heat_step reads: the centre and its six face neighbours.
+STAR = ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
 def heat_step(src, dst, region, alpha):
@@ -21,15 +23,14 @@ def heat_step(src, dst, region, alpha):
     neighbours = (
         shifted(src, region, (1, 0, 0)) + shifted(src, region, (-1, 0, 0))
         + shifted(src, region, (0, 1, 0)) + shifted(src, region, (0, -1, 0))
-        + shifted(src, region, (0, 0, 1)) + shifted(src, region, (0, 0, -1))
-    )
+        + shifted(src, region, (0, 0, 1)) + shifted(src, region, (0, 0, -1)))
     dst[region] = center + alpha * (neighbours - 6.0 * center)
 
 
 def main(ctx):
     env = RuntimeEnv(ctx, "cpu+2gpu")
     st = env.get_stencil()
-    st.configure(StencilKernel(heat_step, 1, make_work(ctx.node)),
+    st.configure(StencilKernel(heat_step, STAR, make_work(ctx.node)),
                  CFG.functional_shape, model_shape=CFG.shape, parameter=ALPHA)
     st.set_global_grid(heat3d_initial(CFG.functional_shape, seed=CFG.seed))
     st.run(CFG.simulated_steps)

@@ -71,7 +71,9 @@ def main(ctx):
 
     # 3. Stencil: one smoothing sweep of a small grid.
     st = env.get_stencil()
-    st.configure(StencilKernel(smooth, 1, light.replace(name="smooth", atomics_per_elem=0)),
+    five_point = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))  # what smooth reads
+    st.configure(StencilKernel(smooth, five_point,
+                               light.replace(name="smooth", atomics_per_elem=0)),
                  GRID.shape)
     st.set_global_grid(GRID)
     st.run(3)

@@ -12,24 +12,25 @@ from repro.data import synthetic_image
 from repro.sim import spmd_run
 
 CFG = SobelConfig(functional_shape=(512, 512), simulated_steps=2)
+# The footprint sobel reads: the eight neighbours (both masks weigh the centre 0).
+RING = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
 
 
 def sobel(src, dst, region, _param):
     """stencil_fp: convolve both 3x3 masks, write gradient magnitude."""
     gx = np.zeros_like(src[region])
     gy = np.zeros_like(src[region])
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            neighbour = shifted(src, region, (dy, dx))
-            gx += GX[dy + 1, dx + 1] * neighbour
-            gy += GY[dy + 1, dx + 1] * neighbour
+    for dy, dx in RING:
+        neighbour = shifted(src, region, (dy, dx))
+        gx += GX[dy + 1, dx + 1] * neighbour
+        gy += GY[dy + 1, dx + 1] * neighbour
     dst[region] = np.sqrt(gx * gx + gy * gy)
 
 
 def main(ctx):
     env = RuntimeEnv(ctx, "cpu+2gpu")
     st = env.get_stencil()
-    st.configure(StencilKernel(sobel, 1, make_work(ctx.node), dtype=np.dtype(np.float32)),
+    st.configure(StencilKernel(sobel, RING, make_work(ctx.node), dtype=np.dtype(np.float32)),
                  CFG.functional_shape, model_shape=CFG.shape)
     st.set_global_grid(synthetic_image(CFG.functional_shape, seed=CFG.seed))
     st.run(CFG.simulated_steps)

@@ -28,6 +28,8 @@ KAPPA = np.ones(SHAPE)
 KAPPA[:, 10:12] = 0.01
 KAPPA[20:28, 10:12] = 1.0  # the gap
 
+# Each face flux reads the cell and one face neighbour, of the grid and of kappa.
+FACES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 WORK = WorkModel(name="varheat", flops_per_elem=18, bytes_per_elem=48, cpu_efficiency=0.6)
 
 
@@ -39,16 +41,14 @@ def diffuse(src, dst, region, ctx: StencilFields):
         k_face = 0.5 * (kappa[region] + shifted(kappa, region, offset))
         return k_face * (shifted(src, region, offset) - src[region])
 
-    dst[region] = src[region] + ctx.param * (
-        face_flux((1, 0)) + face_flux((-1, 0)) + face_flux((0, 1)) + face_flux((0, -1))
-    )
+    dst[region] = src[region] + ctx.param * sum(face_flux(offset) for offset in FACES)
 
 
 def main(ctx):
     env = RuntimeEnv(ctx, "cpu+2gpu")
     st = env.get_stencil()
     st.configure(
-        StencilKernel(diffuse, 1, WORK),
+        StencilKernel(diffuse, ((0, 0),) + FACES, WORK),
         SHAPE,
         parameter=ALPHA,
         static_fields={"kappa": KAPPA},

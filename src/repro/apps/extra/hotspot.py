@@ -82,7 +82,7 @@ def hotspot_apply(src, dst, region, ctx: StencilFields) -> None:
 
 
 def make_kernel() -> StencilKernel:
-    return StencilKernel(apply=hotspot_apply, halo=1, work=work())
+    return StencilKernel(hotspot_apply, ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), work())
 
 
 def rank_program(

@@ -85,9 +85,8 @@ def jacobi_apply(src: np.ndarray, dst: np.ndarray, region: tuple, param) -> None
 
 
 def make_kernel() -> StencilKernel:
-    return StencilKernel(
-        apply=jacobi_apply, halo=1, work=work_model(), dtype=np.dtype(np.float64)
-    )
+    # The grid's four face neighbours, and the rhs field's centre.
+    return StencilKernel(jacobi_apply, ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), work_model())
 
 
 def _grid_spacing_sq(config: Jacobi2DConfig) -> float:

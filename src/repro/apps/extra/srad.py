@@ -104,7 +104,11 @@ def make_update_kernel(lam: float) -> StencilKernel:
         divergence = c_south * ds + c_here * dn + c_east * de + c_here * dw
         dst[region] = j + (lam / 4.0) * divergence
 
-    return StencilKernel(apply=apply, halo=2, work=update_work())
+    # ``c`` at the cell and at its south and east neighbours, each from
+    # that point's centre and four face neighbours.
+    five = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+    offsets = sorted({(r + fr, c + fc) for r, c in ((0, 0), (1, 0), (0, 1)) for fr, fc in five})
+    return StencilKernel(apply, offsets, update_work())
 
 
 def _q0_sq_from_stats(total: float, total_sq: float, count: float) -> float:

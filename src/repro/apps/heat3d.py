@@ -112,7 +112,11 @@ def heat_apply(src: np.ndarray, dst: np.ndarray, region: tuple, alpha) -> None:
 
 #: The kernel with its work model uncalibrated, as the sequential
 #: reference sweeps it; :func:`make_kernel` fits the work model to a node.
-KERNEL = StencilKernel(apply=heat_apply, halo=1, work=base_work(), dtype=np.dtype(np.float64))
+KERNEL = StencilKernel(
+    heat_apply,
+    ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+    base_work(),
+)
 
 
 def make_kernel(node: NodeSpec) -> StencilKernel:
@@ -122,7 +126,8 @@ def make_kernel(node: NodeSpec) -> StencilKernel:
 def rank_program(
     ctx: RankContext,
     config: Heat3DConfig,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str | DeviceConfig,
+    kernel: StencilKernel,
     *,
     overlap: bool = True,
     tiling: bool = True,
@@ -132,7 +137,8 @@ def rank_program(
     max_iters: int | None = None,
     time_block: int | str = 1,
 ) -> dict:
-    """SPMD body: run ``simulated_steps`` stencil steps, report per-step times.
+    """SPMD body: run ``simulated_steps`` of ``kernel`` (:func:`make_kernel`
+    of the cluster's node), report per-step times.
 
     The benchmark extrapolates the measured steady-state step time to the
     paper's full iteration count (see
@@ -158,7 +164,7 @@ def rank_program(
     env = RuntimeEnv(ctx, mix)
     st = env.get_stencil(overlap=overlap, tiling=tiling)
     st.configure(
-        make_kernel(ctx.node),
+        kernel,
         config.functional_shape,
         model_shape=config.shape,
         parameter=ALPHA,
@@ -219,7 +225,7 @@ def run(
     result = spmd_run(
         rank_program,
         cluster,
-        args=(config, mix),
+        args=(config, mix, make_kernel(cluster.node)),
         kwargs={
             "overlap": overlap,
             "tiling": tiling,

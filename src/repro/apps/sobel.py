@@ -119,7 +119,12 @@ def sobel_apply(src: np.ndarray, dst: np.ndarray, region: tuple, _param) -> None
 
 #: The kernel with its work model uncalibrated, as the sequential
 #: reference sweeps it; :func:`make_kernel` fits the work model to a node.
-KERNEL = StencilKernel(apply=sobel_apply, halo=1, work=base_work(), dtype=np.dtype(np.float32))
+KERNEL = StencilKernel(
+    sobel_apply,
+    ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
+    base_work(),
+    np.dtype(np.float32),
+)
 
 
 def make_kernel(node: NodeSpec) -> StencilKernel:
@@ -129,13 +134,15 @@ def make_kernel(node: NodeSpec) -> StencilKernel:
 def rank_program(
     ctx: RankContext,
     config: SobelConfig,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str | DeviceConfig,
+    kernel: StencilKernel,
     *,
     overlap: bool = True,
     tiling: bool = True,
     time_block: int | str = 1,
 ) -> dict:
-    """SPMD body: repeated Sobel passes with per-step timing.
+    """SPMD body: repeated passes of ``kernel`` (:func:`make_kernel` of the
+    cluster's node) with per-step timing.
 
     ``time_block`` enables temporal blocking (``k`` sweeps per deep halo
     exchange, ``"auto"`` to let the link-table tuner pick); the gathered
@@ -144,7 +151,7 @@ def rank_program(
     env = RuntimeEnv(ctx, mix)
     st = env.get_stencil(overlap=overlap, tiling=tiling)
     st.configure(
-        make_kernel(ctx.node),
+        kernel,
         config.functional_shape,
         model_shape=config.shape,
         time_block=time_block,
@@ -171,7 +178,7 @@ def run(
     result = spmd_run(
         rank_program,
         cluster,
-        args=(config, mix),
+        args=(config, mix, make_kernel(cluster.node)),
         kwargs={"overlap": overlap, "tiling": tiling, "time_block": time_block},
         **spmd_kwargs,
     )

@@ -72,9 +72,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """One message in flight (or delivered)."""
+
+    # Only the fabric writes one after construction: ``_enqueue`` sets
+    # ``seq`` and ``match`` moves ``arrival_time`` behind the receiver's
+    # ingress NIC.
 
     src: int
     dst: int
@@ -240,7 +244,7 @@ class Fabric:
     def _enqueue(self, msg: Message) -> None:
         """Append to the (src, tag) FIFO; ready a parked receiver it matches."""
         box = self._boxes[msg.dst]
-        object.__setattr__(msg, "seq", box.seq)
+        msg.seq = box.seq
         box.seq += 1
         key = (msg.src, msg.tag)
         q = box.queues.get(key)
@@ -309,12 +313,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Send side
     # ------------------------------------------------------------------
-    def inject(self, src: int, ready: float, nbytes: float, link: InterconnectSpec) -> tuple[float, float]:
-        """Occupy the sender's egress NIC; returns (wire_start, wire_duration)."""
-        wire = nbytes / link.bandwidth
-        iv = self._boxes[src].egress.schedule(ready, wire, "msg")
-        return iv.start, wire
-
     def post(self, msg: Message) -> None:
         """Enqueue a message for its destination (readying its receiver)."""
         self._check_abort()
@@ -414,7 +412,7 @@ class Fabric:
                     iv = box.ingress.schedule(
                         msg.arrival_time - msg.wire_duration, msg.wire_duration, "msg"
                     )
-                    object.__setattr__(msg, "arrival_time", iv.end)
+                    msg.arrival_time = iv.end
                 return msg
             self._parked[dst] = (source, tag)
             if not self._ready:

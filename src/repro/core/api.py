@@ -20,6 +20,7 @@ identity element.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -116,7 +117,7 @@ class IRKernel:
 
 @dataclass(frozen=True)
 class StencilKernel:
-    """A stencil kernel (``stencil_fp``).
+    """A stencil kernel (``stencil_fp``) and the footprint it reads.
 
     Attributes:
         apply: ``f(src, dst, region, parameter)`` — computes
@@ -127,20 +128,36 @@ class StencilKernel:
             role of the paper's ``GET_FLOAT3``-style get functions.  The
             runtime tiles every sweep: ``apply`` may be handed any axis-0
             sub-box of a sweep region, so it must be a pure function of
-            the ``halo``-neighbourhood — never read the region's size as
+            the cells at ``offsets`` — never read the region's size as
             data, and never write ``src`` or a static field.
-        halo: Stencil radius (1 for 7-point/9-point kernels).
+        offsets: The integer offsets, relative to each cell written, that
+            ``apply`` reads from the grid and from any static field (a
+            7-point heat kernel: the centre and its six face neighbours).
+            :attr:`halo` and the halo exchange are derived from them.
         work: Cost model for one grid element.
     """
 
     apply: StencilApplyFn
-    halo: int
+    offsets: tuple[tuple[int, ...], ...]
     work: WorkModel
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
 
     def __post_init__(self) -> None:
-        if self.halo < 1:
-            raise ValidationError(f"halo must be >= 1, got {self.halo}")
+        try:
+            offsets = tuple(tuple(map(operator.index, o)) for o in self.offsets)
+        except TypeError:
+            offsets = ()
+        if len({len(o) for o in offsets}) != 1 or not any(map(any, offsets)):
+            raise ValidationError(
+                "offsets must be integer tuples of one rank, not all zero; "
+                f"got {self.offsets!r}"
+            )
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def halo(self) -> int:
+        """Stencil radius: the largest |component| of any offset."""
+        return max(abs(c) for offset in self.offsets for c in offset)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ Grid decomposition and execution flow:
   style balanced factorization).  Each process holds its sub-grid with a
   halo-padded allocation.
 - **Halo exchange (Fig. 4 steps 1–5)**: one array travels, the grid.
-  Per axis and direction, the boundary strip is packed into a contiguous
-  buffer that lives as long as its message (CPU: strip memcpy; GPU: a
-  zero-copy kernel writing a host-mapped buffer, charged on the copy
-  engine), handed to the fabric without a snapshot copy (``owned=True``)
-  as one non-blocking message, and received directly into the halo slab
-  via ``irecv(out=...)`` — the wall-clock path does one copy on each end,
-  while the *charged* pack/unpack costs (GPU: host buffer → device copy +
-  scatter kernel) are unchanged.  Static fields never travel: their
+  The kernel declares the offsets it reads; ``halo`` is their largest
+  component, and ``configure`` turns it into a schedule of exchange
+  records (axis, side, peer, send box, halo box, wire bytes) grouped in
+  phases.  Each face's strip is packed into a contiguous buffer that lives
+  as long as its message (CPU: strip memcpy; GPU: a zero-copy kernel
+  writing a host-mapped buffer, charged on the copy engine), sent as one
+  non-blocking ``owned=True`` message, and received directly into the
+  halo box via ``irecv(out=...)``.  Static fields never travel: their
   halos are filled once at setup.
 - **Overlap**: inner elements — those at least ``halo`` away from the
   sub-grid boundary — depend only on local data and are computed
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,18 @@ if TYPE_CHECKING:
 
 _TAG_HALO = 201
 
-#: The index of a whole axis, shared by every face index that spans one.
-_WHOLE_AXIS = slice(None)
+
+class _Exchange(NamedTuple):
+    """One face of the halo exchange (``side`` -1 low, +1 high); ``wire``
+    is the model-scale bytes charged each way."""
+
+    axis: int
+    side: int
+    peer: int
+    send: tuple[slice, ...]
+    halo: tuple[slice, ...]
+    wire: float
+
 
 #: Search ceiling for ``time_block="auto"`` (beyond this the redundant
 #: ghost volume dwarfs any realistic per-message constant).
@@ -268,7 +278,7 @@ class StencilRuntime:
                 is charged as real flops.  ``"auto"`` picks ``k`` from
                 the link table's α/β and the kernel's flop intensity.
                 Requires kernels that are temporal-blocking-safe: a pure
-                ``halo``-neighbourhood update with no cross-sweep
+                function of the kernel's offsets with no cross-sweep
                 parameter mutation (see ``docs/writing_kernels.md``).
         """
         env = self.env
@@ -277,6 +287,11 @@ class StencilRuntime:
             raise ConfigurationError("global_shape must have at least one axis")
         if dims is None:
             dims = dims_create(env.nprocs, ndim)
+        if len(kernel.offsets[0]) != ndim or len(dims) != ndim:
+            raise ConfigurationError(
+                f"grid rank {ndim}, kernel offsets rank {len(kernel.offsets[0])} and "
+                f"dims {tuple(dims)} disagree"
+            )
         self.cart = CartComm(env.comm, dims=dims)
         self._kernel = kernel
         self._parameter = parameter
@@ -284,19 +299,12 @@ class StencilRuntime:
         h = kernel.halo
 
         # Per-axis local extent for this rank's coordinates.
-        self._axis_offsets = [
-            block_partition(self.global_shape[ax], dims[ax]) for ax in range(ndim)
+        bounds = [
+            (int(offs[c]), int(offs[c + 1]))
+            for offs, c in zip(map(block_partition, self.global_shape, dims), self.cart.coords)
         ]
-        self.local_start = tuple(
-            int(self._axis_offsets[ax][self.cart.coords[ax]]) for ax in range(ndim)
-        )
-        self.local_shape = tuple(
-            int(
-                self._axis_offsets[ax][self.cart.coords[ax] + 1]
-                - self._axis_offsets[ax][self.cart.coords[ax]]
-            )
-            for ax in range(ndim)
-        )
+        self.local_start = tuple(lo for lo, _ in bounds)
+        self.local_shape = tuple(hi - lo for lo, hi in bounds)
         for ax, ext in enumerate(self.local_shape):
             if ext < 2 * h:
                 raise ConfigurationError(
@@ -341,18 +349,7 @@ class StencilRuntime:
                         f"expected {self.global_shape}"
                     )
                 self._fields[name] = self._pad_from_global(values, self._halo_depth)
-        # Halo-exchange state, fixed for the lifetime of this configuration:
-        # the charged size of one face strip per axis, and the (send strip,
-        # halo slab) index of every (axis, side) face with a neighbour — a
-        # face without one never sends.  No pack buffer is kept: each send
-        # packs a fresh one that lives as long as its message.
-        self._axis_wire = [self._face_bytes_model(ax) for ax in range(ndim)]
-        self._faces: dict[tuple[int, int], tuple[tuple[slice, ...], tuple[slice, ...]]] = {
-            (ax, side): self._face_slices(ax, side)
-            for ax in range(ndim)
-            for side, nbr in zip((-1, +1), self._neighbors[ax])
-            if nbr != PROC_NULL
-        }
+        self._schedule = self._exchange_schedule()
         self._rows = None
         self._timestep = 0
         self._prestarted = None
@@ -481,13 +478,9 @@ class StencilRuntime:
                 f"grid dtype {grid.dtype} cannot be cast to kernel dtype "
                 f"{self._kernel.dtype} ('same_kind'); convert the grid explicitly"
             )
-        block = grid[
-            tuple(
-                slice(self.local_start[ax], self.local_start[ax] + self.local_shape[ax])
-                for ax in range(len(self.global_shape))
-            )
+        self._src[self.interior] = grid[
+            tuple(slice(lo, lo + n) for lo, n in zip(self.local_start, self.local_shape))
         ]
-        self._src[self.interior] = block
         self._dst[:] = 0
 
     def set_parameter(self, parameter: Any) -> None:
@@ -512,49 +505,43 @@ class StencilRuntime:
         padded[tuple(dst_slices)] = field[tuple(src_slices)]
         return padded
 
-    def _effective_parameter(self) -> Any:
-        if self._fields:
-            return StencilFields(self._parameter, self._fields)
-        return self._parameter
-
     # -- halo exchange (Fig. 4 steps 1-5) --------------------------------------
-    def _face_slices(
-        self, axis: int, side: int
-    ) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-        """Index of one face's send strip (interior edge) and of its halo
-        slab (receive target).
+    def _exchange_schedule(self) -> tuple[tuple[_Exchange, ...], ...]:
+        """The halo exchange as data: the box schedule.
 
-        ``side`` is -1 (low) or +1 (high).  Strips are ``time_block *
-        halo`` deep: one exchange round carries everything ``time_block``
-        sweeps consume.
-
-        On every axis *other* than the exchanged one the strip spans the
-        full padded extent (halos included): exchanging axes sequentially
-        then propagates corner/edge values through the shared face
-        neighbours — required for 9-point/27-point stencils.
+        One phase per axis, in axis order, holding that axis' faces that
+        have a neighbour (a global border never sends).  A strip is
+        ``time_block * halo`` deep and spans the padded extent of every
+        other axis, halos included; a phase starts only once the previous
+        phase's halos have landed, so corner and edge values travel through
+        the face neighbours, as diagonal offsets need.
         """
         d = self._halo_depth
-        sl = self.interior[axis]
-        if side < 0:
-            send, halo = slice(sl.start, sl.start + d), slice(sl.start - d, sl.start)
-        else:
-            send, halo = slice(sl.stop - d, sl.stop), slice(sl.stop, sl.stop + d)
-        lead = (_WHOLE_AXIS,) * axis
-        return lead + (send,), lead + (halo,)
+        phases = []
+        for axis, (sl, peers) in enumerate(zip(self.interior, self._neighbors)):
+            lead = (slice(None),) * axis
+            wire = self._face_bytes_model(axis)
+            faces = (
+                (-1, slice(sl.start, sl.start + d), slice(sl.start - d, sl.start)),
+                (+1, slice(sl.stop - d, sl.stop), slice(sl.stop, sl.stop + d)),
+            )
+            phases.append(tuple(
+                _Exchange(axis, side, peer, lead + (send,), lead + (halo,), wire)
+                for (side, send, halo), peer in zip(faces, peers)
+                if peer != PROC_NULL
+            ))
+        return tuple(phases)
 
     def _face_bytes_model(self, axis: int, depth: int | None = None) -> float:
         """Model-scale bytes of one face strip (``depth`` defaults to the
         registered slab depth ``time_block * halo``)."""
         d = self._halo_depth if depth is None else depth
-        elems = d
-        for ax, ext in enumerate(self.local_shape):
-            if ax != axis:
-                elems *= ext
+        elems = d * math.prod(ext for ax, ext in enumerate(self.local_shape) if ax != axis)
         scale = self._elem_scale / self._axis_ratio[axis]
         return elems * scale * np.dtype(self._kernel.dtype).itemsize
 
-    def _pack_cost(self, axis: int, rows: np.ndarray) -> float:
-        """Charge step-1/2 packing of one face across the device split.
+    def _pack_cost(self, phase: tuple[_Exchange, ...], rows: np.ndarray) -> float:
+        """Charge step-1/2 packing of one phase across the device split.
 
         Returns the virtual time at which all send buffers are ready.
         The face perpendicular to axis 0 belongs entirely to the first or
@@ -562,20 +549,19 @@ class StencilRuntime:
         """
         env = self.env
         ready = env.clock.now
-        total_bytes = self._axis_wire[axis]
+        axis, total_bytes = phase[0].axis, phase[0].wire
         n_dev = len(env.devices)
-        # tolist(): keep the per-device shares python floats — numpy scalars
-        # leaking into the time arithmetic slow every max()/schedule() call.
-        shares = (rows / max(1, int(rows.sum()))).tolist() if axis != 0 else None
-        for d, dev in enumerate(env.devices):
-            if axis == 0:
-                # Only the device owning the outermost rows packs this face;
-                # attribute it to the first device for the low face and the
-                # last for the high face (both directions happen per step).
-                share = 1.0 if d in (0, n_dev - 1) else 0.0
-                nbytes = total_bytes * share / max(1, (2 if n_dev > 1 else 1))
-            else:
-                nbytes = total_bytes * shares[d]
+        if axis == 0:
+            # Only the devices owning the outermost rows pack this face: the
+            # first for the low face, the last for the high face (both
+            # directions happen per step).
+            edge = total_bytes / (2 if n_dev > 1 else 1)
+            per_dev = [edge if d in (0, n_dev - 1) else 0.0 for d in range(n_dev)]
+        else:
+            # tolist(): keep the per-device shares python floats — numpy
+            # scalars in the time arithmetic slow every max()/schedule() call.
+            per_dev = [total_bytes * s for s in (rows / max(1, int(rows.sum()))).tolist()]
+        for dev, nbytes in zip(env.devices, per_dev):
             if nbytes <= 0:
                 continue
             if isinstance(dev, GPUDevice):
@@ -587,80 +573,64 @@ class StencilRuntime:
                 ready = max(ready, env.clock.now + env.host_memcpy_time(nbytes))
         return ready
 
-    def _send_axis(self, axis: int, rows: np.ndarray) -> None:
-        """Pack and send this axis' two faces (Fig. 4 steps 1-2): one
-        message per face, a fresh copy of the strip handed over with
-        ``owned=True``."""
-        low_src, high_dst = self._neighbors[axis]
-        if low_src == PROC_NULL and high_dst == PROC_NULL:
-            return
+    def _start_phase(
+        self, phase: tuple[_Exchange, ...], rows: np.ndarray
+    ) -> list[tuple[_Exchange, Any]]:
+        """Post a phase's receives into its halo boxes (low face first; no
+        unpack copy), charge its pack (Fig. 4 steps 1-2), then send each face
+        a fresh copy of its strip with ``owned=True`` (high face first)."""
+        if not phase:
+            return []
         env = self.env
-        env.clock.advance_to(self._pack_cost(axis, rows))
-        wire = self._axis_wire[axis]
-        for side, peer in ((+1, high_dst), (-1, low_src)):
-            if peer != PROC_NULL:
-                send, _ = self._faces[(axis, side)]
-                env.comm.isend(
-                    self._src[send].copy(), peer, _TAG_HALO + axis, wire_bytes=wire, owned=True
-                )
-                if env.trace.enabled:
-                    env.trace.count("halo.msgs")
-
-    def _post_axis_recvs(self, axis: int) -> list[tuple[int, Any]]:
-        """Post this axis' receives straight into the halo slabs (no unpack
-        copy: ``deliver`` writes the slab view in place)."""
-        comm = self.env.comm
-        recvs = []
-        for side, peer in zip((-1, +1), self._neighbors[axis]):
-            if peer != PROC_NULL:
-                _, halo = self._faces[(axis, side)]
-                req = comm.irecv(source=peer, tag=_TAG_HALO + axis, out=self._src[halo])
-                recvs.append((axis, req))
+        comm = env.comm
+        recvs = [
+            (x, comm.irecv(source=x.peer, tag=_TAG_HALO + x.axis, out=self._src[x.halo]))
+            for x in phase
+        ]
+        env.clock.advance_to(self._pack_cost(phase, rows))
+        for x in reversed(phase):
+            comm.isend(
+                self._src[x.send].copy(), x.peer, _TAG_HALO + x.axis,
+                wire_bytes=x.wire, owned=True,
+            )
+            if env.trace.enabled:
+                env.trace.count("halo.msgs")
         return recvs
 
-    def _fill_halos(self, recvs: list[tuple[int, Any]]) -> None:
+    def _fill_halos(self, recvs: list[tuple[_Exchange, Any]]) -> None:
         """Wait for halo data (delivered into the slabs), charge unpack (4-5)."""
         env = self.env
-        for axis, req in recvs:
+        for x, req in recvs:
             req.wait()
-            nbytes = self._axis_wire[axis]
             unpack_end = env.clock.now
             for dev in env.devices:
                 if isinstance(dev, GPUDevice):
                     iv = dev.copy_engine.schedule(
                         env.clock.now,
-                        dev.transfer_time(nbytes) + dev.spec.kernel_launch_overhead,
-                        f"halo.unpack[{axis}]",
+                        dev.transfer_time(x.wire) + dev.spec.kernel_launch_overhead,
+                        f"halo.unpack[{x.axis}]",
                     )
                     unpack_end = max(unpack_end, iv.end)
                 else:
-                    unpack_end = max(
-                        unpack_end, env.clock.now + env.host_memcpy_time(nbytes)
-                    )
+                    unpack_end = max(unpack_end, env.clock.now + env.host_memcpy_time(x.wire))
             env.clock.advance_to(unpack_end)
 
-    def _begin_round(self) -> tuple[float, np.ndarray, list[tuple[int, Any]]]:
+    def _begin_round(self) -> tuple[float, np.ndarray, list[tuple[_Exchange, Any]]]:
         """Open an exchange round: fresh device timelines, the device
-        split, and axis-0 halo traffic posted immediately.
-
-        Later axes must wait for earlier axes' halos before their strips
-        carry correct corner values (sequential-axis corner propagation),
-        so only axis 0 is posted here; :meth:`_finish_exchange` drives the
-        rest.  Inner compute still overlaps the whole pipeline.  Returns
-        (round start time, per-device rows, posted receives).
+        split, and the schedule's first phase started (the inner compute
+        overlaps the whole exchange).  Returns (round start time,
+        per-device rows, posted receives).
         """
         env = self.env
         t0 = env.clock.now
         for dev in env.devices:
             dev.reset(start=t0)
         rows = self._rows = self._partitioner.split(self.local_shape[0])
-        recvs = self._post_axis_recvs(0)
-        self._send_axis(0, rows)
-        return t0, rows, recvs
+        return t0, rows, self._start_phase(self._schedule[0], rows)
 
     def _begin_step_early(self) -> None:
-        """Open the *next* exchange round now (device resets, axis-0 pack
-        and send), so :meth:`_fused_round`'s combine hides the strips'
+        """Open the *next* exchange round now (device resets, the first
+        phase's pack and send), so :meth:`_fused_round`'s combine hides the strips'
         flight time; the next :meth:`_advance` picks the round up."""
         if self._prestarted is not None:
             raise ConfigurationError("an exchange is already in flight for the next step")
@@ -681,13 +651,12 @@ class StencilRuntime:
         if pre is not None:
             self._fill_halos(pre[2])
 
-    def _finish_exchange(self, recvs: list[tuple[int, Any]], rows: np.ndarray) -> None:
-        """Complete the exchange: fill axis-0 halos, then run later axes."""
+    def _finish_exchange(self, recvs: list[tuple[_Exchange, Any]], rows: np.ndarray) -> None:
+        """Complete the exchange: fill the first phase's halos, then run
+        each later phase in turn."""
         self._fill_halos(recvs)
-        for axis in range(1, len(self.local_shape)):
-            axis_recvs = self._post_axis_recvs(axis)
-            self._send_axis(axis, rows)
-            self._fill_halos(axis_recvs)
+        for phase in self._schedule[1:]:
+            self._fill_halos(self._start_phase(phase, rows))
 
     def _interdevice_exchange(self, ready: float) -> float:
         """Step 6: boundary planes between neighbouring devices.
@@ -700,11 +669,7 @@ class StencilRuntime:
         devices = env.devices
         if len(devices) < 2:
             return ready
-        plane_elems = self._halo_depth
-        for ax, ext in enumerate(self.local_shape):
-            if ax != 0:
-                plane_elems *= ext
-        nbytes = plane_elems * (self._elem_scale / self._axis_ratio[0]) * self._src.itemsize
+        nbytes = self._face_bytes_model(0)
         finish = ready
         for a, b in zip(devices[:-1], devices[1:]):
             # Bidirectional plane swap between adjacent sub-grids.
@@ -937,7 +902,7 @@ class StencilRuntime:
         clock.advance_to(end)
 
         apply = self._kernel.apply
-        param = self._effective_parameter()
+        param = StencilFields(self._parameter, self._fields) if self._fields else self._parameter
         for sweep in slabs:
             for slab in sweep:
                 apply(self._src, self._dst, slab, param)
@@ -1255,9 +1220,7 @@ class StencilRuntime:
             return None
         out = np.zeros(self.global_shape, dtype=self._kernel.dtype)
         for start, block in parts:
-            out[
-                tuple(slice(start[ax], start[ax] + block.shape[ax]) for ax in range(out.ndim))
-            ] = block
+            out[tuple(slice(lo, lo + n) for lo, n in zip(start, block.shape))] = block
         return out
 
     def _check_configured(self) -> None:

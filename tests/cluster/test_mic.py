@@ -71,16 +71,18 @@ def test_stencil_on_mic_cluster():
     def avg(src, dst, region, param):
         dst[region] = 0.5 * (shifted(src, region, (1, 0)) + shifted(src, region, (0, 1)))
 
+    kernel = StencilKernel(avg, ((1, 0), (0, 1)), work)
+
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu+1gpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(avg, 1, work), grid.shape)
+        st.configure(kernel, grid.shape)
         st.set_global_grid(grid)
         st.run(2)
         return st.gather_global()
 
     res = spmd_run(prog, mic_cluster(num_nodes=2))
-    for _, ref in islice(reference_sweeps(StencilKernel(avg, 1, work), grid), 2):
+    for _, ref in islice(reference_sweeps(kernel, grid), 2):
         pass
     np.testing.assert_allclose(res.values[0], ref, rtol=1e-12)
 

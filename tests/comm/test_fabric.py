@@ -91,11 +91,18 @@ def test_ingress_serializes_concurrent_arrivals(fabric):
 
 
 def test_inject_serializes_sender(fabric):
+    # Two messages ready at once leave the sender's egress NIC one after
+    # the other: the second's wire starts where the first's ends.
     link = fabric.link(0, 2)
-    start1, wire1 = fabric.inject(0, 0.0, link.bandwidth, link)  # 1 second of bytes
-    start2, wire2 = fabric.inject(0, 0.0, link.bandwidth, link)
-    assert (start1, wire1) == (0.0, pytest.approx(1.0))
-    assert start2 == pytest.approx(1.0)
+    arrivals = [
+        fabric.transmit(
+            0, 2, 1, make_payload(None), send_time=0.0, charged=link.bandwidth, link=link
+        )  # 1 second of bytes each
+        for _ in range(2)
+    ]
+    assert arrivals == [pytest.approx(link.latency + 1.0), pytest.approx(link.latency + 2.0)]
+    first, second = fabric.match(2, 0, 1), fabric.match(2, 0, 1)
+    assert (first.wire_duration, second.wire_duration) == (pytest.approx(1.0),) * 2
 
 
 def test_ranks_per_node_validation():

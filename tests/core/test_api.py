@@ -105,10 +105,27 @@ def test_irkernel_validation():
 
 
 def test_stencil_kernel_validation():
-    with pytest.raises(ValidationError):
-        StencilKernel(lambda *a: None, 0, WORK)
-    k = StencilKernel(lambda *a: None, 2, WORK)
-    assert k.halo == 2
+    # ``halo`` is derived from the declared footprint: its largest |offset|.
+    k = StencilKernel(lambda *a: None, [(0, 0), (2, 0), (0, -1)], WORK)
+    assert k.offsets == ((0, 0), (2, 0), (0, -1)) and k.halo == 2
+    assert StencilKernel(lambda *a: None, [np.array([1, -3])], WORK).halo == 3
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        (),  # empty
+        ((),),  # rank 0
+        ((1, 0), (1,)),  # mixed ranks
+        1,  # a bare radius
+        ((1.0, 0),),  # non-integer
+        ((1, "0"),),
+        ((0, 0), (0, 0)),  # all zero: no neighbour, no halo
+    ],
+)
+def test_stencil_kernel_rejects_malformed_offsets(offsets):
+    with pytest.raises(ValidationError, match="offsets"):
+        StencilKernel(lambda *a: None, offsets, WORK)
 
 
 def test_emit_keys_batch_bit_identical_to_insert_loop():

@@ -54,7 +54,7 @@ def _mixed_steps(ctx, order, mix):
     ir.set_kernel(IRKernel(edge_compute_batch=_edges, reduce_op="sum", value_width=1, work=IR_WORK))
     ir.set_mesh(EDGES, NODES, WEIGHTS)
     st = env.get_stencil()
-    st.configure(StencilKernel(_avg, 1, ST_WORK), GRID.shape)
+    st.configure(StencilKernel(_avg, ((1, 0), (-1, 0), (0, 1), (0, -1)), ST_WORK), GRID.shape)
     st.set_global_grid(GRID)
     scheduler = ChunkScheduler(env.devices)
     out = []

@@ -1,6 +1,7 @@
 """Stencil runtime: decomposition, halo exchange, and device splitting."""
 
 import runpy
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -9,14 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.apps.extra.hotspot import hotspot_apply
-from repro.apps.extra.jacobi2d import jacobi_apply
-from repro.apps.extra.srad import make_update_kernel
-from repro.apps.heat3d import heat_apply
-from repro.apps.sobel import sobel_apply
+from repro.apps import heat3d, sobel
+from repro.apps.extra import hotspot, jacobi2d, srad
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
-from repro.core.stencil import SLAB_ELEMS, StencilFields, reference_sweeps
+from repro.core.stencil import SLAB_ELEMS, StencilFields, StencilRuntime, reference_sweeps
 from repro.device.work import WorkModel
 from repro.util.errors import ConfigurationError
 from tests.conftest import run_spmd
@@ -42,21 +40,28 @@ def _avg3d(src, dst, region, param):
 
 
 def _wide(src, dst, region, param):
-    """halo=2 kernel: second-neighbour average."""
+    """Radius-2 kernel: second-neighbour average."""
     dst[region] = 0.5 * (shifted(src, region, (2, 0)) + shifted(src, region, (0, -2)))
 
 
-def _seq(grid, apply, halo, iters):
-    for _, new in islice(reference_sweeps(StencilKernel(apply, halo, WORK), grid), iters):
+AVG2D = StencilKernel(_avg2d, ((1, 0), (-1, 0), (0, 1), (0, -1)), WORK)
+AVG3D = StencilKernel(
+    _avg3d, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)), WORK
+)
+WIDE = StencilKernel(_wide, ((2, 0), (0, -2)), WORK)
+
+
+def _seq(grid, kernel, iters):
+    for _, new in islice(reference_sweeps(kernel, grid), iters):
         pass
     return new
 
 
-def _program(grid, apply, halo=1, iters=3, mix="cpu+2gpu", dims=None, **st_opts):
+def _program(grid, kernel, iters=3, mix="cpu+2gpu", dims=None, **st_opts):
     def prog(ctx):
         env = RuntimeEnv(ctx, mix)
         st = env.get_stencil(**st_opts)
-        st.configure(StencilKernel(apply, halo, WORK), grid.shape, dims=dims)
+        st.configure(kernel, grid.shape, dims=dims)
         st.set_global_grid(grid)
         st.run(iters)
         return st.gather_global()
@@ -66,44 +71,44 @@ def _program(grid, apply, halo=1, iters=3, mix="cpu+2gpu", dims=None, **st_opts)
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])
 def test_2d_matches_sequential(nodes):
-    res = run_spmd(_program(GRID2D, _avg2d), nodes=nodes, gpus_per_node=2)
-    np.testing.assert_allclose(res.values[0], _seq(GRID2D, _avg2d, 1, 3), rtol=1e-12)
+    res = run_spmd(_program(GRID2D, AVG2D), nodes=nodes, gpus_per_node=2)
+    np.testing.assert_allclose(res.values[0], _seq(GRID2D, AVG2D, 3), rtol=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])
 def test_3d_matches_sequential(nodes):
-    res = run_spmd(_program(GRID3D, _avg3d), nodes=nodes, gpus_per_node=2)
-    np.testing.assert_allclose(res.values[0], _seq(GRID3D, _avg3d, 1, 3), rtol=1e-12)
+    res = run_spmd(_program(GRID3D, AVG3D), nodes=nodes, gpus_per_node=2)
+    np.testing.assert_allclose(res.values[0], _seq(GRID3D, AVG3D, 3), rtol=1e-12)
 
 
 def test_wide_halo_kernel():
-    res = run_spmd(_program(GRID2D, _wide, halo=2, iters=2), nodes=2, gpus_per_node=2)
-    np.testing.assert_allclose(res.values[0], _seq(GRID2D, _wide, 2, 2), rtol=1e-12)
+    res = run_spmd(_program(GRID2D, WIDE, iters=2), nodes=2, gpus_per_node=2)
+    np.testing.assert_allclose(res.values[0], _seq(GRID2D, WIDE, 2), rtol=1e-12)
 
 
 @pytest.mark.parametrize("mix", ["cpu", "1gpu", "cpu+1gpu", "cpu+2gpu"])
 def test_device_mixes_are_numerically_invisible(mix):
-    res = run_spmd(_program(GRID2D, _avg2d, mix=mix), nodes=2, gpus_per_node=2)
-    np.testing.assert_allclose(res.values[0], _seq(GRID2D, _avg2d, 1, 3), rtol=1e-12)
+    res = run_spmd(_program(GRID2D, AVG2D, mix=mix), nodes=2, gpus_per_node=2)
+    np.testing.assert_allclose(res.values[0], _seq(GRID2D, AVG2D, 3), rtol=1e-12)
 
 
 def test_explicit_dims():
-    res = run_spmd(_program(GRID2D, _avg2d, dims=(4, 1)), nodes=4, gpus_per_node=2)
-    np.testing.assert_allclose(res.values[0], _seq(GRID2D, _avg2d, 1, 3), rtol=1e-12)
+    res = run_spmd(_program(GRID2D, AVG2D, dims=(4, 1)), nodes=4, gpus_per_node=2)
+    np.testing.assert_allclose(res.values[0], _seq(GRID2D, AVG2D, 3), rtol=1e-12)
 
 
 @pytest.mark.parametrize("overlap", [True, False])
 @pytest.mark.parametrize("tiling", [True, False])
 def test_optimizations_never_change_numbers(overlap, tiling):
     res = run_spmd(
-        _program(GRID2D, _avg2d, overlap=overlap, tiling=tiling), nodes=2, gpus_per_node=2
+        _program(GRID2D, AVG2D, overlap=overlap, tiling=tiling), nodes=2, gpus_per_node=2
     )
-    np.testing.assert_allclose(res.values[0], _seq(GRID2D, _avg2d, 1, 3), rtol=1e-12)
+    np.testing.assert_allclose(res.values[0], _seq(GRID2D, AVG2D, 3), rtol=1e-12)
 
 
 def test_untiled_costs_more_time():
-    tiled = run_spmd(_program(GRID2D, _avg2d, tiling=True), nodes=1, gpus_per_node=2)
-    untiled = run_spmd(_program(GRID2D, _avg2d, tiling=False), nodes=1, gpus_per_node=2)
+    tiled = run_spmd(_program(GRID2D, AVG2D, tiling=True), nodes=1, gpus_per_node=2)
+    untiled = run_spmd(_program(GRID2D, AVG2D, tiling=False), nodes=1, gpus_per_node=2)
     assert untiled.makespan > tiled.makespan
 
 
@@ -111,7 +116,7 @@ def test_gather_global_only_at_root():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), GRID2D.shape)
+        st.configure(AVG2D, GRID2D.shape)
         st.set_global_grid(GRID2D)
         st.step()
         return st.gather_global() is None
@@ -124,7 +129,7 @@ def test_local_interior_shape():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), GRID2D.shape, dims=(2, 1))
+        st.configure(AVG2D, GRID2D.shape, dims=(2, 1))
         st.set_global_grid(GRID2D)
         return st.local_interior().shape
 
@@ -135,25 +140,35 @@ def test_local_interior_shape():
 @pytest.mark.parametrize(
     "shape, dims, faces",
     [
-        ((16, 14, 12), (2, 1, 1), [[(0, 1)], [(0, -1)]]),
+        ((16, 14, 12), (2, 1, 1), [[[(0, 1)], [], []], [[(0, -1)], [], []]]),
         (
             (28, 24),
             (2, 2),
-            [[(0, 1), (1, 1)], [(0, 1), (1, -1)], [(0, -1), (1, 1)], [(0, -1), (1, -1)]],
+            [
+                [[(0, 1)], [(1, 1)]],
+                [[(0, 1)], [(1, -1)]],
+                [[(0, -1)], [(1, 1)]],
+                [[(0, -1)], [(1, -1)]],
+            ],
         ),
-        ((28, 24), (1, 1), [[]]),
+        ((28, 24), (1, 1), [[[], []]]),
     ],
 )
 def test_pack_buffers_only_for_faces_with_a_neighbour(shape, dims, faces):
-    """A face on a global border never sends, so it keeps no face index;
-    no face keeps a pack buffer (each send packs a fresh one that lives as
-    long as its message)."""
-    apply = _avg2d if len(shape) == 2 else _avg3d
+    """The exchange schedule has one phase per axis holding the faces with
+    a neighbour (a face on a global border never sends), and each face's
+    strip and halo box span the padded extent of every other axis (the box
+    rule).  No face keeps a pack buffer: each send packs a fresh one that
+    lives as long as its message."""
 
     def prog(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
-        st.configure(StencilKernel(apply, 1, WORK), shape, dims=dims)
-        return sorted(st._faces)
+        st.configure(AVG2D if len(shape) == 2 else AVG3D, shape, dims=dims)
+        padded = st._src.shape
+        for axis, phase in enumerate(st._schedule):
+            box = padded[:axis] + (st._halo_depth,) + padded[axis + 1 :]
+            assert all(st._src[x.send].shape == st._src[x.halo].shape == box for x in phase)
+        return [[(x.axis, x.side) for x in phase] for phase in st._schedule]
 
     res = run_spmd(prog, nodes=len(faces))
     assert res.values == faces
@@ -163,7 +178,7 @@ def test_model_shape_scales_time_not_results():
     def prog(ctx, model):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), GRID2D.shape, model_shape=model)
+        st.configure(AVG2D, GRID2D.shape, model_shape=model)
         st.set_global_grid(GRID2D)
         st.run(2)
         return st.gather_global()
@@ -178,7 +193,7 @@ def test_too_many_processes_rejected():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), (4, 4), dims=(4, 1))
+        st.configure(AVG2D, (4, 4), dims=(4, 1))
 
     with pytest.raises(ConfigurationError, match="halo"):
         run_spmd(prog, nodes=4)
@@ -188,10 +203,19 @@ def test_grid_shape_mismatch():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), (10, 10))
+        st.configure(AVG2D, (10, 10))
         st.set_global_grid(np.zeros((9, 10)))
 
     with pytest.raises(ConfigurationError, match="shape"):
+        run_spmd(prog, nodes=1)
+
+
+@pytest.mark.parametrize("kernel, dims", [(AVG3D, None), (AVG2D, (1,)), (AVG2D, (1, 1, 1))])
+def test_offsets_and_dims_rank_must_match_the_grid(kernel, dims):
+    def prog(ctx):
+        RuntimeEnv(ctx, "cpu").get_stencil().configure(kernel, GRID2D.shape, dims=dims)
+
+    with pytest.raises(ConfigurationError, match="grid rank 2.*disagree"):
         run_spmd(prog, nodes=1)
 
 
@@ -204,7 +228,7 @@ def test_unconfigured_errors():
 
     def bad_iters(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), GRID2D.shape)
+        st.configure(AVG2D, GRID2D.shape)
         st.set_global_grid(GRID2D)
         st.run(0)
 
@@ -224,8 +248,8 @@ def test_dead_tile_knobs_are_gone():
 def test_halo_values_come_from_neighbors_not_local_data():
     """A rank computing with stale halos would give wrong borders; compare a
     column that crosses the process boundary against the reference."""
-    res = run_spmd(_program(GRID2D, _avg2d, dims=(2, 1), iters=4), nodes=2, gpus_per_node=2)
-    ref = _seq(GRID2D, _avg2d, 1, 4)
+    res = run_spmd(_program(GRID2D, AVG2D, dims=(2, 1), iters=4), nodes=2, gpus_per_node=2)
+    ref = _seq(GRID2D, AVG2D, 4)
     boundary_rows = slice(12, 16)  # spans the split at row 14
     np.testing.assert_allclose(res.values[0][boundary_rows], ref[boundary_rows], rtol=1e-12)
 
@@ -235,7 +259,7 @@ def test_set_global_grid_dtype_guard():
 
     def int_into_float(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), (10, 10))
+        st.configure(AVG2D, (10, 10))
         st.set_global_grid(np.arange(100).reshape(10, 10))  # int -> float: fine
         return st.local_interior().dtype
 
@@ -243,7 +267,7 @@ def test_set_global_grid_dtype_guard():
 
     def float_into_int(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
-        kernel = StencilKernel(_avg2d, 1, WORK, dtype=np.dtype(np.int64))
+        kernel = replace(AVG2D, dtype=np.dtype(np.int64))
         st.configure(kernel, (10, 10))
         st.set_global_grid(np.random.default_rng(0).random((10, 10)))
 
@@ -258,7 +282,7 @@ def test_snapshot_state_includes_partitioner_profile():
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu+1gpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), GRID2D.shape)
+        st.configure(AVG2D, GRID2D.shape)
         st.set_global_grid(GRID2D)
         st.run(2)  # step 1 profiles the devices
         assert st._partitioner.profiled
@@ -268,7 +292,7 @@ def test_snapshot_state_includes_partitioner_profile():
         # A freshly rebuilt runtime (the crash-restart path) starts
         # unprofiled; restoring the snapshot must bring the profile back.
         st2 = env.get_stencil()
-        st2.configure(StencilKernel(_avg2d, 1, WORK), GRID2D.shape)
+        st2.configure(AVG2D, GRID2D.shape)
         assert not st2._partitioner.profiled
         st2.restore_state(state)
         assert st2._partitioner.profiled
@@ -288,42 +312,50 @@ def test_multirank_result_bitwise_identical_to_sequential(nodes):
     # axis-0 slabs.  All of that must reproduce the sequential sweep bit
     # for bit, since every update is the same elementwise expression over
     # exactly the same neighbor bytes.
-    res = run_spmd(_program(GRID2D, _avg2d), nodes=nodes, gpus_per_node=2)
-    np.testing.assert_array_equal(res.values[0], _seq(GRID2D, _avg2d, 1, 3))
+    res = run_spmd(_program(GRID2D, AVG2D), nodes=nodes, gpus_per_node=2)
+    np.testing.assert_array_equal(res.values[0], _seq(GRID2D, AVG2D, 3))
 
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
-def _example(script, name):
-    return runpy.run_path(str(EXAMPLES / script))[name]
+class _Configured(Exception):
+    """Stops an example's run at ``configure``, carrying its kernel."""
 
 
-#: name -> (apply, halo, ndim, dtype, parameter from (padded shape, rng)):
-#: every stencil kernel in the tree, with the static fields it reads.
+def _example(script):
+    """The ``StencilKernel`` an example's ``main`` configures, declaration
+    and all: the run is stopped as it hands the kernel over."""
+
+    def configure(self, kernel, *args, **kwargs):
+        raise _Configured(kernel)
+
+    main = runpy.run_path(str(EXAMPLES / script))["main"]
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Configured) as stop:
+        mp.setattr(StencilRuntime, "configure", configure)
+        run_spmd(main, nodes=1, gpus_per_node=2)
+    return stop.value.args[0]
+
+
+#: name -> (kernel, parameter from (padded shape, rng)): every stencil
+#: kernel in the tree, with the static fields it reads.
 TREE_KERNELS = {
-    "heat3d": (heat_apply, 1, 3, np.float64, lambda shape, rng: 0.1),
-    "sobel": (sobel_apply, 1, 2, np.float32, lambda shape, rng: None),
+    "heat3d": (heat3d.KERNEL, lambda shape, rng: 0.1),
+    "sobel": (sobel.KERNEL, lambda shape, rng: None),
     "jacobi2d": (
-        jacobi_apply, 1, 2, np.float64,
+        jacobi2d.make_kernel(),
         lambda shape, rng: StencilFields(1e-3, {"rhs": rng.random(shape)}),
     ),
     "hotspot": (
-        hotspot_apply, 1, 2, np.float64,
+        hotspot.make_kernel(),
         lambda shape, rng: StencilFields(None, {"power": rng.random(shape)}),
     ),
-    "srad": (make_update_kernel(0.5).apply, 2, 2, np.float64, lambda shape, rng: 0.3),
-    "examples/heat_diffusion": (
-        _example("heat_diffusion.py", "heat_step"), 1, 3, np.float64, lambda shape, rng: 0.1,
-    ),
-    "examples/quickstart": (
-        _example("quickstart.py", "smooth"), 1, 2, np.float64, lambda shape, rng: None,
-    ),
-    "examples/sobel_edges": (
-        _example("sobel_edges.py", "sobel"), 1, 2, np.float32, lambda shape, rng: None,
-    ),
+    "srad": (srad.make_update_kernel(0.5), lambda shape, rng: 0.3),
+    "examples/heat_diffusion": (_example("heat_diffusion.py"), lambda shape, rng: 0.1),
+    "examples/quickstart": (_example("quickstart.py"), lambda shape, rng: None),
+    "examples/sobel_edges": (_example("sobel_edges.py"), lambda shape, rng: None),
     "examples/variable_coefficient_heat": (
-        _example("variable_coefficient_heat.py", "diffuse"), 1, 2, np.float64,
+        _example("variable_coefficient_heat.py"),
         lambda shape, rng: StencilFields(0.2, {"kappa": rng.random(shape)}),
     ),
 }
@@ -337,8 +369,10 @@ def test_one_box_equals_its_slabs(name, data):
     # kernel must give the same bits over a box as over any partition of it.
     # Regions are drawn anywhere a ghost-extended ``time_block`` sweep may
     # reach: up to ``halo`` from the padded array's edge.
-    apply, halo, ndim, dtype, make_param = TREE_KERNELS[name]
+    kernel, make_param = TREE_KERNELS[name]
+    halo, dtype = kernel.halo, kernel.dtype
     extent = hst.integers(2 * halo + 1, 12)
+    ndim = len(kernel.offsets[0])
     shape = tuple(data.draw(hst.lists(extent, min_size=ndim, max_size=ndim)))
     region = []
     for n in shape:
@@ -351,60 +385,60 @@ def test_one_box_equals_its_slabs(name, data):
     param = make_param(shape, rng)
     whole = rng.random(shape).astype(dtype)
     tiled = whole.copy()
-    apply(src, whole, tuple(region), param)
+    kernel.apply(src, whole, tuple(region), param)
     bounds = sorted({ys.start, ys.stop, *cuts})
     for a, b in zip(bounds, bounds[1:]):
-        apply(src, tiled, (slice(a, b), *region[1:]), param)
-    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        kernel.apply(src, tiled, (slice(a, b), *region[1:]), param)
+    bits = np.dtype(f"u{dtype.itemsize}")
     np.testing.assert_array_equal(tiled.view(bits), whole.view(bits))
 
 
 @pytest.mark.parametrize("name", sorted(TREE_KERNELS))
-def test_halo_is_exactly_what_apply_reads(name):
-    # ``halo=`` and ``apply`` must agree: ``dst[region]`` depends on ``src``
-    # (and the static fields) within Chebyshev distance ``halo`` of
-    # ``region`` and on nothing farther, and ``apply`` writes nothing
-    # outside ``region`` (so a zero border stays zero).
-    apply, halo, ndim, dtype, make_param = TREE_KERNELS[name]
+def test_offsets_are_exactly_what_apply_reads(name):
+    # ``offsets`` and ``apply`` must agree.  Over a one-cell region,
+    # perturbing a cell of ``src`` or of a static field changes
+    # ``dst[region]`` if and only if the cell sits at a declared offset,
+    # and ``apply`` writes nothing outside ``region`` (so a zero border
+    # stays zero).
+    kernel, make_param = TREE_KERNELS[name]
+    h, ndim = kernel.halo, len(kernel.offsets[0])
     rng = np.random.default_rng(7)
-    shape = (2 * halo + 6,) * ndim
-    region = (slice(halo + 2, halo + 4),) * ndim
-    dist = np.zeros(shape, dtype=int)
-    for ax, sl in enumerate(region):
-        i = np.arange(shape[ax]).reshape([-1 if a == ax else 1 for a in range(ndim)])
-        dist = np.maximum(dist, np.maximum(np.maximum(sl.start - i, i - sl.stop + 1), 0))
-    far = dist > halo
-    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
-    blank = rng.random(shape).astype(dtype)
+    shape = (2 * h + 1,) * ndim
+    region = (slice(h, h + 1),) * ndim
+    declared = {tuple(h + c for c in offset) for offset in kernel.offsets}
+    outside = np.ones(shape, dtype=bool)
+    outside[region] = False
+    bits = np.dtype(f"u{kernel.dtype.itemsize}")
+    blank = rng.random(shape).astype(kernel.dtype)
 
     def sweep(src, param):
         dst = blank.copy()
-        apply(src, dst, region, param)
-        np.testing.assert_array_equal(dst[dist > 0].view(bits), blank[dist > 0].view(bits))
+        kernel.apply(src, dst, region, param)
+        np.testing.assert_array_equal(dst[outside].view(bits), blank[outside].view(bits))
         return dst[region].view(bits)
 
-    def perturbed(a, where):
+    def perturbed(a, cell):
         a = a.copy()
-        a[where] += 1.0
+        a[cell] += 1.0
         return a
 
-    src = (rng.random(shape) + 0.1).astype(dtype)
+    src = (rng.random(shape) + 0.1).astype(kernel.dtype)
     param = make_param(shape, rng)
+    fields = param.fields if isinstance(param, StencilFields) else {}
     base = sweep(src, param)
-    far_param = param
-    if isinstance(param, StencilFields):
-        far_param = StencilFields(
-            param.param, {k: perturbed(f, far) for k, f in param.fields.items()}
-        )
-    np.testing.assert_array_equal(sweep(perturbed(src, far), far_param), base)
-    shell = zip(*np.nonzero(dist == halo))
-    assert any(not np.array_equal(sweep(perturbed(src, cell), param), base) for cell in shell)
+    for cell in np.ndindex(shape):
+        variants = [(perturbed(src, cell), param)] + [
+            (src, StencilFields(param.param, {**fields, k: perturbed(f, cell)}))
+            for k, f in fields.items()
+        ]
+        read = any(not np.array_equal(sweep(*v), base) for v in variants)
+        assert read == (cell in declared), (cell, "read" if read else "not read")
 
 
 def test_sweep_regions_are_cut_into_bounded_axis0_slabs():
     def prog(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
-        st.configure(StencilKernel(_avg2d, 1, WORK), (400, 300), time_block=2)
+        st.configure(AVG2D, (400, 300), time_block=2)
         return st.interior, st._sweep_regions(2)
 
     (ys, xs), (outer, inner) = run_spmd(prog, nodes=2).values[0]
@@ -421,7 +455,7 @@ def test_sweep_regions_are_cut_into_bounded_axis0_slabs():
 def test_a_row_wider_than_a_slab_is_one_slab():
     def prog(ctx):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
-        st.configure(StencilKernel(_avg3d, 1, WORK), (6, 200, 200))
+        st.configure(AVG3D, (6, 200, 200))
         return st._sweep_regions(1)[0]
 
     wide = run_spmd(prog, nodes=1).values[0]

@@ -37,21 +37,23 @@ def neighbor_kappa_apply(src, dst, region, ctx: StencilFields):
     dst[region] = shifted(src, region, (1, 0)) * shifted(kappa, region, (1, 0))
 
 
-def _seq(apply_fn, iters):
-    sweeps = reference_sweeps(
-        StencilKernel(apply_fn, 1, WORK), GRID, parameter=0.1, static_fields={"kappa": KAPPA}
-    )
+VARCOEF = StencilKernel(varcoef_apply, ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), WORK)
+NEIGHBOR_KAPPA = StencilKernel(neighbor_kappa_apply, ((1, 0),), WORK)
+
+
+def _seq(kernel, iters):
+    sweeps = reference_sweeps(kernel, GRID, parameter=0.1, static_fields={"kappa": KAPPA})
     for _, new in islice(sweeps, iters):
         pass
     return new
 
 
-def _program(apply_fn, iters=3, dims=None):
+def _program(kernel, iters=3, dims=None):
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
         st.configure(
-            StencilKernel(apply_fn, 1, WORK),
+            kernel,
             GRID.shape,
             dims=dims,
             parameter=0.1,
@@ -66,8 +68,8 @@ def _program(apply_fn, iters=3, dims=None):
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])
 def test_variable_coefficient_matches_sequential(nodes):
-    res = run_spmd(_program(varcoef_apply), nodes=nodes)
-    np.testing.assert_allclose(res.values[0], _seq(varcoef_apply, 3), rtol=1e-12)
+    res = run_spmd(_program(VARCOEF), nodes=nodes)
+    np.testing.assert_allclose(res.values[0], _seq(VARCOEF, 3), rtol=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [2, 4])
@@ -75,8 +77,8 @@ def test_field_halos_are_correct(nodes):
     """Reading shifted(kappa) across a process boundary must see the
     neighbour's coefficients, which only works if the field was padded
     from the global array correctly."""
-    res = run_spmd(_program(neighbor_kappa_apply, iters=1), nodes=nodes)
-    np.testing.assert_allclose(res.values[0], _seq(neighbor_kappa_apply, 1), rtol=1e-12)
+    res = run_spmd(_program(NEIGHBOR_KAPPA, iters=1), nodes=nodes)
+    np.testing.assert_allclose(res.values[0], _seq(NEIGHBOR_KAPPA, 1), rtol=1e-12)
 
 
 def test_fields_wrapper_accessors():
@@ -91,7 +93,7 @@ def test_field_shape_validated():
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
         st.configure(
-            StencilKernel(varcoef_apply, 1, WORK),
+            VARCOEF,
             GRID.shape,
             static_fields={"kappa": np.zeros((5, 5))},
         )
@@ -103,12 +105,12 @@ def test_field_shape_validated():
 def test_no_fields_keeps_plain_parameter():
     def plain(src, dst, region, param):
         assert param == 42  # not wrapped
-        dst[region] = src[region]
+        dst[region] = shifted(src, region, (1, 0))
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil()
-        st.configure(StencilKernel(plain, 1, WORK), GRID.shape, parameter=42)
+        st.configure(StencilKernel(plain, ((1, 0),), WORK), GRID.shape, parameter=42)
         st.set_global_grid(GRID)
         st.step()
         return True

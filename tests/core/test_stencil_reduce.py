@@ -32,7 +32,7 @@ def _avg2d(src, dst, region, param):
 
 
 def _kernel():
-    return StencilKernel(_avg2d, 1, WORK)
+    return StencilKernel(_avg2d, ((1, 0), (-1, 0), (0, 1), (0, -1)), WORK)
 
 
 def fused_program(

@@ -38,15 +38,19 @@ def _avg2d(src, dst, region, param):
 
 
 def _wide(src, dst, region, param):
-    """halo=2 kernel: second-neighbour average."""
+    """Radius-2 kernel: second-neighbour average."""
     dst[region] = 0.5 * (shifted(src, region, (2, 0)) + shifted(src, region, (0, -2)))
 
 
-def _program(grid, apply, halo=1, iters=5, mix="cpu", time_block=1, **st_opts):
+AVG2D = StencilKernel(_avg2d, ((1, 0), (-1, 0), (0, 1), (0, -1)), WORK)
+WIDE = StencilKernel(_wide, ((2, 0), (0, -2)), WORK)
+
+
+def _program(grid, kernel, iters=5, mix="cpu", time_block=1, **st_opts):
     def prog(ctx):
         env = RuntimeEnv(ctx, mix)
         st = env.get_stencil(**st_opts)
-        st.configure(StencilKernel(apply, halo, WORK), grid.shape, time_block=time_block)
+        st.configure(kernel, grid.shape, time_block=time_block)
         st.set_global_grid(grid)
         st.run(iters)
         return st.gather_global()
@@ -61,16 +65,16 @@ def _program(grid, apply, halo=1, iters=5, mix="cpu", time_block=1, **st_opts):
 def test_blocked_grid_bit_identical(k, mix):
     # iters=5 is never a multiple of k here, so the partial final block
     # (full-depth exchange, shrunk sweep regions) is always exercised too.
-    ref = run_spmd(_program(GRID2D, _avg2d, mix=mix), gpus_per_node=2).values[0]
+    ref = run_spmd(_program(GRID2D, AVG2D, mix=mix), gpus_per_node=2).values[0]
     res = run_spmd(
-        _program(GRID2D, _avg2d, mix=mix, time_block=k), gpus_per_node=2
+        _program(GRID2D, AVG2D, mix=mix, time_block=k), gpus_per_node=2
     ).values[0]
     np.testing.assert_array_equal(res, ref)
 
 
 def test_wide_halo_blocked_bit_identical():
-    ref = run_spmd(_program(GRID2D, _wide, halo=2, iters=4)).values[0]
-    res = run_spmd(_program(GRID2D, _wide, halo=2, iters=4, time_block=2)).values[0]
+    ref = run_spmd(_program(GRID2D, WIDE, iters=4)).values[0]
+    res = run_spmd(_program(GRID2D, WIDE, iters=4, time_block=2)).values[0]
     np.testing.assert_array_equal(res, ref)
 
 
@@ -266,11 +270,11 @@ def test_jacobi2d_checkpointed_blocked_crash_bit_identical():
 # -- observability ------------------------------------------------------------
 
 def test_time_block_gauges_on_trace():
-    res = run_spmd(_program(GRID2D, _avg2d, time_block=4), trace=True)
+    res = run_spmd(_program(GRID2D, AVG2D, time_block=4), trace=True)
     gauges = res.traces[0].gauges
     assert gauges["stencil.time_block"] == 4.0
     assert gauges["halo.redundant_flops"] > 0.0
-    base = run_spmd(_program(GRID2D, _avg2d), trace=True)
+    base = run_spmd(_program(GRID2D, AVG2D), trace=True)
     assert base.traces[0].gauges["stencil.time_block"] == 1.0
 
 
@@ -278,18 +282,18 @@ def test_time_block_gauges_on_trace():
 
 def test_time_block_must_be_positive():
     with pytest.raises(ConfigurationError, match="time_block must be >= 1"):
-        run_spmd(_program(GRID2D, _avg2d, time_block=0), nodes=1)
+        run_spmd(_program(GRID2D, AVG2D, time_block=0), nodes=1)
 
 
 def test_time_block_rejects_unknown_string():
     with pytest.raises(ConfigurationError, match="'auto'"):
-        run_spmd(_program(GRID2D, _avg2d, time_block="fastest"), nodes=1)
+        run_spmd(_program(GRID2D, AVG2D, time_block="fastest"), nodes=1)
 
 
 def test_time_block_needs_room_for_deep_strips():
     # 2 ranks split axis 0 of a 28-row grid: ext 14 < 2*k*h for k=8.
     with pytest.raises(ConfigurationError, match="2\\*time_block\\*halo"):
-        run_spmd(_program(GRID2D, _avg2d, time_block=8))
+        run_spmd(_program(GRID2D, AVG2D, time_block=8))
 
 
 def test_run_until_rejects_on_value_with_blocking():

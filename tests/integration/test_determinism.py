@@ -58,7 +58,9 @@ def test_heat3d_per_rank_times_deterministic():
     cfg = heat3d.Heat3DConfig(functional_shape=(24, 24, 24), simulated_steps=2)
 
     def once():
-        res = spmd_run(heat3d.rank_program, ohio_cluster(4), args=(cfg, "cpu+2gpu"))
+        cluster = ohio_cluster(4)
+        kernel = heat3d.make_kernel(cluster.node)
+        res = spmd_run(heat3d.rank_program, cluster, args=(cfg, "cpu+2gpu", kernel))
         return tuple(tuple(v["steps"]) for v in res.values)
 
     outs = _times_and_result(once)

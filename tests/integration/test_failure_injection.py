@@ -123,7 +123,7 @@ def test_results_of_completed_ranks_are_not_mixed_with_failures():
 # visible in the virtual makespan.
 # ---------------------------------------------------------------------------
 
-from repro.apps.heat3d import Heat3DConfig
+from repro.apps.heat3d import Heat3DConfig, make_kernel
 from repro.apps.heat3d import rank_program as heat3d_program
 from repro.apps.kmeans import KmeansConfig
 from repro.apps.kmeans import rank_program as kmeans_program
@@ -136,10 +136,11 @@ LOSSY = dict(drop=0.15, dup=0.1, delay=0.1, max_delay=3e-4)
 
 
 def _heat(plan=None, **kw):
+    cluster = laptop_cluster(num_nodes=4)
     return spmd_run(
         heat3d_program,
-        laptop_cluster(num_nodes=4),
-        args=(HEAT_CFG, "cpu"),
+        cluster,
+        args=(HEAT_CFG, "cpu", make_kernel(cluster.node)),
         kwargs=kw,
         fault_plan=plan,
         trace=plan is not None,
@@ -250,7 +251,7 @@ def _adaptive_ckpt_prog(ctx, rebuild=False, iterations=8):
 
     def build():
         st = env.get_stencil(adaptive=True)
-        st.configure(StencilKernel(_avg2d, 1, ST_WORK), ST_GRID.shape)
+        st.configure(StencilKernel(_avg2d, ((1, 0), (-1, 0), (0, 1), (0, -1)), ST_WORK), ST_GRID.shape)
         return st
 
     holder = {"st": build()}

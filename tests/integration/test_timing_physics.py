@@ -86,7 +86,7 @@ def test_stencil_halo_wire_scales_with_face_not_volume():
     def prog(ctx, shape, model):
         env = RuntimeEnv(ctx, "cpu")
         st = env.get_stencil(overlap=False)
-        st.configure(StencilKernel(avg, 1, work), shape, dims=(2, 1), model_shape=model)
+        st.configure(StencilKernel(avg, ((1, 0), (0, 1)), work), shape, dims=(2, 1), model_shape=model)
         st.set_global_grid(np.ones(shape))
         st.step()
         t0 = ctx.clock.now

@@ -70,8 +70,9 @@ def test_stencil_records_phases():
     from repro.apps import heat3d
 
     cfg = heat3d.Heat3DConfig(functional_shape=(24, 24, 24), simulated_steps=2)
+    kernel = heat3d.make_kernel(ohio_cluster(2).node)
     res = spmd_run(
-        heat3d.rank_program, ohio_cluster(2), args=(cfg, "cpu+1gpu"), trace=True
+        heat3d.rank_program, ohio_cluster(2), args=(cfg, "cpu+1gpu", kernel), trace=True
     )
     tr = res.traces[0]
     assert tr.filter(category="compute", label_prefix="ST:inner")
@@ -86,7 +87,7 @@ def test_stencil_records_phases():
     blocked = spmd_run(
         heat3d.rank_program,
         ohio_cluster(2),
-        args=(cfg, "cpu+1gpu"),
+        args=(cfg, "cpu+1gpu", kernel),
         kwargs={"time_block": 2},
         trace=True,
     ).traces[0]
