@@ -1,7 +1,7 @@
 """Fig. 7 — effect of overlap (Moldyn, Sobel) and tiling (Sobel) by nodes.
 
-Paper: overlapped execution averages 37% faster for Moldyn and 11% for
-Sobel; tiling improves Sobel by up to 20%.
+The paper's gains are the ledger's Fig. 7 rows
+(``repro.metrics.figures.claims``), printed with the table.
 """
 
 from __future__ import annotations
@@ -12,16 +12,8 @@ from repro.metrics import figures, format_table
 def test_fig7_optimizations(benchmark, scale, report):
     rows = benchmark.pedantic(figures.fig7_optimizations, args=(scale,), rounds=1, iterations=1)
     table = format_table(rows, title=f"Fig. 7: optimization effects [{scale}]")
-
-    def mean_gain(app, opt):
-        vals = [r["gain"] for r in rows if r["app"] == app and r["optimization"] == opt]
-        return sum(vals) / len(vals)
-
-    summary = (
-        f"mean overlap gain: moldyn {mean_gain('moldyn', 'overlap'):.2f}x (paper 1.37x), "
-        f"sobel {mean_gain('sobel', 'overlap'):.2f}x (paper 1.11x); "
-        f"tiling gain sobel {mean_gain('sobel', 'tiling'):.2f}x (paper up to 1.20x)"
-    )
-    report("fig7_optimizations", table + "\n" + summary)
+    claims = figures.ledger({scale: {"fig7_optimizations": rows}})
+    report("fig7_optimizations", table + "\n\n" + format_table(
+        claims, figures.LEDGER_COLUMNS, title=f"paper claims measured at {scale}"))
     for r in rows:
         assert r["gain"] >= 0.99, f"optimization should never hurt: {r}"

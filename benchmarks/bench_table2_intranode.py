@@ -2,8 +2,9 @@
 
 The *perfect* columns assume no scheduling/synchronization/communication
 overheads (1 + n_gpus * gpu_ratio); the *actual* columns come from the
-simulated heterogeneous execution.  Paper: actuals average ~89% (CPU+1GPU)
-and ~88% (CPU+2GPU) of perfect.
+simulated heterogeneous execution.  The paper's values are the ledger's
+Table II and GPU:CPU rows (``repro.metrics.figures.claims``), printed with
+the table.
 """
 
 from __future__ import annotations
@@ -14,13 +15,9 @@ from repro.metrics import figures, format_table
 def test_table2_intranode(benchmark, scale, report):
     rows = benchmark.pedantic(figures.table2_intranode, args=(scale,), rounds=1, iterations=1)
     table = format_table(rows, title=f"Table II: perfect vs actual intra-node speedup [{scale}]")
-    efficiency_1 = [r["actual_1gpu"] / r["perfect_1gpu"] for r in rows]
-    efficiency_2 = [r["actual_2gpu"] / r["perfect_2gpu"] for r in rows]
-    summary = (
-        f"mean actual/perfect: CPU+1GPU {sum(efficiency_1)/len(efficiency_1):.2%} "
-        f"(paper ~89%), CPU+2GPU {sum(efficiency_2)/len(efficiency_2):.2%} (paper ~88%)"
-    )
-    report("table2_intranode", table + "\n" + summary)
+    claims = figures.ledger({scale: {"table2_intranode": rows}})
+    report("table2_intranode", table + "\n\n" + format_table(
+        claims, figures.LEDGER_COLUMNS, title=f"paper claims measured at {scale}"))
     for r in rows:
         assert r["actual_1gpu"] <= r["perfect_1gpu"] * 1.02, r
         assert r["actual_2gpu"] <= r["perfect_2gpu"] * 1.02, r

@@ -4,7 +4,7 @@ The Fig. 8 comparator.  The SDK kernel stages the input through *texture
 memory*, an application-specific optimization the paper notes the
 framework "cannot perform" — modeled as a modest efficiency gain on top of
 dropping the framework's offset-computation overhead.  Together they
-produce the paper's ~15% gap.
+produce the paper's gap (ledger row ``fig8.sobel``).
 """
 
 from __future__ import annotations

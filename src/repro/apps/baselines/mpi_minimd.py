@@ -2,7 +2,7 @@
 
 The original parallelizes across nodes with MPI and within a node with
 OpenMP; communication is blocking (exchange *then* compute — the paper
-credits its 1.17x win over this code to overlapping the two).  This
+credits its win over this code to overlapping the two).  This
 baseline partitions atoms into contiguous blocks, exchanges the positions
 of remotely-owned neighbor atoms every step, computes LJ forces over its
 edge set with all 12 cores, and integrates locally.

@@ -2,8 +2,8 @@
 
 The only numbers this reproduction takes from the paper as *inputs* are the
 single-node device speed ratios it reports in §IV-C (e.g. "For Kmeans, the
-GPU is 2.69 times faster than 12-core CPU", Moldyn 1.5x, MiniMD 1.7x,
-Heat3D 2.4x, Sobel ~2.24x from Table II's perfect speedups).  Those ratios
+GPU is [...] times faster than 12-core CPU"; Sobel's is read off Table II's
+perfect speedups), each app's ``PAPER_GPU_CPU_RATIO``.  Those ratios
 pin each kernel's GPU efficiency, which we cannot derive from first
 principles without the authors' CUDA code.  Everything downstream —
 multi-device speedups, scheduling overheads, communication costs,

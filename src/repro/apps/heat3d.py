@@ -10,7 +10,7 @@ The kernel is the classic explicit Jacobi update::
 Cost model: 10 FLOPs and ~16 bytes of memory traffic per element (one
 8-byte read amortized by cache reuse across the 7-point neighbourhood plus
 one 8-byte write) — memory-bound on the CPU, as on real hardware.  GPU
-efficiency is calibrated to the paper's measured 2.4x GPU : 12-core-CPU
+efficiency is calibrated to the paper's measured GPU : 12-core-CPU
 ratio.
 """
 
@@ -32,7 +32,7 @@ from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
 from repro.util.errors import ValidationError
 
-#: Paper-measured single-node ratio (§IV-C): GPU is 2.4x the 12-core CPU.
+#: Paper-measured single-node ratio (§IV-C): GPU vs 12-core CPU.
 PAPER_GPU_CPU_RATIO = 2.4
 
 #: Diffusion coefficient of the update (stability requires < 1/6).

@@ -13,7 +13,7 @@ Cost calibration (see :mod:`repro.apps.calibrate`): per point ~10 FLOPs per
 center (3 subs, 3 mults, 2 adds, compare, bookkeeping) x 40 centers = 400
 FLOPs, 12 bytes streamed; CPU efficiency 0.35 of the DP-peak figure (a
 single-precision scalar distance loop); GPU efficiency solved so the GPU :
-12-core-CPU ratio equals the paper's 2.69.
+12-core-CPU ratio equals the paper's (``PAPER_GPU_CPU_RATIO``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.util.errors import ValidationError
 #: Paper-measured single-node ratio: GPU vs 12-core CPU (§IV-C).
 PAPER_GPU_CPU_RATIO = 2.69
 
-#: Fig. 8: the framework is 6% slower than the hand-written Rodinia kernel;
+#: Fig. 8: the framework is slower than the hand-written Rodinia kernel;
 #: the gap is the GPU kernel's per-point bookkeeping, charged as extra
 #: FLOPs on the GPU side only — the framework's CPU path is the same loop a
 #: hand-written version runs (the paper even finds it slightly *faster*

@@ -10,9 +10,9 @@ steps 1–4 run again after every rebuild).
 
 The hand-written comparator is Mantevo's MPI+OpenMP MiniMD, i.e. one rank
 per *node* (see :mod:`repro.apps.baselines.mpi_minimd`); the paper reports
-the framework 1.17x faster thanks to communication/computation overlap.
+the framework faster thanks to communication/computation overlap.
 
-GPU efficiencies are calibrated to the paper's measured 1.7x GPU :
+GPU efficiencies are calibrated to the paper's measured GPU :
 12-core-CPU ratio.
 """
 
@@ -33,7 +33,7 @@ from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
 from repro.util.errors import ValidationError
 
-#: Paper-measured single-node ratio (§IV-C): GPU is 1.7x the 12-core CPU.
+#: Paper-measured single-node ratio (§IV-C): GPU vs 12-core CPU.
 PAPER_GPU_CPU_RATIO = 1.7
 
 DT = 5e-4

@@ -13,7 +13,7 @@ paper's Listing 1 ``force_cmpt``.
 
 Cost model: ~30 FLOPs and ~64 gathered bytes per edge (two 24-byte
 positions plus scatter traffic) — gather-bound; GPU efficiencies are
-calibrated to the paper's measured 1.5x GPU : 12-core-CPU ratio.
+calibrated to the paper's measured GPU : 12-core-CPU ratio.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
 from repro.util.errors import ValidationError
 
-#: Paper-measured single-node ratio (§IV-C): GPU is 1.5x the 12-core CPU.
+#: Paper-measured single-node ratio (§IV-C): GPU vs 12-core CPU.
 PAPER_GPU_CPU_RATIO = 1.5
 
 #: Integration step for the (toy) velocity/position update.
@@ -188,7 +188,7 @@ def _functional_mesh(config: MoldynConfig):
     # Moldyn's mesh file has *partial* locality (domain-ordered once, then
     # perturbed): enough cross edges to make the remote-node exchange
     # significant — which is why the paper's overlapped execution buys it
-    # 37% (Fig. 7) — but enough locality that the reduction-space
+    # most of its Fig. 7 gain — but enough locality that the reduction-space
     # partitioning still pays (Table II).
     positions, edges = geometric_mesh(
         config.functional_nodes, config.functional_degree, seed=config.seed,

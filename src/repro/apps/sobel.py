@@ -3,12 +3,12 @@
 Paper workload (§IV-A): two 3x3 masks convolved over a 32768x32768 single-
 precision image, 15 iterations; the MPI baseline comes from the GWU UPC
 suite and the CUDA baseline from the NVIDIA SDK (which stages the input in
-texture memory, making it 15% faster than the framework, Fig. 8).
+texture memory, making it faster than the framework, Fig. 8).
 
 Cost model: ~40 FLOPs per pixel (two 3x3 convolutions + gradient
 magnitude), 16 bytes of traffic with tiling — compute-bound on the CPU,
 which is where the framework's offset-computation overhead (the paper's
-explanation for its 11% deficit vs. hand-written MPI, §IV-C) becomes
+explanation for its deficit vs. hand-written MPI, §IV-C) becomes
 visible as ``runtime_overhead_flops``.
 """
 
@@ -30,11 +30,11 @@ from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
 from repro.util.errors import ValidationError
 
-#: Table II: perfect CPU+1GPU speedup 3.24 => GPU : 12-core-CPU = 2.24.
+#: Table II's perfect CPU+1GPU speedup (3.24) minus one: GPU vs 12-core CPU.
 PAPER_GPU_CPU_RATIO = 2.24
 
 #: §IV-C: the stencil runtime "spends extra cycles on computing the
-#: offsets", making framework Sobel ~11% slower than hand-written MPI.
+#: offsets", making framework Sobel slower than hand-written MPI.
 FRAMEWORK_OVERHEAD_FLOPS = 4.4
 
 #: The Sobel masks.

@@ -1,23 +1,19 @@
-"""Experiment drivers — one per table/figure in the paper's evaluation.
+"""Experiment drivers, one per table/figure of the paper's evaluation, and the
+paper-claims ledger (:func:`claims`) their rows are checked against.
 
-Every function returns a list of row dicts (ready for
-:func:`repro.metrics.reporting.format_table`) and is used both by the
-benchmark suite (``benchmarks/``) and by the EXPERIMENTS.md generator
-(``examples/generate_experiments_md.py``).
-
-Framework rows are :class:`~repro.campaign.CampaignSpec` sweeps run
-in-process (:func:`_sweep`), the same path ``repro campaign run`` takes;
-the hand-written MPI/CUDA baselines and the two ablations that reach
-below an app's ``run`` are direct calls, imported where they are used.
-
-Workload knobs: each driver takes a ``scale`` in {"quick", "full"}.
-Both charge the cost model at the paper's workload sizes; they differ only
-in the functional array sizes (math volume) and the node counts swept, so
-"quick" fits in CI while "full" is what EXPERIMENTS.md reports.
+Every driver returns row dicts (for :func:`repro.metrics.reporting.format_table`),
+used by ``benchmarks/`` and ``examples/generate_experiments_md.py``. Framework rows
+are in-process :class:`~repro.campaign.CampaignSpec` sweeps (:func:`_sweep`), the
+path ``repro campaign run`` takes; the hand-written MPI/CUDA baselines and the two
+ablations that reach below an app's ``run`` are direct calls. A driver's ``scale``
+("quick" for CI, "full" for EXPERIMENTS.md) sets only the functional array sizes
+and the node counts swept: both charge the cost model at the paper's workload sizes.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -31,30 +27,137 @@ from repro.util.errors import ReproError, ValidationError
 #: Device mixes plotted in Fig. 5 (per node).
 FIG5_MIXES = ["cpu", "1gpu", "2gpu", "cpu+1gpu", "cpu+2gpu"]
 
-#: Paper values quoted for EXPERIMENTS.md comparisons (from §IV and Table II).
-PAPER = {
-    "gpu_cpu_ratio": {"kmeans": 2.69, "moldyn": 1.5, "minimd": 1.7, "sobel": 2.24, "heat3d": 2.4},
-    "table2_perfect": {
-        "kmeans": (3.69, 6.38),
-        "moldyn": (2.5, 4.0),
-        "minimd": (2.7, 4.4),
-        "sobel": (3.24, 5.48),
-        "heat3d": (3.4, 5.8),
-    },
-    "table2_actual": {
-        "kmeans": (3.23, 5.16),
-        "moldyn": (2.31, 3.79),
-        "minimd": (2.15, 3.89),
-        "sobel": (2.94, 4.68),
-        "heat3d": (3.2, 5.5),
-    },
-    "mpi_ratio": {"kmeans": 1.05, "minimd": 1.17, "sobel": 0.89, "heat3d": 1.08},
-    "fig6_ratio": {"kmeans": 0.53, "minimd": 0.37, "sobel": 0.40, "heat3d": 0.28},
-    "fig7_overlap": {"moldyn": 1.37, "sobel": 1.11},
-    "fig7_tiling": {"sobel": 1.20},
-    "fig8_ratio": {"kmeans": 1.06, "sobel": 1.15},
-    "overall_speedup_range": (562, 1760),
+#: Where each source's claims are measured: claim-id prefix -> (source, scale, nodes).
+_WHERE = {"gpu-cpu": ("§IV-C", "quick", 1), "fw-mpi": ("§IV-C", "quick", 4),
+          "table2": ("Table II", "quick", 1), "fig5": ("Fig. 5", "full", 32),
+          "fig6": ("Fig. 6", "quick", 1), "fig7": ("Fig. 7", "quick", 4),
+          "fig8": ("Fig. 8", "quick", 1)}
+
+#: The known deviations: claim ids -> (declared status, one-sentence reason).
+_DEVIATIONS = {
+    "table2.kmeans.cpu+1gpu table2.kmeans.cpu+2gpu table2.sobel.cpu+1gpu table2.sobel.cpu+2gpu"
+    " table2.heat3d.cpu+2gpu": ("above band", "The model omits intra-node costs the paper's runs"
+    " pay (pinned-memory staging, ECC, driver jitter), so CPU+GPU runs keep more of perfect."),
+    "table2.moldyn.cpu+1gpu table2.moldyn.cpu+2gpu table2.minimd.cpu+2gpu fig5.overall.moldyn": (
+        "below band", "Splitting the reduction space across devices duplicates cross-partition"
+        " edges, and every GPU re-uploads the rank's node array each step."),
+    "fw-mpi.kmeans": ("below band", "The paper credits its Kmeans lead over MPI to light-weight"
+    " threads instead of MPI processes, a process cost the model does not charge."),
+    "fw-mpi.minimd fw-mpi.heat3d": ("below band", "The lead over blocking MPI code comes from"
+    " overlapping exchange with compute, a small share of a CPU-only step at 4 nodes."),
+    "fig7.overlap.sobel": ("below band", "On QDR-class links Sobel's halo traffic is tiny next to"
+    " its compute, so overlap has little to hide."),
+    "fig5.scaling.kmeans fig5.scaling.sobel fig5.scaling.heat3d fig5.overall.kmeans": (
+        "above band", "Their exchange (Kmeans' 40-key combine, the stencils' halos) is a small"
+        " share of a step and the model charges no OS noise, so they scale almost ideally."),
+    "fig5.scaling.minimd fig5.overall.minimd": ("below band", "Ghost-atom pairs are computed on"
+    " both ranks at functional scale, so thin 32-node slabs repeat most of the pair work."),
 }
+
+
+#: One row of the ledger; ``status`` is the declared one, with ``why`` unless "in band".
+Claim = namedtuple("Claim", "id source scale nodes paper band status why",
+                   defaults=("in band", ""))
+
+
+def _near(paper: float, ref: float = 1.0, tol: float = 0.5) -> tuple[float, float]:
+    """The values whose factor over ``ref`` is the paper's raised to 1 - tol .. 1 + tol."""
+    ends = (ref * (paper / ref) ** (1 - tol), ref * (paper / ref) ** (1 + tol))
+    return min(ends), max(ends)
+
+
+@functools.cache
+def claims() -> tuple[Claim, ...]:
+    """The paper-claims ledger: one row per claim of the paper's §IV, each
+    paper number written here once (the GPU:CPU ratios are each app's
+    ``PAPER_GPU_CPU_RATIO``, the model's calibration input).
+
+    A band is the paper's range where it gives one. Else it keeps the
+    paper's effect, as a factor over no effect (1, or Table II's perfect
+    speedup), in direction and within a power of 1 ± 0.5 (± 0.1 for the
+    calibrated ratios). A band is never widened to take in a deviation.
+    """
+    apps = _SCALE_PARAMS["quick"]
+    gpu = {app: import_module(f"repro.apps.{app}").PAPER_GPU_CPU_RATIO for app in apps}
+    rows = {f"gpu-cpu.{app}": (v, _near(v, tol=0.1)) for app, v in gpu.items()}
+    lead = gpu["kmeans"] / max(v for app, v in gpu.items() if app != "kmeans")
+    rows["gpu-cpu.kmeans-leads"] = (lead, _near(lead, tol=0.1))
+    table2 = {"kmeans": (3.23, 5.16), "moldyn": (2.31, 3.79), "minimd": (2.15, 3.89),
+              "sobel": (2.94, 4.68), "heat3d": (3.2, 5.5)}
+    for n in (1, 2):
+        for app, actual in table2.items():
+            said = actual[n - 1]
+            rows[f"table2.{app}.cpu+{n}gpu"] = (said, _near(said, 1 + n * gpu[app]))
+        mean = sum(a[n - 1] / (1 + n * gpu[app]) for app, a in table2.items()) / len(table2)
+        rows[f"table2.mean.cpu+{n}gpu"] = (mean, _near(mean))
+    fig6 = {"kmeans": 0.53, "minimd": 0.37, "sobel": 0.40, "heat3d": 0.28}
+    fig6["mean"] = sum(fig6.values()) / len(fig6)
+    ratios = {"fw-mpi.kmeans": 1.05, "fw-mpi.minimd": 1.17, "fw-mpi.sobel": 0.89,
+              "fw-mpi.heat3d": 1.08, "fig7.overlap.moldyn": 1.37, "fig7.overlap.sobel": 1.11,
+              "fig7.tiling.sobel": 1.20, "fig8.kmeans": 1.06, "fig8.sobel": 1.15}
+    ratios |= {f"fig6.{app}": v for app, v in fig6.items()}
+    rows |= {key: (v, _near(v)) for key, v in ratios.items()}
+    for claim, span in (("scaling", (20, 26)), ("overall", (562, 1760))):
+        rows |= {f"fig5.{claim}.{app}": (span, span) for app in apps}
+    declared = {key: v for keys, v in _DEVIATIONS.items() for key in keys.split()}
+    return tuple(
+        Claim(key, *_WHERE[key.split(".")[0]], said, band, *declared.get(key, ()))
+        for key, (said, band) in rows.items()
+    )
+
+
+def paper(claim_id: str) -> float:
+    """One claim's paper value (what a driver's ``paper_*`` column shows)."""
+    return next(c.paper for c in claims() if c.id == claim_id)
+
+
+def _measured(rows: Mapping[str, list[dict]]) -> dict[tuple[str, int], float]:
+    """``{(claim id, nodes): value}`` for the claims the drivers' ``rows`` (of every app) give."""
+    table2, fig6 = rows.get("table2_intranode", []), rows.get("fig6_code_sizes", [])
+    ratio = {r["app"]: r["gpu_vs_cpu"] for r in table2}
+    got = {(f"gpu-cpu.{app}", 1): v for app, v in ratio.items()}
+    got |= {(f"fig6.{r['app']}", 1): r["ratio"] for r in fig6}
+    if table2:
+        got["gpu-cpu.kmeans-leads", 1] = ratio.pop("kmeans") / max(ratio.values())
+        for n in (1, 2):
+            got |= {(f"table2.{r['app']}.cpu+{n}gpu", 1): r[f"actual_{n}gpu"] for r in table2}
+            effs = [r[f"actual_{n}gpu"] / r[f"perfect_{n}gpu"] for r in table2]
+            got[f"table2.mean.cpu+{n}gpu", 1] = sum(effs) / len(effs)
+    if fig6:
+        got["fig6.mean", 1] = sum(r["ratio"] for r in fig6) / len(fig6)
+    fig5 = rows.get("fig5_scalability", [])
+    speed = {(r["app"], r["mix"], r["nodes"]): r["speedup"] for r in fig5}
+    for (app, mix, n), v in speed.items():
+        if mix == "cpu":
+            got[f"fig5.scaling.{app}", n] = v / speed[app, mix, 1]
+        elif mix == "mpi-handwritten":
+            got[f"fw-mpi.{app}", n] = speed[app, "cpu", n] / v
+        elif mix == "cpu+2gpu":
+            got[f"fig5.overall.{app}", n] = v
+    for r in rows.get("fig7_optimizations", []):
+        got[f"fig7.{r['optimization']}.{r['app']}", r["nodes"]] = r["gain"]
+    for r in rows.get("fig8_gpu_baselines", []):
+        got[f"fig8.{r['app'].split()[0]}", 1] = r["fw_over_cuda"]
+    return got
+
+
+LEDGER_COLUMNS = ["id", "source", "paper", "band", "scale", "nodes", "measured", "status"]
+
+
+def ledger(rows: Mapping[str, Mapping[str, list[dict]]]) -> list[dict]:
+    """Each claim ``rows[its scale]`` (driver name -> rows) measures: ``status`` is where
+    its measured value falls, ``declared`` the ledger's."""
+    measured = {scale: _measured(by_driver) for scale, by_driver in rows.items()}
+    span = lambda v: "–".join(f"{x:.4g}" for x in v) if isinstance(v, tuple) else f"{v:.4g}"
+    out = []
+    for c in claims():
+        value = measured.get(c.scale, {}).get((c.id, c.nodes))
+        if value is not None:
+            lo, hi = c.band
+            status = ("below" if value < lo else "above" if value > hi else "in") + " band"
+            out.append(c._asdict() | {"paper": span(c.paper), "band": span(c.band),
+                       "measured": value, "status": status, "declared": c.status})
+    return out
 
 
 #: Apps with a hand-written MPI comparator (``repro.apps.baselines.mpi_<app>``).
@@ -112,13 +215,8 @@ def _sweep(
     """
     campaign = CampaignSpec(
         name=name,
-        axes={
-            "app": list(app_params),
-            "preset": presets,
-            "nodes": nodes,
-            "mix": mixes,
-            "scale": "full",
-        },
+        axes={"app": list(app_params), "preset": presets, "nodes": nodes, "mix": mixes,
+              "scale": "full"},
         app_params=app_params,
         options=options or {},
         backend=None,
@@ -140,50 +238,28 @@ def fig5_scalability(scale: str = "quick", apps: list[str] | None = None) -> lis
     """
     app_params = _scale_params(scale, apps)
     rows = []
-
-    def add(app, nodes, mix, speedup, makespan):
-        rows.append(
-            {"app": app, "nodes": nodes, "mix": mix, "speedup": speedup, "makespan_s": makespan}
-        )
-
     for r in _sweep("fig5", app_params, nodes=_node_counts(scale), mixes=FIG5_MIXES):
         app, nodes = r["app"], r["nodes"]
-        add(app, nodes, r["mix"], r["speedup"], r["makespan"])
+        rows.append({"app": app, "nodes": nodes, "mix": r["mix"], "speedup": r["speedup"],
+                     "makespan_s": r["makespan"]})
         if r["mix"] == FIG5_MIXES[-1] and app in MPI_APPS:
             mpi = import_module(f"repro.apps.baselines.mpi_{app}")
             run = mpi.run(ohio_cluster(nodes), _config(app, app_params[app]))
-            add(app, nodes, "mpi-handwritten", run.speedup, run.makespan)
+            rows.append(rows[-1] | {"mix": "mpi-handwritten", "speedup": run.speedup,
+                                    "makespan_s": run.makespan})
     return rows
 
 
 def fig5_summary(rows: list[dict]) -> list[dict]:
-    """§IV-C derived numbers: framework-vs-MPI ratio and node scaling."""
-    out = []
-    apps = sorted({r["app"] for r in rows})
-    for app in apps:
-        mine = [r for r in rows if r["app"] == app]
-        nodes = sorted({r["nodes"] for r in mine})
-        first, last = nodes[0], nodes[-1]
-
-        def val(mix, n):
-            for r in mine:
-                if r["mix"] == mix and r["nodes"] == n:
-                    return r["speedup"]
-            return None
-
-        cpu_first, cpu_last = val("cpu", first), val("cpu", last)
-        best_last = val("cpu+2gpu", last)
-        mpi_last = val("mpi-handwritten", last)
-        out.append(
-            {
-                "app": app,
-                "nodes": f"{first}->{last}",
-                "cpu_scaling": (cpu_last / cpu_first) if cpu_first and cpu_last else None,
-                "fw_over_mpi": (cpu_last / mpi_last) if mpi_last and cpu_last else None,
-                "best_speedup": best_last,
-            }
-        )
-    return out
+    """§IV-C derived numbers at the largest node count: node scaling, framework/MPI ratio."""
+    top = max(r["nodes"] for r in rows)
+    got = _measured({"fig5_scalability": rows})
+    return [
+        {"app": app, "nodes": f"1->{top}", "cpu_scaling": got[f"fig5.scaling.{app}", top],
+         "fw_over_mpi": got.get((f"fw-mpi.{app}", top)),
+         "best_speedup": got[f"fig5.overall.{app}", top]}
+        for app in sorted({r["app"] for r in rows})
+    ]
 
 
 def table2_intranode(scale: str = "quick", apps: list[str] | None = None) -> list[dict]:
@@ -207,8 +283,8 @@ def table2_intranode(scale: str = "quick", apps: list[str] | None = None) -> lis
                 "actual_1gpu": t["cpu"] / t["cpu+1gpu"],
                 "perfect_2gpu": 1 + 2 * gpu_ratio,
                 "actual_2gpu": t["cpu"] / t["cpu+2gpu"],
-                "paper_actual_1gpu": PAPER["table2_actual"][app][0],
-                "paper_actual_2gpu": PAPER["table2_actual"][app][1],
+                "paper_actual_1gpu": paper(f"table2.{app}.cpu+1gpu"),
+                "paper_actual_2gpu": paper(f"table2.{app}.cpu+2gpu"),
             }
         )
     return rows
@@ -219,15 +295,12 @@ def fig6_code_sizes(repo_root: str | Path | None = None) -> list[dict]:
     root = Path(repo_root) if repo_root else Path(__file__).resolve().parents[3]
     baselines = root / "src" / "repro" / "apps" / "baselines"
     examples = root / "examples"
-    pairs = {
-        "kmeans": (examples / "kmeans_clustering.py", baselines / "mpi_kmeans.py"),
-        "minimd": (examples / "minimd_atoms.py", baselines / "mpi_minimd.py"),
-        "sobel": (examples / "sobel_edges.py", baselines / "mpi_sobel.py"),
-        "heat3d": (examples / "heat_diffusion.py", baselines / "mpi_heat3d.py"),
-    }
-    rows = code_size_table(pairs)
+    programs = {"kmeans": "kmeans_clustering", "minimd": "minimd_atoms", "sobel": "sobel_edges",
+                "heat3d": "heat_diffusion"}
+    rows = code_size_table({app: (examples / f"{program}.py", baselines / f"mpi_{app}.py")
+                            for app, program in programs.items()})
     for row in rows:
-        row["paper_ratio"] = PAPER["fig6_ratio"][row["app"]]
+        row["paper_ratio"] = paper(f"fig6.{row['app']}")
     return rows
 
 
@@ -264,14 +337,8 @@ def fig8_gpu_baselines(scale: str = "quick") -> list[dict]:
     """Fig. 8: framework (single GPU) vs hand-written CUDA kernels."""
     small = scale == "quick"
     app_params = {
-        "kmeans": {
-            "n_points": 10_000_000,
-            "functional_points": 50_000 if small else 200_000,
-        },
-        "sobel": {
-            "shape": (8192, 8192),
-            "functional_shape": (256, 256) if small else (768, 768),
-        },
+        "kmeans": {"n_points": 10_000_000, "functional_points": 50_000 if small else 200_000},
+        "sobel": {"shape": (8192, 8192), "functional_shape": (256, 256) if small else (768, 768)},
     }
     labels = {"kmeans": "kmeans (10M pts)", "sobel": "sobel (8192^2)"}
     rows = []
@@ -285,7 +352,7 @@ def fig8_gpu_baselines(scale: str = "quick") -> list[dict]:
                 "framework_s": r["makespan"],
                 "cuda_s": cu.makespan,
                 "fw_over_cuda": r["makespan"] / cu.makespan,
-                "paper_fw_over_cuda": PAPER["fig8_ratio"][app],
+                "paper_fw_over_cuda": paper(f"fig8.{app}"),
             }
         )
     return rows
@@ -313,33 +380,21 @@ def ablations(scale: str = "quick") -> list[dict]:
     def kmeans_time(**knobs):
         return spmd_run(lambda ctx: _kmeans_custom(ctx, kcfg, **knobs), cluster).makespan
 
-    for localized in (True, False):
-        add(
-            "reduction-localization",
-            "on" if localized else "off",
-            "kmeans/1gpu",
-            kmeans_time(localized=localized, streams=2),
-        )
+    for localized, setting in ((True, "on"), (False, "off")):
+        time_s = kmeans_time(localized=localized, streams=2)
+        add("reduction-localization", setting, "kmeans/1gpu", time_s)
     for streams in (1, 2, 4):
         time_s = kmeans_time(localized=True, streams=streams)
         add("gpu-streams", str(streams), "kmeans/1gpu", time_s)
     for chunks in (32, 512, 4096):
-        add(
-            "chunk-count",
-            str(chunks),
-            "kmeans/cpu+2gpu",
-            kmeans_time(
-                localized=True,
-                streams=2,
-                mix="cpu+2gpu",
-                chunk_elems=max(4, kcfg.functional_points // chunks),
-            ),
-        )
+        chunk_elems = max(4, kcfg.functional_points // chunks)
+        time_s = kmeans_time(localized=True, streams=2, mix="cpu+2gpu", chunk_elems=chunk_elems)
+        add("chunk-count", str(chunks), "kmeans/cpu+2gpu", time_s)
     moldyn_params = {"moldyn": app_params["moldyn"]}
     (adaptive,) = _sweep("ablation-adaptive", moldyn_params)
     add("adaptive-partitioning", "on", "moldyn/cpu+2gpu", adaptive["makespan"])
     static = _moldyn_static(cluster, _config("moldyn", moldyn_params["moldyn"]))
-    add("adaptive-partitioning", "off(static-even)", "moldyn/cpu+2gpu", static.makespan)
+    add("adaptive-partitioning", "off(static-even)", "moldyn/cpu+2gpu", static)
     rows.extend(_time_block_ablation())
     return rows
 
@@ -357,22 +412,12 @@ def _time_block_ablation() -> list[dict]:
     times = {
         (r["preset"], k): r["makespan"]
         for k in factors
-        for r in _sweep(
-            f"ablation-time-block-{k}",
-            app_params,
-            presets=presets,
-            nodes=[2],
-            mixes=["cpu"],
-            options={"time_block": k},
-        )
+        for r in _sweep(f"ablation-time-block-{k}", app_params, presets=presets, nodes=[2],
+                        mixes=["cpu"], options={"time_block": k})
     }
     return [
-        {
-            "ablation": "time-block",
-            "setting": f"k={k}@{preset}",
-            "app": "jacobi2d/cpu",
-            "time_s": times[preset, k],
-        }
+        {"ablation": "time-block", "setting": f"k={k}@{preset}", "app": "jacobi2d/cpu",
+         "time_s": times[preset, k]}
         for preset in presets
         for k in factors
     ]
@@ -400,13 +445,12 @@ def _kmeans_custom(ctx, config, *, localized, streams, mix="1gpu", chunk_elems=N
     )
     gr.start()
     gr.get_global_reduction()
-    return None
 
 
-def _moldyn_static(cluster, config):
-    """Moldyn with the adaptive repartitioning disabled (even split)."""
+def _moldyn_static(cluster, config) -> float:
+    """Moldyn's makespan with the adaptive repartitioning disabled (even split)."""
     from repro.apps import moldyn
-    from repro.apps.common import AppRun, extrapolate_steps, sequential_time
+    from repro.apps.common import extrapolate_steps
     from repro.sim.engine import spmd_run
 
     def program(ctx):
@@ -433,8 +477,4 @@ def _moldyn_static(cluster, config):
         return times
 
     result = spmd_run(program, cluster)
-    makespan = max(extrapolate_steps(v, config.iterations) for v in result.values)
-    seq = sequential_time(moldyn.base_cf_work(), config.n_edges, cluster.node, config.iterations)
-    return AppRun(
-        app="moldyn-static", mix="cpu+2gpu", nodes=cluster.num_nodes, makespan=makespan, seq_time=seq
-    )
+    return max(extrapolate_steps(v, config.iterations) for v in result.values)

@@ -14,15 +14,18 @@ NODE = ohio_cluster(1).node
 
 def test_kmeans_ratio_calibrated():
     w = kmeans.make_work(kmeans.KmeansConfig(), NODE)
-    assert device_ratio(w, NODE, streaming=True) == pytest.approx(2.69, rel=1e-3)
+    ratio = device_ratio(w, NODE, streaming=True)
+    assert ratio == pytest.approx(kmeans.PAPER_GPU_CPU_RATIO, rel=1e-3)
 
 
 def test_heat3d_ratio_calibrated():
-    assert device_ratio(heat3d.make_work(NODE), NODE) == pytest.approx(2.4, rel=1e-3)
+    ratio = device_ratio(heat3d.make_work(NODE), NODE)
+    assert ratio == pytest.approx(heat3d.PAPER_GPU_CPU_RATIO, rel=1e-3)
 
 
 def test_sobel_ratio_calibrated():
-    assert device_ratio(sobel.make_work(NODE), NODE) == pytest.approx(2.24, rel=1e-3)
+    ratio = device_ratio(sobel.make_work(NODE), NODE)
+    assert ratio == pytest.approx(sobel.PAPER_GPU_CPU_RATIO, rel=1e-3)
 
 
 def test_moldyn_ratio_includes_upload_overhead():
@@ -34,7 +37,7 @@ def test_moldyn_ratio_includes_upload_overhead():
 
     cpu_t = CPUDevice(NODE.cpu).elem_time(w)
     gpu_t = gpu.elem_time(w) + upload
-    assert cpu_t / gpu_t == pytest.approx(1.5, rel=1e-3)
+    assert cpu_t / gpu_t == pytest.approx(moldyn.PAPER_GPU_CPU_RATIO, rel=1e-3)
 
 
 def test_minimd_ratio_includes_upload_overhead():
@@ -45,7 +48,8 @@ def test_minimd_ratio_includes_upload_overhead():
     from repro.device.cpu import CPUDevice
 
     cpu_t = CPUDevice(NODE.cpu).elem_time(w)
-    assert cpu_t / (gpu.elem_time(w) + upload) == pytest.approx(1.7, rel=1e-3)
+    ratio = cpu_t / (gpu.elem_time(w) + upload)
+    assert ratio == pytest.approx(minimd.PAPER_GPU_CPU_RATIO, rel=1e-3)
 
 
 def test_cpu_only_node_returns_base_work():

@@ -1,13 +1,14 @@
-"""Headline paper claims, verified end-to-end on small workloads.
+"""Shape checks the paper-claims ledger cannot make, run on small workloads.
 
-These pin the *shape* of the paper's results: who wins, in which direction,
-by roughly what factor.  Exact magnitudes live in EXPERIMENTS.md.
+The paper's numbers are rows of ``repro.metrics.figures.claims``, checked on
+the pinned figure rows by ``tests/metrics/test_figures.py``.  What stays here
+bounds a claim the ledger declares a deviation (so its band no longer bounds
+it), or one the paper states without a number.
 """
 
 import pytest
 
 from repro.apps import heat3d, kmeans, minimd, moldyn, sobel
-from repro.apps.baselines import mpi_sobel
 from repro.cluster.presets import ohio_cluster
 
 KCFG = kmeans.KmeansConfig(functional_points=48_000)
@@ -17,27 +18,21 @@ SCFG = sobel.SobelConfig(functional_shape=(384, 384), simulated_steps=3)
 HCFG = heat3d.Heat3DConfig(functional_shape=(36, 36, 36), simulated_steps=3)
 
 APPS = {
-    "kmeans": (kmeans, KCFG, 2.69),
-    "moldyn": (moldyn, MCFG, 1.5),
-    "minimd": (minimd, ICFG, 1.7),
-    "sobel": (sobel, SCFG, 2.24),
-    "heat3d": (heat3d, HCFG, 2.4),
+    "kmeans": (kmeans, KCFG),
+    "moldyn": (moldyn, MCFG),
+    "minimd": (minimd, ICFG),
+    "sobel": (sobel, SCFG),
+    "heat3d": (heat3d, HCFG),
 }
 
 
 @pytest.mark.parametrize("name", list(APPS))
-def test_single_node_gpu_cpu_ratio_matches_paper(name):
-    """SIV-C: per-app GPU vs 12-core-CPU ratios (2.69/1.5/1.7/2.24/2.4)."""
-    mod, cfg, target = APPS[name]
-    cpu = mod.run(ohio_cluster(1), cfg, mix="cpu")
-    gpu = mod.run(ohio_cluster(1), cfg, mix="1gpu")
-    assert cpu.makespan / gpu.makespan == pytest.approx(target, rel=0.12)
-
-
-@pytest.mark.parametrize("name", list(APPS))
 def test_heterogeneous_actual_below_perfect(name):
-    """Table II: actual CPU+2GPU speedup is below 'perfect' but above CPU."""
-    mod, cfg, _ = APPS[name]
+    """Table II: actual CPU+2GPU speedup is below 'perfect' but above CPU.
+
+    Every app's CPU+2GPU row of Table II is a declared deviation in the ledger.
+    """
+    mod, cfg = APPS[name]
     cpu = mod.run(ohio_cluster(1), cfg, mix="cpu")
     gpu = mod.run(ohio_cluster(1), cfg, mix="1gpu")
     both = mod.run(ohio_cluster(1), cfg, mix="cpu+2gpu")
@@ -50,52 +45,29 @@ def test_heterogeneous_actual_below_perfect(name):
 
 @pytest.mark.parametrize("name", ["kmeans", "heat3d", "sobel"])
 def test_internode_scaling(name):
-    """Fig. 5: speedups grow substantially with node count."""
-    mod, cfg, _ = APPS[name]
+    """Fig. 5: speedups grow substantially with node count.
+
+    The paper's 20-26x is stated at 32 nodes, a full-scale ledger row, and
+    is a declared deviation (near-ideal scaling) for these three apps.
+    """
+    mod, cfg = APPS[name]
     one = mod.run(ohio_cluster(1), cfg, mix="cpu")
     four = mod.run(ohio_cluster(4), cfg, mix="cpu")
     assert 2.5 < four.speedup / one.speedup <= 4.05
 
 
-def test_moldyn_overlap_gain_significant():
-    """Fig. 7: overlapped execution clearly helps Moldyn (paper avg 37%)."""
-    on = moldyn.run(ohio_cluster(4), MCFG, mix="cpu+2gpu", overlap=True)
-    off = moldyn.run(ohio_cluster(4), MCFG, mix="cpu+2gpu", overlap=False)
-    assert off.makespan / on.makespan > 1.10
-
-
-def test_sobel_tiling_gain():
-    """Fig. 7: tiling improves Sobel (paper: up to 20%)."""
-    on = sobel.run(ohio_cluster(1), SCFG, mix="cpu+2gpu", tiling=True)
-    off = sobel.run(ohio_cluster(1), SCFG, mix="cpu+2gpu", tiling=False)
-    assert 1.05 < off.makespan / on.makespan < 1.35
-
-
 def test_sobel_overlap_never_hurts():
+    """Fig. 7: Sobel's overlap gain is a declared deviation below the paper's band."""
     on = sobel.run(ohio_cluster(4), SCFG, mix="cpu+2gpu", overlap=True)
     off = sobel.run(ohio_cluster(4), SCFG, mix="cpu+2gpu", overlap=False)
     assert off.makespan >= on.makespan * 0.999
 
 
-def test_sobel_framework_slower_than_handwritten_mpi():
-    """SIV-C: Sobel is the one app where hand-written MPI wins (~11%)."""
-    fw = sobel.run(ohio_cluster(2), SCFG, mix="cpu")
-    bl = mpi_sobel.run(ohio_cluster(2), SCFG)
-    assert bl.makespan < fw.makespan
-
-
-def test_kmeans_has_largest_gpu_advantage():
-    """SIV-C attributes Kmeans' top speedup to shared-memory reductions."""
-    ratios = {}
-    for name, (mod, cfg, _) in APPS.items():
-        cpu = mod.run(ohio_cluster(1), cfg, mix="cpu")
-        gpu = mod.run(ohio_cluster(1), cfg, mix="1gpu")
-        ratios[name] = cpu.makespan / gpu.makespan
-    assert max(ratios, key=ratios.get) == "kmeans"
-
-
 def test_localization_is_why_kmeans_wins():
-    """Disabling reduction localization must erase much of the GPU edge."""
+    """Disabling reduction localization must erase much of the GPU edge.
+
+    SIV-C credits Kmeans' lead to shared-memory reductions without a number.
+    """
     from repro.core.env import RuntimeEnv
     from repro.core.partition import block_partition
     from repro.data.points import clustered_points
