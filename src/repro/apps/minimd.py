@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import GRKernel, IRKernel
 from repro.core.env import DeviceConfig, RuntimeEnv
@@ -224,40 +224,34 @@ def rank_program(
     ir = env.get_IR(overlap=overlap)
     ir.set_kernel(make_force_kernel(ctx.node, config))
     ir.set_parameter(cutoff2)
-    ir.set_mesh(
-        edges,
-        atoms,
-        model_edges=config.n_edges,
-        model_nodes=config.n_atoms,
-        device_node_bytes=DEVICE_NODE_BYTES,
-        exchange_scale=config.exchange_scale(),
-    )
+    mesh_scales = {
+        "model_edges": config.n_edges,
+        "model_nodes": config.n_atoms,
+        "device_node_bytes": DEVICE_NODE_BYTES,
+        "exchange_scale": config.exchange_scale(),
+    }
+    ir.set_mesh(edges, atoms, **mesh_scales)
 
+    def advance(_steps: int) -> None:
+        ir.start()
+        ir.update_nodedata(_integrate(ir.get_local_nodes(), ir.get_local_reduction()))
+
+    loop = StepLoop(ctx)
     step_times = []
     rebuild_times = []
     wall0 = time.perf_counter()
-    for step in range(config.simulated_steps):
-        if step > 0 and step % config.reneighbor_every == 0:
+    for first in range(0, config.simulated_steps, config.reneighbor_every):
+        if first:
             t0 = ctx.clock.now
             # Re-neighbor: every rank rebuilds the (identical functional)
             # list from the full positions — the runtime then re-runs its
             # connectivity setup (steps 1-4) and edge uploads.
             positions = _gather_positions(ctx, ir, atoms.shape)
             edges = build_neighbor_edges(positions[:, 0:3], config.cutoff)
-            ir.set_mesh(
-                edges,
-                positions,
-                model_edges=config.n_edges,
-                model_nodes=config.n_atoms,
-                device_node_bytes=DEVICE_NODE_BYTES,
-                exchange_scale=config.exchange_scale(),
-            )
+            ir.set_mesh(edges, positions, **mesh_scales)
             rebuild_times.append(ctx.clock.now - t0)
-        t0 = ctx.clock.now
-        ir.start()
-        forces = ir.get_local_reduction()
-        ir.update_nodedata(_integrate(ir.get_local_nodes(), forces))
-        step_times.append(ctx.clock.now - t0)
+        segment = min(config.reneighbor_every, config.simulated_steps - first)
+        step_times += loop.run(segment, advance)
     wall_steps = time.perf_counter() - wall0
 
     local_nodes = ir.get_local_nodes()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import GRKernel, IRKernel
 from repro.core.env import DeviceConfig, RuntimeEnv
@@ -226,14 +226,12 @@ def rank_program(
         device_node_bytes=DEVICE_NODE_BYTES,
     )
 
-    step_times = []
-    wall0 = time.perf_counter()
-    for _ in range(config.simulated_steps):
-        t0 = ctx.clock.now
+    def advance(_steps: int) -> None:
         ir.start()
-        forces = ir.get_local_reduction()
-        ir.update_nodedata(_integrate(ir.get_local_nodes(), forces))
-        step_times.append(ctx.clock.now - t0)
+        ir.update_nodedata(_integrate(ir.get_local_nodes(), ir.get_local_reduction()))
+
+    wall0 = time.perf_counter()
+    step_times = StepLoop(ctx).run(config.simulated_steps, advance)
     wall_steps = time.perf_counter() - wall0
 
     # KE and AV over the final local node data (generalized reductions).

@@ -36,7 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "shifted",
             "REDUCTION_OPS",
         ],
-        "reduction_object": ["DenseReductionObject", "HashReductionObject"],
+        "reduction_object": ["DenseReductionObject"],
         "partition": [
             "block_partition",
             "owner_of",

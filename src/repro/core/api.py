@@ -20,6 +20,7 @@ identity element.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -154,7 +155,7 @@ class StencilKernel:
             )
         object.__setattr__(self, "offsets", offsets)
 
-    @property
+    @functools.cached_property
     def halo(self) -> int:
         """Stencil radius: the largest |component| of any offset."""
         return max(abs(c) for offset in self.offsets for c in offset)

@@ -19,8 +19,8 @@ set.  Partitioning follows the paper exactly:
   time step, speed-proportional from the second).  Each device further
   relies on shared-memory-sized reduction partitions
   (:func:`~repro.device.costmodel.shared_memory_partitions`) which make
-  its atomic updates cheap (``localized``).  Device results are
-  *concatenated*, never combined — the reduction space is disjoint.
+  its atomic updates cheap.  Device results are *concatenated*, never
+  combined — the reduction space is disjoint.
 
 Functional honesty: remote node slots are filled **only** by the exchange
 protocol; if the protocol were wrong, results would be wrong.
@@ -72,7 +72,6 @@ class IrregularReductionRuntime:
         env: RuntimeEnv,
         *,
         overlap: bool = True,
-        localized: bool = True,
         adaptive: bool = True,
     ) -> None:
         """
@@ -80,15 +79,12 @@ class IrregularReductionRuntime:
             env: The owning runtime environment.
             overlap: Overlap local-edge computation with the node-data
                 exchange (paper's optimization; Fig. 7 ablates it).
-            localized: Use shared-memory-sized reduction partitions on
-                GPUs / private per-core objects on CPUs.
             adaptive: Re-split the device workload by profiled speed from
                 the second time step (paper §III-D); ``False`` keeps the
                 even split (ablation).
         """
         self.env = env
         self.overlap = overlap
-        self.localized = localized
         self.adaptive = adaptive
         self._kernel: IRKernel | None = None
         self._parameter: Any = None
@@ -107,12 +103,10 @@ class IrregularReductionRuntime:
         # Per-phase, per-device edge counts of the current device split.
         self._device_edges: dict[str, list[int]] | None = None
         self._cache_builds = 0
-        # Parity double-buffered step-5 gather buffer (all requesters
-        # concatenated; spans mark each requester's slice).
-        self._send_bufs: dict[int, np.ndarray] = {}
+        # Step-5 serve indices of all requesters concatenated; spans mark
+        # each requester's slice.
         self._serve_spans: list[tuple[int, int, int]] = []
         self._serve_idx: np.ndarray | None = None
-        self._exchange_count = 0
 
     # -- configuration ---------------------------------------------------
     def set_kernel(self, kernel: IRKernel) -> None:
@@ -225,8 +219,6 @@ class IrregularReductionRuntime:
         self._device_edges = None
         self._obj = None
         self._result = None
-        self._send_bufs = {}
-        self._exchange_count = 0
 
         # Load-time cost: each process inspects the full edge list to pick
         # its own (paper §III-B "inspects all the input edges").
@@ -260,7 +252,7 @@ class IrregularReductionRuntime:
                 self._serve[requester] = np.asarray(ids) - arr.lo  # local indices
         # Fuse the per-requester step-5 gathers into one np.take: all serve
         # indices concatenated, with each requester's span recorded so its
-        # send is a zero-copy slice of the pooled gather buffer.
+        # send is a zero-copy slice of the exchange's gather buffer.
         spans = []
         lo = 0
         for requester, idx in self._serve.items():
@@ -272,7 +264,6 @@ class IrregularReductionRuntime:
             if self._serve
             else np.zeros(0, dtype=np.intp)
         )
-        self._send_bufs = {}
         comm.waitall(reqs)
         self._needs_id_exchange = False
 
@@ -280,23 +271,16 @@ class IrregularReductionRuntime:
     def _begin_node_exchange(self) -> list:
         """Post receives straight into node slots; gather + send local data.
 
-        Wall-clock fast path: receives land directly in the arranged node
-        array via ``irecv(out=...)``, and the step-5 gathers for *all*
-        requesters run as one ``np.take`` over the concatenated serve
-        indices into a pooled, parity double-buffered gather buffer; each
-        requester's message is a zero-copy slice of it, shipped with
-        ``owned=True``.  Parity reuse is safe because the exchange is a
-        rendezvous: a requester cannot start exchange ``k+1`` before
-        consuming our exchange-``k`` buffer, and we cannot reuse that
-        buffer (at exchange ``k+2``) before finishing ``k+1`` — which
-        waits on the requester's own ``k+1`` send.  Wire and memcpy
-        charges are unchanged (still advanced per requester).
+        Receives land directly in the arranged node array via
+        ``irecv(out=...)``.  The step-5 gathers for *all* requesters run as
+        one ``np.take`` over the concatenated serve indices into a fresh
+        array; each requester's message is a zero-copy slice of it, sent
+        with ``owned=True``, so the array lives exactly as long as its
+        messages.  Wire and memcpy charges are advanced per requester.
         """
         comm = self.env.comm
         arr = self._arr
         itemsize = self._nodes.itemsize
-        parity = self._exchange_count & 1
-        self._exchange_count += 1
         recv_reqs = []
         for owner in arr.remote_ids:
             base = arr.remote_offsets[owner]
@@ -305,11 +289,7 @@ class IrregularReductionRuntime:
                 comm.irecv(source=owner, tag=_TAG_DATA, out=self._nodes[base : base + n])
             )
         if self._serve_spans:
-            buf = self._send_bufs.get(parity)
-            if buf is None:
-                buf = np.empty((len(self._serve_idx), self._node_width))
-                self._send_bufs[parity] = buf
-            np.take(self._nodes, self._serve_idx, axis=0, out=buf)  # step-5 gather
+            buf = np.take(self._nodes, self._serve_idx, axis=0)  # step-5 gather
             for requester, lo, hi in self._serve_spans:
                 nbytes = (hi - lo) * self._node_width * itemsize * self._exchange_scale
                 self.env.clock.advance(self.env.host_memcpy_time(nbytes))
@@ -464,7 +444,7 @@ class IrregularReductionRuntime:
                 dur = dev.partition_time(
                     kernel.work,
                     n_d * self._edge_scale,
-                    localized=self.localized,
+                    localized=True,
                     framework=True,
                 )
                 tl = dev.timelines()[-1]  # compute engine / last core acts as the device line

@@ -1,21 +1,17 @@
 """Reduction objects: the framework's accumulation data structure.
 
 The paper's reduction object is "a hash table with support for parallel
-key-value insertion".  Two implementations:
+key-value insertion".  Every pattern's keys form a dense integer range
+(cluster IDs, node IDs), so :class:`DenseReductionObject` is one NumPy
+array over keys ``[0, num_keys)``; ``insert_many`` uses unbuffered scatter
+(``np.bincount`` for float64 sums, ``ufunc.at`` otherwise) so duplicate
+keys in one batch combine correctly (the defining property of a
+reduction).
 
-- :class:`DenseReductionObject` — the fast path when the key space is a
-  dense integer range (cluster IDs, node IDs).  Backed by one NumPy array;
-  ``insert_many`` uses unbuffered scatter (``np.bincount`` for float64
-  sums, ``ufunc.at`` otherwise) so duplicate keys in one batch combine
-  correctly (the defining property of a reduction).
-- :class:`HashReductionObject` — a dict-backed variant for sparse or
-  unknown key spaces; same interface, used for API completeness and as a
-  semantic oracle in tests.
-
-Both support a *key range* filter ``[lo, hi)``: inserts outside the range
-are silently dropped.  That filter is how the paper's ownership rule is
-enforced mechanically: "when an edge is being processed, only the node(s)
-belonging to the current partition is updated".
+Inserts outside ``[0, num_keys)`` are silently dropped.  That range filter
+is how the paper's ownership rule is enforced mechanically: "when an edge
+is being processed, only the node(s) belonging to the current partition is
+updated".
 
 Iterative patterns that scatter through the *same* indirection array every
 time step (the irregular-reduction runtime) can precompute the scatter
@@ -34,8 +30,6 @@ Insert counting: every object tracks how many inserts were *attempted*
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.core.api import resolve_op
@@ -52,9 +46,8 @@ class ScatterPlan:
     - For float64 **sums**: one bin index per key, applied column by
       column as an ``np.add.at`` into zeroed bins that are then added to
       the values — no filtering or sorting at apply time, and no
-      per-(key, column) index.  When every key is in range and
-      ``key_lo == 0`` the keys themselves are the bins and the plan stores
-      nothing.  When most keys are in range, out-of-range keys are
+      per-(key, column) index.  When every key is in range the keys
+      themselves are the bins and the plan stores nothing.  When most keys are in range, out-of-range keys are
       redirected to a trailing trash bin; when the in-range subset is
       small (a cross-edge column, mostly remote slots), the plan instead
       precomputes a take-index so the apply gathers just its own values
@@ -66,8 +59,8 @@ class ScatterPlan:
       segment starts + the unique owning index per segment) applied with
       ``ufunc.reduceat`` — order-insensitive ops make the re-grouping
       exact.
-    - For anything else: the in-range filter and shifted indices for the
-      generic ``ufunc.at`` path.
+    - For anything else: the in-range filter and indices for the generic
+      ``ufunc.at`` path.
 
     A plan keeps a reference to its key array: the array must stay alive
     (and unmodified) for the plan's address-based identity to be valid.
@@ -88,17 +81,10 @@ class ScatterPlan:
         "uniq_idx",
     )
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        key_lo: int,
-        key_hi: int,
-        fast_sum: bool = False,
-    ) -> None:
+    def __init__(self, keys: np.ndarray, n_range: int, fast_sum: bool = False) -> None:
         self.keys = keys
         self.n_keys = len(keys)
-        n_range = key_hi - key_lo
-        valid = (keys >= key_lo) & (keys < key_hi)
+        valid = (keys >= 0) & (keys < n_range)
         self.all_valid = bool(valid.all())
         self.n_dropped = 0 if self.all_valid else int(self.n_keys - valid.sum())
         self.take_idx = None
@@ -106,23 +92,23 @@ class ScatterPlan:
             self.valid = None
             self.idx = self.order = self.seg_starts = self.uniq_idx = None
             self.n_bins = n_range
-            if self.all_valid and key_lo == 0:
+            if self.all_valid:
                 self.bins = None  # the keys are the bins
             elif 2 * (self.n_keys - self.n_dropped) < self.n_keys:
                 # Sparse ownership: gather just the in-range values, then
                 # scatter them by their filtered keys.
                 self.take_idx = np.flatnonzero(valid)
-                self.bins = keys[self.take_idx] - key_lo
+                self.bins = keys[self.take_idx]
             else:
                 # Dense ownership: a trailing trash bin absorbs the
                 # out-of-range keys.
-                self.bins = np.where(valid, keys - key_lo, n_range)
+                self.bins = np.where(valid, keys, n_range)
                 self.n_bins = n_range + 1
             return
         self.valid = None if self.all_valid else valid
         self.bins = None
         self.n_bins = 0
-        idx = (keys if self.all_valid else keys[valid]) - key_lo
+        idx = keys if self.all_valid else keys[valid]
         self.idx = idx.astype(np.intp, copy=False)
         if len(self.idx) and np.any(np.diff(self.idx) < 0):
             self.order = np.argsort(self.idx, kind="stable")
@@ -151,7 +137,7 @@ def _keys_token(keys: np.ndarray) -> tuple:
 
 
 class DenseReductionObject:
-    """Reduction object over integer keys in ``[key_lo, key_hi)``.
+    """Reduction object over integer keys in ``[0, num_keys)``.
 
     Values are ``(num_keys, value_width)`` and combine with the named op.
     """
@@ -162,14 +148,12 @@ class DenseReductionObject:
         value_width: int = 1,
         op: str = "sum",
         dtype: np.dtype | type = np.float64,
-        key_lo: int = 0,
     ) -> None:
         if num_keys <= 0 or value_width <= 0:
             raise ValidationError("num_keys and value_width must be > 0")
         self.op = op
         self._ufunc, self._identity = resolve_op(op)
-        self.key_lo = int(key_lo)
-        self.key_hi = int(key_lo) + int(num_keys)
+        self.num_keys = int(num_keys)
         self.value_width = int(value_width)
         self.dtype = np.dtype(dtype)
         self.values = np.full((num_keys, value_width), self._identity, dtype=self.dtype)
@@ -181,10 +165,6 @@ class DenseReductionObject:
         self._plans: dict[tuple, ScatterPlan] = {}
         self.n_inserts = 0
         self.n_dropped = 0
-
-    @property
-    def num_keys(self) -> int:
-        return self.key_hi - self.key_lo
 
     def reset(self) -> None:
         """Refill with the identity element, keeping buffers and plans.
@@ -212,19 +192,17 @@ class DenseReductionObject:
         is guaranteed).
         """
         keys = np.asarray(keys)
-        plan = ScatterPlan(keys, self.key_lo, self.key_hi, self._fast_sum)
+        plan = ScatterPlan(keys, self.num_keys, self._fast_sum)
         self._plans[_keys_token(keys)] = plan
         return plan
 
     def insert(self, key: int, value) -> None:
         """Insert one key/value pair (paper's ``obj->insert(&key, &val)``)."""
         self.n_inserts += 1
-        if not self.key_lo <= key < self.key_hi:
+        if not 0 <= key < self.num_keys:
             self.n_dropped += 1
             return
-        self.values[key - self.key_lo] = self._ufunc(
-            self.values[key - self.key_lo], np.asarray(value, dtype=self.dtype)
-        )
+        self.values[key] = self._ufunc(self.values[key], np.asarray(value, dtype=self.dtype))
 
     def insert_many(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Vectorized insert of ``len(keys)`` pairs.
@@ -249,7 +227,7 @@ class DenseReductionObject:
             if plan is not None:
                 self._insert_planned(plan, values)
                 return
-        mask = (keys >= self.key_lo) & (keys < self.key_hi)
+        mask = (keys >= 0) & (keys < self.num_keys)
         if not mask.all():
             self.n_dropped += int((~mask).sum())
             keys = keys[mask]
@@ -257,9 +235,9 @@ class DenseReductionObject:
         if not len(keys):
             return
         if self._fast_sum:
-            self._scatter_sum(keys - self.key_lo, values)
+            self._scatter_sum(keys, values)
         else:
-            self._ufunc.at(self.values, keys - self.key_lo, values)
+            self._ufunc.at(self.values, keys, values)
 
     def _scatter_sum(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Input-order bincount scatter-add; one pass for any width.
@@ -310,16 +288,15 @@ class DenseReductionObject:
         """Combine another object elementwise (same keys, same op)."""
         if not isinstance(other, DenseReductionObject):
             raise ValidationError("can only merge DenseReductionObject instances")
-        if (other.key_lo, other.key_hi, other.value_width, other.op) != (
-            self.key_lo,
-            self.key_hi,
+        if (other.num_keys, other.value_width, other.op) != (
+            self.num_keys,
             self.value_width,
             self.op,
         ):
             raise ValidationError(
-                "merge requires identical key range, value width, and op "
-                f"(got [{other.key_lo},{other.key_hi})x{other.value_width}/{other.op} vs "
-                f"[{self.key_lo},{self.key_hi})x{self.value_width}/{self.op})"
+                "merge requires identical key count, value width, and op "
+                f"(got {other.num_keys}x{other.value_width}/{other.op} vs "
+                f"{self.num_keys}x{self.value_width}/{self.op})"
             )
         self.values = self._ufunc(self.values, other.values)
 
@@ -333,101 +310,7 @@ class DenseReductionObject:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"DenseReductionObject(keys=[{self.key_lo},{self.key_hi}), "
+            f"DenseReductionObject(num_keys={self.num_keys}, "
             f"width={self.value_width}, op={self.op!r})"
         )
 
-
-class HashReductionObject:
-    """Dict-backed reduction object for sparse/hashable key spaces.
-
-    Keys may be any hashable value; values are scalars or small arrays.
-    Slower than :class:`DenseReductionObject` but places no constraint on
-    the key universe — the literal analogue of the paper's hash table.
-    """
-
-    def __init__(self, op: str = "sum", value_width: int = 1, dtype=np.float64) -> None:
-        if value_width <= 0:
-            raise ValidationError("value_width must be > 0")
-        self.op = op
-        self._ufunc, self._identity = resolve_op(op)
-        self.value_width = int(value_width)
-        self.dtype = np.dtype(dtype)
-        self._table: dict = {}
-        self.n_inserts = 0
-
-    def insert(self, key, value) -> None:
-        self.n_inserts += 1
-        value = np.asarray(value, dtype=self.dtype).reshape(self.value_width)
-        existing = self._table.get(key)
-        if existing is None:
-            self._table[key] = value.copy()
-        else:
-            self._table[key] = self._ufunc(existing, value)
-
-    def insert_many(self, keys: Iterable, values: np.ndarray) -> None:
-        """Vectorized insert: group duplicate keys, then one fold per key.
-
-        Keys that form a sortable NumPy array are grouped with
-        ``np.unique(..., return_inverse=True)`` and combined per group
-        through the dense scatter machinery, leaving one dict update per
-        *unique* key instead of one per pair.  Within a group, values
-        combine in input order; a pre-existing table entry is then folded
-        once with the group total (for floating sums that reassociates the
-        accumulation — equal to within rounding, exact for min/max).
-        Object-dtype keys (tuples, mixed types) fall back to the
-        per-element loop.
-        """
-        values = np.asarray(values, dtype=self.dtype)
-        if values.ndim == 1:
-            values = values[:, None]
-        try:
-            keys_arr = np.asarray(keys)
-            fallback = (
-                keys_arr.dtype == object
-                or keys_arr.ndim != 1
-                or values.shape != (len(keys_arr), self.value_width)
-            )
-        except (ValueError, TypeError):  # ragged / mixed-type key sequences
-            fallback = True
-        if fallback:
-            for key, val in zip(keys, values):
-                self.insert(key, val)
-            return
-        self.n_inserts += len(keys_arr)
-        if not len(keys_arr):
-            return
-        uniq, inverse = np.unique(keys_arr, return_inverse=True)
-        grouped = np.full((len(uniq), self.value_width), self._identity, dtype=self.dtype)
-        self._ufunc.at(grouped, inverse, values)
-        table = self._table
-        for key, val in zip(uniq.tolist(), grouped):
-            existing = table.get(key)
-            table[key] = val.copy() if existing is None else self._ufunc(existing, val)
-
-    def merge(self, other: "HashReductionObject") -> None:
-        if other.op != self.op or other.value_width != self.value_width:
-            raise ValidationError("merge requires identical op and value width")
-        for key, val in other._table.items():
-            existing = self._table.get(key)
-            if existing is None:
-                self._table[key] = val.copy()
-            else:
-                self._table[key] = self._ufunc(existing, val)
-
-    def get(self, key, default=None):
-        """Value for ``key`` or ``default``."""
-        val = self._table.get(key)
-        return default if val is None else val
-
-    def keys(self):
-        return self._table.keys()
-
-    def items(self):
-        return self._table.items()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, key) -> bool:
-        return key in self._table

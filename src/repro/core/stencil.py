@@ -62,6 +62,7 @@ kernel over one array with that border.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
@@ -404,64 +405,93 @@ class StencilRuntime:
         term does not amortize) and redundant ghost-zone flops over a
         shrinking valid region.  The tuner evaluates
         :func:`~repro.device.costmodel.time_block_sweep_cost` for every
-        feasible ``k`` and keeps the argmin; ties break toward smaller
-        ``k``, and ``k=1`` is always a candidate, so the choice is never
-        worse than the unblocked baseline under its own model.
+        ``k`` feasible on every rank and keeps the argmin; ties break
+        toward smaller ``k``, and ``k=1`` is always a candidate, so the
+        choice is never worse than the unblocked baseline under its own
+        model.
+
+        Every rank must pick the same ``k`` (its strips are its
+        neighbours' halos), but a middle rank sends more messages than a
+        border rank.  So each rank prices every rank of the decomposition
+        (extents, neighbours, links and devices are known to all) and
+        minimizes the slowest rank's cost; where every rank's own argmin
+        is one ``k``, that is the pick.
         """
-        env = self.env
-        h = self._kernel.halo
-        kmax = MAX_AUTO_TIME_BLOCK
-        has_neighbor = False
-        for ax, ext in enumerate(self.local_shape):
-            lo, hi = self._neighbors[ax]
-            if lo == PROC_NULL and hi == PROC_NULL:
-                continue
-            has_neighbor = True
-            kmax = min(kmax, ext // (2 * h))
-        if not has_neighbor or kmax <= 1:
+        cart, fabric = self.cart, self.env.comm.fabric
+        dims = cart.dims
+        # Per axis: each coordinate's extent, and the rank distance to a
+        # neighbour (row-major ranks, non-periodic topology).
+        extents = [
+            [int(o[c + 1] - o[c]) for c in range(d)]
+            for o, d in zip(map(block_partition, self.global_shape, dims), dims)
+        ]
+        strides = [math.prod(dims[ax + 1 :]) for ax in range(len(dims))]
+        kmax = min(
+            [MAX_AUTO_TIME_BLOCK]
+            + [min(ext) // (2 * self._kernel.halo) for ext, d in zip(extents, dims) if d > 1]
+        )
+        if cart.size == 1 or kmax <= 1:
             return 1
-        # One (α, bytes, 1/bw) entry per halo message of one exchange
-        # round, over the link the fabric will charge it on.
-        fabric, rank = env.comm.fabric, env.rank
-        alphas: list[float] = []
-        sizes: list[float] = []
-        inv_bw: list[float] = []
-        for ax in range(len(self.local_shape)):
-            base = self._face_bytes_model(ax, depth=h)
-            for nbr in self._neighbors[ax]:
-                if nbr == PROC_NULL:
-                    continue
-                link = fabric.link(rank, nbr)
-                alphas.append(link.latency + link.send_overhead + link.recv_overhead)
-                sizes.append(base)
-                inv_bw.append(1.0 / link.bandwidth)
+        # Ranks whose extents, open sides per axis and links agree cost
+        # the same (a mirror image prices identically): price each such
+        # class once.
+        classes = {}
+        for rank, coords in enumerate(itertools.product(*map(range, dims))):
+            neighbors = [
+                (rank - st if c > 0 else PROC_NULL, rank + st if c < d - 1 else PROC_NULL)
+                for c, d, st in zip(coords, dims, strides)
+            ]
+            shape = tuple(ext[c] for ext, c in zip(extents, coords))
+            opened = tuple((lo != PROC_NULL) + (hi != PROC_NULL) for lo, hi in neighbors)
+            # The link of each halo message, in (axis, low, high) order.
+            links = tuple(fabric.link(rank, n) for pair in neighbors for n in pair if n != PROC_NULL)
+            classes.setdefault((shape, opened, links), neighbors)
         # Aggregate per-element compute time of the device team.  Speed
         # profiling has not run yet, so assume the team splits perfectly
         # (harmonic aggregation of per-device rates).
         rate = 0.0
-        for dev in env.devices:
+        for dev in self.env.devices:
             rate += 1.0 / dev.elem_time(self._effective_work(dev), framework=True)
         elem_time = 1.0 / rate
-        interior = float(np.prod(self.local_shape))
-        rows = self._partitioner.split(self.local_shape[0])
-        best_k, best_cost = 1, None
+        worst = [0.0] * kmax
+        for (shape, _, links), neighbors in classes.items():
+            for i, cost in enumerate(self._block_costs(shape, neighbors, links, kmax, elem_time)):
+                worst[i] = max(worst[i], cost)
+        return 1 + worst.index(min(worst))
+
+    def _block_costs(self, shape, neighbors, links, kmax: int, elem_time: float) -> list[float]:
+        """One rank's modelled per-sweep cost for ``k = 1 .. kmax``; ``links``
+        holds the link of each of its halo messages."""
+        # One (α, bytes, 1/bw) entry per halo message of one exchange round.
+        alphas = [link.latency + link.send_overhead + link.recv_overhead for link in links]
+        inv_bw = [1.0 / link.bandwidth for link in links]
+        sizes = [
+            self._face_bytes_model(ax, depth=self._kernel.halo, shape=shape)
+            for ax, pair in enumerate(neighbors)
+            for n in pair
+            if n != PROC_NULL
+        ]
+        interior = float(np.prod(shape))
+        rows = self._partitioner.split(shape[0])
+        costs = []
         for k in range(1, kmax + 1):
             ghost = [
-                (sum(self._sweep_counts(s, k, rows)) - interior) * self._elem_scale
+                (sum(self._sweep_counts(s, k, rows, shape, neighbors)) - interior)
+                * self._elem_scale
                 for s in range(k)
             ]
-            cost = time_block_sweep_cost(
-                k,
-                msg_alphas=alphas,
-                msg_bytes=sizes,
-                msg_inv_bandwidths=inv_bw,
-                ghost_elems=ghost,
-                interior_elems=interior * self._elem_scale,
-                elem_time=elem_time,
+            costs.append(
+                time_block_sweep_cost(
+                    k,
+                    msg_alphas=alphas,
+                    msg_bytes=sizes,
+                    msg_inv_bandwidths=inv_bw,
+                    ghost_elems=ghost,
+                    interior_elems=interior * self._elem_scale,
+                    elem_time=elem_time,
+                )
             )
-            if best_cost is None or cost < best_cost:
-                best_k, best_cost = k, cost
-        return best_k
+        return costs
 
     def set_global_grid(self, grid: np.ndarray) -> None:
         """Load this rank's block from the (identical-on-all-ranks) grid."""
@@ -532,11 +562,15 @@ class StencilRuntime:
             ))
         return tuple(phases)
 
-    def _face_bytes_model(self, axis: int, depth: int | None = None) -> float:
+    def _face_bytes_model(
+        self, axis: int, depth: int | None = None, shape: tuple[int, ...] | None = None
+    ) -> float:
         """Model-scale bytes of one face strip (``depth`` defaults to the
-        registered slab depth ``time_block * halo``)."""
+        registered slab depth ``time_block * halo``, ``shape`` to this
+        rank's extents)."""
         d = self._halo_depth if depth is None else depth
-        elems = d * math.prod(ext for ax, ext in enumerate(self.local_shape) if ax != axis)
+        shape = self.local_shape if shape is None else shape
+        elems = d * math.prod(ext for ax, ext in enumerate(shape) if ax != axis)
         scale = self._elem_scale / self._axis_ratio[axis]
         return elems * scale * np.dtype(self._kernel.dtype).itemsize
 
@@ -750,7 +784,9 @@ class StencilRuntime:
                 env.trace.record("compute", f"ST:{phase}:{dev.name}", iv.start, iv.end)
         return finish, busy
 
-    def _sweep_counts(self, s: int, sweeps: int, rows: np.ndarray) -> list[float]:
+    def _sweep_counts(
+        self, s: int, sweeps: int, rows: np.ndarray, shape=None, neighbors=None
+    ) -> list[float]:
         """Per-device functional element counts charged for sweep ``s``.
 
         The valid region shrinks by ``halo`` toward every *open* side per
@@ -760,15 +796,18 @@ class StencilRuntime:
         additionally recomputes ``e`` rows past its own split planes —
         inter-device planes are exchanged once per round, so the sweeps
         in between must recompute across them too.  Sides at a global
-        border never extend.
+        border never extend.  ``shape`` and ``neighbors`` default to this
+        rank's.
         """
+        shape = self.local_shape if shape is None else shape
+        neighbors = self._neighbors if neighbors is None else neighbors
         h = self._kernel.halo
         e = (sweeps - 1 - s) * h
         cross = 1.0
-        for ax in range(1, len(self.local_shape)):
-            lo, hi = self._neighbors[ax]
-            cross *= self.local_shape[ax] + e * ((lo != PROC_NULL) + (hi != PROC_NULL))
-        lo0, hi0 = self._neighbors[0]
+        for ax in range(1, len(shape)):
+            lo, hi = neighbors[ax]
+            cross *= shape[ax] + e * ((lo != PROC_NULL) + (hi != PROC_NULL))
+        lo0, hi0 = neighbors[0]
         n_dev = len(rows)
         counts: list[float] = []
         for d in range(n_dev):

@@ -181,6 +181,17 @@ def test_auto_matches_k1_when_blocking_cannot_win():
     assert auto.makespan <= base
 
 
+def test_auto_picks_one_k_for_ranks_with_unequal_neighbours():
+    # Three ranks in a row: priced alone, the border ranks (one strip per
+    # round) would pick k=5 and the middle rank (two strips) k=7, and the
+    # exchange would fail on mismatched strip sizes.
+    cl = laptop_cluster(3, gpus_per_node=2)
+    config = sobel.SobelConfig(shape=(96, 80), functional_shape=(48, 40), simulated_steps=5)
+    run = sobel.run(cl, config, "cpu+1gpu", time_block="auto")
+    assert [v["time_block"] for v in run.spmd.values] == [7, 7, 7]
+    assert run.makespan < sobel.run(cl, config, "cpu+1gpu").makespan
+
+
 # -- checkpoint / crash-restart ----------------------------------------------
 
 def test_heat3d_crash_restart_mid_block_bit_identical():
@@ -355,10 +366,13 @@ def test_blocked_run_identical_across_backends():
 # separate k=1 / blocked code.  Every entry is [repr(app makespan),
 # repr(engine makespan), result digest]: a charge that moves by one ulp on
 # any device mix, node count, overlap/tiling setting or blocking factor
-# fails here, not only in the wall-clock bench's handful of cases.
+# fails here, not only in the wall-clock bench's handful of cases.  The n3
+# entries came later: only a rank with neighbours on both sides of an axis
+# sends two strips in one phase, so only they see the send order.  Their
+# ``k=auto`` entries were made once every rank agreed on one ``k``.
 
 PIN_MIXES = ("cpu", "cpu+1gpu", "cpu+2gpu")
-PIN_NODES = (1, 2, 4)
+PIN_NODES = (1, 2, 3, 4)
 PIN_TIME_BLOCKS = (1, 2, "auto")
 #: variant -> (accepts overlap/tiling, accepts time_block)
 PIN_VARIANTS = {

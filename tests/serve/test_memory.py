@@ -24,10 +24,10 @@ image size (the whole-region apply allocated 13.5 MiB at 768², 54 MiB at
 1536²).  A job holds each kernel array once: float64-sum scatter plans keep at
 most one bin index per key (bit-identical to the unplanned scatter), and a
 gathered grid costs the root the grid plus one other rank's block.  A
-simulated rank holds only what it uses: a halo pack buffer lives as long as
-its message, timelines keep no interval history, and a CPU device builds
-per-core timelines only for per-core scheduling, so a wide heat3d job's
-traced peak per rank is bounded.
+simulated rank holds only what it uses: a halo pack buffer or a step-5 node
+gather lives as long as its messages, timelines keep no interval history,
+and a CPU device builds per-core timelines only for per-core scheduling, so
+a wide heat3d job's traced peak per rank is bounded.
 """
 
 import ctypes
@@ -44,9 +44,11 @@ from typing import Any
 import numpy as np
 import pytest
 
+from repro.apps import moldyn
 from repro.apps.sobel import make_kernel, sobel_apply
 from repro.comm.communicator import SimComm
 from repro.core.env import RuntimeEnv
+from repro.core.irregular import _TAG_DATA
 from repro.core.reduction_object import DenseReductionObject
 from repro.core.stencil import SLAB_ELEMS
 from repro.data import clear_memo
@@ -506,6 +508,33 @@ def test_a_stencil_holds_no_sent_halo_strip_once_it_is_delivered(monkeypatch):
 
     # dims=(2, 1): one face with a neighbour, one strip per step.
     assert run_spmd(prog, nodes=2, gpus_per_node=0).values == [([True], [True] * 3)] * 2
+
+
+def test_an_irregular_rank_holds_no_sent_gather_once_it_is_delivered(monkeypatch):
+    gathers: dict[int, list] = {0: [], 1: []}
+    isend = SimComm.isend
+
+    def tracking_isend(self, buf, dest, tag, *args, **kwargs):
+        if tag == _TAG_DATA:  # a step-5 node-data slice, not a step-3 ID list
+            gathers[self.rank].append(weakref.ref(buf.base))
+        return isend(self, buf, dest, tag, *args, **kwargs)
+
+    monkeypatch.setattr(SimComm, "isend", tracking_isend)
+    positions, edges = geometric_mesh(400, 12.0, seed=0, shuffle_fraction=0.1)
+
+    def prog(ctx):
+        ir = RuntimeEnv(ctx, "cpu").get_IR()
+        ir.set_kernel(moldyn.make_cf_kernel(ctx.node, moldyn.MoldynConfig()))
+        ir.set_parameter(1.0)
+        ir.set_mesh(edges, np.concatenate([positions, np.zeros_like(positions)], axis=1))
+        for _ in range(4):
+            ir.start()
+            ir.update_nodedata(ir.get_local_nodes())
+        ctx.comm.barrier()  # the peer has received every gather we sent
+        return [ref() is None for ref in gathers[ctx.rank]]
+
+    # Two ranks: one requester each, one gather per step.
+    assert run_spmd(prog, nodes=2, gpus_per_node=0).values == [[True] * 4] * 2
 
 
 def test_sobel_apply_allocates_three_slab_buffers():
