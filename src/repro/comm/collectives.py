@@ -16,7 +16,7 @@ Zero-copy: array payloads forwarded unmodified through a collective tree
 (bcast/gather relays) ride the point-to-point zero-copy path — the payload
 freezes the array read-only once and every hop shares that one buffer, so
 relaying costs virtual time but no functional-layer copies.  Only steps
-that combine values (reduce, scan) materialize new arrays.
+that combine values (reduce, allreduce) materialize new arrays.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ _OP_BCAST = 1
 _OP_REDUCE = 2
 _OP_ALLREDUCE = 3
 _OP_GATHER = 4
-_OP_SCATTER = 5
 _OP_ALLTOALL = 6
-_OP_SCAN = 7
-_OP_REDUCE_SCATTER = 8
-_OP_EXSCAN = 9
 
 
 def collective_tag(seq: int, op_id: int, round_: int = 0) -> int:
@@ -216,28 +212,6 @@ def allgather(self: "SimComm", value: Any) -> list[Any]:
     return bcast(self, parts, root=0)
 
 
-def scatter(self: "SimComm", values: list[Any] | None = None, root: int = 0) -> Any:
-    """Scatter one element of ``values`` (given at ``root``) to each rank.
-
-    Linear sends from the root: scatter appears only on cold paths here
-    (initial workload distribution), where O(P) root overhead is the
-    honest cost of a root-held dataset anyway.
-    """
-    tag = self._next_coll_tag(_OP_SCATTER)
-    size = self.size
-    if self.rank == root:
-        if values is None or len(values) != size:
-            raise CommunicationError(
-                f"scatter root needs exactly {size} values, got "
-                f"{'None' if values is None else len(values)}"
-            )
-        for dst in range(size):
-            if dst != root:
-                self.send(values[dst], dst, tag, _internal=True)
-        return values[root]
-    return self.recv(source=root, tag=tag, _internal=True)
-
-
 def alltoall(self: "SimComm", values: list[Any]) -> list[Any]:
     """Pairwise-exchange all-to-all: ``size - 1`` shifted sendrecv rounds."""
     tag = self._next_coll_tag(_OP_ALLTOALL)
@@ -251,91 +225,3 @@ def alltoall(self: "SimComm", values: list[Any]) -> list[Any]:
         src = (self.rank - shift) % size
         result[src] = self.sendrecv(values[dst], dst, src, tag, tag, _internal=True)
     return result
-
-
-def scan(self: "SimComm", value: Any, op: Any = "sum") -> Any:
-    """Inclusive prefix reduction: rank r gets combine(value_0..value_r).
-
-    Classic log-step parallel prefix (Hillis-Steele over ranks): in round
-    k every rank sends its running prefix to ``rank + 2^k`` and folds in
-    the prefix received from ``rank - 2^k``.
-    """
-    seq = self._next_coll_tag(_OP_SCAN)
-    combine = get_reduce_op(op)
-    size = self.size
-    acc = value
-    dist = 1
-    round_ = 0
-    while dist < size:
-        tag = seq + round_
-        if self.rank + dist < size:
-            self.send(acc, self.rank + dist, tag, _internal=True)
-        if self.rank - dist >= 0:
-            left = self.recv(source=self.rank - dist, tag=tag, _internal=True)
-            acc = combine(left, acc)
-        dist <<= 1
-        round_ += 1
-    return acc
-
-
-def exscan(self: "SimComm", value: Any, op: Any = "sum") -> Any:
-    """Exclusive prefix reduction; rank 0 receives ``None`` (as in MPI).
-
-    Implemented by shifting each rank's *inclusive* prefix of its left
-    neighbourhood: rank r sends its inclusive scan to r+1.
-
-    Uses its own op id (``_OP_EXSCAN``), not ``_OP_SCAN``: a mismatched
-    program where one rank calls ``scan`` while another calls ``exscan``
-    must deadlock loudly (caught by the watchdog), not silently pair a
-    scan round with an exscan round and return wrong prefixes.
-    """
-    seq = self._next_coll_tag(_OP_EXSCAN)
-    combine = get_reduce_op(op)
-    size = self.size
-    # Round budget check *before any send*: the algorithm needs the
-    # inclusive-scan rounds plus one shift round, and raising after some
-    # sends have gone out would leave peers hung mid-collective.
-    rounds = 0
-    while (1 << rounds) < size:
-        rounds += 1
-    if rounds + 1 > _MAX_ROUNDS:
-        raise CommunicationError(
-            f"exscan needs {rounds + 1} rounds for size {size}, "
-            f"exceeding the {_MAX_ROUNDS}-round tag budget"
-        )
-    # Inclusive scan first (same algorithm as scan(), local tags).
-    acc = value
-    dist = 1
-    round_ = 0
-    while dist < size:
-        tag = seq + round_
-        if self.rank + dist < size:
-            self.send(acc, self.rank + dist, tag, _internal=True)
-        if self.rank - dist >= 0:
-            left = self.recv(source=self.rank - dist, tag=tag, _internal=True)
-            acc = combine(left, acc)
-        dist <<= 1
-        round_ += 1
-    shift_tag = seq + round_
-    if self.rank + 1 < size:
-        self.send(acc, self.rank + 1, shift_tag, _internal=True)
-    if self.rank > 0:
-        return self.recv(source=self.rank - 1, tag=shift_tag, _internal=True)
-    return None
-
-
-def reduce_scatter(self: "SimComm", values: list[Any], op: Any = "sum") -> Any:
-    """Combine ``values[r]`` across ranks; rank r gets the combined r-th slot.
-
-    Implemented as reduce-to-root + scatter (the simple algorithm; fine
-    for the control-plane sizes this framework uses it for).
-    """
-    if len(values) != self.size:
-        raise CommunicationError(
-            f"reduce_scatter needs exactly {self.size} values, got {len(values)}"
-        )
-    seq = self._next_coll_tag(_OP_REDUCE_SCATTER)
-    del seq  # tag space reserved; the inner collectives draw their own
-    combine = get_reduce_op(op)
-    combined = reduce(self, values, op=lambda a, b: [combine(x, y) for x, y in zip(a, b)], root=0)
-    return scatter(self, combined, root=0)

@@ -297,11 +297,7 @@ class SimComm:
     allreduce = _coll.allreduce
     gather = _coll.gather
     allgather = _coll.allgather
-    scatter = _coll.scatter
     alltoall = _coll.alltoall
-    scan = _coll.scan
-    exscan = _coll.exscan
-    reduce_scatter = _coll.reduce_scatter
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimComm(rank={self.rank}, size={self.size})"

@@ -60,7 +60,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.cluster.specs import ClusterSpec, InterconnectSpec
 from repro.comm.constants import ANY_SOURCE, ANY_TAG
@@ -153,6 +153,9 @@ class Fabric:
         #: Baton hand-overs and receives that had to park (observability).
         self.switches = 0
         self.parks = 0
+        #: Values every rank of the run derives alike from shared inputs,
+        #: keyed on those inputs: the first rank to need one computes it.
+        self.memo: dict[tuple, Any] = {}
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
         """Install (or clear, with ``None``) the fault plan for this run."""

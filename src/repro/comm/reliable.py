@@ -386,11 +386,7 @@ class ReliableComm:
     allreduce = _coll.allreduce
     gather = _coll.gather
     allgather = _coll.allgather
-    scatter = _coll.scatter
     alltoall = _coll.alltoall
-    scan = _coll.scan
-    exscan = _coll.exscan
-    reduce_scatter = _coll.reduce_scatter
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -36,6 +36,9 @@ from repro.device.gpu import GPUDevice
 from repro.device.work import WorkModel, scaled
 from repro.util.errors import ConfigurationError
 
+#: GPUs pull this many queue chunks at once.
+GPU_CHUNK_MULTIPLIER = 8
+
 
 class GeneralizedReductionRuntime:
     """Runtime instance for one (or successive) generalized-reduction kernels."""
@@ -45,7 +48,6 @@ class GeneralizedReductionRuntime:
         env: RuntimeEnv,
         *,
         chunk_elems: int | None = None,
-        gpu_chunk_multiplier: int = 8,
         gpu_streams: int = 2,
         localized: bool | None = None,
     ) -> None:
@@ -57,7 +59,6 @@ class GeneralizedReductionRuntime:
                 (default) picks ``local_elems / 512`` so the queue has
                 enough chunks for dynamic balancing regardless of the
                 functional scale.
-            gpu_chunk_multiplier: GPUs pull this many chunks at once.
             gpu_streams: CUDA streams per GPU (the paper uses 2).
             localized: Force reduction localization on (True) or off
                 (False); ``None`` (default) applies it automatically when
@@ -66,7 +67,6 @@ class GeneralizedReductionRuntime:
         """
         self.env = env
         self.chunk_elems = None if chunk_elems is None else int(chunk_elems)
-        self.gpu_chunk_multiplier = int(gpu_chunk_multiplier)
         self.gpu_streams = int(gpu_streams)
         self.localized = localized
         self._kernel: GRKernel | None = None
@@ -219,7 +219,7 @@ class GeneralizedReductionRuntime:
             start=t0,
             time_scale=time_scale,
             exec_fn=exec_chunk,
-            gpu_chunk_multiplier=self.gpu_chunk_multiplier,
+            gpu_chunk_multiplier=GPU_CHUNK_MULTIPLIER,
         )
         self.last_schedule = report
 

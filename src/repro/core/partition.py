@@ -44,11 +44,6 @@ def block_partition(n: int, parts: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def partition_counts(n: int, parts: int) -> np.ndarray:
-    """Sizes of the balanced split (``diff`` of :func:`block_partition`)."""
-    return np.diff(block_partition(n, parts))
-
-
 def owner_of(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Partition index owning each ID, given block offsets.
 

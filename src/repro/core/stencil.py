@@ -415,8 +415,38 @@ class StencilRuntime:
         border rank.  So each rank prices every rank of the decomposition
         (extents, neighbours, links and devices are known to all) and
         minimizes the slowest rank's cost; where every rank's own argmin
-        is one ``k``, that is the pick.
+        is one ``k``, that is the pick.  The first rank of a run prices it
+        and leaves it in the fabric's memo for the others.
         """
+        # Aggregate per-element compute time of the device team.  Speed
+        # profiling has not run yet, so assume the team splits perfectly
+        # (harmonic aggregation of per-device rates).
+        elem_time = 1.0 / sum(
+            1.0 / dev.elem_time(self._effective_work(dev), framework=True)
+            for dev in self.env.devices
+        )
+        kernel, memo = self._kernel, self.env.comm.fabric.memo
+        key = (
+            "time_block",
+            self.global_shape,
+            self.cart.dims,
+            kernel.halo,
+            np.dtype(kernel.dtype).itemsize,
+            self._axis_ratio,
+            len(self.env.devices),
+            elem_time,
+        )
+        hit = memo.get(key)
+        if hit is None:
+            k = self._price_time_blocks(elem_time)
+            hit = memo[key] = (k, self._partitioner.state_dict())
+        # Pricing splits rows through the rank's fresh partitioner, and a
+        # checkpoint charges the split it memoizes: every rank takes that state.
+        self._partitioner.load_state(hit[1])
+        return hit[0]
+
+    def _price_time_blocks(self, elem_time: float) -> int:
+        """The ``k`` whose slowest rank class costs least per sweep."""
         cart, fabric = self.cart, self.env.comm.fabric
         dims = cart.dims
         # Per axis: each coordinate's extent, and the rank distance to a
@@ -446,13 +476,6 @@ class StencilRuntime:
             # The link of each halo message, in (axis, low, high) order.
             links = tuple(fabric.link(rank, n) for pair in neighbors for n in pair if n != PROC_NULL)
             classes.setdefault((shape, opened, links), neighbors)
-        # Aggregate per-element compute time of the device team.  Speed
-        # profiling has not run yet, so assume the team splits perfectly
-        # (harmonic aggregation of per-device rates).
-        rate = 0.0
-        for dev in self.env.devices:
-            rate += 1.0 / dev.elem_time(self._effective_work(dev), framework=True)
-        elem_time = 1.0 / rate
         worst = [0.0] * kmax
         for (shape, _, links), neighbors in classes.items():
             for i, cost in enumerate(self._block_costs(shape, neighbors, links, kmax, elem_time)):

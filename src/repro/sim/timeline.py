@@ -102,11 +102,6 @@ class Timeline:
         self._available_at = float(start)
         self._busy = 0.0
 
-    def idle_time(self, horizon: float | None = None) -> float:
-        """Idle seconds up to ``horizon`` (default: last finish time)."""
-        end = self._available_at if horizon is None else horizon
-        return max(0.0, end - self._busy)
-
     def utilization(self, horizon: float | None = None) -> float:
         """Busy fraction in ``[0, horizon]`` (0.0 for an empty timeline)."""
         end = self._available_at if horizon is None else horizon

@@ -25,7 +25,7 @@ labels or metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 
 @dataclass(slots=True)
@@ -177,12 +177,3 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-def merge_traces(traces: Iterable[Trace]) -> list[TraceEvent]:
-    """All events from several per-rank traces, sorted by start time."""
-    events: list[TraceEvent] = []
-    for tr in traces:
-        events.extend(tr.events)
-    events.sort(key=lambda ev: (ev.start, ev.rank))
-    return events

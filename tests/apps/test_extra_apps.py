@@ -138,53 +138,6 @@ def test_srad_config_validation():
         pagerank.PageRankConfig(n_nodes=1)
 
 
-# ------------------------------------------------------------------ hotspot
-from repro.apps.extra import hotspot
-
-HS_CFG = hotspot.HotspotConfig(shape=(48, 48), iterations=10)
-
-
-def _hotspot(nodes, mix, time_block):
-    return spmd_run(
-        hotspot.rank_program,
-        ohio_cluster(nodes),
-        args=(HS_CFG, mix),
-        kwargs={"time_block": time_block},
-    ).values[0]
-
-
-@pytest.mark.parametrize("nodes", [1, 2, 4])
-def test_hotspot_matches_sequential(nodes):
-    ref = hotspot.sequential_reference(HS_CFG)
-    for time_block in (1, 2):
-        np.testing.assert_array_equal(_hotspot(nodes, "cpu", time_block), ref)
-
-
-def test_hotspot_heats_up_under_power_blocks():
-    res = spmd_run(hotspot.rank_program, ohio_cluster(1), args=(HS_CFG, "cpu"))
-    temp = res.values[0]
-    power = hotspot.generate_power_map(HS_CFG)
-    inner = (slice(2, -2), slice(2, -2))
-    hot = temp[inner][power[inner] > 1.0]
-    cool = temp[inner][power[inner] <= 0.05]
-    assert hot.mean() > cool.mean() + 0.05
-    assert (temp[inner] >= hotspot.T_AMBIENT - 45).all()
-
-
-def test_hotspot_heterogeneous_matches():
-    ref = hotspot.sequential_reference(HS_CFG)
-    for nodes in (1, 2, 4):
-        for time_block in (1, 2):
-            np.testing.assert_array_equal(_hotspot(nodes, "cpu+2gpu", time_block), ref)
-
-
-def test_hotspot_config_validation():
-    with pytest.raises(Exception):
-        hotspot.HotspotConfig(shape=(8, 64))
-    with pytest.raises(Exception):
-        hotspot.HotspotConfig(iterations=0)
-
-
 # ------------------------------------------------------------------ jacobi2d
 from repro.apps.extra import jacobi2d
 

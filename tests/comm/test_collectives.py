@@ -91,23 +91,6 @@ def test_allgather(size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_scatter(size):
-    def prog(ctx):
-        values = [i * i for i in range(ctx.size)] if ctx.rank == 0 else None
-        return ctx.comm.scatter(values, root=0)
-
-    assert _run(prog, size).values == [r * r for r in range(size)]
-
-
-def test_scatter_requires_exact_length():
-    def prog(ctx):
-        ctx.comm.scatter([1], root=0)
-
-    with pytest.raises(CommunicationError):
-        _run(prog, 2)
-
-
-@pytest.mark.parametrize("size", SIZES)
 def test_alltoall(size):
     def prog(ctx):
         return ctx.comm.alltoall([ctx.rank * 100 + i for i in range(ctx.size)])
@@ -169,96 +152,22 @@ def test_collectives_interleave_with_p2p():
     assert _run(prog, 3).values == [3, 3, 3]
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_scan_inclusive_prefix(size):
-    def prog(ctx):
-        return ctx.comm.scan(ctx.rank + 1, "sum")
-
-    values = _run(prog, size).values
-    assert values == [sum(range(1, r + 2)) for r in range(size)]
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_exscan_exclusive_prefix(size):
-    def prog(ctx):
-        return ctx.comm.exscan(ctx.rank + 1, "sum")
-
-    values = _run(prog, size).values
-    assert values[0] is None
-    assert values[1:] == [sum(range(1, r + 1)) for r in range(1, size)]
-
-
-def test_scan_with_max_op():
-    def prog(ctx):
-        return ctx.comm.scan([3, 1, 4, 1, 5][ctx.rank], "max")
-
-    assert _run(prog, 5).values == [3, 3, 4, 4, 5]
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_reduce_scatter(size):
-    def prog(ctx):
-        values = [ctx.rank * 10 + slot for slot in range(ctx.size)]
-        return ctx.comm.reduce_scatter(values, "sum")
-
-    values = _run(prog, size).values
-    for slot, got in enumerate(values):
-        assert got == sum(r * 10 + slot for r in range(size))
-
-
-def test_reduce_scatter_length_check():
-    def prog(ctx):
-        ctx.comm.reduce_scatter([1], "sum")
-
-    with pytest.raises(CommunicationError):
-        _run(prog, 3)
-
-
-def test_scan_exscan_mismatch_deadlocks_not_mispairs():
-    """Regression: exscan must use its own op id.  When it shared
-    ``_OP_SCAN``'s, a mismatched program (one rank in ``scan``, another in
-    ``exscan``) silently paired rounds across the two algorithms and
-    returned wrong prefixes; with distinct ids it deadlocks loudly."""
+def test_mismatched_collectives_deadlock_not_mispair():
+    """Each collective draws its own op id.  Were ``reduce`` and ``gather``
+    to share one, a mismatched program (one rank in ``reduce``, another in
+    ``gather``) would pair the gather's message with the reduce's receive
+    and return a value; with distinct ids it deadlocks loudly."""
 
     def prog(ctx):
         if ctx.rank == 0:
-            return ctx.comm.scan(1, "sum")
-        return ctx.comm.exscan(1, "sum")
+            return ctx.comm.reduce(1, lambda a, b: (a, b), root=0)
+        return ctx.comm.gather(1, root=0)
 
     with pytest.raises(DeadlockError) as exc:
         spmd_run(prog, laptop_cluster(num_nodes=2))
-    # Rank 0's scan sent its round under scan's tag and returned; rank 1's
-    # exscan waits under its own tag with that message unmatched.
+    # Rank 1's gather sent its part under gather's tag and returned; rank
+    # 0's reduce waits under its own tag with that message unmatched.
     text = str(exc.value)
-    assert "rank 1 waits for source=0" in text
+    assert "rank 0 waits for source=1" in text
     assert "with 1 unmatched message(s)" in text
-    assert "rank 0 waits" not in text
-
-
-def test_exscan_round_budget_checked_before_any_send(monkeypatch):
-    """An over-budget exscan must raise up front on every rank (nobody has
-    sent yet, so nobody is left hung mid-collective)."""
-    from repro.comm import collectives
-
-    monkeypatch.setattr(collectives, "_MAX_ROUNDS", 2)
-
-    def prog(ctx):
-        return ctx.comm.exscan(ctx.rank, "sum")
-
-    # 4 ranks need 2 inclusive-scan rounds + 1 shift round = 3 > 2.
-    with pytest.raises(CommunicationError, match="round"):
-        _run(prog, 4, wall_timeout=10.0)
-
-
-def test_scan_then_exscan_same_program():
-    """Back-to-back scan and exscan draw distinct tag sequences."""
-
-    def prog(ctx):
-        inc = ctx.comm.scan(ctx.rank + 1, "sum")
-        exc = ctx.comm.exscan(ctx.rank + 1, "sum")
-        return inc, exc
-
-    values = _run(prog, 5).values
-    for rank, (inc, exc) in enumerate(values):
-        assert inc == sum(r + 1 for r in range(rank + 1))
-        assert exc == (sum(r + 1 for r in range(rank)) if rank else None)
+    assert "rank 1 waits" not in text

