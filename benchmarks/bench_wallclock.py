@@ -533,8 +533,8 @@ def bench_obs_overhead(cfg: dict) -> dict:
     """Instrumented vs uninstrumented wall clock for one functional run.
 
     The observability layer must be near-free: runs measure heat3d with and
-    without per-rank :class:`repro.obs.Recorder` instances *interleaved*
-    (so machine noise hits both alike), report best-of walls for each, and
+    without ``trace=True`` (spans, counters and timeline histories)
+    *interleaved* (so machine noise hits both alike), report best-of walls for each, and
     require the virtual makespans to be bit-identical.  CI gates
     ``overhead_ratio`` at 1 + _OBS_OVERHEAD_THRESHOLD.
 
@@ -543,8 +543,6 @@ def bench_obs_overhead(cfg: dict) -> dict:
     above 5%, and a sub-10ms run sits in the timer noise floor — either
     would make a 5% gate flaky no matter how the real overhead moved.
     """
-    from repro.obs import Recorder
-
     cluster = ohio_cluster(1)
     config = heat3d.Heat3DConfig(functional_shape=(96, 96, 96), simulated_steps=8)
     plain_wall = inst_wall = float("inf")
@@ -554,7 +552,7 @@ def bench_obs_overhead(cfg: dict) -> dict:
         plain_run = heat3d.run(cluster, config)
         plain_wall = min(plain_wall, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        inst_run = heat3d.run(cluster, config, recorder_factory=Recorder)
+        inst_run = heat3d.run(cluster, config, trace=True)
         inst_wall = min(inst_wall, time.perf_counter() - t0)
     if inst_run.makespan != plain_run.makespan:
         raise AssertionError(

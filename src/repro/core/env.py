@@ -76,8 +76,6 @@ class RuntimeEnv:
         if not self.devices:
             raise ConfigurationError("device config selects no devices at all")
         for dev in self.devices:
-            # No-op on plain Traces; obs Recorders attach interval sinks to
-            # every engine timeline so per-step resets don't lose history.
             ctx.trace.bind_device(dev)
         self._finalized = False
 

@@ -7,7 +7,7 @@ dynamic chunk scheduler sees 12 independent consumers; static partitions
 are charged assuming the partition is divided evenly across cores, on one
 core's line (the stencil runtime's is the first core, the irregular
 runtime's the last).  The cores in between get their lines only when
-something schedules per core: the chunk scheduler, or an obs recorder
+something schedules per core: the chunk scheduler, or an enabled trace
 binding the device (both go through :attr:`CPUDevice.workers`).
 
 Roofline: a core's per-element time is the max of its compute time and its

@@ -1,15 +1,15 @@
 """repro.obs — the observability subsystem.
 
-Spans and counters (recorded through :class:`~repro.sim.trace.Trace` /
-:class:`Recorder`), full-run timeline capture, post-run analysis
+Spans, counters and full-run timeline histories (all recorded by an
+enabled :class:`~repro.sim.trace.Trace`, one per rank), post-run analysis
 (utilization, phase attribution, critical path), and exporters
 (Chrome-trace/Perfetto JSON, plain text, machine JSON).  See the
 "Observability" section of ``docs/architecture.md``.
 
 Typical use::
 
-    from repro.obs import Recorder, analyze
-    result = spmd_run(prog, cluster, recorder_factory=Recorder)
+    from repro.obs import analyze, render_text_report
+    result = spmd_run(prog, cluster, trace=True)
     report = analyze(result)
     report.verify()                      # reconciliation + contiguity
     print(render_text_report(report))
@@ -17,8 +17,8 @@ Typical use::
 
 from repro.util.lazy import lazy_exports
 
-# Lazy (PEP 562): recording a trace needs ``recorder`` only; analysis,
-# export and the text report (which pulls ``repro.metrics``) load on use.
+# Lazy (PEP 562): analysis, export and the text report (which pulls
+# ``repro.metrics``) load on use.
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
@@ -36,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ],
         "export": ["export_chrome_trace", "validate_chrome_trace", "write_chrome_trace"],
         "profile": ["PROFILE_APPS"],
-        "recorder": ["IntervalRecord", "Recorder"],
         "report": ["render_text_report"],
     },
 )

@@ -1,9 +1,8 @@
 """Post-run analysis: phase attribution, utilization, critical path.
 
-Everything here consumes the per-rank traces (ideally
-:class:`~repro.obs.recorder.Recorder` instances, so timeline histories are
-available) *after* a run; nothing in this module executes during
-simulation, so analysis can never perturb virtual time.
+Everything here consumes the per-rank traces of a ``trace=True`` run
+(spans, counters, timeline histories) *after* it ends; nothing here runs
+during simulation, so analysis can never perturb virtual time.
 
 Phase attribution
     Each rank's clock interval ``[0, T_rank]`` is tiled by a sweep over its
@@ -333,14 +332,11 @@ def attribute_phases(
 # Timeline utilization
 # ----------------------------------------------------------------------
 def timeline_stats(traces: Sequence[Trace], makespan: float) -> list[TimelineStats]:
-    """Busy/idle accounting per attached timeline (Recorder ranks only)."""
+    """Busy/idle accounting per bound timeline."""
     out: list[TimelineStats] = []
     horizon = max(makespan, _EPS)
     for rank, tr in enumerate(traces):
-        grouped = getattr(tr, "intervals_by_timeline", None)
-        if grouped is None:
-            continue
-        for name, recs in grouped().items():
+        for name, recs in tr.intervals_by_timeline().items():
             ivs = sorted(((r.start, r.end) for r in recs))
             busy = 0.0
             longest_gap = 0.0

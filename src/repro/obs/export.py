@@ -62,7 +62,7 @@ def _assign_lanes(events: list[tuple[float, float, Any]]) -> list[int]:
 def export_chrome_trace(
     traces: Sequence[Trace], makespan: float | None = None
 ) -> dict[str, Any]:
-    """Build a Chrome-trace dict from per-rank traces (Recorder or Trace)."""
+    """Build a Chrome-trace dict from per-rank traces."""
     events: list[dict[str, Any]] = []
     for rank, tr in enumerate(traces):
         pid = rank
@@ -93,11 +93,11 @@ def export_chrome_trace(
                 )
             return tid
 
-        # One track per resource timeline (Recorder ranks only).  Declare
-        # every attached timeline up front so idle resources still show.
-        for name in getattr(tr, "timeline_names", ()):  # attach order
+        # One track per resource timeline.  Declare every bound timeline
+        # up front so idle resources still show.
+        for name in tr.timeline_names:  # bind order
             tid_for(name)
-        for rec in getattr(tr, "intervals", ()):
+        for rec in tr.intervals:
             events.append(
                 {
                     "ph": "X",

@@ -52,7 +52,7 @@ NON_SEMANTIC_FIELDS = ("backend", "priority")
 
 #: Keyword arguments of app ``run`` functions that are plumbing, not app
 #: options — they are carried by dedicated spec fields instead.
-_RESERVED_OPTIONS = frozenset({"fault_plan", "recorder_factory", "trace"})
+_RESERVED_OPTIONS = frozenset({"fault_plan", "trace"})
 
 
 def resolve_backend(backend: str | None) -> str:
@@ -397,9 +397,7 @@ def run_spec(spec: JobSpec) -> tuple[Any, Any]:
     if plan is not None:
         kwargs["fault_plan"] = plan
     if spec.trace:
-        from repro.obs.recorder import Recorder
-
-        kwargs["recorder_factory"] = Recorder
+        kwargs["trace"] = True
     apprun = APPS[spec.app].run(
         build_cluster(spec.preset, spec.nodes), spec.build_config(), spec.mix, **kwargs
     )

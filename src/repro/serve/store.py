@@ -1,4 +1,4 @@
-"""Persistent on-disk result store (content-addressed, atomic, versioned).
+"""Persistent on-disk result store (content-addressed, atomic, code-stamped).
 
 The in-memory :class:`~repro.serve.cache.ResultCache` dies with the
 process; a campaign that sweeps hundreds of (app, preset, nodes, seed)
@@ -15,10 +15,13 @@ Durability rules:
   the entry's directory and ``os.replace``\\ s it into place.  Two server
   processes racing on the same key each land a complete file; readers
   never observe a torn write.
-- **Version-stamped schema.**  Entries are wrapped as
-  ``{"schema": N, "key": ..., "payload": ...}``.  A future schema bump
-  makes old entries *misses* (counted ``incompatible``), never crashes —
-  they stay on disk for the older code that understands them.
+- **Stamped with the code that made it.**  Entries are wrapped as
+  ``{"code": stamp, "key": ..., "payload": ...}``, where the stamp is
+  :func:`code_stamp`, a digest of the ``repro`` package's sources.  The
+  content hash names *what* was asked, the stamp *which code* answered:
+  an entry written by any other code (or with no stamp) is a *miss*,
+  counted ``stale``, and re-executed — never served.  It stays on disk for
+  the code that wrote it.
 - **Corruption is a miss, not an error.**  A truncated, unparseable or
   mislabeled entry (e.g. a crashed writer pre-``os.replace`` semantics,
   or bit rot) is skipped, counted, best-effort unlinked, and simply
@@ -32,6 +35,8 @@ small at paper-sweep scale).  The default root is ``$REPRO_STORE`` or
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -40,10 +45,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.util.errors import ValidationError
-
-#: Entry wrapper schema understood by this code.  Bump on incompatible
-#: payload changes; old entries then read as ``incompatible`` misses.
-SCHEMA_VERSION = 1
 
 #: Environment variable overriding the default store root.
 STORE_ENV = "REPRO_STORE"
@@ -55,6 +56,22 @@ def default_store_root() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro" / "results"
+
+
+@functools.cache
+def code_stamp() -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``*.py``
+    file of the ``repro`` package: which code made a stored result.
+
+    Computed once per process, on first store access (a few ms).
+    """
+    package = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py")):
+        data = (package / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def _valid_key(key: str) -> bool:
@@ -76,7 +93,7 @@ class ResultStore:
         self._misses = 0
         self._writes = 0
         self._corrupt_dropped = 0
-        self._incompatible = 0
+        self._stale = 0
 
     # -- paths -------------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -89,8 +106,8 @@ class ResultStore:
         """The stored payload for ``key``, or ``None``.
 
         Corrupt or truncated entries are dropped and read as misses;
-        entries written under a different :data:`SCHEMA_VERSION` are left
-        in place but rejected (``incompatible``).
+        entries stamped by other code are left in place but rejected
+        (``stale``).
         """
         path = self.path_for(key)
         try:
@@ -103,11 +120,11 @@ class ResultStore:
             doc = json.loads(raw)
         except json.JSONDecodeError:
             return self._drop_corrupt(path)
-        if not isinstance(doc, dict) or "schema" not in doc:
+        if not isinstance(doc, dict):
             return self._drop_corrupt(path)
-        if doc.get("schema") != SCHEMA_VERSION:
+        if doc.get("code") != code_stamp():
             with self._lock:
-                self._incompatible += 1
+                self._stale += 1
                 self._misses += 1
             return None
         if doc.get("key") != key or not isinstance(doc.get("payload"), dict):
@@ -131,7 +148,7 @@ class ResultStore:
         """Atomically persist ``payload`` under ``key`` (last writer wins)."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"schema": SCHEMA_VERSION, "key": key, "payload": payload}
+        doc = {"code": code_stamp(), "key": key, "payload": payload}
         body = json.dumps(doc, separators=(",", ":"))
         # A unique temp file per writer + os.replace = no torn entries even
         # with two server processes completing the same spec concurrently.
@@ -152,7 +169,13 @@ class ResultStore:
             self._writes += 1
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        """Whether ``key`` has an entry this code would serve (no counters)."""
+        try:
+            raw = self.path_for(key).read_text(encoding="utf-8")
+            doc = json.loads(raw)
+        except (OSError, ValueError):  # missing, undecodable or unparseable
+            return False
+        return isinstance(doc, dict) and doc.get("code") == code_stamp()
 
     def keys(self) -> Iterator[str]:
         """All entry hashes currently on disk (no validation)."""
@@ -182,10 +205,10 @@ class ResultStore:
         with self._lock:
             return {
                 "root": str(self.root),
-                "schema": SCHEMA_VERSION,
+                "code": code_stamp(),
                 "hits": self._hits,
                 "misses": self._misses,
                 "writes": self._writes,
                 "corrupt_dropped": self._corrupt_dropped,
-                "incompatible": self._incompatible,
+                "stale": self._stale,
             }

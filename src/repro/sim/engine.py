@@ -248,7 +248,6 @@ def spmd_run(
     args: tuple = (),
     kwargs: dict | None = None,
     trace: bool = False,
-    recorder_factory: Callable[[int], Trace] | None = None,
     device_factory: DeviceFactory | None = None,
     wall_timeout: float = 600.0,
     fault_plan: "FaultPlan | None" = None,
@@ -262,11 +261,9 @@ def spmd_run(
         ranks_per_node: 1 for the framework's process-per-node model; the
             paper's hand-written MPI baselines use one rank per core.
         args, kwargs: Extra arguments forwarded to every rank.
-        trace: Enable per-rank event tracing (small overhead).
-        recorder_factory: Optional callable ``rank -> Trace`` building the
-            per-rank trace objects; used by :mod:`repro.obs` to install
-            :class:`~repro.obs.Recorder` instances (which also capture
-            device/NIC timeline intervals).  Overrides ``trace``.
+        trace: Enable per-rank tracing: spans, counters, gauges and the
+            busy intervals of every NIC and device timeline (small
+            overhead).
         device_factory: Optional callable building the rank's device list
             (used by :class:`repro.core.env.RuntimeEnv`); it runs inside the
             rank thread after clock/comm are wired.
@@ -302,12 +299,8 @@ def spmd_run(
         fabric.install_faults(fault_plan)
     values: list[Any] = [None] * nranks
     times: list[float] = [0.0] * nranks
-    if recorder_factory is not None:
-        traces: list[Trace] = [recorder_factory(r) for r in range(nranks)]
-    else:
-        traces = [Trace(r, enabled=trace) for r in range(nranks)]
+    traces = [Trace(r, enabled=trace) for r in range(nranks)]
     for tr in traces:
-        # No-op on plain Traces; obs Recorders attach NIC timeline sinks.
         tr.bind_fabric(fabric)
     failures: list[tuple[int, BaseException]] = []  # (rank, what it raised)
     failure_lock = threading.Lock()

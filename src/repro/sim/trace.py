@@ -7,12 +7,11 @@ that with overlapped execution the local-edge compute span genuinely
 overlaps the node-data exchange span, or that a tree combine has
 ``ceil(log2 n)`` rounds — rather than only checking final timings.
 
-:mod:`repro.obs` builds on this class: :class:`repro.obs.Recorder`
-subclasses :class:`Trace` and additionally captures per-:class:`Timeline`
-busy intervals (surviving the per-step resets devices perform), which the
-analysis layer turns into utilization, phase attribution and critical-path
-reports.  The hooks :meth:`Trace.bind_fabric` / :meth:`Trace.bind_device`
-are no-ops here so the simulation layers stay ignorant of ``repro.obs``.
+An enabled trace also keeps the full-run busy intervals of the rank's NIC
+and device timelines (``spmd_run`` and ``RuntimeEnv`` bind them), which
+devices reset every step; :mod:`repro.obs` turns them into utilization,
+phase attribution and critical-path reports.  A disabled trace binds
+nothing, so untraced scheduling pays one ``is None`` check per interval.
 
 Recording must never perturb virtual time — makespans are bit-identical
 with tracing on or off — and the *disabled* path must be allocation-free:
@@ -53,15 +52,29 @@ class TraceEvent:
 _NO_META: dict[str, Any] = {}
 
 
+@dataclass(slots=True)
+class IntervalRecord:
+    """One busy interval on one named resource timeline (treat as immutable)."""
+
+    timeline: str
+    start: float
+    end: float
+    label: str
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
 def overlap_seconds(a: TraceEvent, b: TraceEvent) -> float:
     """Length of the temporal intersection of two events (0 if disjoint)."""
     return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
 class Trace:
-    """A per-rank collection of :class:`TraceEvent`, free when disabled."""
+    """Per-rank events, counters and timeline history, free when disabled."""
 
-    __slots__ = ("rank", "enabled", "_events", "_counters", "_gauges")
+    __slots__ = ("rank", "enabled", "_events", "_counters", "_gauges", "_intervals", "_names")
 
     def __init__(self, rank: int, enabled: bool = True) -> None:
         self.rank = rank
@@ -69,6 +82,8 @@ class Trace:
         self._events: list[TraceEvent] = []
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
+        self._intervals: list[IntervalRecord] = []
+        self._names: list[str] = []  # bound timelines, in bind order
 
     def record(
         self,
@@ -124,13 +139,29 @@ class Trace:
         return dict(self._gauges)
 
     # ------------------------------------------------------------------
-    # Observability hooks (overridden by repro.obs.Recorder)
+    # Timeline history
     # ------------------------------------------------------------------
     def bind_fabric(self, fabric: Any) -> None:
-        """Hook: called once per rank before the rank program starts."""
+        """Keep the history of this rank's NIC lines (each is scheduled under
+        its rank's fabric shard lock, so appends never interleave)."""
+        if self.enabled:
+            self._attach(fabric.egress_timeline(self.rank))
+            self._attach(fabric.ingress_timeline(self.rank))
 
     def bind_device(self, device: Any) -> None:
-        """Hook: called for each device built for this rank."""
+        """Keep the history of every engine line of ``device`` (a CPU builds
+        its per-core ``workers`` for this)."""
+        if self.enabled:
+            for tl in getattr(device, "workers", None) or device.timelines():
+                self._attach(tl)
+
+    def _attach(self, timeline: Any) -> None:
+        if timeline.name not in self._names:
+            self._names.append(timeline.name)
+        timeline.observe(self._sink)
+
+    def _sink(self, name: str, start: float, end: float, label: str) -> None:
+        self._intervals.append(IntervalRecord(name, start, end, label))
 
     # ------------------------------------------------------------------
     # Queries
@@ -138,6 +169,23 @@ class Trace:
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         return tuple(self._events)
+
+    @property
+    def intervals(self) -> tuple[IntervalRecord, ...]:
+        """Full-run interval history across all bound timelines."""
+        return tuple(self._intervals)
+
+    @property
+    def timeline_names(self) -> tuple[str, ...]:
+        """Every bound timeline, in bind order, idle ones included."""
+        return tuple(self._names)
+
+    def intervals_by_timeline(self) -> dict[str, list[IntervalRecord]]:
+        """Interval history grouped by timeline name (bind order)."""
+        out: dict[str, list[IntervalRecord]] = {name: [] for name in self._names}
+        for rec in self._intervals:
+            out[rec.timeline].append(rec)
+        return out
 
     def filter(
         self, category: str | None = None, label_prefix: str | None = None

@@ -5,7 +5,7 @@ The stencil runtime charges the first core's line, the irregular runtime
 the last core's, and the chunk scheduler every core.  A step that mixes
 them must still find earlier charges on the same line objects, so its
 makespans stay those of a device that built every core up front (pinned
-below from such a build); with an obs recorder every core still records.
+below from such a build); with tracing on every core still records.
 """
 
 import numpy as np

@@ -11,12 +11,7 @@ import pytest
 
 from repro.cluster.presets import laptop_cluster, ohio_cluster
 from repro.faults.plan import FaultPlan
-from repro.obs import (
-    Recorder,
-    aggregate_counters,
-    analyze,
-    match_messages,
-)
+from repro.obs import aggregate_counters, analyze, match_messages
 from repro.obs.profile import PROFILE_APPS
 from repro.util.errors import ValidationError
 from tests.conftest import profile
@@ -51,13 +46,13 @@ def test_unknown_app_and_scale_rejected():
         profile("kmeans", scale="huge")
 
 
-@pytest.mark.parametrize("app", ["heat3d", "kmeans"])
+@pytest.mark.parametrize("app", sorted(PROFILE_APPS))
 def test_makespan_bit_identical_with_obs_on_and_off(app):
     cluster = ohio_cluster(2)
     entry = PROFILE_APPS[app]
     cfg = entry.quick_config()
     plain = entry.run(cluster, cfg, "cpu+2gpu")
-    observed = entry.run(cluster, cfg, "cpu+2gpu", recorder_factory=Recorder)
+    observed = entry.run(cluster, cfg, "cpu+2gpu", trace=True)
     assert observed.makespan == plain.makespan  # bit-identical, not approx
 
 
@@ -74,7 +69,7 @@ def test_bit_identical_under_fault_injection_with_retransmits():
         "cpu+2gpu",
         reliable=True,
         fault_plan=FaultPlan.lossy(7, drop=0.3),
-        recorder_factory=Recorder,
+        trace=True,
     )
     assert observed.makespan == plain.makespan
     report = analyze(observed.spmd)
@@ -99,7 +94,7 @@ def test_match_messages_pairs_sends_with_recvs():
 
     from repro.sim.engine import spmd_run
 
-    res = spmd_run(prog, laptop_cluster(num_nodes=2), recorder_factory=Recorder)
+    res = spmd_run(prog, laptop_cluster(num_nodes=2), trace=True)
     edges = match_messages(res.traces)
     recvs = res.traces[1].filter(category="comm", label_prefix="recv")
     assert len(edges) == 3
@@ -141,7 +136,7 @@ def test_phase_attribution_accounts_for_waits():
 
     from repro.sim.engine import spmd_run
 
-    res = spmd_run(prog, laptop_cluster(num_nodes=2), recorder_factory=Recorder)
+    res = spmd_run(prog, laptop_cluster(num_nodes=2), trace=True)
     report = analyze(res)
     report.verify()
     r1 = report.phases[1]

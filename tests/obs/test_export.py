@@ -10,7 +10,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.recorder import Recorder
 from repro.sim.trace import Trace
 
 
@@ -47,14 +46,14 @@ def test_zero_duration_events_become_instants():
     assert instants[0]["name"] == "dup-discard<-1"
 
 
-def test_recorder_timelines_become_tracks():
+def test_trace_timelines_become_tracks():
     from repro.sim.timeline import Timeline
 
-    rec = Recorder(0)
+    tr = Trace(0)
     tl = Timeline("gpu0.compute")
-    rec._attach(tl)
+    tr._attach(tl)
     tl.schedule(0.0, 1.0, "k[0]")
-    obj = export_chrome_trace([rec])
+    obj = export_chrome_trace([tr])
     validate_chrome_trace(obj)
     tracks = {
         ev["args"]["name"]

@@ -39,6 +39,7 @@ import tracemalloc
 import types
 import weakref
 from pathlib import Path
+from statistics import median
 from typing import Any
 
 import numpy as np
@@ -210,6 +211,7 @@ print(json.dumps({"held": held, "peaks": peaks, "datasets": datasets}))
 BATON_PROBE = """
 import json, time
 from repro.serve import JobServer, JobSpec, ServeClient
+from repro.serve.scheduler import _process_stats
 
 MAX_QUEUED = 128
 
@@ -238,12 +240,18 @@ with JobServer(port=0, max_queued=MAX_QUEUED, executor=lambda spec: {"makespan":
         api.submit_many([spec(batch * MAX_QUEUED + i) for i in range(MAX_QUEUED)])
         while not drained(server.scheduler.stats()):
             time.sleep(0.001)
-        timings = []
+        # stats() less its /proc/self/status read, timed in the same loop: the
+        # read's latency swings 1.7x with the host for up to a second at a
+        # time, and it does not grow with the jobs a scheduler has served.
+        timings, reads = [], []
         for _ in range(51):
             t0 = time.perf_counter()
             stats = server.scheduler.stats()
-            timings.append(time.perf_counter() - t0)
-        stats_us.append(min(timings) * 1e6)
+            t1 = time.perf_counter()
+            _process_stats()
+            timings.append(t1 - t0)
+            reads.append(time.perf_counter() - t1)
+        stats_us.append((min(timings) - min(reads)) * 1e6)
         rss.append(stats["process"]["rss_mb"])
         jobs.append(stats["jobs"])
 print(json.dumps({"threads": threads, "running": running, "states": states,
@@ -320,14 +328,17 @@ def test_a_server_runs_one_job_at_a_time_and_keeps_a_bounded_table(tmp_path):
     the last nine of ten tables' worth of no-op jobs the parent's RSS rose 1.64
     MiB (every record kept: 1280 at the end) and its ``stats()`` went 45 -> 134
     us; the bounded table holds 128 records throughout, +0.27 MiB and a flat
-    50 us.  The bounds are a third of the parent's growth."""
+    50 us.  The bounds are a third of the parent's growth.  ``stats()`` is
+    timed without its /proc read (a flat 8-22 us here) and compared as the
+    median of tables 8-10 against that of tables 2-4, so neither one table's
+    hiccup nor the host's slow spells decide it."""
     report = _run_probe(tmp_path, BATON_PROBE)
     assert set(report["states"]) == {"done"} and len(report["states"]) == 24
     assert max(report["running"]) == 1 and max(report["threads"]) <= 12, report["threads"]
     assert report["jobs"] == [128] * 10
     rss, stats_us = report["rss"], report["stats_us"]
     assert rss[-1] - rss[1] <= 1.64 / 3, rss
-    assert stats_us[-1] <= stats_us[1] + (134 - 45) / 3, stats_us
+    assert median(stats_us[7:10]) <= median(stats_us[1:4]) + (134 - 45) / 3, stats_us
 
 
 #: generator call -> most its traced peak may be, in multiples of the bytes it

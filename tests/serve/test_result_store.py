@@ -1,19 +1,25 @@
-"""The persistent result store: atomicity, corruption, schema versioning.
+"""The persistent result store: atomicity, corruption, code stamps.
 
 The store is the durable tier under the LRU — these tests poke exactly
 the ways a shared on-disk cache goes wrong: truncated/corrupt entries,
-concurrent writers racing on one key, schema drift between versions, and
+concurrent writers racing on one key, entries written by other code, and
 stale temp files.
 """
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+
 from repro.serve.cache import ResultCache
-from repro.serve.store import SCHEMA_VERSION, ResultStore, default_store_root
+from repro.serve.store import ResultStore, code_stamp, default_store_root
 from repro.util.errors import ValidationError
 
 KEY = "ab" * 32  # a plausible sha256 hex digest
@@ -34,7 +40,7 @@ def test_roundtrip_and_layout(store):
     path = store.path_for(KEY)
     assert path.parent.name == KEY[:2] and path.name == f"{KEY}.json"
     on_disk = json.loads(path.read_text())
-    assert on_disk["schema"] == SCHEMA_VERSION and on_disk["key"] == KEY
+    assert on_disk["code"] == code_stamp() and on_disk["key"] == KEY
 
 
 def test_get_missing_is_a_miss(store):
@@ -78,15 +84,22 @@ def test_wrong_key_entry_dropped(store):
     assert store.stats()["corrupt_dropped"] == 1
 
 
-def test_incompatible_schema_is_miss_but_kept(store):
+def test_foreign_code_stamp_is_stale_but_kept(store):
     store.put(KEY, {"makespan": 1.0})
-    body = json.loads(store.path_for(KEY).read_text())
-    body["schema"] = SCHEMA_VERSION + 1  # written by a newer repro
-    store.path_for(KEY).write_text(json.dumps(body), encoding="utf-8")
-    assert store.get(KEY) is None
+    store.put(KEY2, {"makespan": 2.0})
+    foreign = json.loads(store.path_for(KEY).read_text())
+    foreign["code"] = "0" * 64  # written by other code
+    store.path_for(KEY).write_text(json.dumps(foreign), encoding="utf-8")
+    unstamped = json.loads(store.path_for(KEY2).read_text())
+    del unstamped["code"]  # what a schema-numbered store wrote
+    unstamped["schema"] = 1
+    store.path_for(KEY2).write_text(json.dumps(unstamped), encoding="utf-8")
+    assert KEY not in store and KEY2 not in store
+    assert store.get(KEY) is None and store.get(KEY2) is None
     stats = store.stats()
-    assert stats["incompatible"] == 1 and stats["corrupt_dropped"] == 0
-    assert store.path_for(KEY).exists()  # never destroy a newer version's data
+    assert stats["stale"] == 2 and stats["corrupt_dropped"] == 0
+    # Never destroy another version's data.
+    assert store.path_for(KEY).exists() and store.path_for(KEY2).exists()
 
 
 def test_concurrent_writers_leave_one_valid_entry(store):
@@ -154,3 +167,78 @@ def test_cache_eviction_does_not_erase_store(tmp_path):
     cache.put(KEY, {"a": 1})
     cache.put(KEY2, {"b": 2})  # evicts KEY from memory
     assert cache.get(KEY) == {"a": 1}  # disk still has it
+
+
+# ------------------------------------------------- a stamp per code version
+#: One process of the two-process test: probe the store for the point with
+#: a throw-away ``ResultStore``, then run the one-point kmeans campaign over
+#: it and run the same spec directly.  Prints one JSON line.
+_ONE_KMEANS_POINT = """
+import json, sys
+from repro.campaign import CampaignRunner, CampaignSpec
+from repro.serve.spec import run_spec
+from repro.serve.store import ResultStore
+
+campaign = CampaignSpec.from_dict({
+    "name": "stamp",
+    "axes": {"app": "kmeans", "preset": "ohio", "mix": "cpu+2gpu", "nodes": 2, "seed": 0},
+    "app_params": {"kmeans": {"functional_points": 2000, "n_points": 2000000}},
+})
+(spec,) = campaign.expand()
+probe = ResultStore(sys.argv[1])
+missed = probe.get(spec.content_hash()) is None
+path = probe.path_for(spec.content_hash())
+kept = json.loads(path.read_text())["code"] if path.is_file() else None
+store = ResultStore(sys.argv[1])
+result = CampaignRunner(campaign, store=store).run()
+direct, _ = run_spec(spec)
+print(json.dumps({
+    "probe_missed": missed,
+    "probe": probe.stats(),
+    "kept": kept,
+    "path": str(path),
+    "campaign": result.rows[0]["makespan"],
+    "direct": direct.makespan,
+    "executed": result.stats["executed"],
+    "store": store.stats(),
+}))
+"""
+
+
+def test_a_result_stored_by_other_code_is_re_executed(tmp_path):
+    """Served == direct across a code change: the second process runs a
+    copy of the package whose chunk dispatch costs 10x, so its stored
+    answer from the first process is stale and must not be served."""
+    package = Path(repro.__file__).parent
+    mutant = tmp_path / "mutant"
+    shutil.copytree(package, mutant / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    scheduler = mutant / "repro" / "core" / "scheduler.py"
+    text, line = scheduler.read_text(), "\nDISPATCH_OVERHEAD = 0.3e-6\n"
+    assert line in text
+    scheduler.write_text(text.replace(line, line.replace("0.3e-6", "3e-6")))
+    root = tmp_path / "store"
+
+    def run(pythonpath: Path) -> dict:
+        env = {**os.environ, "PYTHONPATH": str(pythonpath)}
+        out = subprocess.run(
+            [sys.executable, "-c", _ONE_KMEANS_POINT, str(root)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        return json.loads(out.stdout.splitlines()[-1])
+
+    first = run(package.parent)
+    assert first["probe_missed"] and first["executed"] == 1
+    assert first["campaign"] == first["direct"]
+    old_entry = json.loads(Path(first["path"]).read_text())
+
+    second = run(mutant)
+    assert second["direct"] != first["direct"]  # the mutant moves physics
+    # The old entry was a stale miss, left on disk ...
+    assert second["probe_missed"] and second["kept"] == old_entry["code"]
+    assert second["probe"]["stale"] == 1 and second["probe"]["corrupt_dropped"] == 0
+    # ... so the campaign re-executed and answers what the code now says.
+    assert second["store"]["stale"] == 1 and second["store"]["hits"] == 0
+    assert second["executed"] == 1 and second["campaign"] == second["direct"]
+    new_entry = json.loads(Path(second["path"]).read_text())
+    assert new_entry["code"] != old_entry["code"]
+    assert new_entry["payload"]["makespan"] == second["direct"]

@@ -51,11 +51,11 @@ def test_unknown_attribute_raises_attribute_error(package):
 def test_from_imports_of_submodules_and_names():
     from repro.apps import AppRun, kmeans
     from repro.metrics import figures, format_table
-    from repro.obs import PROFILE_APPS, Recorder
+    from repro.obs import PROFILE_APPS, RunReport
 
     assert kmeans.__name__ == "repro.apps.kmeans" and callable(kmeans.run)
     assert figures.__name__ == "repro.metrics.figures" and callable(format_table)
-    assert dataclasses.is_dataclass(AppRun) and isinstance(Recorder, type)
+    assert dataclasses.is_dataclass(AppRun) and dataclasses.is_dataclass(RunReport)
     assert PROFILE_APPS is APPS  # one table, whatever it is imported as
 
 
