@@ -1,7 +1,7 @@
 """Campaign smoke: a 2-app x 2-preset x 2-seed sweep through the job service.
 
 Runs one declarative campaign twice against servers sharing a persistent
-result store:
+result store, and once in-process:
 
 1. **Cold**: every point travels in one ``POST /jobs/batch``, executes
    under the scheduler's rank budget, and lands in the store.  The run
@@ -11,6 +11,9 @@ result store:
 2. **Warm**: a *fresh* server (cold in-memory cache) over the same store
    directory answers the identical campaign with **zero** executions —
    every point is a persistent-store hit.
+3. **In-process**: the same campaign with no server (a private scheduler,
+   no port) gives the cold run's rows, every column but ``job_id`` equal,
+   and the same counts: one job API, two transports.
 
 This is also the CI "campaign smoke" step.
 
@@ -76,7 +79,17 @@ def main() -> None:
         print(f"  0 executed, {warm.stats['store_hits']} store hits — "
               "the store answered the whole sweep")
 
-    print("campaign smoke OK: batched sweep bit-identical, warm re-run free")
+    print("in-process run (no server) ...")
+    local = CampaignRunner(CAMPAIGN, rank_budget=16).run()
+    assert local.ok, local.failures()
+    for key in ("executed", "cache_hits", "store_hits"):
+        assert local.stats[key] == cold.stats[key], (key, local.stats, cold.stats)
+    for a, b in zip(cold.rows, local.rows):
+        assert {**a, "job_id": None} == {**b, "job_id": None}, (a, b)
+    print(f"  {len(specs)} rows == the served cold run's, job_id aside")
+
+    print("campaign smoke OK: batched sweep bit-identical, warm re-run free, "
+          "in-process == served")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.specs import CPUSpec, NodeSpec
-from repro.comm.reliable import ReliableComm
-from repro.core.checkpoint import CheckpointManager
 from repro.device.cpu import CPUDevice
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext
@@ -108,14 +106,18 @@ class StepLoop:
         self, ctx: RankContext, *, reliable: bool = False, checkpoint_every: int | None = None
     ) -> None:
         if reliable:
+            from repro.comm.reliable import ReliableComm
+
             ctx.comm = ReliableComm(ctx.comm)
         self.ctx = ctx
         self.reliable = reliable
         #: None when un-checkpointed; loops that drive themselves
         #: (``run_until``) take it directly.
-        self.manager = (
-            None if checkpoint_every is None else CheckpointManager(ctx, every=checkpoint_every)
-        )
+        self.manager = None
+        if checkpoint_every is not None:
+            from repro.core.checkpoint import CheckpointManager
+
+            self.manager = CheckpointManager(ctx, every=checkpoint_every)
 
     def run(
         self,

@@ -153,9 +153,6 @@ def render_report(doc: dict[str, Any]) -> str:
                 "cache_hits", "store_hits", "wall_s"):
         if key in stats:
             summary.append(f"{key}={stats[key]}")
-    util = stats.get("utilization") or {}
-    if util.get("average") is not None:
-        summary.append(f"avg_rank_utilization={util['average']:.2f}")
     if summary:
         parts.append("  ".join(summary))
     bars = speedup_bars(rows)

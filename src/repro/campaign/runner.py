@@ -3,9 +3,16 @@
 The runner turns an expanded campaign into completed results as fast as
 the host allows:
 
-- **One submission round trip.**  The whole spec list goes through
-  :meth:`JobScheduler.submit_many` in-process, or one ``POST /jobs/batch``
-  when pointed at a running server — never N individual submits.
+- **One path, two transports.**  The runner talks to the job API
+  (:mod:`repro.serve.api`): the whole spec list goes in one batch
+  submission, one wait covers the sweep, and each distinct point's result
+  is fetched once.  In-process that API is a :class:`LocalClient` over a
+  private :class:`JobScheduler` (no port); pointed at a running server it
+  is a :class:`~repro.serve.client.ServeClient`, and the batch is one
+  ``POST /jobs/batch``.  Both give the same rows, and the counts
+  (``executed``, ``cache_hits``, ``store_hits``) come from the campaign's
+  own batch entries, so campaigns sharing a server never count each
+  other's jobs.
 - **Backfill-friendly ordering.**  Specs are submitted widest-first
   (descending rank cost, ties in expansion order): the classic
   longest-processing-time shape that lets the scheduler's first-fit
@@ -39,9 +46,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.campaign.spec import CampaignSpec
+from repro.serve.api import JobClient, LocalClient, ServeError
 from repro.serve.cache import ResultCache
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.scheduler import JobScheduler
+from repro.serve.scheduler import TERMINAL_STATES, JobScheduler
 from repro.serve.spec import JobSpec
 from repro.serve.store import ResultStore
 from repro.util.errors import ValidationError
@@ -88,11 +95,9 @@ def _mean_utilization(report: dict[str, Any]) -> float | None:
     return sum(t["utilization"] for t in timelines) / len(timelines)
 
 
-def _row_from_payload(
-    index: int, spec: JobSpec, status: dict[str, Any], payload: dict[str, Any] | None
-) -> dict[str, Any]:
-    """One run-table row: the point's axes plus its job outcome."""
-    row: dict[str, Any] = {
+def _point(index: int, spec: JobSpec) -> dict[str, Any]:
+    """A point's axes: the first columns of its run-table and status rows."""
+    return {
         "index": index,
         "app": spec.app,
         "preset": spec.preset,
@@ -102,26 +107,32 @@ def _row_from_payload(
         "seed": spec.params.get("seed"),
         "faulty": spec.fault_plan is not None,
         "spec_hash": spec.content_hash(),
+    }
+
+
+def _row_from_payload(
+    index: int, spec: JobSpec, status: dict[str, Any], payload: dict[str, Any] | None
+) -> dict[str, Any]:
+    """One run-table row: the point's axes plus its job outcome."""
+    result = payload or {}
+    row: dict[str, Any] = {
+        **_point(index, spec),
         "job_id": status.get("id"),
         "state": status.get("state"),
         "cached": bool(status.get("cached")),
-        "makespan": None,
-        "seq_time": None,
-        "speedup": None,
+        "makespan": result.get("makespan"),
+        "seq_time": result.get("seq_time"),
+        "speedup": result.get("speedup"),
         "error": status.get("error"),
     }
-    if payload is not None:
-        row["makespan"] = payload.get("makespan")
-        row["seq_time"] = payload.get("seq_time")
-        row["speedup"] = payload.get("speedup")
-        stats = payload.get("fault_stats")
-        if stats is not None:
-            row["fault_drops"] = stats.get("drops")
-            row["fault_crashes"] = stats.get("crashes_consumed")
-        report = payload.get("report")
-        if report is not None:
-            row["utilization"] = _mean_utilization(report)
-            row["critical_path_links"] = len(report.get("critical_path") or [])
+    stats = result.get("fault_stats")
+    if stats is not None:
+        row["fault_drops"] = stats.get("drops")
+        row["fault_crashes"] = stats.get("crashes_consumed")
+    report = result.get("report")
+    if report is not None:
+        row["utilization"] = _mean_utilization(report)
+        row["critical_path_links"] = len(report.get("critical_path") or [])
     return row
 
 
@@ -145,15 +156,16 @@ class CampaignResult:
 
 
 class CampaignRunner:
-    """Execute a campaign at maximum throughput, in-process or via HTTP.
+    """Execute a campaign at maximum throughput, in-process or on a server.
 
     Args:
         campaign: The declarative sweep to run.
         store: Persistent result store — a :class:`ResultStore`, a
             directory path, or ``None`` (in-memory only).  Ignored when a
             ``client`` is given (the server owns its store).
-        client: A :class:`ServeClient` pointed at a running job server;
-            the campaign then travels as one ``POST /jobs/batch``.
+        client: A :class:`~repro.serve.client.ServeClient` pointed at a
+            running job server; the campaign then travels as one
+            ``POST /jobs/batch``.  ``None`` runs it in-process.
         rank_budget: In-process scheduler budget (ranks in flight).
         cache_size: In-process LRU size above the store.
         executor: In-process executor override (tests).
@@ -165,7 +177,7 @@ class CampaignRunner:
         campaign: CampaignSpec,
         *,
         store: ResultStore | str | Path | None = None,
-        client: ServeClient | None = None,
+        client: JobClient | None = None,
         rank_budget: int = 64,
         cache_size: int = 256,
         executor: Any = None,
@@ -188,141 +200,76 @@ class CampaignRunner:
             raise ValidationError(f"campaign {self.campaign.name!r} expands to no points")
         t0 = time.perf_counter()
         if self.client is not None:
-            rows, stats = self._run_remote(specs)
+            rows, stats = self._run(self.client, specs)
         else:
-            rows, stats = self._run_local(specs)
+            scheduler = JobScheduler(
+                self.executor,
+                rank_budget=self.rank_budget,
+                cache=ResultCache(self.cache_size, store=self.store),
+            )
+            try:
+                rows, stats = self._run(LocalClient(scheduler), specs)
+            finally:
+                scheduler.shutdown()
+        stats["mode"] = "local" if self.client is None else "remote"
         stats["wall_s"] = round(time.perf_counter() - t0, 4)
         stats["points"] = len(specs)
         return CampaignResult(name=self.campaign.name, rows=rows, stats=stats)
 
-    def _run_local(self, specs: list[JobSpec]) -> tuple[list[dict], dict]:
-        submit_idx = distinct_points(specs)
-        scheduler = JobScheduler(
-            self.executor,
-            rank_budget=self.rank_budget,
-            cache=ResultCache(self.cache_size, store=self.store),
-        )
-        try:
-            outcomes = scheduler.submit_many([specs[i] for i in submit_idx])
-            jobs: dict[str, Any] = {}  # spec hash -> Job | error entry
-            for i, outcome in zip(submit_idx, outcomes):
-                h = specs[i].content_hash()
-                if outcome["ok"]:
-                    # A cache hit is complete as returned, and in a batch of
-                    # more hits than the job table keeps, already retired.
-                    job = outcome["job"]
-                    jobs[h] = job if job.cached else scheduler.wait(job.id, timeout=self.timeout)
-                else:
-                    jobs[h] = outcome["error"]
-            rows = []
-            for i, spec in enumerate(specs):
-                got = jobs[spec.content_hash()]
-                if isinstance(got, str):  # admission error
-                    status = {"id": None, "state": "rejected", "error": got}
-                    payload = None
-                else:
-                    status = got.describe(with_spec=False)
-                    payload = got.result
-                rows.append(_row_from_payload(i, spec, status, payload))
-            sched_stats = scheduler.stats()
-        finally:
-            scheduler.shutdown()
-        cache_stats = sched_stats.get("cache", {})
-        stats = {
-            "mode": "local",
-            "submitted": len(submit_idx),
-            "deduplicated": len(specs) - len(submit_idx),
-            "executed": sched_stats.get("executed", 0),
-            "cache_hits": sched_stats.get("cache_hits", 0),
-            "store_hits": cache_stats.get("store_hits", 0),
-            "rank_budget": self.rank_budget,
-            "utilization": sched_stats.get("utilization"),
-            "backend": specs[0].backend,
-        }
-        return rows, stats
+    def _run(self, client: JobClient, specs: list[JobSpec]) -> tuple[list[dict], dict]:
+        """One batch admission, one wait for the sweep, one result per point.
 
-    def _run_remote(self, specs: list[JobSpec]) -> tuple[list[dict], dict]:
+        The counts are the campaign's own batch entries, so campaigns
+        sharing a server never count each other's jobs.
+        """
         submit_idx = distinct_points(specs)
-        before = self.client.stats()
-        entries = self.client.submit_many([specs[i] for i in submit_idx])
-        statuses: dict[str, dict[str, Any]] = {}
-        waiting: list[tuple[str, str]] = []  # (spec hash, job id)
-        by_hash: dict[str, JobSpec] = {}
+        entries = client.submit_many([specs[i] for i in submit_idx])
+        waiting = [e["id"] for e in entries if "id" in e and e["state"] not in TERMINAL_STATES]
+        done = client.wait_many(waiting, timeout=self.timeout)
+        outcomes: dict[str, tuple[dict[str, Any], dict[str, Any] | None]] = {}
+        executed = 0
         for i, entry in zip(submit_idx, entries):
-            h = specs[i].content_hash()
-            by_hash[h] = specs[i]
-            if "id" not in entry:  # rejected: {"index", "error"} only
-                statuses[h] = {"id": None, "state": "rejected", "error": entry["error"]}
-            elif entry["state"] in ("done", "failed", "cancelled"):
-                statuses[h] = entry
+            if "id" not in entry:  # refused: {"index", "error"} only
+                status = {"id": None, "state": "rejected", "error": entry["error"]}
             else:
-                waiting.append((h, entry["id"]))
-                statuses[h] = entry
-        if waiting:
-            done = self.client.wait_many(
-                [job_id for _, job_id in waiting], timeout=self.timeout
-            )
-            for h, job_id in waiting:
-                statuses[h] = done[job_id]
-        payloads: dict[str, dict[str, Any] | None] = {}
-        for h, status in statuses.items():
-            if status.get("state") == "done":
-                payloads[h] = self._fetch_result(status["id"], by_hash[h])
-            else:
-                payloads[h] = None
+                status = done.get(entry["id"], entry)
+                executed += not status["cached"] and status["state"] != "cancelled"
+            payload = None
+            if status["state"] == "done":
+                payload = self._fetch_result(client, status["id"], specs[i])
+            outcomes[specs[i].content_hash()] = status, payload
         rows = [
-            _row_from_payload(i, spec, statuses[spec.content_hash()], payloads[spec.content_hash()])
+            _row_from_payload(i, spec, *outcomes[spec.content_hash()])
             for i, spec in enumerate(specs)
         ]
-        after = self.client.stats()
-        stats = {
-            "mode": "remote",
-            "url": self.client.url,
+        hits = [entry for entry in entries if entry.get("cached")]
+        return rows, {
             "submitted": len(submit_idx),
             "deduplicated": len(specs) - len(submit_idx),
-            "executed": after.get("executed", 0) - before.get("executed", 0),
-            "cache_hits": after.get("cache_hits", 0) - before.get("cache_hits", 0),
-            "store_hits": after.get("cache", {}).get("store_hits", 0)
-            - before.get("cache", {}).get("store_hits", 0),
-            "utilization": after.get("utilization"),
+            "executed": executed,
+            "cache_hits": len(hits),
+            "store_hits": sum(entry["cache_tier"] == "store" for entry in hits),
             "backend": specs[0].backend,
         }
-        return rows, stats
 
-    def _fetch_result(self, job_id: str, spec: JobSpec) -> dict[str, Any]:
+    def _fetch_result(self, client: JobClient, job_id: str, spec: JobSpec) -> dict[str, Any]:
         try:
-            return self.client.result(job_id)["result"]
+            return client.result(job_id)["result"]
         except ServeError as exc:
             if exc.status != 410:
                 raise
-        # Retired since: the batch finished more jobs than the server's table
-        # keeps.  The result is a resubmission (a cache / store hit) away.
-        return self.client.result(self.client.submit(spec)["id"])["result"]
+        # Retired since: the batch finished more jobs than the scheduler's
+        # table keeps.  The result is a resubmission (a cache / store hit) away.
+        return client.result(client.submit(spec)["id"])["result"]
 
     # -- status (no execution) ---------------------------------------------
     def status(self) -> dict[str, Any]:
         """How much of the campaign the persistent store already holds."""
         specs = self.campaign.expand()
-        cached = 0
-        rows = []
-        for i, spec in enumerate(specs):
-            h = spec.content_hash()
-            hit = self.store is not None and h in self.store
-            cached += int(hit)
-            rows.append(
-                {
-                    "index": i,
-                    "app": spec.app,
-                    "preset": spec.preset,
-                    "nodes": spec.nodes,
-                    "mix": spec.mix,
-                    "scale": spec.scale,
-                    "seed": spec.params.get("seed"),
-                    "faulty": spec.fault_plan is not None,
-                    "spec_hash": h,
-                    "stored": hit,
-                }
-            )
+        rows = [_point(i, spec) for i, spec in enumerate(specs)]
+        for row in rows:
+            row["stored"] = self.store is not None and row["spec_hash"] in self.store
+        cached = sum(row["stored"] for row in rows)
         return {
             "campaign": self.campaign.name,
             "points": len(specs),

@@ -22,8 +22,13 @@ their :class:`~repro.cluster.specs.InterconnectSpec`.
 from repro.comm.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.comm.fabric import Fabric, Message
 from repro.comm.communicator import SimComm, Request, SendRequest, RecvRequest
-from repro.comm.reliable import ReliableComm, ReliableRecvRequest
 from repro.comm.cart import CartComm
+from repro.util.lazy import lazy_exports
+
+# Only a ``reliable`` run loads the retransmitting communicator (PEP 562).
+_lazy, __getattr__, __dir__ = lazy_exports(
+    __name__, {"reliable": ["ReliableComm", "ReliableRecvRequest"]}
+)
 
 __all__ = [
     "ANY_SOURCE",
@@ -35,7 +40,6 @@ __all__ = [
     "Request",
     "SendRequest",
     "RecvRequest",
-    "ReliableComm",
-    "ReliableRecvRequest",
+    *_lazy,
     "CartComm",
 ]

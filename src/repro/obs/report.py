@@ -9,13 +9,34 @@ figure and benchmark reports.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from repro.metrics.ascii_chart import render_bars
 from repro.metrics.reporting import format_table
-from repro.obs.analysis import RunReport
+from repro.obs.analysis import RunReport, TimelineStats
 
 
 def _fmt_us(seconds: float) -> str:
     return f"{seconds * 1e6:.1f}us"
+
+
+def _utilization_rows(timelines: list[TimelineStats]) -> list[tuple[str, float]]:
+    """Chart rows, one per timeline, except a CPU's core lines: those no
+    interval touched are not drawn, and a CPU with at most one busy core
+    line (a static partition charges its whole split there) is one row
+    named for the device."""
+    rows: list[tuple[str, float]] = []
+    for (rank, device), group in groupby(
+        timelines, key=lambda tl: (tl.rank, tl.name.partition(".core")[0])
+    ):
+        lines = list(group)
+        if ".core" in lines[0].name:
+            lines = [tl for tl in lines if tl.n_intervals]
+            if len(lines) <= 1:
+                rows.append((f"r{rank}:{device}", lines[0].utilization if lines else 0.0))
+                continue
+        rows.extend((f"r{rank}:{tl.name}", tl.utilization) for tl in lines)
+    return rows
 
 
 def render_text_report(
@@ -43,9 +64,7 @@ def render_text_report(
     )
 
     if report.timelines:
-        items = [
-            (f"r{tl.rank}:{tl.name}", tl.utilization) for tl in report.timelines
-        ]
+        items = _utilization_rows(report.timelines)
         parts.append("")
         parts.append(
             render_bars(

@@ -20,8 +20,10 @@ Pieces:
   time, priority queues, a rank budget for worker-process jobs, admission
   control, a bounded job table.
 - :class:`~repro.serve.server.JobServer` — the localhost HTTP API.
+- :mod:`~repro.serve.api` — what each request answers, over one scheduler;
+  its :class:`~repro.serve.api.LocalClient` asks in-process, with no port.
 - :class:`~repro.serve.client.ServeClient` — the stdlib client the CLI
-  and batch drivers use.
+  and served campaigns use.
 
 Guarantee inherited from the engine: a job's virtual makespan is
 bit-identical whether it runs through the service (at any concurrency, on
@@ -35,8 +37,9 @@ from repro.util.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
+        "api": ["LocalClient", "ServeError"],
         "cache": ["ResultCache"],
-        "client": ["DEFAULT_URL", "ServeClient", "ServeError"],
+        "client": ["DEFAULT_URL", "ServeClient"],
         "scheduler": ["AdmissionError", "Job", "JobScheduler", "TERMINAL_STATES"],
         "server": ["JobServer"],
         "spec": ["JobSpec", "execute_job", "run_spec", "served_app_names"],

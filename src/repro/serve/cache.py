@@ -49,7 +49,12 @@ class ResultCache:
         self._store_hits = 0
 
     def get(self, key: str) -> dict[str, Any] | None:
-        """The cached payload for ``key`` (refreshing recency), or None.
+        """The cached payload for ``key`` (refreshing recency), or None."""
+        return self.lookup(key)[0]
+
+    def lookup(self, key: str) -> tuple[dict[str, Any] | None, str | None]:
+        """``(payload, tier)`` for ``key``: the tier that answered,
+        ``"memory"`` or ``"store"``, or ``(None, None)`` on a miss.
 
         Memory misses fall through to the persistent store (when one is
         attached); a store hit promotes the payload into the LRU so the
@@ -60,17 +65,15 @@ class ResultCache:
             if payload is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return payload
+                return payload, "memory"
             self._misses += 1
-        if self.store is None:
-            return None
-        payload = self.store.get(key)
+        payload = None if self.store is None else self.store.get(key)
         if payload is None:
-            return None
+            return None, None
         with self._lock:
             self._store_hits += 1
             self._insert_locked(key, payload)
-        return payload
+        return payload, "store"
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Store ``payload`` under ``key``, evicting the LRU entry if full.

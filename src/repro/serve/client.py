@@ -1,10 +1,10 @@
 """Stdlib HTTP client for the job service.
 
 :class:`ServeClient` is what the CLI (``repro submit`` / ``repro jobs``),
-the test suite, and future batch drivers (the campaign engine) talk to the
-server with — plain ``urllib`` underneath, JSON in and out, no third-party
-dependencies.  It never sleeps: the server holds a waiting request until
-the job is done.
+the test suite and a served campaign talk to the server with — plain
+``urllib`` underneath, JSON in and out, no third-party dependencies.  It
+never sleeps: the server holds a waiting request until the job is done.
+An in-process caller uses :class:`~repro.serve.api.LocalClient` instead.
 
 The canonical loop::
 
@@ -17,28 +17,18 @@ The canonical loop::
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 from typing import Any, Mapping
 
-from repro.serve.scheduler import TERMINAL_STATES
+from repro.serve.api import JobClient, ServeError
 from repro.serve.spec import JobSpec
 
 #: Default server address (the ``repro serve`` default port).
 DEFAULT_URL = "http://127.0.0.1:8642"
 
 
-class ServeError(Exception):
-    """An HTTP-level failure, carrying the server's error message."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
-        self.message = message
-
-
-class ServeClient:
+class ServeClient(JobClient):
     """Thin JSON client for one job server."""
 
     def __init__(self, url: str = DEFAULT_URL, *, timeout: float = 30.0) -> None:
@@ -113,43 +103,6 @@ class ServeClient:
     def cancel(self, job_id: str) -> dict[str, Any]:
         return self._request("POST", f"/jobs/{job_id}/cancel")
 
-    def wait(
-        self, job_id: str, *, timeout: float = 300.0, poll: float = 0.05
-    ) -> dict[str, Any]:
-        """Block until the job reaches a terminal state; returns its status.
-
-        The server holds each request (``GET /jobs/<id>?wait=``, in slices of
-        half the socket timeout) until then.  ``poll`` is accepted and
-        unused: ``benchmarks/e2e/harness.py`` still passes it.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            left = max(0.0, deadline - time.monotonic())
-            status = self._request("GET", f"/jobs/{job_id}?wait={min(left, self.timeout / 2):.3f}")
-            if status["state"] in TERMINAL_STATES:
-                return status
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {status['state']} after {timeout}s"
-                )
-
-    def wait_many(
-        self, job_ids: list[str], *, timeout: float = 600.0, poll: float = 0.05
-    ) -> dict[str, dict[str, Any]]:
-        """Block until every listed job is terminal; id -> final status.
-
-        One shared deadline covers the whole set (a campaign waits for the
-        sweep, not for each point in sequence): one blocking request per id,
-        which together return when the slowest job does.  ``poll``: see :meth:`wait`.
-        """
-        deadline = time.monotonic() + timeout
-        ids = list(dict.fromkeys(job_ids))
-        done: dict[str, dict[str, Any]] = {}
-        for i, job_id in enumerate(ids):
-            try:
-                done[job_id] = self.wait(job_id, timeout=max(0.0, deadline - time.monotonic()))
-            except TimeoutError:
-                raise TimeoutError(
-                    f"{len(ids) - i} job(s) still running after {timeout}s: {ids[i:i + 5]}"
-                ) from None
-        return done
+    def _held_status(self, job_id: str, seconds: float) -> dict[str, Any]:
+        # Held for at most half the socket timeout; ``wait`` asks again.
+        return self._request("GET", f"/jobs/{job_id}?wait={min(seconds, self.timeout / 2):.3f}")

@@ -118,6 +118,7 @@ class Job:
     admission: int  # seq of the first job of the submit / submit_many call that admitted it
     state: str = "queued"  # queued | running | done | failed | cancelled
     cached: bool = False
+    cache_tier: str | None = None  # "memory" or "store": which cache tier answered
     result: dict[str, Any] | None = None
     error: str | None = None
     submitted_at: float = field(default_factory=time.time)
@@ -143,6 +144,7 @@ class Job:
             "priority": self.spec.priority,
             "ranks": self.ranks,
             "cached": self.cached,
+            "cache_tier": self.cache_tier,
             "spec_hash": self.spec_hash,
             "error": self.error,
             "submitted_at": self.submitted_at,
@@ -254,7 +256,7 @@ class JobScheduler:
             )
         if self._shutdown:
             raise AdmissionError("scheduler is shut down", reason="shut_down")
-        cached = self.cache.get(spec_hash)
+        cached, tier = self.cache.lookup(spec_hash)
         if cached is None and len(self._queue) >= self.max_queued:
             raise AdmissionError(
                 f"queue is full ({self.max_queued} jobs waiting); retry later",
@@ -268,7 +270,7 @@ class JobScheduler:
         self._jobs[job.id] = job
         self._by_state[job.state] += 1
         if cached is not None:
-            job.cached = True
+            job.cached, job.cache_tier = True, tier
             job.result = cached
             job.started_at = job.finished_at = time.time()
             self._cache_hits += 1

@@ -14,6 +14,7 @@ from repro.campaign.runner import RUN_TABLE_COLUMNS, throughput_order
 from repro.data import clear_memo, memo_stats
 from repro.serve import JobServer, JobSpec, ServeClient, execute_job
 from repro.util.errors import ValidationError
+from tests.conftest import wait_until
 
 
 def _campaign(**over):
@@ -220,3 +221,76 @@ def test_render_report_shapes(tmp_path):
     assert "mean speedup" in text
     assert "speedup vs nodes" in text  # two node counts -> scaling curves
     assert "| app" in text  # the run table itself
+
+
+def _mixed_campaign():
+    """Four plain points plus a repeat of the first, a lossy point run
+    reliably, the same loss without ``reliable`` (it deadlocks, so the job
+    fails) and a point wider than a rank budget of 4 (it is refused)."""
+    base = _campaign()
+    lossy = {"seed": 0, "rules": [{"drop_prob": 0.5}]}
+    heat = {"app": "heat3d", "preset": "laptop", "mix": "cpu",
+            "params": {"functional_shape": [8, 8, 8], "simulated_steps": 2}}  # fmt: skip
+    points = [
+        base.expand()[0].to_dict(),
+        {**heat, "nodes": 2, "fault_plan": lossy, "options": {"reliable": True}},
+        {**heat, "nodes": 2, "fault_plan": lossy},
+        {**heat, "nodes": 8},
+    ]
+    return CampaignSpec.from_dict({**base.to_dict(), "points": points})
+
+
+def _counts(result):
+    return {k: result.stats[k] for k in ("executed", "cache_hits", "store_hits")}
+
+
+def test_in_process_and_served_campaigns_give_the_same_rows_and_counts(tmp_path):
+    campaign = _mixed_campaign()
+    local, served = [], []
+    for _ in ("cold", "warm"):
+        local.append(CampaignRunner(campaign, store=tmp_path / "local", rank_budget=4).run())
+        with JobServer(port=0, rank_budget=4, store_dir=tmp_path / "served") as server:
+            served.append(CampaignRunner(campaign, client=ServeClient(server.url)).run())
+    states = [row["state"] for row in local[0].rows]
+    assert states == ["done"] * 6 + ["failed", "rejected"]
+    assert "DeadlockError" in local[0].rows[6]["error"]
+    assert local[0].rows[5]["fault_drops"] > 0
+    # cold: every admitted distinct point ran (the failed one too); warm:
+    # the five done points come from the store, the failed one runs again
+    assert _counts(local[0]) == {"executed": 6, "cache_hits": 0, "store_hits": 0}
+    assert _counts(local[1]) == {"executed": 1, "cache_hits": 5, "store_hits": 5}
+    for mine, theirs in zip(local, served):
+        assert _counts(mine) == _counts(theirs)
+        assert mine.stats["deduplicated"] == theirs.stats["deduplicated"] == 1
+        for a, b in zip(mine.rows, theirs.rows):
+            assert {**a, "job_id": None} == {**b, "job_id": None}
+
+
+def test_campaigns_sharing_a_server_count_only_their_own_jobs():
+    """Two disjoint 6-point campaigns from two threads: each runs 6 jobs and
+    reports 6, however their jobs interleave on the server."""
+    release = threading.Event()
+
+    def held(spec):  # nothing runs until both batches are admitted
+        assert release.wait(60.0)
+        return execute_job(spec)
+
+    campaigns = [_campaign(axes={**_campaign().axes, "nodes": [1, 2, 3], "seed": [seed]})
+                 for seed in (0, 1)]  # fmt: skip
+    assert all(len(c.expand()) == 6 for c in campaigns)
+    results = [None, None]
+    with JobServer(port=0, rank_budget=8, executor=held) as server:
+
+        def run(i):
+            results[i] = CampaignRunner(campaigns[i], client=ServeClient(server.url)).run()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        wait_until(lambda: server.scheduler.stats()["jobs"] == 12, timeout=60.0)
+        release.set()
+        for thread in threads:
+            thread.join(60.0)
+        assert server.scheduler.stats()["executed"] == 12
+    for result in results:
+        assert result.ok and _counts(result) == {"executed": 6, "cache_hits": 0, "store_hits": 0}

@@ -34,6 +34,8 @@ FORBIDDEN = (
     "repro.obs.report",
     "repro.obs.export",
     "repro.serve.jobpool",  # only a backend="processes" job imports the worker pool
+    "repro.comm.reliable",  # only a reliable=True run retransmits
+    "repro.core.checkpoint",  # only a checkpoint_every run snapshots
 )
 
 PROBE = """

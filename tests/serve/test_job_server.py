@@ -328,7 +328,7 @@ def test_wait_parameter(monkeypatch):
         with pytest.raises(TimeoutError, match=f"job {job['id']} still running after 0.2s"):
             client.wait(job["id"], timeout=0.2)
         # Too long a wait is clamped, not refused.
-        monkeypatch.setattr("repro.serve.server.MAX_WAIT_SECONDS", 0.05)
+        monkeypatch.setattr("repro.serve.api.MAX_WAIT_SECONDS", 0.05)
         assert client._request("GET", path + "1e9")["state"] == "running"
         monkeypatch.undo()
         # A held request is answered by the job finishing, not by the clock.

@@ -19,6 +19,7 @@ from repro.util.errors import ValidationError
 LAZY_PACKAGES = [
     "repro.apps",
     "repro.apps.extra",
+    "repro.comm",
     "repro.core",
     "repro.data",
     "repro.metrics",
