@@ -4,6 +4,8 @@
 (1..32 nodes, bigger functional arrays); the default ``quick`` keeps the
 whole suite under a couple of minutes.  Every bench writes its table to
 ``benchmarks/out/`` and prints it, so the rows survive pytest's capture.
+The figure drivers read and write the default result store, so each bench
+gets an empty one: it times the sweep, not store reads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ def scale() -> str:
     if value not in ("quick", "full"):
         raise ValueError(f"REPRO_BENCH_SCALE must be quick|full, got {value!r}")
     return value
+
+
+@pytest.fixture(autouse=True)
+def cold_result_store(tmp_path_factory, monkeypatch):
+    """Each bench times its driver cold: an empty default result store of its own."""
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path_factory.mktemp("store")))
 
 
 @pytest.fixture(scope="session")

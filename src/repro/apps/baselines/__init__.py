@@ -13,24 +13,19 @@ MiniMD, Rodinia/SDK CUDA kernels).  They serve three purposes:
 3. **Independent correctness oracles**: they compute the same answers
    through a different code path.
 
+Each is a row of the app registry (:mod:`repro.apps.registry`):
+``kmeans-mpi``, ``minimd-mpi``, ``sobel-mpi``, ``heat3d-mpi``,
+``kmeans-cuda`` and ``sobel-cuda``, run by a ``JobSpec`` like any app —
+mix ``cpu`` for the MPI baselines, ``1gpu`` on one node for the CUDA ones.
+
 Cost accounting: hand-written kernels charge ``framework=False`` device
 rates (no runtime bookkeeping overhead) directly onto the rank clock.
 """
 
-from repro.apps.baselines import (  # noqa: F401
-    cuda_kmeans,
-    cuda_sobel,
-    mpi_heat3d,
-    mpi_kmeans,
-    mpi_minimd,
-    mpi_sobel,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "mpi_kmeans",
-    "mpi_sobel",
-    "mpi_heat3d",
-    "mpi_minimd",
-    "cuda_kmeans",
-    "cuda_sobel",
-]
+# Lazy (PEP 562): running one baseline loads none of the others.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    submodules=["mpi_kmeans", "mpi_sobel", "mpi_heat3d", "mpi_minimd", "cuda_kmeans", "cuda_sobel"],
+)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import kmeans as fw_kmeans
-from repro.apps.common import AppRun, sequential_time
+from repro.apps.common import AppRun, check_run, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.device.gpu import GPUDevice
 from repro.sim.engine import RankContext, spmd_run
@@ -55,11 +55,10 @@ def rank_program(ctx: RankContext, config: fw_kmeans.KmeansConfig) -> np.ndarray
     return centers
 
 
-def run(cluster: ClusterSpec, config: fw_kmeans.KmeansConfig | None = None, **kw) -> AppRun:
-    """Run the hand-written CUDA baseline on one node's first GPU."""
-    config = config or fw_kmeans.KmeansConfig()
-    if cluster.num_nodes != 1:
-        cluster = cluster.with_nodes(1)
+def run(cluster: ClusterSpec, config: fw_kmeans.KmeansConfig, mix: str = "1gpu", **kw) -> AppRun:
+    """Run the hand-written CUDA baseline on the first GPU of a one-node ``cluster``
+    (``mix`` is ``"1gpu"`` only)."""
+    check_run("kmeans-cuda", cluster, mix)
     result = spmd_run(rank_program, cluster, args=(config,), **kw)
     seq = sequential_time(
         fw_kmeans.base_work(config), config.n_points, cluster.node, config.iterations
@@ -71,4 +70,5 @@ def run(cluster: ClusterSpec, config: fw_kmeans.KmeansConfig | None = None, **kw
         makespan=result.makespan,
         seq_time=seq,
         result=result.values[0],
+        spmd=result,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import sobel as fw_sobel
-from repro.apps.common import AppRun, sequential_time
+from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.device.gpu import GPUDevice
 from repro.sim.engine import RankContext, spmd_run
@@ -57,14 +57,11 @@ def rank_program(ctx: RankContext, config: fw_sobel.SobelConfig) -> dict:
     return {"steps": step_times, "image": src[region].copy()}
 
 
-def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig | None = None, **kw) -> AppRun:
-    """Run the hand-written CUDA baseline on one node's first GPU."""
-    config = config or fw_sobel.SobelConfig()
-    if cluster.num_nodes != 1:
-        cluster = cluster.with_nodes(1)
+def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig, mix: str = "1gpu", **kw) -> AppRun:
+    """Run the hand-written CUDA baseline on the first GPU of a one-node ``cluster``
+    (``mix`` is ``"1gpu"`` only)."""
+    check_run("sobel-cuda", cluster, mix)
     result = spmd_run(rank_program, cluster, args=(config,), **kw)
-    from repro.apps.common import extrapolate_steps
-
     makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(fw_sobel.base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
@@ -74,4 +71,5 @@ def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig | None = None, **kw) 
         makespan=makespan,
         seq_time=seq,
         result=result.values[0]["image"],
+        spmd=result,
     )

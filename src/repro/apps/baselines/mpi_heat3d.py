@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import heat3d as fw_heat3d
-from repro.apps.common import AppRun, sequential_time, single_core_spec
+from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time, single_core_spec
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import coords_of, dims_create, rank_of
 from repro.comm.constants import PROC_NULL
@@ -102,27 +102,26 @@ def rank_program(ctx: RankContext, config: fw_heat3d.Heat3DConfig) -> dict:
     return {"steps": step_times, "bounds": bounds, "block": src[interior].copy()}
 
 
-def run(cluster: ClusterSpec, config: fw_heat3d.Heat3DConfig | None = None, **kw) -> AppRun:
-    """Run the per-core MPI baseline over ``cluster``."""
-    config = config or fw_heat3d.Heat3DConfig()
+def run(cluster: ClusterSpec, config: fw_heat3d.Heat3DConfig, mix: str = "cpu", **kw) -> AppRun:
+    """Run the per-core MPI baseline over ``cluster`` (``mix`` is ``"cpu"`` only)."""
+    ppn = check_run("heat3d-mpi", cluster, mix)
     result = spmd_run(
         rank_program,
         cluster,
-        ranks_per_node=cluster.node.cpu.cores,
+        ranks_per_node=ppn,
         args=(config,),
         **kw,
     )
-    from repro.apps.common import extrapolate_steps
-
     makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(fw_heat3d.base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="heat3d-mpi",
-        mix=f"mpi-{cluster.node.cpu.cores}ppn",
+        mix=f"mpi-{ppn}ppn",
         nodes=cluster.num_nodes,
         makespan=makespan,
         seq_time=seq,
         result=result.values,
+        spmd=result,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import kmeans as fw_kmeans
-from repro.apps.common import AppRun, sequential_time, single_core_spec
+from repro.apps.common import AppRun, check_run, sequential_time, single_core_spec
 from repro.cluster.specs import ClusterSpec
 from repro.device.cpu import CPUDevice
 from repro.sim.engine import RankContext, spmd_run
@@ -54,13 +54,12 @@ def rank_program(ctx: RankContext, config: fw_kmeans.KmeansConfig) -> np.ndarray
     return centers
 
 
-def run(cluster: ClusterSpec, config: fw_kmeans.KmeansConfig | None = None, **kw) -> AppRun:
-    """Run the per-core MPI baseline over ``cluster``."""
-    config = config or fw_kmeans.KmeansConfig()
+def run(cluster: ClusterSpec, config: fw_kmeans.KmeansConfig, mix: str = "cpu", **kw) -> AppRun:
+    """Run the per-core MPI baseline over ``cluster`` (``mix`` is ``"cpu"`` only)."""
+    ppn = check_run("kmeans-mpi", cluster, mix)
     result = spmd_run(
-        rank_program,
-        cluster,
-        ranks_per_node=cluster.node.cpu.cores,
+        rank_program, cluster,
+        ranks_per_node=ppn,
         args=(config,),
         **kw,
     )
@@ -69,9 +68,10 @@ def run(cluster: ClusterSpec, config: fw_kmeans.KmeansConfig | None = None, **kw
     )
     return AppRun(
         app="kmeans-mpi",
-        mix=f"mpi-{cluster.node.cpu.cores}ppn",
+        mix=f"mpi-{ppn}ppn",
         nodes=cluster.num_nodes,
         makespan=result.makespan,
         seq_time=seq,
         result=result.values[0],
+        spmd=result,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import minimd as fw_minimd
-from repro.apps.common import AppRun, sequential_time
+from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.device.cpu import CPUDevice
 from repro.sim.engine import RankContext, spmd_run
@@ -106,12 +106,10 @@ def rank_program(ctx: RankContext, config: fw_minimd.MiniMDConfig) -> dict:
     return {"steps": step_times, "range": (lo, hi), "nodes": positions[lo:hi].copy()}
 
 
-def run(cluster: ClusterSpec, config: fw_minimd.MiniMDConfig | None = None, **kw) -> AppRun:
-    """Run the per-node MPI+OpenMP baseline over ``cluster``."""
-    config = config or fw_minimd.MiniMDConfig()
+def run(cluster: ClusterSpec, config: fw_minimd.MiniMDConfig, mix: str = "cpu", **kw) -> AppRun:
+    """Run the per-node MPI+OpenMP baseline over ``cluster`` (``mix`` is ``"cpu"`` only)."""
+    check_run("minimd-mpi", cluster, mix)
     result = spmd_run(rank_program, cluster, args=(config,), **kw)
-    from repro.apps.common import extrapolate_steps
-
     makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(
         fw_minimd.base_force_work(), config.n_edges, cluster.node, config.iterations
@@ -123,4 +121,5 @@ def run(cluster: ClusterSpec, config: fw_minimd.MiniMDConfig | None = None, **kw
         makespan=makespan,
         seq_time=seq,
         result=result.values,
+        spmd=result,
     )

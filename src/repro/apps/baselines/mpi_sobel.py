@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import sobel as fw_sobel
-from repro.apps.common import AppRun, extrapolate_steps, sequential_time, single_core_spec
+from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time, single_core_spec
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import coords_of, dims_create, rank_of
 from repro.comm.constants import PROC_NULL
@@ -89,13 +89,12 @@ def rank_program(ctx: RankContext, config: fw_sobel.SobelConfig) -> dict:
     return {"steps": step_times, "bounds": bounds, "block": src[interior].copy()}
 
 
-def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig | None = None, **kw) -> AppRun:
-    """Run the per-core MPI baseline over ``cluster``."""
-    config = config or fw_sobel.SobelConfig()
+def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig, mix: str = "cpu", **kw) -> AppRun:
+    """Run the per-core MPI baseline over ``cluster`` (``mix`` is ``"cpu"`` only)."""
+    ppn = check_run("sobel-mpi", cluster, mix)
     result = spmd_run(
-        rank_program,
-        cluster,
-        ranks_per_node=cluster.node.cpu.cores,
+        rank_program, cluster,
+        ranks_per_node=ppn,
         args=(config,),
         **kw,
     )
@@ -103,11 +102,12 @@ def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig | None = None, **kw) 
     seq = sequential_time(fw_sobel.base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="sobel-mpi",
-        mix=f"mpi-{cluster.node.cpu.cores}ppn",
+        mix=f"mpi-{ppn}ppn",
         nodes=cluster.num_nodes,
         makespan=makespan,
         seq_time=seq,
         result=result.values,
+        spmd=result,
     )
 
 

@@ -6,7 +6,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cluster.specs import CPUSpec, NodeSpec
+from repro.cluster.specs import ClusterSpec, CPUSpec, NodeSpec
 from repro.device.cpu import CPUDevice
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext
@@ -160,6 +160,20 @@ class StepLoop:
         if self.reliable:
             self.ctx.comm.flush()
         return 0 if self.manager is None else self.manager.recoveries
+
+
+def check_run(app: str, cluster: ClusterSpec, mix: Any) -> int:
+    """Raise :class:`ValidationError` unless registry app ``app`` runs on
+    ``cluster`` with ``mix``; return the ranks per node its row runs.
+
+    What a hand-written baseline's ``run`` calls first: its row declares
+    its limits once, for this check and for ``JobSpec``'s.
+    """
+    from repro.apps.registry import APPS
+
+    entry = APPS[app]
+    entry.check(app, cluster.num_nodes, mix)
+    return cluster.node.cpu.cores if entry.rank_per_core else 1
 
 
 def check_functional_scale(functional: int, model: int, name: str) -> None:

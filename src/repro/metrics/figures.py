@@ -2,12 +2,15 @@
 paper-claims ledger (:func:`claims`) their rows are checked against.
 
 Every driver returns row dicts (for :func:`repro.metrics.reporting.format_table`),
-used by ``benchmarks/`` and ``examples/generate_experiments_md.py``. Framework rows
-are in-process :class:`~repro.campaign.CampaignSpec` sweeps (:func:`_sweep`), the
-path ``repro campaign run`` takes; the hand-written MPI/CUDA baselines and the two
-ablations that reach below an app's ``run`` are direct calls. A driver's ``scale``
-("quick" for CI, "full" for EXPERIMENTS.md) sets only the functional array sizes
-and the node counts swept: both charge the cost model at the paper's workload sizes.
+used by ``benchmarks/`` and ``examples/generate_experiments_md.py``. Every figure
+number is a row of an in-process :class:`~repro.campaign.CampaignSpec` sweep
+(:func:`_sweep`), the path ``repro campaign run`` takes — the hand-written MPI and
+CUDA baselines included, as the registry apps ``<app>-mpi`` / ``<app>-cuda`` — and
+the sweeps read and write the default :class:`~repro.serve.store.ResultStore`, so a
+regeneration on unchanged code re-executes nothing. Only the two ablations that
+reach below an app's ``run`` are direct calls. A driver's ``scale`` ("quick" for CI,
+"full" for EXPERIMENTS.md) sets only the functional array sizes and the node counts
+swept: both charge the cost model at the paper's workload sizes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.campaign import CampaignRunner, CampaignSpec
 from repro.cluster.presets import ohio_cluster
 from repro.metrics.codesize import code_size_table
 from repro.serve.spec import JobSpec
+from repro.serve.store import ResultStore, default_store_root
 from repro.util.errors import ReproError, ValidationError
 
 #: Device mixes plotted in Fig. 5 (per node).
@@ -160,7 +164,7 @@ def ledger(rows: Mapping[str, Mapping[str, list[dict]]]) -> list[dict]:
     return out
 
 
-#: Apps with a hand-written MPI comparator (``repro.apps.baselines.mpi_<app>``).
+#: Apps with a hand-written MPI comparator (registry app ``<app>-mpi``).
 MPI_APPS = ("kmeans", "minimd", "sobel", "heat3d")
 
 #: Per-app functional sizes at each figure scale, as overrides of the app's
@@ -196,8 +200,15 @@ def _node_counts(scale: str) -> list[int]:
 
 
 def _config(app: str, params: Mapping[str, Any]) -> Any:
-    """The config object a sweep point runs (for baselines and custom runtimes)."""
+    """The config object a sweep point runs (for the ablations' custom runtimes)."""
     return JobSpec(app=app, scale="full", params=params).build_config()
+
+
+@functools.cache
+def result_store(root: Path) -> ResultStore:
+    """The store the sweeps over ``root`` share in this process; its
+    ``stats()`` count every sweep's reads and writes."""
+    return ResultStore(root)
 
 
 def _sweep(
@@ -208,10 +219,14 @@ def _sweep(
     mixes: Sequence[str] = ("cpu+2gpu",),
     presets: Sequence[str] = ("ohio",),
     options: Mapping[str, Any] | None = None,
+    points: Sequence[JobSpec] = (),
 ) -> list[dict]:
-    """Run app x preset x nodes x mix in-process; run-table rows in that order.
+    """Run app x preset x nodes x mix, then ``points``, in-process; run-table
+    rows in that order.
 
-    No persistent store: a figure must reflect the current code.
+    One campaign is one admission, so its points share their inputs.
+    Points are read from and written to the default result store; a stored
+    result made by other code is stale and re-executed.
     """
     campaign = CampaignSpec(
         name=name,
@@ -220,8 +235,11 @@ def _sweep(
         app_params=app_params,
         options=options or {},
         backend=None,
+        points=[spec.to_dict() for spec in points],
     )
-    result = CampaignRunner(campaign, store=None).run()
+    widest = max(spec.ranks for spec in campaign.expand())
+    store = result_store(default_store_root())
+    result = CampaignRunner(campaign, store=store, rank_budget=widest).run()
     if not result.ok:
         bad = result.failures()[0]
         raise ReproError(
@@ -233,20 +251,28 @@ def _sweep(
 def fig5_scalability(scale: str = "quick", apps: list[str] | None = None) -> list[dict]:
     """Fig. 5: speedup over one CPU core for every app/mix/node-count.
 
-    Also emits the hand-written MPI rows (CPU-only comparator) for the
-    four apps that have one, reproducing the §IV-C text comparisons.
+    Also emits the hand-written MPI rows (CPU-only comparator, mix
+    ``mpi-handwritten``) for the four apps that have one, reproducing the
+    §IV-C text comparisons.
     """
     app_params = _scale_params(scale, apps)
+    node_counts = _node_counts(scale)
+    hand_written = [
+        JobSpec(app=f"{app}-mpi", nodes=n, mix="cpu", scale="full", params=app_params[app])
+        for app in app_params if app in MPI_APPS for n in node_counts
+    ]
+    swept = _sweep("fig5", app_params, nodes=node_counts, mixes=FIG5_MIXES, points=hand_written)
+    n_framework = len(swept) - len(hand_written)
+    mpi = {(r["app"].removesuffix("-mpi"), r["nodes"]): r for r in swept[n_framework:]}
     rows = []
-    for r in _sweep("fig5", app_params, nodes=_node_counts(scale), mixes=FIG5_MIXES):
+    for r in swept[:n_framework]:
         app, nodes = r["app"], r["nodes"]
         rows.append({"app": app, "nodes": nodes, "mix": r["mix"], "speedup": r["speedup"],
                      "makespan_s": r["makespan"]})
-        if r["mix"] == FIG5_MIXES[-1] and app in MPI_APPS:
-            mpi = import_module(f"repro.apps.baselines.mpi_{app}")
-            run = mpi.run(ohio_cluster(nodes), _config(app, app_params[app]))
-            rows.append(rows[-1] | {"mix": "mpi-handwritten", "speedup": run.speedup,
-                                    "makespan_s": run.makespan})
+        if r["mix"] == FIG5_MIXES[-1] and (app, nodes) in mpi:
+            hand = mpi[app, nodes]
+            rows.append(rows[-1] | {"mix": "mpi-handwritten", "speedup": hand["speedup"],
+                                    "makespan_s": hand["makespan"]})
     return rows
 
 
@@ -341,21 +367,18 @@ def fig8_gpu_baselines(scale: str = "quick") -> list[dict]:
         "sobel": {"shape": (8192, 8192), "functional_shape": (256, 256) if small else (768, 768)},
     }
     labels = {"kmeans": "kmeans (10M pts)", "sobel": "sobel (8192^2)"}
-    rows = []
-    for r in _sweep("fig8", app_params, mixes=["1gpu"]):
-        app = r["app"]
-        cuda = import_module(f"repro.apps.baselines.cuda_{app}")
-        cu = cuda.run(ohio_cluster(1), _config(app, app_params[app]))
-        rows.append(
-            {
-                "app": labels[app],
-                "framework_s": r["makespan"],
-                "cuda_s": cu.makespan,
-                "fw_over_cuda": r["makespan"] / cu.makespan,
-                "paper_fw_over_cuda": paper(f"fig8.{app}"),
-            }
-        )
-    return rows
+    both = app_params | {f"{app}-cuda": params for app, params in app_params.items()}
+    makespan = {r["app"]: r["makespan"] for r in _sweep("fig8", both, mixes=["1gpu"])}
+    return [
+        {
+            "app": labels[app],
+            "framework_s": makespan[app],
+            "cuda_s": makespan[f"{app}-cuda"],
+            "fw_over_cuda": makespan[app] / makespan[f"{app}-cuda"],
+            "paper_fw_over_cuda": paper(f"fig8.{app}"),
+        }
+        for app in app_params
+    ]
 
 
 def ablations(scale: str = "quick") -> list[dict]:

@@ -437,6 +437,20 @@ def critical_path(
     rank = crit_rank
     idx = len(tilings[rank]) - 1 if tilings[rank] else None
 
+    def seg_of_send(rank: int, send: TraceEvent) -> int | None:
+        """The sender's segment the walk resumes at: the one holding the
+        send's start, or, when the send kept the sender busy for no time
+        and another segment starts right there, the one before it (two
+        ranks that each send and then wait would otherwise hand the walk
+        back and forth)."""
+        t = max(send.start, 0.0)
+        idx = seg_at(rank, t)
+        if idx is not None and send.meta.get("busy_end", send.end) <= send.start:
+            tile = tilings[rank][idx]
+            if tile.start >= t and tile.event is not send:
+                idx = idx - 1 if idx > 0 else None
+        return idx
+
     def link_label(sp: _Span) -> str:
         return sp.event.label if sp.event is not None else "(untraced)"
 
@@ -469,7 +483,7 @@ def critical_path(
                 )
             )
             rank = src_rank
-            idx = seg_at(rank, max(send_ev.start, 0.0))
+            idx = seg_of_send(rank, send_ev)
             continue
         chain.append(
             PathLink(

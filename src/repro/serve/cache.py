@@ -80,7 +80,9 @@ class ResultCache:
 
         Write-through: with a store attached the payload is also persisted
         (atomically) before the in-memory insert, so an entry the LRU later
-        evicts is still one disk read away, never a re-execution.
+        evicts is still one disk read away, never a re-execution.  A store
+        that cannot write counts it (``write_errors``); the payload still
+        lands in memory.
         """
         if self.store is not None:
             self.store.put(key, payload)

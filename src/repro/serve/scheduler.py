@@ -37,7 +37,9 @@ The scheduler owns the server's concurrency policy:
   :class:`~repro.serve.cache.ResultCache` first; a hit completes the job
   instantly (``cached=True``) without touching the queue.  With a
   persistent :class:`~repro.serve.store.ResultStore` layered beneath the
-  cache, hits survive server restarts.
+  cache, hits survive server restarts.  The lookup, a file read on a
+  memory miss, happens before the scheduler's lock is taken, so a slow
+  disk never holds up dispatch, status queries or ``stats()``.
 - **Batch submission.**  :meth:`JobScheduler.submit_many` admits a whole
   spec list in one critical section, returning a per-spec outcome (job,
   cached result, or admission error) without failing the rest of the batch
@@ -247,7 +249,20 @@ class JobScheduler:
                 del self._jobs[retired.id]
 
     # -- submission ------------------------------------------------------
-    def _admit_locked(self, spec: JobSpec, spec_hash: str, admission: int) -> Job:
+    def _lookup(self, spec: JobSpec, spec_hash: str) -> tuple[dict[str, Any] | None, str | None]:
+        """The cache's ``(payload, tier)`` for a spec that can ever run
+        (called without the lock held)."""
+        if spec.ranks > self.rank_budget:
+            return None, None  # refused at admission; not worth a disk read
+        return self.cache.lookup(spec_hash)
+
+    def _admit_locked(
+        self,
+        spec: JobSpec,
+        spec_hash: str,
+        admission: int,
+        found: tuple[dict[str, Any] | None, str | None],
+    ) -> Job:
         if spec.ranks > self.rank_budget:
             raise AdmissionError(
                 f"job needs {spec.ranks} ranks but the server's budget is "
@@ -256,7 +271,7 @@ class JobScheduler:
             )
         if self._shutdown:
             raise AdmissionError("scheduler is shut down", reason="shut_down")
-        cached, tier = self.cache.lookup(spec_hash)
+        cached, tier = found
         if cached is None and len(self._queue) >= self.max_queued:
             raise AdmissionError(
                 f"queue is full ({self.max_queued} jobs waiting); retry later",
@@ -284,8 +299,9 @@ class JobScheduler:
     def submit(self, spec: JobSpec) -> Job:
         """Admit one job: cache hit, queue it, or raise :class:`AdmissionError`."""
         spec_hash = spec.content_hash()
+        found = self._lookup(spec, spec_hash)
         with self._cond:
-            return self._admit_locked(spec, spec_hash, self._seq + 1)
+            return self._admit_locked(spec, spec_hash, self._seq + 1, found)
 
     def submit_many(self, specs: list[JobSpec]) -> list[dict[str, Any]]:
         """Admit a whole batch; per-spec outcomes, no all-or-nothing.
@@ -298,17 +314,20 @@ class JobScheduler:
           (over-budget forever, queue full, scheduler shut down) without
           affecting the rest of the batch.
 
-        The specs are hashed first and admitted in one critical section, as
-        one admission: the dispatcher sees the batch whole, and the inputs
-        its jobs generate live until the last of them ends.
+        The specs are hashed and looked up in the cache first, then
+        admitted in one critical section, as one admission: the dispatcher
+        sees the batch whole, and the inputs its jobs generate live until
+        the last of them ends.
         """
         hashes = [spec.content_hash() for spec in specs]
+        found = [self._lookup(spec, spec_hash) for spec, spec_hash in zip(specs, hashes)]
         out: list[dict[str, Any]] = []
         with self._cond:
             admission = self._seq + 1
-            for spec, spec_hash in zip(specs, hashes):
+            for spec, spec_hash, hit in zip(specs, hashes, found):
                 try:
-                    out.append({"ok": True, "job": self._admit_locked(spec, spec_hash, admission)})
+                    job = self._admit_locked(spec, spec_hash, admission, hit)
+                    out.append({"ok": True, "job": job})
                 except AdmissionError as exc:
                     out.append({"ok": False, "error": str(exc)})
             self._batches += 1
@@ -372,11 +391,11 @@ class JobScheduler:
     def _run_job(self, job: Job) -> None:
         try:
             result = self._executor(job.spec)
+            self.cache.put(job.spec_hash, result)  # a store's OSError is counted, not raised
         except BaseException as exc:  # noqa: BLE001 - job failures are data
             with self._cond:
                 self._finish_locked(job, "failed", error=f"{type(exc).__name__}: {exc}")
         else:
-            self.cache.put(job.spec_hash, result)
             with self._cond:
                 self._finish_locked(job, "done", result=result)
 

@@ -30,6 +30,7 @@ CLI's shared job flags to a spec.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -143,8 +144,9 @@ class JobSpec:
 
     Args:
         app: Application name (one of :func:`served_app_names`).
-        nodes: Cluster node count; the job occupies ``nodes`` ranks.
-        mix: Device mix per node (see :data:`repro.core.env.DEVICE_MIXES`).
+        nodes: Cluster node count.
+        mix: Device mix per node (see :data:`repro.core.env.DEVICE_MIXES`);
+            a hand-written baseline runs only the one its registry row names.
         preset: Cluster preset name (:data:`CLUSTER_PRESETS`).
         scale: ``"quick"`` (CI-sized config, the default) or ``"full"``
             (the app's paper-sized defaults).
@@ -201,6 +203,7 @@ class JobSpec:
         object.__setattr__(self, "params", dict(self.params or {}))
         object.__setattr__(self, "options", dict(self.options or {}))
         entry = APPS[self.app]  # imports this app's module, and only this one
+        entry.check(self.app, self.nodes, self.mix)
         config_fields = {f.name for f in dataclasses.fields(entry.config_type)}
         unknown = set(self.params) - config_fields
         if unknown:
@@ -220,10 +223,13 @@ class JobSpec:
             self.build_fault_plan()
 
     # -- derived views ---------------------------------------------------
-    @property
+    @functools.cached_property
     def ranks(self) -> int:
-        """Rank-budget cost of this job (framework apps run 1 rank/node)."""
-        return self.nodes
+        """Rank-budget cost of this job: the rank threads it runs, one per
+        node, or one per core for a baseline whose row says so."""
+        if not APPS[self.app].rank_per_core:
+            return self.nodes
+        return self.nodes * build_cluster(self.preset, self.nodes).node.cpu.cores
 
     def build_config(self) -> Any:
         """The app config this spec runs: scale default + ``params``."""

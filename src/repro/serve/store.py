@@ -27,6 +27,10 @@ Durability rules:
   or bit rot) is skipped, counted, best-effort unlinked, and simply
   re-executed and rewritten by the next campaign — a bad entry must never
   take a campaign down.
+- **A failed write is forgotten, not raised.**  When the disk is full, the
+  directory read-only or the root not a directory, ``put`` counts a
+  ``write_errors`` and returns: the result was computed, only its copy on
+  disk is lost.
 
 Layout: ``<root>/<hash[:2]>/<hash>.json`` (fan-out keeps directories
 small at paper-sweep scale).  The default root is ``$REPRO_STORE`` or
@@ -94,6 +98,7 @@ class ResultStore:
         self._writes = 0
         self._corrupt_dropped = 0
         self._stale = 0
+        self._write_errors = 0
 
     # -- paths -------------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -145,26 +150,33 @@ class ResultStore:
         return None
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key`` (last writer wins)."""
+        """Atomically persist ``payload`` under ``key`` (last writer wins).
+
+        An ``OSError`` on the way is counted in ``write_errors``, not raised.
+        """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {"code": code_stamp(), "key": key, "payload": payload}
         body = json.dumps(doc, separators=(",", ":"))
-        # A unique temp file per writer + os.replace = no torn entries even
-        # with two server processes completing the same spec concurrently.
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-        )
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # A unique temp file per writer + os.replace = no torn entries even
+            # with two server processes completing the same spec concurrently.
+            fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(body)
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        except BaseException as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            if not isinstance(exc, OSError):
+                raise
+            with self._lock:
+                self._write_errors += 1
+            return
         with self._lock:
             self._writes += 1
 
@@ -211,4 +223,5 @@ class ResultStore:
                 "writes": self._writes,
                 "corrupt_dropped": self._corrupt_dropped,
                 "stale": self._stale,
+                "write_errors": self._write_errors,
             }

@@ -1,5 +1,10 @@
 """Hand-written baselines: independent correctness and comparison sanity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +17,12 @@ from repro.apps.baselines import (
     mpi_minimd,
     mpi_sobel,
 )
+from repro.apps.registry import APPS
 from repro.cluster.presets import ohio_cluster
 from repro.metrics import figures
+from repro.serve import JobServer, JobSpec, ServeClient, ServeError, run_spec
+from repro.serve.scheduler import AdmissionError
+from repro.util.errors import ValidationError
 
 KCFG = kmeans.KmeansConfig(functional_points=12_000, iterations=2)
 ICFG = minimd.MiniMDConfig(functional_cells=6, simulated_steps=3)
@@ -96,3 +105,89 @@ def test_sobel_framework_slower_than_mpi_as_paper_reports():
     bl = mpi_sobel.run(ohio_cluster(2), SCFG)
     ratio = bl.makespan / fw.makespan
     assert 0.80 < ratio < 1.0  # paper: ledger row fw-mpi.sobel
+
+
+# ------------------------------------------------------- registered baselines
+#: Each baseline's registry row: (name, module, nodes and mix it runs here).
+REGISTERED = [
+    ("kmeans-mpi", mpi_kmeans, 2, "cpu"),
+    ("minimd-mpi", mpi_minimd, 2, "cpu"),
+    ("sobel-mpi", mpi_sobel, 2, "cpu"),
+    ("heat3d-mpi", mpi_heat3d, 2, "cpu"),
+    ("kmeans-cuda", cuda_kmeans, 1, "1gpu"),
+    ("sobel-cuda", cuda_sobel, 1, "1gpu"),
+]
+
+
+def _equal(a, b) -> bool:
+    """Results compare equal: arrays elementwise, containers item by item."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name,module,nodes,mix", REGISTERED, ids=[r[0] for r in REGISTERED])
+def test_registered_baseline_runs_as_its_direct_call(name, module, nodes, mix):
+    """A JobSpec runs a baseline through run_spec exactly as the module call does."""
+    spec = JobSpec(app=name, nodes=nodes, mix=mix)
+    served, _ = run_spec(spec)
+    direct = module.run(ohio_cluster(nodes), APPS[name].quick_config())
+    assert repr(served.makespan) == repr(direct.makespan)
+    assert _equal(served.result, direct.result)
+    assert served.app == direct.app == name
+
+
+@pytest.mark.parametrize("name,module,nodes,mix", REGISTERED, ids=[r[0] for r in REGISTERED])
+def test_registered_baseline_refuses_what_it_does_not_run(name, module, nodes, mix):
+    wrong = "1gpu" if mix == "cpu" else "cpu"
+    with pytest.raises(ValidationError, match="runs only mix"):
+        JobSpec(app=name, nodes=nodes, mix=wrong)
+    with pytest.raises(ValidationError, match="runs only mix"):
+        module.run(ohio_cluster(nodes), APPS[name].quick_config(), wrong)
+    if name.endswith("-cuda"):
+        with pytest.raises(ValidationError, match="at most 1 node"):
+            JobSpec(app=name, nodes=2, mix=mix)
+        with pytest.raises(ValidationError, match="at most 1 node"):
+            module.run(ohio_cluster(2), APPS[name].quick_config())
+
+
+def test_a_baseline_job_costs_the_rank_threads_it_runs():
+    assert JobSpec(app="kmeans-mpi", nodes=4, mix="cpu").ranks == 48  # 12 cores per node
+    assert JobSpec(app="minimd-mpi", nodes=4, mix="cpu").ranks == 4  # one rank per node
+    assert JobSpec(app="sobel-cuda", nodes=1, mix="1gpu").ranks == 1
+    assert JobSpec(app="kmeans", nodes=4).ranks == 4
+
+
+def test_a_server_refuses_a_baseline_wider_than_its_budget():
+    with JobServer(port=0, executor=lambda spec: {}) as server:
+        with pytest.raises(AdmissionError) as excinfo:
+            server.scheduler.submit(JobSpec(app="kmeans-mpi", nodes=32, mix="cpu"))
+        assert excinfo.value.reason == "over_budget"  # 384 ranks against 64
+        with pytest.raises(ServeError) as refused:
+            ServeClient(server.url).submit({"app": "kmeans-mpi", "nodes": 32, "mix": "cpu"})
+        assert refused.value.status == 400 and "never be scheduled" in refused.value.message
+
+
+def test_a_server_start_loads_no_baseline():
+    """Listing the registry's names (as a server's start does) imports no baseline."""
+    probe = (
+        "import sys\n"
+        "from repro.serve import JobServer\n"
+        "with JobServer(port=0) as server:\n"
+        "    pass\n"
+        "print([m for m in sys.modules if m.startswith('repro.apps.baselines')])\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

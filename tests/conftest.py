@@ -12,6 +12,20 @@ from repro.cluster.presets import laptop_cluster, ohio_cluster
 from repro.sim.engine import spmd_run
 
 
+@pytest.fixture(autouse=True)
+def private_result_store(tmp_path_factory, monkeypatch):
+    """Every test gets an empty default result store of its own.
+
+    ``REPRO_STORE`` is the default store's root for the figure sweeps and
+    ``repro campaign``; exported here, subprocesses a test starts inherit it.
+    No test reads another's results (the stored code stamp cannot see an
+    in-process patch), and none writes under the user's home.
+    """
+    root = tmp_path_factory.mktemp("store")
+    monkeypatch.setenv("REPRO_STORE", str(root))
+    return root
+
+
 @pytest.fixture
 def cluster2():
     """A small 2-node test cluster (4 cores + 1 GPU per node)."""

@@ -43,6 +43,24 @@ def test_ablations_run_each_moldyn_arm_once():
     assert len(calls) == 1
 
 
+def test_a_warm_sweep_reads_every_row_from_the_store(monkeypatch):
+    """A second fig5 over the same store gives the same rows and runs nothing."""
+    from repro.serve import spec
+
+    real, calls = spec.run_spec, []
+
+    def counting(job):
+        calls.append(job.app)
+        return real(job)
+
+    monkeypatch.setattr(spec, "run_spec", counting)
+    cold = figures.fig5_scalability("quick")
+    assert "kmeans-mpi" in calls and "kmeans" in calls
+    calls.clear()
+    warm = figures.fig5_scalability("quick")
+    assert warm == cold and calls == []
+
+
 def test_importing_the_drivers_loads_no_app_or_baseline():
     probe = (
         "import sys, repro.metrics.figures; "

@@ -17,9 +17,17 @@ from repro.util.errors import ValidationError
 from tests.conftest import profile
 
 
+def own_run(app):
+    """``(nodes, mix)`` a profile of ``app`` runs: 2 nodes and cpu+2gpu, or
+    as much of that as the entry's row allows (a baseline has one mix)."""
+    entry = PROFILE_APPS[app]
+    return min(2, entry.max_nodes or 2), entry.mixes[0] if entry.mixes else "cpu+2gpu"
+
+
 @pytest.mark.parametrize("app", sorted(PROFILE_APPS))
 def test_profile_reconciles_for_every_app(app):
-    apprun, report = profile(app, nodes=2)
+    nodes, mix = own_run(app)
+    apprun, report = profile(app, nodes=nodes, mix=mix)
     report.verify(rel_tol=1e-9)  # raises on any reconciliation failure
     assert report.makespan == apprun.spmd.makespan
     # Every rank's phases tile [0, makespan] exactly.
@@ -48,11 +56,12 @@ def test_unknown_app_and_scale_rejected():
 
 @pytest.mark.parametrize("app", sorted(PROFILE_APPS))
 def test_makespan_bit_identical_with_obs_on_and_off(app):
-    cluster = ohio_cluster(2)
+    nodes, mix = own_run(app)
+    cluster = ohio_cluster(nodes)
     entry = PROFILE_APPS[app]
     cfg = entry.quick_config()
-    plain = entry.run(cluster, cfg, "cpu+2gpu")
-    observed = entry.run(cluster, cfg, "cpu+2gpu", trace=True)
+    plain = entry.run(cluster, cfg, mix)
+    observed = entry.run(cluster, cfg, mix, trace=True)
     assert observed.makespan == plain.makespan  # bit-identical, not approx
 
 

@@ -420,3 +420,56 @@ def test_a_refused_job_is_issued_no_id():
         for event in executor.release.values():
             event.set()
         scheduler.shutdown()
+
+
+def test_a_store_that_cannot_write_does_not_wedge_the_scheduler(tmp_path):
+    """A failed store write still ends the job ``done``, served from memory."""
+    from repro.serve.store import ResultStore
+
+    not_a_dir = tmp_path / "store"
+    not_a_dir.write_text("a file where the store's root should be")
+    store = ResultStore(not_a_dir)
+    scheduler = JobScheduler(
+        lambda spec: {"makespan": float(spec.params["seed"])},
+        cache=ResultCache(8, store=store),
+    )
+    try:
+        jobs = [scheduler.submit(_spec(seed)) for seed in (1, 2)]
+        for job in jobs:
+            assert scheduler.wait(job.id, timeout=5.0).state == "done"
+        assert store.stats()["write_errors"] == 2 and store.stats()["writes"] == 0
+        again = scheduler.submit(_spec(1))
+        assert again.cached and again.cache_tier == "memory"
+        assert scheduler.stats()["ranks_in_use"] == 0
+    finally:
+        scheduler.shutdown()
+
+
+def test_a_slow_store_read_leaves_the_scheduler_answering(tmp_path):
+    """The store lookup of a submission happens outside the scheduler's lock."""
+    from repro.serve.store import ResultStore
+
+    parked, release = threading.Event(), threading.Event()
+
+    class SlowStore(ResultStore):
+        def get(self, key):
+            parked.set()
+            assert release.wait(10.0)
+            return super().get(key)
+
+    executor = GatedExecutor()
+    executor.expect(1)
+    scheduler = JobScheduler(executor, cache=ResultCache(8, store=SlowStore(tmp_path)))
+    submitter = threading.Thread(target=scheduler.submit, args=(_spec(1),))
+    try:
+        submitter.start()
+        assert parked.wait(5.0)
+        answered = threading.Event()
+        probe = threading.Thread(target=lambda: (scheduler.stats(), answered.set()))
+        probe.start()
+        assert answered.wait(1.0), "stats() waited for a store read"
+    finally:
+        release.set()
+        submitter.join(5.0)
+        executor.release[1].set()
+        scheduler.shutdown()

@@ -15,6 +15,7 @@ from repro.util.errors import ValidationError
 def test_served_apps_match_cli_apps():
     assert served_app_names() == sorted(
         ["kmeans", "moldyn", "minimd", "sobel", "heat3d", "jacobi2d"]
+        + ["kmeans-mpi", "minimd-mpi", "sobel-mpi", "heat3d-mpi", "kmeans-cuda", "sobel-cuda"]
     )
 
 

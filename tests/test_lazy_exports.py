@@ -28,6 +28,8 @@ LAZY_PACKAGES = [
 ]
 
 SIX_APPS = ["heat3d", "jacobi2d", "kmeans", "minimd", "moldyn", "sobel"]
+#: The hand-written MPI and CUDA baselines, registered beside the framework apps.
+BASELINES = ["heat3d-mpi", "kmeans-cuda", "kmeans-mpi", "minimd-mpi", "sobel-cuda", "sobel-mpi"]
 
 
 # ------------------------------------------------------------ lazy exports
@@ -74,9 +76,9 @@ def test_listing_the_registry_imports_no_app():
 
 
 def test_registry_enumerates_all_six_apps_as_dataclass_entries():
-    assert sorted(APPS) == SIX_APPS
+    assert sorted(APPS) == sorted(SIX_APPS + BASELINES)
     items = dict(APPS.items())
-    assert sorted(items) == SIX_APPS
+    assert sorted(items) == sorted(SIX_APPS + BASELINES)
     for name, entry in items.items():
         assert dataclasses.is_dataclass(entry) and not isinstance(entry, type)
         assert "run" in {f.name for f in dataclasses.fields(entry)}
