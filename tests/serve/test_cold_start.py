@@ -19,8 +19,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: ``repro.*`` modules a heat3d job may load (the whole package has ~110).
-MODULE_BUDGET = 50
+#: ``repro.*`` modules a heat3d job may load: the count :data:`PROBE` takes
+#: (the package has 96).  The one ceiling on the import footprint; a
+#: change that raises it says which module it adds and why.
+MODULE_BUDGET = 45
 
 #: Nothing matching these may be loaded by a heat3d job.
 FORBIDDEN = (
