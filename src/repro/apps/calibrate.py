@@ -50,17 +50,6 @@ def gpu_effective_elem_time(
     return transfer + kernel / streams
 
 
-def device_ratio(
-    work: WorkModel, node: NodeSpec, *, localized: bool = True, streaming: bool = False
-) -> float:
-    """Current GPU : 12-core-CPU speed ratio under ``work``."""
-    cpu = CPUDevice(node.cpu)
-    gpu = GPUDevice(node.gpus[0])
-    cpu_t = cpu.elem_time(work, localized=localized, framework=True)
-    gpu_t = gpu_effective_elem_time(work, gpu, localized=localized, streaming=streaming)
-    return cpu_t / gpu_t
-
-
 def calibrate_gpu_ratio(
     work: WorkModel,
     node: NodeSpec,

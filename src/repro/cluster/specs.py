@@ -178,11 +178,3 @@ class ClusterSpec:
         return ClusterSpec(
             name=self.name, node=self.node, num_nodes=num_nodes, network=self.network
         )
-
-    def link_between(self, node_a: int, node_b: int) -> InterconnectSpec:
-        """The link class connecting two node indices (intra vs. network)."""
-        if not (0 <= node_a < self.num_nodes and 0 <= node_b < self.num_nodes):
-            raise ValidationError(
-                f"node indices ({node_a}, {node_b}) out of range for {self.num_nodes} nodes"
-            )
-        return self.node.intra_link if node_a == node_b else self.network

@@ -4,8 +4,8 @@ This is the distributed-memory substrate the framework (and the hand-written
 baselines) run on.  Semantics mirror MPI / mpi4py:
 
 - blocking and non-blocking point-to-point (``send``/``recv``/``isend``/
-  ``irecv``/``sendrecv``) with tag matching and per-(source, tag) FIFO
-  (non-overtaking) ordering;
+  ``irecv``/``sendrecv``); every receive names its source and tag, and
+  each (source, tag) pair is a FIFO (non-overtaking);
 - collectives built *on top of* point-to-point (binomial trees, recursive
   doubling, dissemination barrier) so their virtual-time cost emerges from
   the same link model as everything else;
@@ -19,7 +19,7 @@ pays ``recv_overhead``.  Intra-node and inter-node links differ only in
 their :class:`~repro.cluster.specs.InterconnectSpec`.
 """
 
-from repro.comm.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.comm.constants import PROC_NULL
 from repro.comm.fabric import Fabric, Message
 from repro.comm.communicator import SimComm, Request, SendRequest, RecvRequest
 from repro.comm.cart import CartComm
@@ -31,8 +31,6 @@ _lazy, __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "PROC_NULL",
     "Fabric",
     "Message",

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.comm import collectives as _coll
-from repro.comm.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, PROC_NULL
+from repro.comm.constants import MAX_USER_TAG, PROC_NULL
 from repro.comm.fabric import Fabric
 from repro.comm.payload import make_payload
 from repro.sim.clock import VirtualClock
@@ -92,11 +92,11 @@ class SimComm:
     """MPI-like communicator bound to one rank's virtual clock.
 
     Point-to-point calls go through the run's
-    :class:`~repro.comm.fabric.Fabric`: a specific-source receive matches
-    in O(1) against the per-(source, tag) FIFO index, and a receive with
-    nothing to match parks the rank under its (source, tag) predicate and
-    passes the run's baton on.  Slotted: one communicator is constructed
-    per rank per run, and figure sweeps construct millions.
+    :class:`~repro.comm.fabric.Fabric`: every receive names its source and
+    tag and matches in O(1) against that pair's FIFO, and a receive with
+    nothing to match parks the rank on the pair and passes the run's baton
+    on.  Slotted: one communicator is constructed per rank per run, and
+    figure sweeps construct millions.
     """
 
     __slots__ = ("fabric", "rank", "clock", "trace", "_coll_seq")
@@ -128,17 +128,12 @@ class SimComm:
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def _check_peer(self, peer: int, what: str, allow_any: bool = False) -> None:
-        if peer == PROC_NULL:
-            return
-        if allow_any and peer == ANY_SOURCE:
-            return
-        if not 0 <= peer < self.size:
+    def _check_peer(self, peer: int, what: str) -> None:
+        if peer != PROC_NULL and not 0 <= peer < self.size:
             raise CommunicationError(f"{what} rank {peer} out of range (size {self.size})")
 
-    def _check_tag(self, tag: int, allow_any: bool) -> None:
-        if allow_any and tag == ANY_TAG:
-            return
+    @staticmethod
+    def _check_tag(tag: int) -> None:
         if not 0 <= tag <= MAX_USER_TAG:
             raise CommunicationError(f"tag {tag} out of range [0, {MAX_USER_TAG}]")
 
@@ -167,7 +162,7 @@ class SimComm:
         """
         self._check_peer(dest, "destination")
         if not _internal:
-            self._check_tag(tag, allow_any=False)
+            self._check_tag(tag)
         if dest == PROC_NULL:
             return
         if wire_bytes is not None and wire_bytes < 0:
@@ -209,20 +204,21 @@ class SimComm:
 
     def recv(
         self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
+        source: int,
+        tag: int,
         out: np.ndarray | None = None,
         _internal: bool = False,
     ) -> Any:
-        """Blocking receive; returns the payload (or fills ``out``).
+        """Blocking receive of the next message from ``source`` with ``tag``;
+        returns the payload (or fills ``out``).
 
         The receiver's clock synchronizes to the message arrival time, so
         waiting for a late message costs exactly the gap, and a message
         that already arrived costs only the receive overhead.
         """
-        self._check_peer(source, "source", allow_any=True)
+        self._check_peer(source, "source")
         if not _internal:
-            self._check_tag(tag, allow_any=True)
+            self._check_tag(tag)
         if source == PROC_NULL:
             return None
         wait_start = self.clock.now
@@ -251,12 +247,10 @@ class SimComm:
             tr.count("comm.bytes_recv", msg.nbytes)
         return msg.payload.deliver(out)
 
-    def irecv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, out: np.ndarray | None = None
-    ) -> RecvRequest:
+    def irecv(self, source: int, tag: int, out: np.ndarray | None = None) -> RecvRequest:
         """Non-blocking receive; completion (and clock sync) happens at wait."""
-        self._check_peer(source, "source", allow_any=True)
-        self._check_tag(tag, allow_any=True)
+        self._check_peer(source, "source")
+        self._check_tag(tag)
         return RecvRequest(self, source, tag, out)
 
     def sendrecv(
@@ -264,8 +258,8 @@ class SimComm:
         obj: Any,
         dest: int,
         source: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
+        sendtag: int,
+        recvtag: int,
         out: np.ndarray | None = None,
         _internal: bool = False,
     ) -> Any:

@@ -1,16 +1,10 @@
-"""Wildcard and sentinel rank/tag values (MPI-compatible meanings)."""
-
-ANY_SOURCE = -1
-"""Match a message from any source rank."""
-
-ANY_TAG = -1
-"""Match a message with any tag."""
+"""The null peer and the tag spaces (MPI-compatible meanings)."""
 
 PROC_NULL = -2
 """A null peer: sends/recvs involving it complete immediately as no-ops.
 
-Returned by :meth:`repro.comm.cart.CartComm.shift` at non-periodic grid
-borders, exactly like ``MPI_PROC_NULL``.
+Returned by :meth:`repro.comm.cart.CartComm.shift` at grid borders,
+exactly like ``MPI_PROC_NULL``.
 """
 
 COLLECTIVE_TAG_BASE = 1 << 24

@@ -1,8 +1,8 @@
 """The message fabric of one SPMD run, and the baton that orders its ranks.
 
 One :class:`Fabric` is shared by all ranks of an SPMD run.  It owns the
-mailboxes (one indexed mailbox per destination rank), performs tag/source
-matching with per-(source, tag) FIFO ordering, and knows which
+mailboxes (one per destination rank), matches every receive on its exact
+``(source, tag)`` pair in post order, and knows which
 :class:`~repro.cluster.specs.InterconnectSpec` connects any two ranks
 (intra-node vs. network) given the rank→node mapping.
 
@@ -16,21 +16,21 @@ queue* of ranks that may run:
   (:meth:`Fabric.launch`); a rank thread waits at its gate for its first
   turn (:meth:`Fabric.enter`).
 - A :meth:`match` that finds nothing *parks* the rank under its
-  ``(source, tag)`` predicate and hands the baton to the head of the ready
-  queue.  Enqueueing a message that satisfies a parked rank's predicate
-  moves that rank to the tail of the queue.
+  ``(source, tag)`` pair and hands the baton to the head of the ready
+  queue.  Enqueueing a message on that pair moves the rank to the tail of
+  the queue.
 - A :meth:`probe` miss yields to the tail, so ``Request.test()`` polling
   loops let their senders run.
 - A rank that returns or raises passes the baton on (:meth:`leave`).
 - "Ready queue empty with ranks parked" is a deadlock, raised **at once**
-  from inside the unmatched receive with every parked rank's predicate in
-  the message — there is no receive timeout to wait out.
+  from inside the unmatched receive with every parked rank's pair in the
+  message — there is no receive timeout to wait out.
 
 Only the baton holder touches fabric state, so there is no lock or
 condition variable here; the one primitive a rank ever blocks on is its
-own gate.  The schedule is a pure function of the program: every run —
-wildcard receives included — is identical run to run.  Concurrent runs
-each own a fabric and therefore a baton.
+own gate.  The schedule is a pure function of the program, so every run
+is identical run to run.  Concurrent runs each own a fabric and
+therefore a baton.
 
 :meth:`abort` ends the discipline: it opens every gate, and every
 entry point and every wake-up checks the abort flag first, so released
@@ -38,14 +38,11 @@ ranks do nothing but raise.  The engine's ``wall_timeout`` watchdog (the
 single wall-clock guard, for a rank that loops without communicating)
 calls it from outside the run; a failing rank calls it from inside.
 
-Matching is indexed: each mailbox keeps one FIFO deque per (source, tag)
-pair, so a specific-source ``match()``/``probe()`` is O(1) and a wildcard
-(``ANY_SOURCE``) match is O(#active (source, tag) pairs) instead of
-O(queue length).  Specific-source matching consumes each (source, tag)
-deque in *post order*, which yields MPI's non-overtaking guarantee
-between any (source, tag) pair; wildcard receives pick the per-source
-FIFO head with the minimum ``(arrival_time, src)`` among the messages
-queued when the receiver next holds the baton.
+Every receive names its source and tag (the patterns generate each
+message for a known peer), so a mailbox is a dict of per-(source, tag)
+FIFO deques and ``match()``/``probe()`` are one dict lookup.  Consuming
+each deque in post order is MPI's non-overtaking guarantee between any
+(source, tag) pair.
 
 Fault injection: an installed :class:`~repro.faults.plan.FaultPlan` is
 consulted by :meth:`Fabric.transmit` for every message — dropped messages
@@ -59,11 +56,10 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.cluster.specs import ClusterSpec, InterconnectSpec
-from repro.comm.constants import ANY_SOURCE, ANY_TAG
 from repro.comm.payload import Payload
 from repro.sim.timeline import Timeline
 from repro.util.errors import CommunicationError, DeadlockError, ValidationError
@@ -76,9 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Message:
     """One message in flight (or delivered)."""
 
-    # Only the fabric writes one after construction: ``_enqueue`` sets
-    # ``seq`` and ``match`` moves ``arrival_time`` behind the receiver's
-    # ingress NIC.
+    # Only the fabric writes one after construction: ``match`` moves
+    # ``arrival_time`` behind the receiver's ingress NIC.
 
     src: int
     dst: int
@@ -87,7 +82,6 @@ class Message:
     send_time: float
     arrival_time: float
     wire_duration: float = 0.0
-    seq: int = field(compare=False, default=0)
 
     @property
     def nbytes(self) -> int:
@@ -95,34 +89,23 @@ class Message:
 
 
 class _Mailbox:
-    """Per-rank fabric state: indexed mailbox + NIC timelines.
+    """Per-rank fabric state: mailbox + NIC timelines.
 
-    The mailbox is a dict of per-(source, tag) FIFO deques.  Every path
-    that consumes a message pops the head of exactly one deque, so no
-    tombstones or lazy deletion are needed; a deque emptied by its last
-    pop has its key removed to keep wildcard scans proportional to the
-    number of *active* (source, tag) pairs.
+    The mailbox is a dict of per-(source, tag) FIFO deques; a deque
+    emptied by its last pop has its key removed, so a key is present
+    exactly when a message on that pair is queued.
     """
 
-    __slots__ = ("queues", "pending", "seq", "egress", "ingress")
+    __slots__ = ("queues", "pending", "egress", "ingress")
 
     def __init__(self, rank: int) -> None:
         self.queues: dict[tuple[int, int], deque[Message]] = {}
         self.pending = 0
-        # Mailbox post order: a total order over everything enqueued for
-        # this rank.
-        self.seq = 0
         # Per-rank NIC occupancy: a rank injects (egress) and absorbs
         # (ingress) at most one message's bytes at a time, so fan-in/out
         # traffic serializes at the endpoints (LogGP's per-byte gap G).
         self.egress = Timeline(f"nic{rank}.egress")
         self.ingress = Timeline(f"nic{rank}.ingress")
-
-
-def _describe(source: int, tag: int) -> str:
-    src_desc = "ANY_SOURCE" if source == ANY_SOURCE else str(source)
-    tag_desc = "ANY_TAG" if tag == ANY_TAG else str(tag)
-    return f"source={src_desc} tag={tag_desc}"
 
 
 class Fabric:
@@ -232,9 +215,9 @@ class Fabric:
 
     def _deadlock_report(self) -> str:
         waits = "; ".join(
-            f"rank {rank} waits for {_describe(*self._parked[rank])} with "
+            f"rank {rank} waits for source={src} tag={tag} with "
             f"{self._boxes[rank].pending} unmatched message(s) queued"
-            for rank in sorted(self._parked)
+            for rank, (src, tag) in sorted(self._parked.items())
         )
         return (
             "simulated program is deadlocked: no rank can run and every "
@@ -245,10 +228,8 @@ class Fabric:
     # Mailbox internals
     # ------------------------------------------------------------------
     def _enqueue(self, msg: Message) -> None:
-        """Append to the (src, tag) FIFO; ready a parked receiver it matches."""
+        """Append to the (src, tag) FIFO; ready a receiver parked on it."""
         box = self._boxes[msg.dst]
-        msg.seq = box.seq
-        box.seq += 1
         key = (msg.src, msg.tag)
         q = box.queues.get(key)
         if q is None:
@@ -256,62 +237,9 @@ class Fabric:
             box.queues[key] = q
         q.append(msg)
         box.pending += 1
-        waiting = self._parked.get(msg.dst)
-        if waiting is not None:
-            wsrc, wtag = waiting
-            if (wsrc == ANY_SOURCE or wsrc == msg.src) and (
-                wtag == ANY_TAG or wtag == msg.tag
-            ):
-                del self._parked[msg.dst]
-                self._ready.append(msg.dst)
-
-    @staticmethod
-    def _find(box: _Mailbox, source: int, tag: int) -> tuple[int, int] | None:
-        """Key of the deque whose head matches (source, tag), else ``None``.
-
-        Specific (source, tag) is a single dict probe; a wildcard scans
-        the active (source, tag) keys: per source the candidate is that
-        source's earliest post (minimum mailbox seq among its matching
-        heads), and among sources the winner has the minimum
-        ``(arrival_time, src)``.
-        """
-        queues = box.queues
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            key = (source, tag)
-            return key if key in queues else None
-        best_key: tuple[int, int] | None = None
-        best_head: Message | None = None
-        # Per-source FIFO head first (min seq), then earliest arrival.
-        per_src: dict[int, Message] = {}
-        per_src_key: dict[int, tuple[int, int]] = {}
-        for key, q in queues.items():
-            if source != ANY_SOURCE and key[0] != source:
-                continue
-            if tag != ANY_TAG and key[1] != tag:
-                continue
-            head = q[0]
-            prev = per_src.get(key[0])
-            if prev is None or head.seq < prev.seq:
-                per_src[key[0]] = head
-                per_src_key[key[0]] = key
-        for src, head in per_src.items():
-            if best_head is None or (head.arrival_time, src) < (
-                best_head.arrival_time,
-                best_head.src,
-            ):
-                best_head = head
-                best_key = per_src_key[src]
-        return best_key
-
-    @staticmethod
-    def _pop(box: _Mailbox, key: tuple[int, int]) -> Message:
-        """Consume the head of one (src, tag) FIFO (drop emptied keys)."""
-        q = box.queues[key]
-        msg = q.popleft()
-        if not q:
-            del box.queues[key]
-        box.pending -= 1
-        return msg
+        if self._parked.get(msg.dst) == key:
+            del self._parked[msg.dst]
+            self._ready.append(msg.dst)
 
     # ------------------------------------------------------------------
     # Send side
@@ -369,9 +297,8 @@ class Fabric:
             )
         )
         if decision is not None and decision.duplicate:
-            # Enqueued right behind its original, so the pair's mailbox
-            # sequence numbers are adjacent — the dedup probing order the
-            # reliable layer relies on.
+            # Enqueued right behind its original on the same (src, tag)
+            # FIFO, where the reliable layer's dedup probe finds it.
             self._enqueue(
                 Message(
                     src=src,
@@ -388,26 +315,27 @@ class Fabric:
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def match(self, dst: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
-        """Return the next message for ``dst`` matching (source, tag).
+    def match(self, dst: int, source: int, tag: int) -> Message:
+        """Return the next message for ``dst`` from ``source`` with ``tag``.
 
-        Specific-source matching consumes the (source, tag) FIFO in post
-        order, so two messages from the same source with the same tag are
-        received in the order they were sent (MPI non-overtaking).  A
-        wildcard (``ANY_SOURCE``) receive considers the per-source FIFO
-        head of each candidate source and takes the one with the minimum
-        ``(arrival_time, src)``.
+        Consumes the (source, tag) FIFO in post order, so two messages
+        from the same source with the same tag are received in the order
+        they were sent (MPI non-overtaking).
 
-        With nothing to match, the rank parks under its predicate and the
-        baton moves on; when no rank is left to take it the program is
+        With nothing to match, the rank parks on the pair and the baton
+        moves on; when no rank is left to take it the program is
         deadlocked and this raises :class:`DeadlockError` immediately.
         """
         box = self._boxes[dst]
+        key = (source, tag)
         self._check_abort()
         while True:
-            key = self._find(box, source, tag)
-            if key is not None:
-                msg = self._pop(box, key)
+            q = box.queues.get(key)
+            if q is not None:
+                msg = q.popleft()
+                if not q:
+                    del box.queues[key]
+                box.pending -= 1
                 # Absorb the bytes through the receiver's ingress NIC:
                 # concurrent inbound streams serialize here, in the
                 # receiver's program order.
@@ -417,7 +345,7 @@ class Fabric:
                     )
                     msg.arrival_time = iv.end
                 return msg
-            self._parked[dst] = (source, tag)
+            self._parked[dst] = key
             if not self._ready:
                 report = self._deadlock_report()
                 del self._parked[dst]
@@ -425,17 +353,17 @@ class Fabric:
             self.parks += 1
             self._hand_over(dst)
 
-    def probe(self, dst: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking check whether a matching message is queued.
+    def probe(self, dst: int, source: int, tag: int) -> bool:
+        """Non-blocking check whether a message on (source, tag) is queued.
 
-        O(1) for a specific (source, tag).  A miss lets every other ready
-        rank run before it returns ``False``, so a ``Request.test()``
-        polling loop cannot starve the sender it is waiting for.  Raises
-        :class:`CommunicationError` once the fabric is aborted, so such a
-        loop fails fast after a sibling rank dies.
+        A miss lets every other ready rank run before it returns
+        ``False``, so a ``Request.test()`` polling loop cannot starve the
+        sender it is waiting for.  Raises :class:`CommunicationError` once
+        the fabric is aborted, so such a loop fails fast after a sibling
+        rank dies.
         """
         self._check_abort()
-        if self._find(self._boxes[dst], source, tag) is not None:
+        if (source, tag) in self._boxes[dst].queues:
             return True
         if self._ready:
             self._ready.append(dst)

@@ -13,10 +13,11 @@ with *bit-identical* results:
 - **Virtual-time retransmission.**  The fault plan's verdict for each
   transmission is observable at the sender (the simulator's equivalent of
   a retransmission timer expiring with no ACK): on a drop, the sender's
-  virtual clock advances by the current timeout, the timeout doubles
-  (exponential backoff), and the message is retransmitted — so lost
-  messages cost exactly the retry latency they would in a real protocol,
-  and that cost lands in the virtual makespan.
+  virtual clock advances by the current timeout (:data:`RTO` at first),
+  the timeout grows by :data:`BACKOFF`, and the message is retransmitted,
+  at most :data:`MAX_ATTEMPTS` times in all — so lost messages cost
+  exactly the retry latency they would in a real protocol, and that cost
+  lands in the virtual makespan.
 - **Acknowledgements.**  The receiver acks every accepted message with a
   header-only control message on the reverse link
   (:data:`~repro.comm.constants.RELIABLE_ACK_BASE`).  The sender
@@ -29,12 +30,12 @@ with *bit-identical* results:
   and discards them (their ingress + receive overhead is still charged —
   duplicates are not free in a real network either).
 
-The layer is *stream-ordered*: receives must name a specific source and
-tag (``ANY_SOURCE``/``ANY_TAG`` raise), which is how the framework's halo
-exchanges and tree collectives already communicate.  Collectives are the
-standard algorithms from :mod:`repro.comm.collectives` bound over the
-reliable point-to-point, so a whole application completes correctly under
-a drop/duplicate/delay plan simply by wrapping its communicator.
+The layer is *stream-ordered*: every receive names its source and tag,
+as every receive of the framework's halo exchanges and tree collectives
+does.  Collectives are the standard algorithms from
+:mod:`repro.comm.collectives` bound over the reliable point-to-point, so a
+whole application completes correctly under a drop/duplicate/delay plan
+simply by wrapping its communicator.
 """
 
 from __future__ import annotations
@@ -46,14 +47,20 @@ import numpy as np
 from repro.comm import collectives as _coll
 from repro.comm.communicator import Request, SendRequest, SimComm
 from repro.comm.constants import (
-    ANY_SOURCE,
-    ANY_TAG,
     PROC_NULL,
     RELIABLE_ACK_BASE,
     RELIABLE_DATA_BASE,
     RELIABLE_SEQ_SLOTS,
 )
 from repro.util.errors import CommunicationError
+
+#: Initial virtual-time retransmission timeout (seconds).
+RTO = 1e-3
+#: Multiplier applied to the timeout after each retry.
+BACKOFF = 2.0
+#: Give up (``CommunicationError``) after this many transmissions of one
+#: message.
+MAX_ATTEMPTS = 30
 
 #: How many recently accepted sequence numbers per stream are probed for
 #: late-arriving duplicates on every receive (older leftovers are swept at
@@ -105,36 +112,13 @@ class ReliableRecvRequest(Request):
 class ReliableComm:
     """Stop-and-wait reliable messaging over a (possibly lossy) ``SimComm``.
 
-    Drop-in for ``SimComm`` wherever receives name specific peers: the
-    runtimes (stencil halo exchange, generalized reduction) and all
-    collectives run over it unchanged.
-
-    Args:
-        base: The underlying communicator (owns clock, fabric, trace).
-        rto: Initial virtual-time retransmission timeout in seconds.
-        backoff: Multiplier applied to the timeout after each retry.
-        max_attempts: Give up (``CommunicationError``) after this many
-            transmissions of one message.
+    Drop-in for ``SimComm``: the runtimes (stencil halo exchange,
+    generalized reduction) and all collectives run over it unchanged.
+    ``base`` is the underlying communicator (owns clock, fabric, trace).
     """
 
-    def __init__(
-        self,
-        base: SimComm,
-        *,
-        rto: float = 1e-3,
-        backoff: float = 2.0,
-        max_attempts: int = 30,
-    ) -> None:
-        if rto <= 0:
-            raise CommunicationError(f"rto must be > 0, got {rto}")
-        if backoff < 1.0:
-            raise CommunicationError(f"backoff must be >= 1, got {backoff}")
-        if max_attempts < 1:
-            raise CommunicationError(f"max_attempts must be >= 1, got {max_attempts}")
+    def __init__(self, base: SimComm) -> None:
         self.base = base
-        self.rto = float(rto)
-        self.backoff = float(backoff)
-        self.max_attempts = int(max_attempts)
         self._coll_seq = 0
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
@@ -187,22 +171,22 @@ class ReliableComm:
         """
         self.base._check_peer(dest, "destination")
         if not _internal:
-            self.base._check_tag(tag, allow_any=False)
+            self.base._check_tag(tag)
         if dest == PROC_NULL:
             return
         key = (dest, tag)
         seq = self._send_seq.get(key, 0)
         self._send_seq[key] = seq + 1
         plan = self.base.fabric.fault_plan
-        timeout = self.rto
+        timeout = RTO
         wire_tag = _data_tag(tag, seq)
         attempt = 0
         while True:
             attempt += 1
-            if attempt > self.max_attempts:
+            if attempt > MAX_ATTEMPTS:
                 raise CommunicationError(
                     f"reliable send to {dest} (tag {tag}, seq {seq}) gave up "
-                    f"after {self.max_attempts} attempts"
+                    f"after {MAX_ATTEMPTS} attempts"
                 )
             self.base.send(
                 obj, dest, wire_tag, _internal=True, wire_bytes=wire_bytes, owned=owned
@@ -225,7 +209,7 @@ class ReliableComm:
                 )
                 tr.count("comm.retransmits")
             self.retransmits += 1
-            timeout *= self.backoff
+            timeout *= BACKOFF
         self._pending_acks.setdefault(dest, []).append((tag, seq))
 
     def isend(
@@ -242,26 +226,18 @@ class ReliableComm:
 
     def recv(
         self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
+        source: int,
+        tag: int,
         out: np.ndarray | None = None,
         _internal: bool = False,
     ) -> Any:
-        """Reliable receive: accept the stream's next sequence number.
-
-        Wildcards are unsupported — reliable streams are per (peer, tag),
-        so the receive must name both.
-        """
+        """Reliable receive: accept the (source, tag) stream's next sequence
+        number."""
         if source == PROC_NULL:
             return None
-        if source == ANY_SOURCE or tag == ANY_TAG:
-            raise CommunicationError(
-                "ReliableComm requires a specific source and tag "
-                "(wildcard receives cannot be sequence-checked)"
-            )
         self.base._check_peer(source, "source")
         if not _internal:
-            self.base._check_tag(tag, allow_any=False)
+            self.base._check_tag(tag)
         key = (source, tag)
         seq = self._recv_seq.get(key, 0)
         value = self.base.recv(source=source, tag=_data_tag(tag, seq), out=out, _internal=True)
@@ -285,18 +261,10 @@ class ReliableComm:
             self._drain_duplicates(source, tag)
         return value
 
-    def irecv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, out: np.ndarray | None = None
-    ) -> ReliableRecvRequest:
+    def irecv(self, source: int, tag: int, out: np.ndarray | None = None) -> ReliableRecvRequest:
         """Non-blocking reliable receive; completion happens at wait."""
-        if source != PROC_NULL:
-            if source == ANY_SOURCE or tag == ANY_TAG:
-                raise CommunicationError(
-                    "ReliableComm requires a specific source and tag "
-                    "(wildcard receives cannot be sequence-checked)"
-                )
-            self.base._check_peer(source, "source")
-            self.base._check_tag(tag, allow_any=True)
+        self.base._check_peer(source, "source")
+        self.base._check_tag(tag)
         return ReliableRecvRequest(self, source, tag, out)
 
     def sendrecv(
@@ -304,8 +272,8 @@ class ReliableComm:
         obj: Any,
         dest: int,
         source: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
+        sendtag: int,
+        recvtag: int,
         out: np.ndarray | None = None,
         _internal: bool = False,
     ) -> Any:

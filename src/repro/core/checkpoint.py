@@ -22,11 +22,14 @@ protocol per iteration boundary:
    the failed rank, ``recovery`` everywhere), and re-synchronizes with a
    barrier before resuming at the checkpointed iteration.
 
-Everything is a function of virtual time and the plan's seed, so a given
-plan always produces the same recovery points and the same final makespan.
-Combine with :class:`~repro.comm.reliable.ReliableComm` when the same plan
-also drops or duplicates messages — the heartbeat and rollback barriers
-then run over the reliable layer and survive the loss themselves.
+Writing or re-reading a snapshot is charged at half the node's memory
+bandwidth (an in-memory copy reads and writes every byte).  Everything is
+a function of virtual time and the plan's seed, so a given plan always
+produces the same recovery points and the same final makespan.  The
+heartbeat and rollback barriers run over ``ctx.comm``; when the same plan
+also drops or duplicates messages, that is the run's
+:class:`~repro.comm.reliable.ReliableComm`, so they survive the loss
+themselves.
 """
 
 from __future__ import annotations
@@ -60,34 +63,15 @@ class CheckpointManager:
         ctx: The rank context (clock, comm, trace, fault plan).
         every: Checkpoint cadence in iterations (snapshot after every
             ``every``-th completed iteration, plus one at iteration 0).
-        comm: Communicator for the detection heartbeat and recovery
-            barrier; defaults to ``ctx.comm``.  Pass the run's
-            :class:`~repro.comm.reliable.ReliableComm` when messages can
-            be lost.
-        write_bandwidth: Bytes/second charged for writing (and re-reading)
-            a snapshot; defaults to half the node's memory bandwidth — an
-            in-memory copy costs a read plus a write of every byte.
     """
 
-    def __init__(
-        self,
-        ctx: RankContext,
-        *,
-        every: int = 10,
-        comm: Any | None = None,
-        write_bandwidth: float | None = None,
-    ) -> None:
+    def __init__(self, ctx: RankContext, *, every: int = 10) -> None:
         if every < 1:
             raise ValidationError(f"checkpoint cadence must be >= 1, got {every}")
         self.ctx = ctx
         self.every = int(every)
-        self.comm = comm if comm is not None else ctx.comm
         self.plan = ctx.fault_plan
-        if write_bandwidth is None:
-            write_bandwidth = ctx.node.cpu.mem_bandwidth / 2.0
-        if write_bandwidth <= 0:
-            raise ValidationError(f"write_bandwidth must be > 0, got {write_bandwidth}")
-        self.write_bandwidth = float(write_bandwidth)
+        self.write_bandwidth = ctx.node.cpu.mem_bandwidth / 2.0
         self.checkpoints_taken = 0
         self.recoveries = 0
         self.last_checkpoint: Checkpoint | None = None
@@ -126,7 +110,7 @@ class CheckpointManager:
             crash = self.plan.crash_pending(self.ctx.rank, self.ctx.clock.now)
         local = np.array([1.0 if crash is not None else 0.0,
                           crash.restart_cost if crash is not None else 0.0])
-        agreed = self.comm.allreduce(local, op="max")
+        agreed = self.ctx.comm.allreduce(local, op="max")
         return bool(agreed[0] > 0.0), crash, float(agreed[1])
 
     def _recover(
@@ -163,7 +147,7 @@ class CheckpointManager:
             )
             ctx.trace.count("ckpt.recoveries")
         # Re-synchronize before anyone resumes computing.
-        self.comm.barrier()
+        ctx.comm.barrier()
         return ckpt.iteration
 
     # -- the loop -------------------------------------------------------

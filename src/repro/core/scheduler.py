@@ -58,13 +58,6 @@ class ScheduleReport:
     def elapsed(self) -> float:
         return self.makespan - self.start
 
-    def elems_by_device(self) -> dict[str, int]:
-        """Total elements processed per device name."""
-        out: dict[str, int] = {}
-        for w in self.workers:
-            out[w.device.name] = out.get(w.device.name, 0) + w.elems
-        return out
-
     def load_imbalance(self) -> float:
         """(makespan - mean finish) / (makespan - start); 0 means perfectly even."""
         if not self.workers or self.makespan <= self.start:

@@ -1,17 +1,17 @@
 """SPMD execution engine: one runner, pooled rank threads, one baton.
 
 :func:`spmd_run` launches ``fn(ctx)`` on every rank, where ``ctx`` is a
-:class:`RankContext` carrying the rank's virtual clock, communicator, node
-spec, and (optionally) devices built by a caller-supplied factory.
+:class:`RankContext` carrying the rank's virtual clock, communicator,
+node spec and trace.
 
 Ranks are simulated processes: they need correct virtual-time ordering,
 never host concurrency.  Each rank is a pooled thread used purely as a
 continuation — it runs until its next blocking receive — and only the
 holder of the run's *baton* executes (see :mod:`repro.comm.fabric` for the
-hand-over rules).  The schedule is a pure function of the program, so
-values, virtual times and traces are identical run to run, wildcard
-receives included, and a deadlock ("no rank can run, some are parked") is
-raised exactly and at once instead of after a receive timeout.  Host
+hand-over rules).  A one-rank run takes the same path.  The schedule is a
+pure function of the program, so values, virtual times and traces are
+identical run to run, and a deadlock ("no rank can run, some are parked")
+is raised exactly and at once instead of after a receive timeout.  Host
 parallelism lives one level up: a *job* may run in a worker process
 (:mod:`repro.serve.jobpool`), which executes this same loop.
 
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.sim.clock import VirtualClock
@@ -45,8 +45,6 @@ from repro.util.errors import CommunicationError, DeadlockError, ValidationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.communicator import SimComm
     from repro.faults.plan import FaultPlan
-
-DeviceFactory = Callable[["RankContext"], Sequence[Any]]
 
 
 @dataclass
@@ -61,7 +59,6 @@ class RankContext:
     clock: VirtualClock
     comm: "SimComm"
     trace: Trace
-    devices: list[Any] = field(default_factory=list)
     fault_plan: "FaultPlan | None" = None
 
     @property
@@ -248,7 +245,6 @@ def spmd_run(
     args: tuple = (),
     kwargs: dict | None = None,
     trace: bool = False,
-    device_factory: DeviceFactory | None = None,
     wall_timeout: float = 600.0,
     fault_plan: "FaultPlan | None" = None,
 ) -> SpmdResult:
@@ -264,14 +260,10 @@ def spmd_run(
         trace: Enable per-rank tracing: spans, counters, gauges and the
             busy intervals of every NIC and device timeline (small
             overhead).
-        device_factory: Optional callable building the rank's device list
-            (used by :class:`repro.core.env.RuntimeEnv`); it runs inside the
-            rank thread after clock/comm are wired.
         wall_timeout: Wall-clock seconds for the whole run (a monotonic
             budget shared by all ranks, not a per-rank allowance).  It
             exists for a rank that loops without communicating; a deadlock
-            needs no timeout.  A single-rank run executes inline on the
-            calling thread and is not watched.
+            needs no timeout.
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`
             installed on the fabric before any rank starts; rank programs
             reach it via ``ctx.fault_plan`` (checkpoint/restart loops
@@ -338,8 +330,6 @@ def spmd_run(
                 trace=traces[rank],
                 fault_plan=fault_plan,
             )
-            if device_factory is not None:
-                ctx.devices = list(device_factory(ctx))
             values[rank] = fn(ctx, *args, **kwargs)
             times[rank] = clock.now
         except BaseException as exc:  # noqa: BLE001 - must not lose rank errors
@@ -347,37 +337,33 @@ def spmd_run(
         finally:
             fabric.leave(rank)
 
+    group = _RunGroup(nranks)
+
+    def make_task(rank: int) -> Callable[[], None]:
+        def task() -> None:
+            try:
+                rank_main(rank)
+            finally:
+                group.task_done(rank)
+
+        return task
+
     _run_started(nranks)
     try:
         fabric.launch()
-        if nranks == 1:
-            # Run inline (keeps single-rank tests easy to debug).
-            rank_main(0)
-        else:
-            group = _RunGroup(nranks)
-
-            def make_task(rank: int) -> Callable[[], None]:
-                def task() -> None:
-                    try:
-                        rank_main(rank)
-                    finally:
-                        group.task_done(rank)
-
-                return task
-
-            for r in range(nranks):
-                _pool.submit(make_task(r))
-            # One shared wall-clock budget for the whole run, not per rank.
-            if not group.wait(wall_timeout):
-                fabric.abort(DeadlockError("wall timeout"))
-                # Grace period: released ranks raise where they wake and
-                # finish; the rank that never reached the fabric is
-                # abandoned to its (daemon) pool worker, never recycled.
-                group.wait(5.0)
-                raise DeadlockError(
-                    f"SPMD run exceeded wall timeout of {wall_timeout}s; "
-                    f"still-running ranks: {group.pending_ranks()}"
-                )
+        for r in range(nranks):
+            _pool.submit(make_task(r))
+        # One shared wall-clock budget for the whole run, not per rank.
+        if not group.wait(wall_timeout):
+            fabric.abort(DeadlockError("wall timeout"))
+            # Grace period: released ranks raise where they wake and
+            # finish; the rank that never reached the fabric is
+            # abandoned to its (daemon) pool worker, never recycled.
+            group.wait(5.0)
+            raise DeadlockError(
+                f"SPMD run exceeded wall timeout of {wall_timeout}s; "
+                f"still-running ranks: {group.pending_ranks()}"
+            )
     finally:
         _run_finished(nranks)
 

@@ -62,11 +62,6 @@ class Timeline:
         """Earliest time a new item could start."""
         return self._available_at
 
-    @property
-    def busy_time(self) -> float:
-        """Total scheduled busy seconds."""
-        return self._busy
-
     def schedule(self, ready: float, duration: float, label: str = "") -> Interval:
         """Schedule an item that becomes ready at ``ready`` for ``duration``.
 

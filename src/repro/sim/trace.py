@@ -213,13 +213,6 @@ class Trace:
         """Sum of durations of all events in ``category``."""
         return sum(ev.duration for ev in self._events if ev.category == category)
 
-    def by_category(self) -> dict[str, float]:
-        """Summed durations keyed by category (insertion-ordered)."""
-        out: dict[str, float] = {}
-        for ev in self._events:
-            out[ev.category] = out.get(ev.category, 0.0) + (ev.end - ev.start)
-        return out
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 

@@ -64,15 +64,6 @@ def test_cluster_totals_and_with_nodes():
         ClusterSpec(name="t", node=node, num_nodes=0, network=qdr_infiniband())
 
 
-def test_link_between_intra_vs_inter():
-    node = NodeSpec(cpu=_cpu())
-    cluster = ClusterSpec(name="t", node=node, num_nodes=3, network=qdr_infiniband())
-    assert cluster.link_between(1, 1) is node.intra_link
-    assert cluster.link_between(0, 2) is cluster.network
-    with pytest.raises(ValidationError):
-        cluster.link_between(0, 3)
-
-
 def test_xeon_preset_matches_paper():
     cpu = xeon_5650()
     assert cpu.cores == 12

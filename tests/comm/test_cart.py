@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.topology import dims_create
 from repro.comm.cart import CartComm
 from repro.comm.constants import PROC_NULL
 from repro.util.errors import ConfigurationError
@@ -9,8 +10,11 @@ from tests.conftest import run_spmd
 
 
 def test_auto_dims_from_ndims():
+    """The stencil runtime's path: ``dims_create`` picks the grid for an
+    axis count, and the view places each rank on it."""
+
     def prog(ctx):
-        cart = CartComm(ctx.comm, ndims=2)
+        cart = CartComm(ctx.comm, dims=dims_create(ctx.size, 2))
         return cart.dims, cart.coords
 
     values = run_spmd(prog, nodes=6).values
@@ -26,14 +30,6 @@ def test_explicit_dims_validated():
         run_spmd(prog, nodes=6)
 
 
-def test_needs_dims_or_ndims():
-    def prog(ctx):
-        CartComm(ctx.comm)
-
-    with pytest.raises(ConfigurationError):
-        run_spmd(prog, nodes=2)
-
-
 def test_shift_non_periodic_borders():
     def prog(ctx):
         cart = CartComm(ctx.comm, dims=(4,))
@@ -43,16 +39,6 @@ def test_shift_non_periodic_borders():
     assert values[0] == (PROC_NULL, 1)
     assert values[1] == (0, 2)
     assert values[3] == (2, PROC_NULL)
-
-
-def test_shift_periodic_wraps():
-    def prog(ctx):
-        cart = CartComm(ctx.comm, dims=(4,), periodic=(True,))
-        return cart.shift(0, 1)
-
-    values = run_spmd(prog, nodes=4).values
-    assert values[0] == (3, 1)
-    assert values[3] == (2, 0)
 
 
 def test_shift_axis_bounds():
@@ -67,29 +53,21 @@ def test_shift_axis_bounds():
 def test_neighbors_2d():
     def prog(ctx):
         cart = CartComm(ctx.comm, dims=(2, 2))
-        return cart.neighbors()
+        return cart.coords, cart.shift(0), cart.shift(1)
 
     values = run_spmd(prog, nodes=4).values
-    n0 = values[0]  # coords (0, 0)
-    assert n0[(0, +1)] == 2 and n0[(0, -1)] == PROC_NULL
-    assert n0[(1, +1)] == 1 and n0[(1, -1)] == PROC_NULL
+    assert values[0] == ((0, 0), (PROC_NULL, 2), (PROC_NULL, 1))
+    assert values[3] == ((1, 1), (1, PROC_NULL), (2, PROC_NULL))
 
 
 def test_halo_exchange_through_cart():
-    """End-to-end: shifts drive a correct ring exchange."""
+    """End-to-end: shifts drive a correct line exchange; the border rank's
+    receive from ``PROC_NULL`` is a no-op."""
 
     def prog(ctx):
-        cart = CartComm(ctx.comm, dims=(ctx.size,), periodic=(True,))
+        cart = CartComm(ctx.comm, dims=(ctx.size,))
         src, dst = cart.shift(0, 1)
         return ctx.comm.sendrecv(ctx.rank, dst, src, 9, 9)
 
     values = run_spmd(prog, nodes=5).values
-    assert values == [(r - 1) % 5 for r in range(5)]
-
-
-def test_periodic_length_mismatch():
-    def prog(ctx):
-        CartComm(ctx.comm, dims=(2, 1), periodic=(True,))
-
-    with pytest.raises(ConfigurationError):
-        run_spmd(prog, nodes=2)
+    assert values == [None, 0, 1, 2, 3]

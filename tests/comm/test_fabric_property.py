@@ -4,13 +4,12 @@ The indexed fabric replaced a single global mailbox list (scanned linearly
 under one lock) with per-(source, tag) FIFO deques per destination mailbox.
 These tests pin the semantic contract of that rewrite with hypothesis:
 
-- every receive — specific or wildcard — picks exactly the message the old
-  global-lock scan would have picked (earliest-posted candidate per source,
-  then minimum ``(arrival_time, src)`` across sources);
-- the pick is a function of *virtual time and per-source post order only*:
-  re-posting the same per-source message sequences under a different
-  global interleaving (as if sender threads raced differently on the wall
-  clock) delivers the identical sequence.
+- every receive picks exactly the message the old global-lock scan would
+  have picked: the earliest-posted message on its (source, tag) pair;
+- the pick is a function of *per-source post order only*: re-posting the
+  same per-source message sequences under a different global interleaving
+  (as if sender threads raced differently on the wall clock) delivers the
+  identical sequence.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.presets import ohio_cluster
-from repro.comm.constants import ANY_SOURCE, ANY_TAG
 from repro.comm.fabric import Fabric, Message
 from repro.comm.payload import make_payload
 
@@ -54,26 +52,17 @@ def _post(fabric: Fabric, spec: Spec) -> None:
 
 
 def _reference_pick(pending: list[Spec], source: int, tag: int) -> int | None:
-    """Index of the message the old global-lock scan would deliver.
-
-    ``pending`` is in post order.  Per source the candidate is the
-    earliest-posted matching message (FIFO / non-overtaking); across
-    sources the winner has the minimum ``(arrival, src)``.
-    """
-    candidates: dict[int, tuple[int, Spec]] = {}
+    """Index of the message the old global-lock scan would deliver:
+    the earliest-posted one on (source, tag) (FIFO / non-overtaking).
+    ``pending`` is in post order."""
     for i, m in enumerate(pending):
-        if source != ANY_SOURCE and m.src != source:
-            continue
-        if tag != ANY_TAG and m.tag != tag:
-            continue
-        if m.src not in candidates:
-            candidates[m.src] = (i, m)
-    if not candidates:
-        return None
-    return min(candidates.values(), key=lambda t: (t[1].arrival, t[1].src))[0]
+        if (m.src, m.tag) == (source, tag):
+            return i
+    return None
 
 
-# Coarse arrival grid so ties (equal arrival, different src/tag) are common.
+# Coarse arrival grid: a later post may carry an earlier arrival, which
+# must not overtake.
 _arrivals = st.integers(min_value=0, max_value=5).map(lambda n: n / 4.0)
 
 _specs = st.builds(
@@ -84,10 +73,8 @@ _specs = st.builds(
     uid=st.integers(),
 )
 
-_patterns = st.tuples(
-    st.sampled_from([ANY_SOURCE, 0, 1, 2, 3]),
-    st.sampled_from([ANY_TAG, 0, 1, 2]),
-)
+_patterns = st.tuples(st.integers(0, N_SOURCES - 1), st.integers(0, N_TAGS - 1))
+_ALL_PAIRS = [(src, tag) for src in range(N_SOURCES) for tag in range(N_TAGS)]
 
 
 def _fresh_fabric() -> Fabric:
@@ -120,13 +107,12 @@ def test_every_receive_matches_the_global_lock_reference(messages, patterns):
             expect.arrival,
             expect.uid,
         )
-    # Drain what's left with wildcards: must follow the reference order.
-    while pending:
-        ref = _reference_pick(pending, ANY_SOURCE, ANY_TAG)
-        expect = pending.pop(ref)
-        got = fabric.match(DST, ANY_SOURCE, ANY_TAG)
-        assert got.payload.data == expect.uid
-    assert fabric.pending_count(DST) == 0
+    # Drain what's left pair by pair: must follow the reference order.
+    for source, tag in _ALL_PAIRS:
+        while (ref := _reference_pick(pending, source, tag)) is not None:
+            assert fabric.match(DST, source, tag).payload.data == pending.pop(ref).uid
+        assert not fabric.probe(DST, source, tag)
+    assert not pending and fabric.pending_count(DST) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +127,7 @@ def test_delivery_order_is_invariant_to_sender_interleaving(messages, seed, drai
     A reshuffle that preserves each source's own post order models sender
     threads racing differently; the delivered sequence (for any fixed
     receive pattern) must not change, because selection depends only on
-    ``(arrival_time, src)`` and per-source post order.
+    per-source post order.
     """
     messages = _uniquify(messages)
     by_src: dict[int, list[Spec]] = {}
@@ -165,8 +151,10 @@ def test_delivery_order_is_invariant_to_sender_interleaving(messages, seed, drai
         while fabric.probe(DST, source, tag):
             out.append(fabric.match(DST, source, tag).payload.data)
         # Flush the rest so both runs observe every message.
-        while fabric.pending_count(DST):
-            out.append(fabric.match(DST, ANY_SOURCE, ANY_TAG).payload.data)
+        for pair in _ALL_PAIRS:
+            while fabric.probe(DST, *pair):
+                out.append(fabric.match(DST, *pair).payload.data)
+        assert fabric.pending_count(DST) == 0
         return out
 
     assert drain_all(messages) == drain_all(interleaved)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.presets import laptop_cluster
-from repro.comm.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.comm.constants import PROC_NULL
 from repro.sim.engine import spmd_run
 from repro.util.errors import CommunicationError
 from tests.conftest import run_spmd
@@ -26,7 +26,7 @@ def test_send_recv_python_object():
         if ctx.rank == 0:
             ctx.comm.send({"k": [1, 2]}, 1, tag=0)
             return None
-        return ctx.comm.recv(source=0)
+        return ctx.comm.recv(source=0, tag=0)
 
     assert run_spmd(prog, nodes=2).values[1] == {"k": [1, 2]}
 
@@ -66,17 +66,6 @@ def test_non_overtaking_same_tag():
         return [ctx.comm.recv(source=0, tag=7) for _ in range(5)]
 
     assert run_spmd(prog, nodes=2).values[1] == [0, 1, 2, 3, 4]
-
-
-def test_any_source_any_tag():
-    def prog(ctx):
-        if ctx.rank == 2:
-            got = {ctx.comm.recv(source=ANY_SOURCE, tag=ANY_TAG) for _ in range(2)}
-            return got
-        ctx.comm.send(ctx.rank, 2, tag=ctx.rank)
-        return None
-
-    assert run_spmd(prog, nodes=3).values[2] == {0, 1}
 
 
 def test_proc_null_send_recv_are_noops():
@@ -249,39 +238,3 @@ def test_recv_out_into_strided_slab_matches_copy_path():
     copy_grid, out_grid = run_spmd(prog, nodes=2).values[1]
     np.testing.assert_array_equal(copy_grid, out_grid)
     np.testing.assert_array_equal(out_grid[:, 0], np.arange(8.0) * 1.7)
-
-
-def test_any_source_matching_is_deterministic():
-    """Regression: wildcard matching among queued messages must depend on
-    virtual arrival times only, never on which sender's thread won the
-    wall-clock race to post first.  All sends are posted (eagerly, before
-    each sender enters the barrier) by the time rank 0 leaves the barrier,
-    so the matching order over the full queue must be identical — in
-    source order *and* virtual time — across repeated runs."""
-
-    def prog(ctx):
-        if ctx.rank != 0:
-            # Staggered virtual send times with different payloads —
-            # rank 3 starts latest but its message is tiny, rank 1 starts
-            # early with a big payload: arrival order != send order, and
-            # both differ from whatever post order the OS produced.
-            ctx.clock.advance(1e-5 * ctx.rank)
-            nbytes = 1 << (20 - 4 * ctx.rank)
-            ctx.comm.send((ctx.rank, np.zeros(nbytes // 8)), 0, tag=4)
-            ctx.comm.barrier()
-            return None
-        ctx.comm.barrier()
-        order = []
-        for _ in range(ctx.size - 1):
-            src, _ = ctx.comm.recv(source=ANY_SOURCE, tag=4)
-            order.append(src)
-        return order, ctx.clock.now
-
-    runs = [run_spmd(prog, nodes=4) for _ in range(4)]
-    orders = [r.values[0][0] for r in runs]
-    times = [r.values[0][1] for r in runs]
-    assert all(o == orders[0] for o in orders), orders
-    assert all(t == times[0] for t in times), times
-    # And the order is the virtual-arrival order, not the send order:
-    # smaller payloads from later senders overtake rank 1's big message.
-    assert orders[0][-1] == 1, orders[0]

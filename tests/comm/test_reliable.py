@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.presets import laptop_cluster
-from repro.comm.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.comm import reliable
+from repro.comm.constants import PROC_NULL
 from repro.comm.reliable import ReliableComm
 from repro.faults.plan import FaultPlan, LinkDegradation, MessageFaultRule
 from repro.sim.engine import spmd_run
@@ -13,8 +14,8 @@ from repro.util.errors import CommunicationError
 LOSSY = dict(drop=0.3, dup=0.2, delay=0.2, max_delay=3e-4)
 
 
-def _reliable(ctx, **kw):
-    return ReliableComm(ctx.comm, **kw)
+def _reliable(ctx):
+    return ReliableComm(ctx.comm)
 
 
 def _ring_prog(ctx):
@@ -107,15 +108,19 @@ def test_zero_copy_out_delivery_preserved():
 
 
 def test_wildcards_rejected():
+    """There is no wildcard receive: MPI's wildcard value -1 is refused as
+    a source and as a tag, because a reliable stream is one named
+    (source, tag) pair."""
+
     def prog(ctx):
         comm = _reliable(ctx)
         if ctx.rank == 0:
             with pytest.raises(CommunicationError):
-                comm.recv(source=ANY_SOURCE, tag=1)
+                comm.recv(source=-1, tag=1)
             with pytest.raises(CommunicationError):
-                comm.recv(source=1, tag=ANY_TAG)
+                comm.recv(source=1, tag=-1)
             with pytest.raises(CommunicationError):
-                comm.irecv(source=ANY_SOURCE, tag=1)
+                comm.irecv(source=-1, tag=1)
         return True
 
     assert all(spmd_run(prog, laptop_cluster(num_nodes=2)).values)
@@ -134,24 +139,27 @@ def test_proc_null_noops():
     assert all(spmd_run(prog, laptop_cluster(num_nodes=2)).values)
 
 
-def test_give_up_after_max_attempts():
+def test_give_up_after_max_attempts(monkeypatch):
+    monkeypatch.setattr(reliable, "MAX_ATTEMPTS", 3)
+
     def prog(ctx):
-        comm = _reliable(ctx, max_attempts=3)
+        comm = _reliable(ctx)
         if ctx.rank == 0:
             comm.send("doomed", 1, tag=1)
         return None
 
     plan = FaultPlan(seed=1, rules=[MessageFaultRule(drop_prob=1.0)])
-    with pytest.raises(CommunicationError, match="gave up"):
+    with pytest.raises(CommunicationError, match="gave up after 3 attempts"):
         spmd_run(prog, laptop_cluster(num_nodes=2), fault_plan=plan)
 
 
 def test_retransmit_backoff_charged_to_virtual_clock():
     """Each failed attempt advances the sender's clock by the (doubling)
     timeout, so drops translate into a deterministic makespan penalty."""
+    assert (reliable.RTO, reliable.BACKOFF) == (1e-3, 2.0)
 
     def prog(ctx):
-        comm = _reliable(ctx, rto=1e-3, backoff=2.0)
+        comm = _reliable(ctx)
         if ctx.rank == 0:
             t0 = ctx.clock.now
             comm.send(np.ones(4), 1, tag=1)

@@ -54,7 +54,9 @@ def test_gpu_gets_larger_share_when_faster():
     report = ChunkScheduler([_cpu(), _gpu()]).run(
         WORK, 200_000, 2048, gpu_chunk_multiplier=8
     )
-    by_dev = report.elems_by_device()
+    by_dev: dict[str, int] = {}
+    for w in report.workers:  # what the runtime counts per device
+        by_dev[w.device.name] = by_dev.get(w.device.name, 0) + w.elems
     gpu_elems = next(v for k, v in by_dev.items() if "gpu" in k.lower() or "test-gpu" in k)
     cpu_elems = next(v for k, v in by_dev.items() if "cpu" in k.lower() and "gpu" not in k.lower())
     # test-gpu 200 GF vs 4x8 GF cpu: GPU should take the large majority.

@@ -3,10 +3,10 @@
 The whole point of virtual-clock simulation is that reported numbers are
 reproducible; these tests run the same programs repeatedly and require
 bit-identical results and times.  The app-level cases were deterministic
-by *program shape* even when ranks raced (no wildcard receives, no
-polling); the generated message programs and the wildcard gather at the
-bottom are deterministic only because the engine's schedule is — one rank
-runs at a time, in an order the program alone decides.
+by *program shape* even when ranks raced (no polling); the generated
+message programs at the bottom poll, and are deterministic only because
+the engine's schedule is — one rank runs at a time, in an order the
+program alone decides.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.apps import heat3d, kmeans, moldyn
 from repro.apps.extra import sssp
 from repro.cluster.presets import ohio_cluster
-from repro.comm.constants import ANY_SOURCE
 from repro.sim.engine import spmd_run
 
 REPEATS = 3
@@ -101,10 +100,10 @@ def test_different_seeds_differ():
 # A program is a list of phases, each deadlock-free on its own because sends
 # are eager and every rank sends before it receives:
 #   ("p2p", [(src, dst, tag), ...])  specific-source sends and receives
-#   ("fanin", root, [delay per rank]) ANY_SOURCE fan-in, NO barrier before it
+#   ("fanin", root, [delay per rank]) fan-in to root, NO barrier before it
 #   ("poll", src, dst, delay)         irecv + test() polling, clock per miss
 #   ("allreduce",)
-# Phase i uses tags i*8.., so a wildcard never steals a later phase's message.
+# Phase i uses tags i*8.., so no receive matches another phase's message.
 # ---------------------------------------------------------------------------
 
 _delays = st.integers(0, 5).map(lambda n: n * 1e-6)
@@ -142,7 +141,7 @@ def _message_program(ctx, phases):
             _, root, delays = phase
             if me == root:
                 log.append(
-                    [comm.recv(source=ANY_SOURCE, tag=base) for _ in range(ctx.size - 1)]
+                    [comm.recv(source=r, tag=base) for r in range(ctx.size) if r != root]
                 )
             else:
                 ctx.clock.advance(delays[me])
@@ -180,20 +179,3 @@ def test_generated_message_programs_are_identical_run_to_run(program):
     first = _observe(n, phases)
     assert _observe(n, phases) == first
     assert _observe(n, phases) == first
-
-
-def test_wildcard_gather_match_order_is_identical_on_20_runs():
-    """64 ranks, ``ANY_SOURCE`` at the root, no barrier first: which sends
-    are queued when the root matches used to be a thread race."""
-
-    def gather(ctx):
-        if ctx.rank == 0:
-            return [ctx.comm.recv(source=ANY_SOURCE, tag=1) for _ in range(ctx.size - 1)]
-        ctx.clock.advance(((ctx.rank * 37) % 11) * 1e-6)  # arrival order != rank order
-        ctx.comm.send(ctx.rank, 0, tag=1)
-
-    cluster = ohio_cluster(64)
-    orders = [spmd_run(gather, cluster).values[0] for _ in range(20)]
-    assert sorted(orders[0]) == list(range(1, 64))
-    assert orders[0] != list(range(1, 64))
-    assert all(order == orders[0] for order in orders)

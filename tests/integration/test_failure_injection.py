@@ -97,14 +97,6 @@ def test_abort_drains_all_ranks_quickly():
         spmd_run(prog, laptop_cluster(num_nodes=8))
 
 
-def test_exception_in_device_factory():
-    def factory(ctx):
-        raise OSError("factory failed")
-
-    with pytest.raises(OSError, match="factory failed"):
-        spmd_run(lambda ctx: None, laptop_cluster(num_nodes=2), device_factory=factory)
-
-
 def test_results_of_completed_ranks_are_not_mixed_with_failures():
     """The engine must not return partial SpmdResult on failure."""
 

@@ -81,9 +81,7 @@ def test_stencil_records_phases():
     rounds = tr.filter(category="compute", label_prefix="ST:step")
     assert [ev.meta["sweeps"] for ev in rounds] == [1, 1]
     assert not tr.filter(category="compute", label_prefix="ST:block")
-    by_cat = tr.by_category()
-    assert by_cat["compute"] == tr.total("compute") > 0
-    assert set(by_cat) == {ev.category for ev in tr.events}
+    assert tr.total("compute") > 0
     blocked = spmd_run(
         heat3d.rank_program,
         ohio_cluster(2),

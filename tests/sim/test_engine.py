@@ -1,5 +1,6 @@
 """SPMD engine behaviour."""
 
+import threading
 import time
 
 import numpy as np
@@ -11,10 +12,27 @@ from repro.util.errors import DeadlockError, ValidationError
 from tests.conftest import wait_until
 
 
-def test_single_rank_runs_inline():
-    res = spmd_run(lambda ctx: ctx.rank * 10, laptop_cluster(num_nodes=1))
-    assert res.values == [0]
+def test_single_rank_runs_on_a_pool_thread():
+    """A one-rank run takes the path every run takes: a pooled rank thread."""
+    res = spmd_run(
+        lambda ctx: (ctx.rank * 10, threading.current_thread().name),
+        laptop_cluster(num_nodes=1),
+    )
+    [(value, thread)] = res.values
+    assert value == 0 and thread.startswith("rank-pool-")
     assert res.nranks == 1
+
+
+def test_a_single_rank_is_watched_by_the_wall_timeout():
+    """A one-rank program that computes without communicating is stopped by
+    ``wall_timeout`` like any other run, not left to run unwatched."""
+
+    def prog(ctx):
+        time.sleep(2.0)  # never reaches the fabric
+        return "finished"
+
+    with pytest.raises(DeadlockError, match="wall timeout of 0.3s"):
+        spmd_run(prog, laptop_cluster(num_nodes=1), wall_timeout=0.3)
 
 
 def test_values_collected_per_rank():
@@ -67,10 +85,10 @@ def test_deadlock_watchdog():
     assert "rank 1 waits for source=0 tag=9 with 0 unmatched message(s)" in text
 
 
-def test_single_inline_rank_receiving_nothing_deadlocks_at_once():
+def test_single_rank_receiving_nothing_deadlocks_at_once():
     t0 = time.monotonic()
-    with pytest.raises(DeadlockError, match="rank 0 waits for source=ANY_SOURCE tag=4"):
-        spmd_run(lambda ctx: ctx.comm.recv(tag=4), laptop_cluster(num_nodes=1))
+    with pytest.raises(DeadlockError, match="rank 0 waits for source=0 tag=4"):
+        spmd_run(lambda ctx: ctx.comm.recv(source=0, tag=4), laptop_cluster(num_nodes=1))
     assert time.monotonic() - t0 < 1.0
 
 
@@ -122,14 +140,6 @@ def test_traces_disabled_by_default_enabled_on_request():
     assert all(len(t) == 0 for t in res.traces)
     res = spmd_run(prog, laptop_cluster(num_nodes=2), trace=True)
     assert any(len(t) > 0 for t in res.traces)
-
-
-def test_device_factory_runs_per_rank():
-    def factory(ctx):
-        return [f"dev-{ctx.rank}"]
-
-    res = spmd_run(lambda ctx: ctx.devices, laptop_cluster(num_nodes=2), device_factory=factory)
-    assert res.values == [["dev-0"], ["dev-1"]]
 
 
 def test_rejects_zero_ranks():

@@ -27,8 +27,8 @@ def test_busy_and_idle_accounting():
     tl = Timeline("t")
     tl.schedule(0.0, 2.0)
     tl.schedule(5.0, 1.0)  # 3s idle gap
-    assert tl.busy_time == pytest.approx(3.0)
     assert tl.utilization() == pytest.approx(0.5)
+    assert tl.utilization(horizon=12.0) == pytest.approx(0.25)
 
 
 def test_utilization_empty():
@@ -68,4 +68,5 @@ def test_intervals_never_overlap(items):
     assert seen == [("t", iv.start, iv.end, iv.label) for iv in placed]
     for a, b in zip(placed, placed[1:]):
         assert b.start >= a.end
-    assert tl.busy_time == pytest.approx(sum(iv.duration for iv in placed))
+    busy = sum(iv.duration for iv in placed)
+    assert tl.utilization() * tl.available_at == pytest.approx(busy)

@@ -54,15 +54,6 @@ def test_counters_and_gauges():
     assert tr.gauges == {"imbalance": 0.25}
 
 
-def test_by_category_sums_durations():
-    tr = Trace(0)
-    tr.record("compute", "k", 0.0, 2.0)
-    tr.record("compute", "k2", 2.0, 2.5)
-    tr.record("comm", "send->1", 0.0, 1.0)
-    assert tr.by_category() == {"compute": 2.5, "comm": 1.0}
-    assert Trace(1).by_category() == {}
-
-
 def test_filter_by_category_and_prefix():
     tr = Trace(0)
     tr.record("compute", "IR:local", 0, 1)
