@@ -15,6 +15,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx>=3.0", "scipy>=1.10"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy>=1.10"],
     },
 )

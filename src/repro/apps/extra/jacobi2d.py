@@ -165,7 +165,7 @@ def sequential_reference(config: Jacobi2DConfig) -> tuple[np.ndarray, int, list[
     reaches tol.
 
     Returns (final grid, iterations, residual history); the residual is
-    the runtime's default, ``sqrt`` of :func:`l2_sq_residual`.
+    the runtime's, ``sqrt`` of :func:`l2_sq_residual`.
     """
     sweeps = reference_sweeps(
         make_kernel(),

@@ -29,8 +29,9 @@ Because device slices of the reduction space are disjoint and
 concatenated, a rank's result is functionally one reduction object over
 its local nodes, and that is all the runtime keeps: one
 :class:`DenseReductionObject` over ``[0, n_local)`` with precomputed
-scatter plans (:meth:`DenseReductionObject.plan_scatter`) for the four
-endpoint columns of the local/cross edge arrays, built once per
+scatter plans (:meth:`DenseReductionObject.plan_scatter`; float64 sums
+only, other ops scatter unplanned) for the four endpoint columns of the
+local/cross edge arrays, built once per
 ``set_mesh``/``set_kernel`` and reset in place every step.  The edge
 kernel runs once per phase over the full edge array and scatters straight
 into it.  The device split decides only what each device is *charged*:

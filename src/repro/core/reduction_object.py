@@ -19,10 +19,9 @@ layout once with :meth:`DenseReductionObject.plan_scatter` — the CPU
 analogue of the paper's §III-E reduction localization: for float64 sums at
 most one precomputed bin index per key (none when the keys are already the
 bins) turns the per-step scatter into one input-order scatter-add per value
-column; for min/max a CSR-style segmented layout (stable sort by owning key +
-segment boundaries) applies with ``ufunc.reduceat``.
-``insert_many`` recognizes planned key arrays automatically, so user
-kernels need no changes to benefit.
+column.  Other ops and dtypes plan nothing and take the unplanned
+``ufunc.at`` path.  ``insert_many`` recognizes planned key arrays
+automatically, so user kernels need no changes to benefit.
 
 Insert counting: every object tracks how many inserts were *attempted*
 (``n_inserts``), which the cost model uses to charge atomic operations.
@@ -37,93 +36,48 @@ from repro.util.errors import ValidationError
 
 
 class ScatterPlan:
-    """Precomputed scatter layout for one fixed key array.
+    """Precomputed float64-sum scatter layout for one fixed key array.
 
     Holds everything :meth:`DenseReductionObject.insert_many` needs to
     apply a batch of values against ``keys`` without touching the keys
-    again:
-
-    - For float64 **sums**: one bin index per key, applied column by
-      column as an ``np.add.at`` into zeroed bins that are then added to
-      the values — no filtering or sorting at apply time, and no
-      per-(key, column) index.  When every key is in range the keys
-      themselves are the bins and the plan stores nothing.  When most keys are in range, out-of-range keys are
-      redirected to a trailing trash bin; when the in-range subset is
-      small (a cross-edge column, mostly remote slots), the plan instead
-      precomputes a take-index so the apply gathers just its own values
-      first — total scatter work then stays proportional to the in-range
-      entries, not the batch.  Bins accumulate in input order either way,
-      exactly like the unplanned flat ``np.bincount``, so results stay
-      bit-identical.
-    - For **min/max**: a CSR-style segmented layout (stable sort order +
-      segment starts + the unique owning index per segment) applied with
-      ``ufunc.reduceat`` — order-insensitive ops make the re-grouping
-      exact.
-    - For anything else: the in-range filter and indices for the generic
-      ``ufunc.at`` path.
+    again: one bin index per key, applied column by column as an
+    ``np.add.at`` into zeroed bins that are then added to the values — no
+    filtering at apply time, and no per-(key, column) index.  When every
+    key is in range the keys themselves are the bins and the plan stores
+    nothing.  When most keys are in range, out-of-range keys are
+    redirected to a trailing trash bin; when the in-range subset is small
+    (a cross-edge column, mostly remote slots), the plan instead
+    precomputes a take-index so the apply gathers just its own values
+    first — total scatter work then stays proportional to the in-range
+    entries, not the batch.  Bins accumulate in input order either way,
+    exactly like the unplanned flat ``np.bincount``, so results stay
+    bit-identical.
 
     A plan keeps a reference to its key array: the array must stay alive
     (and unmodified) for the plan's address-based identity to be valid.
     """
 
-    __slots__ = (
-        "keys",
-        "n_keys",
-        "valid",
-        "all_valid",
-        "n_dropped",
-        "idx",
-        "take_idx",
-        "bins",
-        "n_bins",
-        "order",
-        "seg_starts",
-        "uniq_idx",
-    )
+    __slots__ = ("keys", "n_keys", "n_dropped", "take_idx", "bins", "n_bins")
 
-    def __init__(self, keys: np.ndarray, n_range: int, fast_sum: bool = False) -> None:
+    def __init__(self, keys: np.ndarray, n_range: int) -> None:
         self.keys = keys
         self.n_keys = len(keys)
         valid = (keys >= 0) & (keys < n_range)
-        self.all_valid = bool(valid.all())
-        self.n_dropped = 0 if self.all_valid else int(self.n_keys - valid.sum())
+        self.n_dropped = int(self.n_keys - valid.sum())
         self.take_idx = None
-        if fast_sum:
-            self.valid = None
-            self.idx = self.order = self.seg_starts = self.uniq_idx = None
-            self.n_bins = n_range
-            if self.all_valid:
-                self.bins = None  # the keys are the bins
-            elif 2 * (self.n_keys - self.n_dropped) < self.n_keys:
-                # Sparse ownership: gather just the in-range values, then
-                # scatter them by their filtered keys.
-                self.take_idx = np.flatnonzero(valid)
-                self.bins = keys[self.take_idx]
-            else:
-                # Dense ownership: a trailing trash bin absorbs the
-                # out-of-range keys.
-                self.bins = np.where(valid, keys, n_range)
-                self.n_bins = n_range + 1
-            return
-        self.valid = None if self.all_valid else valid
-        self.bins = None
-        self.n_bins = 0
-        idx = keys if self.all_valid else keys[valid]
-        self.idx = idx.astype(np.intp, copy=False)
-        if len(self.idx) and np.any(np.diff(self.idx) < 0):
-            self.order = np.argsort(self.idx, kind="stable")
-            sorted_idx = self.idx[self.order]
+        self.n_bins = n_range
+        if not self.n_dropped:
+            self.bins = None  # the keys are the bins
+        elif 2 * (self.n_keys - self.n_dropped) < self.n_keys:
+            # Sparse ownership: gather just the in-range values, then
+            # scatter them by their filtered keys.
+            self.take_idx = np.flatnonzero(valid)
+            self.bins = keys[self.take_idx]
         else:
-            self.order = None  # already segment-sorted: skip the gather
-            sorted_idx = self.idx
-        if len(sorted_idx):
-            self.seg_starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(sorted_idx)) + 1]
-            )
-            self.uniq_idx = sorted_idx[self.seg_starts]
-        else:
-            self.seg_starts = np.zeros(0, dtype=np.intp)
-            self.uniq_idx = np.zeros(0, dtype=np.intp)
+            # Dense ownership: a trailing trash bin absorbs the
+            # out-of-range keys.
+            self.bins = np.where(valid, keys, n_range)
+            self.n_bins = n_range + 1
 
 
 def _keys_token(keys: np.ndarray) -> tuple:
@@ -177,22 +131,24 @@ class DenseReductionObject:
         self.n_inserts = 0
         self.n_dropped = 0
 
-    def plan_scatter(self, keys: np.ndarray) -> ScatterPlan:
+    def plan_scatter(self, keys: np.ndarray) -> ScatterPlan | None:
         """Precompute and register the scatter layout for ``keys``.
 
         Subsequent ``insert_many(keys_view, values)`` calls whose key
         argument views the same memory (same pointer/shape/strides — e.g.
         a column view rebuilt from the same cached edge array) skip
-        filtering and indexing entirely.  Float64 sums scatter with one
-        input-order ``np.add.at`` per value column; only min/max use the
-        segmented ``ufunc.reduceat`` layout, because ``np.add.reduceat``
-        sums pairwise and would not be bit-identical to sequential
-        accumulation.  The caller must keep ``keys`` unmodified while the
-        plan is registered (the plan itself holds a reference, so lifetime
-        is guaranteed).
+        filtering and indexing entirely and scatter with one input-order
+        ``np.add.at`` per value column.  Only float64 sums are planned;
+        any other op or dtype registers nothing (returns None), and its
+        inserts take the unplanned ``ufunc.at`` path, which gives the same
+        values.  The caller must keep ``keys`` unmodified while the plan
+        is registered (the plan itself holds a reference, so lifetime is
+        guaranteed).
         """
+        if not self._fast_sum:
+            return None
         keys = np.asarray(keys)
-        plan = ScatterPlan(keys, self.num_keys, self._fast_sum)
+        plan = ScatterPlan(keys, self.num_keys)
         self._plans[_keys_token(keys)] = plan
         return plan
 
@@ -258,31 +214,19 @@ class DenseReductionObject:
             self.values += sums.reshape(self.num_keys, w)
 
     def _insert_planned(self, plan: ScatterPlan, values: np.ndarray) -> None:
-        """Apply a batch through a precomputed scatter plan."""
+        """Apply a float64-sum batch through a precomputed scatter plan."""
         self.n_dropped += plan.n_dropped
-        if self._fast_sum:
-            take = plan.take_idx
-            if plan.n_keys == 0 or (take is not None and not len(take)):
-                return
-            bins = plan.keys if plan.bins is None else plan.bins
-            sums = np.empty(plan.n_bins)
-            for col in range(self.value_width):
-                # Zeroed bins summed in input order, as np.bincount does
-                # (1-D ufunc.at also skips bincount's min/max pass).
-                sums.fill(0.0)
-                np.add.at(sums, bins, values[:, col] if take is None else values[take, col])
-                self.values[:, col] += sums[: self.num_keys]
+        take = plan.take_idx
+        if plan.n_keys == 0 or (take is not None and not len(take)):
             return
-        if not plan.all_valid:
-            values = values[plan.valid]
-        if not len(values):
-            return
-        if self._ufunc is np.minimum or self._ufunc is np.maximum:
-            sv = values if plan.order is None else values[plan.order]
-            segs = self._ufunc.reduceat(sv, plan.seg_starts, axis=0)
-            self.values[plan.uniq_idx] = self._ufunc(self.values[plan.uniq_idx], segs)
-        else:
-            self._ufunc.at(self.values, plan.idx, values)
+        bins = plan.keys if plan.bins is None else plan.bins
+        sums = np.empty(plan.n_bins)
+        for col in range(self.value_width):
+            # Zeroed bins summed in input order, as np.bincount does
+            # (1-D ufunc.at also skips bincount's min/max pass).
+            sums.fill(0.0)
+            np.add.at(sums, bins, values[:, col] if take is None else values[take, col])
+            self.values[:, col] += sums[: self.num_keys]
 
     def merge(self, other: "DenseReductionObject") -> None:
         """Combine another object elementwise (same keys, same op)."""

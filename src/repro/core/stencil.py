@@ -47,9 +47,10 @@ Grid decomposition and execution flow:
   :func:`~repro.device.costmodel.time_block_sweep_cost`.
 - **Fused reduce** (:meth:`StencilRuntime.run_until`, the
   loop-of-stencil-reduce pattern, arXiv 1609.04567): each sweep also
-  yields a local value (``reduce_fn``, charged as ``reduce_flops`` extra
-  per element — no second pass over the grid), and one ``allreduce`` per
-  round folds them while the next round's halo strips fly.  The result
+  yields its local squared L2 update norm (:func:`l2_sq_residual`,
+  charged as :data:`FUSED_REDUCE_FLOPS` extra per element — no second
+  pass over the grid), and one sum ``allreduce`` per round folds them
+  while the next round's halo strips fly.  The result
   is bit-for-bit a step-then-allreduce loop's; only virtual time moves.
   Outside ``run_until`` no reduce is armed and none is charged.
 
@@ -65,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,14 +145,14 @@ UNTILED_GPU_EFF_FACTOR = 0.90
 #: sizing sweep is in docs/architecture.md, "Resident memory").
 SLAB_ELEMS = 32768
 
-#: Default extra flops per element charged for a fused reduce in
+#: Extra flops per element charged for the fused reduce in
 #: :meth:`StencilRuntime.run_until` (one subtract + one multiply-add of the
 #: running sum).
 FUSED_REDUCE_FLOPS = 2.0
 
 
 def l2_sq_residual(old: np.ndarray, new: np.ndarray) -> float:
-    """Default ``reduce_fn``: squared L2 norm of the step update."""
+    """The fused reduce's local value: squared L2 norm of the step update."""
     diff = (new - old).ravel()
     return float(np.dot(diff, diff))
 
@@ -226,17 +227,15 @@ class StencilRuntime:
         #: (t0, rows, recvs) of an exchange round begun ahead of the next
         #: step (see :meth:`_begin_step_early`), or None.
         self._prestarted: tuple[float, np.ndarray, list] | None = None
-        #: The reduce :meth:`run_until` arms for its loop, its extra flops
-        #: per element and the loop's convergence accumulator; outside the
-        #: loop ``_reduce_fn`` is None and nothing reduce-related is charged.
-        self._reduce_fn: Callable[[np.ndarray, np.ndarray], Any] | None = None
-        self._reduce_flops = 0.0
+        #: The convergence accumulator of the :meth:`run_until` loop in
+        #: flight; outside the loop it is None and nothing reduce-related
+        #: is charged.
         self._conv: dict | None = None
         #: Per-sweep local values of the round in flight, and interior
         #: snapshots after the round's first ``_rewind_points`` sweeps —
         #: every sweep but the last, and only when a tolerance is set — so
         #: a mid-round convergence can rewind the grid to the converged sweep.
-        self._values: list[Any] = []
+        self._values: list[float] = []
         self._grids: list[np.ndarray] = []
         self._rewind_points = 0
         #: Temporal-blocking factor (sweeps per exchange round) and the
@@ -536,9 +535,6 @@ class StencilRuntime:
         ]
         self._dst[:] = 0
 
-    def set_parameter(self, parameter: Any) -> None:
-        self._parameter = parameter
-
     def _pad_from_global(self, field: np.ndarray, h: int) -> np.ndarray:
         """Local halo-padded view of a read-only global field.
 
@@ -757,10 +753,10 @@ class StencilRuntime:
                 work = work.replace(
                     gpu_efficiency=work.gpu_efficiency * UNTILED_GPU_EFF_FACTOR
                 )
-        if self._reduce_fn is not None:
+        if self._conv is not None:
             # The fused accumulation reuses the values the sweep already has
             # in registers: extra flops, no extra bytes, no extra launch.
-            work = work.replace(flops_per_elem=work.flops_per_elem + self._reduce_flops)
+            work = work.replace(flops_per_elem=work.flops_per_elem + FUSED_REDUCE_FLOPS)
         return work
 
     def _charge_counts(
@@ -968,12 +964,12 @@ class StencilRuntime:
         for sweep in slabs:
             for slab in sweep:
                 apply(self._src, self._dst, slab, param)
-            if self._reduce_fn is not None:
+            if self._conv is not None:
                 # Interiors are always fully valid, even mid-round: every
                 # sweep's region contains the interior, so the fused local
                 # value is bitwise the one an unblocked sweep produces.
                 new = self._dst[self.interior]
-                self._values.append(self._reduce_fn(self._src[self.interior], new))
+                self._values.append(l2_sq_residual(self._src[self.interior], new))
                 if len(self._grids) < self._rewind_points:
                     self._grids.append(new.copy())
             self._src, self._dst = self._dst, self._src
@@ -1022,50 +1018,32 @@ class StencilRuntime:
         *,
         max_iters: int,
         tol: float | None = None,
-        reduce_op: str = "sum",
-        reduce_fn: Callable[[np.ndarray, np.ndarray], Any] | None = None,
-        residual_fn: Callable[[Any], float] | None = None,
-        on_value: Callable[[Any], None] | None = None,
         checkpoint: CheckpointManager | None = None,
-        reduce_flops: float = FUSED_REDUCE_FLOPS,
     ) -> ConvergenceResult:
-        """Iterate until the residual drops to ``tol`` or ``max_iters``.
+        """Iterate until the L2 norm of the update drops to ``tol`` or
+        ``max_iters``.
 
         The loop runs one exchange round at a time (``time_block`` sweeps
-        each; 1 by default): every sweep also produces the local
-        reduction value (``reduce_fn(old, new)`` over the interior,
-        charged at ``reduce_flops`` extra per element), then come the
-        next round's speculative halo send, one *vector* combine folding
-        all the round's local values at once (``reduce_op`` over the
-        ranks; bitwise identical per component to one scalar combine per
-        sweep), and the convergence test per sweep.  Checkpoint snapshots
-        land on round boundaries.  Residual histories and final grids are
-        the same bit for bit for every ``time_block``, including a
-        mid-round convergence (the grid rewinds to the converged sweep).
-        ``on_value`` is incompatible with ``time_block > 1`` — it feeds
-        the combined value back between sweeps, which a blocked round
-        cannot honour.  The reduce is armed only for the loop's duration.
+        each; 1 by default): every sweep also produces the local squared
+        L2 norm of its update over the interior (charged at
+        :data:`FUSED_REDUCE_FLOPS` extra per element), then come the next
+        round's speculative halo send, one *vector* sum folding all the
+        round's local values at once (bitwise identical per component to
+        one scalar sum per sweep), and the convergence test per sweep on
+        the combined value's square root.  Checkpoint snapshots land on
+        round boundaries.  Residual histories and final grids are the same
+        bit for bit for every ``time_block``, including a mid-round
+        convergence (the grid rewinds to the converged sweep).  The reduce
+        is armed only for the loop's duration.
 
         Args:
             max_iters: Hard iteration cap (>= 1).
-            tol: Stop once ``residual_fn(combined) <= tol``; ``None``
-                never stops early (pure fixed-step fused loop).
-            reduce_op: Elementwise combine op ("sum", "min", "max", ...).
-            reduce_fn: Local value from (old, new) interiors; defaults to
-                the squared L2 norm of the update.
-            residual_fn: Scalar residual from the combined value;
-                defaults to ``sqrt`` for the default ``reduce_fn`` and to
-                ``float`` otherwise.
-            on_value: Called with the combined value each iteration
-                (before the convergence test) — e.g. to feed global
-                statistics back into the kernel parameter for the *next*
-                step, as SRAD does.
+            tol: Stop once the residual is ``<= tol``; ``None`` never
+                stops early (pure fixed-step fused loop).
             checkpoint: Drive the loop through this
                 :class:`~repro.core.checkpoint.CheckpointManager`
                 (speculation is disabled: no in-flight halo message may
                 straddle a rollback boundary).
-            reduce_flops: Per-element flops added to the kernel's work
-                model while the reduce is armed (>= 0).
 
         Returns:
             The convergence record; every rank returns identical
@@ -1075,22 +1053,6 @@ class StencilRuntime:
         self._check_configured()
         if max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-        if reduce_flops < 0:
-            raise ConfigurationError(f"reduce_flops must be >= 0, got {reduce_flops}")
-        if self._time_block > 1 and on_value is not None:
-            raise ConfigurationError(
-                "on_value feeds the combined value back between sweeps and is "
-                "incompatible with time_block > 1 (one combine per block); "
-                "configure time_block=1 for statistics-coupled loops like SRAD"
-            )
-        if reduce_fn is None:
-            reduce_fn = l2_sq_residual
-            if residual_fn is None:
-                residual_fn = math.sqrt
-        if residual_fn is None:
-            residual_fn = float
-        self._reduce_fn = reduce_fn
-        self._reduce_flops = float(reduce_flops)
         self._conv = conv = {"iterations": 0, "residuals": [], "values": [], "converged": False}
         k = self._time_block
 
@@ -1100,12 +1062,7 @@ class StencilRuntime:
             # a checkpoint manager: no halo message may be in flight
             # across a rollback boundary.
             return self._fused_round(
-                min(k, left),
-                tol,
-                reduce_op,
-                residual_fn,
-                on_value,
-                speculate=checkpoint is None and left > k,
+                min(k, left), tol, speculate=checkpoint is None and left > k
             )
 
         try:
@@ -1124,20 +1081,10 @@ class StencilRuntime:
                 self._cancel_begun_step()
             return ConvergenceResult(**conv)
         finally:
-            self._reduce_fn = None
             self._conv = None
             self._values, self._grids = [], []
 
-    def _fused_round(
-        self,
-        sweeps: int,
-        tol: float | None,
-        reduce_op: str,
-        residual_fn: Callable[[Any], float],
-        on_value: Callable[[Any], None] | None,
-        *,
-        speculate: bool,
-    ) -> bool:
+    def _fused_round(self, sweeps: int, tol: float | None, *, speculate: bool) -> bool:
         """One round of fused sweeps + a single vector combine.
 
         :meth:`_advance` captures every sweep's local value; the round
@@ -1164,9 +1111,7 @@ class StencilRuntime:
             # strips' flight time hides under the collective.
             self._begin_step_early()
         t0 = env.clock.now
-        combined = env.comm.allreduce(
-            np.stack([np.asarray(v) for v in self._values]), op=reduce_op
-        )
+        combined = env.comm.allreduce(np.array(self._values), op="sum")
         if env.trace.enabled:
             env.trace.record(
                 "stencil_reduce", "SR:combine", t0, env.clock.now, {"step": self._timestep}
@@ -1176,9 +1121,7 @@ class StencilRuntime:
             value = combined[s]
             conv["iterations"] += 1
             conv["values"].append(value)
-            if on_value is not None:
-                on_value(value)
-            residual = float(residual_fn(value))
+            residual = math.sqrt(value)
             conv["residuals"].append(residual)
             if env.trace.enabled:
                 env.trace.count("stencil_reduce.steps")
@@ -1215,9 +1158,8 @@ class StencilRuntime:
         rebuilt identically by the rank program and is deliberately not
         snapshotted.
 
-        Inside :meth:`run_until` the convergence accumulator and the kernel
-        parameter (``on_value`` may rewrite it) evolve with the loop, so
-        they snapshot with the grid.
+        Inside :meth:`run_until` the convergence accumulator evolves with
+        the loop, so it snapshots with the grid.
         """
         self._check_configured()
         if self._prestarted is not None:
@@ -1241,6 +1183,8 @@ class StencilRuntime:
             state["convergence"] = {
                 **conv, "residuals": list(conv["residuals"]), "values": list(conv["values"])
             }
+            # Never changes, but its estimated size is part of the
+            # checkpoint charge.
             state["parameter"] = self._parameter
         return state
 
@@ -1257,7 +1201,6 @@ class StencilRuntime:
             self._conv.update(
                 conv, residuals=list(conv["residuals"]), values=list(conv["values"])
             )
-            self._parameter = state["parameter"]
 
     # -- results ---------------------------------------------------------------------------
     def local_interior(self) -> np.ndarray:

@@ -31,7 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "points": ["clear_points_cache", "clustered_points", "points_cache_stats"],
-        "meshes": ["geometric_mesh", "random_mesh"],
+        "meshes": ["geometric_mesh"],
         "atoms": ["fcc_lattice", "build_neighbor_edges"],
         "grids": ["heat3d_initial", "synthetic_image"],
     },

@@ -76,18 +76,3 @@ def geometric_mesh(
         )
     return positions, edges
 
-
-def random_mesh(
-    n_nodes: int, n_edges: int, *, seed: int = 0, allow_self_loops: bool = False
-) -> np.ndarray:
-    """Uniform random edges (no spatial structure) — the adversarial case
-    for block partitioning; used by tests and the partitioning ablation."""
-    if n_nodes < 2 or n_edges < 1:
-        raise ValidationError("need n_nodes >= 2 and n_edges >= 1")
-    rng = seeded_rng(derive_seed(seed, "random-mesh", n_nodes, n_edges))
-    edges = rng.integers(0, n_nodes, size=(int(n_edges * 1.2) + 8, 2))
-    if not allow_self_loops:
-        edges = edges[edges[:, 0] != edges[:, 1]]
-    if len(edges) < n_edges:
-        raise ValidationError("self-loop rejection starved the edge pool; retry with more")
-    return np.sort(edges[:n_edges].astype(np.int64), axis=1)

@@ -378,16 +378,35 @@ def _extract_metrics(rank0_value: Any) -> dict[str, Any]:
 
 
 def _result_digest(result: Any) -> str | None:
-    """SHA-256 of the app's functional result array, when there is one."""
+    """SHA-256 of the app's functional result arrays, when there are any.
+
+    A result is one array, or a per-rank list of dicts whose array values
+    are hashed in rank order and key order (each after its key).
+    """
     import numpy as np
 
     if isinstance(result, np.ndarray):
-        h = hashlib.sha256()
-        h.update(str(result.dtype).encode())
-        h.update(str(result.shape).encode())
-        h.update(np.ascontiguousarray(result))  # hashed where it lies, not copied
-        return h.hexdigest()
-    return None
+        arrays = [(None, result)]
+    elif isinstance(result, list):
+        arrays = [
+            (key, value)
+            for part in result
+            if isinstance(part, dict)
+            for key, value in sorted(part.items())
+            if isinstance(value, np.ndarray)
+        ]
+    else:
+        return None
+    if not arrays:
+        return None
+    h = hashlib.sha256()
+    for key, array in arrays:
+        if key is not None:
+            h.update(key.encode())
+        h.update(str(array.dtype).encode())
+        h.update(str(array.shape).encode())
+        h.update(np.ascontiguousarray(array))  # hashed where it lies, not copied
+    return h.hexdigest()
 
 
 def run_spec(spec: JobSpec) -> tuple[Any, Any]:

@@ -36,7 +36,7 @@ class Timeline:
     """List schedule of busy intervals on one resource.
 
     A timeline keeps only what placing the next item needs — when it is
-    free and how long it has been busy — not the intervals it placed.
+    free — not the intervals it placed.
     Whoever wants the history attaches a *sink* with :meth:`observe`; every
     scheduled interval is then reported to it, which is how :mod:`repro.obs`
     keeps a full-run history even though devices :meth:`reset` their
@@ -45,12 +45,11 @@ class Timeline:
     only cost is one ``is None`` check.
     """
 
-    __slots__ = ("name", "_available_at", "_busy", "_sink")
+    __slots__ = ("name", "_available_at", "_sink")
 
     def __init__(self, name: str, start: float = 0.0) -> None:
         self.name = name
         self._available_at = float(start)
-        self._busy = 0.0
         self._sink = None
 
     def observe(self, sink) -> None:
@@ -82,7 +81,6 @@ class Timeline:
         start = max(ready, self._available_at)
         interval = Interval(start=start, end=start + duration, label=label)
         self._available_at = interval.end
-        self._busy += duration
         if self._sink is not None:
             self._sink(self.name, start, interval.end, label)
         return interval
@@ -95,17 +93,6 @@ class Timeline:
         allocation count flat.
         """
         self._available_at = float(start)
-        self._busy = 0.0
-
-    def utilization(self, horizon: float | None = None) -> float:
-        """Busy fraction in ``[0, horizon]`` (0.0 for an empty timeline)."""
-        end = self._available_at if horizon is None else horizon
-        if end <= 0:
-            return 0.0
-        return min(1.0, self._busy / end)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Timeline({self.name!r}, busy={self._busy:.6f}, "
-            f"available_at={self._available_at:.6f})"
-        )
+        return f"Timeline({self.name!r}, available_at={self._available_at:.6f})"

@@ -200,19 +200,6 @@ class Trace:
             out.append(ev)
         return out
 
-    def span(self) -> tuple[float, float]:
-        """(earliest start, latest end) across all events; (0, 0) if empty."""
-        if not self._events:
-            return (0.0, 0.0)
-        return (
-            min(ev.start for ev in self._events),
-            max(ev.end for ev in self._events),
-        )
-
-    def total(self, category: str) -> float:
-        """Sum of durations of all events in ``category``."""
-        return sum(ev.duration for ev in self._events if ev.category == category)
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.apps import minimd, moldyn
-from repro.apps.extra import pagerank, sssp
 from repro.cluster.presets import laptop_cluster
 from repro.core.api import IRKernel
 from repro.core.env import RuntimeEnv
@@ -81,6 +80,38 @@ def test_correct_across_rank_counts(nodes):
 def test_correct_across_device_mixes(mix):
     res = run_spmd(_program(mix), nodes=2, gpus_per_node=2)
     np.testing.assert_allclose(_collect(res.values), _reference(), rtol=1e-12)
+
+
+def _min_edge_batch(obj, edges, edata, nodes, param):
+    f = edata * (nodes[edges[:, 0], 0] + nodes[edges[:, 1], 0])
+    obj.insert_many(edges[:, 0], f)
+    obj.insert_many(edges[:, 1], f)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4])
+@pytest.mark.parametrize("mix", ["cpu", "cpu+2gpu"])
+def test_min_reduction_matches_numpy_bitwise(mix, nodes):
+    """A non-sum op is never planned: its scatters take the unplanned
+    ``ufunc.at`` path, and the result is exactly ``np.minimum.at``'s."""
+
+    def prog(ctx):
+        env = RuntimeEnv(ctx, mix)
+        ir = env.get_IR()
+        ir.set_kernel(
+            IRKernel(edge_compute_batch=_min_edge_batch, reduce_op="min", value_width=1, work=WORK)
+        )
+        ir.set_mesh(EDGES, NODES, WEIGHTS)
+        ir.start()
+        assert not ir._obj._plans
+        lo, hi = ir.local_node_range
+        return lo, hi, ir.get_local_reduction()[:, 0]
+
+    res = run_spmd(prog, nodes=nodes, gpus_per_node=2)
+    f = WEIGHTS * (NODES[EDGES[:, 0], 0] + NODES[EDGES[:, 1], 0])
+    ref = np.full(N, np.inf)
+    np.minimum.at(ref, EDGES[:, 0], f)
+    np.minimum.at(ref, EDGES[:, 1], f)
+    np.testing.assert_array_equal(_collect(res.values), ref)
 
 
 def test_overlap_off_same_numbers_slower_or_equal_time():
@@ -346,8 +377,6 @@ PIN_NODES = (1, 2, 4)
 PIN_VARIANTS = {
     "moldyn": (True, False),
     "minimd": (True, False),
-    "pagerank": (False, False),
-    "sssp": (False, False),
     "runtime": (True, True),
 }
 PINS_PATH = pathlib.Path(__file__).with_name("irregular_pins.json")
@@ -400,18 +429,6 @@ def pin_entry(variant, mix, nodes, overlap, adaptive):
         run = app.run(cl, config, mix, overlap=overlap)
         makespan, engine = run.makespan, run.spmd.makespan
         result = np.concatenate([v["nodes"] for v in run.result])
-    elif variant in ("pagerank", "sssp"):
-        if variant == "pagerank":
-            program, config, field = (
-                pagerank.rank_program,
-                pagerank.PageRankConfig(n_nodes=120, n_edges=600, max_iterations=8),
-                "ranks",
-            )
-        else:
-            program, config, field = sssp.rank_program, sssp.SsspConfig(n_nodes=80), "dist"
-        res = spmd_run(program, cl, args=(config, mix))
-        makespan = engine = res.makespan
-        result = np.concatenate([v[field] for v in res.values])
     else:
         res = spmd_run(_pinned_runtime, cl, args=(mix, overlap, adaptive))
         makespan = engine = res.makespan

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from repro.apps import heat3d, sobel
-from repro.apps.extra import jacobi2d, srad
+from repro.apps.extra import jacobi2d
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
 from repro.core.stencil import SLAB_ELEMS, StencilFields, StencilRuntime, reference_sweeps
@@ -346,7 +346,6 @@ TREE_KERNELS = {
         jacobi2d.make_kernel(),
         lambda shape, rng: StencilFields(1e-3, {"rhs": rng.random(shape)}),
     ),
-    "srad": (srad.make_update_kernel(0.5), lambda shape, rng: 0.3),
     "examples/heat_diffusion": (_example("heat_diffusion.py"), lambda shape, rng: 0.1),
     "examples/quickstart": (_example("quickstart.py"), lambda shape, rng: None),
     "examples/sobel_edges": (_example("sobel_edges.py"), lambda shape, rng: None),

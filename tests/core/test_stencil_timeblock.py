@@ -343,26 +343,6 @@ def test_time_block_needs_room_for_deep_strips():
         run_spmd(_program(GRID2D, AVG2D, time_block=8))
 
 
-def test_run_until_rejects_on_value_with_blocking():
-    config = jacobi2d.Jacobi2DConfig(shape=(48, 48), tol=1e-12, max_iters=8)
-
-    def prog(ctx):
-        env = RuntimeEnv(ctx, "cpu")
-        st = env.get_stencil()
-        st.configure(
-            jacobi2d.make_kernel(),
-            config.shape,
-            parameter=jacobi2d._grid_spacing_sq(config),
-            static_fields={"rhs": jacobi2d.generate_rhs(config)},
-            time_block=2,
-        )
-        st.set_global_grid(np.zeros(config.shape))
-        st.run_until(max_iters=8, tol=None, on_value=lambda v: None)
-
-    with pytest.raises(ConfigurationError, match="on_value"):
-        run_spmd(prog, nodes=1)
-
-
 def test_parse_time_block():
     assert parse_time_block("4") == 4
     assert parse_time_block(" AUTO ") == "auto"
@@ -417,7 +397,6 @@ PIN_VARIANTS = {
     "heat3d_until_tol": (True, True),
     "heat3d_lossy_checkpointed": (True, True),
     "jacobi2d": (False, True),
-    "srad": (False, False),
 }
 PINS_PATH = pathlib.Path(__file__).with_name("stencil_pins.json")
 
@@ -436,70 +415,63 @@ def pin_key(mix, nodes, overlap, tiling, time_block):
 
 
 def pin_entry(variant, mix, nodes, overlap, tiling, time_block):
-    from repro.apps.extra import srad
     from repro.faults import FaultPlan, RankCrash
 
     cl = laptop_cluster(nodes, gpus_per_node=2)
-    if variant == "srad":
-        # No run() wrapper: the rank program is the app.
-        config = srad.SradConfig(shape=(32, 32), iterations=4)
-        res = spmd_run(srad.rank_program, cl, args=(config, mix))
-        makespan, engine, result = res.makespan, res.makespan, res.values[0]
+    if variant == "sobel":
+        run = sobel.run(
+            cl,
+            sobel.SobelConfig(
+                shape=(96, 80), functional_shape=(48, 40), simulated_steps=5
+            ),
+            mix,
+            overlap=overlap,
+            tiling=tiling,
+            time_block=time_block,
+        )
+    elif variant == "jacobi2d":
+        run = jacobi2d.run(
+            cl,
+            jacobi2d.Jacobi2DConfig(shape=(32, 32), tol=2e-3, max_iters=60),
+            mix,
+            time_block=time_block,
+        )
     else:
-        if variant == "sobel":
-            run = sobel.run(
-                cl,
-                sobel.SobelConfig(
-                    shape=(96, 80), functional_shape=(48, 40), simulated_steps=5
+        # Mild model scales keep "auto" picking k > 1 on this preset.
+        shape, extra = (32, 32, 32), {}
+        if variant == "heat3d_until_tol":
+            # Converges at iteration 11: mid-block for every k > 1.
+            extra = {"until_tol": 5.2, "max_iters": 12}
+        elif variant == "heat3d_lossy_checkpointed":
+            # The lossy plan of examples/serve_smoke.py; its crash time
+            # is meant for the paper-scale grid.
+            shape = (512, 512, 512)
+            extra = {
+                "reliable": True,
+                "checkpoint_every": 2,
+                "fault_plan": FaultPlan.lossy(
+                    seed=7,
+                    drop=0.02,
+                    dup=0.01,
+                    delay=0.02,
+                    max_delay=1e-4,
+                    crashes=[
+                        RankCrash(rank=min(1, nodes - 1), at_time=0.05, restart_cost=0.5)
+                    ],
                 ),
-                mix,
-                overlap=overlap,
-                tiling=tiling,
-                time_block=time_block,
-            )
-        elif variant == "jacobi2d":
-            run = jacobi2d.run(
-                cl,
-                jacobi2d.Jacobi2DConfig(shape=(32, 32), tol=2e-3, max_iters=60),
-                mix,
-                time_block=time_block,
-            )
-        else:
-            # Mild model scales keep "auto" picking k > 1 on this preset.
-            shape, extra = (32, 32, 32), {}
-            if variant == "heat3d_until_tol":
-                # Converges at iteration 11: mid-block for every k > 1.
-                extra = {"until_tol": 5.2, "max_iters": 12}
-            elif variant == "heat3d_lossy_checkpointed":
-                # The lossy plan of examples/serve_smoke.py; its crash time
-                # is meant for the paper-scale grid.
-                shape = (512, 512, 512)
-                extra = {
-                    "reliable": True,
-                    "checkpoint_every": 2,
-                    "fault_plan": FaultPlan.lossy(
-                        seed=7,
-                        drop=0.02,
-                        dup=0.01,
-                        delay=0.02,
-                        max_delay=1e-4,
-                        crashes=[
-                            RankCrash(rank=min(1, nodes - 1), at_time=0.05, restart_cost=0.5)
-                        ],
-                    ),
-                }
-            run = heat3d.run(
-                cl,
-                heat3d.Heat3DConfig(
-                    shape=shape, functional_shape=(16, 16, 16), simulated_steps=5
-                ),
-                mix,
-                overlap=overlap,
-                tiling=tiling,
-                time_block=time_block,
-                **extra,
-            )
-        makespan, engine, result = run.makespan, run.spmd.makespan, run.result
+            }
+        run = heat3d.run(
+            cl,
+            heat3d.Heat3DConfig(
+                shape=shape, functional_shape=(16, 16, 16), simulated_steps=5
+            ),
+            mix,
+            overlap=overlap,
+            tiling=tiling,
+            time_block=time_block,
+            **extra,
+        )
+    makespan, engine, result = run.makespan, run.spmd.makespan, run.result
     digest = hashlib.sha256(np.ascontiguousarray(result).tobytes()).hexdigest()[:16]
     return [repr(makespan), repr(engine), digest]
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.data.atoms import build_neighbor_edges, fcc_lattice
 from repro.data.grids import heat3d_initial, synthetic_image
-from repro.data.meshes import geometric_mesh, random_mesh
+from repro.data.meshes import geometric_mesh
 from repro.data.neighbors import _grid_shape, neighbor_pairs
 from repro.data.points import clear_points_cache, clustered_points, points_cache_stats
 from repro.util.errors import ValidationError
@@ -113,14 +113,6 @@ def test_geometric_mesh_validation():
         geometric_mesh(100, -1.0)
     with pytest.raises(ValidationError):
         geometric_mesh(100, 8.0, shuffle_fraction=1.5)
-
-
-def test_random_mesh():
-    edges = random_mesh(50, 200, seed=1)
-    assert edges.shape == (200, 2)
-    assert (edges[:, 0] != edges[:, 1]).all()
-    with pytest.raises(ValidationError):
-        random_mesh(1, 10)
 
 
 # ---------------------------------------------------------------- atoms

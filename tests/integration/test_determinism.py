@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import heat3d, kmeans, moldyn
-from repro.apps.extra import sssp
+from repro.apps.extra import jacobi2d
 from repro.cluster.presets import ohio_cluster
 from repro.sim.engine import spmd_run
 
@@ -66,12 +66,12 @@ def test_heat3d_per_rank_times_deterministic():
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_iterative_graph_algorithm_deterministic():
-    cfg = sssp.SsspConfig(n_nodes=150, degree=8.0)
+def test_until_converged_loop_deterministic():
+    cfg = jacobi2d.Jacobi2DConfig(shape=(24, 24), tol=1e-3, max_iters=120)
 
     def once():
-        res = spmd_run(sssp.rank_program, ohio_cluster(3), args=(cfg, "cpu"))
-        return res.makespan, tuple(v["rounds"] for v in res.values)
+        res = spmd_run(jacobi2d.rank_program, ohio_cluster(3), args=(cfg, "cpu"))
+        return res.makespan, tuple(v["iterations"] for v in res.values)
 
     outs = _times_and_result(once)
     assert outs[0] == outs[1] == outs[2]

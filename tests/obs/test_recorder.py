@@ -106,12 +106,12 @@ def test_an_untraced_run_attaches_no_sink():
 
 def test_a_traced_stencil_run_has_timelines_and_resource_events():
     """A plain ``spmd_run(..., trace=True)`` is enough for timeline analysis."""
-    from repro.apps.extra import srad
+    from repro.apps.extra import jacobi2d
     from repro.obs import analyze, export_chrome_trace
 
     cluster = laptop_cluster(num_nodes=2, gpus_per_node=1)
-    cfg = srad.SradConfig(shape=(32, 32), iterations=2)
-    res = spmd_run(srad.rank_program, cluster, args=(cfg, "cpu+1gpu"), trace=True)
+    cfg = jacobi2d.Jacobi2DConfig(shape=(32, 32), max_iters=2)
+    res = spmd_run(jacobi2d.rank_program, cluster, args=(cfg, "cpu+1gpu"), trace=True)
     report = analyze(res)
     assert {tl.rank for tl in report.timelines} == {0, 1}
     assert any(tl.busy > 0 for tl in report.timelines)

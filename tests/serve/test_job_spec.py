@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan, LinkDegradation, MessageFaultRule, RankCrash
-from repro.serve.spec import JobSpec, _result_digest, build_cluster, served_app_names
+from repro.apps.registry import APPS
+from repro.serve.spec import (
+    JobSpec,
+    _result_digest,
+    build_cluster,
+    execute_job,
+    served_app_names,
+)
 from repro.util.errors import ValidationError
 
 
@@ -340,3 +347,16 @@ def test_result_digest_hashes_in_place_what_it_used_to_copy(result):
 
 def test_result_digest_is_for_arrays_only():
     assert _result_digest(None) is None and _result_digest({"energy": 1.0}) is None
+
+
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_every_registry_app_result_has_a_stable_digest(app):
+    """Per-rank lists of dicts are digested too, the same on every run."""
+    entry = APPS[app]
+    spec = JobSpec(
+        app=app,
+        nodes=min(2, entry.max_nodes or 2),
+        mix=entry.mixes[0] if entry.mixes else JobSpec.mix,
+    )
+    first, second = (execute_job(spec)["result_digest"] for _ in range(2))
+    assert first is not None and first == second

@@ -64,17 +64,6 @@ def test_filter_by_category_and_prefix():
     assert len(tr.filter(category="comm", label_prefix="IR:")) == 1
 
 
-def test_span_and_total():
-    tr = Trace(0)
-    assert tr.span() == (0.0, 0.0)
-    tr.record("a", "x", 1.0, 2.0)
-    tr.record("b", "y", 0.5, 3.0)
-    assert tr.span() == (0.5, 3.0)
-    assert tr.total("a") == 1.0
-    assert tr.total("b") == 2.5
-    assert tr.total("nothing") == 0.0
-
-
 def test_overlap_seconds():
     a = TraceEvent(0, "c", "a", 0.0, 2.0)
     b = TraceEvent(0, "c", "b", 1.0, 3.0)
