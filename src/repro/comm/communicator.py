@@ -21,7 +21,7 @@ their cost emerges from the same model.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -295,3 +295,47 @@ class SimComm:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimComm(rank={self.rank}, size={self.size})"
+
+
+class Exchange(NamedTuple):
+    """One neighbour of an exchange plan: the payload ``send`` selects goes
+    to ``peer``, charged as ``wire`` model-scale bytes, and the peer's
+    payload lands in the slots ``recv`` selects."""
+
+    peer: int
+    tag: int
+    send: Any
+    recv: Any
+    wire: float
+
+
+class NeighborExchange:
+    """A rank's exchange plan (``phases`` of :class:`Exchange` records) and
+    its one executor.  Posting, sending and completing are separate calls;
+    the charges stay with the pattern, passed in per record."""
+
+    __slots__ = ("comm", "phases")
+
+    def __init__(self, comm: Any, phases: tuple[tuple[Exchange, ...], ...]) -> None:
+        self.comm, self.phases = comm, phases
+
+    def post(self, records, out: np.ndarray) -> list[tuple[Exchange, Request]]:
+        """Post each record's receive straight into ``out[record.recv]``."""
+        irecv = self.comm.irecv
+        return [(x, irecv(source=x.peer, tag=x.tag, out=out[x.recv])) for x in records]
+
+    def send(self, records, payload, charge=None) -> None:
+        """Send each record's ``payload(record)`` with ``owned=True``, in
+        order, running ``charge(record)`` just before its send."""
+        for x in records:
+            if charge is not None:
+                charge(x)
+            self.comm.isend(payload(x), x.peer, x.tag, wire_bytes=x.wire, owned=True)
+
+    @staticmethod
+    def complete(posted: list[tuple[Exchange, Request]], unpack=None) -> None:
+        """Wait for each posted receive in turn, then run ``unpack(record)``."""
+        for x, req in posted:
+            req.wait()
+            if unpack is not None:
+                unpack(x)

@@ -74,7 +74,6 @@ class CheckpointManager:
         self.write_bandwidth = ctx.node.cpu.mem_bandwidth / 2.0
         self.checkpoints_taken = 0
         self.recoveries = 0
-        self.last_checkpoint: Checkpoint | None = None
 
     # -- internals ------------------------------------------------------
     def _take(self, iteration: int, capture: Callable[[], Any]) -> Checkpoint:
@@ -85,7 +84,6 @@ class CheckpointManager:
         nbytes = estimate_nbytes(state)
         clock.advance(nbytes / self.write_bandwidth)
         ckpt = Checkpoint(iteration=iteration, state=state, nbytes=nbytes)
-        self.last_checkpoint = ckpt
         self.checkpoints_taken += 1
         if self.ctx.trace.enabled:
             self.ctx.trace.record(

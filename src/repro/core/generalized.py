@@ -75,7 +75,6 @@ class GeneralizedReductionRuntime:
         self._model_local: int | None = None
         self._parameter: Any = None
         self._local_result: DenseReductionObject | None = None
-        self.last_schedule = None
 
     # -- configuration (paper: set_emit_func / set_reduc_func) ---------
     def set_kernel(self, kernel: GRKernel) -> None:
@@ -221,7 +220,6 @@ class GeneralizedReductionRuntime:
             exec_fn=exec_chunk,
             gpu_chunk_multiplier=GPU_CHUNK_MULTIPLIER,
         )
-        self.last_schedule = report
 
         # Local merge: GPU objects come back over PCIe, then host combines.
         merged: DenseReductionObject | None = None

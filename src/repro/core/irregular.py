@@ -45,6 +45,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.comm.communicator import Exchange, NeighborExchange
 from repro.core.api import IRKernel
 from repro.core.adaptive import AdaptivePartitioner
 from repro.core.env import RuntimeEnv
@@ -103,10 +104,9 @@ class IrregularReductionRuntime:
         self._result: np.ndarray | None = None
         # Per-phase, per-device edge counts of the current device split.
         self._device_edges: dict[str, list[int]] | None = None
-        self._cache_builds = 0
-        # Step-5 serve indices of all requesters concatenated; spans mark
-        # each requester's slice.
-        self._serve_spans: list[tuple[int, int, int]] = []
+        # The step-5/6 plan and the step-5 gather index of all requesters
+        # concatenated, both built by the id exchange.
+        self._exchange: NeighborExchange | None = None
         self._serve_idx: np.ndarray | None = None
 
     # -- configuration ---------------------------------------------------
@@ -171,7 +171,6 @@ class IrregularReductionRuntime:
         nprocs = self.env.nprocs
         offsets = block_partition(self._n_global_nodes, nprocs)
         arrangement, local_edges, cross_edges = arrange_nodes(edges, offsets, self.env.rank)
-        self._offsets = offsets
         self._arr = arrangement
 
         # Renumber edge endpoints to arranged slots (paper: "converts these
@@ -246,64 +245,44 @@ class IrregularReductionRuntime:
             reqs.append(
                 comm.isend(ids, owner, _TAG_IDS, wire_bytes=ids.nbytes * self._exchange_scale)
             )
-        self._serve: dict[int, np.ndarray] = {}
+        serve = {}
         for requester, cnt in enumerate(all_counts):
             if requester != comm.rank and cnt > 0:
                 ids = comm.recv(source=requester, tag=_TAG_IDS)
-                self._serve[requester] = np.asarray(ids) - arr.lo  # local indices
-        # Fuse the per-requester step-5 gathers into one np.take: all serve
-        # indices concatenated, with each requester's span recorded so its
-        # send is a zero-copy slice of the exchange's gather buffer.
-        spans = []
-        lo = 0
-        for requester, idx in self._serve.items():
-            spans.append((requester, lo, lo + len(idx)))
-            lo += len(idx)
-        self._serve_spans = spans
-        self._serve_idx = (
-            np.concatenate(list(self._serve.values()))
-            if self._serve
-            else np.zeros(0, dtype=np.intp)
-        )
+                serve[requester] = np.asarray(ids) - arr.lo  # local indices
+        # The step-5/6 plan, one phase of one record per peer: its send is
+        # its span of one np.take over all serve indices concatenated, its
+        # receive its block of remote node slots.  Requesters and owners
+        # are the same ranks, in the same (ascending) order: a cross edge
+        # is a cross edge of both blocks it joins.
+        row_bytes = self._node_width * self._nodes.itemsize
+        records, lo = [], 0
+        for peer, ids in arr.remote_ids.items():
+            n, base = len(serve[peer]), arr.remote_offsets[peer]
+            records.append(Exchange(
+                peer, _TAG_DATA, slice(lo, lo + n), slice(base, base + len(ids)),
+                n * row_bytes * self._exchange_scale,
+            ))
+            lo += n
+        self._exchange = NeighborExchange(comm, (tuple(records),))
+        self._serve_idx = np.concatenate([np.zeros(0, np.intp), *map(serve.get, arr.remote_ids)])
         comm.waitall(reqs)
         self._needs_id_exchange = False
 
-    # -- node-data exchange (steps 5-6) -------------------------------------
-    def _begin_node_exchange(self) -> list:
-        """Post receives straight into node slots; gather + send local data.
-
-        Receives land directly in the arranged node array via
-        ``irecv(out=...)``.  The step-5 gathers for *all* requesters run as
-        one ``np.take`` over the concatenated serve indices into a fresh
-        array; each requester's message is a zero-copy slice of it, sent
-        with ``owned=True``, so the array lives exactly as long as its
-        messages.  Wire and memcpy charges are advanced per requester.
-        """
-        comm = self.env.comm
-        arr = self._arr
-        itemsize = self._nodes.itemsize
-        recv_reqs = []
-        for owner in arr.remote_ids:
-            base = arr.remote_offsets[owner]
-            n = len(arr.remote_ids[owner])
-            recv_reqs.append(
-                comm.irecv(source=owner, tag=_TAG_DATA, out=self._nodes[base : base + n])
-            )
-        if self._serve_spans:
-            buf = np.take(self._nodes, self._serve_idx, axis=0)  # step-5 gather
-            for requester, lo, hi in self._serve_spans:
-                nbytes = (hi - lo) * self._node_width * itemsize * self._exchange_scale
-                self.env.clock.advance(self.env.host_memcpy_time(nbytes))
-                comm.isend(buf[lo:hi], requester, _TAG_DATA, wire_bytes=nbytes, owned=True)
-        return recv_reqs
-
-    def _finish_node_exchange(self, recv_reqs: list) -> None:
-        for req in recv_reqs:
-            req.wait()  # delivery copies into the posted node slots
-        # Only a delivered exchange clears the flag: a rank with no remote
-        # nodes stays dirty, so its GPUs re-upload node data every step.
-        if recv_reqs:
-            self._data_dirty = False
+    def _send_node_data(self) -> list:
+        """Steps 5-6 through the plan: post the receives, gather for every
+        requester in one ``np.take`` (the fresh array lives as long as its
+        messages) and send each its span.  Returns the posted receives."""
+        env, ex = self.env, self._exchange
+        (phase,) = ex.phases
+        posted = ex.post(phase, self._nodes)
+        buf = np.take(self._nodes, self._serve_idx, axis=0)  # step-5 gather
+        ex.send(
+            phase,
+            lambda x: buf[x.send],
+            charge=lambda x: env.clock.advance(env.host_memcpy_time(x.wire)),
+        )
+        return posted
 
     # -- device partitioning ------------------------------------------------
     def _device_ranges(self) -> list[tuple[int, int]]:
@@ -326,7 +305,6 @@ class IrregularReductionRuntime:
             "local": count_edges_by_node_ranges(self._local_edges, ranges),
             "cross": count_edges_by_node_ranges(self._cross_edges, ranges),
         }
-        self._cache_builds += 1
         self.env.trace.count("ir.cache_builds")
 
     def _reset_reduction_object(self) -> DenseReductionObject:
@@ -407,7 +385,7 @@ class IrregularReductionRuntime:
             upload_done[dev.name] = ready
         self._gpu_edges_loaded = True
 
-        recv_reqs = self._begin_node_exchange() if self._data_dirty else []
+        posted = self._send_node_data() if self._data_dirty else []
 
         # Record the SIII-E shared-memory partition counts (each partition
         # of the reduction space fits one SM's scratchpad).
@@ -462,9 +440,13 @@ class IrregularReductionRuntime:
         # from t0, concurrently with the exchange, and the cross edges wait
         # for every device's local phase and the exchange; otherwise both
         # phases wait for the exchange only.
-        self._finish_node_exchange(recv_reqs)
+        self._exchange.complete(posted)  # delivery copies into the posted node slots
+        # Only a delivered exchange clears the flag: a rank with no remote
+        # nodes stays dirty, so its GPUs re-upload node data every step.
+        if posted:
+            self._data_dirty = False
         exchanged = clock.now
-        overlapped = self.overlap and bool(recv_reqs)
+        overlapped = self.overlap and bool(posted)
         local_done = compute_phase("local", t0 if overlapped else exchanged)
         cross_ready = max(local_done, exchanged) if overlapped else exchanged
         clock.advance_to(max(local_done, compute_phase("cross", cross_ready)))

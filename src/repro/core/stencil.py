@@ -8,11 +8,12 @@ Grid decomposition and execution flow:
   halo-padded allocation.
 - **Halo exchange (Fig. 4 steps 1–5)**: one array travels, the grid.
   The kernel declares the offsets it reads; ``halo`` is their largest
-  component, and ``configure`` turns it into a schedule of exchange
-  records (axis, side, peer, send box, halo box, wire bytes) grouped in
-  phases.  Each face's strip is packed into a contiguous buffer that lives
-  as long as its message (CPU: strip memcpy; GPU: a zero-copy kernel
-  writing a host-mapped buffer, charged on the copy engine), sent as one
+  component, and ``configure`` turns it into an exchange plan
+  (:class:`~repro.comm.communicator.NeighborExchange`): one phase per axis
+  of records (peer, tag, send box, halo box, wire bytes).  Each face's
+  strip is packed into a contiguous buffer that lives as long as its
+  message (CPU: strip memcpy; GPU: a zero-copy kernel writing a
+  host-mapped buffer, charged on the copy engine), sent as one
   non-blocking ``owned=True`` message, and received directly into the
   halo box via ``irecv(out=...)``.  Static fields never travel: their
   halos are filled once at setup.
@@ -66,12 +67,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from repro.cluster.topology import dims_create
 from repro.comm.cart import CartComm
+from repro.comm.communicator import Exchange, NeighborExchange
 from repro.comm.constants import PROC_NULL
 from repro.core.adaptive import AdaptivePartitioner
 from repro.core.api import StencilKernel
@@ -85,19 +87,8 @@ from repro.util.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.core.checkpoint import CheckpointManager
 
+#: Tag of the axis-0 halo messages; axis ``a`` uses ``_TAG_HALO + a``.
 _TAG_HALO = 201
-
-
-class _Exchange(NamedTuple):
-    """One face of the halo exchange (``side`` -1 low, +1 high); ``wire``
-    is the model-scale bytes charged each way."""
-
-    axis: int
-    side: int
-    peer: int
-    send: tuple[slice, ...]
-    halo: tuple[slice, ...]
-    wire: float
 
 
 #: Search ceiling for ``time_block="auto"`` (beyond this the redundant
@@ -349,7 +340,7 @@ class StencilRuntime:
                         f"expected {self.global_shape}"
                     )
                 self._fields[name] = self._pad_from_global(values, self._halo_depth)
-        self._schedule = self._exchange_schedule()
+        self._exchange = NeighborExchange(env.comm, self._exchange_plan())
         self._rows = None
         self._timestep = 0
         self._prestarted = None
@@ -555,15 +546,15 @@ class StencilRuntime:
         return padded
 
     # -- halo exchange (Fig. 4 steps 1-5) --------------------------------------
-    def _exchange_schedule(self) -> tuple[tuple[_Exchange, ...], ...]:
-        """The halo exchange as data: the box schedule.
+    def _exchange_plan(self) -> tuple[tuple[Exchange, ...], ...]:
+        """The halo exchange as data: the box plan.
 
         One phase per axis, in axis order, holding that axis' faces that
-        have a neighbour (a global border never sends).  A strip is
-        ``time_block * halo`` deep and spans the padded extent of every
-        other axis, halos included; a phase starts only once the previous
-        phase's halos have landed, so corner and edge values travel through
-        the face neighbours, as diagonal offsets need.
+        have a neighbour (a global border never sends), low face first.  A
+        strip is ``time_block * halo`` deep and spans the padded extent of
+        every other axis, halos included; a phase starts only once the
+        previous phase's halos have landed, so corner and edge values
+        travel through the face neighbours, as diagonal offsets need.
         """
         d = self._halo_depth
         phases = []
@@ -571,12 +562,12 @@ class StencilRuntime:
             lead = (slice(None),) * axis
             wire = self._face_bytes_model(axis)
             faces = (
-                (-1, slice(sl.start, sl.start + d), slice(sl.start - d, sl.start)),
-                (+1, slice(sl.stop - d, sl.stop), slice(sl.stop, sl.stop + d)),
+                (slice(sl.start, sl.start + d), slice(sl.start - d, sl.start)),
+                (slice(sl.stop - d, sl.stop), slice(sl.stop, sl.stop + d)),
             )
             phases.append(tuple(
-                _Exchange(axis, side, peer, lead + (send,), lead + (halo,), wire)
-                for (side, send, halo), peer in zip(faces, peers)
+                Exchange(peer, _TAG_HALO + axis, lead + (send,), lead + (halo,), wire)
+                for (send, halo), peer in zip(faces, peers)
                 if peer != PROC_NULL
             ))
         return tuple(phases)
@@ -593,7 +584,7 @@ class StencilRuntime:
         scale = self._elem_scale / self._axis_ratio[axis]
         return elems * scale * np.dtype(self._kernel.dtype).itemsize
 
-    def _pack_cost(self, phase: tuple[_Exchange, ...], rows: np.ndarray) -> float:
+    def _pack_cost(self, axis: int, phase: tuple[Exchange, ...], rows: np.ndarray) -> float:
         """Charge step-1/2 packing of one phase across the device split.
 
         Returns the virtual time at which all send buffers are ready.
@@ -602,7 +593,7 @@ class StencilRuntime:
         """
         env = self.env
         ready = env.clock.now
-        axis, total_bytes = phase[0].axis, phase[0].wire
+        total_bytes = phase[0].wire
         n_dev = len(env.devices)
         if axis == 0:
             # Only the devices owning the outermost rows pack this face: the
@@ -626,51 +617,39 @@ class StencilRuntime:
                 ready = max(ready, env.clock.now + env.host_memcpy_time(nbytes))
         return ready
 
-    def _start_phase(
-        self, phase: tuple[_Exchange, ...], rows: np.ndarray
-    ) -> list[tuple[_Exchange, Any]]:
-        """Post a phase's receives into its halo boxes (low face first; no
-        unpack copy), charge its pack (Fig. 4 steps 1-2), then send each face
-        a fresh copy of its strip with ``owned=True`` (high face first)."""
+    def _unpack(self, x: Exchange) -> None:
+        """Charge steps 4-5 for one landed strip (delivered into its slab)."""
+        env = self.env
+        unpack_end = env.clock.now
+        for dev in env.devices:
+            if isinstance(dev, GPUDevice):
+                iv = dev.copy_engine.schedule(
+                    env.clock.now,
+                    dev.transfer_time(x.wire) + dev.spec.kernel_launch_overhead,
+                    f"halo.unpack[{x.tag - _TAG_HALO}]",
+                )
+                unpack_end = max(unpack_end, iv.end)
+            else:
+                unpack_end = max(unpack_end, env.clock.now + env.host_memcpy_time(x.wire))
+        env.clock.advance_to(unpack_end)
+
+    def _send_axis(self, axis: int, rows: np.ndarray) -> list:
+        """Post one phase's receives into its halo boxes, charge its pack
+        (Fig. 4 steps 1-2), then send each face a fresh copy of its strip,
+        high face first.  Returns the posted receives."""
+        ex, src = self._exchange, self._src
+        phase = ex.phases[axis]
         if not phase:
             return []
-        env = self.env
-        comm = env.comm
-        recvs = [
-            (x, comm.irecv(source=x.peer, tag=_TAG_HALO + x.axis, out=self._src[x.halo]))
-            for x in phase
-        ]
-        env.clock.advance_to(self._pack_cost(phase, rows))
-        for x in reversed(phase):
-            comm.isend(
-                self._src[x.send].copy(), x.peer, _TAG_HALO + x.axis,
-                wire_bytes=x.wire, owned=True,
-            )
-            if env.trace.enabled:
-                env.trace.count("halo.msgs")
-        return recvs
+        posted = ex.post(phase, src)
+        self.env.clock.advance_to(self._pack_cost(axis, phase, rows))
+        ex.send(reversed(phase), lambda x: src[x.send].copy())
+        self.env.trace.count("halo.msgs", len(phase))
+        return posted
 
-    def _fill_halos(self, recvs: list[tuple[_Exchange, Any]]) -> None:
-        """Wait for halo data (delivered into the slabs), charge unpack (4-5)."""
-        env = self.env
-        for x, req in recvs:
-            req.wait()
-            unpack_end = env.clock.now
-            for dev in env.devices:
-                if isinstance(dev, GPUDevice):
-                    iv = dev.copy_engine.schedule(
-                        env.clock.now,
-                        dev.transfer_time(x.wire) + dev.spec.kernel_launch_overhead,
-                        f"halo.unpack[{x.axis}]",
-                    )
-                    unpack_end = max(unpack_end, iv.end)
-                else:
-                    unpack_end = max(unpack_end, env.clock.now + env.host_memcpy_time(x.wire))
-            env.clock.advance_to(unpack_end)
-
-    def _begin_round(self) -> tuple[float, np.ndarray, list[tuple[_Exchange, Any]]]:
+    def _begin_round(self) -> tuple[float, np.ndarray, list]:
         """Open an exchange round: fresh device timelines, the device
-        split, and the schedule's first phase started (the inner compute
+        split, and the plan's first phase sent (the inner compute
         overlaps the whole exchange).  Returns (round start time,
         per-device rows, posted receives).
         """
@@ -679,7 +658,7 @@ class StencilRuntime:
         for dev in env.devices:
             dev.reset(start=t0)
         rows = self._rows = self._partitioner.split(self.local_shape[0])
-        return t0, rows, self._start_phase(self._schedule[0], rows)
+        return t0, rows, self._send_axis(0, rows)
 
     def _begin_step_early(self) -> None:
         """Open the *next* exchange round now (device resets, the first
@@ -702,14 +681,15 @@ class StencilRuntime:
         """
         pre, self._prestarted = self._prestarted, None
         if pre is not None:
-            self._fill_halos(pre[2])
+            self._exchange.complete(pre[2], self._unpack)
 
-    def _finish_exchange(self, recvs: list[tuple[_Exchange, Any]], rows: np.ndarray) -> None:
+    def _finish_exchange(self, posted: list, rows: np.ndarray) -> None:
         """Complete the exchange: fill the first phase's halos, then run
         each later phase in turn."""
-        self._fill_halos(recvs)
-        for phase in self._schedule[1:]:
-            self._fill_halos(self._start_phase(phase, rows))
+        complete = self._exchange.complete
+        complete(posted, self._unpack)
+        for axis in range(1, len(self._exchange.phases)):
+            complete(self._send_axis(axis, rows), self._unpack)
 
     def _interdevice_exchange(self, ready: float) -> float:
         """Step 6: boundary planes between neighbouring devices.

@@ -93,7 +93,6 @@ class _PoolWorker(threading.Thread):
         self._pool = pool
         self._task: Callable[[], None] | None = None
         self._wake = threading.Semaphore(0)
-        self.tasks_run = 0
 
     def submit(self, task: Callable[[], None] | None) -> None:
         """Hand one task (or ``None`` to shut down) to this idle worker."""
@@ -109,7 +108,6 @@ class _PoolWorker(threading.Thread):
             try:
                 task()
             finally:
-                self.tasks_run += 1
                 # The closure reaches its run's fabric, traces and every
                 # rank's return value: an idle worker must not pin them.
                 del task

@@ -239,14 +239,17 @@ def test_repartition_invalidates_edge_cache_and_preserves_results():
         ir.set_kernel(_kernel())
         # Large model scale makes the profiled split differ from even.
         ir.set_mesh(EDGES, NODES, WEIGHTS, model_edges=len(EDGES) * 1000)
+        def builds():
+            return env.trace.counters["ir.cache_builds"]
+
         ir.start()
-        builds1, ranges1 = ir._cache_builds, ir._ranges
+        builds1, ranges1 = builds(), ir._ranges
         r1 = ir.get_local_reduction()[:, 0].copy()
         ir.start()
-        builds2, ranges2 = ir._cache_builds, ir._ranges
+        builds2, ranges2 = builds(), ir._ranges
         r2 = ir.get_local_reduction()[:, 0].copy()
         ir.start()  # stable split: cache must be reused, not rebuilt
-        builds3 = ir._cache_builds
+        builds3 = builds()
         # Accounting invariant: the rank's reduction object keeps both
         # endpoints of every local edge plus the one owned endpoint of
         # every cross edge (the other endpoint is a remote slot).
@@ -254,7 +257,7 @@ def test_repartition_invalidates_edge_cache_and_preserves_results():
         expect = 2 * len(ir._local_edges) + len(ir._cross_edges)
         return builds1, builds2, builds3, ranges1 != ranges2, r1, r2, kept, expect
 
-    res = run_spmd(prog, nodes=1, gpus_per_node=1)
+    res = run_spmd(prog, nodes=1, gpus_per_node=1, trace=True)
     builds1, builds2, builds3, repartitioned, r1, r2, kept, expect = res.values[0]
     assert repartitioned
     assert (builds1, builds2, builds3) == (1, 2, 2)
@@ -356,7 +359,8 @@ def test_node_data_exchange_sends_one_message_per_requesting_rank():
         dirty = sent() - before
         before = sent()
         ir.start()
-        return len(ir._serve_spans), dirty, sent() - before
+        (phase,) = ir._exchange.phases
+        return len(phase), dirty, sent() - before
 
     res = run_spmd(prog, nodes=4, trace=True)
     assert max(spans for spans, _, _ in res.values) > 1

@@ -155,8 +155,8 @@ def test_local_interior_shape():
     ],
 )
 def test_pack_buffers_only_for_faces_with_a_neighbour(shape, dims, faces):
-    """The exchange schedule has one phase per axis holding the faces with
-    a neighbour (a face on a global border never sends), and each face's
+    """The exchange plan has one phase per axis holding the faces with a
+    neighbour (a face on a global border never sends), and each face's
     strip and halo box span the padded extent of every other axis (the box
     rule).  No face keeps a pack buffer: each send packs a fresh one that
     lives as long as its message."""
@@ -165,10 +165,15 @@ def test_pack_buffers_only_for_faces_with_a_neighbour(shape, dims, faces):
         st = RuntimeEnv(ctx, "cpu").get_stencil()
         st.configure(AVG2D if len(shape) == 2 else AVG3D, shape, dims=dims)
         padded = st._src.shape
-        for axis, phase in enumerate(st._schedule):
+        phases = st._exchange.phases
+        for axis, phase in enumerate(phases):
             box = padded[:axis] + (st._halo_depth,) + padded[axis + 1 :]
-            assert all(st._src[x.send].shape == st._src[x.halo].shape == box for x in phase)
-        return [[(x.axis, x.side) for x in phase] for phase in st._schedule]
+            assert all(st._src[x.send].shape == st._src[x.recv].shape == box for x in phase)
+        # A face's side: whether its halo box lies below the interior.
+        return [
+            [(axis, -1 if x.recv[axis].start < st.interior[axis].start else 1) for x in phase]
+            for axis, phase in enumerate(phases)
+        ]
 
     res = run_spmd(prog, nodes=len(faces))
     assert res.values == faces
