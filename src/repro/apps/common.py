@@ -182,27 +182,3 @@ def check_functional_scale(functional: int, model: int, name: str) -> None:
         raise ValidationError(
             f"{name}: functional size {functional} exceeds modeled size {model}"
         )
-
-
-def parse_time_block(value: str | int) -> int | str:
-    """Parse a ``--time-block`` value: a positive integer or ``"auto"``.
-
-    The CLI's argparse type, so ``run``, ``profile`` and ``submit`` accept
-    the same spellings and report the same error.
-    """
-    if isinstance(value, int):
-        if value < 1:
-            raise ValidationError(f"time block must be >= 1, got {value}")
-        return value
-    text = value.strip().lower()
-    if text == "auto":
-        return "auto"
-    try:
-        k = int(text)
-    except ValueError:
-        raise ValidationError(
-            f"time block must be a positive integer or 'auto', got {value!r}"
-        ) from None
-    if k < 1:
-        raise ValidationError(f"time block must be >= 1, got {k}")
-    return k

@@ -29,7 +29,7 @@ import numpy as np
 from repro.apps.common import AppRun, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.core.api import StencilKernel, shifted
-from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.env import RuntimeEnv
 from repro.core.stencil import l2_sq_residual, reference_sweeps
 from repro.data import memoized
 from repro.device.work import WorkModel
@@ -96,7 +96,7 @@ def _grid_spacing_sq(config: Jacobi2DConfig) -> float:
 def rank_program(
     ctx: RankContext,
     config: Jacobi2DConfig,
-    mix: str | DeviceConfig = "cpu",
+    mix: str = "cpu",
     *,
     time_block: int | str = 1,
 ) -> dict:
@@ -131,7 +131,7 @@ def rank_program(
 def run(
     cluster: ClusterSpec,
     config: Jacobi2DConfig | None = None,
-    mix: str | DeviceConfig = "cpu",
+    mix: str = "cpu",
     *,
     time_block: int | str = 1,
     **spmd_kwargs,
@@ -151,7 +151,7 @@ def run(
     )
     return AppRun(
         app="jacobi2d",
-        mix=mix if isinstance(mix, str) else mix.label(),
+        mix=mix,
         nodes=cluster.num_nodes,
         makespan=result.makespan,
         seq_time=seq,

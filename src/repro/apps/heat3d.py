@@ -25,7 +25,7 @@ from repro.apps.calibrate import calibrate_gpu_ratio
 from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
-from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.env import RuntimeEnv
 from repro.core.stencil import reference_sweeps
 from repro.data.grids import heat3d_initial
 from repro.device.work import WorkModel
@@ -126,7 +126,7 @@ def make_kernel(node: NodeSpec) -> StencilKernel:
 def rank_program(
     ctx: RankContext,
     config: Heat3DConfig,
-    mix: str | DeviceConfig,
+    mix: str,
     kernel: StencilKernel,
     *,
     overlap: bool = True,
@@ -203,7 +203,7 @@ def rank_program(
 def run(
     cluster: ClusterSpec,
     config: Heat3DConfig | None = None,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     overlap: bool = True,
     tiling: bool = True,
@@ -249,7 +249,7 @@ def run(
     seq = sequential_time(base_work(), config.n_elems, cluster.node, iterations)
     return AppRun(
         app="heat3d",
-        mix=mix if isinstance(mix, str) else mix.label(),
+        mix=mix,
         nodes=cluster.num_nodes,
         makespan=makespan,
         seq_time=seq,

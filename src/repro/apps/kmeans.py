@@ -25,7 +25,7 @@ import numpy as np
 from repro.apps.calibrate import calibrate_gpu_ratio
 from repro.apps.common import AppRun, StepLoop, check_functional_scale, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
-from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.env import RuntimeEnv
 from repro.core.api import GRKernel, emit_keys_batch
 from repro.core.partition import block_partition
 from repro.data.points import clustered_points
@@ -143,7 +143,7 @@ def _new_centers(combined: np.ndarray, old: np.ndarray) -> np.ndarray:
 def rank_program(
     ctx: RankContext,
     config: KmeansConfig,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     reliable: bool = False,
     checkpoint_every: int | None = None,
@@ -195,7 +195,7 @@ def rank_program(
 def run(
     cluster: ClusterSpec,
     config: KmeansConfig | None = None,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     reliable: bool = False,
     checkpoint_every: int | None = None,
@@ -215,7 +215,7 @@ def run(
     )
     return AppRun(
         app="kmeans",
-        mix=mix if isinstance(mix, str) else mix.label(),
+        mix=mix,
         nodes=cluster.num_nodes,
         makespan=result.makespan,
         seq_time=seq,

@@ -27,7 +27,7 @@ from repro.apps.calibrate import calibrate_gpu_ratio
 from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import GRKernel, IRKernel
-from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.env import RuntimeEnv
 from repro.data.atoms import build_neighbor_edges, fcc_lattice
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
@@ -211,7 +211,7 @@ def _integrate(nodes: np.ndarray, forces: np.ndarray) -> np.ndarray:
 def rank_program(
     ctx: RankContext,
     config: MiniMDConfig,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     overlap: bool = True,
 ) -> dict:
@@ -301,7 +301,7 @@ def total_time(values: list[dict], config: MiniMDConfig) -> float:
 def run(
     cluster: ClusterSpec,
     config: MiniMDConfig | None = None,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     overlap: bool = True,
     **spmd_kwargs,
@@ -314,7 +314,7 @@ def run(
     seq = sequential_time(base_force_work(), config.n_edges, cluster.node, config.iterations)
     return AppRun(
         app="minimd",
-        mix=mix if isinstance(mix, str) else mix.label(),
+        mix=mix,
         nodes=cluster.num_nodes,
         makespan=total_time(result.values, config),
         seq_time=seq,

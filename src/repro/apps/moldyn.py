@@ -27,7 +27,7 @@ from repro.apps.calibrate import calibrate_gpu_ratio
 from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import GRKernel, IRKernel
-from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.env import RuntimeEnv
 from repro.data.meshes import geometric_mesh
 from repro.device.work import WorkModel
 from repro.sim.engine import RankContext, spmd_run
@@ -203,7 +203,7 @@ def _functional_mesh(config: MoldynConfig):
 def rank_program(
     ctx: RankContext,
     config: MoldynConfig,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     overlap: bool = True,
 ) -> dict:
@@ -266,7 +266,7 @@ def rank_program(
 def run(
     cluster: ClusterSpec,
     config: MoldynConfig | None = None,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     overlap: bool = True,
     **spmd_kwargs,
@@ -280,7 +280,7 @@ def run(
     seq = sequential_time(base_cf_work(), config.n_edges, cluster.node, config.iterations)
     return AppRun(
         app="moldyn",
-        mix=mix if isinstance(mix, str) else mix.label(),
+        mix=mix,
         nodes=cluster.num_nodes,
         makespan=max(per_rank),
         seq_time=seq,

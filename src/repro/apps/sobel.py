@@ -23,7 +23,7 @@ from repro.apps.calibrate import calibrate_gpu_ratio
 from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
-from repro.core.env import DeviceConfig, RuntimeEnv
+from repro.core.env import RuntimeEnv
 from repro.core.stencil import reference_sweeps
 from repro.data.grids import synthetic_image
 from repro.device.work import WorkModel
@@ -134,7 +134,7 @@ def make_kernel(node: NodeSpec) -> StencilKernel:
 def rank_program(
     ctx: RankContext,
     config: SobelConfig,
-    mix: str | DeviceConfig,
+    mix: str,
     kernel: StencilKernel,
     *,
     overlap: bool = True,
@@ -166,7 +166,7 @@ def rank_program(
 def run(
     cluster: ClusterSpec,
     config: SobelConfig | None = None,
-    mix: str | DeviceConfig = "cpu+2gpu",
+    mix: str = "cpu+2gpu",
     *,
     overlap: bool = True,
     tiling: bool = True,
@@ -188,7 +188,7 @@ def run(
     seq = sequential_time(base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="sobel",
-        mix=mix if isinstance(mix, str) else mix.label(),
+        mix=mix,
         nodes=cluster.num_nodes,
         makespan=max(per_rank_totals),
         seq_time=seq,

@@ -1,20 +1,23 @@
 """Command-line interface: run apps and regenerate experiments.
 
-``run``, ``profile`` and ``submit`` share one argument group and one
-``args -> JobSpec`` builder (:func:`repro.serve.spec.spec_from_args`); the
-spec is executed by :func:`repro.serve.spec.run_spec` wherever it lands.
-The same spec, three ways (same virtual time, to the bit)::
+``run``, ``profile`` and ``submit`` describe a job with one flag per
+:class:`repro.serve.spec.JobSpec` field — ``app``, ``--nodes``, ``--mix``,
+``--preset``, ``--scale``, ``--param K=V``, ``--option K=V`` and
+``--fault-plan JSON`` — and the spec is executed by
+:func:`repro.serve.spec.run_spec` wherever it lands.  The same spec, three
+ways (same virtual time, to the bit)::
 
-    python -m repro run heat3d --nodes 4 --scale quick --time-block 2
-    python -m repro submit heat3d --nodes 4 --time-block 2
+    python -m repro run heat3d --nodes 4 --scale quick --option time_block=2
+    python -m repro submit heat3d --nodes 4 --option time_block=2
     python -m repro campaign run one.json --store none  # a one-point sweep,
         # {"name": "one", "axes": {"app": ["heat3d"], "nodes": [4]}, "options": {"time_block": 2}}
 
 More examples::
 
     python -m repro info --devices
-    python -m repro run heat3d --nodes 8 --mix cpu --no-overlap --trace-out trace.json
-    python -m repro profile heat3d
+    python -m repro run heat3d --nodes 8 --mix cpu --option overlap=false --trace-out trace.json
+    python -m repro profile heat3d --option reliable=true --option checkpoint_every=2 --fault-plan PLAN
+        # PLAN: '{"seed": 7, "rules": [{"drop_prob": 0.2}], "crashes": [{"rank": 1, "at_time": 0.005}]}'
     python -m repro figure table2 --scale quick
     python -m repro serve --port 8642 --store ~/.cache/repro/results
     python -m repro submit --batch jobs.json
@@ -37,14 +40,9 @@ from repro.cluster.presets import ohio_cluster
 from repro.core.env import DEVICE_MIXES
 from repro.metrics import fig5_chart, format_table
 from repro.serve.spec import (
-    BACKENDS,
-    CLUSTER_PRESETS,
-    run_spec,
-    spec_from_args,
-    usable_cpus,
-    use_one_heap,
+    BACKENDS, CLUSTER_PRESETS, JobSpec, run_spec, usable_cpus, use_one_heap,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, ValidationError
 from repro.util.units import fmt_seconds
 
 _FIGURES = {
@@ -83,16 +81,6 @@ def _fig5_text(scale: str) -> str:
     return "\n\n".join(parts)
 
 
-def _time_block_arg(text: str):
-    """argparse type for ``--time-block``: positive int or ``auto``."""
-    from repro.apps.common import parse_time_block
-
-    try:
-        return parse_time_block(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -114,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_job_args(p: argparse.ArgumentParser, *, scale: str, app_nargs=None) -> None:
-        """The flags that describe a run, declared once for run/profile/submit
-        (:func:`repro.serve.spec.spec_from_args` turns them into a ``JobSpec``)."""
+        """The flags that describe a run, one per ``JobSpec`` field, declared
+        once for run/profile/submit (:func:`_job_spec` reads them)."""
         p.add_argument("app", nargs=app_nargs, choices=sorted(APPS))
         p.add_argument("--nodes", type=int, default=4, help="cluster nodes (paper: 1..32)")
         p.add_argument(
@@ -144,76 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="K=V",
-            help="run-function keyword (repeatable), e.g. --option tiling=false; "
-            "an option the app's run() does not take is an error",
+            help="run-function keyword (repeatable), e.g. --option time_block=auto "
+            "--option until_tol=1e-3; an option the app's run() does not take is an error",
         )
         p.add_argument(
-            "--no-overlap",
-            action="store_true",
-            help="--option overlap=false: no communication/computation overlap",
-        )
-        p.add_argument(
-            "--until-tol",
-            type=float,
+            "--fault-plan",
             default=None,
-            metavar="TOL",
-            help="--option until_tol=TOL (heat3d): iterate until the L2 step-update "
-            "norm drops to TOL instead of a fixed step count",
-        )
-        p.add_argument(
-            "--max-iters",
-            type=int,
-            default=None,
-            metavar="N",
-            help="--option max_iters=N: iteration cap for --until-tol",
-        )
-        p.add_argument(
-            "--time-block",
-            type=_time_block_arg,
-            default=None,
-            metavar="K",
-            help="--option time_block=K (stencils): K sweeps per deep halo exchange "
-            "(grids stay bit-identical), or 'auto' to pick K from the link table",
-        )
-        p.add_argument(
-            "--checkpoint-every",
-            type=int,
-            default=None,
-            metavar="K",
-            help="--option checkpoint_every=K: snapshot every K iterations",
-        )
-        flt = p.add_argument_group(
-            "fault injection (heat3d and kmeans; runs over the reliable comm layer)"
-        )
-        flt.add_argument(
-            "--fault-seed",
-            type=int,
-            default=None,
-            metavar="N",
-            help="enable a deterministic fault plan with this seed",
-        )
-        flt.add_argument("--drop", type=float, default=0.05, help="message drop probability")
-        flt.add_argument(
-            "--dup", type=float, default=0.02, help="message duplicate probability"
-        )
-        flt.add_argument(
-            "--delay", type=float, default=0.05, help="message extra-delay probability"
-        )
-        flt.add_argument(
-            "--max-delay", type=float, default=1e-4, help="max extra delay in virtual seconds"
-        )
-        flt.add_argument(
-            "--crash-rank",
-            type=int,
-            default=None,
-            metavar="R",
-            help="rank to crash once (needs --fault-seed and --checkpoint-every)",
-        )
-        flt.add_argument(
-            "--crash-at", type=float, default=0.0, metavar="T", help="virtual crash time (s)"
-        )
-        flt.add_argument(
-            "--restart-cost", type=float, default=1.0, help="virtual restart stall (s)"
+            metavar="JSON",
+            help="the fault plan's wire document, e.g. '{\"seed\": 7, \"rules\": "
+            "[{\"drop_prob\": 0.2}], \"crashes\": [{\"rank\": 1, \"at_time\": 0.005}]}'; "
+            "messages it loses are resent only under --option reliable=true",
         )
 
     run_p = sub.add_parser("run", help="run one application on the simulated cluster")
@@ -240,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p = sub.add_parser("figure", help="regenerate one paper table/figure")
     fig_p.add_argument("which", choices=sorted(_FIGURES))
     fig_p.add_argument("--scale", choices=["quick", "full"], default="quick")
-
-    sub.add_parser("codesize", help="print the Fig. 6 code-size comparison")
 
     def add_backend_arg(p: argparse.ArgumentParser) -> None:
         """Where a job executes, for the commands whose jobs cross
@@ -465,12 +391,46 @@ def _device_details(cluster) -> str:
     return "\n".join(lines)
 
 
-def _job_spec(args: argparse.Namespace, **fields):
-    """The ``JobSpec`` the shared job flags describe, or a clean exit."""
+def _kv_pairs(pairs: list[str], flag: str) -> dict:
+    """Parse repeated ``K=V`` flags; values decode as JSON, else stay strings."""
+    out = {}
+    for pair in pairs:
+        key, sep, raw = pair.partition("=")
+        if not sep or not key:
+            raise ValidationError(f"{flag} expects K=V, got {pair!r}")
+        try:
+            out[key] = json.loads(raw)
+        except ValueError:
+            out[key] = raw
+    return out
+
+
+def _job_spec(args: argparse.Namespace, **fields) -> JobSpec:
+    """The ``JobSpec`` the job flags describe, or a clean exit: the same
+    document a job spec file holds, checked by :meth:`JobSpec.from_dict`."""
     try:
-        return spec_from_args(args, **fields)
+        plan = None if args.fault_plan is None else json.loads(args.fault_plan)
+        return JobSpec.from_dict({
+            "app": args.app, "nodes": args.nodes, "mix": args.mix,
+            "preset": args.preset, "scale": args.scale,
+            "params": _kv_pairs(args.param, "--param"),
+            "options": _kv_pairs(args.option, "--option"),
+            "fault_plan": plan,
+            **fields,
+        })
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"invalid job spec: --fault-plan is not JSON: {exc}") from None
     except ReproError as exc:
         raise SystemExit(f"invalid job spec: {exc}") from None
+
+
+def _run_here(spec: JobSpec):
+    """:func:`run_spec` in this process; an option value the app refuses
+    (``--option time_block=0``) ends the command as a failed job does."""
+    try:
+        return run_spec(spec)
+    except ReproError as exc:
+        raise SystemExit(f"{spec.app} failed: {exc}") from None
 
 
 def _result_lines(makespan: float, seq_time: float, speedup: float) -> list[str]:
@@ -481,9 +441,9 @@ def _result_lines(makespan: float, seq_time: float, speedup: float) -> list[str]
     ]
 
 
-def _fault_line(spec, stats: dict) -> str:
+def _fault_text(spec, stats: dict) -> str:
     return (
-        f"  faults         : seed={spec.fault_plan['seed']} drops={stats['drops']} "
+        f"seed={spec.fault_plan.get('seed', 0)} drops={stats['drops']} "
         f"dups={stats['duplicates']} delays={stats['delays']} "
         f"crashes={stats['crashes_consumed']}"
     )
@@ -507,7 +467,7 @@ def _write_trace(path: str, apprun) -> str:
 
 def cmd_run(args: argparse.Namespace) -> str:
     spec = _job_spec(args, trace=args.trace_out is not None)
-    run, plan = run_spec(spec)
+    run, plan = _run_here(spec)
     lines = [
         f"{spec.app} on {spec.nodes} node(s), {spec.mix}:",
         *_result_lines(run.makespan, run.seq_time, run.speedup),
@@ -525,7 +485,7 @@ def cmd_run(args: argparse.Namespace) -> str:
     if block is not None:
         lines.append(f"  time block     : {block}")
     if plan is not None:
-        lines.append(_fault_line(spec, plan.stats_snapshot()))
+        lines.append(f"  faults         : {_fault_text(spec, plan.stats_snapshot())}")
     if args.trace_out is not None:
         lines.append(f"  trace          : {_write_trace(args.trace_out, run)}")
     return "\n".join(lines)
@@ -535,10 +495,10 @@ def cmd_profile(args: argparse.Namespace) -> str:
     from repro.obs import analyze, render_text_report
 
     spec = _job_spec(args, trace=True)
-    apprun, _ = run_spec(spec)
+    apprun, plan = _run_here(spec)
     report = analyze(apprun.spmd, app_makespan=apprun.makespan)
     report.verify()
-    extra = []
+    extra = [] if plan is None else [f"faults: {_fault_text(spec, plan.stats_snapshot())}"]
     block = _time_block_text(spec, apprun)
     if block is not None:
         extra.append(f"time block: {block}")
@@ -669,7 +629,7 @@ def cmd_submit(args: argparse.Namespace) -> str:
     result = client.result(job["id"])["result"]
     lines += _result_lines(result["makespan"], result["seq_time"], result["speedup"])
     if result.get("fault_stats"):
-        lines.append(_fault_line(spec, result["fault_stats"]))
+        lines.append(f"  faults         : {_fault_text(spec, result['fault_stats'])}")
     if spec.trace:
         lines.append(f"  trace          : GET {client.url}/jobs/{job['id']}/trace")
     return "\n".join(lines)
@@ -783,9 +743,6 @@ def main(argv: list[str] | None = None) -> int:
         print(cmd_profile(args))
     elif args.command == "figure":
         print(_FIGURES[args.which](args.scale))
-    elif args.command == "codesize":
-        rows = metrics.figures.fig6_code_sizes()
-        print(format_table(rows, title="Fig. 6 code sizes"))
     elif args.command == "serve":
         cmd_serve(args)
     elif args.command == "submit":

@@ -34,10 +34,6 @@ class DeviceConfig:
     use_cpu: bool = True
     num_gpus: int | None = None
 
-    def label(self) -> str:
-        g = "all" if self.num_gpus is None else str(self.num_gpus)
-        return f"cpu={'y' if self.use_cpu else 'n'},gpus={g}"
-
 
 #: Named device mixes used throughout the evaluation.
 DEVICE_MIXES: dict[str, DeviceConfig] = {

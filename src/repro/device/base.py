@@ -54,12 +54,5 @@ class Device(abc.ABC):
     def reset(self, start: float = 0.0) -> None:
         """Fresh timelines starting at ``start`` (between runtime launches)."""
 
-    @property
-    @abc.abstractmethod
-    def speed_hint(self) -> float:
-        """Relative raw throughput hint (FLOP/s scale); used only for
-        deterministic tie-breaking in reports, never for partitioning —
-        the adaptive partitioner profiles real (simulated) speeds."""
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r}, index={self.index})"

@@ -104,7 +104,3 @@ class CPUDevice(Device):
         self._reset_at = start
         for line in self._lines:
             line.reset(start)
-
-    @property
-    def speed_hint(self) -> float:
-        return self.spec.total_flops

@@ -153,7 +153,3 @@ class GPUDevice(Device):
     def reset(self, start: float = 0.0) -> None:
         self.copy_engine.reset(start)
         self.compute_engine.reset(start)
-
-    @property
-    def speed_hint(self) -> float:
-        return self.spec.flops

@@ -23,8 +23,7 @@ thread.  ``repro run``, ``repro profile``, the scheduler's executor
 (:func:`execute_job` = :func:`run_spec` + payload assembly) and the
 in-process campaigns behind the paper-figure drivers all go through it —
 which is what makes "submitted over the API" and "run directly"
-bit-for-bit comparable.  :func:`spec_from_args` is the one builder from the
-CLI's shared job flags to a spec.
+bit-for-bit comparable.
 """
 
 from __future__ import annotations
@@ -276,77 +275,6 @@ class JobSpec:
         app's to check, when the job runs)."""
         check_document("job-spec", cls, data)
         return cls(**data)
-
-
-# -- CLI flags -> spec -------------------------------------------------------
-def _parse_kv_pairs(pairs: list[str], flag: str) -> dict[str, Any]:
-    """Parse repeated ``K=V`` flags; values decode as JSON, else stay strings."""
-    out = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise ValidationError(f"{flag} expects K=V, got {pair!r}")
-        try:
-            out[key] = json.loads(raw)
-        except ValueError:
-            out[key] = raw
-    return out
-
-
-def spec_from_args(
-    args: Any, *, trace: bool = False, priority: int = 0, backend: str | None = None
-) -> JobSpec:
-    """The spec the CLI's shared job flags describe (``run|profile|submit``).
-
-    ``--no-overlap``, ``--until-tol``, ``--max-iters``, ``--time-block``
-    and ``--checkpoint-every`` are sugar for ``--option`` entries, so an app
-    whose ``run`` does not take one fails :class:`JobSpec`'s option check;
-    ``--fault-seed`` builds the fault plan and turns on ``reliable``.
-    """
-    options = _parse_kv_pairs(args.option, "--option")
-    sugar = {
-        "overlap": False if args.no_overlap else None,
-        "until_tol": args.until_tol,
-        "max_iters": args.max_iters,
-        "time_block": args.time_block,
-        "checkpoint_every": args.checkpoint_every,
-    }
-    options.update({k: v for k, v in sugar.items() if v is not None})
-    if args.max_iters is not None and args.until_tol is None:
-        raise ValidationError("--max-iters requires --until-tol")
-    if args.crash_rank is not None:
-        for flag in ("fault_seed", "checkpoint_every"):
-            if getattr(args, flag) is None:
-                raise ValidationError(f"--crash-rank requires --{flag.replace('_', '-')}")
-    plan = None
-    if args.fault_seed is not None:
-        from repro.faults.plan import FaultPlan, RankCrash
-
-        crashes = []
-        if args.crash_rank is not None:
-            crashes = [RankCrash(args.crash_rank, args.crash_at, args.restart_cost)]
-        plan = FaultPlan.lossy(
-            seed=args.fault_seed,
-            drop=args.drop,
-            dup=args.dup,
-            delay=args.delay,
-            max_delay=args.max_delay,
-            crashes=crashes,
-        ).to_dict()
-        options["reliable"] = True
-    return JobSpec(
-        app=args.app,
-        nodes=args.nodes,
-        mix=args.mix,
-        preset=args.preset,
-        scale=args.scale,
-        params=_parse_kv_pairs(args.param, "--param"),
-        options=options,
-        fault_plan=plan,
-        backend=backend,
-        priority=priority,
-        trace=trace,
-    )
 
 
 # -- execution -------------------------------------------------------------

@@ -92,5 +92,4 @@ def test_gpu_only_env_has_host_memcpy():
 
 
 def test_mix_labels():
-    assert DeviceConfig(True, 2).label() == "cpu=y,gpus=2"
     assert set(DEVICE_MIXES) == {"cpu", "1gpu", "2gpu", "cpu+1gpu", "cpu+2gpu"}

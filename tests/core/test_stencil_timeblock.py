@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from repro.apps import heat3d, sobel
-from repro.apps.common import parse_time_block
 from repro.apps.extra import jacobi2d
 from repro.cluster.presets import laptop_cluster, latency_cluster
 from repro.core.api import StencilKernel, shifted
 from repro.core.env import RuntimeEnv
 from repro.device.work import WorkModel
 from repro.sim.engine import spmd_run
-from repro.util.errors import ConfigurationError, ValidationError
+from repro.util.errors import ConfigurationError
 from tests.conftest import run_spmd
 
 WORK = WorkModel(name="tb", flops_per_elem=8, bytes_per_elem=32)
@@ -341,15 +340,6 @@ def test_time_block_needs_room_for_deep_strips():
     # 2 ranks split axis 0 of a 28-row grid: ext 14 < 2*k*h for k=8.
     with pytest.raises(ConfigurationError, match="2\\*time_block\\*halo"):
         run_spmd(_program(GRID2D, AVG2D, time_block=8))
-
-
-def test_parse_time_block():
-    assert parse_time_block("4") == 4
-    assert parse_time_block(" AUTO ") == "auto"
-    assert parse_time_block(3) == 3
-    for bad in ("0", "-2", "fast", 0):
-        with pytest.raises(ValidationError):
-            parse_time_block(bad)
 
 
 # -- backend parity -----------------------------------------------------------

@@ -26,14 +26,28 @@ def test_run_app(capsys):
 
 
 def test_run_no_overlap(capsys):
-    assert main(["run", "heat3d", "--nodes", "1", "--mix", "cpu", "--no-overlap"]) == 0
+    assert main(["run", "heat3d", "--nodes", "1", "--mix", "cpu", "--option", "overlap=false"]) == 0
     assert "speedup" in capsys.readouterr().out
 
 
-def test_codesize(capsys):
-    assert main(["codesize"]) == 0
-    out = capsys.readouterr().out
-    assert "kmeans" in out and "ratio" in out
+def test_run_refused_option_value_is_a_clean_exit():
+    with pytest.raises(SystemExit, match="heat3d failed: time_block must be >= 1, got 0"):
+        main(["run", "heat3d", "--nodes", "1", "--scale", "quick", "--option", "time_block=0"])
+
+
+# The job flags are the JobSpec's fields, one each; the rest is the command's own.
+JOB_FLAGS = {"app", "nodes", "mix", "preset", "scale", "param", "option", "fault_plan"}
+OWN_FLAGS = {
+    "run": {"trace_out"},
+    "profile": {"trace_out", "format"},
+    "submit": {"backend", "batch", "priority", "trace", "url", "no_wait", "timeout"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_job_flags_are_the_spec_fields(command):
+    args = build_parser().parse_args([command, "heat3d"])
+    assert set(vars(args)) - {"command"} == JOB_FLAGS | OWN_FLAGS[command]
 
 
 def test_figure_fig6(capsys):

@@ -60,14 +60,12 @@ def test_submit_faulty_job(capsys, live_server):
             + [
                 "--param",
                 "simulated_steps=4",
-                "--fault-seed",
-                "7",
-                "--crash-rank",
-                "1",
-                "--crash-at",
-                "0.05",
-                "--checkpoint-every",
-                "2",
+                "--fault-plan",
+                json.dumps(CRASH_PLAN),
+                "--option",
+                "reliable=true",
+                "--option",
+                "checkpoint_every=2",
             ]
         )
         == 0
@@ -114,23 +112,25 @@ CRASH_PLAN = FaultPlan.lossy(
     7, drop=0.05, dup=0.02, delay=0.05, max_delay=1e-4, crashes=[RankCrash(1, 0.05, 1.0)]
 ).to_dict()
 FLAG_SETS = {
-    "time-block": (["heat3d", "--time-block", "2"], {"app": "heat3d", "options": {"time_block": 2}}),
+    "time-block": (["heat3d", "--option", "time_block=2"], {"app": "heat3d", "options": {"time_block": 2}}),
     "until-tol": (
-        ["heat3d", "--until-tol", "1e-3", "--max-iters", "6"],
+        ["heat3d", "--option", "until_tol=1e-3", "--option", "max_iters=6"],
         {"app": "heat3d", "options": {"until_tol": 1e-3, "max_iters": 6}},
     ),
     "crash-restart": (
-        ["heat3d", "--param", "simulated_steps=4", "--fault-seed", "7", "--crash-rank", "1",
-         "--crash-at", "0.05", "--checkpoint-every", "2"],
+        ["heat3d", "--param", "simulated_steps=4", "--fault-plan", json.dumps(CRASH_PLAN),
+         "--option", "reliable=true", "--option", "checkpoint_every=2"],
         {"app": "heat3d", "params": {"simulated_steps": 4}, "fault_plan": CRASH_PLAN,
          "options": {"reliable": True, "checkpoint_every": 2}},
     ),
-    # A plain run() option: it used to be dropped unless --fault-seed came too.
+    # A plain run() option needs no fault plan beside it.
     "checkpoint-only": (
-        ["kmeans", "--checkpoint-every", "1"],
+        ["kmeans", "--option", "checkpoint_every=1"],
         {"app": "kmeans", "options": {"checkpoint_every": 1}},
     ),
-    "no-overlap": (["sobel", "--no-overlap"], {"app": "sobel", "options": {"overlap": False}}),
+    "no-overlap": (
+        ["sobel", "--option", "overlap=false"], {"app": "sobel", "options": {"overlap": False}}
+    ),
     "traced": (["heat3d"], {"app": "heat3d", "trace": True}),
 }
 
@@ -157,13 +157,11 @@ def test_run_submit_and_execute_job_agree(case, capsys, live_server, monkeypatch
 
 @pytest.mark.parametrize("command", ["run", "submit", "profile"])
 def test_flags_the_spec_cannot_honour_are_errors(command):
-    with pytest.raises(SystemExit, match="--crash-rank requires --fault-seed"):
-        main([command, "heat3d", "--crash-rank", "1", "--checkpoint-every", "2"])
-    with pytest.raises(SystemExit, match="--crash-rank requires --checkpoint-every"):
-        main([command, "heat3d", "--crash-rank", "1", "--fault-seed", "7"])
     with pytest.raises(SystemExit, match=r"unknown kmeans options \['overlap'\]; known:"):
-        main([command, "kmeans", "--no-overlap"])
+        main([command, "kmeans", "--option", "overlap=false"])
     with pytest.raises(SystemExit, match=r"unknown moldyn options \['reliable'\]"):
-        main([command, "moldyn", "--fault-seed", "3"])
-    with pytest.raises(SystemExit, match="--max-iters requires --until-tol"):
-        main([command, "heat3d", "--max-iters", "3"])
+        main([command, "moldyn", "--option", "reliable=true"])
+    with pytest.raises(SystemExit, match="invalid job spec: --fault-plan is not JSON"):
+        main([command, "heat3d", "--fault-plan", "{'seed': 7}"])
+    with pytest.raises(SystemExit, match=r"invalid job spec: unknown fault-plan keys: \['drop'\]"):
+        main([command, "heat3d", "--fault-plan", '{"seed": 7, "drop": 0.05}'])
