@@ -148,7 +148,7 @@ class StepLoop:
 
         n_blocks = -(-steps // block)
         if self.manager is not None:
-            self.manager.run_iterations(n_blocks, one_block, capture, restore)
+            self.manager.run_convergence(n_blocks, one_block, capture, restore)
         else:
             for b in range(n_blocks):
                 one_block(b)

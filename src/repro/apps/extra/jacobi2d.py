@@ -98,13 +98,13 @@ def rank_program(
     config: Jacobi2DConfig,
     mix: str = "cpu",
     *,
-    time_block: int | str = 1,
+    time_block: int = 1,
 ) -> dict:
     """SPMD body: fused Jacobi sweeps until the update norm reaches tol.
 
     ``time_block`` enables temporal blocking (``k`` sweeps per deep halo
-    exchange, ``"auto"`` to let the link-table tuner pick); the final
-    grid and residual history stay bit-identical to ``time_block=1``.
+    exchange); the final grid and residual history stay bit-identical to
+    ``time_block=1``.
     """
     env = RuntimeEnv(ctx, mix)
     st = env.get_stencil()
@@ -133,7 +133,7 @@ def run(
     config: Jacobi2DConfig | None = None,
     mix: str = "cpu",
     *,
-    time_block: int | str = 1,
+    time_block: int = 1,
     **spmd_kwargs,
 ) -> AppRun:
     """Run Jacobi2D to convergence; the makespan is the loop's actual time."""

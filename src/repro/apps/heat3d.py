@@ -135,7 +135,7 @@ def rank_program(
     checkpoint_every: int | None = None,
     until_tol: float | None = None,
     max_iters: int | None = None,
-    time_block: int | str = 1,
+    time_block: int = 1,
 ) -> dict:
     """SPMD body: run ``simulated_steps`` of ``kernel`` (:func:`make_kernel`
     of the cluster's node), report per-step times.
@@ -156,9 +156,8 @@ def rank_program(
     ``config.iterations``).  Every simulated step is then a real step —
     no extrapolation — and the result carries the residual history.
 
-    ``time_block`` sets the sweeps per halo exchange round (``"auto"``
-    lets the link-table tuner pick); grids and residual histories are
-    bit-identical for every value.
+    ``time_block`` sets the sweeps per halo exchange round; grids and
+    residual histories are bit-identical for every value.
     """
     loop = StepLoop(ctx, reliable=reliable, checkpoint_every=checkpoint_every)
     env = RuntimeEnv(ctx, mix)
@@ -211,7 +210,7 @@ def run(
     checkpoint_every: int | None = None,
     until_tol: float | None = None,
     max_iters: int | None = None,
-    time_block: int | str = 1,
+    time_block: int = 1,
     **spmd_kwargs,
 ) -> AppRun:
     """Run Heat3D and report the extrapolated full-run makespan.
@@ -219,8 +218,11 @@ def run(
     With ``until_tol`` the run is convergence-driven: the makespan is the
     loop's actual virtual time (every iteration really runs; nothing to
     extrapolate) and the sequential baseline is scaled to the iteration
-    count the loop took.
+    count the loop took.  ``max_iters`` caps that loop, so it needs
+    ``until_tol``.
     """
+    if max_iters is not None and until_tol is None:
+        raise ValidationError("max_iters caps the until_tol loop; set until_tol too")
     config = config or Heat3DConfig()
     result = spmd_run(
         rank_program,

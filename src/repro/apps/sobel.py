@@ -139,14 +139,13 @@ def rank_program(
     *,
     overlap: bool = True,
     tiling: bool = True,
-    time_block: int | str = 1,
+    time_block: int = 1,
 ) -> dict:
     """SPMD body: repeated passes of ``kernel`` (:func:`make_kernel` of the
     cluster's node) with per-step timing.
 
     ``time_block`` enables temporal blocking (``k`` sweeps per deep halo
-    exchange, ``"auto"`` to let the link-table tuner pick); the gathered
-    image stays bit-identical to ``time_block=1``.
+    exchange); the gathered image stays bit-identical to ``time_block=1``.
     """
     env = RuntimeEnv(ctx, mix)
     st = env.get_stencil(overlap=overlap, tiling=tiling)
@@ -170,7 +169,7 @@ def run(
     *,
     overlap: bool = True,
     tiling: bool = True,
-    time_block: int | str = 1,
+    time_block: int = 1,
     **spmd_kwargs,
 ) -> AppRun:
     """Run Sobel and report the extrapolated full-run makespan."""

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="K=V",
-            help="run-function keyword (repeatable), e.g. --option time_block=auto "
+            help="run-function keyword (repeatable), e.g. --option time_block=2 "
             "--option until_tol=1e-3; an option the app's run() does not take is an error",
         )
         p.add_argument(
@@ -451,11 +451,9 @@ def _fault_text(spec, stats: dict) -> str:
 
 def _time_block_text(spec, apprun) -> str | None:
     """``k=<chosen>`` when the spec sets the temporal-blocking option."""
-    asked = spec.options.get("time_block")
-    if asked is None:
+    if spec.options.get("time_block") is None:
         return None
-    chosen = apprun.spmd.values[0]["time_block"]
-    return f"k={chosen}{' (auto-tuned)' if asked == 'auto' else ''}"
+    return f"k={apprun.spmd.values[0]['time_block']}"
 
 
 def _write_trace(path: str, apprun) -> str:

@@ -57,7 +57,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.cluster.specs import ClusterSpec, InterconnectSpec
 from repro.comm.payload import Payload
@@ -136,9 +136,6 @@ class Fabric:
         #: Baton hand-overs and receives that had to park (observability).
         self.switches = 0
         self.parks = 0
-        #: Values every rank of the run derives alike from shared inputs,
-        #: keyed on those inputs: the first rank to need one computes it.
-        self.memo: dict[tuple, Any] = {}
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
         """Install (or clear, with ``None``) the fault plan for this run."""

@@ -149,24 +149,6 @@ class CheckpointManager:
         return ckpt.iteration
 
     # -- the loop -------------------------------------------------------
-    def run_iterations(
-        self,
-        iterations: int,
-        step: Callable[[int], None],
-        capture: Callable[[], Any],
-        restore: Callable[[Any], None],
-    ) -> int:
-        """Run ``step(i)`` for ``i in range(iterations)`` with recovery.
-
-        The fixed-count case of :meth:`run_convergence`: ``step`` returns
-        ``None``, so the loop never stops early.  Returns the number of
-        step executions including re-executed iterations (``iterations``
-        exactly when no crash fired).
-        """
-        if iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {iterations}")
-        return self.run_convergence(iterations, step, capture, restore)
-
     def run_convergence(
         self,
         max_iters: int,
@@ -177,7 +159,8 @@ class CheckpointManager:
         """Run ``body(i)`` until it returns true or ``max_iters``, with recovery.
 
         ``body`` performs one iteration and reports whether the loop
-        should stop (e.g. the residual dropped below tolerance).
+        should stop (e.g. the residual dropped below tolerance); a body
+        that returns ``None`` runs all ``max_iters`` (a fixed-count loop).
         ``capture()`` must return an *independent* snapshot of the
         application state (the manager stores it as-is) and include
         whatever the convergence test depends on — iteration counters,

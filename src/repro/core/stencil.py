@@ -42,10 +42,7 @@ Grid decomposition and execution flow:
   ``k > 1`` (temporal blocking) the redundant ghost flops are charged as
   real work through the device cost model, so the trade — ``k`` x fewer
   message rounds (the per-message α/LogGP constant amortizes; bytes do
-  not) against extra compute — is priced honestly.  ``time_block="auto"``
-  picks ``k`` per run from the link table's α/β and the kernel's flop
-  intensity via the closed form in
-  :func:`~repro.device.costmodel.time_block_sweep_cost`.
+  not) against extra compute — is priced honestly.
 - **Fused reduce** (:meth:`StencilRuntime.run_until`, the
   loop-of-stencil-reduce pattern, arXiv 1609.04567): each sweep also
   yields its local squared L2 update norm (:func:`l2_sq_residual`,
@@ -64,7 +61,6 @@ kernel over one array with that border.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
@@ -79,7 +75,6 @@ from repro.core.adaptive import AdaptivePartitioner
 from repro.core.api import StencilKernel
 from repro.core.env import RuntimeEnv
 from repro.core.partition import block_partition
-from repro.device.costmodel import time_block_sweep_cost
 from repro.device.cpu import CPUDevice
 from repro.device.gpu import GPUDevice
 from repro.util.errors import ConfigurationError
@@ -89,11 +84,6 @@ if TYPE_CHECKING:
 
 #: Tag of the axis-0 halo messages; axis ``a`` uses ``_TAG_HALO + a``.
 _TAG_HALO = 201
-
-
-#: Search ceiling for ``time_block="auto"`` (beyond this the redundant
-#: ghost volume dwarfs any realistic per-message constant).
-MAX_AUTO_TIME_BLOCK = 16
 
 
 class StencilFields:
@@ -203,12 +193,10 @@ class StencilRuntime:
         *,
         overlap: bool = True,
         tiling: bool = True,
-        adaptive: bool = True,
     ) -> None:
         self.env = env
         self.overlap = overlap
         self.tiling = tiling
-        self.adaptive = adaptive
         self._kernel: StencilKernel | None = None
         self._configured = False
         self._parameter: Any = None
@@ -247,7 +235,7 @@ class StencilRuntime:
         model_shape: tuple[int, ...] | None = None,
         parameter: Any = None,
         static_fields: dict[str, np.ndarray] | None = None,
-        time_block: int | str = 1,
+        time_block: int = 1,
     ) -> None:
         """Set up the decomposition (paper: grid size + virtual topology).
 
@@ -266,11 +254,10 @@ class StencilRuntime:
             time_block: Temporal-blocking factor ``k``: halo slabs are
                 allocated ``k * halo`` deep, one exchange round runs per
                 ``k`` sweeps, and the redundant ghost-zone recomputation
-                is charged as real flops.  ``"auto"`` picks ``k`` from
-                the link table's α/β and the kernel's flop intensity.
-                Requires kernels that are temporal-blocking-safe: a pure
-                function of the kernel's offsets with no cross-sweep
-                parameter mutation (see ``docs/writing_kernels.md``).
+                is charged as real flops.  Requires kernels that are
+                temporal-blocking-safe: a pure function of the kernel's
+                offsets with no cross-sweep parameter mutation (see
+                ``docs/writing_kernels.md``).
         """
         env = self.env
         ndim = len(global_shape)
@@ -320,7 +307,8 @@ class StencilRuntime:
         self._neighbors = [self.cart.shift(ax, 1) for ax in range(ndim)]
 
         self._partitioner = AdaptivePartitioner(len(env.devices))
-        self._time_block = self._resolve_time_block(time_block)
+        self._check_time_block(time_block)
+        self._time_block = time_block
         self._halo_depth = self._time_block * h
 
         padded = tuple(ext + 2 * self._halo_depth for ext in self.local_shape)
@@ -358,153 +346,26 @@ class StencilRuntime:
 
     @property
     def time_block(self) -> int:
-        """The resolved temporal-blocking factor (sweeps per exchange)."""
+        """The temporal-blocking factor (sweeps per exchange)."""
         return self._time_block
 
-    def _resolve_time_block(self, time_block: int | str) -> int:
-        """Validate or auto-tune the blocking factor at configure time."""
+    def _check_time_block(self, time_block: int) -> None:
+        """Refuse a blocking factor that is not a positive int or whose
+        strips do not fit this rank's extents."""
+        if type(time_block) is not int or time_block < 1:  # a bool is no round size
+            raise ConfigurationError(f"time_block must be >= 1, got {time_block!r}")
         h = self._kernel.halo
-        if isinstance(time_block, str):
-            if time_block != "auto":
-                raise ConfigurationError(
-                    f"time_block must be a positive int or 'auto', got {time_block!r}"
-                )
-            return self._auto_time_block()
-        k = int(time_block)
-        if k < 1:
-            raise ConfigurationError(f"time_block must be >= 1, got {time_block}")
         # Generalizes the 2*halo rule: deep send strips come from the
         # interior, so every axis that actually exchanges needs room for
         # both faces' k*h-deep strips.
         for ax, ext in enumerate(self.local_shape):
             lo, hi = self._neighbors[ax]
-            if (lo != PROC_NULL or hi != PROC_NULL) and ext < 2 * k * h:
+            if (lo != PROC_NULL or hi != PROC_NULL) and ext < 2 * time_block * h:
                 raise ConfigurationError(
                     f"local extent {ext} on axis {ax} is below "
-                    f"2*time_block*halo={2 * k * h}; lower time_block, "
+                    f"2*time_block*halo={2 * time_block * h}; lower time_block, "
                     f"use fewer processes or a bigger grid"
                 )
-        return k
-
-    def _auto_time_block(self) -> int:
-        """Pick the blocking factor from the α/β link table (closed form).
-
-        Temporal blocking amortizes each halo message's per-message
-        constant α (latency + send/recv overheads) over ``k`` sweeps at
-        the price of ``k``-deep strips (bytes charged verbatim — the β
-        term does not amortize) and redundant ghost-zone flops over a
-        shrinking valid region.  The tuner evaluates
-        :func:`~repro.device.costmodel.time_block_sweep_cost` for every
-        ``k`` feasible on every rank and keeps the argmin; ties break
-        toward smaller ``k``, and ``k=1`` is always a candidate, so the
-        choice is never worse than the unblocked baseline under its own
-        model.
-
-        Every rank must pick the same ``k`` (its strips are its
-        neighbours' halos), but a middle rank sends more messages than a
-        border rank.  So each rank prices every rank of the decomposition
-        (extents, neighbours, links and devices are known to all) and
-        minimizes the slowest rank's cost; where every rank's own argmin
-        is one ``k``, that is the pick.  The first rank of a run prices it
-        and leaves it in the fabric's memo for the others.
-        """
-        # Aggregate per-element compute time of the device team.  Speed
-        # profiling has not run yet, so assume the team splits perfectly
-        # (harmonic aggregation of per-device rates).
-        elem_time = 1.0 / sum(
-            1.0 / dev.elem_time(self._effective_work(dev), framework=True)
-            for dev in self.env.devices
-        )
-        kernel, memo = self._kernel, self.env.comm.fabric.memo
-        key = (
-            "time_block",
-            self.global_shape,
-            self.cart.dims,
-            kernel.halo,
-            np.dtype(kernel.dtype).itemsize,
-            self._axis_ratio,
-            len(self.env.devices),
-            elem_time,
-        )
-        hit = memo.get(key)
-        if hit is None:
-            k = self._price_time_blocks(elem_time)
-            hit = memo[key] = (k, self._partitioner.state_dict())
-        # Pricing splits rows through the rank's fresh partitioner, and a
-        # checkpoint charges the split it memoizes: every rank takes that state.
-        self._partitioner.load_state(hit[1])
-        return hit[0]
-
-    def _price_time_blocks(self, elem_time: float) -> int:
-        """The ``k`` whose slowest rank class costs least per sweep."""
-        cart, fabric = self.cart, self.env.comm.fabric
-        dims = cart.dims
-        # Per axis: each coordinate's extent, and the rank distance to a
-        # neighbour (row-major ranks, non-periodic topology).
-        extents = [
-            [int(o[c + 1] - o[c]) for c in range(d)]
-            for o, d in zip(map(block_partition, self.global_shape, dims), dims)
-        ]
-        strides = [math.prod(dims[ax + 1 :]) for ax in range(len(dims))]
-        kmax = min(
-            [MAX_AUTO_TIME_BLOCK]
-            + [min(ext) // (2 * self._kernel.halo) for ext, d in zip(extents, dims) if d > 1]
-        )
-        if cart.size == 1 or kmax <= 1:
-            return 1
-        # Ranks whose extents, open sides per axis and links agree cost
-        # the same (a mirror image prices identically): price each such
-        # class once.
-        classes = {}
-        for rank, coords in enumerate(itertools.product(*map(range, dims))):
-            neighbors = [
-                (rank - st if c > 0 else PROC_NULL, rank + st if c < d - 1 else PROC_NULL)
-                for c, d, st in zip(coords, dims, strides)
-            ]
-            shape = tuple(ext[c] for ext, c in zip(extents, coords))
-            opened = tuple((lo != PROC_NULL) + (hi != PROC_NULL) for lo, hi in neighbors)
-            # The link of each halo message, in (axis, low, high) order.
-            links = tuple(fabric.link(rank, n) for pair in neighbors for n in pair if n != PROC_NULL)
-            classes.setdefault((shape, opened, links), neighbors)
-        worst = [0.0] * kmax
-        for (shape, _, links), neighbors in classes.items():
-            for i, cost in enumerate(self._block_costs(shape, neighbors, links, kmax, elem_time)):
-                worst[i] = max(worst[i], cost)
-        return 1 + worst.index(min(worst))
-
-    def _block_costs(self, shape, neighbors, links, kmax: int, elem_time: float) -> list[float]:
-        """One rank's modelled per-sweep cost for ``k = 1 .. kmax``; ``links``
-        holds the link of each of its halo messages."""
-        # One (α, bytes, 1/bw) entry per halo message of one exchange round.
-        alphas = [link.latency + link.send_overhead + link.recv_overhead for link in links]
-        inv_bw = [1.0 / link.bandwidth for link in links]
-        sizes = [
-            self._face_bytes_model(ax, depth=self._kernel.halo, shape=shape)
-            for ax, pair in enumerate(neighbors)
-            for n in pair
-            if n != PROC_NULL
-        ]
-        interior = float(np.prod(shape))
-        rows = self._partitioner.split(shape[0])
-        costs = []
-        for k in range(1, kmax + 1):
-            ghost = [
-                (sum(self._sweep_counts(s, k, rows, shape, neighbors)) - interior)
-                * self._elem_scale
-                for s in range(k)
-            ]
-            costs.append(
-                time_block_sweep_cost(
-                    k,
-                    msg_alphas=alphas,
-                    msg_bytes=sizes,
-                    msg_inv_bandwidths=inv_bw,
-                    ghost_elems=ghost,
-                    interior_elems=interior * self._elem_scale,
-                    elem_time=elem_time,
-                )
-            )
-        return costs
 
     def set_global_grid(self, grid: np.ndarray) -> None:
         """Load this rank's block from the (identical-on-all-ranks) grid."""
@@ -572,15 +433,11 @@ class StencilRuntime:
             ))
         return tuple(phases)
 
-    def _face_bytes_model(
-        self, axis: int, depth: int | None = None, shape: tuple[int, ...] | None = None
-    ) -> float:
-        """Model-scale bytes of one face strip (``depth`` defaults to the
-        registered slab depth ``time_block * halo``, ``shape`` to this
-        rank's extents)."""
-        d = self._halo_depth if depth is None else depth
-        shape = self.local_shape if shape is None else shape
-        elems = d * math.prod(ext for ax, ext in enumerate(shape) if ax != axis)
+    def _face_bytes_model(self, axis: int) -> float:
+        """Model-scale bytes of one ``time_block * halo``-deep face strip."""
+        elems = self._halo_depth * math.prod(
+            ext for ax, ext in enumerate(self.local_shape) if ax != axis
+        )
         scale = self._elem_scale / self._axis_ratio[axis]
         return elems * scale * np.dtype(self._kernel.dtype).itemsize
 
@@ -783,9 +640,7 @@ class StencilRuntime:
                 env.trace.record("compute", f"ST:{phase}:{dev.name}", iv.start, iv.end)
         return finish, busy
 
-    def _sweep_counts(
-        self, s: int, sweeps: int, rows: np.ndarray, shape=None, neighbors=None
-    ) -> list[float]:
+    def _sweep_counts(self, s: int, sweeps: int, rows: np.ndarray) -> list[float]:
         """Per-device functional element counts charged for sweep ``s``.
 
         The valid region shrinks by ``halo`` toward every *open* side per
@@ -795,11 +650,9 @@ class StencilRuntime:
         additionally recomputes ``e`` rows past its own split planes —
         inter-device planes are exchanged once per round, so the sweeps
         in between must recompute across them too.  Sides at a global
-        border never extend.  ``shape`` and ``neighbors`` default to this
-        rank's.
+        border never extend.
         """
-        shape = self.local_shape if shape is None else shape
-        neighbors = self._neighbors if neighbors is None else neighbors
+        shape, neighbors = self.local_shape, self._neighbors
         h = self._kernel.halo
         e = (sweeps - 1 - s) * h
         cross = 1.0
@@ -955,7 +808,7 @@ class StencilRuntime:
             self._src, self._dst = self._dst, self._src
             self._timestep += 1
 
-        if self.adaptive and not self._partitioner.profiled and busy.sum() > 0:
+        if not self._partitioner.profiled and busy.sum() > 0:
             self._partitioner.observe(observed, np.maximum(busy, 1e-30))
 
         self._redundant_flops += redundant

@@ -76,61 +76,6 @@ def atomic_cost_per_insert(
     raise ValidationError(f"unknown device kind {device_kind!r}")
 
 
-def time_block_sweep_cost(
-    k: int,
-    *,
-    msg_alphas: "list[float]",
-    msg_bytes: "list[float]",
-    msg_inv_bandwidths: "list[float]",
-    ghost_elems: "list[float]",
-    interior_elems: float,
-    elem_time: float,
-) -> float:
-    """Predicted per-sweep cost of temporal-blocking factor ``k``.
-
-    Temporal blocking trades message rounds for redundant ghost-zone
-    flops: one exchange round every ``k`` sweeps carries each neighbour
-    message at depth ``k*h``, and sweep ``s`` of a block recomputes
-    ``ghost_elems[s]`` extra elements.  The closed form the stencil
-    auto-tuner minimizes is::
-
-        cost(k) = (1/k) * [ sum_m (alpha_m + k * bytes_m * beta_m)
-                            + sum_s (interior + ghost_s) * t_elem ]
-
-    where ``alpha_m = latency + send_overhead + recv_overhead`` of
-    message ``m``'s link class (the per-message LogGP constant that
-    blocking amortizes), ``beta_m = 1/bandwidth`` (the bytes term —
-    unchanged by blocking, since ``k`` depth-``h`` strips cost exactly
-    ``k`` times the bytes), and ``t_elem`` the aggregate per-element
-    compute time of the device team.
-
-    Args:
-        k: Candidate blocking factor (>= 1).
-        msg_alphas: Per-message constant of each halo message in one
-            exchange round.
-        msg_bytes: Depth-``h`` (unblocked) byte size of each message.
-        msg_inv_bandwidths: ``1/bandwidth`` of each message's link.
-        ghost_elems: Redundant elements recomputed at each of the ``k``
-            sweeps (``ghost_elems[k-1]`` is 0 by construction).
-        interior_elems: Elements of one plain sweep.
-        elem_time: Seconds per element across the device team.
-    """
-    if k < 1:
-        raise ValidationError(f"time block must be >= 1, got {k}")
-    if len(ghost_elems) != k:
-        raise ValidationError(
-            f"need one ghost-elem count per sweep: got {len(ghost_elems)} for k={k}"
-        )
-    if not (len(msg_alphas) == len(msg_bytes) == len(msg_inv_bandwidths)):
-        raise ValidationError("per-message lists must have equal lengths")
-    comm = sum(
-        alpha + k * nbytes * inv_bw
-        for alpha, nbytes, inv_bw in zip(msg_alphas, msg_bytes, msg_inv_bandwidths)
-    )
-    compute = sum(interior_elems + ghost for ghost in ghost_elems) * elem_time
-    return (comm + compute) / k
-
-
 def reduction_fits_in_shared(num_keys: int, value_bytes: int, gpu: GPUSpec) -> bool:
     """Whether one reduction object fits in an SM's shared memory.
 

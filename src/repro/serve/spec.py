@@ -155,7 +155,8 @@ class JobSpec:
         options: App ``run()`` keyword options (e.g. ``overlap``,
             ``reliable``, ``checkpoint_every``, ``time_block``), validated
             against the app's signature at construction.
-        fault_plan: Optional :meth:`FaultPlan.to_dict` document.
+        fault_plan: Optional :meth:`FaultPlan.to_dict` document; one with
+            crashes needs ``options["checkpoint_every"]``.
         backend: ``"processes"`` runs the job in a worker process;
             ``"threads"`` or ``None`` in the executor's own.
         priority: Higher runs first; ties in submission order.
@@ -220,6 +221,11 @@ class JobSpec:
             # Validates field names/ranges; the plan itself is rebuilt at
             # execution time (plans carry runtime state, specs must not).
             self.build_fault_plan()
+            if self.fault_plan.get("crashes") and self.options.get("checkpoint_every") is None:
+                raise ValidationError(
+                    "a fault plan with crashes needs options.checkpoint_every: only a "
+                    f"checkpointed loop polls for a crash; {self.app} options: {sorted(allowed)}"
+                )
 
     # -- derived views ---------------------------------------------------
     @functools.cached_property

@@ -10,23 +10,7 @@ from repro.sim.engine import spmd_run
 from repro.util.errors import ValidationError
 
 
-#: Both public entry points drive the manager's one loop.
-ENTRY_POINTS = ("run_iterations", "run_convergence")
-
-
-def both_entry_points(test):
-    """Run ``test(entry)`` once per entry point under the test's own id
-    (pytest parameters would rename ids other tooling tracks)."""
-
-    def run_both():
-        for entry in ENTRY_POINTS:
-            test(entry)
-
-    run_both.__name__ = test.__name__
-    return run_both
-
-
-def _counter_prog(ctx, entry="run_iterations", iterations=10, every=3, step_cost=1e-4):
+def _counter_prog(ctx, iterations=10, every=3, step_cost=1e-4):
     """Counting loop: state is one array, every step adds 1 and barriers.
 
     ``step`` returns None, which ``run_convergence`` reads as "not done".
@@ -39,7 +23,7 @@ def _counter_prog(ctx, entry="run_iterations", iterations=10, every=3, step_cost
         ctx.clock.advance(step_cost)
         ctx.comm.barrier()
 
-    execs = getattr(mgr, entry)(
+    execs = mgr.run_convergence(
         iterations,
         step,
         lambda: state["x"].copy(),
@@ -53,9 +37,8 @@ def _counter_prog(ctx, entry="run_iterations", iterations=10, every=3, step_cost
     }
 
 
-@both_entry_points
-def test_clean_run_checkpoints_on_cadence(entry):
-    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=2), args=(entry,))
+def test_clean_run_checkpoints_on_cadence():
+    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=2))
     for rank, v in enumerate(res.values):
         assert v["value"] == rank + 10
         assert v["executions"] == 10
@@ -64,15 +47,12 @@ def test_clean_run_checkpoints_on_cadence(entry):
         assert v["recoveries"] == 0
 
 
-@both_entry_points
-def test_crash_recovers_from_last_checkpoint(entry):
+def test_crash_recovers_from_last_checkpoint():
     plan = FaultPlan(
         seed=1, crashes=[RankCrash(rank=1, at_time=4.5e-4, restart_cost=0.01)]
     )
-    res = spmd_run(
-        _counter_prog, laptop_cluster(num_nodes=4), args=(entry,), fault_plan=plan
-    )
-    clean = spmd_run(_counter_prog, laptop_cluster(num_nodes=4), args=(entry,))
+    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=4), fault_plan=plan)
+    clean = spmd_run(_counter_prog, laptop_cluster(num_nodes=4))
     for v, c in zip(res.values, clean.values):
         # Crash between checkpoint 3 (t=3e-4ish) and the next boundary:
         # iterations 3..4 are re-executed, final value unchanged.
@@ -83,30 +63,25 @@ def test_crash_recovers_from_last_checkpoint(entry):
     assert plan.stats.crashes_consumed == 1
 
 
-@both_entry_points
-def test_crash_run_is_deterministic(entry):
+def test_crash_run_is_deterministic():
     def run():
         plan = FaultPlan(
             seed=1, crashes=[RankCrash(rank=1, at_time=4.5e-4, restart_cost=0.01)]
         )
-        return spmd_run(
-            _counter_prog, laptop_cluster(num_nodes=4), args=(entry,), fault_plan=plan
-        )
+        return spmd_run(_counter_prog, laptop_cluster(num_nodes=4), fault_plan=plan)
 
     a, b = run(), run()
     assert a.times == b.times
     assert [v["executions"] for v in a.values] == [v["executions"] for v in b.values]
 
 
-@both_entry_points
-def test_trace_records_checkpoint_crash_recovery(entry):
+def test_trace_records_checkpoint_crash_recovery():
     plan = FaultPlan(
         seed=1, crashes=[RankCrash(rank=1, at_time=4.5e-4, restart_cost=0.01)]
     )
     res = spmd_run(
         _counter_prog,
         laptop_cluster(num_nodes=2),
-        args=(entry,),
         fault_plan=plan,
         trace=True,
     )
@@ -120,15 +95,13 @@ def test_trace_records_checkpoint_crash_recovery(entry):
         assert labels.count("checkpoint") >= 2
 
 
-@both_entry_points
-def test_recovery_charges_restart_plus_reload(entry):
+def test_recovery_charges_restart_plus_reload():
     plan = FaultPlan(
         seed=1, crashes=[RankCrash(rank=0, at_time=1e-4, restart_cost=0.02)]
     )
     res = spmd_run(
         _counter_prog,
         laptop_cluster(num_nodes=2),
-        args=(entry,),
         fault_plan=plan,
         trace=True,
     )
@@ -142,8 +115,7 @@ def test_recovery_charges_restart_plus_reload(entry):
     assert recs[0].meta["restart_cost"] == 0.02
 
 
-@both_entry_points
-def test_multiple_crashes_multiple_recoveries(entry):
+def test_multiple_crashes_multiple_recoveries():
     plan = FaultPlan(
         seed=1,
         crashes=[
@@ -151,9 +123,7 @@ def test_multiple_crashes_multiple_recoveries(entry):
             RankCrash(rank=1, at_time=8e-4, restart_cost=0.005),
         ],
     )
-    res = spmd_run(
-        _counter_prog, laptop_cluster(num_nodes=2), args=(entry,), fault_plan=plan
-    )
+    res = spmd_run(_counter_prog, laptop_cluster(num_nodes=2), fault_plan=plan)
     for rank, v in enumerate(res.values):
         assert v["value"] == rank + 10
         assert v["recoveries"] == 2
@@ -173,7 +143,7 @@ def test_validation():
         # A snapshot copy reads and writes every byte.
         assert mgr.write_bandwidth == ctx.node.cpu.mem_bandwidth / 2
         with pytest.raises(ValidationError):
-            mgr.run_iterations(0, lambda i: None, lambda: None, lambda s: None)
+            mgr.run_convergence(0, lambda i: None, lambda: None, lambda s: None)
         with pytest.raises(ValidationError):
             mgr.run_convergence(0, lambda i: True, lambda: None, lambda s: None)
         return True

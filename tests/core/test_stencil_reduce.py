@@ -164,7 +164,7 @@ COMPUTE_WORK = WorkModel(name="st.compute", flops_per_elem=64, bytes_per_elem=1)
 def _run_after(ctx, fused):
     """Three sweeps (fused loop or plain run), then a timed run(4)."""
     env = RuntimeEnv(ctx, "cpu")
-    st = env.get_stencil(adaptive=False)
+    st = env.get_stencil()
     st.configure(
         StencilKernel(_avg2d, ((1, 0), (-1, 0), (0, 1), (0, -1)), COMPUTE_WORK), GRID.shape
     )

@@ -1,10 +1,10 @@
-"""Temporal blocking: bit-identity, latency-preset wins, auto-tuning, recovery.
+"""Temporal blocking: bit-identity, latency-preset wins, recovery.
 
 The contract under test (ISSUE 8): for every app and every ``k``, gathered
 grids and ``run_until`` residual histories are bit-identical to the
 ``k=1`` reference — blocking moves the makespan, never the numbers — and
 on the latency-dominated preset the makespan strictly shrinks as ``k``
-grows, with ``time_block="auto"`` never worse than unblocked.
+grows.
 """
 
 import hashlib
@@ -140,16 +140,13 @@ def test_jacobi2d_fixed_iteration_partial_block():
 
 # -- latency-preset performance ----------------------------------------------
 
-def test_jacobi2d_latency_monotone_and_auto():
+def test_jacobi2d_latency_monotone():
     cl = latency_cluster(2)
     config = jacobi2d.Jacobi2DConfig(shape=(48, 48), tol=1e-12, max_iters=24)
     spans = {
         k: jacobi2d.run(cl, config, mix="cpu", time_block=k).makespan for k in (1, 2, 4)
     }
     assert spans[4] < spans[2] < spans[1]
-    auto = jacobi2d.run(cl, config, mix="cpu", time_block="auto")
-    assert auto.makespan <= spans[1]
-    assert auto.spmd.values[0]["time_block"] > 1
 
 
 def test_heat3d_sobel_latency_monotone():
@@ -169,62 +166,6 @@ def test_heat3d_sobel_latency_monotone():
             k: mod.run(cl, cfg, mix="cpu", time_block=k).spmd.makespan for k in (1, 2, 4)
         }
         assert spans[4] < spans[2] < spans[1], (mod.__name__, spans)
-
-
-def test_auto_matches_k1_when_blocking_cannot_win():
-    # On the bandwidth-rich laptop preset with this workload the tuner may
-    # pick any k, but the contract is "never worse than unblocked".
-    cl = laptop_cluster(2)
-    config = jacobi2d.Jacobi2DConfig(shape=(48, 48), tol=1e-12, max_iters=12)
-    base = jacobi2d.run(cl, config, mix="cpu").makespan
-    auto = jacobi2d.run(cl, config, mix="cpu", time_block="auto")
-    assert auto.makespan <= base
-
-
-def test_auto_picks_one_k_for_ranks_with_unequal_neighbours():
-    # Three ranks in a row: priced alone, the border ranks (one strip per
-    # round) would pick k=5 and the middle rank (two strips) k=7, and the
-    # exchange would fail on mismatched strip sizes.
-    cl = laptop_cluster(3, gpus_per_node=2)
-    config = sobel.SobelConfig(shape=(96, 80), functional_shape=(48, 40), simulated_steps=5)
-    run = sobel.run(cl, config, "cpu+1gpu", time_block="auto")
-    assert [v["time_block"] for v in run.spmd.values] == [7, 7, 7]
-    assert run.makespan < sobel.run(cl, config, "cpu+1gpu").makespan
-
-
-def test_auto_pick_follows_its_inputs_within_a_run():
-    # The first rank of a run prices the pick and memoizes it on its inputs
-    # in the run's fabric.  Stencils of one run that differ from the first
-    # only in the kernel's halo, the grid shape, the kernel's work or the
-    # model scale must each get their own pick.
-    heavy = StencilKernel(
-        _avg2d, AVG2D.offsets, WorkModel(name="tb-heavy", flops_per_elem=400, bytes_per_elem=32)
-    )
-    cases = [
-        (AVG2D, (64, 64), None),
-        (WIDE, (64, 64), None),
-        (AVG2D, (24, 64), None),
-        (heavy, (64, 64), None),
-        (AVG2D, (64, 64), (128, 128)),
-    ]
-
-    def picks(order):
-        def prog(ctx):
-            env, out = RuntimeEnv(ctx, "cpu"), []
-            for kernel, shape, model_shape in order:
-                st = env.get_stencil()
-                st.configure(kernel, shape, model_shape=model_shape, time_block="auto")
-                out.append(st.time_block)
-            return out
-
-        first, second = spmd_run(prog, laptop_cluster(2)).values
-        assert first == second
-        return first
-
-    alone = [picks([case])[0] for case in cases]
-    assert len(set(alone)) == len(cases)
-    assert picks(cases) == alone
-    assert picks(cases[::-1]) == alone[::-1]
 
 
 # -- checkpoint / crash-restart ----------------------------------------------
@@ -327,13 +268,14 @@ def test_time_block_gauges_on_trace():
 # -- validation ---------------------------------------------------------------
 
 def test_time_block_must_be_positive():
-    with pytest.raises(ConfigurationError, match="time_block must be >= 1"):
-        run_spmd(_program(GRID2D, AVG2D, time_block=0), nodes=1)
+    for value in (0, True):  # a JSON ``true`` is no round size
+        with pytest.raises(ConfigurationError, match=f"time_block must be >= 1, got {value}"):
+            run_spmd(_program(GRID2D, AVG2D, time_block=value), nodes=1)
 
 
 def test_time_block_rejects_unknown_string():
-    with pytest.raises(ConfigurationError, match="'auto'"):
-        run_spmd(_program(GRID2D, AVG2D, time_block="fastest"), nodes=1)
+    with pytest.raises(ConfigurationError, match="time_block must be >= 1, got 'auto'"):
+        run_spmd(_program(GRID2D, AVG2D, time_block="auto"), nodes=1)
 
 
 def test_time_block_needs_room_for_deep_strips():
@@ -374,12 +316,11 @@ def test_blocked_run_identical_across_backends():
 # any device mix, node count, overlap/tiling setting or blocking factor
 # fails here, not only in the wall-clock bench's handful of cases.  The n3
 # entries came later: only a rank with neighbours on both sides of an axis
-# sends two strips in one phase, so only they see the send order.  Their
-# ``k=auto`` entries were made once every rank agreed on one ``k``.
+# sends two strips in one phase, so only they see the send order.
 
 PIN_MIXES = ("cpu", "cpu+1gpu", "cpu+2gpu")
 PIN_NODES = (1, 2, 3, 4)
-PIN_TIME_BLOCKS = (1, 2, "auto")
+PIN_TIME_BLOCKS = (1, 2)
 #: variant -> (accepts overlap/tiling, accepts time_block)
 PIN_VARIANTS = {
     "sobel": (True, True),
@@ -427,7 +368,6 @@ def pin_entry(variant, mix, nodes, overlap, tiling, time_block):
             time_block=time_block,
         )
     else:
-        # Mild model scales keep "auto" picking k > 1 on this preset.
         shape, extra = (32, 32, 32), {}
         if variant == "heat3d_until_tol":
             # Converges at iteration 11: mid-block for every k > 1.

@@ -242,7 +242,7 @@ def _adaptive_ckpt_prog(ctx, rebuild=False, iterations=8):
     env = RuntimeEnv(ctx, "cpu+1gpu")
 
     def build():
-        st = env.get_stencil(adaptive=True)
+        st = env.get_stencil()
         st.configure(StencilKernel(_avg2d, ((1, 0), (-1, 0), (0, 1), (0, -1)), ST_WORK), ST_GRID.shape)
         return st
 
@@ -255,7 +255,7 @@ def _adaptive_ckpt_prog(ctx, rebuild=False, iterations=8):
             holder["st"] = build()  # fresh runtime: unprofiled partitioner
         holder["st"].restore_state(state)
 
-    mgr.run_iterations(
+    mgr.run_convergence(
         iterations,
         lambda _it: holder["st"].step(),
         lambda: holder["st"].snapshot_state(),

@@ -31,8 +31,15 @@ def test_run_no_overlap(capsys):
 
 
 def test_run_refused_option_value_is_a_clean_exit():
-    with pytest.raises(SystemExit, match="heat3d failed: time_block must be >= 1, got 0"):
-        main(["run", "heat3d", "--nodes", "1", "--scale", "quick", "--option", "time_block=0"])
+    for option, message in (
+        ("time_block=0", "time_block must be >= 1, got 0"),
+        # The round size is a positive int; no value asks the runtime to pick one.
+        ("time_block=auto", "time_block must be >= 1, got 'auto'"),
+        # max_iters caps the until_tol loop; a plain run would ignore it.
+        ("max_iters=3", "max_iters caps the until_tol loop; set until_tol too"),
+    ):
+        with pytest.raises(SystemExit, match=f"heat3d failed: {message}"):
+            main(["run", "heat3d", "--nodes", "1", "--scale", "quick", "--option", option])
 
 
 # The job flags are the JobSpec's fields, one each; the rest is the command's own.

@@ -75,6 +75,27 @@ def test_bad_fault_plan_rejected():
             FaultPlan.from_dict(plan)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heat3d", "--option", "reliable=true",
+         "--fault-plan", '{"seed": 7, "crashes": [{"rank": 1, "at_time": 0.005}]}'],
+        ["moldyn", "--fault-plan", '{"crashes": [{"rank": 1, "at_time": 0.0}]}'],
+    ],
+    ids=["heat3d", "moldyn"],
+)
+def test_a_crash_plan_without_checkpoints_is_refused(argv):
+    """Only a checkpointed loop polls for a crash: without a cadence the
+    crash never fired and the run reported ``crashes=0``."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit, match="invalid job spec: .*crashes needs options.checkpoint_every"):
+        main(["run", *argv])
+    plan = {"crashes": [{"rank": 1, "at_time": 0.0}]}
+    JobSpec(app="heat3d", options={"checkpoint_every": 2}, fault_plan=plan)
+    JobSpec(app="moldyn", fault_plan={**plan, "crashes": []})
+
+
 def test_build_config_applies_params_and_tuples():
     spec = JobSpec(
         app="heat3d",

@@ -196,7 +196,8 @@ def test_a_framed_body_is_never_answered_as_a_request(served, data):
 # --------------------------------------------------------- generated documents
 JOB = {
     "app": "heat3d", "nodes": 2, "mix": "cpu", "preset": "laptop", "scale": "quick",
-    "params": {"seed": 1, "functional_shape": [8, 8, 8]}, "options": {"time_block": 2},
+    "params": {"seed": 1, "functional_shape": [8, 8, 8]},
+    "options": {"time_block": 2, "checkpoint_every": 2},
     "fault_plan": {
         **FaultPlan.lossy(seed=3, drop=0.1, delay=0.1, max_delay=1e-4).to_dict(),
         "degradations": [{"bandwidth_factor": 0.5, "src": 1, "t_end": "inf"}],
@@ -208,7 +209,8 @@ CAMPAIGN = {
     "name": "fuzz",
     "axes": {"app": ["heat3d", "kmeans"], "preset": "laptop", "nodes": [1, 2], "mix": ["cpu"],
              "scale": "quick", "seed": [0, None], "fault_plan": [None, JOB["fault_plan"]]},
-    "params": {}, "app_params": {"heat3d": {"simulated_steps": 2}}, "options": {},
+    "params": {}, "app_params": {"heat3d": {"simulated_steps": 2}},
+    "options": {"checkpoint_every": 2},
     "app_options": {"kmeans": {}}, "backend": None, "trace": False, "points": [JOB],
 }  # fmt: skip
 
