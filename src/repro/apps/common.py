@@ -54,10 +54,11 @@ def single_core_spec(cpu: CPUSpec) -> CPUSpec:
     )
 
 
-def sequential_elem_time(work: WorkModel, node: NodeSpec, *, framework: bool = False) -> float:
-    """Modeled per-element time of a hand-written sequential (1-core) loop."""
+def sequential_elem_time(work: WorkModel, node: NodeSpec) -> float:
+    """Modeled per-element time of a hand-written sequential (1-core) loop:
+    no framework overhead."""
     dev = CPUDevice(single_core_spec(node.cpu))
-    return dev.core_elem_time(work, localized=True, framework=framework)
+    return dev.core_elem_time(work, localized=True, framework=False)
 
 
 def sequential_time(work: WorkModel, n_elems: float, node: NodeSpec, iterations: int = 1) -> float:

@@ -124,7 +124,6 @@ def rank_program(
         "iterations": res.iterations,
         "residuals": res.residuals,
         "converged": res.converged,
-        "time_block": st.time_block,
     }
 
 

@@ -195,7 +195,6 @@ def rank_program(
     out["grid"] = st.gather_global()
     env.finalize()
     out["recoveries"] = loop.finish()
-    out["time_block"] = st.time_block
     return out
 
 

@@ -64,6 +64,8 @@ class KmeansConfig:
         check_functional_scale(self.functional_points, self.n_points, "kmeans")
         if self.k < 1 or self.dims < 1 or self.iterations < 1:
             raise ValidationError("k, dims, iterations must all be >= 1")
+        if self.chunk_elems is not None and self.chunk_elems < 1:
+            raise ValidationError(f"chunk_elems must be >= 1, got {self.chunk_elems}")
 
 
 def base_work(config: KmeansConfig) -> WorkModel:

@@ -159,7 +159,7 @@ def rank_program(
     step_times = StepLoop(ctx).run(config.simulated_steps, st.run, block=st.time_block)
     image = st.gather_global()
     env.finalize()
-    return {"steps": step_times, "image": image, "time_block": st.time_block}
+    return {"steps": step_times, "image": image}
 
 
 def run(

@@ -73,6 +73,9 @@ RUN_TABLE_COLUMNS = (
     "error",
 )
 
+#: Results an in-process campaign keeps in memory above its store.
+_CACHE_SIZE = 256
+
 
 def throughput_order(specs: list[JobSpec]) -> list[int]:
     """Submission order: widest first, expansion order among equals."""
@@ -167,7 +170,6 @@ class CampaignRunner:
             running job server; the campaign then travels as one
             ``POST /jobs/batch``.  ``None`` runs it in-process.
         rank_budget: In-process scheduler budget (ranks in flight).
-        cache_size: In-process LRU size above the store.
         executor: In-process executor override (tests).
         timeout: Wall-clock seconds to wait for the whole sweep.
     """
@@ -179,7 +181,6 @@ class CampaignRunner:
         store: ResultStore | str | Path | None = None,
         client: JobClient | None = None,
         rank_budget: int = 64,
-        cache_size: int = 256,
         executor: Any = None,
         timeout: float = 3600.0,
     ) -> None:
@@ -189,7 +190,6 @@ class CampaignRunner:
             store = ResultStore(store)
         self.store = store
         self.rank_budget = rank_budget
-        self.cache_size = cache_size
         self.executor = executor
         self.timeout = timeout
 
@@ -205,7 +205,7 @@ class CampaignRunner:
             scheduler = JobScheduler(
                 self.executor,
                 rank_budget=self.rank_budget,
-                cache=ResultCache(self.cache_size, store=self.store),
+                cache=ResultCache(_CACHE_SIZE, store=self.store),
             )
             try:
                 rows, stats = self._run(LocalClient(scheduler), specs)

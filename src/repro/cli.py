@@ -449,11 +449,10 @@ def _fault_text(spec, stats: dict) -> str:
     )
 
 
-def _time_block_text(spec, apprun) -> str | None:
-    """``k=<chosen>`` when the spec sets the temporal-blocking option."""
-    if spec.options.get("time_block") is None:
-        return None
-    return f"k={apprun.spmd.values[0]['time_block']}"
+def _time_block_text(spec) -> str | None:
+    """``k=<k>`` when the spec sets the temporal-blocking option."""
+    k = spec.options.get("time_block")
+    return None if k is None else f"k={k}"
 
 
 def _write_trace(path: str, apprun) -> str:
@@ -479,7 +478,7 @@ def cmd_run(args: argparse.Namespace) -> str:
             f"residual {final:.3e} (tol {tol:.3e}, "
             f"{'converged' if rank0['converged'] else 'hit the iteration cap'})"
         )
-    block = _time_block_text(spec, run)
+    block = _time_block_text(spec)
     if block is not None:
         lines.append(f"  time block     : {block}")
     if plan is not None:
@@ -497,7 +496,7 @@ def cmd_profile(args: argparse.Namespace) -> str:
     report = analyze(apprun.spmd, app_makespan=apprun.makespan)
     report.verify()
     extra = [] if plan is None else [f"faults: {_fault_text(spec, plan.stats_snapshot())}"]
-    block = _time_block_text(spec, apprun)
+    block = _time_block_text(spec)
     if block is not None:
         extra.append(f"time block: {block}")
     if args.trace_out is not None:

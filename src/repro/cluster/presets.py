@@ -124,7 +124,7 @@ def laptop_cluster(num_nodes: int = 2, cores: int = 4, gpus_per_node: int = 1) -
     )
 
 
-def latency_cluster(num_nodes: int = 2, cores: int = 4, gpus_per_node: int = 1) -> ClusterSpec:
+def latency_cluster(num_nodes: int = 2) -> ClusterSpec:
     """A latency-dominated variant of :func:`laptop_cluster`.
 
     Same nodes, but the network has a high per-message constant (WAN-ish
@@ -134,7 +134,7 @@ def latency_cluster(num_nodes: int = 2, cores: int = 4, gpus_per_node: int = 1) 
     off.  Used by the ``stencil_timeblock`` bench case and the
     time-block ablation.
     """
-    base = laptop_cluster(num_nodes=num_nodes, cores=cores, gpus_per_node=gpus_per_node)
+    base = laptop_cluster(num_nodes=num_nodes)
     network = InterconnectSpec(
         name="high-alpha-net",
         latency=150 * US,

@@ -25,54 +25,26 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def dims_create(nprocs: int, ndims: int, dims: list[int] | None = None) -> tuple[int, ...]:
+def dims_create(nprocs: int, ndims: int) -> tuple[int, ...]:
     """Choose a balanced ``ndims``-dimensional grid of ``nprocs`` processes.
 
-    Mirrors ``MPI_Dims_create`` semantics: entries of ``dims`` that are
-    nonzero are constraints that must be honoured; zero entries are filled
-    in.  Larger extents are assigned to earlier dimensions, and prime
-    factors are distributed largest-first onto the currently smallest
-    dimension to keep the grid as cubic as possible.
+    ``MPI_Dims_create`` with every entry free: prime factors are
+    distributed largest-first onto the currently smallest dimension to keep
+    the grid as cubic as possible, and larger extents go to earlier
+    dimensions.
 
     >>> dims_create(12, 2)
     (4, 3)
-    >>> dims_create(12, 2, [0, 2])
-    (6, 2)
     """
     if nprocs <= 0:
         raise ValidationError(f"nprocs must be > 0, got {nprocs}")
     if ndims <= 0:
         raise ValidationError(f"ndims must be > 0, got {ndims}")
-    fixed = list(dims) if dims is not None else [0] * ndims
-    if len(fixed) != ndims:
-        raise ValidationError(f"dims has length {len(fixed)}, expected {ndims}")
-
-    remaining = nprocs
-    for extent in fixed:
-        if extent < 0:
-            raise ValidationError("dims entries must be >= 0")
-        if extent > 0:
-            if remaining % extent != 0:
-                raise ValidationError(
-                    f"cannot decompose {nprocs} processes with constraint {fixed}"
-                )
-            remaining //= extent
-
-    free_axes = [i for i, extent in enumerate(fixed) if extent == 0]
-    result = list(fixed)
-    if not free_axes:
-        if remaining != 1:
-            raise ValidationError(f"constraints {fixed} do not use all {nprocs} processes")
-        return tuple(result)
-
-    extents = [1] * len(free_axes)
-    for factor in _prime_factors(remaining):
-        smallest = min(range(len(extents)), key=lambda i: extents[i])
+    extents = [1] * ndims
+    for factor in _prime_factors(nprocs):
+        smallest = min(range(ndims), key=lambda i: extents[i])
         extents[smallest] *= factor
-    extents.sort(reverse=True)
-    for axis, extent in zip(free_axes, extents):
-        result[axis] = extent
-    return tuple(result)
+    return tuple(sorted(extents, reverse=True))
 
 
 def coords_of(rank: int, dims: tuple[int, ...]) -> tuple[int, ...]:

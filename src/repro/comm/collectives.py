@@ -31,11 +31,11 @@ from repro.util.errors import CommunicationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.communicator import SimComm
 
-# Tag layout: | seq (16 bits) | op_id (5 bits) | round (5 bits) |
+# Tag layout: | seq (16 bits) | op_id (5 bits) | round (5 bits) |; a collective
+# adds its round (at most 2 + log2 size) to its round-0 tag.
 _SEQ_MOD = 1 << 16
 _OP_BITS = 5
 _ROUND_BITS = 5
-_MAX_ROUNDS = 1 << _ROUND_BITS
 
 _OP_BARRIER = 0
 _OP_BCAST = 1
@@ -45,15 +45,13 @@ _OP_GATHER = 4
 _OP_ALLTOALL = 6
 
 
-def collective_tag(seq: int, op_id: int, round_: int = 0) -> int:
-    """Internal tag for round ``round_`` of the ``seq``-th collective."""
-    if round_ >= _MAX_ROUNDS:
-        raise CommunicationError(f"collective exceeded {_MAX_ROUNDS} rounds")
+def collective_tag(seq: int, op_id: int) -> int:
+    """Internal tag of round 0 of the ``seq``-th collective; a collective
+    adds its round number to it."""
     return (
         COLLECTIVE_TAG_BASE
         + (seq % _SEQ_MOD) * (1 << (_OP_BITS + _ROUND_BITS))
         + op_id * (1 << _ROUND_BITS)
-        + round_
     )
 
 

@@ -260,12 +260,11 @@ class SimComm:
         source: int,
         sendtag: int,
         recvtag: int,
-        out: np.ndarray | None = None,
         _internal: bool = False,
     ) -> Any:
         """Combined send+receive (deadlock-free pairwise exchange)."""
         self.send(obj, dest, sendtag, _internal=_internal)
-        return self.recv(source=source, tag=recvtag, out=out, _internal=_internal)
+        return self.recv(source=source, tag=recvtag, _internal=_internal)
 
     @staticmethod
     def waitall(requests: list[Request]) -> list[Any]:

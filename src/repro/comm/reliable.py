@@ -274,12 +274,11 @@ class ReliableComm:
         source: int,
         sendtag: int,
         recvtag: int,
-        out: np.ndarray | None = None,
         _internal: bool = False,
     ) -> Any:
         """Combined reliable send + receive."""
         self.send(obj, dest, sendtag, _internal=_internal)
-        return self.recv(source=source, tag=recvtag, out=out, _internal=_internal)
+        return self.recv(source=source, tag=recvtag, _internal=_internal)
 
     @staticmethod
     def waitall(requests: list[Request]) -> list[Any]:

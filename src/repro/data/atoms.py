@@ -22,11 +22,11 @@ from repro.util.rng import derive_seed, seeded_rng
 def fcc_lattice(
     cells: int,
     *,
-    lattice_constant: float = 1.0,
     jitter: float = 0.02,
     seed: int = 0,
 ) -> np.ndarray:
-    """Positions of a ``cells^3`` FCC box (4 atoms per unit cell).
+    """Positions of a ``cells^3`` FCC box (4 atoms per unit cell), in
+    lattice constants.
 
     >>> fcc_lattice(2).shape
     (32, 3)
@@ -38,10 +38,10 @@ def fcc_lattice(
     )
     grid = np.array(np.meshgrid(*([np.arange(cells)] * 3), indexing="ij"))
     corners = grid.reshape(3, -1).T  # (cells^3, 3)
-    pos = (corners[:, None, :] + base[None, :, :]).reshape(-1, 3) * lattice_constant
+    pos = (corners[:, None, :] + base[None, :, :]).reshape(-1, 3)
     if jitter > 0:
         rng = seeded_rng(derive_seed(seed, "fcc", cells))
-        pos = pos + rng.normal(0.0, jitter * lattice_constant, size=pos.shape)
+        pos = pos + rng.normal(0.0, jitter, size=pos.shape)
     return pos
 
 

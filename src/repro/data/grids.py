@@ -12,6 +12,12 @@ from repro.util.rng import derive_seed, seeded_rng
 #: grid.  A ``Generator`` drawn in slabs yields the same stream as one draw.
 _SLAB_ELEMS = 1 << 15
 
+#: Extent of heat3d's hot box along each axis, as a fraction of the grid's.
+_HOT_FRACTION = 0.2
+
+#: Rectangles drawn into each synthetic image.
+_N_SHAPES = 24
+
 
 def _row_slabs(shape: tuple[int, ...]):
     """Axis-0 slices of at most ``_SLAB_ELEMS`` elements (at least one row)."""
@@ -20,7 +26,7 @@ def _row_slabs(shape: tuple[int, ...]):
 
 
 @memoized
-def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: float = 0.2) -> np.ndarray:
+def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0) -> np.ndarray:
     """Initial temperature field: a hot central box in a cold domain.
 
     Mirrors the classic Heat3D benchmark setup (a heated region diffusing
@@ -28,11 +34,9 @@ def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: 
     """
     if len(shape) != 3 or any(s < 4 for s in shape):
         raise ValidationError(f"shape must be 3-D with extents >= 4, got {shape}")
-    if not 0 < hot_fraction <= 1:
-        raise ValidationError("hot_fraction must be in (0, 1]")
     grid = np.zeros(shape, dtype=np.float64)
     center = [s // 2 for s in shape]
-    half = [max(1, int(s * hot_fraction / 2)) for s in shape]
+    half = [max(1, int(s * _HOT_FRACTION / 2)) for s in shape]
     region = tuple(slice(c - h, c + h) for c, h in zip(center, half))
     grid[region] = 100.0
     rng = seeded_rng(derive_seed(seed, "heat3d", shape))
@@ -42,7 +46,7 @@ def heat3d_initial(shape: tuple[int, int, int], *, seed: int = 0, hot_fraction: 
 
 
 @memoized
-def synthetic_image(shape: tuple[int, int], *, seed: int = 0, n_shapes: int = 24) -> np.ndarray:
+def synthetic_image(shape: tuple[int, int], *, seed: int = 0) -> np.ndarray:
     """A float32 grayscale test image with rectangles and gradients.
 
     Gives Sobel real edges to find, so correctness checks compare
@@ -58,7 +62,7 @@ def synthetic_image(shape: tuple[int, int], *, seed: int = 0, n_shapes: int = 24
     across, down = np.arange(w) / w * 0.3, np.arange(h) / h * 0.2
     for rows in _row_slabs(shape):
         img[rows] = across + down[rows, None]
-    for _ in range(n_shapes):
+    for _ in range(_N_SHAPES):
         y0, x0 = rng.integers(0, h - 4), rng.integers(0, w - 4)
         hh = int(rng.integers(2, max(3, h // 4)))
         ww = int(rng.integers(2, max(3, w // 4)))

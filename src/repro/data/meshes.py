@@ -18,11 +18,16 @@ from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
 
-def _morton_order(points: np.ndarray, bits: int = 8) -> np.ndarray:
+#: Bits per axis of a Morton code.
+_MORTON_BITS = 8
+
+
+def _morton_order(points: np.ndarray) -> np.ndarray:
     """Sort order of 3-D points along a Morton (Z-order) curve."""
-    scaled = np.clip((points * (1 << bits)).astype(np.int64), 0, (1 << bits) - 1)
+    cells = 1 << _MORTON_BITS
+    scaled = np.clip((points * cells).astype(np.int64), 0, cells - 1)
     code = np.zeros(len(points), dtype=np.int64)
-    for b in range(bits):
+    for b in range(_MORTON_BITS):
         for axis in range(points.shape[1]):
             code |= ((scaled[:, axis] >> b) & 1) << (b * points.shape[1] + axis)
     return np.argsort(code, kind="stable")
@@ -34,7 +39,6 @@ def geometric_mesh(
     target_degree: float = 8.0,
     *,
     seed: int = 0,
-    spatial_sort: bool = True,
     shuffle_fraction: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random geometric graph in the unit cube with ~``target_degree`` mean degree.
@@ -59,9 +63,7 @@ def geometric_mesh(
     positions = rng.random((n_nodes, 3))
     # Mean degree of an RGG: n * (4/3) pi r^3 => solve r for the target.
     radius = (target_degree / (n_nodes * (4.0 / 3.0) * np.pi)) ** (1.0 / 3.0)
-    if spatial_sort:
-        order = _morton_order(positions)
-        positions = positions[order]
+    positions = positions[_morton_order(positions)]
     if shuffle_fraction > 0:
         srng = seeded_rng(derive_seed(seed, "mesh-shuffle", n_nodes))
         k = int(round(shuffle_fraction * n_nodes))

@@ -11,6 +11,9 @@ from repro.data import memoized
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_seed, seeded_rng
 
+#: Standard deviation of each blob around its center, per dimension.
+SPREAD = 0.05
+
 
 @memoized
 def clustered_points(
@@ -19,8 +22,6 @@ def clustered_points(
     dims: int = 3,
     *,
     seed: int = 0,
-    spread: float = 0.05,
-    dtype=np.float32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian blobs around ``k`` centers in the unit cube.
 
@@ -38,6 +39,6 @@ def clustered_points(
     centers = rng.random((k, dims))
     prng = seeded_rng(derive_seed(seed, "kmeans", "points"))
     assignment = prng.integers(0, k, size=n)
-    noise = prng.normal(0.0, spread, size=(n, dims))
+    noise = prng.normal(0.0, SPREAD, size=(n, dims))
     points = centers[assignment] + noise
-    return points.astype(dtype), centers.astype(dtype)
+    return points.astype(np.float32), centers.astype(np.float32)

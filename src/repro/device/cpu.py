@@ -31,8 +31,8 @@ class CPUDevice(Device):
 
     kind = "cpu"
 
-    def __init__(self, spec: CPUSpec, index: int = 0, name: str | None = None) -> None:
-        super().__init__(name or spec.name, index)
+    def __init__(self, spec: CPUSpec, index: int = 0) -> None:
+        super().__init__(spec.name, index)
         self.spec = spec
         #: The first and last core until :attr:`workers` builds the rest.
         self._lines = [Timeline(f"cpu{index}.core{c}") for c in sorted({0, spec.cores - 1})]

@@ -48,8 +48,8 @@ class GPUDevice(Device):
 
     kind = "gpu"
 
-    def __init__(self, spec: GPUSpec, index: int = 0, name: str | None = None) -> None:
-        super().__init__(name or f"{spec.name}#{index}", index)
+    def __init__(self, spec: GPUSpec, index: int = 0) -> None:
+        super().__init__(f"{spec.name}#{index}", index)
         self.spec = spec
         self.copy_engine = Timeline(f"gpu{index}.copy")
         self.compute_engine = Timeline(f"gpu{index}.compute")
@@ -109,7 +109,6 @@ class GPUDevice(Device):
         localized: bool = True,
         framework: bool = True,
         streams: int = 2,
-        label: str = "chunk",
     ) -> ChunkExecution:
         """Execute one scheduler chunk, split across ``streams`` blocks.
 
@@ -130,13 +129,13 @@ class GPUDevice(Device):
         copy_bytes = per_block * model.transfer_bytes_per_elem
         for s in range(streams):
             copy_dur = self.transfer_time(copy_bytes) if copy_bytes > 0 else 0.0
-            copy_iv = self.copy_engine.schedule(ready, copy_dur, f"{label}.h2d[{s}]")
+            copy_iv = self.copy_engine.schedule(ready, copy_dur, f"chunk.h2d[{s}]")
             if first_copy_start is None:
                 first_copy_start = copy_iv.start
             kernel_dur = self.kernel_time(
                 model, per_block, localized=localized, framework=framework
             )
-            kern_iv = self.compute_engine.schedule(copy_iv.end, kernel_dur, f"{label}.k[{s}]")
+            kern_iv = self.compute_engine.schedule(copy_iv.end, kernel_dur, f"chunk.k[{s}]")
             last_kernel_end = kern_iv.end
         return ChunkExecution(
             ready=ready,

@@ -14,58 +14,50 @@ from repro.util.errors import ValidationError
 
 _MARKERS = "ox+*#@%&"
 
+#: Plot columns of every chart.
+_WIDTH = 64
+
+#: Cells of every bar.
+_BAR_WIDTH = 40
+
 
 def render_chart(
     series: dict[str, list[tuple[float, float]]],
     *,
-    width: int = 64,
     height: int = 18,
-    logx: bool = True,
-    logy: bool = True,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
 ) -> str:
-    """Render named (x, y) series as an ASCII chart.
+    """Render named (x, y) series, all positive, as a log-log ASCII chart.
 
-    >>> print(render_chart({"a": [(1, 1), (2, 2)]}, width=20, height=5,
-    ...                    title="t"))  # doctest: +SKIP
+    >>> print(render_chart({"a": [(1, 1), (2, 2)]}, height=5, title="t"))  # doctest: +SKIP
     """
     if not series or all(not pts for pts in series.values()):
         raise ValidationError("render_chart needs at least one non-empty series")
-    if width < 16 or height < 4:
+    if height < 4:
         raise ValidationError("chart too small to be legible")
 
-    def tx(v: float) -> float:
-        if logx:
-            if v <= 0:
-                raise ValidationError("log-x chart requires positive x values")
-            return math.log10(v)
-        return v
+    def log(v: float) -> float:
+        if v <= 0:
+            raise ValidationError("a log-log chart requires positive values")
+        return math.log10(v)
 
-    def ty(v: float) -> float:
-        if logy:
-            if v <= 0:
-                raise ValidationError("log-y chart requires positive y values")
-            return math.log10(v)
-        return v
-
-    xs = [tx(x) for pts in series.values() for x, _ in pts]
-    ys = [ty(y) for pts in series.values() for _, y in pts]
+    xs = [log(x) for pts in series.values() for x, _ in pts]
+    ys = [log(y) for pts in series.values() for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * _WIDTH for _ in range(height)]
     for (name, pts), marker in zip(series.items(), _MARKERS):
         for x, y in pts:
-            col = int(round((tx(x) - x_lo) / x_span * (width - 1)))
-            row = int(round((ty(y) - y_lo) / y_span * (height - 1)))
+            col = int(round((log(x) - x_lo) / x_span * (_WIDTH - 1)))
+            row = int(round((log(y) - y_lo) / y_span * (height - 1)))
             canvas[height - 1 - row][col] = marker
 
-    raw_lo = 10**y_lo if logy else y_lo
-    raw_hi = 10**y_hi if logy else y_hi
+    raw_lo, raw_hi = 10**y_lo, 10**y_hi
     lines = []
     if title:
         lines.append(title)
@@ -76,10 +68,9 @@ def render_chart(
         elif i == height - 1:
             label = f"{raw_lo:.3g}"
         lines.append(f"{label:>8} |" + "".join(row))
-    lines.append(" " * 9 + "+" + "-" * width)
-    x_raw_lo = 10**x_lo if logx else x_lo
-    x_raw_hi = 10**x_hi if logx else x_hi
-    footer = f"{x_raw_lo:.3g}".ljust(width // 2) + f"{x_raw_hi:.3g}".rjust(width // 2)
+    lines.append(" " * 9 + "+" + "-" * _WIDTH)
+    x_raw_lo, x_raw_hi = 10**x_lo, 10**x_hi
+    footer = f"{x_raw_lo:.3g}".ljust(_WIDTH // 2) + f"{x_raw_hi:.3g}".rjust(_WIDTH // 2)
     lines.append(" " * 10 + footer)
     if xlabel or ylabel:
         lines.append(" " * 10 + f"x: {xlabel}   y: {ylabel}".strip())
@@ -93,7 +84,6 @@ def render_chart(
 def render_bars(
     items: list[tuple[str, float]],
     *,
-    width: int = 40,
     max_value: float | None = None,
     fmt: str = "{:6.1%}",
     title: str = "",
@@ -103,27 +93,25 @@ def render_bars(
     ``max_value`` sets the full-bar scale (default: the largest value, or
     1.0 if everything is zero).  Values are clamped into [0, max_value].
 
-    >>> print(render_bars([("gpu0", 0.75), ("cpu0", 0.5)], width=8, max_value=1.0))
-    gpu0  75.0% |######  |
-    cpu0  50.0% |####    |
+    >>> print(render_bars([("gpu0", 0.75), ("cpu0", 0.5)], max_value=1.0))
+    gpu0  75.0% |##############################          |
+    cpu0  50.0% |####################                    |
     """
     if not items:
         raise ValidationError("render_bars needs at least one item")
-    if width < 4:
-        raise ValidationError("bars too narrow to be legible")
     scale = max_value if max_value is not None else (max(v for _, v in items) or 1.0)
     if scale <= 0:
         raise ValidationError(f"max_value must be > 0, got {scale}")
     label_w = max(len(name) for name, _ in items)
     lines = [title] if title else []
     for name, value in items:
-        filled = int(round(min(max(value, 0.0), scale) / scale * width))
-        bar = "#" * filled + " " * (width - filled)
+        filled = int(round(min(max(value, 0.0), scale) / scale * _BAR_WIDTH))
+        bar = "#" * filled + " " * (_BAR_WIDTH - filled)
         lines.append(f"{name.ljust(label_w)} {fmt.format(value).strip():>6} |{bar}|")
     return "\n".join(lines)
 
 
-def fig5_chart(rows: list[dict], app: str, *, width: int = 64, height: int = 16) -> str:
+def fig5_chart(rows: list[dict], app: str) -> str:
     """Fig. 5 sub-plot for one app: speedup-vs-nodes per device mix."""
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
@@ -136,8 +124,7 @@ def fig5_chart(rows: list[dict], app: str, *, width: int = 64, height: int = 16)
         pts.sort()
     return render_chart(
         series,
-        width=width,
-        height=height,
+        height=16,
         title=f"Fig. 5 — {app}: speedup over 1 CPU core (log-log)",
         xlabel="nodes",
         ylabel="speedup",

@@ -48,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: runtime's enclosing compute span.
 _PRIORITY = {"fault": 4, "wait": 3, "comm": 3, "compute": 2}
 
+#: Relative tolerance of :meth:`RunReport.verify`'s reconciliations.
+_REL_TOL = 1e-9
+
 _EPS = 1e-15
 
 
@@ -150,19 +153,19 @@ class RunReport:
     def nranks(self) -> int:
         return len(self.times)
 
-    def verify(self, rel_tol: float = 1e-9) -> None:
+    def verify(self) -> None:
         """Raise ``AssertionError`` unless the report is self-consistent:
         every rank's phase sums reconcile to the makespan, and the critical
         path is contiguous in virtual time and ends at the makespan."""
         scale = max(self.makespan, 1e-30)
         for ph in self.phases:
-            if abs(ph.total - self.makespan) > rel_tol * scale:
+            if abs(ph.total - self.makespan) > _REL_TOL * scale:
                 raise AssertionError(
                     f"rank {ph.rank} phases sum to {ph.total!r}, "
                     f"makespan is {self.makespan!r}"
                 )
         if self.critical_path:
-            tol = rel_tol * scale
+            tol = _REL_TOL * scale
             if abs(self.critical_path[-1].end - self.makespan) > tol:
                 raise AssertionError(
                     f"critical path ends at {self.critical_path[-1].end!r}, "

@@ -15,6 +15,9 @@ from repro.metrics.ascii_chart import render_bars
 from repro.metrics.reporting import format_table
 from repro.obs.analysis import RunReport, TimelineStats
 
+#: Critical-path links shown; a longer path shows its longest ones.
+TOP_LINKS = 12
+
 
 def _fmt_us(seconds: float) -> str:
     return f"{seconds * 1e6:.1f}us"
@@ -39,9 +42,7 @@ def _utilization_rows(timelines: list[TimelineStats]) -> list[tuple[str, float]]
     return rows
 
 
-def render_text_report(
-    report: RunReport, *, top_links: int = 12, bar_width: int = 40
-) -> str:
+def render_text_report(report: RunReport) -> str:
     """Render the full observability report for terminal output."""
     parts: list[str] = []
     parts.append(f"makespan: {report.makespan:.9g} s  ({report.nranks} ranks)")
@@ -69,7 +70,6 @@ def render_text_report(
         parts.append(
             render_bars(
                 items,
-                width=bar_width,
                 max_value=1.0,
                 title="Timeline utilization (busy fraction of the makespan)",
             )
@@ -78,12 +78,12 @@ def render_text_report(
     if report.critical_path:
         shown = report.critical_path
         note = ""
-        if len(shown) > top_links:
-            by_dur = sorted(shown, key=lambda link: -link.duration)[:top_links]
+        if len(shown) > TOP_LINKS:
+            by_dur = sorted(shown, key=lambda link: -link.duration)[:TOP_LINKS]
             keep = {id(link) for link in by_dur}
             shown = [link for link in shown if id(link) in keep]
             note = (
-                f" (longest {top_links} of {len(report.critical_path)} links)"
+                f" (longest {TOP_LINKS} of {len(report.critical_path)} links)"
             )
         parts.append("")
         parts.append(

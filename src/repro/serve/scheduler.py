@@ -30,7 +30,7 @@ The scheduler owns the server's concurrency policy:
   high-priority job forever: it fits the *total* budget but a steady
   stream of narrow jobs keeps the *instantaneous* remainder too small.
   Every time a queued job is jumped by a later-ordered job that fits, its
-  ``passed_over`` count ages; once it reaches ``starvation_limit`` the
+  ``passed_over`` count ages; once it reaches :data:`STARVATION_LIMIT` the
   dispatcher reserves the budget for it — nothing ordered behind it starts
   until the running set drains enough for it to fit.
 - **Result cache.**  Submission consults the content-addressed
@@ -108,6 +108,9 @@ class JobRetired(KeyError):
 #: Terminal job states (no further transitions).
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: Times a queued job may be jumped before the budget is reserved for it.
+STARVATION_LIMIT = 4
+
 
 @dataclass
 class Job:
@@ -181,19 +184,13 @@ class JobScheduler:
         rank_budget: int = 64,
         cache: ResultCache | None = None,
         max_queued: int = 1024,
-        starvation_limit: int = 4,
     ) -> None:
         if rank_budget < 1:
             raise ValidationError(f"rank_budget must be >= 1, got {rank_budget}")
         if max_queued < 0:
             raise ValidationError(f"max_queued must be >= 0, got {max_queued}")
-        if starvation_limit < 1:
-            raise ValidationError(
-                f"starvation_limit must be >= 1, got {starvation_limit}"
-            )
         self.rank_budget = rank_budget
         self.max_queued = max_queued
-        self.starvation_limit = starvation_limit
         self.cache = cache if cache is not None else ResultCache()
         self._executor = executor if executor is not None else execute_job
         self._cond = threading.Condition()
@@ -345,7 +342,7 @@ class JobScheduler:
         First fit is tempered by aging: walking the queue best-first, a
         job that doesn't fit is normally jumped (and its ``passed_over``
         aged — only when the walk really dispatches someone later), but a
-        job that has already been jumped ``starvation_limit`` times closes
+        job that has already been jumped ``STARVATION_LIMIT`` times closes
         the gate: nothing ordered behind it dispatches until the running
         set drains enough for it to fit.  That reserves the freed budget
         for the starved job instead of letting backfill nibble it away.
@@ -361,7 +358,7 @@ class JobScheduler:
                     for jumped in skipped:
                         jumped.passed_over += 1
                 return job
-            if job.passed_over >= self.starvation_limit:
+            if job.passed_over >= STARVATION_LIMIT:
                 # Budget reservation: this job has waited long enough.
                 self._reservations += 1
                 return None
@@ -502,7 +499,7 @@ class JobScheduler:
                 "batches": self._batches,
                 "http": {"requests": self._http_requests},
                 "fairness": {
-                    "starvation_limit": self.starvation_limit,
+                    "starvation_limit": STARVATION_LIMIT,
                     "pass_overs": self._pass_overs,
                     "reservations": self._reservations,
                     "max_queued_passed_over": max(

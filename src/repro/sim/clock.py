@@ -19,10 +19,8 @@ class VirtualClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValidationError(f"clock start must be >= 0, got {start}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

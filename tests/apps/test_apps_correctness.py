@@ -5,6 +5,8 @@ import pytest
 
 from repro.apps import heat3d, kmeans, minimd, moldyn, sobel
 from repro.cluster.presets import ohio_cluster
+from repro.serve.spec import JobSpec, execute_job
+from repro.util.errors import ValidationError
 
 KCFG = kmeans.KmeansConfig(functional_points=12_000, iterations=2)
 MCFG = moldyn.MoldynConfig(functional_nodes=2_500, functional_degree=10, simulated_steps=3)
@@ -96,3 +98,11 @@ def test_config_validation():
         sobel.SobelConfig(functional_shape=(10, 10), shape=(5, 5))
     with pytest.raises(Exception):
         moldyn.MoldynConfig(functional_nodes=10, n_nodes=5)
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_kmeans_refuses_a_chunk_below_one(chunk):
+    """Refused at the config, or 0 would run the default split under a content
+    hash of its own."""
+    with pytest.raises(ValidationError, match="chunk_elems must be >= 1"):
+        execute_job(JobSpec(app="kmeans", nodes=2, params={"chunk_elems": chunk}))

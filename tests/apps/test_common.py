@@ -11,6 +11,7 @@ from repro.apps.common import (
     single_core_spec,
 )
 from repro.cluster.presets import ohio_cluster, xeon_5650
+from repro.device.cpu import CPUDevice
 from repro.device.work import WorkModel
 from repro.util.errors import ValidationError
 
@@ -43,7 +44,8 @@ def test_sequential_elem_time_excludes_framework_overhead():
     assert sequential_elem_time(w, node) == pytest.approx(
         sequential_elem_time(WORK, node)
     )
-    assert sequential_elem_time(w, node, framework=True) > sequential_elem_time(w, node)
+    framework = CPUDevice(single_core_spec(node.cpu)).core_elem_time(w, framework=True)
+    assert framework > sequential_elem_time(w, node)
 
 
 def test_extrapolate_steps():

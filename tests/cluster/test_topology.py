@@ -25,28 +25,11 @@ def test_dims_create_balanced(nprocs, ndims, expected):
     assert dims_create(nprocs, ndims) == expected
 
 
-def test_dims_create_respects_constraints():
-    assert dims_create(12, 2, [0, 2]) == (6, 2)
-    assert dims_create(12, 2, [3, 0]) == (3, 4)
-    assert dims_create(12, 2, [3, 4]) == (3, 4)
-
-
-def test_dims_create_invalid_constraints():
-    with pytest.raises(ValidationError):
-        dims_create(12, 2, [5, 0])
-    with pytest.raises(ValidationError):
-        dims_create(12, 2, [3, 5])
-    with pytest.raises(ValidationError):
-        dims_create(12, 1, [6])
-
-
 def test_dims_create_bad_args():
     with pytest.raises(ValidationError):
         dims_create(0, 2)
     with pytest.raises(ValidationError):
         dims_create(4, 0)
-    with pytest.raises(ValidationError):
-        dims_create(4, 2, [0])
 
 
 @given(st.integers(1, 512), st.integers(1, 4))

@@ -82,10 +82,12 @@ def test_jacobi2d_static_fields_blocked():
     # keep feeding the widened sweep regions bit-identically.
     config = jacobi2d.Jacobi2DConfig(shape=(32, 32), tol=1e-12, max_iters=6)
     ref = run_spmd(lambda ctx: jacobi2d.rank_program(ctx, config)).values[0]
-    res = run_spmd(
-        lambda ctx: jacobi2d.rank_program(ctx, config, time_block=2)
-    ).values[0]
-    assert (ref["iterations"], res["time_block"]) == (6, 2)
+    blocked = run_spmd(
+        lambda ctx: jacobi2d.rank_program(ctx, config, time_block=2), trace=True
+    )
+    res = blocked.values[0]
+    assert ref["iterations"] == 6
+    assert blocked.traces[0].gauges["stencil.time_block"] == 2.0
     np.testing.assert_array_equal(res["grid"], ref["grid"])
     np.testing.assert_array_equal(ref["grid"], jacobi2d.sequential_reference(config)[0])
 
@@ -97,9 +99,9 @@ def test_heat3d_app_bit_identical(k):
     cl = laptop_cluster(2)
     config = heat3d.Heat3DConfig(functional_shape=(24, 24, 24), simulated_steps=5)
     ref = heat3d.run(cl, config, mix="cpu")
-    res = heat3d.run(cl, config, mix="cpu", time_block=k)
+    res = heat3d.run(cl, config, mix="cpu", time_block=k, trace=True)
     np.testing.assert_array_equal(res.result, ref.result)
-    assert res.spmd.values[0]["time_block"] == k
+    assert res.spmd.traces[0].gauges["stencil.time_block"] == k
 
 
 @pytest.mark.parametrize("k", [2, 4])

@@ -60,7 +60,7 @@ def test_key_is_the_full_argument_tuple():
     a, _ = clustered_points(300, 4, seed=1)
     assert clustered_points(300, 4, seed=1)[0] is a
     assert clustered_points(300, 4, seed=2)[0] is not a
-    assert clustered_points(300, 4, seed=1, spread=0.1)[0] is not a
+    assert clustered_points(300, 4, dims=2, seed=1)[0] is not a
     # one memo, one reader: the points names are the shared memo's
     assert points_cache_stats() == memo_stats()
     assert memo_stats()["size"] == 3

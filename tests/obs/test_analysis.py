@@ -28,7 +28,7 @@ def own_run(app):
 def test_profile_reconciles_for_every_app(app):
     nodes, mix = own_run(app)
     apprun, report = profile(app, nodes=nodes, mix=mix)
-    report.verify(rel_tol=1e-9)  # raises on any reconciliation failure
+    report.verify()  # raises on any reconciliation failure
     assert report.makespan == apprun.spmd.makespan
     # Every rank's phases tile [0, makespan] exactly.
     for ph in report.phases:

@@ -1,6 +1,7 @@
 """Plain-text report rendering."""
 
 from repro.obs import render_text_report
+from repro.obs.report import TOP_LINKS
 from tests.conftest import profile
 
 
@@ -29,9 +30,9 @@ def test_text_report_notes_extrapolated_makespan():
 
 def test_top_links_truncation():
     _, report = profile("moldyn", nodes=2)
-    text = render_text_report(report, top_links=3)
-    if len(report.critical_path) > 3:
-        assert f"longest 3 of {len(report.critical_path)} links" in text
+    text = render_text_report(report)
+    assert len(report.critical_path) > TOP_LINKS
+    assert f"longest {TOP_LINKS} of {len(report.critical_path)} links" in text
 
 
 def _chart(text):

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+import repro.serve.scheduler as scheduler_module
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import AdmissionError, JobRetired, JobScheduler
 from repro.serve.spec import JobSpec
@@ -222,7 +223,7 @@ def test_constructor_validation():
 
 
 # ------------------------------------------------- fairness (anti-starvation)
-def test_wide_job_not_starved_by_small_stream():
+def test_wide_job_not_starved_by_small_stream(monkeypatch):
     """Aging regression: a wide high-priority job must not starve forever
     behind a stream of small jobs that backfill can always fit.
 
@@ -230,10 +231,9 @@ def test_wide_job_not_starved_by_small_stream():
     frees, another small job fits and the 4-rank job waits until the small
     queue is completely dry.
     """
+    monkeypatch.setattr(scheduler_module, "STARVATION_LIMIT", 2)
     executor = GatedExecutor()
-    scheduler = JobScheduler(
-        executor, rank_budget=4, cache=ResultCache(8), starvation_limit=2
-    )
+    scheduler = JobScheduler(executor, rank_budget=4, cache=ResultCache(8))
     try:
         executor.expect(0, 10, 1, 2, 3)
         blocker = scheduler.submit(_worker(0))  # 2 ranks running
@@ -272,13 +272,14 @@ def test_wide_job_not_starved_by_small_stream():
         scheduler.shutdown()
 
 
-def test_in_process_job_waits_unaged_while_worker_jobs_pack_behind_it():
+def test_in_process_job_waits_unaged_while_worker_jobs_pack_behind_it(monkeypatch):
     """The twin of the test above for the interpreter instead of the budget:
     waiting for it ages nobody and closes no gate, whatever the priorities —
     worker jobs ordered behind the waiting job fill the budget, and it starts,
     ahead of everything queued, the moment the interpreter is free."""
+    monkeypatch.setattr(scheduler_module, "STARVATION_LIMIT", 1)
     executor = GatedExecutor()
-    scheduler = JobScheduler(executor, rank_budget=6, cache=ResultCache(8), starvation_limit=1)
+    scheduler = JobScheduler(executor, rank_budget=6, cache=ResultCache(8))
     try:
         executor.expect(0, 10, 11, 1, 2, 3)
         holder = scheduler.submit(_spec(0))  # holds the interpreter
@@ -307,11 +308,6 @@ def test_in_process_job_waits_unaged_while_worker_jobs_pack_behind_it():
         for event in executor.release.values():
             event.set()
         scheduler.shutdown()
-
-
-def test_starvation_limit_validation():
-    with pytest.raises(ValidationError):
-        JobScheduler(lambda spec: {}, starvation_limit=0)
 
 
 # ------------------------------------------------------------- batched submit

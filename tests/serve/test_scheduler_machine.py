@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import repro.data as data
+import repro.serve.scheduler as scheduler_module
 from repro.data import clear_memo, memoized
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import TERMINAL_STATES, AdmissionError, JobRetired, JobScheduler
@@ -36,6 +37,11 @@ STARVATION_LIMIT = 2
 
 #: (runs in a worker?, nodes — 7 is over the budget forever, priority)
 shapes = st.tuples(st.booleans(), st.integers(1, RANK_BUDGET + 1), st.integers(0, 2))
+
+
+@pytest.fixture(autouse=True)
+def _starvation_limit(monkeypatch):
+    monkeypatch.setattr(scheduler_module, "STARVATION_LIMIT", STARVATION_LIMIT)
 
 
 def _order(job):
@@ -64,8 +70,8 @@ class SchedulerMachine(RuleBasedStateMachine):
             rank_budget=RANK_BUDGET,
             cache=ResultCache(4096),
             max_queued=MAX_QUEUED,
-            starvation_limit=STARVATION_LIMIT,
         )
+        assert self.scheduler.stats()["fairness"]["starvation_limit"] == STARVATION_LIMIT
         self.jobs: list = []  # every admitted job, in submission order
         self.started: set[str] = set()  # ids whose dispatch has been checked
         self.seeds = itertools.count(1)

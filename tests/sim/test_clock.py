@@ -12,12 +12,6 @@ def test_starts_at_zero():
     assert VirtualClock().now == 0.0
 
 
-def test_custom_start():
-    assert VirtualClock(5.0).now == 5.0
-    with pytest.raises(ValidationError):
-        VirtualClock(-1.0)
-
-
 def test_advance_accumulates():
     clock = VirtualClock()
     assert clock.advance(1.5) == 1.5
