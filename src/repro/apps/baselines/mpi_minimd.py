@@ -95,7 +95,7 @@ def rank_program(ctx: RankContext, config: fw_minimd.MiniMDConfig) -> dict:
         np.add.at(forces, my_edges[u_local, 0], f[u_local])
         np.add.at(forces, my_edges[v_local, 1], -f[v_local])
         ctx.clock.advance(
-            cpu.partition_time(work, len(my_edges) * edge_scale, localized=True, framework=False)
+            cpu.partition_time(work, len(my_edges) * edge_scale, framework=False)
         )
 
         # -- integrate local atoms ----------------------------------------

@@ -55,11 +55,13 @@ def calibrate_gpu_ratio(
     node: NodeSpec,
     target_ratio: float,
     *,
-    localized: bool = True,
     streaming: bool = False,
     gpu_overhead_per_elem: float = 0.0,
 ) -> WorkModel:
     """Scale the GPU efficiencies of ``work`` so the device ratio hits target.
+
+    Both devices are costed with reduction localization on, as the paper's
+    measured ratios were.
 
     ``gpu_overhead_per_elem`` charges fixed per-element time the runtime
     spends outside the kernel (e.g. the per-step node-data re-upload of
@@ -81,7 +83,7 @@ def calibrate_gpu_ratio(
     cpu = CPUDevice(node.cpu)
     gpu = GPUDevice(node.gpus[0])
 
-    cpu_t = cpu.elem_time(work, localized=localized, framework=True)
+    cpu_t = cpu.elem_time(work, framework=True)
     target_t = cpu_t / target_ratio - gpu_overhead_per_elem
     if target_t <= 0:
         raise ConfigurationError(
@@ -118,7 +120,7 @@ def calibrate_gpu_ratio(
     atomic = (
         work.atomics_per_elem
         * atomic_cost_per_insert(
-            "gpu", work.num_reduction_keys or 1, localized, gpu=gpu.spec
+            "gpu", work.num_reduction_keys or 1, localized=True, gpu=gpu.spec
         )
         if work.atomics_per_elem > 0
         else 0.0

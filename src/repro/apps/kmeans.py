@@ -90,7 +90,7 @@ def make_work(config: KmeansConfig, node: NodeSpec) -> WorkModel:
     if not node.gpus:
         return base_work(config)
     return calibrate_gpu_ratio(
-        base_work(config), node, PAPER_GPU_CPU_RATIO, localized=True, streaming=True
+        base_work(config), node, PAPER_GPU_CPU_RATIO, streaming=True
     )
 
 
@@ -180,7 +180,7 @@ def rank_program(
             parameter=state["centers"],
         )
         gr.start()
-        combined = gr.get_global_reduction(bcast=True)
+        combined = gr.get_global_reduction()
         state["centers"] = _new_centers(combined, state["centers"])
 
     loop.run(

@@ -264,7 +264,7 @@ def rank_program(
         model_local_elems=max(config.n_atoms // ctx.size, len(local_nodes)),
     )
     gr.start()
-    ke = gr.get_global_reduction(bcast=True)
+    ke = gr.get_global_reduction()
 
     env.finalize()
     return {

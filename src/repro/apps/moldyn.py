@@ -243,12 +243,12 @@ def rank_program(
     gr.set_kernel(make_ke_kernel())
     gr.set_input(local_nodes, global_start=lo, model_local_elems=max(model_share, len(local_nodes)))
     gr.start()
-    ke = gr.get_global_reduction(bcast=True)
+    ke = gr.get_global_reduction()
 
     gr.set_kernel(make_av_kernel())
     gr.set_input(local_nodes, global_start=lo, model_local_elems=max(model_share, len(local_nodes)))
     gr.start()
-    av_raw = gr.get_global_reduction(bcast=True)
+    av_raw = gr.get_global_reduction()
     av = av_raw[0, 0:3] / max(av_raw[0, 3], 1.0)
 
     env.finalize()

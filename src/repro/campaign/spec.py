@@ -152,12 +152,6 @@ class CampaignSpec:
     def axis(self, name: str) -> tuple:
         return self.axes.get(name, _AXIS_DEFAULTS.get(name, ()))
 
-    def n_points(self) -> int:
-        total = 1
-        for axis in AXES:
-            total *= len(self.axis(axis))
-        return total + len(self.points)
-
     def expand(self) -> list[JobSpec]:
         """The campaign's canonical :class:`JobSpec` list.
 

@@ -114,12 +114,6 @@ class InterconnectSpec:
             if getattr(self, attr) < 0:
                 raise ValidationError(f"InterconnectSpec.{attr} must be >= 0")
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Wire time for a message of ``nbytes`` (excluding CPU overheads)."""
-        if nbytes < 0:
-            raise ValidationError(f"nbytes must be >= 0, got {nbytes}")
-        return self.latency + nbytes / self.bandwidth
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -172,9 +166,3 @@ class ClusterSpec:
     @property
     def total_gpus(self) -> int:
         return self.num_nodes * self.node.num_gpus
-
-    def with_nodes(self, num_nodes: int) -> "ClusterSpec":
-        """Return a copy scaled to ``num_nodes`` (for node-count sweeps)."""
-        return ClusterSpec(
-            name=self.name, node=self.node, num_nodes=num_nodes, network=self.network
-        )

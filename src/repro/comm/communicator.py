@@ -39,10 +39,6 @@ class Request:
     def wait(self) -> Any:
         raise NotImplementedError
 
-    def test(self) -> bool:
-        """True if :meth:`wait` would find its message already queued."""
-        raise NotImplementedError
-
 
 class SendRequest(Request):
     """Handle for an ``isend``; complete at creation (buffered eager)."""
@@ -51,9 +47,6 @@ class SendRequest(Request):
 
     def wait(self) -> None:
         return None
-
-    def test(self) -> bool:
-        return True
 
 
 class RecvRequest(Request):
@@ -79,13 +72,6 @@ class RecvRequest(Request):
             self._value = self._comm.recv(source=self._source, tag=self._tag, out=self._out)
             self._done = True
         return self._value
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        if self._source == PROC_NULL:
-            return True
-        return self._comm.fabric.probe(self._comm.rank, self._source, self._tag)
 
 
 class SimComm:
@@ -119,11 +105,6 @@ class SimComm:
     @property
     def size(self) -> int:
         return self.fabric.size
-
-    @property
-    def node_index(self) -> int:
-        """Index of the node hosting this rank."""
-        return self.fabric.node_of(self.rank)
 
     # ------------------------------------------------------------------
     # Point-to-point

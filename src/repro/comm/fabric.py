@@ -19,8 +19,8 @@ queue* of ranks that may run:
   ``(source, tag)`` pair and hands the baton to the head of the ready
   queue.  Enqueueing a message on that pair moves the rank to the tail of
   the queue.
-- A :meth:`probe` miss yields to the tail, so ``Request.test()`` polling
-  loops let their senders run.
+- A :meth:`probe` miss yields to the tail, so a probing rank (the
+  reliable layer's duplicate drain) lets the other ready ranks run.
 - A rank that returns or raises passes the baton on (:meth:`leave`).
 - "Ready queue empty with ranks parked" is a deadlock, raised **at once**
   from inside the unmatched receive with every parked rank's pair in the
@@ -241,11 +241,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Send side
     # ------------------------------------------------------------------
-    def post(self, msg: Message) -> None:
-        """Enqueue a message for its destination (readying its receiver)."""
-        self._check_abort()
-        self._enqueue(msg)
-
     def transmit(
         self,
         src: int,
@@ -354,10 +349,9 @@ class Fabric:
         """Non-blocking check whether a message on (source, tag) is queued.
 
         A miss lets every other ready rank run before it returns
-        ``False``, so a ``Request.test()`` polling loop cannot starve the
-        sender it is waiting for.  Raises :class:`CommunicationError` once
-        the fabric is aborted, so such a loop fails fast after a sibling
-        rank dies.
+        ``False``, so a probing loop cannot starve the sender it is waiting
+        for.  Raises :class:`CommunicationError` once the fabric is
+        aborted, so such a loop fails fast after a sibling rank dies.
         """
         self._check_abort()
         if (source, tag) in self._boxes[dst].queues:
@@ -366,10 +360,6 @@ class Fabric:
             self._ready.append(dst)
             self._hand_over(dst)
         return False
-
-    def pending_count(self, dst: int) -> int:
-        """Number of undelivered messages queued for ``dst`` (test hook)."""
-        return self._boxes[dst].pending
 
     def abort(self, exc: BaseException) -> None:
         """Poison the fabric and release every rank waiting at its gate.

@@ -20,22 +20,12 @@ def _sum(a: Any, b: Any) -> Any:
     return np.add(a, b)
 
 
-def _prod(a: Any, b: Any) -> Any:
-    return np.multiply(a, b)
-
-
-def _min(a: Any, b: Any) -> Any:
-    return np.minimum(a, b)
-
-
 def _max(a: Any, b: Any) -> Any:
     return np.maximum(a, b)
 
 
 _REGISTRY: dict[str, ReduceOp] = {
     "sum": _sum,
-    "prod": _prod,
-    "min": _min,
     "max": _max,
 }
 
@@ -43,8 +33,8 @@ _REGISTRY: dict[str, ReduceOp] = {
 def get_reduce_op(op: str | ReduceOp) -> ReduceOp:
     """Resolve an operator name or pass a callable through.
 
-    >>> get_reduce_op("sum")(2, 3)
-    5
+    >>> get_reduce_op("sum")(np.array([1, 2]), np.array([3, 4]))
+    array([4, 6])
     """
     if callable(op):
         return op

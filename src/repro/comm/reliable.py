@@ -97,17 +97,6 @@ class ReliableRecvRequest(Request):
             self._done = True
         return self._value
 
-    def test(self) -> bool:
-        if self._done:
-            return True
-        if self._source == PROC_NULL:
-            return True
-        comm = self._comm
-        seq = comm._recv_seq.get((self._source, self._tag), 0)
-        return comm.base.fabric.probe(
-            comm.rank, self._source, _data_tag(self._tag, seq)
-        )
-
 
 class ReliableComm:
     """Stop-and-wait reliable messaging over a (possibly lossy) ``SimComm``.
@@ -139,16 +128,8 @@ class ReliableComm:
         return self.base.size
 
     @property
-    def node_index(self) -> int:
-        return self.base.node_index
-
-    @property
     def clock(self):
         return self.base.clock
-
-    @property
-    def fabric(self):
-        return self.base.fabric
 
     @property
     def trace(self):

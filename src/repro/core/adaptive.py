@@ -34,11 +34,6 @@ class AdaptivePartitioner:
         """Whether a profile has been observed (i.e. split is proportional)."""
         return self._speeds is not None
 
-    @property
-    def speeds(self) -> np.ndarray | None:
-        """Observed speeds (elements/second), or None before profiling."""
-        return None if self._speeds is None else self._speeds.copy()
-
     def split(self, total: int) -> np.ndarray:
         """Per-device element counts summing exactly to ``total``.
 

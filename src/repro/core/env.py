@@ -60,7 +60,7 @@ class RuntimeEnv:
         self.config = config
         self.devices: list[Device] = []
         if config.use_cpu:
-            self.devices.append(CPUDevice(ctx.node.cpu, index=0))
+            self.devices.append(CPUDevice(ctx.node.cpu))
         avail = len(ctx.node.gpus)
         want = avail if config.num_gpus is None else config.num_gpus
         if want > avail:

@@ -208,7 +208,6 @@ class GeneralizedReductionRuntime:
         scheduler = ChunkScheduler(
             env.devices,
             localized=localized,
-            framework=True,
             gpu_streams=self.gpu_streams,
         )
         report = scheduler.run(
@@ -258,16 +257,14 @@ class GeneralizedReductionRuntime:
             raise ConfigurationError("start() has not produced a result yet")
         return self._local_result
 
-    def get_global_reduction(self, bcast: bool = True) -> np.ndarray | None:
+    def get_global_reduction(self) -> np.ndarray:
         """Tree-combine all processes' objects (paper §III-B global combine).
 
-        Returns the combined ``(num_keys, value_width)`` array — on every
-        rank when ``bcast`` (the common case: all ranks need the new
-        Kmeans centers), else only on rank 0 (others get ``None``).
+        Returns the combined ``(num_keys, value_width)`` array on every rank
+        (a tree reduce to rank 0, then a broadcast): every program needs it
+        everywhere, e.g. all ranks need the new Kmeans centers.
         """
         local = self.get_local_reduction()
         ufunc, _ = resolve_op(local.op)
         combined = self.env.comm.reduce(local.values, op=lambda a, b: ufunc(a, b), root=0)
-        if bcast:
-            combined = self.env.comm.bcast(combined, root=0)
-        return combined
+        return self.env.comm.bcast(combined, root=0)

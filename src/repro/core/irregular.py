@@ -420,12 +420,7 @@ class IrregularReductionRuntime:
                 n_d = n_edges[phase][d]
                 if n_d == 0:
                     continue
-                dur = dev.partition_time(
-                    kernel.work,
-                    n_d * self._edge_scale,
-                    localized=True,
-                    framework=True,
-                )
+                dur = dev.partition_time(kernel.work, n_d * self._edge_scale, framework=True)
                 tl = dev.timelines()[-1]  # compute engine / last core acts as the device line
                 iv = tl.schedule(max(upload_done[dev.name], ready_floor), dur, f"IR.{phase}")
                 device_busy[dev.name] += dur

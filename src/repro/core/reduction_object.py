@@ -248,10 +248,6 @@ class DenseReductionObject:
         """The ``(num_keys, value_width)`` result array (a live view)."""
         return self.values
 
-    @property
-    def nbytes(self) -> int:
-        return self.values.nbytes
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DenseReductionObject(num_keys={self.num_keys}, "

@@ -54,10 +54,6 @@ class ScheduleReport:
     makespan: float
     workers: list[WorkerReport] = field(default_factory=list)
 
-    @property
-    def elapsed(self) -> float:
-        return self.makespan - self.start
-
     def load_imbalance(self) -> float:
         """(makespan - mean finish) / (makespan - start); 0 means perfectly even."""
         if not self.workers or self.makespan <= self.start:
@@ -75,10 +71,8 @@ class _CoreConsumer:
         self.free_at = start
         self._core = core
 
-    def execute(self, model: WorkModel, n_modeled: float, *, localized: bool, framework: bool) -> float:
-        dur = DISPATCH_OVERHEAD + n_modeled * self.device.core_elem_time(
-            model, localized=localized, framework=framework
-        )
+    def execute(self, model: WorkModel, n_modeled: float, *, localized: bool) -> float:
+        dur = DISPATCH_OVERHEAD + n_modeled * self.device.core_elem_time(model, localized=localized)
         iv = self.device.workers[self._core].schedule(self.free_at, dur, "chunk")
         self.free_at = iv.end
         return iv.end
@@ -93,15 +87,10 @@ class _GpuConsumer:
         self.free_at = start
         self.streams = streams
 
-    def execute(self, model: WorkModel, n_modeled: float, *, localized: bool, framework: bool) -> float:
+    def execute(self, model: WorkModel, n_modeled: float, *, localized: bool) -> float:
         ready = self.free_at + DISPATCH_OVERHEAD
         execution = self.device.submit_chunk(
-            model,
-            n_modeled,
-            ready,
-            localized=localized,
-            framework=framework,
-            streams=self.streams,
+            model, n_modeled, ready, localized=localized, streams=self.streams
         )
         self.free_at = execution.kernel_end
         return self.free_at
@@ -115,14 +104,12 @@ class ChunkScheduler:
         devices: list[Device],
         *,
         localized: bool = True,
-        framework: bool = True,
         gpu_streams: int = 2,
     ) -> None:
         if not devices:
             raise SchedulingError("ChunkScheduler needs at least one device")
         self.devices = devices
         self.localized = localized
-        self.framework = framework
         self.gpu_streams = gpu_streams
 
     def run(
@@ -186,12 +173,7 @@ class ChunkScheduler:
             n = min(grain, total_elems - next_elem)
             if exec_fn is not None:
                 exec_fn(consumer.device, next_elem, n)
-            finish = consumer.execute(
-                model,
-                n * time_scale,
-                localized=self.localized,
-                framework=self.framework,
-            )
+            finish = consumer.execute(model, n * time_scale, localized=self.localized)
             consumer.report.elems += n
             consumer.report.chunks += 1
             next_elem += n

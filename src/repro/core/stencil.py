@@ -29,11 +29,12 @@ Grid decomposition and execution flow:
   planes be processed by a single GPU kernel launch; ``tiling=False``
   inflates CPU memory traffic and launches one GPU kernel per face
   (Fig. 7 ablates this).
-- **Exchange rounds** (``configure(time_block=k)``, default 1): the one
-  step path runs in rounds of one halo exchange plus ``k`` kernel
-  sweeps.  The halo slabs are allocated ``k * halo`` deep, a round
-  carries one ``k * halo``-deep strip per neighbour (one contiguous
-  message), and the sweeps run over a *shrinking* valid region — sweep
+- **Exchange rounds** (``configure(time_block=k)``, default 1):
+  :meth:`StencilRuntime.run` executes rounds of one halo exchange plus
+  ``k`` kernel sweeps (the last round only the sweeps left).  The halo
+  slabs are allocated ``k * halo`` deep, a round carries one
+  ``k * halo``-deep strip per neighbour (one contiguous message), and the
+  sweeps run over a *shrinking* valid region — sweep
   ``s`` still computes ``(k-1-s)*halo`` cells past the interior toward
   every rank neighbour, recomputing exactly the ghost values the
   neighbour computes itself (bit-identical by construction, since both
@@ -49,7 +50,7 @@ Grid decomposition and execution flow:
   charged as :data:`FUSED_REDUCE_FLOPS` extra per element — no second
   pass over the grid), and one sum ``allreduce`` per round folds them
   while the next round's halo strips fly.  The result
-  is bit-for-bit a step-then-allreduce loop's; only virtual time moves.
+  is bit-for-bit a sweep-then-allreduce loop's; only virtual time moves.
   Outside ``run_until`` no reduce is armed and none is charged.
 
 Functional honesty: halo slabs are filled **only** by the exchange
@@ -176,12 +177,6 @@ class ConvergenceResult:
     residuals: list[float] = field(default_factory=list)
     values: list[Any] = field(default_factory=list)
     converged: bool = False
-
-    @property
-    def final_residual(self) -> float:
-        if not self.residuals:
-            raise ConfigurationError("no iterations ran; no residual to report")
-        return self.residuals[-1]
 
 
 class StencilRuntime:
@@ -819,14 +814,6 @@ class StencilRuntime:
                 "compute", "ST:step", t0, clock.now, {"step": self._timestep, "sweeps": sweeps}
             )
 
-    def step(self) -> None:
-        """One exchange round: a ``time_block * halo``-deep halo exchange,
-        ``time_block`` kernel sweeps, buffer swaps (the timestep counter
-        advances by ``time_block``; 1 by default).  Use :meth:`run` to
-        execute a sweep count that is not a multiple of ``time_block``.
-        """
-        self._advance(self._time_block)
-
     def run(self, iterations: int) -> None:
         """Run ``iterations`` stencil *sweeps* (paper: the time-step loop).
 
@@ -1036,11 +1023,6 @@ class StencilRuntime:
             )
 
     # -- results ---------------------------------------------------------------------------
-    def local_interior(self) -> np.ndarray:
-        """This rank's current sub-grid (a copy, halo stripped)."""
-        self._check_configured()
-        return self._src[self.interior].copy()
-
     def gather_global(self) -> np.ndarray | None:
         """Assemble the full grid at rank 0 (test/diagnostic helper).
 

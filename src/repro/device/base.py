@@ -37,12 +37,11 @@ class Device(abc.ABC):
         """
 
     @abc.abstractmethod
-    def partition_time(
-        self, model: WorkModel, n: float, *, localized: bool = True, framework: bool = True
-    ) -> float:
+    def partition_time(self, model: WorkModel, n: float, *, framework: bool = True) -> float:
         """Seconds to process a statically-assigned partition of ``n`` elements.
 
-        Includes per-invocation fixed costs (kernel launch on GPUs).
+        Includes per-invocation fixed costs (kernel launch on GPUs).  Static
+        partitions always run with reduction localization.
         """
 
     # -- scheduling ----------------------------------------------------

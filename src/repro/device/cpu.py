@@ -31,11 +31,12 @@ class CPUDevice(Device):
 
     kind = "cpu"
 
-    def __init__(self, spec: CPUSpec, index: int = 0) -> None:
-        super().__init__(spec.name, index)
+    def __init__(self, spec: CPUSpec) -> None:
+        # Index 0: a node's cores are one device.
+        super().__init__(spec.name, 0)
         self.spec = spec
         #: The first and last core until :attr:`workers` builds the rest.
-        self._lines = [Timeline(f"cpu{index}.core{c}") for c in sorted({0, spec.cores - 1})]
+        self._lines = [Timeline(f"cpu0.core{c}") for c in sorted({0, spec.cores - 1})]
         #: Where the last :meth:`reset` started every line.
         self._reset_at = 0.0
 
@@ -68,13 +69,11 @@ class CPUDevice(Device):
         """Seconds per element for the whole device (all cores together)."""
         return self.core_elem_time(model, localized=localized, framework=framework) / self.cores
 
-    def partition_time(
-        self, model: WorkModel, n: float, *, localized: bool = True, framework: bool = True
-    ) -> float:
+    def partition_time(self, model: WorkModel, n: float, *, framework: bool = True) -> float:
         """Time for ``n`` elements split evenly across the cores."""
         if n < 0:
             raise ValidationError(f"n must be >= 0, got {n}")
-        return n * self.elem_time(model, localized=localized, framework=framework)
+        return n * self.elem_time(model, framework=framework)
 
     def memcpy_time(self, nbytes: float) -> float:
         """Host-memory copy cost (boundary packing, reduction merges)."""
@@ -95,7 +94,7 @@ class CPUDevice(Device):
         lines = self._lines
         if len(lines) < self.spec.cores:
             lines[1:-1] = [
-                Timeline(f"cpu{self.index}.core{c}", self._reset_at)
+                Timeline(f"cpu0.core{c}", self._reset_at)
                 for c in range(1, self.spec.cores - 1)
             ]
         return lines

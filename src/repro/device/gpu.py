@@ -38,10 +38,6 @@ class ChunkExecution:
     kernel_start: float
     kernel_end: float
 
-    @property
-    def total(self) -> float:
-        return self.kernel_end - self.ready
-
 
 class GPUDevice(Device):
     """One discrete GPU: copy engine + compute engine."""
@@ -81,10 +77,8 @@ class GPUDevice(Device):
             model, localized=localized, framework=framework
         )
 
-    def partition_time(
-        self, model: WorkModel, n: float, *, localized: bool = True, framework: bool = True
-    ) -> float:
-        return self.kernel_time(model, n, localized=localized, framework=framework)
+    def partition_time(self, model: WorkModel, n: float, *, framework: bool = True) -> float:
+        return self.kernel_time(model, n, framework=framework)
 
     def transfer_time(self, nbytes: float) -> float:
         """One host<->device copy of ``nbytes`` over PCIe."""

@@ -46,17 +46,6 @@ class FaultDecision:
     bandwidth_factor: float = 1.0
     extra_latency: float = 0.0
 
-    @property
-    def clean(self) -> bool:
-        """True when the message is unaffected by the plan."""
-        return (
-            not self.drop
-            and not self.duplicate
-            and self.extra_delay == 0.0
-            and self.bandwidth_factor == 1.0
-            and self.extra_latency == 0.0
-        )
-
 
 #: The all-clear decision, shared to keep the fault-free path allocation-free.
 CLEAN_DECISION = FaultDecision()

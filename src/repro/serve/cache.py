@@ -96,15 +96,6 @@ class ResultCache:
         self._entries[key] = payload
         self._entries.move_to_end(key)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the persistent store is untouched)."""
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> dict[str, Any]:
         with self._lock:
             out: dict[str, Any] = {

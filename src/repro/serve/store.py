@@ -46,7 +46,7 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.util.errors import ValidationError
 
@@ -188,30 +188,6 @@ class ResultStore:
         except (OSError, ValueError):  # missing, undecodable or unparseable
             return False
         return isinstance(doc, dict) and doc.get("code") == code_stamp()
-
-    def keys(self) -> Iterator[str]:
-        """All entry hashes currently on disk (no validation)."""
-        if not self.root.is_dir():
-            return
-        for sub in sorted(self.root.iterdir()):
-            if not sub.is_dir():
-                continue
-            for path in sorted(sub.glob("*.json")):
-                yield path.stem
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed (test hook)."""
-        removed = 0
-        for key in list(self.keys()):
-            try:
-                self.path_for(key).unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

@@ -20,7 +20,7 @@ Key pieces:
 
 from repro.sim.clock import VirtualClock
 from repro.sim.timeline import Timeline
-from repro.sim.trace import Trace, TraceEvent, overlap_seconds
+from repro.sim.trace import Trace, TraceEvent
 from repro.sim.engine import (
     RankContext,
     SpmdResult,
@@ -34,7 +34,6 @@ __all__ = [
     "Timeline",
     "Trace",
     "TraceEvent",
-    "overlap_seconds",
     "RankContext",
     "SpmdResult",
     "active_run_stats",

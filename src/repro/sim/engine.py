@@ -61,11 +61,6 @@ class RankContext:
     trace: Trace
     fault_plan: "FaultPlan | None" = None
 
-    @property
-    def now(self) -> float:
-        """Current virtual time on this rank."""
-        return self.clock.now
-
 
 @dataclass
 class SpmdResult:
@@ -86,7 +81,7 @@ class SpmdResult:
 
 
 class _PoolWorker(threading.Thread):
-    """One reusable rank thread: runs submitted tasks until shut down."""
+    """One reusable rank thread: runs submitted tasks for the process's life."""
 
     def __init__(self, pool: "_RankThreadPool", index: int) -> None:
         super().__init__(name=f"rank-pool-{index}", daemon=True)
@@ -94,8 +89,8 @@ class _PoolWorker(threading.Thread):
         self._task: Callable[[], None] | None = None
         self._wake = threading.Semaphore(0)
 
-    def submit(self, task: Callable[[], None] | None) -> None:
-        """Hand one task (or ``None`` to shut down) to this idle worker."""
+    def submit(self, task: Callable[[], None]) -> None:
+        """Hand one task to this idle worker."""
         self._task = task
         self._wake.release()
 
@@ -103,8 +98,6 @@ class _PoolWorker(threading.Thread):
         while True:
             self._wake.acquire()
             task, self._task = self._task, None
-            if task is None:
-                return
             try:
                 task()
             finally:
@@ -147,16 +140,6 @@ class _RankThreadPool:
         """Pool occupancy (test/diagnostic hook)."""
         with self._lock:
             return {"spawned": self.spawned, "idle": len(self._idle)}
-
-    def drain(self) -> None:
-        """Shut down every currently idle worker (test hook)."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for worker in idle:
-            worker.submit(None)
-        for worker in idle:
-            worker.join(timeout=5.0)
-
 
 #: The process-wide rank-thread pool shared by every ``spmd_run``.
 _pool = _RankThreadPool()

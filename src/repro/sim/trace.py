@@ -24,7 +24,7 @@ labels or metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass(slots=True)
@@ -42,10 +42,6 @@ class TraceEvent:
     end: float
     meta: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 #: Shared empty metadata dict for events recorded without any; saves one
 #: dict allocation per meta-less event.  Treated as immutable by contract.
@@ -60,15 +56,6 @@ class IntervalRecord:
     start: float
     end: float
     label: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-def overlap_seconds(a: TraceEvent, b: TraceEvent) -> float:
-    """Length of the temporal intersection of two events (0 if disjoint)."""
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
 class Trace:
@@ -186,22 +173,6 @@ class Trace:
         for rec in self._intervals:
             out[rec.timeline].append(rec)
         return out
-
-    def filter(
-        self, category: str | None = None, label_prefix: str | None = None
-    ) -> list[TraceEvent]:
-        """Events matching a category and/or label prefix."""
-        out = []
-        for ev in self._events:
-            if category is not None and ev.category != category:
-                continue
-            if label_prefix is not None and not ev.label.startswith(label_prefix):
-                continue
-            out.append(ev)
-        return out
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
 
     def __len__(self) -> int:
         return len(self._events)

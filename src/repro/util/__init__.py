@@ -1,4 +1,7 @@
-"""Shared utilities: errors, unit helpers, deterministic RNG, validation.
+"""Shared utilities: errors, unit helpers and deterministic RNG.
+
+Wire-document validation lives in :mod:`repro.util.validate`, lazy package
+exports in :mod:`repro.util.lazy`.
 
 These helpers are deliberately dependency-free (NumPy only) so every other
 subpackage — :mod:`repro.sim`, :mod:`repro.comm`, :mod:`repro.device`,
@@ -20,18 +23,9 @@ from repro.util.units import (
     US,
     MS,
     GFLOPS,
-    fmt_bytes,
     fmt_seconds,
-    fmt_count,
 )
 from repro.util.rng import seeded_rng, derive_seed
-from repro.util.validate import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_type,
-    check_shape,
-)
 
 __all__ = [
     "ReproError",
@@ -46,14 +40,7 @@ __all__ = [
     "US",
     "MS",
     "GFLOPS",
-    "fmt_bytes",
     "fmt_seconds",
-    "fmt_count",
     "seeded_rng",
     "derive_seed",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_type",
-    "check_shape",
 ]

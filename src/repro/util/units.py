@@ -29,19 +29,6 @@ GFLOPS = 1e9
 TFLOPS = 1e12
 
 
-def fmt_bytes(n: float) -> str:
-    """Format a byte count with a binary-ish magnitude suffix.
-
-    >>> fmt_bytes(2_300_000_000)
-    '2.30 GB'
-    """
-    n = float(n)
-    for unit, div in (("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(n) >= div:
-            return f"{n / div:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
 def fmt_seconds(t: float) -> str:
     """Format a duration, choosing s/ms/us to keep 3 significant digits.
 
@@ -54,16 +41,3 @@ def fmt_seconds(t: float) -> str:
     if abs(t) >= MS:
         return f"{t / MS:.3f} ms"
     return f"{t / US:.3f} us"
-
-
-def fmt_count(n: float) -> str:
-    """Format a large count with K/M/B suffixes.
-
-    >>> fmt_count(130_000_000)
-    '130.0M'
-    """
-    n = float(n)
-    for suffix, div in (("B", 1e9), ("M", 1e6), ("K", 1e3)):
-        if abs(n) >= div:
-            return f"{n / div:.1f}{suffix}"
-    return f"{n:.0f}"

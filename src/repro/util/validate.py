@@ -1,9 +1,9 @@
-"""Small argument-validation helpers used at public API boundaries.
+"""Validation of decoded JSON documents at the wire boundary.
 
-Each helper raises :class:`repro.util.errors.ValidationError` with a message
-naming the offending parameter, which keeps the call sites one-liners::
+Each check raises :class:`repro.util.errors.ValidationError` with a message
+naming the offending field, which keeps the call sites one-liners::
 
-    check_positive("chunk_size", chunk_size)
+    check_json("nodes", nodes, "an integer")
 
 A wire document (a job, a campaign, a fault-plan entry) is described once, by
 its dataclass: :func:`wire_fields` reads each field's JSON kinds off its
@@ -18,9 +18,7 @@ import functools
 import types
 import typing
 from collections.abc import Mapping
-from typing import Any, Callable, Iterable
-
-import numpy as np
+from typing import Any, Callable
 
 from repro.util.errors import ValidationError
 
@@ -36,31 +34,6 @@ _JSON_KINDS: dict[str, Callable[[Any], bool]] = {
     ),
     "null": lambda v: v is None,
 }
-
-
-def check_positive(name: str, value: float) -> None:
-    """Require ``value > 0``."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be > 0, got {value!r}")
-
-
-def check_non_negative(name: str, value: float) -> None:
-    """Require ``value >= 0``."""
-    if not value >= 0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
-
-
-def check_in_range(name: str, value: float, lo: float, hi: float) -> None:
-    """Require ``lo <= value <= hi`` (inclusive both ends)."""
-    if not (lo <= value <= hi):
-        raise ValidationError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-def check_type(name: str, value: Any, types: type | tuple[type, ...]) -> None:
-    """Require ``isinstance(value, types)``."""
-    if not isinstance(value, types):
-        expected = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise ValidationError(f"{name} must be {expected}, got {type(value).__name__}")
 
 
 def check_json(name: str, value: Any, *kinds: str) -> None:
@@ -165,17 +138,3 @@ def to_wire(value: Any) -> Any:
         return [to_wire(v) for v in value]
     return value
 
-
-def check_shape(name: str, array: np.ndarray, shape: Iterable[int | None]) -> None:
-    """Require the array shape to match ``shape`` (``None`` = any extent).
-
-    >>> check_shape("edges", np.zeros((5, 2)), (None, 2))
-    """
-    shape = tuple(shape)
-    if array.ndim != len(shape):
-        raise ValidationError(f"{name} must be {len(shape)}-D, got {array.ndim}-D")
-    for axis, want in enumerate(shape):
-        if want is not None and array.shape[axis] != want:
-            raise ValidationError(
-                f"{name} axis {axis} must have extent {want}, got {array.shape[axis]}"
-            )

@@ -31,7 +31,7 @@ def _doc(**over):
 def test_product_expansion_counts_and_order():
     spec = CampaignSpec.from_dict(_doc())
     points = spec.expand()
-    assert len(points) == spec.n_points() == 2 * 2 * 2
+    assert len(points) == 2 * 2 * 2
     # AXES order: app is the outermost axis, seed the innermost
     assert [p.app for p in points] == ["heat3d"] * 4 + ["kmeans"] * 4
     assert [p.params["seed"] for p in points] == [0, 1] * 4

@@ -56,7 +56,16 @@ def test_reduce_nonzero_root_arrays(size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("op,expected", [("sum", "sum"), ("min", 0), ("max", "max"), ("prod", "prod")])
+# "min" and "prod" have no registry name: a program passes them as callables.
+@pytest.mark.parametrize(
+    "op,expected",
+    [
+        ("sum", "sum"),
+        pytest.param(np.minimum, 0, id="min-0"),
+        ("max", "max"),
+        pytest.param(np.multiply, "prod", id="prod-prod"),
+    ],
+)
 def test_allreduce_ops(size, op, expected):
     def prog(ctx):
         return ctx.comm.allreduce(ctx.rank + 1, op)
@@ -67,7 +76,7 @@ def test_allreduce_ops(size, op, expected):
         0: 1,
         "max": size,
         "prod": int(np.prod(np.arange(1, size + 1))),
-    }[expected if expected != 0 else 0]
+    }[expected]
     assert all(v == want for v in values)
 
 

@@ -35,20 +35,20 @@ def test_node_of_and_link(fabric):
 
 
 def test_match_by_source_and_tag(fabric):
-    fabric.post(_msg(0, 1, tag=7))
-    fabric.post(_msg(2, 1, tag=7))
-    fabric.post(_msg(0, 1, tag=8))
+    fabric._enqueue(_msg(0, 1, tag=7))
+    fabric._enqueue(_msg(2, 1, tag=7))
+    fabric._enqueue(_msg(0, 1, tag=8))
     got = fabric.match(1, source=2, tag=7)
     assert got.src == 2
     assert (fabric.match(1, source=0, tag=8).tag, fabric.match(1, source=0, tag=7).tag) == (8, 7)
-    assert fabric.pending_count(1) == 0
+    assert fabric._boxes[1].pending == 0
 
 
 def test_fifo_per_source_tag(fabric):
     first = _msg(0, 1, tag=3, arrival=9.0)
     second = _msg(0, 1, tag=3, arrival=1.0)  # arrives earlier but sent later
-    fabric.post(first)
-    fabric.post(second)
+    fabric._enqueue(first)
+    fabric._enqueue(second)
     assert fabric.match(1, 0, 3) is first
     assert fabric.match(1, 0, 3) is second
 
@@ -58,23 +58,25 @@ def test_unmatched_receive_with_no_runnable_rank_is_a_deadlock_at_once(fabric):
     receive raises immediately, and the rank is not left parked."""
     with pytest.raises(DeadlockError, match="rank 0 waits for source=1 tag=1"):
         fabric.match(0, source=1, tag=1)
-    fabric.post(_msg(1, 0, tag=1))
+    fabric._enqueue(_msg(1, 0, tag=1))
     assert fabric.match(0, source=1, tag=1).src == 1
 
 
 def test_probe_and_pending(fabric):
     assert not fabric.probe(1, source=0, tag=2)
-    fabric.post(_msg(0, 1, tag=2))
+    fabric._enqueue(_msg(0, 1, tag=2))
     assert fabric.probe(1, source=0, tag=2)
     assert not fabric.probe(1, source=2, tag=2)
     assert not fabric.probe(1, source=0, tag=3)
-    assert fabric.pending_count(1) == 1
+    assert fabric._boxes[1].pending == 1
 
 
 def test_abort_poisons_fabric(fabric):
     fabric.abort(RuntimeError("x"))
     with pytest.raises(CommunicationError):
-        fabric.post(_msg(0, 1, tag=1))
+        fabric.transmit(
+            0, 1, 1, make_payload(None), send_time=0.0, charged=0.0, link=fabric.link(0, 1)
+        )
     with pytest.raises(CommunicationError):
         fabric.match(1, source=0, tag=1)
 
@@ -82,8 +84,8 @@ def test_abort_poisons_fabric(fabric):
 def test_ingress_serializes_concurrent_arrivals(fabric):
     # Two messages whose wires overlap in time: the second's delivery must
     # be pushed back behind the first on the receiver NIC.
-    fabric.post(_msg(0, 1, tag=1, arrival=1.0, wire=1.0))
-    fabric.post(_msg(2, 1, tag=1, arrival=1.0, wire=1.0))
+    fabric._enqueue(_msg(0, 1, tag=1, arrival=1.0, wire=1.0))
+    fabric._enqueue(_msg(2, 1, tag=1, arrival=1.0, wire=1.0))
     a = fabric.match(1, 0, 1)
     b = fabric.match(1, 2, 1)
     assert a.arrival_time == pytest.approx(1.0)
@@ -113,7 +115,7 @@ def test_ranks_per_node_validation():
 def test_probe_raises_after_abort(fabric):
     """Regression: a ``test()`` polling loop must fail fast once a sibling
     rank has died, not spin forever on ``False``."""
-    fabric.post(_msg(0, 1, tag=1))
+    fabric._enqueue(_msg(0, 1, tag=1))
     fabric.abort(RuntimeError("sibling died"))
     with pytest.raises(CommunicationError):
         fabric.probe(1, source=0, tag=1)
@@ -121,7 +123,7 @@ def test_probe_raises_after_abort(fabric):
 
 def test_deadlock_message_names_pattern_and_queue_depth(fabric):
     """The deadlock error must say what the rank was waiting for."""
-    fabric.post(_msg(0, 1, tag=9))  # queued but unmatched by the receive below
+    fabric._enqueue(_msg(0, 1, tag=9))  # queued but unmatched by the receive below
     with pytest.raises(DeadlockError) as exc:
         fabric.match(1, source=2, tag=5)
     text = str(exc.value)

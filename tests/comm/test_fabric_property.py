@@ -39,7 +39,7 @@ class Spec:
 
 
 def _post(fabric: Fabric, spec: Spec) -> None:
-    fabric.post(
+    fabric._enqueue(
         Message(
             src=spec.src,
             dst=DST,
@@ -112,7 +112,7 @@ def test_every_receive_matches_the_global_lock_reference(messages, patterns):
         while (ref := _reference_pick(pending, source, tag)) is not None:
             assert fabric.match(DST, source, tag).payload.data == pending.pop(ref).uid
         assert not fabric.probe(DST, source, tag)
-    assert not pending and fabric.pending_count(DST) == 0
+    assert not pending and fabric._boxes[DST].pending == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +154,7 @@ def test_delivery_order_is_invariant_to_sender_interleaving(messages, seed, drai
         for pair in _ALL_PAIRS:
             while fabric.probe(DST, *pair):
                 out.append(fabric.match(DST, *pair).payload.data)
-        assert fabric.pending_count(DST) == 0
+        assert fabric._boxes[DST].pending == 0
         return out
 
     assert drain_all(messages) == drain_all(interleaved)

@@ -11,8 +11,6 @@ from repro.util.errors import ValidationError
     "name,a,b,expected",
     [
         ("sum", 2, 3, 5),
-        ("prod", 2, 3, 6),
-        ("min", 2, 3, 2),
         ("max", 2, 3, 3),
     ],
 )

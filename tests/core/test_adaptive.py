@@ -80,15 +80,6 @@ def test_constructor_validation():
         p.split(-1)
 
 
-def test_speeds_property_returns_copy():
-    p = AdaptivePartitioner(2)
-    p.observe(np.array([10, 10]), np.array([1.0, 2.0]))
-    s = p.speeds
-    s[0] = 999
-    assert p.speeds[0] != 999
-    assert AdaptivePartitioner(2).speeds is None
-
-
 def test_largest_remainder_ties_are_deterministic():
     """Equal fractional remainders must break ties identically every call.
 
@@ -141,10 +132,10 @@ def test_state_dict_roundtrip_preserves_profile_and_cache():
     q.load_state(state)
     assert q.profiled
     np.testing.assert_array_equal(q.split(100), p.split(100))
-    np.testing.assert_array_equal(q.speeds, p.speeds)
+    np.testing.assert_array_equal(q._speeds, p._speeds)
     # The saved state is independent of both partitioners.
     state["speeds"][0] = -1
-    assert p.speeds[0] != -1 and q.speeds[0] != -1
+    assert p._speeds[0] != -1 and q._speeds[0] != -1
 
 
 def test_state_dict_roundtrip_unprofiled():

@@ -86,7 +86,7 @@ def test_trace_records_checkpoint_crash_recovery():
         trace=True,
     )
     by_rank = [
-        [e.label for e in t if e.category == FAULT_CATEGORY] for t in res.traces
+        [e.label for e in t.events if e.category == FAULT_CATEGORY] for t in res.traces
     ]
     assert "crash" in by_rank[1]
     assert "crash" not in by_rank[0]  # only the failed rank logs the crash
@@ -107,11 +107,11 @@ def test_recovery_charges_restart_plus_reload():
     )
     recs = [
         e
-        for e in res.traces[0]
+        for e in res.traces[0].events
         if e.category == FAULT_CATEGORY and e.label == "recovery"
     ]
     assert len(recs) == 1
-    assert recs[0].duration >= 0.02  # restart_cost plus snapshot reload
+    assert recs[0].end - recs[0].start >= 0.02  # restart_cost plus snapshot reload
     assert recs[0].meta["restart_cost"] == 0.02
 
 

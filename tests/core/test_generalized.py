@@ -35,7 +35,7 @@ def _reference():
     return ref
 
 
-def _program(mix="cpu+2gpu", bcast=True, **gr_opts):
+def _program(mix="cpu+2gpu", **gr_opts):
     def prog(ctx):
         env = RuntimeEnv(ctx, mix)
         gr = env.get_GR(**gr_opts)
@@ -44,7 +44,7 @@ def _program(mix="cpu+2gpu", bcast=True, **gr_opts):
         lo, hi = int(offs[ctx.rank]), int(offs[ctx.rank + 1])
         gr.set_input(DATA[lo:hi], global_start=lo)
         gr.start()
-        return gr.get_global_reduction(bcast=bcast)
+        return gr.get_global_reduction()
 
     return prog
 
@@ -60,12 +60,6 @@ def test_correct_across_rank_counts(nodes):
 def test_correct_across_device_mixes(mix):
     res = run_spmd(_program(mix), nodes=2, gpus_per_node=2)
     np.testing.assert_allclose(res.values[0], _reference(), rtol=1e-12)
-
-
-def test_bcast_false_returns_only_at_root():
-    res = run_spmd(_program(bcast=False), nodes=3, gpus_per_node=2)
-    np.testing.assert_allclose(res.values[0], _reference())
-    assert res.values[1] is None and res.values[2] is None
 
 
 def test_localization_override_does_not_change_results():

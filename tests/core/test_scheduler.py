@@ -45,7 +45,7 @@ def test_makespan_reflects_parallelism():
 
     one_core = CPUDevice(replace(_node().cpu, cores=1))
     single = ChunkScheduler([one_core]).run(WORK, 40_000, 256)
-    assert solo.elapsed < single.elapsed / 3  # near-4x with some tail
+    assert solo.makespan < single.makespan / 3  # near-4x with some tail; both start at 0
 
 
 def test_gpu_gets_larger_share_when_faster():
@@ -67,14 +67,14 @@ def test_heterogeneous_beats_either_alone():
     both = ChunkScheduler([_cpu(), _gpu()]).run(WORK, 200_000, 512)
     cpu_only = ChunkScheduler([_cpu()]).run(WORK, 200_000, 512)
     gpu_only = ChunkScheduler([_gpu()]).run(WORK, 200_000, 512)
-    assert both.elapsed < cpu_only.elapsed
-    assert both.elapsed < gpu_only.elapsed
+    assert both.makespan < cpu_only.makespan
+    assert both.makespan < gpu_only.makespan
 
 
 def test_time_scale_multiplies_cost():
     fast = ChunkScheduler([_cpu()]).run(WORK, 1_000, 100, time_scale=1.0)
     slow = ChunkScheduler([_cpu()]).run(WORK, 1_000, 100, time_scale=10.0)
-    assert slow.elapsed == pytest.approx(10 * fast.elapsed, rel=0.05)
+    assert slow.makespan == pytest.approx(10 * fast.makespan, rel=0.05)
 
 
 def test_start_offset_respected():

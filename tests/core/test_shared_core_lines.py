@@ -60,7 +60,7 @@ def _mixed_steps(ctx, order, mix):
     out = []
     for runtime in order:
         t0 = env.clock.now
-        ir.start() if runtime == "ir" else st.step()
+        ir.start() if runtime == "ir" else st.run(1)
         report = scheduler.run(GR_WORK, 400, 40, start=t0)
         env.clock.advance_to(report.makespan)
         out.append(repr(report.makespan))

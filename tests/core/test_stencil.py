@@ -118,7 +118,7 @@ def test_gather_global_only_at_root():
         st = env.get_stencil()
         st.configure(AVG2D, GRID2D.shape)
         st.set_global_grid(GRID2D)
-        st.step()
+        st.run(1)
         return st.gather_global() is None
 
     res = run_spmd(prog, nodes=3)
@@ -131,7 +131,7 @@ def test_local_interior_shape():
         st = env.get_stencil()
         st.configure(AVG2D, GRID2D.shape, dims=(2, 1))
         st.set_global_grid(GRID2D)
-        return st.local_interior().shape
+        return st._src[st.interior].shape
 
     res = run_spmd(prog, nodes=2)
     assert res.values == [(14, 24), (14, 24)]
@@ -226,7 +226,7 @@ def test_offsets_and_dims_rank_must_match_the_grid(kernel, dims):
 
 def test_unconfigured_errors():
     def prog(ctx):
-        RuntimeEnv(ctx, "cpu").get_stencil().step()
+        RuntimeEnv(ctx, "cpu").get_stencil().run(1)
 
     with pytest.raises(ConfigurationError, match="configure"):
         run_spmd(prog, nodes=1)
@@ -266,7 +266,7 @@ def test_set_global_grid_dtype_guard():
         st = RuntimeEnv(ctx, "cpu").get_stencil()
         st.configure(AVG2D, (10, 10))
         st.set_global_grid(np.arange(100).reshape(10, 10))  # int -> float: fine
-        return st.local_interior().dtype
+        return st._src[st.interior].dtype
 
     assert run_spmd(int_into_float, nodes=1).values[0] == np.dtype(np.float64)
 

@@ -112,7 +112,7 @@ def test_no_fields_keeps_plain_parameter():
         st = env.get_stencil()
         st.configure(StencilKernel(plain, ((1, 0),), WORK), GRID.shape, parameter=42)
         st.set_global_grid(GRID)
-        st.step()
+        st.run(1)
         return True
 
     assert run_spmd(prog, nodes=1).values[0]

@@ -10,7 +10,6 @@ from repro.cluster.presets import laptop_cluster
 from repro.core.api import StencilKernel, shifted
 from repro.core.checkpoint import CheckpointManager
 from repro.core.env import RuntimeEnv
-from repro.core.stencil import ConvergenceResult
 from repro.device.work import WorkModel
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.sim.engine import spmd_run
@@ -63,9 +62,9 @@ def reference_program(ctx, tol=TOL, max_iters=MAX_ITERS, mix="cpu+2gpu"):
     iterations = 0
     converged = False
     for _ in range(max_iters):
-        old = st.local_interior()
-        st.step()
-        diff = (st.local_interior() - old).ravel()
+        old = st._src[st.interior].copy()
+        st.run(1)
+        diff = (st._src[st.interior] - old).ravel()
         total = env.comm.allreduce(float(np.dot(diff, diff)), op="sum")
         residuals.append(float(math.sqrt(total)))
         iterations += 1
@@ -175,7 +174,7 @@ def _run_after(ctx, fused):
         st.run(3)
     t0 = env.clock.now
     st.run(4)
-    return t0, env.clock.now - t0, st.local_interior()
+    return t0, env.clock.now - t0, st._src[st.interior].copy()
 
 
 def test_reduce_charge_stays_inside_run_until():
@@ -309,7 +308,7 @@ def _cancel_under_faults(ctx):
     st = env.get_stencil()
     st.configure(_kernel(), GRID.shape)
     st.set_global_grid(GRID)
-    st.step()
+    st.run(1)
     st._begin_step_early()
     st._cancel_begun_step()
     st.run(3)
@@ -333,7 +332,7 @@ def test_snapshot_with_speculative_exchange_in_flight_rejected():
         st = env.get_stencil()
         st.configure(_kernel(), GRID.shape)
         st.set_global_grid(GRID)
-        st.step()
+        st.run(1)
         st._begin_step_early()
         try:
             st.snapshot_state()
@@ -379,10 +378,3 @@ def test_validation():
 
     with pytest.raises(ConfigurationError, match="configure"):
         run_spmd(unconfigured, nodes=1)
-
-
-def test_convergence_result_final_residual():
-    r = ConvergenceResult(iterations=2, residuals=[3.0, 1.5])
-    assert r.final_residual == 1.5
-    with pytest.raises(ConfigurationError, match="no iterations"):
-        _ = ConvergenceResult(iterations=0).final_residual

@@ -23,7 +23,6 @@ def test_empty_plan_is_clean_and_allocation_free():
     plan = FaultPlan(seed=1)
     d = plan.decide(0, 1, 5, 0.0)
     assert d is CLEAN_DECISION
-    assert d.clean
 
 
 def test_decisions_deterministic_across_plan_instances():

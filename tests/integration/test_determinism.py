@@ -3,10 +3,10 @@
 The whole point of virtual-clock simulation is that reported numbers are
 reproducible; these tests run the same programs repeatedly and require
 bit-identical results and times.  The app-level cases were deterministic
-by *program shape* even when ranks raced (no polling); the generated
-message programs at the bottom poll, and are deterministic only because
-the engine's schedule is — one rank runs at a time, in an order the
-program alone decides.
+by *program shape* even when ranks raced; the generated message programs
+at the bottom fan in with no barrier before it, and are deterministic
+because the engine's schedule is — one rank runs at a time, in an order
+the program alone decides.
 """
 
 import numpy as np
@@ -101,7 +101,6 @@ def test_different_seeds_differ():
 # are eager and every rank sends before it receives:
 #   ("p2p", [(src, dst, tag), ...])  specific-source sends and receives
 #   ("fanin", root, [delay per rank]) fan-in to root, NO barrier before it
-#   ("poll", src, dst, delay)         irecv + test() polling, clock per miss
 #   ("allreduce",)
 # Phase i uses tags i*8.., so no receive matches another phase's message.
 # ---------------------------------------------------------------------------
@@ -120,7 +119,6 @@ def message_programs(draw):
             st.lists(st.tuples(pair, st.integers(0, 2)), min_size=1, max_size=6),
         ),
         st.tuples(st.just("fanin"), ranks, st.lists(_delays, min_size=n, max_size=n)),
-        st.tuples(st.just("poll"), pair, _delays),
         st.tuples(st.just("allreduce")),
     )
     return n, draw(st.lists(phase, min_size=1, max_size=6))
@@ -146,18 +144,6 @@ def _message_program(ctx, phases):
             else:
                 ctx.clock.advance(delays[me])
                 comm.send(me, root, tag=base)
-        elif phase[0] == "poll":
-            _, (src, dst), delay = phase
-            if me == dst:
-                req = comm.irecv(source=src, tag=base)
-                misses = 0
-                while not req.test():
-                    misses += 1
-                    ctx.clock.advance(1e-6)  # virtual time now depends on the schedule
-                log.append((misses, req.wait()))
-            elif me == src:
-                ctx.clock.advance(delay)
-                comm.send(("polled", me), dst, tag=base)
         else:
             log.append(comm.allreduce(me + i, "sum"))
     return log
@@ -166,7 +152,7 @@ def _message_program(ctx, phases):
 def _observe(n, phases):
     res = spmd_run(_message_program, ohio_cluster(n), args=(phases,), trace=True)
     events = [
-        [(e.category, e.label, e.start, e.end, sorted(e.meta.items())) for e in tr]
+        [(e.category, e.label, e.start, e.end, sorted(e.meta.items())) for e in tr.events]
         for tr in res.traces
     ]
     return res.values, res.times, events

@@ -176,7 +176,7 @@ def test_heat3d_crash_recovers_from_checkpoint():
     assert plan.stats.crashes_consumed == 1
     assert res.makespan > clean.makespan + 0.005  # recovery charged
     fault_labels = [
-        e.label for t in res.traces for e in t if e.category == FAULT_CATEGORY
+        e.label for t in res.traces for e in t.events if e.category == FAULT_CATEGORY
     ]
     assert "crash" in fault_labels
     assert "recovery" in fault_labels
@@ -257,7 +257,7 @@ def _adaptive_ckpt_prog(ctx, rebuild=False, iterations=8):
 
     mgr.run_convergence(
         iterations,
-        lambda _it: holder["st"].step(),
+        lambda _it: holder["st"].run(1),
         lambda: holder["st"].snapshot_state(),
         restore,
     )

@@ -88,9 +88,9 @@ def test_stencil_halo_wire_scales_with_face_not_volume():
         st = env.get_stencil(overlap=False)
         st.configure(StencilKernel(avg, ((1, 0), (0, 1)), work), shape, dims=(2, 1), model_shape=model)
         st.set_global_grid(np.ones(shape))
-        st.step()
+        st.run(1)
         t0 = ctx.clock.now
-        st.step()
+        st.run(1)
         return ctx.clock.now - t0
 
     base = spmd_run(

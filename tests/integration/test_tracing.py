@@ -13,7 +13,6 @@ import numpy as np
 from repro.cluster.presets import laptop_cluster, ohio_cluster
 from repro.apps import moldyn
 from repro.sim.engine import spmd_run
-from repro.sim.trace import overlap_seconds
 
 
 def test_ir_local_compute_overlaps_node_exchange():
@@ -29,11 +28,11 @@ def test_ir_local_compute_overlaps_node_exchange():
     )
     found_overlap = False
     for tr in res.traces:
-        locals_ = tr.filter(category="compute", label_prefix="IR:local")
-        recvs = tr.filter(category="comm", label_prefix="recv")
+        locals_ = [e for e in tr.events if e.category == "compute" and e.label.startswith("IR:local")]
+        recvs = [e for e in tr.events if e.category == "comm" and e.label.startswith("recv")]
         for ev in locals_:
             for rv in recvs:
-                if overlap_seconds(ev, rv) > 0:
+                if min(ev.end, rv.end) > max(ev.start, rv.start):
                     found_overlap = True
     assert found_overlap, "local-edge compute never overlapped the exchange"
 
@@ -48,9 +47,9 @@ def test_reduce_message_rounds_logarithmic():
 
     for size in (2, 4, 8, 7):
         res = spmd_run(prog, laptop_cluster(num_nodes=size), trace=True)
-        sends = sum(len(tr.filter(category="comm", label_prefix="send")) for tr in res.traces)
-        assert sends == size - 1
-        root_recvs = len(res.traces[0].filter(category="comm", label_prefix="recv"))
+        comm = [[e.label for e in tr.events if e.category == "comm"] for tr in res.traces]
+        assert sum(label.startswith("send") for labels in comm for label in labels) == size - 1
+        root_recvs = sum(label.startswith("recv") for label in comm[0])
         assert root_recvs <= math.ceil(math.log2(size))
 
 
@@ -62,7 +61,9 @@ def test_barrier_message_complexity():
 
     for size in (2, 4, 8):
         res = spmd_run(prog, laptop_cluster(num_nodes=size), trace=True)
-        sends = sum(len(tr.filter(category="comm", label_prefix="send")) for tr in res.traces)
+        sends = sum(
+            e.category == "comm" and e.label.startswith("send") for tr in res.traces for e in tr.events
+        )
         assert sends == size * math.ceil(math.log2(size))
 
 
@@ -74,14 +75,14 @@ def test_stencil_records_phases():
     res = spmd_run(
         heat3d.rank_program, ohio_cluster(2), args=(cfg, "cpu+1gpu", kernel), trace=True
     )
-    tr = res.traces[0]
-    assert tr.filter(category="compute", label_prefix="ST:inner")
-    assert tr.filter(category="compute", label_prefix="ST:boundary")
+    compute = [e for e in res.traces[0].events if e.category == "compute"]
+    assert any(e.label.startswith("ST:inner") for e in compute)
+    assert any(e.label.startswith("ST:boundary") for e in compute)
     # One ST:step record per exchange round, whatever the blocking factor.
-    rounds = tr.filter(category="compute", label_prefix="ST:step")
+    rounds = [e for e in compute if e.label.startswith("ST:step")]
     assert [ev.meta["sweeps"] for ev in rounds] == [1, 1]
-    assert not tr.filter(category="compute", label_prefix="ST:block")
-    assert sum(ev.duration for ev in tr.filter(category="compute")) > 0
+    assert not [e for e in compute if e.label.startswith("ST:block")]
+    assert sum(e.end - e.start for e in compute) > 0
     blocked = spmd_run(
         heat3d.rank_program,
         ohio_cluster(2),
@@ -89,9 +90,10 @@ def test_stencil_records_phases():
         kwargs={"time_block": 2},
         trace=True,
     ).traces[0]
-    rounds = blocked.filter(category="compute", label_prefix="ST:step")
+    compute = [e for e in blocked.events if e.category == "compute"]
+    rounds = [e for e in compute if e.label.startswith("ST:step")]
     assert [ev.meta for ev in rounds] == [{"step": 2, "sweeps": 2}]
-    assert blocked.filter(category="compute", label_prefix="ST:sweep")
+    assert [e for e in compute if e.label.startswith("ST:sweep")]
 
 
 def test_gr_compute_span_recorded():
@@ -99,10 +101,10 @@ def test_gr_compute_span_recorded():
 
     cfg = kmeans.KmeansConfig(functional_points=8_000)
     res = spmd_run(kmeans.rank_program, ohio_cluster(1), args=(cfg, "cpu"), trace=True)
-    spans = res.traces[0].filter(category="compute", label_prefix="GR:")
-    assert spans and spans[0].duration > 0
-    compute = res.traces[0].filter(category="compute")
-    assert sum(ev.duration for ev in compute) >= spans[0].duration
+    compute = [e for e in res.traces[0].events if e.category == "compute"]
+    spans = [e for e in compute if e.label.startswith("GR:")]
+    assert spans and spans[0].end > spans[0].start
+    assert sum(e.end - e.start for e in compute) >= spans[0].end - spans[0].start
 
 
 def test_ir_records_shared_memory_partition_counts():
@@ -113,7 +115,10 @@ def test_ir_records_shared_memory_partition_counts():
     res = spmd_run(
         moldyn.rank_program, ohio_cluster(1), args=(cfg, "cpu+2gpu"), trace=True
     )
-    events = res.traces[0].filter(category="partition", label_prefix="IR:shared-parts")
+    events = [
+        e for e in res.traces[0].events
+        if e.category == "partition" and e.label.startswith("IR:shared-parts")
+    ]
     assert len(events) >= 2  # one per GPU per step
     for ev in events:
         assert ev.meta["num_parts"] >= 1

@@ -35,7 +35,7 @@ def test_roundtrip_and_layout(store):
     payload = {"makespan": 1.5, "metrics": {"iters": 3}}
     store.put(KEY, payload)
     assert store.get(KEY) == payload
-    assert KEY in store and len(store) == 1
+    assert KEY in store and KEY2 not in store
     # fan-out layout: results/<first 2 hex chars>/<key>.json
     path = store.path_for(KEY)
     assert path.parent.name == KEY[:2] and path.name == f"{KEY}.json"
@@ -126,14 +126,6 @@ def test_concurrent_writers_leave_one_valid_entry(store):
     assert leftovers == []
 
 
-def test_keys_len_clear(store):
-    store.put(KEY, {"a": 1})
-    store.put(KEY2, {"b": 2})
-    assert sorted(store.keys()) == sorted([KEY, KEY2])
-    store.clear()
-    assert len(store) == 0 and store.get(KEY) is None
-
-
 def test_default_store_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "envstore"))
     assert default_store_root() == tmp_path / "envstore"
@@ -152,13 +144,6 @@ def test_cache_miss_falls_through_to_store(tmp_path):
     assert stats["store_hits"] == 1
     assert cold.get(KEY) == {"makespan": 9.0}  # promoted: now a memory hit
     assert cold.stats()["store_hits"] == 1 and cold.stats()["hits"] >= 1
-
-
-def test_cache_clear_keeps_store(tmp_path):
-    cache = ResultCache(4, store=ResultStore(tmp_path))
-    cache.put(KEY, {"makespan": 1.0})
-    cache.clear()
-    assert cache.get(KEY) == {"makespan": 1.0}  # served from disk
 
 
 def test_cache_eviction_does_not_erase_store(tmp_path):

@@ -468,7 +468,6 @@ def test_a_campaign_document_is_a_campaign_or_a_validation_error(doc):
     except ValidationError:
         return
     assert not ill_shaped, "expanded a campaign whose fault plan is ill-shaped"
-    assert len(specs) == campaign.n_points()
     for spec in specs:
         spec.content_hash()
 

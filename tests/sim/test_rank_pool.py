@@ -49,23 +49,6 @@ def test_busy_worker_is_not_recycled_until_task_returns():
     assert pool.stats()["spawned"] == 2
     release.set()
     wait_until(lambda: pool.stats()["idle"] == 2)
-    pool.drain()
-
-
-def test_drain_shuts_down_idle_workers():
-    pool = _RankThreadPool()
-    done = threading.Event()
-    pool.submit(done.set)
-    assert done.wait(5.0)
-    wait_until(lambda: pool.stats()["idle"] == 1)
-    pool.drain()
-    assert pool.stats() == {"spawned": 1, "idle": 0}
-    # The pool still works after a drain: it simply spawns fresh workers.
-    again = threading.Event()
-    pool.submit(again.set)
-    assert again.wait(5.0)
-    wait_until(lambda: pool.stats()["idle"] == 1)
-    pool.drain()
 
 
 def _values_of_dropped_runs(*node_counts):

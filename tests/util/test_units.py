@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.units import GB, GFLOPS, KB, MB, MS, US, fmt_bytes, fmt_count, fmt_seconds
+from repro.util.units import GB, GFLOPS, KB, MB, MS, US, fmt_seconds
 
 
 def test_size_constants_are_powers_of_ten():
@@ -20,20 +20,6 @@ def test_time_constants():
 @pytest.mark.parametrize(
     "value,expected",
     [
-        (0, "0 B"),
-        (512, "512 B"),
-        (2_048, "2.05 KB"),
-        (3_500_000, "3.50 MB"),
-        (2_300_000_000, "2.30 GB"),
-    ],
-)
-def test_fmt_bytes(value, expected):
-    assert fmt_bytes(value) == expected
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [
         (2.0, "2.000 s"),
         (0.0123, "12.300 ms"),
         (4.5e-6, "4.500 us"),
@@ -42,19 +28,3 @@ def test_fmt_bytes(value, expected):
 def test_fmt_seconds(value, expected):
     assert fmt_seconds(value) == expected
 
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [
-        (42, "42"),
-        (1_300, "1.3K"),
-        (130_000_000, "130.0M"),
-        (2_000_000_000, "2.0B"),
-    ],
-)
-def test_fmt_count(value, expected):
-    assert fmt_count(value) == expected
-
-
-def test_fmt_bytes_negative():
-    assert fmt_bytes(-2_000_000) == "-2.00 MB"
