@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -544,6 +545,9 @@ def cmd_serve(args: argparse.Namespace) -> None:  # pragma: no cover - blocks fo
             print(f"  store       : {store_dir}")
         print("  submit with : python -m repro submit <app> "
               f"--url {server.url}  (Ctrl-C stops)")
+        # SIGTERM stops the server as Ctrl-C does, so its shutdown and the
+        # job pool's exit hook (repro.serve.jobpool.shutdown_pool) both run.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             server.serve_forever()
         except KeyboardInterrupt:

@@ -37,13 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "REDUCTION_OPS",
         ],
         "reduction_object": ["DenseReductionObject"],
-        "partition": [
-            "block_partition",
-            "owner_of",
-            "classify_edges",
-            "arrange_nodes",
-            "NodeArrangement",
-        ],
+        "partition": ["block_partition"],
         "scheduler": ["ChunkScheduler", "ScheduleReport"],
         "adaptive": ["AdaptivePartitioner"],
         "env": ["RuntimeEnv", "DeviceConfig"],

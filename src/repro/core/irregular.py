@@ -7,8 +7,10 @@ set.  Partitioning follows the paper exactly:
   with both endpoints local are *local edges*, edges crossing blocks are
   *cross edges* and are assigned to both sides (each side updates only its
   own endpoint).  Node storage uses the Fig. 3 arrangement — local nodes in
-  front, remote nodes grouped by owning process behind — built by
-  :func:`repro.core.partition.arrange_nodes`.
+  front, remote nodes grouped by owning process behind.
+  :func:`repro.core.partition.decompose` computes both in one pass per
+  rank, once per ``set_mesh``; the edge data is split by the same edge
+  indices.
 - **Remote-node exchange**: steps 1–4 (counts + global ID lists) run once
   per connectivity, steps 5–6 (node data) run whenever node data changed,
   all as real messages.  With ``overlap=True`` (default) local edges are
@@ -50,10 +52,9 @@ from repro.core.api import IRKernel
 from repro.core.adaptive import AdaptivePartitioner
 from repro.core.env import RuntimeEnv
 from repro.core.partition import (
-    arrange_nodes,
     block_partition,
-    classify_edges,
     count_edges_by_node_ranges,
+    decompose,
     validate_range_tiling,
 )
 from repro.core.reduction_object import DenseReductionObject
@@ -152,6 +153,8 @@ class IrregularReductionRuntime:
             node_data = node_data[:, None]
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ConfigurationError(f"edges must be (m, 2), got {edges.shape}")
+        if edges.size and (edges.min() < 0 or edges.max() >= len(node_data)):
+            raise ConfigurationError(f"edge node ids must lie in [0, {len(node_data)})")
         if edge_data is not None:
             edge_data = np.asarray(edge_data)
             if len(edge_data) != len(edges):
@@ -168,32 +171,22 @@ class IrregularReductionRuntime:
         if self._exchange_scale <= 0:
             raise ConfigurationError("exchange_scale must be > 0")
 
-        nprocs = self.env.nprocs
-        offsets = block_partition(self._n_global_nodes, nprocs)
-        arrangement, local_edges, cross_edges = arrange_nodes(edges, offsets, self.env.rank)
-        self._arr = arrangement
-
-        # Renumber edge endpoints to arranged slots (paper: "converts these
-        # IDs into the local rank").  Frozen: the scatter plans key off
-        # these arrays' memory identity.
-        self._local_edges = np.ascontiguousarray(
-            arrangement.slot_of_global(
-                local_edges.reshape(-1), self._n_global_nodes
-            ).reshape(-1, 2)
+        rank = self.env.rank
+        offsets = block_partition(self._n_global_nodes, self.env.nprocs)
+        self._lo, self._n_local = int(offsets[rank]), int(offsets[rank + 1] - offsets[rank])
+        # Edge endpoints come renumbered to arranged slots (paper: "converts
+        # these IDs into the local rank").  Frozen: the scatter plans key
+        # off these arrays' memory identity.
+        local, cross, self._local_edges, self._cross_edges, self._remote, self._groups = (
+            decompose(edges, offsets, rank)
         )
         self._local_edges.flags.writeable = False
-        self._cross_edges = np.ascontiguousarray(
-            arrangement.slot_of_global(
-                cross_edges.reshape(-1), self._n_global_nodes
-            ).reshape(-1, 2)
-        )
         self._cross_edges.flags.writeable = False
 
         # Edge data travels with its edges.
         if edge_data is not None:
-            lm, cm = classify_edges(edges, arrangement.lo, arrangement.hi)
-            self._local_edge_data = edge_data[lm]
-            self._cross_edge_data = edge_data[cm]
+            self._local_edge_data = edge_data[local]
+            self._cross_edge_data = edge_data[cross]
         else:
             self._local_edge_data = None
             self._cross_edge_data = None
@@ -205,8 +198,8 @@ class IrregularReductionRuntime:
             if device_node_bytes is not None
             else float(self._node_width * 8)
         )
-        self._nodes = np.zeros((arrangement.n_slots, self._node_width))
-        self._nodes[: arrangement.n_local] = node_data[arrangement.lo : arrangement.hi]
+        self._nodes = np.zeros((self._n_local + len(self._remote), self._node_width))
+        self._nodes[: self._n_local] = node_data[self._lo : self._lo + self._n_local]
         # Remote slots deliberately stay zero until the exchange fills them.
 
         self._partitioner = AdaptivePartitioner(len(self.env.devices))
@@ -231,17 +224,16 @@ class IrregularReductionRuntime:
     # -- remote-node ID exchange (steps 1-4) -------------------------------
     def _exchange_ids(self) -> None:
         comm = self.env.comm
-        nprocs = comm.size
-        arr = self._arr
+        groups = self._groups
         # Steps 1-2: tell every process how many of its nodes we need
         # (an all-to-all of counts stands in for the pairwise requests).
-        counts = np.zeros(nprocs, dtype=np.int64)
-        for owner, ids in arr.remote_ids.items():
-            counts[owner] = len(ids)
+        counts = np.diff(groups)
         all_counts = comm.alltoall(list(counts))
         # Steps 3-4: exchange the actual global-ID lists.
+        owners = np.flatnonzero(counts).tolist()
         reqs = []
-        for owner, ids in arr.remote_ids.items():
+        for owner in owners:
+            ids = self._remote[groups[owner] : groups[owner + 1]]
             reqs.append(
                 comm.isend(ids, owner, _TAG_IDS, wire_bytes=ids.nbytes * self._exchange_scale)
             )
@@ -249,7 +241,7 @@ class IrregularReductionRuntime:
         for requester, cnt in enumerate(all_counts):
             if requester != comm.rank and cnt > 0:
                 ids = comm.recv(source=requester, tag=_TAG_IDS)
-                serve[requester] = np.asarray(ids) - arr.lo  # local indices
+                serve[requester] = np.asarray(ids) - self._lo  # local indices
         # The step-5/6 plan, one phase of one record per peer: its send is
         # its span of one np.take over all serve indices concatenated, its
         # receive its block of remote node slots.  Requesters and owners
@@ -257,15 +249,15 @@ class IrregularReductionRuntime:
         # is a cross edge of both blocks it joins.
         row_bytes = self._node_width * self._nodes.itemsize
         records, lo = [], 0
-        for peer, ids in arr.remote_ids.items():
-            n, base = len(serve[peer]), arr.remote_offsets[peer]
+        for peer in owners:
+            n, base = len(serve[peer]), self._n_local + int(groups[peer])
             records.append(Exchange(
-                peer, _TAG_DATA, slice(lo, lo + n), slice(base, base + len(ids)),
+                peer, _TAG_DATA, slice(lo, lo + n), slice(base, base + int(counts[peer])),
                 n * row_bytes * self._exchange_scale,
             ))
             lo += n
         self._exchange = NeighborExchange(comm, (tuple(records),))
-        self._serve_idx = np.concatenate([np.zeros(0, np.intp), *map(serve.get, arr.remote_ids)])
+        self._serve_idx = np.concatenate([np.zeros(0, np.intp), *map(serve.get, owners)])
         comm.waitall(reqs)
         self._needs_id_exchange = False
 
@@ -286,13 +278,13 @@ class IrregularReductionRuntime:
 
     # -- device partitioning ------------------------------------------------
     def _device_ranges(self) -> list[tuple[int, int]]:
-        counts = self._partitioner.split(self._arr.n_local)
+        counts = self._partitioner.split(self._n_local)
         ranges = []
         lo = 0
         for c in counts:
             ranges.append((lo, lo + int(c)))
             lo += int(c)
-        validate_range_tiling(ranges, self._arr.n_local)
+        validate_range_tiling(ranges, self._n_local)
         return ranges
 
     def _count_device_edges(self, ranges: list[tuple[int, int]]) -> None:
@@ -320,7 +312,7 @@ class IrregularReductionRuntime:
             return obj
         kernel = self._kernel
         obj = DenseReductionObject(
-            max(1, self._arr.n_local), kernel.value_width, kernel.reduce_op, kernel.dtype
+            max(1, self._n_local), kernel.value_width, kernel.reduce_op, kernel.dtype
         )
         for edges in (self._local_edges, self._cross_edges):
             obj.plan_scatter(edges[:, 0])
@@ -465,7 +457,7 @@ class IrregularReductionRuntime:
             if counts.sum() > 0 and not self._partitioner.profiled:
                 self._partitioner.observe(counts, times)
 
-        self._result = obj.values[: self._arr.n_local]
+        self._result = obj.values[: self._n_local]
         self._timestep += 1
         if env.trace.enabled:
             env.trace.record("compute", "IR:step", t0, clock.now, {"step": self._timestep})
@@ -482,7 +474,7 @@ class IrregularReductionRuntime:
     def local_node_range(self) -> tuple[int, int]:
         """Global-ID range ``[lo, hi)`` of this process's nodes."""
         self._check_configured()
-        return self._arr.lo, self._arr.hi
+        return self._lo, self._lo + self._n_local
 
     def get_local_reduction(self) -> np.ndarray:
         """``(n_local, value_width)`` reduction result over local nodes.
@@ -498,7 +490,7 @@ class IrregularReductionRuntime:
     def get_local_nodes(self) -> np.ndarray:
         """Current local node data (a copy)."""
         self._check_configured()
-        return self._nodes[: self._arr.n_local].copy()
+        return self._nodes[: self._n_local].copy()
 
     def update_nodedata(self, new_local_nodes: np.ndarray) -> None:
         """Replace local node data (paper: ``ir->update_nodedata(result)``).
@@ -516,12 +508,12 @@ class IrregularReductionRuntime:
         """
         self._check_configured()
         new_local_nodes = np.asarray(new_local_nodes, dtype=np.float64)
-        if new_local_nodes.shape != (self._arr.n_local, self._node_width):
+        if new_local_nodes.shape != (self._n_local, self._node_width):
             raise ConfigurationError(
-                f"expected shape {(self._arr.n_local, self._node_width)}, "
+                f"expected shape {(self._n_local, self._node_width)}, "
                 f"got {new_local_nodes.shape}"
             )
-        self._nodes[: self._arr.n_local] = new_local_nodes
+        self._nodes[: self._n_local] = new_local_nodes
         t0 = self.env.clock.now
         self.env.clock.advance(self.env.host_memcpy_time(new_local_nodes.nbytes * self._node_scale))
         if self.env.trace.enabled:

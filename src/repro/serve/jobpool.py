@@ -114,7 +114,6 @@ class _JobPool:
 
 
 _pool = _JobPool()
-atexit.register(_pool.shutdown)
 
 
 def run_in_worker(doc: dict[str, Any]) -> dict[str, Any]:
@@ -130,3 +129,6 @@ def job_pool_stats() -> dict[str, int]:
 def shutdown_pool() -> None:
     """Stop every worker and helper process; the next job starts afresh."""
     _pool.shutdown()
+
+
+atexit.register(shutdown_pool)

@@ -153,10 +153,10 @@ def test_remote_slots_filled_only_by_protocol():
         ir = env.get_IR()
         ir.set_kernel(_kernel())
         ir.set_mesh(EDGES, NODES, WEIGHTS)
-        arr = ir._arr
-        before = ir._nodes[arr.n_local :].copy()
+        lo, hi = ir.local_node_range
+        before = ir._nodes[hi - lo :].copy()
         ir.start()
-        after = ir._nodes[arr.n_local :].copy()
+        after = ir._nodes[hi - lo :].copy()
         return len(before), float(np.abs(before).sum()), float(np.abs(after).sum())
 
     res = run_spmd(prog, nodes=3)
@@ -326,6 +326,19 @@ def test_errors_for_missing_configuration():
 
     with pytest.raises(ConfigurationError, match="edges"):
         run_spmd(bad_edges, nodes=1)
+
+
+@pytest.mark.parametrize("bad_id", [-1, len(NODES)])
+def test_edge_ids_outside_the_nodes_are_a_configuration_error(bad_id):
+    """Refused up front on every rank, whichever block the other end is in."""
+    edges = EDGES.copy()
+    edges[-1, 1] = bad_id
+
+    def prog(ctx):
+        RuntimeEnv(ctx, "cpu").get_IR().set_mesh(edges, NODES)
+
+    with pytest.raises(ConfigurationError, match=rf"\[0, {len(NODES)}\)"):
+        run_spmd(prog, nodes=2)
 
 
 @pytest.mark.parametrize("nodes", [1, 2])

@@ -2,17 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.partition import (
     _sorted_distinct,
-    arrange_nodes,
     block_partition,
-    classify_edges,
     count_edges_by_node_ranges,
-    owner_of,
+    decompose,
     validate_range_tiling,
 )
 from repro.util.errors import ValidationError
@@ -38,28 +36,50 @@ def test_block_partition_validation():
         block_partition(5, 0)
 
 
-@given(st.integers(1, 500), st.integers(1, 16))
-def test_owner_of_consistent_with_offsets(n, parts):
-    offsets = block_partition(n, parts)
-    ids = np.arange(n)
-    owners = owner_of(offsets, ids)
-    for p in range(parts):
-        lo, hi = offsets[p], offsets[p + 1]
-        assert (owners[lo:hi] == p).all()
+def _brute_decomposition(edges, offsets, rank):
+    """The §II-A rule edge by edge: local / cross masks, each owner's remotes."""
+    lo, hi = offsets[rank], offsets[rank + 1]
+    local, cross, remote = [], [], set()
+    for u, v in edges.tolist():
+        u_in, v_in = lo <= u < hi, lo <= v < hi
+        local.append(u_in and v_in)
+        cross.append(u_in != v_in)
+        if u_in != v_in:
+            remote.add(v if u_in else u)
+    by_owner = [
+        sorted(i for i in remote if offsets[p] <= i < offsets[p + 1])
+        for p in range(len(offsets) - 1)
+    ]
+    return np.array(local, dtype=bool), np.array(cross, dtype=bool), by_owner
 
 
-def test_owner_of_range_check():
-    with pytest.raises(ValidationError):
-        owner_of(block_partition(10, 2), np.array([10]))
+@st.composite
+def _graphs(draw):
+    """A random multigraph: self-loops, repeats, isolated nodes, maybe no edges."""
+    n = draw(st.integers(1, 40))
+    parts = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 60))
+    edges = draw(hnp.arrays(np.int64, (m, 2), elements=st.integers(0, n - 1)))
+    return edges, block_partition(n, parts)
 
 
-def test_classify_edges_masks():
-    edges = np.array([[0, 1], [1, 5], [5, 6], [0, 6], [2, 3]])
-    local, cross = classify_edges(edges, 0, 4)
-    np.testing.assert_array_equal(local, [True, False, False, False, True])
-    np.testing.assert_array_equal(cross, [False, True, False, True, False])
-    with pytest.raises(ValidationError):
-        classify_edges(np.zeros((3, 3)), 0, 4)
+@given(_graphs())
+@example((np.empty((0, 2), np.int64), block_partition(5, 3)))  # no edges
+@example((np.array([[2, 2], [0, 4], [4, 4], [0, 4]]), block_partition(9, 4)))  # loops, repeats
+def test_decompose_matches_the_per_edge_definition(graph):
+    edges, offsets = graph
+    for rank in range(len(offsets) - 1):
+        local, cross, local_slots, cross_slots, remote, groups = decompose(edges, offsets, rank)
+        want_local, want_cross, by_owner = _brute_decomposition(edges, offsets, rank)
+        np.testing.assert_array_equal(local, np.flatnonzero(want_local))
+        np.testing.assert_array_equal(cross, np.flatnonzero(want_cross))
+        assert groups[0] == 0 and groups[-1] == len(remote)
+        for owner, ids in enumerate(by_owner):
+            assert remote[groups[owner] : groups[owner + 1]].tolist() == ids
+        # Slot -> global id: the local block in front, the remotes behind.
+        global_of_slot = np.concatenate([np.arange(offsets[rank], offsets[rank + 1]), remote])
+        np.testing.assert_array_equal(global_of_slot[local_slots], edges[local])
+        np.testing.assert_array_equal(global_of_slot[cross_slots], edges[cross])
 
 
 def _random_graph(n, m, seed):
@@ -75,18 +95,12 @@ def test_cross_edges_assigned_to_both_sides(parts):
     n = 40
     edges = _random_graph(n, 300, seed=1)
     offsets = block_partition(n, parts)
-    seen = {}
+    seen = np.zeros(len(edges), dtype=int)
     for p in range(parts):
-        _, local, cross = arrange_nodes(edges, offsets, p)
-        for u, v in local:
-            seen[(u, v)] = seen.get((u, v), 0) + 1
-        for u, v in cross:
-            seen[(u, v)] = seen.get((u, v), 0) + 1
-    for (u, v), count in seen.items():
-        same = owner_of(offsets, np.array([u]))[0] == owner_of(offsets, np.array([v]))[0]
-        assert count == (1 if same else 2), f"edge ({u},{v}) seen {count} times"
-    # every edge covered
-    assert len(seen) == len({(u, v) for u, v in map(tuple, edges)})
+        local, cross, *_ = decompose(edges, offsets, p)
+        np.add.at(seen, np.concatenate([local, cross]), 1)
+    owner = np.searchsorted(offsets, edges, side="right") - 1
+    np.testing.assert_array_equal(seen, np.where(owner[:, 0] == owner[:, 1], 1, 2))
 
 
 def test_arrangement_layout_local_first_remotes_grouped():
@@ -94,40 +108,28 @@ def test_arrangement_layout_local_first_remotes_grouped():
     n = 30
     edges = _random_graph(n, 150, seed=2)
     offsets = block_partition(n, 3)
-    arr, local, cross = arrange_nodes(edges, offsets, 1)
-    assert arr.lo == offsets[1] and arr.hi == offsets[2]
-    base = arr.n_local
-    for owner in sorted(arr.remote_ids):
-        ids = arr.remote_ids[owner]
-        assert (np.sort(ids) == ids).all()
-        assert arr.remote_offsets[owner] == base
-        base += len(ids)
-        # every remote id really belongs to that owner
-        assert (owner_of(offsets, ids) == owner).all()
-    assert arr.n_slots == base
+    _, _, local_slots, cross_slots, remote, groups = decompose(edges, offsets, 1)
+    n_local = offsets[2] - offsets[1]
+    assert (local_slots < n_local).all()
+    assert (np.diff(remote) > 0).all()  # sorted, each id once
+    assert groups[1] == groups[2]  # none of its own
+    for owner in range(3):
+        ids = remote[groups[owner] : groups[owner + 1]]
+        assert ((ids >= offsets[owner]) & (ids < offsets[owner + 1])).all()
+    # Each remote slot is read by a cross edge.
+    remote_reads = cross_slots[cross_slots >= n_local]
+    np.testing.assert_array_equal(np.unique(remote_reads), n_local + np.arange(len(remote)))
 
 
 def test_slot_mapping_roundtrip():
     n = 25
     edges = _random_graph(n, 120, seed=3)
     offsets = block_partition(n, 2)
-    arr, local, cross = arrange_nodes(edges, offsets, 0)
-    # local ids map to [0, n_local)
-    slots = arr.slot_of_global(np.arange(arr.lo, arr.hi), n)
-    np.testing.assert_array_equal(slots, np.arange(arr.n_local))
-    # cross-edge endpoints all resolve
-    if len(cross):
-        slots = arr.slot_of_global(cross.reshape(-1), n)
-        assert (slots >= 0).all() and (slots < arr.n_slots).all()
-
-
-def test_slot_mapping_unknown_id_raises():
-    n = 20
-    edges = np.array([[0, 1]])
-    offsets = block_partition(n, 2)
-    arr, _, _ = arrange_nodes(edges, offsets, 0)
-    with pytest.raises(ValidationError):
-        arr.slot_of_global(np.array([15]), n)  # never referenced remote
+    local, cross, local_slots, cross_slots, remote, _ = decompose(edges, offsets, 0)
+    # local ids map to [0, n_local), remote ids to the slots behind them
+    np.testing.assert_array_equal(local_slots, edges[local])
+    global_of_slot = np.concatenate([np.arange(offsets[1]), remote])
+    np.testing.assert_array_equal(global_of_slot[cross_slots], edges[cross])
 
 
 @given(
@@ -150,11 +152,6 @@ def test_sorted_distinct_edge_cases():
     assert _sorted_distinct(np.empty(0, dtype=np.int64)).shape == (0,)
     np.testing.assert_array_equal(_sorted_distinct(np.full(9, 4)), [4])
     np.testing.assert_array_equal(_sorted_distinct(np.array([3, 1, 3, 2, 1])), [1, 2, 3])
-
-
-def test_arrange_nodes_bad_part():
-    with pytest.raises(ValidationError):
-        arrange_nodes(np.array([[0, 1]]), block_partition(4, 2), 2)
 
 
 def test_validate_range_tiling_accepts_exact_tilings():

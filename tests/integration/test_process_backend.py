@@ -296,3 +296,44 @@ def test_interpreter_exit_leaves_no_process_behind():
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def test_a_server_stopped_by_sigterm_leaves_no_process_behind():
+    """``repro serve`` takes SIGTERM as it takes Ctrl-C: the server shuts
+    down and exits, and its job workers, forkserver and resource tracker
+    go with it, so its process group is empty within seconds."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "1"}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--store", "none"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,  # its own process group, as an operator's shell gives it
+    )
+    try:
+        url = server.stdout.readline().split()[-1]
+        assert url.startswith("http://"), url
+        submit = subprocess.run(
+            [sys.executable, "-m", "repro", "submit", "kmeans", "--nodes", "2",
+             "--backend", "processes", "--url", url],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert submit.returncode == 0, submit.stderr
+        server.send_signal(signal.SIGTERM)
+        server.wait(timeout=30)
+
+        def group_is_empty():
+            try:
+                os.killpg(server.pid, 0)
+            except ProcessLookupError:
+                return True
+            return False
+
+        wait_until(group_is_empty, timeout=5.0)
+    finally:
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.stdout.close()
