@@ -218,10 +218,12 @@ def run(
     loop's actual virtual time (every iteration really runs; nothing to
     extrapolate) and the sequential baseline is scaled to the iteration
     count the loop took.  ``max_iters`` caps that loop, so it needs
-    ``until_tol``.
+    ``until_tol``, and ``until_tol`` must be a norm the loop can reach: > 0.
     """
     if max_iters is not None and until_tol is None:
         raise ValidationError("max_iters caps the until_tol loop; set until_tol too")
+    if until_tol is not None and not until_tol > 0:
+        raise ValidationError(f"until_tol must be > 0, got {until_tol!r}")
     config = config or Heat3DConfig()
     result = spmd_run(
         rank_program,

@@ -39,7 +39,7 @@ from typing import Any, Callable, Mapping
 
 from repro.apps.registry import APPS
 from repro.util.errors import ValidationError
-from repro.util.validate import check_document, to_wire
+from repro.util.validate import annotation_kinds, check_document, is_json, to_wire
 
 #: Cluster presets a job may request, by name.
 CLUSTER_PRESETS = ("ohio", "laptop", "latency")
@@ -110,14 +110,16 @@ def served_app_names() -> list[str]:
     return sorted(APPS)
 
 
-def _allowed_options(run_fn: Callable[..., Any]) -> set[str]:
-    """The keyword-only parameters of an app's ``run`` (its option surface)."""
-    sig = inspect.signature(run_fn)
+@functools.cache
+def _option_kinds(run_fn: Callable[..., Any]) -> Mapping[str, tuple[str, ...]]:
+    """The keyword-only parameters of an app's ``run`` (its option surface),
+    each mapped to the JSON kinds its annotation admits."""
+    sig = inspect.signature(run_fn, eval_str=True)
     return {
-        name
+        name: annotation_kinds(p.annotation)
         for name, p in sig.parameters.items()
-        if p.kind is inspect.Parameter.KEYWORD_ONLY
-    } - _RESERVED_OPTIONS
+        if p.kind is inspect.Parameter.KEYWORD_ONLY and name not in _RESERVED_OPTIONS
+    }
 
 
 def _tuplify(value: Any) -> Any:
@@ -211,12 +213,18 @@ class JobSpec:
                 f"unknown {self.app} config params {sorted(unknown)}; "
                 f"known: {sorted(config_fields)}"
             )
-        allowed = _allowed_options(entry.run)
-        bad = set(self.options) - allowed
+        allowed = _option_kinds(entry.run)
+        bad = set(self.options) - set(allowed)
         if bad:
             raise ValidationError(
                 f"unknown {self.app} options {sorted(bad)}; known: {sorted(allowed)}"
             )
+        for name, value in self.options.items():
+            if not is_json(value, *allowed[name]):
+                raise ValidationError(
+                    f"{self.app} option {name!r} must be {' or '.join(allowed[name])}, "
+                    f"got {value!r}"
+                )
         if self.fault_plan is not None:
             # Validates field names/ranges; the plan itself is rebuilt at
             # execution time (plans carry runtime state, specs must not).

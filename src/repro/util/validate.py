@@ -36,13 +36,22 @@ _JSON_KINDS: dict[str, Callable[[Any], bool]] = {
 }
 
 
-def check_json(name: str, value: Any, *kinds: str) -> None:
-    """Require a decoded JSON ``value`` to be one of ``kinds`` (keys of
+def is_json(value: Any, *kinds: str) -> bool:
+    """Whether a decoded JSON ``value`` is one of ``kinds`` (keys of
     ``_JSON_KINDS``); a bool is neither an integer nor a number here.
+
+    >>> is_json(True, "an integer")
+    False
+    """
+    return any(_JSON_KINDS[kind](value) for kind in kinds)
+
+
+def check_json(name: str, value: Any, *kinds: str) -> None:
+    """Require a decoded JSON ``value`` to be one of ``kinds`` (:func:`is_json`).
 
     >>> check_json("nodes", 4, "an integer")
     """
-    if not any(_JSON_KINDS[kind](value) for kind in kinds):
+    if not is_json(value, *kinds):
         raise ValidationError(f"{name} must be {' or '.join(kinds)}, got {type(value).__name__}")
 
 
@@ -80,13 +89,13 @@ _ANNOTATION_KINDS: dict[Any, str] = {
 }
 
 
-def _annotation_kinds(hint: Any) -> tuple[str, ...]:
+def annotation_kinds(hint: Any) -> tuple[str, ...]:
     """The :func:`check_json` kinds a field annotation admits (``X | None``
     adds null; a tuple of mappings is a list of objects)."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return tuple(kind for arg in args for kind in _annotation_kinds(arg))
-    if origin is tuple and args and _annotation_kinds(args[0]) == ("an object",):
+        return tuple(kind for arg in args for kind in annotation_kinds(arg))
+    if origin is tuple and args and annotation_kinds(args[0]) == ("an object",):
         return ("a list of objects",)
     if origin in _ANNOTATION_KINDS:
         return (_ANNOTATION_KINDS[origin],)
@@ -101,7 +110,7 @@ def wire_fields(cls: type) -> Mapping[str, tuple[str, ...]]:
     :func:`to_wire` writes."""
     hints = typing.get_type_hints(cls)
     return types.MappingProxyType(
-        {f.name: _annotation_kinds(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+        {f.name: annotation_kinds(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
     )
 
 

@@ -32,13 +32,17 @@ def test_run_no_overlap(capsys):
 
 def test_run_refused_option_value_is_a_clean_exit():
     for option, message in (
-        ("time_block=0", "time_block must be >= 1, got 0"),
+        ("time_block=0", "heat3d failed: time_block must be >= 1, got 0"),
         # The round size is a positive int; no value asks the runtime to pick one.
-        ("time_block=auto", "time_block must be >= 1, got 'auto'"),
+        ("time_block=auto", "invalid job spec: heat3d option 'time_block' must be an integer, got 'auto'"),
         # max_iters caps the until_tol loop; a plain run would ignore it.
-        ("max_iters=3", "max_iters caps the until_tol loop; set until_tol too"),
+        ("max_iters=3", "heat3d failed: max_iters caps the until_tol loop; set until_tol too"),
+        # No norm reaches a tolerance <= 0 (or NaN): the loop would run to its cap.
+        ("until_tol=-1", "heat3d failed: until_tol must be > 0, got -1"),
+        ("until_tol=0", "heat3d failed: until_tol must be > 0, got 0"),
+        ("until_tol=NaN", "heat3d failed: until_tol must be > 0, got nan"),
     ):
-        with pytest.raises(SystemExit, match=f"heat3d failed: {message}"):
+        with pytest.raises(SystemExit, match=message):
             main(["run", "heat3d", "--nodes", "1", "--scale", "quick", "--option", option])
 
 

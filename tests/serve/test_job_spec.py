@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,34 @@ def test_unknown_config_param_rejected():
 def test_unknown_run_option_rejected():
     with pytest.raises(ValidationError, match="options"):
         JobSpec(app="moldyn", options={"until_tol": 1e-3})
+
+
+@pytest.mark.parametrize(
+    "app, option, value, expected",
+    [
+        ("sobel", "tiling", "no", "a boolean"),  # ran as the default, tiling on
+        ("heat3d", "reliable", "yes", "a boolean"),  # ran reliable, hashed apart from true
+        ("heat3d", "reliable", 1, "a boolean"),
+        ("heat3d", "time_block", 2.0, "an integer"),
+        ("heat3d", "time_block", True, "an integer"),
+        ("heat3d", "until_tol", "abc", "a number or null"),  # died mid-run
+        ("heat3d", "until_tol", False, "a number or null"),
+    ],
+)
+def test_an_option_value_of_the_wrong_type_is_refused(app, option, value, expected):
+    message = f"{app} option '{option}' must be {expected}, got {value!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        JobSpec(app=app, options={option: value})
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        JobSpec.from_dict({"app": app, "options": {option: value}})
+
+
+def test_an_option_value_of_the_right_type_is_admitted_unconverted():
+    # The check converts nothing: an int where a float is annotated stays an
+    # int, and the hash is the one the spec's stored results are addressed by.
+    spec = JobSpec(app="heat3d", nodes=2, options={"until_tol": 1, "time_block": 2, "tiling": False})
+    assert spec.options == {"until_tol": 1, "time_block": 2, "tiling": False}
+    assert spec.content_hash() == "4be8b9a0549b9e7efbde1b5ca364d7ede605dab207e205a362b4d6262f3f93cb"
 
 
 def test_reserved_option_names_rejected():
