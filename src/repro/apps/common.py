@@ -94,11 +94,12 @@ class StepLoop:
     """The rank programs' one time-step loop driver.
 
     Create it first thing in a rank program and call :meth:`finish` last
-    thing.  ``reliable`` wraps the rank's communicator in
-    :class:`~repro.comm.reliable.ReliableComm` — everything built
-    afterwards runs over it, so the run completes bit-identically under a
-    lossy fault plan — and ``checkpoint_every`` (cadence in loop
-    iterations) puts the loop under a
+    thing.  With ``reliable``, ``ctx.comm`` becomes a
+    :class:`~repro.comm.reliable.ReliableComm` built from it: a ``SimComm``
+    on the same fabric, clock and trace whose ``send`` and ``recv``
+    retransmit and dedup, so everything built afterwards completes
+    bit-identically under a lossy fault plan; :meth:`finish` flushes its
+    acks.  ``checkpoint_every`` (cadence in loop iterations) puts the loop under a
     :class:`~repro.core.checkpoint.CheckpointManager`, so an injected
     rank crash recovers from the last snapshot instead of failing the run.
     """

@@ -27,7 +27,7 @@ from repro.util.lazy import lazy_exports
 
 # Only a ``reliable`` run loads the retransmitting communicator (PEP 562).
 _lazy, __getattr__, __dir__ = lazy_exports(
-    __name__, {"reliable": ["ReliableComm", "ReliableRecvRequest"]}
+    __name__, {"reliable": ["ReliableComm"]}
 )
 
 __all__ = [

@@ -126,7 +126,7 @@ class SimComm:
         _internal: bool = False,
         wire_bytes: float | None = None,
         owned: bool = False,
-    ) -> None:
+    ) -> bool:
         """Buffered eager send: snapshots ``obj`` and returns immediately.
 
         The sender's virtual clock advances only by the link's software
@@ -140,12 +140,15 @@ class SimComm:
         sends: the caller transfers ownership of ``obj`` and promises not
         to mutate it until the receiver has consumed the message, so no
         snapshot copy is made (see :func:`repro.comm.payload.make_payload`).
+
+        Returns ``False`` iff an installed fault plan dropped the message
+        (the fabric charged it but never enqueued it).
         """
         self._check_peer(dest, "destination")
         if not _internal:
             self._check_tag(tag)
         if dest == PROC_NULL:
-            return
+            return True
         if wire_bytes is not None and wire_bytes < 0:
             raise CommunicationError(f"wire_bytes must be >= 0, got {wire_bytes}")
         link = self.fabric.link(self.rank, dest)
@@ -153,7 +156,7 @@ class SimComm:
         self.clock.advance(link.send_overhead)
         payload = make_payload(obj, owned=owned)
         charged = payload.nbytes if wire_bytes is None else wire_bytes
-        arrival = self.fabric.transmit(
+        arrival, enqueued = self.fabric.transmit(
             self.rank, dest, tag, payload, send_time=self.clock.now, charged=charged, link=link
         )
         tr = self.trace
@@ -170,6 +173,7 @@ class SimComm:
             )
             tr.count("comm.msgs_sent")
             tr.count("comm.bytes_sent", charged)
+        return enqueued
 
     def isend(
         self,
@@ -274,7 +278,7 @@ class SimComm:
     alltoall = _coll.alltoall
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimComm(rank={self.rank}, size={self.size})"
+        return f"{type(self).__name__}(rank={self.rank}, size={self.size})"
 
 
 class Exchange(NamedTuple):

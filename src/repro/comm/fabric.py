@@ -46,10 +46,11 @@ each deque in post order is MPI's non-overtaking guarantee between any
 
 Fault injection: an installed :class:`~repro.faults.plan.FaultPlan` is
 consulted by :meth:`Fabric.transmit` for every message — dropped messages
-are charged to the sender but never enqueued, duplicates are enqueued
-twice (the copy trailing by one wire time), delays and link degradation
-push the arrival time out.  ``post()`` is the raw test-level enqueue and
-bypasses the plan.
+are charged to the sender but never enqueued (``transmit`` tells its
+caller so, which is all the reliable layer needs to retransmit),
+duplicates are enqueued twice (the copy trailing by one wire time), delays
+and link degradation push the arrival time out.  ``_enqueue`` is the raw
+enqueue the fabric tests use; it bypasses the plan.
 """
 
 from __future__ import annotations
@@ -251,17 +252,18 @@ class Fabric:
         send_time: float,
         charged: float,
         link: InterconnectSpec,
-    ) -> float:
-        """Inject + enqueue for the hot path of :meth:`SimComm.send`.
+    ) -> tuple[float, bool]:
+        """Inject + enqueue for the hot path of :meth:`SimComm.send`;
+        returns ``(arrival, enqueued)``.
 
         With a fault plan installed, the plan is consulted here: link
         degradation stretches the wire time, extra delay pushes the
         arrival out, a duplicate enqueues a second copy trailing by one
         wire time (network-side duplication — the sender's NIC is charged
         once), and a dropped message is charged to the sender's egress but
-        never enqueued.  The sender-side return value is always the
-        arrival the message *would* have had, so sender traces stay
-        comparable across plans.
+        never enqueued: ``enqueued`` is ``False`` exactly then.  ``arrival``
+        is always the arrival the message *would* have had, so sender
+        traces stay comparable across plans.
         """
         self._check_abort()
         wire = charged / link.bandwidth
@@ -276,7 +278,7 @@ class Fabric:
         if decision is not None:
             arrival += decision.extra_latency + decision.extra_delay
             if decision.drop:
-                return arrival
+                return arrival, False
         self._enqueue(
             Message(
                 src=src,
@@ -302,7 +304,7 @@ class Fabric:
                     wire_duration=wire,
                 )
             )
-        return arrival
+        return arrival, True
 
     # ------------------------------------------------------------------
     # Receive side

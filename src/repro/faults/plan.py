@@ -219,9 +219,6 @@ class FaultPlan:
         self._lock = threading.Lock()
         # Per-(src, dst) message index: advances in sender program order.
         self._pair_index: dict[tuple[int, int], int] = {}
-        # Sender's most recent decision (read back by ReliableComm, which
-        # models its retransmission timer from the known message fate).
-        self._last_by_src: dict[int, FaultDecision] = {}
 
     @classmethod
     def lossy(
@@ -305,6 +302,11 @@ class FaultPlan:
     def decide(self, src: int, dst: int, tag: int, send_time: float) -> FaultDecision:
         """Verdict for one message; called by the fabric per transmission.
 
+        Only :meth:`~repro.comm.fabric.Fabric.transmit` reads the verdict:
+        it acts on it, and tells the sender whether the message was
+        enqueued (``False`` on a drop), which is all a retransmitting
+        sender needs.  The plan keeps no verdict after returning it.
+
         Deterministic: keyed by the per-(src, dst) message index, which
         advances in the sender's program order, never by wall-clock state.
 
@@ -366,19 +368,7 @@ class FaultPlan:
                     bandwidth_factor=bw_factor,
                     extra_latency=extra_latency,
                 )
-            self._last_by_src[src] = decision
         return decision
-
-    def last_decision(self, src: int) -> FaultDecision:
-        """The most recent verdict for a message sent by ``src``.
-
-        Only ``src``'s own thread transmits for ``src``, so reading this
-        right after a send is race-free; :class:`ReliableComm` uses it to
-        learn a message's fate (modelling its retransmission timeout in
-        virtual time instead of wall-clock waiting).
-        """
-        with self._lock:
-            return self._last_by_src.get(src, CLEAN_DECISION)
 
     # -- crashes --------------------------------------------------------
     def crash_pending(self, rank: int, now: float) -> RankCrash | None:

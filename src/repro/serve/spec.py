@@ -39,7 +39,7 @@ from typing import Any, Callable, Mapping
 
 from repro.apps.registry import APPS
 from repro.util.errors import ValidationError
-from repro.util.validate import annotation_kinds, check_document, is_json, to_wire
+from repro.util.validate import annotation_kinds, check_document, is_json, to_wire, wire_fields
 
 #: Cluster presets a job may request, by name.
 CLUSTER_PRESETS = ("ohio", "laptop", "latency")
@@ -120,6 +120,21 @@ def _option_kinds(run_fn: Callable[..., Any]) -> Mapping[str, tuple[str, ...]]:
         for name, p in sig.parameters.items()
         if p.kind is inspect.Parameter.KEYWORD_ONLY and name not in _RESERVED_OPTIONS
     }
+
+
+def _check_values(
+    what: str, values: Mapping[str, Any], kinds: Mapping[str, tuple[str, ...]]
+) -> None:
+    """Require every name of ``values`` in ``kinds`` and its value of the JSON
+    kinds listed there; converts nothing."""
+    unknown = set(values) - set(kinds)
+    if unknown:
+        raise ValidationError(f"unknown {what}s {sorted(unknown)}; known: {sorted(kinds)}")
+    for name, value in values.items():
+        if not is_json(value, *kinds[name]):
+            raise ValidationError(
+                f"{what} {name!r} must be {' or '.join(kinds[name])}, got {value!r}"
+            )
 
 
 def _tuplify(value: Any) -> Any:
@@ -206,25 +221,9 @@ class JobSpec:
         object.__setattr__(self, "options", dict(self.options or {}))
         entry = APPS[self.app]  # imports this app's module, and only this one
         entry.check(self.app, self.nodes, self.mix)
-        config_fields = {f.name for f in dataclasses.fields(entry.config_type)}
-        unknown = set(self.params) - config_fields
-        if unknown:
-            raise ValidationError(
-                f"unknown {self.app} config params {sorted(unknown)}; "
-                f"known: {sorted(config_fields)}"
-            )
+        _check_values(f"{self.app} config param", self.params, wire_fields(entry.config_type))
         allowed = _option_kinds(entry.run)
-        bad = set(self.options) - set(allowed)
-        if bad:
-            raise ValidationError(
-                f"unknown {self.app} options {sorted(bad)}; known: {sorted(allowed)}"
-            )
-        for name, value in self.options.items():
-            if not is_json(value, *allowed[name]):
-                raise ValidationError(
-                    f"{self.app} option {name!r} must be {' or '.join(allowed[name])}, "
-                    f"got {value!r}"
-                )
+        _check_values(f"{self.app} option", self.options, allowed)
         if self.fault_plan is not None:
             # Validates field names/ranges; the plan itself is rebuilt at
             # execution time (plans carry runtime state, specs must not).

@@ -157,8 +157,8 @@ def rank_pool_stats() -> dict[str, int]:
 # so virtual makespans are bit-identical whether runs execute back-to-back
 # or interleaved.  The shared state (the rank-thread pool above, dataset
 # memos) is lock-protected.  The counters below track how many runs/ranks
-# are in flight right now; the ``repro.serve`` job scheduler sizes its
-# admission control against them.
+# are in flight right now; the ``repro.serve`` job scheduler only reports
+# them (``/stats`` ``engine``): its admission counts its own ranks in use.
 _active_lock = threading.Lock()
 _active_runs = 0
 _active_ranks = 0

@@ -22,16 +22,22 @@ from typing import Any, Callable
 
 from repro.util.errors import ValidationError
 
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 #: The shapes :func:`check_json` tells apart in a decoded JSON document.
 _JSON_KINDS: dict[str, Callable[[Any], bool]] = {
     "a string": lambda v: isinstance(v, str),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an integer": _is_integer,
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "a boolean": lambda v: isinstance(v, bool),
     "an object": lambda v: isinstance(v, Mapping),
     "a list of objects": lambda v: (
         isinstance(v, (list, tuple)) and all(isinstance(item, Mapping) for item in v)
     ),
+    "a list of integers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v)),
     "null": lambda v: v is None,
 }
 
@@ -91,10 +97,13 @@ _ANNOTATION_KINDS: dict[Any, str] = {
 
 def annotation_kinds(hint: Any) -> tuple[str, ...]:
     """The :func:`check_json` kinds a field annotation admits (``X | None``
-    adds null; a tuple of mappings is a list of objects)."""
+    adds null; a tuple of mappings is a list of objects, a tuple of ints a
+    list of integers)."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return tuple(kind for arg in args for kind in annotation_kinds(arg))
+    if origin is tuple and set(args) - {Ellipsis} == {int}:
+        return ("a list of integers",)
     if origin is tuple and args and annotation_kinds(args[0]) == ("an object",):
         return ("a list of objects",)
     if origin in _ANNOTATION_KINDS:

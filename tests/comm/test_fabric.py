@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.presets import laptop_cluster
 from repro.comm.fabric import Fabric, Message
 from repro.comm.payload import make_payload
+from repro.faults.plan import FaultPlan, MessageFaultRule
 from repro.util.errors import CommunicationError, DeadlockError, ValidationError
 
 
@@ -96,15 +97,47 @@ def test_inject_serializes_sender(fabric):
     # Two messages ready at once leave the sender's egress NIC one after
     # the other: the second's wire starts where the first's ends.
     link = fabric.link(0, 2)
-    arrivals = [
+    sent = [
         fabric.transmit(
             0, 2, 1, make_payload(None), send_time=0.0, charged=link.bandwidth, link=link
         )  # 1 second of bytes each
         for _ in range(2)
     ]
-    assert arrivals == [pytest.approx(link.latency + 1.0), pytest.approx(link.latency + 2.0)]
+    assert sent == [
+        (pytest.approx(link.latency + 1.0), True),
+        (pytest.approx(link.latency + 2.0), True),
+    ]
     first, second = fabric.match(2, 0, 1), fabric.match(2, 0, 1)
     assert (first.wire_duration, second.wire_duration) == (pytest.approx(1.0),) * 2
+
+
+def test_transmit_reports_whether_it_enqueued(fabric):
+    # A drop is the one verdict the sender learns: a duplicated or delayed
+    # message is enqueued (twice, or later) all the same.
+    fabric.install_faults(
+        FaultPlan(
+            rules=[
+                MessageFaultRule(drop_prob=1.0, src=0),
+                MessageFaultRule(dup_prob=1.0, src=1),
+                MessageFaultRule(delay_prob=1.0, max_delay=1.0, src=2),
+            ]
+        )
+    )
+    link = fabric.link(0, 3)
+    clean = link.latency + 1.0  # 1 second of bytes
+
+    def transmit(src):
+        return fabric.transmit(
+            src, 3, 1, make_payload(None), send_time=0.0, charged=link.bandwidth, link=link
+        )
+
+    assert transmit(0) == (pytest.approx(clean), False)
+    assert not fabric.probe(3, source=0, tag=1)
+    assert transmit(1) == (pytest.approx(clean), True)
+    assert fabric.match(3, 1, 1).src == fabric.match(3, 1, 1).src == 1
+    arrival, enqueued = transmit(2)
+    assert enqueued and arrival > clean
+    assert fabric.probe(3, source=2, tag=1)
 
 
 def test_ranks_per_node_validation():

@@ -109,14 +109,6 @@ def test_degradation_window():
     assert plan.decide(0, 1, 5, 2.0).bandwidth_factor == 1.0
 
 
-def test_last_decision_tracks_per_sender():
-    plan = FaultPlan.lossy(seed=11, drop=0.5)
-    assert plan.last_decision(0) is CLEAN_DECISION  # nothing sent yet
-    for _ in range(20):
-        d = plan.decide(0, 1, 5, 0.0)
-        assert plan.last_decision(0) == d
-
-
 def test_crash_pending_and_consume_one_shot():
     crash = RankCrash(rank=2, at_time=1.0, restart_cost=0.5)
     plan = FaultPlan(seed=1, crashes=[crash])

@@ -17,6 +17,7 @@ from repro.serve.spec import (
     served_app_names,
 )
 from repro.util.errors import ValidationError
+from repro.util.validate import wire_fields
 
 
 # ------------------------------------------------------------- validation
@@ -61,14 +62,23 @@ def test_unknown_run_option_rejected():
         ("heat3d", "time_block", True, "an integer"),
         ("heat3d", "until_tol", "abc", "a number or null"),  # died mid-run
         ("heat3d", "until_tol", False, "a number or null"),
+        # Config params get the same check, against the config's annotations.
+        ("heat3d", "simulated_steps", "abc", "an integer"),  # TypeError mid-run
+        ("heat3d", "simulated_steps", 2.5, "an integer"),
+        ("heat3d", "functional_shape", "abc", "a list of integers"),
+        ("heat3d", "functional_shape", [24, True, 24], "a list of integers"),
+        ("heat3d", "seed", True, "an integer"),  # ran as seed 1
+        ("jacobi2d", "tol", "1e-3", "a number"),
     ],
 )
 def test_an_option_value_of_the_wrong_type_is_refused(app, option, value, expected):
-    message = f"{app} option '{option}' must be {expected}, got {value!r}"
+    field = "config param" if option in wire_fields(APPS[app].config_type) else "option"
+    message = f"{app} {field} '{option}' must be {expected}, got {value!r}"
+    doc = {"params" if field == "config param" else "options": {option: value}}
     with pytest.raises(ValidationError, match=re.escape(message)):
-        JobSpec(app=app, options={option: value})
+        JobSpec(app=app, **doc)
     with pytest.raises(ValidationError, match=re.escape(message)):
-        JobSpec.from_dict({"app": app, "options": {option: value}})
+        JobSpec.from_dict({"app": app, **doc})
 
 
 def test_an_option_value_of_the_right_type_is_admitted_unconverted():
