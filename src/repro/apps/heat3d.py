@@ -190,6 +190,8 @@ def rank_program(
             "steps": [],
             "iterations": res.iterations,
             "residuals": res.residuals,
+            # A scalar copy: a result payload keeps no list above 256 entries.
+            "final_residual": res.residuals[-1],
             "converged": res.converged,
         }
     out["grid"] = st.gather_global()

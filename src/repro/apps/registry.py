@@ -2,7 +2,7 @@
 
 One table serves the ``repro run|profile|submit`` CLI, the job service's
 spec validation, and the one function that runs a spec
-(:func:`repro.serve.spec.run_spec`).  A row only *names* the
+(:func:`repro.serve.spec.execute_job`).  A row only *names* the
 app's module, config class and quick-scale config arguments; the module is
 imported the first time the entry is looked up, so a process that runs
 heat3d jobs never loads the molecular-dynamics apps (or the neighbour

@@ -4,8 +4,9 @@
 :class:`repro.serve.spec.JobSpec` field — ``app``, ``--nodes``, ``--mix``,
 ``--preset``, ``--scale``, ``--param K=V``, ``--option K=V`` and
 ``--fault-plan JSON`` — and the spec is executed by
-:func:`repro.serve.spec.run_spec` wherever it lands.  The same spec, three
-ways (same virtual time, to the bit)::
+:func:`repro.serve.spec.execute_job` wherever it lands; the three commands
+print its payload through one renderer (:func:`render_payload`).  The same
+spec, three ways (same virtual time, to the bit)::
 
     python -m repro run heat3d --nodes 4 --scale quick --option time_block=2
     python -m repro submit heat3d --nodes 4 --option time_block=2
@@ -33,6 +34,7 @@ import json
 import os
 import signal
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro import __version__, metrics
@@ -41,7 +43,7 @@ from repro.cluster.presets import ohio_cluster
 from repro.core.env import DEVICE_MIXES
 from repro.metrics import fig5_chart, format_table
 from repro.serve.spec import (
-    BACKENDS, CLUSTER_PRESETS, JobSpec, run_spec, usable_cpus, use_one_heap,
+    BACKENDS, CLUSTER_PRESETS, JobSpec, execute_job, usable_cpus, use_one_heap,
 )
 from repro.util.errors import ReproError, ValidationError
 from repro.util.units import fmt_seconds
@@ -171,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--scale", choices=["quick", "full"], default="quick")
 
     def add_backend_arg(p: argparse.ArgumentParser) -> None:
-        """Where a job executes, for the commands whose jobs cross
-        :func:`repro.serve.spec.execute_job` (``run``/``profile`` run here)."""
+        """Where a job executes, for the commands that hand their jobs to a
+        scheduler (``run``/``profile`` call :func:`repro.serve.spec.execute_job`
+        in their own process)."""
         p.add_argument(
             "--backend",
             choices=BACKENDS,
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_info(args: argparse.Namespace | None = None) -> str:
+def cmd_info(args: argparse.Namespace) -> str:
     cluster = ohio_cluster()
     node = cluster.node
     gpu = node.gpus[0]
@@ -331,12 +334,10 @@ def cmd_info(args: argparse.Namespace | None = None) -> str:
         f"  apps:    {', '.join(sorted(APPS))}",
         f"  mixes:   {', '.join(sorted(DEVICE_MIXES))}",
     ]
-    if args is not None and getattr(args, "devices", False):
-        lines.append("")
-        lines.append(_device_details(cluster))
-    if args is not None and getattr(args, "backends", False):
-        lines.append("")
-        lines.append(_backend_details())
+    if args.devices:
+        lines += ["", _device_details(cluster)]
+    if args.backends:
+        lines += ["", _backend_details()]
     return "\n".join(lines)
 
 
@@ -425,87 +426,65 @@ def _job_spec(args: argparse.Namespace, **fields) -> JobSpec:
         raise SystemExit(f"invalid job spec: {exc}") from None
 
 
-def _run_here(spec: JobSpec):
-    """:func:`run_spec` in this process; an option value the app refuses
-    (``--option time_block=0``) ends the command as a failed job does."""
-    try:
-        return run_spec(spec)
-    except ReproError as exc:
-        raise SystemExit(f"{spec.app} failed: {exc}") from None
+def render_payload(
+    spec: JobSpec, payload: dict, *, profile: bool = False, trace: str | None = None
+) -> list[str]:
+    """The lines ``run``, ``profile`` and ``submit`` print under their
+    heading for one job payload, the same however the payload arrived.
 
-
-def _result_lines(makespan: float, seq_time: float, speedup: float) -> list[str]:
-    return [
-        f"  simulated time : {fmt_seconds(makespan)}",
-        f"  sequential time: {fmt_seconds(seq_time)} (modeled, 1 core)",
-        f"  speedup        : {speedup:.1f}x",
+    The result block is the simulated time, sequential time and speedup,
+    then what else the spec asked for: convergence (``until_tol``, read
+    from the payload's ``metrics``), the time block and the faults
+    injected.  ``profile`` prints the payload's report and then those
+    extra lines instead.  ``trace`` says where the run's trace went.
+    """
+    m, stats, tol = payload["metrics"], payload["fault_stats"], spec.options.get("until_tol")
+    rows = [] if profile else [
+        ("simulated time", fmt_seconds(payload["makespan"])),
+        ("sequential time", f"{fmt_seconds(payload['seq_time'])} (modeled, 1 core)"),
+        ("speedup", f"{payload['speedup']:.1f}x"),
     ]
+    if tol is not None:
+        state = "converged" if m["converged"] else "hit the iteration cap"
+        rows.append(("convergence", f"{m['iterations']} iteration(s), residual "
+                     f"{m['final_residual']:.3e} (tol {tol:.3e}, {state})"))
+    if spec.options.get("time_block") is not None:
+        rows.append(("time block", f"k={spec.options['time_block']}"))
+    if stats is not None:
+        rows.append(("faults", f"seed={spec.fault_plan.get('seed', 0)} drops={stats['drops']} "
+                     f"dups={stats['duplicates']} delays={stats['delays']} "
+                     f"crashes={stats['crashes_consumed']}"))
+    if not profile:
+        rows.append(("trace", trace))
+        return [f"  {label:<15}: {text}" for label, text in rows if text is not None]
+    from repro.obs.report import render_text_report
 
-
-def _fault_text(spec, stats: dict) -> str:
-    return (
-        f"seed={spec.fault_plan.get('seed', 0)} drops={stats['drops']} "
-        f"dups={stats['duplicates']} delays={stats['delays']} "
-        f"crashes={stats['crashes_consumed']}"
-    )
-
-
-def _time_block_text(spec) -> str | None:
-    """``k=<k>`` when the spec sets the temporal-blocking option."""
-    k = spec.options.get("time_block")
-    return None if k is None else f"k={k}"
-
-
-def _write_trace(path: str, apprun) -> str:
-    from repro.obs import write_chrome_trace
-
-    obj = write_chrome_trace(path, apprun.spmd.traces, apprun.spmd.makespan)
-    return f"{path} ({len(obj['traceEvents'])} events; open in ui.perfetto.dev)"
+    tail = [] if trace is None else [f"trace written to {trace}"]
+    return ["", render_text_report(payload["report"])] + [f"{k}: {v}" for k, v in rows] + tail
 
 
 def cmd_run(args: argparse.Namespace) -> str:
-    spec = _job_spec(args, trace=args.trace_out is not None)
-    run, plan = _run_here(spec)
-    lines = [
-        f"{spec.app} on {spec.nodes} node(s), {spec.mix}:",
-        *_result_lines(run.makespan, run.seq_time, run.speedup),
-    ]
-    tol = spec.options.get("until_tol")
-    if tol is not None:
-        rank0 = run.spmd.values[0]
-        final = rank0["residuals"][-1] if rank0["residuals"] else float("nan")
-        lines.append(
-            f"  convergence    : {rank0['iterations']} iteration(s), "
-            f"residual {final:.3e} (tol {tol:.3e}, "
-            f"{'converged' if rank0['converged'] else 'hit the iteration cap'})"
-        )
-    block = _time_block_text(spec)
-    if block is not None:
-        lines.append(f"  time block     : {block}")
-    if plan is not None:
-        lines.append(f"  faults         : {_fault_text(spec, plan.stats_snapshot())}")
+    """``repro run`` and ``repro profile``: execute the spec in this process
+    and render its payload; ``profile`` traces the run and prints its report."""
+    profile = args.command == "profile"
+    spec = _job_spec(args, trace=profile or args.trace_out is not None)
+    try:
+        payload = execute_job(spec)
+    except ReproError as exc:  # an option value the app refuses: a failed job
+        raise SystemExit(f"{spec.app} failed: {exc}") from None
+    trace = None
     if args.trace_out is not None:
-        lines.append(f"  trace          : {_write_trace(args.trace_out, run)}")
-    return "\n".join(lines)
+        from repro.obs.export import validate_chrome_trace
 
-
-def cmd_profile(args: argparse.Namespace) -> str:
-    from repro.obs import analyze, render_text_report
-
-    spec = _job_spec(args, trace=True)
-    apprun, plan = _run_here(spec)
-    report = analyze(apprun.spmd, app_makespan=apprun.makespan)
-    report.verify()
-    extra = [] if plan is None else [f"faults: {_fault_text(spec, plan.stats_snapshot())}"]
-    block = _time_block_text(spec)
-    if block is not None:
-        extra.append(f"time block: {block}")
-    if args.trace_out is not None:
-        extra.append(f"trace written to {_write_trace(args.trace_out, apprun)}")
-    if args.format == "json":
-        return json.dumps(report.to_dict(), indent=2)
-    head = f"{spec.app} on {spec.nodes} node(s), {spec.mix} [{spec.scale}]"
-    return "\n".join([head, "", render_text_report(report)] + extra)
+        validate_chrome_trace(payload["trace"])
+        Path(args.trace_out).write_text(json.dumps(payload["trace"]), encoding="utf-8")
+        events = len(payload["trace"]["traceEvents"])
+        trace = f"{args.trace_out} ({events} events; open in ui.perfetto.dev)"
+    if profile and args.format == "json":
+        return json.dumps(payload["report"], indent=2)
+    head = f"{spec.app} on {spec.nodes} node(s), {spec.mix}"
+    head += f" [{spec.scale}]" if profile else ":"
+    return "\n".join([head, *render_payload(spec, payload, profile=profile, trace=trace)])
 
 
 def _serve_url(args: argparse.Namespace) -> str:
@@ -590,12 +569,8 @@ def _cmd_submit_batch(args: argparse.Namespace) -> str:
             lines.append(f"  poll with: python -m repro jobs --url {client.url}")
         return "\n".join(lines)
     done = client.wait_many(pending, timeout=args.timeout)
-    states: dict[str, int] = {}
-    for status in done.values():
-        states[status["state"]] = states.get(status["state"], 0) + 1
-    lines.append(
-        "  finished: " + ", ".join(f"{n} {s}" for s, n in sorted(states.items()))
-    )
+    states = Counter(status["state"] for status in done.values())
+    lines.append("  finished: " + ", ".join(f"{n} {s}" for s, n in sorted(states.items())))
     return "\n".join(lines)
 
 
@@ -627,12 +602,8 @@ def cmd_submit(args: argparse.Namespace) -> str:
     if done["state"] != "done":
         detail = done.get("error") or done["state"]
         raise SystemExit(f"job {job['id']} {done['state']}: {detail}")
-    result = client.result(job["id"])["result"]
-    lines += _result_lines(result["makespan"], result["seq_time"], result["speedup"])
-    if result.get("fault_stats"):
-        lines.append(f"  faults         : {_fault_text(spec, result['fault_stats'])}")
-    if spec.trace:
-        lines.append(f"  trace          : GET {client.url}/jobs/{job['id']}/trace")
+    trace = f"GET {client.url}/jobs/{job['id']}/trace" if spec.trace else None
+    lines += render_payload(spec, client.result(job["id"])["result"], trace=trace)
     return "\n".join(lines)
 
 
@@ -657,8 +628,7 @@ def cmd_jobs(args: argparse.Namespace) -> str:
 
 
 def cmd_campaign(args: argparse.Namespace) -> str:
-    from repro.campaign import CampaignRunner, CampaignSpec, render_report
-    from repro.util.errors import ValidationError
+    from repro.campaign import CampaignRunner, CampaignSpec, render_report, run_table
 
     if args.campaign_command == "report":
         try:
@@ -717,11 +687,7 @@ def cmd_campaign(args: argparse.Namespace) -> str:
     if args.report:
         out_lines.append(render_report(doc))
     else:
-        from repro.campaign import run_table
-
-        out_lines.append(
-            run_table(doc["rows"], title=f"campaign {result.name!r}")
-        )
+        out_lines.append(run_table(doc["rows"], title=f"campaign {result.name!r}"))
         s = result.stats
         out_lines.append(
             f"points={s['points']} executed={s['executed']} "
@@ -733,25 +699,21 @@ def cmd_campaign(args: argparse.Namespace) -> str:
     return "\n".join(out_lines)
 
 
+#: The commands that print what they return (``serve`` blocks instead).
+_COMMANDS = {
+    "info": cmd_info, "run": cmd_run, "profile": cmd_run, "submit": cmd_submit,
+    "jobs": cmd_jobs, "campaign": cmd_campaign,
+    "figure": lambda args: _FIGURES[args.which](args.scale),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     use_one_heap()  # before any command starts a rank, job or server thread
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        print(cmd_info(args))
-    elif args.command == "run":
-        print(cmd_run(args))
-    elif args.command == "profile":
-        print(cmd_profile(args))
-    elif args.command == "figure":
-        print(_FIGURES[args.which](args.scale))
-    elif args.command == "serve":
+    if args.command == "serve":
         cmd_serve(args)
-    elif args.command == "submit":
-        print(cmd_submit(args))
-    elif args.command == "jobs":
-        print(cmd_jobs(args))
-    elif args.command == "campaign":
-        print(cmd_campaign(args))
+    else:
+        print(_COMMANDS[args.command](args))
     return 0
 
 

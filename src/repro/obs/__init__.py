@@ -12,7 +12,11 @@ Typical use::
     result = spmd_run(prog, cluster, trace=True)
     report = analyze(result)
     report.verify()                      # reconciliation + contiguity
-    print(render_text_report(report))
+    print(render_text_report(report.to_dict()))
+
+A traced job does the same in :func:`repro.serve.spec.execute_job`, whose
+payload carries the report's dict form (``report``) and the Chrome trace
+(``trace``); ``repro profile`` renders that payload.
 """
 
 from repro.util.lazy import lazy_exports
@@ -34,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "match_messages",
             "timeline_stats",
         ],
-        "export": ["export_chrome_trace", "validate_chrome_trace", "write_chrome_trace"],
+        "export": ["export_chrome_trace", "validate_chrome_trace"],
         "profile": ["PROFILE_APPS"],
         "report": ["render_text_report"],
     },

@@ -187,13 +187,3 @@ def validate_chrome_trace(obj: Any) -> None:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"trace is not JSON-serializable: {exc}") from exc
 
-
-def write_chrome_trace(
-    path: str, traces: Sequence[Trace], makespan: float | None = None
-) -> dict[str, Any]:
-    """Export, validate, and write a Chrome trace; returns the dict."""
-    obj = export_chrome_trace(traces, makespan)
-    validate_chrome_trace(obj)
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    return obj

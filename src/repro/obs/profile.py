@@ -1,8 +1,8 @@
 """The app table under its profiling name.
 
-``repro profile`` is :func:`repro.serve.spec.run_spec` on a traced spec
-followed by :func:`repro.obs.analysis.analyze`; what remains here is the
-name the benchmark's traced server interposes on.
+``repro profile`` is :func:`repro.serve.spec.execute_job` on a traced
+spec, whose payload carries the verified analysis report; what remains
+here is the name the benchmark's traced server interposes on.
 """
 
 from __future__ import annotations

@@ -17,13 +17,12 @@ including them would only split the cache.  Fault plans enter the hash through
 :meth:`repro.faults.plan.FaultPlan.canonical_key`, so listing the same
 rules in a different order does not change a job's identity either.
 
-:func:`run_spec` is the one function that executes a spec: it builds the
-cluster, config and fault plan and calls the app's ``run`` in the calling
-thread.  ``repro run``, ``repro profile``, the scheduler's executor
-(:func:`execute_job` = :func:`run_spec` + payload assembly) and the
-in-process campaigns behind the paper-figure drivers all go through it —
-which is what makes "submitted over the API" and "run directly"
-bit-for-bit comparable.
+:func:`execute_job` is the one function that executes a spec: it builds
+the cluster, config and fault plan, calls the app's ``run`` in the calling
+thread and returns the result payload.  ``repro run``, ``repro profile``,
+the scheduler's executor and the in-process campaigns behind the
+paper-figure drivers all call it — which is what makes "submitted over the
+API" and "run directly" bit-for-bit comparable.
 """
 
 from __future__ import annotations
@@ -350,14 +349,23 @@ def _result_digest(result: Any) -> str | None:
     return h.hexdigest()
 
 
-def run_spec(spec: JobSpec) -> tuple[Any, Any]:
-    """Run ``spec``'s app in the calling thread: ``(AppRun, FaultPlan | None)``.
+def execute_job(spec: JobSpec) -> dict[str, Any]:
+    """Run one job to completion and return its JSON-able result payload.
 
-    The only call of an app's ``run`` outside :mod:`repro.apps`.  The
-    returned plan is the one the run consumed (its ``stats`` say what was
-    injected); it is ``None`` for a fault-free spec.  ``spec.backend`` is
-    not consulted: sending a job to a worker is :func:`execute_job`'s call.
+    The only call of an app's ``run`` outside :mod:`repro.apps`, and the
+    reference for the service's bit-identity guarantee: a job's
+    ``makespan`` is repr-equal however the spec reached this function
+    (floats survive the JSON round trip exactly).  A traced spec's payload
+    also carries the Chrome trace and the analysis report, which must pass
+    :meth:`~repro.obs.analysis.RunReport.verify` or the job fails.  A
+    ``backend="processes"`` spec is handed, as its dict, to a job worker
+    process, which returns the payload this function builds there — same
+    loop, different process.
     """
+    if spec.backend == "processes":
+        from repro.serve.jobpool import run_in_worker
+
+        return run_in_worker(spec.to_dict())
     plan = spec.build_fault_plan()
     kwargs: dict[str, Any] = dict(spec.options)
     if plan is not None:
@@ -367,25 +375,6 @@ def run_spec(spec: JobSpec) -> tuple[Any, Any]:
     apprun = APPS[spec.app].run(
         build_cluster(spec.preset, spec.nodes), spec.build_config(), spec.mix, **kwargs
     )
-    return apprun, plan
-
-
-def execute_job(spec: JobSpec) -> dict[str, Any]:
-    """Run one job to completion and return its JSON-able result payload.
-
-    This is the scheduler's default executor and the reference for the
-    service's bit-identity guarantee: :func:`run_spec` is what the CLI's
-    direct path calls too, so a job's ``makespan`` is repr-equal to the
-    same spec run without the service (floats survive the JSON round trip
-    exactly).  A ``backend="processes"`` spec is handed, as its dict, to a
-    job worker process, which returns the payload this function builds
-    there — same loop, different process.
-    """
-    if spec.backend == "processes":
-        from repro.serve.jobpool import run_in_worker
-
-        return run_in_worker(spec.to_dict())
-    apprun, plan = run_spec(spec)
 
     payload: dict[str, Any] = {
         "app": apprun.app,
@@ -405,6 +394,8 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
         from repro.obs.analysis import analyze
         from repro.obs.export import export_chrome_trace
 
+        report = analyze(apprun.spmd, app_makespan=apprun.makespan)
+        report.verify()
         payload["trace"] = export_chrome_trace(apprun.spmd.traces, apprun.spmd.makespan)
-        payload["report"] = analyze(apprun.spmd, app_makespan=apprun.makespan).to_dict()
+        payload["report"] = report.to_dict()
     return payload

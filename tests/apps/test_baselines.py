@@ -20,8 +20,9 @@ from repro.apps.baselines import (
 from repro.apps.registry import APPS
 from repro.cluster.presets import ohio_cluster
 from repro.metrics import figures
-from repro.serve import JobServer, JobSpec, ServeClient, ServeError, run_spec
+from repro.serve import JobServer, JobSpec, ServeClient, ServeError, execute_job
 from repro.serve.scheduler import AdmissionError
+from repro.serve.spec import _result_digest
 from repro.util.errors import ValidationError
 
 KCFG = kmeans.KmeansConfig(functional_points=12_000, iterations=2)
@@ -119,26 +120,22 @@ REGISTERED = [
 ]
 
 
-def _equal(a, b) -> bool:
-    """Results compare equal: arrays elementwise, containers item by item."""
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and np.array_equal(a, b)
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
-    return a == b
-
-
 @pytest.mark.parametrize("name,module,nodes,mix", REGISTERED, ids=[r[0] for r in REGISTERED])
 def test_registered_baseline_runs_as_its_direct_call(name, module, nodes, mix):
-    """A JobSpec runs a baseline through run_spec exactly as the module call does."""
-    spec = JobSpec(app=name, nodes=nodes, mix=mix)
-    served, _ = run_spec(spec)
+    """A JobSpec runs a baseline through execute_job exactly as the module call does."""
+    served = execute_job(JobSpec(app=name, nodes=nodes, mix=mix))
     direct = module.run(ohio_cluster(nodes), APPS[name].quick_config())
-    assert repr(served.makespan) == repr(direct.makespan)
-    assert _equal(served.result, direct.result)
-    assert served.app == direct.app == name
+    assert repr(served["makespan"]) == repr(direct.makespan)
+    assert served["result_digest"] == _result_digest(direct.result)
+    assert served["app"] == direct.app == name
+
+
+def test_profile_of_sobel_cuda_reports_its_pinned_makespan():
+    """``repro profile sobel-cuda``'s makespan is the rank clock's end, which
+    only the baseline's closing ``advance_to`` sets: its app makespan is
+    extrapolated from the step times and never reads the clock."""
+    payload = execute_job(JobSpec(app="sobel-cuda", nodes=1, mix="1gpu", trace=True))
+    assert repr(payload["report"]["makespan"]) == "0.7247641373464717"
 
 
 @pytest.mark.parametrize("name,module,nodes,mix", REGISTERED, ids=[r[0] for r in REGISTERED])

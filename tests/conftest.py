@@ -147,12 +147,11 @@ def parse_replies(raw: bytes) -> list[tuple[int, dict[str, str], object]]:
 
 
 def profile(app, **spec_fields):
-    """What ``repro profile`` does: a traced spec through ``run_spec``, then ``analyze``."""
-    from repro.obs import analyze
-    from repro.serve import JobSpec, run_spec
+    """What ``repro profile`` renders: the payload of a traced spec through
+    ``execute_job``, whose ``report`` passed ``RunReport.verify``."""
+    from repro.serve import JobSpec, execute_job
 
-    apprun, _ = run_spec(JobSpec(app=app, trace=True, **spec_fields))
-    return apprun, analyze(apprun.spmd, app_makespan=apprun.makespan)
+    return execute_job(JobSpec(app=app, trace=True, **spec_fields))
 
 
 def assert_allclose(a, b, **kw):

@@ -8,14 +8,18 @@ makespans stay those of a device that built every core up front (pinned
 below from such a build); with tracing on every core still records.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.apps.registry import APPS
+from repro.cluster.presets import ohio_cluster
 from repro.core.api import IRKernel, StencilKernel, shifted
 from repro.core.env import RuntimeEnv
 from repro.core.scheduler import ChunkScheduler
 from repro.device.work import WorkModel
-from repro.serve.spec import JobSpec, build_cluster, run_spec
+from repro.serve.spec import JobSpec, execute_job
 from tests.conftest import run_spmd
 
 N = 96
@@ -95,9 +99,11 @@ def test_a_step_mixing_runtime_and_chunk_charges_keeps_its_makespans(order, mix)
 
 
 def test_kmeans_with_obs_on_records_chunks_on_every_core():
-    spec = JobSpec(app="kmeans", nodes=2, mix="cpu", trace=True, params={"functional_points": 4000})
-    cores = build_cluster(spec.preset, spec.nodes).node.cpu.cores
-    apprun, _ = run_spec(spec)
+    cluster = ohio_cluster(2)
+    cores = cluster.node.cpu.cores
+    entry = APPS["kmeans"]
+    config = dataclasses.replace(entry.quick_config(), functional_points=4000)
+    apprun = entry.run(cluster, config, "cpu", trace=True)
     for trace in apprun.spmd.traces:
         by_line = trace.intervals_by_timeline()
         for c in range(cores):
@@ -106,6 +112,6 @@ def test_kmeans_with_obs_on_records_chunks_on_every_core():
 
 @pytest.mark.parametrize("app", ["heat3d", "kmeans"])
 def test_obs_on_and_off_give_repr_equal_makespans_at_16_ranks(app):
-    plain, _ = run_spec(JobSpec(app=app, nodes=16, mix="cpu"))
-    observed, _ = run_spec(JobSpec(app=app, nodes=16, mix="cpu", trace=True))
-    assert repr(observed.makespan) == repr(plain.makespan)
+    plain = execute_job(JobSpec(app=app, nodes=16, mix="cpu"))
+    observed = execute_job(JobSpec(app=app, nodes=16, mix="cpu", trace=True))
+    assert repr(observed["makespan"]) == repr(plain["makespan"])

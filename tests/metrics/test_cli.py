@@ -14,7 +14,7 @@ def test_info(capsys):
 
 
 def test_info_contents():
-    text = cmd_info()
+    text = cmd_info(build_parser().parse_args(["info"]))
     assert "32" in text and "384" in text
 
 

@@ -45,15 +45,19 @@ def test_ablations_run_each_moldyn_arm_once():
 
 def test_a_warm_sweep_reads_every_row_from_the_store(monkeypatch):
     """A second fig5 over the same store gives the same rows and runs nothing."""
-    from repro.serve import spec
+    calls = []
 
-    real, calls = spec.run_spec, []
+    def counting(name, run):
+        @functools.wraps(run)  # JobSpec validates options against run's signature
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
 
-    def counting(job):
-        calls.append(job.app)
-        return real(job)
+        return wrapped
 
-    monkeypatch.setattr(spec, "run_spec", counting)
+    for name in APPS:
+        entry = APPS[name]
+        monkeypatch.setitem(APPS, name, dataclasses.replace(entry, run=counting(name, entry.run)))
     cold = figures.fig5_scalability("quick")
     assert "kmeans-mpi" in calls and "kmeans" in calls
     calls.clear()

@@ -26,25 +26,49 @@ def own_run(app):
 
 @pytest.mark.parametrize("app", sorted(PROFILE_APPS))
 def test_profile_reconciles_for_every_app(app):
+    """Every registry app's traced job passes ``RunReport.verify`` in
+    ``execute_job`` (a job whose report does not reconcile fails)."""
     nodes, mix = own_run(app)
-    apprun, report = profile(app, nodes=nodes, mix=mix)
-    report.verify()  # raises on any reconciliation failure
-    assert report.makespan == apprun.spmd.makespan
+    payload = profile(app, nodes=nodes, mix=mix)
+    report = payload["report"]
+    assert report["makespan"] == payload["trace"]["otherData"]["makespan_s"]
     # Every rank's phases tile [0, makespan] exactly.
-    for ph in report.phases:
-        assert ph.total == pytest.approx(report.makespan, rel=1e-9)
+    for ph in report["phases"]:
+        assert ph["total"] == pytest.approx(report["makespan"], rel=1e-9)
     # The critical path is chronological, contiguous, and ends at the
     # makespan (verify() checks gaps; check the endpoints here too).
-    path = report.critical_path
+    path = report["critical_path"]
     assert path, "critical path must not be empty"
-    assert path[0].start == pytest.approx(0.0, abs=1e-12)
-    assert path[-1].end == pytest.approx(report.makespan, rel=1e-9)
+    assert path[0]["start"] == pytest.approx(0.0, abs=1e-12)
+    assert path[-1]["end"] == pytest.approx(report["makespan"], rel=1e-9)
     for prev, link in zip(path, path[1:]):
-        assert link.start <= prev.end + 1e-9 * report.makespan  # contiguous
+        assert link["start"] <= prev["end"] + 1e-9 * report["makespan"]  # contiguous
     # Utilization is a sane fraction for every timeline.
-    for tl in report.timelines:
-        assert 0.0 <= tl.utilization <= 1.0 + 1e-9
-        assert tl.idle >= -1e-12
+    for tl in report["timelines"]:
+        assert 0.0 <= tl["utilization"] <= 1.0 + 1e-9
+        assert tl["idle"] >= -1e-12
+
+
+def test_a_report_that_does_not_reconcile_fails_its_job(monkeypatch):
+    import repro.obs.analysis as analysis
+    from repro.serve import JobScheduler, JobSpec
+
+    real = analysis.attribute_phases
+
+    def skewed(*args):
+        rows = real(*args)
+        rows[0].compute += 1.0
+        return rows
+
+    monkeypatch.setattr(analysis, "attribute_phases", skewed)
+    scheduler = JobScheduler(rank_budget=4)
+    try:
+        job = scheduler.submit(JobSpec(app="heat3d", nodes=2, trace=True))
+        done = scheduler.wait(job.id, timeout=60.0)
+    finally:
+        scheduler.shutdown()
+    assert done.state == "failed"
+    assert done.error.startswith("AssertionError: rank 0 phases sum to "), done.error
 
 
 def test_unknown_app_and_scale_rejected():
@@ -129,8 +153,8 @@ def test_aggregate_counters_sums_ranks():
 def test_report_to_dict_is_json_serializable():
     import json
 
-    _, report = profile("sobel", nodes=2)
-    blob = json.dumps(report.to_dict())
+    report = profile("sobel", nodes=2)["report"]
+    blob = json.dumps(report)
     assert "critical_path" in blob and "phases" in blob
 
 

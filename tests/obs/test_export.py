@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.export import (
-    _assign_lanes,
-    export_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs.export import _assign_lanes, export_chrome_trace, validate_chrome_trace
 from repro.sim.trace import Trace
 
 
@@ -96,13 +91,6 @@ def test_validate_rejects_malformed_traces():
                 ]  # missing dur
             }
         )
-
-
-def test_write_chrome_trace(tmp_path):
-    path = tmp_path / "trace.json"
-    obj = write_chrome_trace(str(path), _sample_traces(), makespan=2.0)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == obj
 
 
 def test_assign_lanes_greedy_colouring():

@@ -1,7 +1,6 @@
 """`repro submit` / `repro jobs` against a live in-process job server."""
 
 import json
-import re
 
 import pytest
 
@@ -112,10 +111,16 @@ CRASH_PLAN = FaultPlan.lossy(
     7, drop=0.05, dup=0.02, delay=0.05, max_delay=1e-4, crashes=[RankCrash(1, 0.05, 1.0)]
 ).to_dict()
 FLAG_SETS = {
+    "plain": (["heat3d"], {"app": "heat3d"}),
     "time-block": (["heat3d", "--option", "time_block=2"], {"app": "heat3d", "options": {"time_block": 2}}),
     "until-tol": (
         ["heat3d", "--option", "until_tol=1e-3", "--option", "max_iters=6"],
         {"app": "heat3d", "options": {"until_tol": 1e-3, "max_iters": 6}},
+    ),
+    # More iterations than a payload's metrics keep of a list (256).
+    "until-tol-long": (
+        ["heat3d", "--param", "iterations=300", "--option", "until_tol=1e-9"],
+        {"app": "heat3d", "params": {"iterations": 300}, "options": {"until_tol": 1e-9}},
     ),
     "crash-restart": (
         ["heat3d", "--param", "simulated_steps=4", "--fault-plan", json.dumps(CRASH_PLAN),
@@ -135,8 +140,11 @@ FLAG_SETS = {
 }
 
 
-def _printed_makespan(capsys) -> str:
-    return re.search(r"simulated time : (\S+)", capsys.readouterr().out).group(1)
+def _result_block(capsys) -> list[str]:
+    """The printed lines under the command's heading, without the trace
+    line (a file for ``run``, a URL for ``submit``)."""
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return [line for line in lines if not line.startswith("  trace ")]
 
 
 @pytest.mark.parametrize("case", sorted(FLAG_SETS))
@@ -146,11 +154,14 @@ def test_run_submit_and_execute_job_agree(case, capsys, live_server, monkeypatch
     monkeypatch.setattr(repro.cli, "fmt_seconds", repr)  # print makespans exactly
     assert main(["run", *flags, *BASE_FLAGS]
                 + (["--trace-out", str(tmp_path / "t.json")] if traced else [])) == 0
-    ran = _printed_makespan(capsys)
+    ran = _result_block(capsys)
     assert main(["submit", *flags, *BASE_FLAGS] + (["--trace"] if traced else [])) == 0
-    served = _printed_makespan(capsys)
+    served = _result_block(capsys)
     direct = execute_job(JobSpec(**BASE, **fields))
-    assert ran == served == repr(direct["makespan"])
+    assert ran == served  # byte for byte
+    assert ran[0] == f"  simulated time : {direct['makespan']!r}"
+    converging = "until_tol" in fields.get("options", {})
+    assert any(line.startswith("  convergence    : ") for line in ran) == converging
     if traced:
         assert json.loads((tmp_path / "t.json").read_text()) == direct["trace"]
 

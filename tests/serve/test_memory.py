@@ -482,8 +482,8 @@ def heat3d_peak_per_rank(nodes: int) -> float:
     divided by the rank count."""
     spec = serve_spec.JobSpec(app="heat3d", nodes=nodes, mix="cpu")
     try:
-        serve_spec.run_spec(spec)  # first-use imports and the input are not per rank
-        return traced_peak(lambda: serve_spec.run_spec(spec))[1] / nodes
+        serve_spec.execute_job(spec)  # first-use imports and the input are not per rank
+        return traced_peak(lambda: serve_spec.execute_job(spec))[1] / nodes
     finally:
         clear_memo()
 

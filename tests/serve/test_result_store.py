@@ -161,7 +161,7 @@ def test_cache_eviction_does_not_erase_store(tmp_path):
 _ONE_KMEANS_POINT = """
 import json, sys
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.serve.spec import run_spec
+from repro.serve.spec import execute_job
 from repro.serve.store import ResultStore
 
 campaign = CampaignSpec.from_dict({
@@ -176,14 +176,14 @@ path = probe.path_for(spec.content_hash())
 kept = json.loads(path.read_text())["code"] if path.is_file() else None
 store = ResultStore(sys.argv[1])
 result = CampaignRunner(campaign, store=store).run()
-direct, _ = run_spec(spec)
+direct = execute_job(spec)
 print(json.dumps({
     "probe_missed": missed,
     "probe": probe.stats(),
     "kept": kept,
     "path": str(path),
     "campaign": result.rows[0]["makespan"],
-    "direct": direct.makespan,
+    "direct": direct["makespan"],
     "executed": result.stats["executed"],
     "store": store.stats(),
 }))
