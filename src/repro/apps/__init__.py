@@ -24,6 +24,6 @@ from repro.util.lazy import lazy_exports
 # Lazy (PEP 562): ``import repro.apps.heat3d`` must not load its siblings.
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
-    {"common": ["AppRun", "extrapolate_steps", "single_core_spec"]},
+    {"common": ["AppRun", "extrapolated_makespan", "single_core_spec"]},
     submodules=["kmeans", "moldyn", "minimd", "sobel", "heat3d"],
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import sobel as fw_sobel
-from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, check_run, extrapolated_makespan, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.device.gpu import GPUDevice
 from repro.sim.engine import RankContext, spmd_run
@@ -43,17 +43,15 @@ def rank_program(ctx: RankContext, config: fw_sobel.SobelConfig) -> dict:
 
     # The initial host->device image copy is *setup* — the paper's timings
     # "do not include application setup and initialization times".
-    ready = ctx.clock.now
-    step_times = []
-    for _ in range(config.simulated_steps):
-        t0 = ready
+    def advance(_steps: int) -> None:
+        nonlocal src, dst
         fw_sobel.sobel_apply(src, dst, region, None)
-        ready = t0 + gpu.kernel_time(work, n_model, framework=False)
+        ctx.clock.advance(gpu.kernel_time(work, n_model, framework=False))
         src, dst = dst, src
         src[0, :] = src[-1, :] = 0
         src[:, 0] = src[:, -1] = 0
-        step_times.append(ready - t0)
-    ctx.clock.advance_to(ready)
+
+    step_times = StepLoop(ctx).run(config.simulated_steps, advance)
     return {"steps": step_times, "image": src[region].copy()}
 
 
@@ -62,13 +60,12 @@ def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig, mix: str = "1gpu", *
     (``mix`` is ``"1gpu"`` only)."""
     check_run("sobel-cuda", cluster, mix)
     result = spmd_run(rank_program, cluster, args=(config,), **kw)
-    makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(fw_sobel.base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="sobel-cuda",
         mix="cuda-1gpu",
         nodes=1,
-        makespan=makespan,
+        makespan=extrapolated_makespan(result.values, config),
         seq_time=seq,
         result=result.values[0]["image"],
         spmd=result,

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import heat3d as fw_heat3d
-from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time, single_core_spec
+from repro.apps.common import (
+    AppRun, StepLoop, check_run, extrapolated_makespan, sequential_time, single_core_spec,
+)
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import coords_of, dims_create, rank_of
 from repro.comm.constants import PROC_NULL
@@ -65,9 +67,8 @@ def rank_program(ctx: RankContext, config: fw_heat3d.Heat3DConfig) -> dict:
                 elems *= local_shape[ax]
         return elems * (elem_scale / (config.shape[axis] / shape[axis])) * 8
 
-    step_times = []
-    for _ in range(config.simulated_steps):
-        t0 = ctx.clock.now
+    def advance(_steps: int) -> None:
+        nonlocal src, dst
         # -- blocking halo exchange, axis by axis ------------------------
         for axis in range(3):
             down = _neighbor(coords, dims, axis, -1)
@@ -97,8 +98,8 @@ def rank_program(ctx: RankContext, config: fw_heat3d.Heat3DConfig) -> dict:
         fw_heat3d.heat_apply(src, dst, interior, fw_heat3d.ALPHA)
         ctx.clock.advance(model_local * elem_time)
         src, dst = dst, src
-        step_times.append(ctx.clock.now - t0)
 
+    step_times = StepLoop(ctx).run(config.simulated_steps, advance)
     return {"steps": step_times, "bounds": bounds, "block": src[interior].copy()}
 
 
@@ -112,13 +113,12 @@ def run(cluster: ClusterSpec, config: fw_heat3d.Heat3DConfig, mix: str = "cpu", 
         args=(config,),
         **kw,
     )
-    makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(fw_heat3d.base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="heat3d-mpi",
         mix=f"mpi-{ppn}ppn",
         nodes=cluster.num_nodes,
-        makespan=makespan,
+        makespan=extrapolated_makespan(result.values, config),
         seq_time=seq,
         result=result.values,
         spmd=result,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import minimd as fw_minimd
-from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, check_run, extrapolated_makespan, sequential_time
 from repro.cluster.specs import ClusterSpec
 from repro.device.cpu import CPUDevice
 from repro.sim.engine import RankContext, spmd_run
@@ -71,9 +71,7 @@ def rank_program(ctx: RankContext, config: fw_minimd.MiniMDConfig) -> dict:
     exchange_scale = config.exchange_scale()
     positions = atoms.copy()
 
-    step_times = []
-    for _ in range(config.simulated_steps):
-        t0 = ctx.clock.now
+    def advance(_steps: int) -> None:
         # -- blocking position exchange (no overlap) ----------------------
         for p, ids in serve.items():
             buf = positions[ids]
@@ -101,8 +99,8 @@ def rank_program(ctx: RankContext, config: fw_minimd.MiniMDConfig) -> dict:
         # -- integrate local atoms ----------------------------------------
         positions[lo:hi, 3:6] += forces[lo:hi] * fw_minimd.DT
         positions[lo:hi, 0:3] += positions[lo:hi, 3:6] * fw_minimd.DT
-        step_times.append(ctx.clock.now - t0)
 
+    step_times = StepLoop(ctx).run(config.simulated_steps, advance)
     return {"steps": step_times, "range": (lo, hi), "nodes": positions[lo:hi].copy()}
 
 
@@ -110,7 +108,6 @@ def run(cluster: ClusterSpec, config: fw_minimd.MiniMDConfig, mix: str = "cpu", 
     """Run the per-node MPI+OpenMP baseline over ``cluster`` (``mix`` is ``"cpu"`` only)."""
     check_run("minimd-mpi", cluster, mix)
     result = spmd_run(rank_program, cluster, args=(config,), **kw)
-    makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(
         fw_minimd.base_force_work(), config.n_edges, cluster.node, config.iterations
     )
@@ -118,7 +115,7 @@ def run(cluster: ClusterSpec, config: fw_minimd.MiniMDConfig, mix: str = "cpu", 
         app="minimd-mpi",
         mix="mpi+openmp",
         nodes=cluster.num_nodes,
-        makespan=makespan,
+        makespan=extrapolated_makespan(result.values, config),
         seq_time=seq,
         result=result.values,
         spmd=result,

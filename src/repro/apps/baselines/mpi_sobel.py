@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import sobel as fw_sobel
-from repro.apps.common import AppRun, check_run, extrapolate_steps, sequential_time, single_core_spec
+from repro.apps.common import (
+    AppRun, StepLoop, check_run, extrapolated_makespan, sequential_time, single_core_spec,
+)
 from repro.cluster.specs import ClusterSpec
 from repro.cluster.topology import coords_of, dims_create, rank_of
 from repro.comm.constants import PROC_NULL
@@ -57,9 +59,8 @@ def rank_program(ctx: RankContext, config: fw_sobel.SobelConfig) -> dict:
         other = local_shape[1 - axis]
         return other * (elem_scale / (config.shape[axis] / shape[axis])) * 4
 
-    step_times = []
-    for _ in range(config.simulated_steps):
-        t0 = ctx.clock.now
+    def advance(_steps: int) -> None:
+        nonlocal src, dst
         for axis in range(2):
             down = _neighbor(coords, dims, axis, -1)
             up = _neighbor(coords, dims, axis, +1)
@@ -84,8 +85,8 @@ def rank_program(ctx: RankContext, config: fw_sobel.SobelConfig) -> dict:
         fw_sobel.sobel_apply(src, dst, interior, None)
         ctx.clock.advance(model_local * elem_time)
         src, dst = dst, src
-        step_times.append(ctx.clock.now - t0)
 
+    step_times = StepLoop(ctx).run(config.simulated_steps, advance)
     return {"steps": step_times, "bounds": bounds, "block": src[interior].copy()}
 
 
@@ -98,13 +99,12 @@ def run(cluster: ClusterSpec, config: fw_sobel.SobelConfig, mix: str = "cpu", **
         args=(config,),
         **kw,
     )
-    makespan = max(extrapolate_steps(v["steps"], config.iterations) for v in result.values)
     seq = sequential_time(fw_sobel.base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="sobel-mpi",
         mix=f"mpi-{ppn}ppn",
         nodes=cluster.num_nodes,
-        makespan=makespan,
+        makespan=extrapolated_makespan(result.values, config),
         seq_time=seq,
         result=result.values,
         spmd=result,

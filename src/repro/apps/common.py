@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.cluster.specs import ClusterSpec, CPUSpec, NodeSpec
 from repro.device.cpu import CPUDevice
@@ -68,15 +68,42 @@ def sequential_time(work: WorkModel, n_elems: float, node: NodeSpec, iterations:
     return iterations * n_elems * sequential_elem_time(work, node)
 
 
+def extrapolated_makespan(
+    values: Sequence[dict], config: Any, extra: Sequence[float] | None = None
+) -> float:
+    """The makespan of a step-timed run: the one place that turns simulated
+    steps into the full run's total.
+
+    ``values`` are the rank programs' return values, each carrying the
+    per-step virtual times :meth:`StepLoop.run` measured under
+    ``"steps"``; ``config.iterations`` is the full run's step count.  A
+    rank's total is :func:`extrapolate_steps` of its steps, plus its entry
+    of ``extra`` (time the steps do not include, such as MiniMD's
+    re-neighbouring); the makespan is the slowest rank's total.
+    """
+    extra = extra or [0.0] * len(values)
+    return max(
+        extrapolate_steps(v["steps"], config.iterations) + e for v, e in zip(values, extra)
+    )
+
+
 def extrapolate_steps(step_times: list[float], total_iterations: int) -> float:
-    """Total time for ``total_iterations`` from a few measured steps.
+    """Total time for ``total_iterations`` from a few measured steps; only
+    :func:`extrapolated_makespan` calls it.
 
     Early simulated steps include one-time costs (setup exchange, the even
     split before the adaptive repartition, the repartition's data
-    movement); the *last* measured step is steady state.  The estimate is
-    the measured prefix plus the steady rate for the remainder::
+    movement).  The estimate assumes that the *last* measured step is
+    steady state, and is the measured prefix plus that rate for the
+    remainder::
 
         sum(measured) + last * (total - len(measured))
+
+    The assumption does not always hold: at 16-32 nodes the adaptive
+    repartition of the irregular apps can settle after the default 3-4
+    simulated steps, and moldyn cpu+2gpu at 32 nodes then reads 77.25 %
+    above its steady-state extrapolation (ROADMAP.md, finding (x)).  Item
+    10(b) there makes the total come from a steady step or be refused.
 
     >>> extrapolate_steps([3.0, 2.0, 1.0], 10)
     13.0
@@ -134,8 +161,8 @@ class StepLoop:
         calls; returns per-step virtual times.
 
         A block's elapsed time is spread evenly over its steps: the total
-        is exact and the last entry is the steady per-step rate, which is
-        what :func:`extrapolate_steps` reads.  Blocks are the checkpoint
+        is exact and the last entry is the per-step rate that
+        :func:`extrapolated_makespan` extrapolates.  Blocks are the checkpoint
         unit; ``capture`` / ``restore`` are needed iff the loop is
         checkpointed.  Steps re-executed after a crash are timed again.
         """

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolated_makespan, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
 from repro.core.env import RuntimeEnv
@@ -142,7 +142,7 @@ def rank_program(
 
     The benchmark extrapolates the measured steady-state step time to the
     paper's full iteration count (see
-    :func:`repro.apps.common.extrapolate_steps`).
+    :func:`repro.apps.common.extrapolated_makespan`).
 
     ``reliable`` and ``checkpoint_every`` (snapshot cadence in exchange
     rounds) are the :class:`~repro.apps.common.StepLoop` switches: run
@@ -246,10 +246,7 @@ def run(
         makespan = result.makespan
         iterations = result.values[0]["iterations"]
     else:
-        per_rank_totals = [
-            extrapolate_steps(v["steps"], config.iterations) for v in result.values
-        ]
-        makespan = max(per_rank_totals)
+        makespan = extrapolated_makespan(result.values, config)
         iterations = config.iterations
     seq = sequential_time(base_work(), config.n_elems, cluster.node, iterations)
     return AppRun(

@@ -18,13 +18,12 @@ GPU efficiencies are calibrated to the paper's measured GPU :
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolated_makespan, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import GRKernel, IRKernel
 from repro.core.env import RuntimeEnv
@@ -236,23 +235,22 @@ def rank_program(
         ir.start()
         ir.update_nodedata(_integrate(ir.get_local_nodes(), ir.get_local_reduction()))
 
+    def rebuild(_steps: int) -> None:
+        # Re-neighbor: every rank rebuilds the (identical functional)
+        # list from the full positions — the runtime then re-runs its
+        # connectivity setup (steps 1-4) and edge uploads.
+        positions = _gather_positions(ctx, ir, atoms.shape)
+        edges = build_neighbor_edges(positions[:, 0:3], config.cutoff)
+        ir.set_mesh(edges, positions, **mesh_scales)
+
     loop = StepLoop(ctx)
     step_times = []
     rebuild_times = []
-    wall0 = time.perf_counter()
     for first in range(0, config.simulated_steps, config.reneighbor_every):
         if first:
-            t0 = ctx.clock.now
-            # Re-neighbor: every rank rebuilds the (identical functional)
-            # list from the full positions — the runtime then re-runs its
-            # connectivity setup (steps 1-4) and edge uploads.
-            positions = _gather_positions(ctx, ir, atoms.shape)
-            edges = build_neighbor_edges(positions[:, 0:3], config.cutoff)
-            ir.set_mesh(edges, positions, **mesh_scales)
-            rebuild_times.append(ctx.clock.now - t0)
+            rebuild_times += loop.run(1, rebuild)
         segment = min(config.reneighbor_every, config.simulated_steps - first)
         step_times += loop.run(segment, advance)
-    wall_steps = time.perf_counter() - wall0
 
     local_nodes = ir.get_local_nodes()
     lo, hi = ir.local_node_range
@@ -270,7 +268,6 @@ def rank_program(
     return {
         "steps": step_times,
         "rebuilds": rebuild_times,
-        "wall_steps": wall_steps,
         "ke": float(ke[0, 0]),
         "range": (lo, hi),
         "nodes": local_nodes,
@@ -289,13 +286,9 @@ def _gather_positions(ctx: RankContext, ir, shape: tuple[int, int]) -> np.ndarra
 
 def total_time(values: list[dict], config: MiniMDConfig) -> float:
     """Extrapolated full-run time including re-neighboring costs."""
-    per_rank = []
-    for v in values:
-        base = extrapolate_steps(v["steps"], config.iterations)
-        rebuilds = config.iterations // config.reneighbor_every
-        per_rebuild = float(np.mean(v["rebuilds"])) if v["rebuilds"] else 0.0
-        per_rank.append(base + rebuilds * per_rebuild)
-    return max(per_rank)
+    rebuilds = config.iterations // config.reneighbor_every
+    per_rebuild = [float(np.mean(v["rebuilds"])) if v["rebuilds"] else 0.0 for v in values]
+    return extrapolated_makespan(values, config, [rebuilds * r for r in per_rebuild])
 
 
 def run(

@@ -18,13 +18,12 @@ calibrated to the paper's measured GPU : 12-core-CPU ratio.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolated_makespan, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import GRKernel, IRKernel
 from repro.core.env import RuntimeEnv
@@ -230,9 +229,7 @@ def rank_program(
         ir.start()
         ir.update_nodedata(_integrate(ir.get_local_nodes(), ir.get_local_reduction()))
 
-    wall0 = time.perf_counter()
     step_times = StepLoop(ctx).run(config.simulated_steps, advance)
-    wall_steps = time.perf_counter() - wall0
 
     # KE and AV over the final local node data (generalized reductions).
     local_nodes = ir.get_local_nodes()
@@ -254,7 +251,6 @@ def rank_program(
     env.finalize()
     return {
         "steps": step_times,
-        "wall_steps": wall_steps,
         "ke": float(ke[0, 0]),
         "av": av,
         "range": (lo, hi),
@@ -276,13 +272,12 @@ def run(
     result = spmd_run(
         rank_program, cluster, args=(config, mix), kwargs={"overlap": overlap}, **spmd_kwargs
     )
-    per_rank = [extrapolate_steps(v["steps"], config.iterations) for v in result.values]
     seq = sequential_time(base_cf_work(), config.n_edges, cluster.node, config.iterations)
     return AppRun(
         app="moldyn",
         mix=mix,
         nodes=cluster.num_nodes,
-        makespan=max(per_rank),
+        makespan=extrapolated_makespan(result.values, config),
         seq_time=seq,
         result=result.values,
         spmd=result,

@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from repro.apps.calibrate import calibrate_gpu_ratio
-from repro.apps.common import AppRun, StepLoop, extrapolate_steps, sequential_time
+from repro.apps.common import AppRun, StepLoop, extrapolated_makespan, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.api import StencilKernel
 from repro.core.env import RuntimeEnv
@@ -181,15 +181,12 @@ def run(
         kwargs={"overlap": overlap, "tiling": tiling, "time_block": time_block},
         **spmd_kwargs,
     )
-    per_rank_totals = [
-        extrapolate_steps(v["steps"], config.iterations) for v in result.values
-    ]
     seq = sequential_time(base_work(), config.n_elems, cluster.node, config.iterations)
     return AppRun(
         app="sobel",
         mix=mix,
         nodes=cluster.num_nodes,
-        makespan=max(per_rank_totals),
+        makespan=extrapolated_makespan(result.values, config),
         seq_time=seq,
         result=result.values[0]["image"],
         spmd=result,

@@ -106,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_job_args(p: argparse.ArgumentParser, *, scale: str, app_nargs=None) -> None:
         """The flags that describe a run, one per ``JobSpec`` field, declared
-        once for run/profile/submit (:func:`_job_spec` reads them)."""
+        once for run/profile/submit (:func:`_job_spec` reads them).  An
+        omitted ``--nodes`` / ``--mix`` is 4 / cpu+2gpu, or what the app's
+        registry row allows (a CUDA baseline: 1 / 1gpu)."""
         p.add_argument("app", nargs=app_nargs, choices=sorted(APPS))
-        p.add_argument("--nodes", type=int, default=4, help="cluster nodes (paper: 1..32)")
-        p.add_argument(
-            "--mix", choices=sorted(DEVICE_MIXES), default="cpu+2gpu", help="device mix per node"
-        )
+        p.add_argument("--nodes", type=int, help="cluster nodes (default: 4, or the app's limit)")
+        p.add_argument("--mix", choices=sorted(DEVICE_MIXES), help="device mix per node")
         p.add_argument(
             "--preset", choices=CLUSTER_PRESETS, default="ohio", help="cluster preset to build"
         )
@@ -412,8 +412,10 @@ def _job_spec(args: argparse.Namespace, **fields) -> JobSpec:
     document a job spec file holds, checked by :meth:`JobSpec.from_dict`."""
     try:
         plan = None if args.fault_plan is None else json.loads(args.fault_plan)
+        row = APPS[args.app]
         return JobSpec.from_dict({
-            "app": args.app, "nodes": args.nodes, "mix": args.mix,
+            "app": args.app, "mix": args.mix or (row.mixes or ("cpu+2gpu",))[0],
+            "nodes": min(4, row.max_nodes or 4) if args.nodes is None else args.nodes,
             "preset": args.preset, "scale": args.scale,
             "params": _kv_pairs(args.param, "--param"),
             "options": _kv_pairs(args.option, "--option"),

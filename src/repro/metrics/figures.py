@@ -472,32 +472,34 @@ def _kmeans_custom(ctx, config, *, localized, streams, mix="1gpu", chunk_elems=N
 
 def _moldyn_static(cluster, config) -> float:
     """Moldyn's makespan with the adaptive repartitioning disabled (even split)."""
-    from repro.apps import moldyn
-    from repro.apps.common import extrapolate_steps
+    from repro.apps.common import extrapolated_makespan
     from repro.sim.engine import spmd_run
 
-    def program(ctx):
-        from repro.core.env import RuntimeEnv
+    result = spmd_run(_moldyn_static_rank, cluster, args=(config,))
+    return extrapolated_makespan(result.values, config)
 
-        node_data, edges = moldyn._functional_mesh(config)
-        env = RuntimeEnv(ctx, "cpu+2gpu")
-        ir = env.get_IR(adaptive=False)
-        ir.set_kernel(moldyn.make_cf_kernel(ctx.node, config))
-        ir.set_parameter(1.0)
-        ir.set_mesh(
-            edges,
-            node_data,
-            model_edges=config.n_edges,
-            model_nodes=config.n_nodes,
-            device_node_bytes=moldyn.DEVICE_NODE_BYTES,
-        )
-        times = []
-        for _ in range(config.simulated_steps):
-            t0 = ctx.clock.now
-            ir.start()
-            ir.update_nodedata(ir.get_local_nodes())
-            times.append(ctx.clock.now - t0)
-        return times
 
-    result = spmd_run(program, cluster)
-    return max(extrapolate_steps(v, config.iterations) for v in result.values)
+def _moldyn_static_rank(ctx, config) -> dict:
+    """One rank of :func:`_moldyn_static`: moldyn's force steps on an even split."""
+    from repro.apps import moldyn
+    from repro.apps.common import StepLoop
+    from repro.core.env import RuntimeEnv
+
+    node_data, edges = moldyn._functional_mesh(config)
+    env = RuntimeEnv(ctx, "cpu+2gpu")
+    ir = env.get_IR(adaptive=False)
+    ir.set_kernel(moldyn.make_cf_kernel(ctx.node, config))
+    ir.set_parameter(1.0)
+    ir.set_mesh(
+        edges,
+        node_data,
+        model_edges=config.n_edges,
+        model_nodes=config.n_nodes,
+        device_node_bytes=moldyn.DEVICE_NODE_BYTES,
+    )
+
+    def advance(_steps: int) -> None:
+        ir.start()
+        ir.update_nodedata(ir.get_local_nodes())
+
+    return {"steps": StepLoop(ctx).run(config.simulated_steps, advance)}

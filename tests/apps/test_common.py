@@ -6,6 +6,7 @@ from repro.apps.common import (
     AppRun,
     check_functional_scale,
     extrapolate_steps,
+    extrapolated_makespan,
     sequential_elem_time,
     sequential_time,
     single_core_spec,
@@ -56,6 +57,15 @@ def test_extrapolate_steps():
         extrapolate_steps([], 5)
     with pytest.raises(ValidationError):
         extrapolate_steps([1.0, 1.0], 1)
+
+
+def test_extrapolated_makespan_is_the_slowest_rank_total():
+    class Config:
+        iterations = 10
+
+    values = [{"steps": [3.0, 1.0]}, {"steps": [1.0, 2.0]}]
+    assert extrapolated_makespan(values, Config) == 1.0 + 2.0 * 9
+    assert extrapolated_makespan(values, Config, [8.0, 0.5]) == 3.0 + 1.0 * 9 + 8.0
 
 
 def test_apprun_speedup():

@@ -123,9 +123,7 @@ def test_results_match_thread_backend_exactly():
         assert repr(there["makespan"]) == repr(here["makespan"]), name
         for key in ("result_digest", "fault_stats", "spec_hash", "speedup"):
             assert there[key] == here[key], (name, key)
-        for key in here["metrics"].keys() | there["metrics"].keys():
-            if not key.startswith("wall_"):  # host seconds the MD apps report
-                assert there["metrics"][key] == here["metrics"][key], (name, key)
+        assert there["metrics"] == here["metrics"], name
         if spec.trace:
             assert there["trace"]["traceEvents"] == here["trace"]["traceEvents"]
             assert there["report"]["critical_path"] == here["report"]["critical_path"]

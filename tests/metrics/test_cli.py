@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, cmd_info, main
+from repro.cli import _job_spec, build_parser, cmd_info, main
 
 
 def test_info(capsys):
@@ -59,6 +59,24 @@ OWN_FLAGS = {
 def test_job_flags_are_the_spec_fields(command):
     args = build_parser().parse_args([command, "heat3d"])
     assert set(vars(args)) - {"command"} == JOB_FLAGS | OWN_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "app,nodes,mix",
+    [("heat3d", 4, "cpu+2gpu"), ("heat3d-mpi", 4, "cpu"), ("kmeans-mpi", 4, "cpu"),
+     ("sobel-cuda", 1, "1gpu"), ("kmeans-cuda", 1, "1gpu")],
+)
+def test_omitted_nodes_and_mix_are_what_the_app_runs(app, nodes, mix):
+    """With no ``--nodes`` / ``--mix``, a job takes 4 nodes and cpu+2gpu, or
+    as much of that as the app's registry row allows."""
+    for command in sorted(OWN_FLAGS):
+        spec = _job_spec(build_parser().parse_args([command, app]))
+        assert (spec.nodes, spec.mix) == (nodes, mix), command
+
+
+def test_a_baseline_runs_with_default_flags(capsys):
+    assert main(["run", "sobel-cuda", "--scale", "quick"]) == 0
+    assert "sobel-cuda on 1 node(s), 1gpu" in capsys.readouterr().out
 
 
 def test_figure_fig6(capsys):

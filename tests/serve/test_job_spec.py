@@ -152,6 +152,16 @@ def test_build_cluster_presets():
         build_cluster("moon", 2)
 
 
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_an_untraced_payload_is_the_same_every_run(app):
+    """A payload is stored under its spec's content hash, so it holds only
+    what the spec determines: no host time, no run-to-run noise."""
+    entry = APPS[app]
+    mix = entry.mixes[0] if entry.mixes else "cpu+2gpu"
+    spec = JobSpec(app=app, nodes=min(2, entry.max_nodes or 2), mix=mix)
+    assert execute_job(spec) == execute_job(spec)
+
+
 # ------------------------------------------------------------- wire format
 def test_round_trip_through_dict():
     spec = JobSpec(
